@@ -8,12 +8,11 @@
 //! Appendix A specifies linear-spline non-leaf layers and linear-regression
 //! leaves — exactly our [`Rmi`].
 
-use crate::full_scan::CountingVisitor;
 use flood_learned::rmi::{Rmi, RmiConfig};
 use flood_store::index_trait::ChunkedScanPlan;
 use flood_store::{
-    scan_filtered, scan_filtered_packed, CumulativeColumn, MultiDimIndex, PartitionedScan,
-    RangeQuery, ScanMode, ScanPlan, ScanStats, Table, Visitor,
+    scan_exact, scan_filtered, CumulativeColumn, MatchCount, MultiDimIndex, PartitionedScan,
+    RangeQuery, ScanPlan, ScanStats, Table, Visitor,
 };
 
 /// A learned clustered index over one dimension.
@@ -24,7 +23,6 @@ pub struct ClusteredIndex {
     rmi: Rmi,
     /// Optional cumulative SUM columns for exact-range aggregation.
     cumulatives: Vec<(usize, CumulativeColumn)>,
-    mode: ScanMode,
 }
 
 impl ClusteredIndex {
@@ -52,14 +50,7 @@ impl ClusteredIndex {
             key_dim,
             rmi,
             cumulatives,
-            mode: ScanMode::default(),
         }
-    }
-
-    /// Select the scan kernel for residual-filtered ranges (serial and
-    /// planned).
-    pub fn set_scan_mode(&mut self, mode: ScanMode) {
-        self.mode = mode;
     }
 
     /// The clustering dimension.
@@ -93,9 +84,8 @@ impl ClusteredIndex {
         }
         let exact = residual.num_filtered() == 0;
         // Selected whenever the aggregation column has prefix sums: exact
-        // ranges answer from it outright, and the packed kernel uses it for
-        // blocks the residual accepts wholesale. (The decode-first filtered
-        // kernel ignores it.)
+        // ranges answer from it outright, and the kernel uses it for blocks
+        // the residual accepts wholesale.
         let cumulative = agg_dim.and_then(|d| {
             self.cumulatives
                 .iter()
@@ -119,7 +109,7 @@ struct KeyRangePlan<'a> {
     refinements: u64,
     /// Filters checked per row; `None` when the range is exact.
     residual: Option<RangeQuery>,
-    /// Cumulative SUM column (exact ranges only).
+    /// Cumulative SUM column of the aggregation dimension, if built.
     cumulative: Option<&'a CumulativeColumn>,
 }
 
@@ -136,40 +126,13 @@ impl MultiDimIndex for ClusteredIndex {
             refinements: plan.refinements,
             ..Default::default()
         };
-        let mut counter = CountingVisitor {
-            inner: visitor,
-            matched: 0,
+        let mut counter = MatchCount::new(visitor);
+        let (data, cum) = (&self.data, plan.cumulative);
+        let (s, e) = (plan.start, plan.end);
+        let Ok(()) = match &plan.residual {
+            None => scan_exact(data, s, e, agg_dim, cum, &mut counter, &mut stats),
+            Some(q) => scan_filtered(data, q, s, e, agg_dim, cum, &mut counter, &mut stats),
         };
-        match &plan.residual {
-            None => flood_store::scan_exact(
-                &self.data,
-                plan.start,
-                plan.end,
-                agg_dim,
-                plan.cumulative,
-                &mut counter,
-                &mut stats,
-            ),
-            Some(residual) if self.mode == ScanMode::Packed => scan_filtered_packed(
-                &self.data,
-                residual,
-                plan.start,
-                plan.end,
-                agg_dim,
-                plan.cumulative,
-                &mut counter,
-                &mut stats,
-            ),
-            Some(residual) => scan_filtered(
-                &self.data,
-                residual,
-                plan.start,
-                plan.end,
-                agg_dim,
-                &mut counter,
-                &mut stats,
-            ),
-        }
         stats.points_matched = counter.matched;
         stats
     }
@@ -199,7 +162,6 @@ impl PartitionedScan for ClusteredIndex {
             plan.residual,
             agg_dim,
             plan.cumulative,
-            self.mode,
             &[(plan.start, plan.end)],
             max_tasks,
             ScanStats {

@@ -3,20 +3,17 @@
 
 use flood_store::index_trait::ChunkedScanPlan;
 use flood_store::{
-    scan_full, scan_full_packed, MultiDimIndex, PartitionedScan, RangeQuery, ScanMode, ScanPlan,
-    ScanStats, Table, Visitor,
+    scan_filtered, MatchCount, MultiDimIndex, PartitionedScan, RangeQuery, ScanPlan, ScanStats,
+    Table, Visitor,
 };
 
 /// A degenerate "index" that scans the whole table for every query — the
 /// correctness oracle and performance floor for all other indexes.
-///
-/// Compressed tables scan in [`ScanMode::Packed`] by default (predicates
-/// resolved against packed blocks without decoding);
-/// [`FullScan::set_scan_mode`] selects the decode-first kernel for A/B runs.
+/// Compressed tables resolve predicates against packed blocks without
+/// decoding (the scan kernel's block path).
 #[derive(Debug)]
 pub struct FullScan {
     data: Table,
-    mode: ScanMode,
 }
 
 impl FullScan {
@@ -24,18 +21,12 @@ impl FullScan {
     pub fn build(table: &Table) -> Self {
         FullScan {
             data: table.clone(),
-            mode: ScanMode::default(),
         }
     }
 
     /// The underlying data.
     pub fn data(&self) -> &Table {
         &self.data
-    }
-
-    /// Select the scan kernel for subsequent queries (serial and planned).
-    pub fn set_scan_mode(&mut self, mode: ScanMode) {
-        self.mode = mode;
     }
 }
 
@@ -47,18 +38,18 @@ impl MultiDimIndex for FullScan {
         visitor: &mut dyn Visitor,
     ) -> ScanStats {
         let mut stats = ScanStats::default();
-        let mut counter = CountingVisitor {
-            inner: visitor,
-            matched: 0,
-        };
-        match self.mode {
-            ScanMode::Packed => {
-                scan_full_packed(&self.data, query, agg_dim, None, &mut counter, &mut stats)
-            }
-            ScanMode::DecodeFirst => {
-                scan_full(&self.data, query, agg_dim, &mut counter, &mut stats)
-            }
-        }
+        let mut counter = MatchCount::new(visitor);
+        let n = self.data.len();
+        let Ok(()) = scan_filtered(
+            &self.data,
+            query,
+            0,
+            n,
+            agg_dim,
+            None,
+            &mut counter,
+            &mut stats,
+        );
         stats.points_matched = counter.matched;
         stats.ranges_scanned = 1;
         stats
@@ -88,7 +79,6 @@ impl PartitionedScan for FullScan {
             Some(query.clone()),
             agg_dim,
             None,
-            self.mode,
             &[(0, self.data.len())],
             max_tasks,
             // The serial path reports the whole table as one scanned range.
@@ -97,35 +87,6 @@ impl PartitionedScan for FullScan {
                 ..Default::default()
             },
         ))
-    }
-}
-
-/// Adapter that counts matches on behalf of [`ScanStats`]; shared by the
-/// baselines in this crate.
-pub(crate) struct CountingVisitor<'a> {
-    pub(crate) inner: &'a mut dyn Visitor,
-    pub(crate) matched: u64,
-}
-
-impl Visitor for CountingVisitor<'_> {
-    #[inline]
-    fn visit(&mut self, row: usize, value: u64) {
-        self.matched += 1;
-        self.inner.visit(row, value);
-    }
-
-    #[inline]
-    fn visit_exact_sum(&mut self, count: usize, sum: u64) {
-        self.matched += count as u64;
-        self.inner.visit_exact_sum(count, sum);
-    }
-
-    fn needs_value(&self) -> bool {
-        self.inner.needs_value()
-    }
-
-    fn supports_exact(&self) -> bool {
-        self.inner.supports_exact()
     }
 }
 

@@ -14,8 +14,9 @@
 //! builder enforces a block budget and reports failure the way the paper
 //! timed out its runs.
 
-use crate::full_scan::CountingVisitor;
-use flood_store::{scan_filtered, MultiDimIndex, RangeQuery, ScanStats, Table, Visitor};
+use flood_store::{
+    scan_filtered, MatchCount, MultiDimIndex, RangeQuery, ScanStats, Table, Visitor,
+};
 
 /// Default page size (points per bucket before splitting).
 pub const DEFAULT_PAGE_SIZE: usize = 1_024;
@@ -341,10 +342,7 @@ impl MultiDimIndex for GridFile {
         visitor: &mut dyn Visitor,
     ) -> ScanStats {
         let mut stats = ScanStats::default();
-        let mut counter = CountingVisitor {
-            inner: visitor,
-            matched: 0,
-        };
+        let mut counter = MatchCount::new(visitor);
         // Block ranges per indexed dim.
         let ranges: Vec<(u32, u32)> = self
             .dims
@@ -374,12 +372,13 @@ impl MultiDimIndex for GridFile {
                 continue;
             }
             stats.ranges_scanned += 1;
-            scan_filtered(
+            let Ok(()) = scan_filtered(
                 &self.data,
                 query,
                 b.start as usize,
                 b.end as usize,
                 agg_dim,
+                None,
                 &mut counter,
                 &mut stats,
             );

@@ -7,9 +7,8 @@
 //! points all have the same value in a particular dimension, that dimension
 //! is no longer used for further partitioning."
 
-use crate::full_scan::CountingVisitor;
 use flood_store::{
-    scan_exact, scan_filtered, MultiDimIndex, RangeQuery, ScanStats, Table, Visitor,
+    scan_exact, scan_filtered, MatchCount, MultiDimIndex, RangeQuery, ScanStats, Table, Visitor,
 };
 
 /// Default page size (points per leaf).
@@ -181,10 +180,7 @@ impl MultiDimIndex for KdTree {
         visitor: &mut dyn Visitor,
     ) -> ScanStats {
         let mut stats = ScanStats::default();
-        let mut counter = CountingVisitor {
-            inner: visitor,
-            matched: 0,
-        };
+        let mut counter = MatchCount::new(visitor);
         if self.nodes.is_empty() {
             return stats;
         }
@@ -198,7 +194,7 @@ impl MultiDimIndex for KdTree {
             }
             if rect.contains_box(&node.box_lo, &node.box_hi) {
                 stats.ranges_scanned += 1;
-                scan_exact(
+                let Ok(()) = scan_exact(
                     &self.data,
                     node.start as usize,
                     node.end as usize,
@@ -211,12 +207,13 @@ impl MultiDimIndex for KdTree {
             }
             if node.split_dim == LEAF {
                 stats.ranges_scanned += 1;
-                scan_filtered(
+                let Ok(()) = scan_filtered(
                     &self.data,
                     query,
                     node.start as usize,
                     node.end as usize,
                     agg_dim,
+                    None,
                     &mut counter,
                     &mut stats,
                 );

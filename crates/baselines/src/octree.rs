@@ -7,9 +7,8 @@
 //! and its physical range. Children are kept sparse: only non-empty
 //! hyperoctants are materialized.
 
-use crate::full_scan::CountingVisitor;
 use flood_store::{
-    scan_exact, scan_filtered, MultiDimIndex, RangeQuery, ScanStats, Table, Visitor,
+    scan_exact, scan_filtered, MatchCount, MultiDimIndex, RangeQuery, ScanStats, Table, Visitor,
 };
 
 /// Default page size (points per leaf).
@@ -175,10 +174,7 @@ impl MultiDimIndex for Hyperoctree {
         visitor: &mut dyn Visitor,
     ) -> ScanStats {
         let mut stats = ScanStats::default();
-        let mut counter = CountingVisitor {
-            inner: visitor,
-            matched: 0,
-        };
+        let mut counter = MatchCount::new(visitor);
         if self.nodes.is_empty() {
             return stats;
         }
@@ -193,7 +189,7 @@ impl MultiDimIndex for Hyperoctree {
             if rect.contains_box(&node.box_lo, &node.box_hi) {
                 // Whole subtree matches: exact scan, no per-point checks.
                 stats.ranges_scanned += 1;
-                scan_exact(
+                let Ok(()) = scan_exact(
                     &self.data,
                     node.start as usize,
                     node.end as usize,
@@ -206,12 +202,13 @@ impl MultiDimIndex for Hyperoctree {
             }
             if node.children.is_empty() {
                 stats.ranges_scanned += 1;
-                scan_filtered(
+                let Ok(()) = scan_filtered(
                     &self.data,
                     query,
                     node.start as usize,
                     node.end as usize,
                     agg_dim,
+                    None,
                     &mut counter,
                     &mut stats,
                 );

@@ -5,9 +5,8 @@
 //! an STR packer, so an STR-packed R-tree with rectangle-pruned descent
 //! reproduces the evaluated read path. (See DESIGN.md's substitution table.)
 
-use crate::full_scan::CountingVisitor;
 use flood_store::{
-    scan_exact, scan_filtered, MultiDimIndex, RangeQuery, ScanStats, Table, Visitor,
+    scan_exact, scan_filtered, MatchCount, MultiDimIndex, RangeQuery, ScanStats, Table, Visitor,
 };
 
 /// Default leaf capacity (points per leaf page).
@@ -165,10 +164,7 @@ impl MultiDimIndex for RStarTree {
         visitor: &mut dyn Visitor,
     ) -> ScanStats {
         let mut stats = ScanStats::default();
-        let mut counter = CountingVisitor {
-            inner: visitor,
-            matched: 0,
-        };
+        let mut counter = MatchCount::new(visitor);
         if self.data.is_empty() {
             return stats;
         }
@@ -182,7 +178,7 @@ impl MultiDimIndex for RStarTree {
             }
             if rect.contains_box(&node.box_lo, &node.box_hi) {
                 stats.ranges_scanned += 1;
-                scan_exact(
+                let Ok(()) = scan_exact(
                     &self.data,
                     node.start as usize,
                     node.end as usize,
@@ -195,12 +191,13 @@ impl MultiDimIndex for RStarTree {
             }
             if node.children.is_empty() {
                 stats.ranges_scanned += 1;
-                scan_filtered(
+                let Ok(()) = scan_filtered(
                     &self.data,
                     query,
                     node.start as usize,
                     node.end as usize,
                     agg_dim,
+                    None,
                     &mut counter,
                     &mut stats,
                 );

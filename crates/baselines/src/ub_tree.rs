@@ -6,9 +6,8 @@
 //! (BIGMIN) and jumps to the page containing it, avoiding long useless runs
 //! of the Z-curve.
 
-use crate::full_scan::CountingVisitor;
 use crate::morton::MortonEncoder;
-use flood_store::{MultiDimIndex, RangeQuery, ScanStats, Table, Visitor};
+use flood_store::{MatchCount, MultiDimIndex, RangeQuery, ScanStats, Table, Visitor};
 
 /// Default page size (points per page).
 pub const DEFAULT_PAGE_SIZE: usize = 1_024;
@@ -66,10 +65,7 @@ impl MultiDimIndex for UbTree {
         visitor: &mut dyn Visitor,
     ) -> ScanStats {
         let mut stats = ScanStats::default();
-        let mut counter = CountingVisitor {
-            inner: visitor,
-            matched: 0,
-        };
+        let mut counter = MatchCount::new(visitor);
         if self.zvals.is_empty() {
             return stats;
         }

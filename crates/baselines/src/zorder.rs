@@ -6,9 +6,10 @@
 //! ends, and iterates every page in between, scanning a page only when its
 //! min/max box intersects the query rectangle.
 
-use crate::full_scan::CountingVisitor;
 use crate::morton::MortonEncoder;
-use flood_store::{scan_filtered, MultiDimIndex, RangeQuery, ScanStats, Table, Visitor};
+use flood_store::{
+    scan_filtered, MatchCount, MultiDimIndex, RangeQuery, ScanStats, Table, Visitor,
+};
 
 /// Default page size (points per page).
 pub const DEFAULT_PAGE_SIZE: usize = 1_024;
@@ -99,10 +100,7 @@ impl MultiDimIndex for ZOrderIndex {
         visitor: &mut dyn Visitor,
     ) -> ScanStats {
         let mut stats = ScanStats::default();
-        let mut counter = CountingVisitor {
-            inner: visitor,
-            matched: 0,
-        };
+        let mut counter = MatchCount::new(visitor);
         let (rect_lo, rect_hi) = self.encoder.normalized_rect(query);
         let (z_lo, z_hi) = self.encoder.z_range(&rect_lo, &rect_hi);
         // Last page whose first Z ≤ z_lo could still contain z_lo.
@@ -121,12 +119,13 @@ impl MultiDimIndex for ZOrderIndex {
                 continue;
             }
             stats.ranges_scanned += 1;
-            scan_filtered(
+            let Ok(()) = scan_filtered(
                 &self.data,
                 query,
                 page.start as usize,
                 page.end as usize,
                 agg_dim,
+                None,
                 &mut counter,
                 &mut stats,
             );

@@ -32,7 +32,8 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let mut v = CountVisitor::default();
                 let mut s = ScanStats::default();
-                scan_filtered(t, black_box(&q), 0, t.len(), None, &mut v, &mut s);
+                let Ok(()) =
+                    scan_filtered(t, black_box(&q), 0, t.len(), None, None, &mut v, &mut s);
                 black_box(v.count)
             })
         });
@@ -40,7 +41,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let mut v = SumVisitor::default();
                 let mut s = ScanStats::default();
-                scan_exact(t, 0, t.len(), Some(1), None, &mut v, &mut s);
+                let Ok(()) = scan_exact(t, 0, t.len(), Some(1), None, &mut v, &mut s);
                 black_box(v.sum)
             })
         });
@@ -52,7 +53,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut v = SumVisitor::default();
             let mut s = ScanStats::default();
-            scan_exact(&t, 0, t.len(), Some(1), Some(&cum), &mut v, &mut s);
+            let Ok(()) = scan_exact(&t, 0, t.len(), Some(1), Some(&cum), &mut v, &mut s);
             black_box(v.sum)
         })
     });

@@ -6,7 +6,7 @@
 
 use super::ExpConfig;
 use flood_data::{DatasetKind, Workload, WorkloadKind};
-use flood_store::{scan_full, CountVisitor, ScanStats};
+use flood_store::{scan_filtered, CountVisitor, ScanStats};
 use std::time::Instant;
 
 /// Run the comparison; returns (store ns/row, raw ns/row).
@@ -32,7 +32,8 @@ pub fn compare(cfg: &ExpConfig) -> (f64, f64) {
     for q in &w.test {
         let mut v = CountVisitor::default();
         let mut s = ScanStats::default();
-        scan_full(&ds.table, q, None, &mut v, &mut s);
+        let t = &ds.table;
+        let Ok(()) = scan_filtered(t, q, 0, t.len(), None, None, &mut v, &mut s);
         total_store += v.count;
     }
     let store_ns = t0.elapsed().as_nanos() as f64 / (ds.table.len() as f64 * w.test.len() as f64);

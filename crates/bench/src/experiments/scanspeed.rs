@@ -11,14 +11,18 @@
 //!   skipped and the comparison isolates the word-parallel probe path
 //!   against per-value decode.
 //!
-//! Both modes run the identical `FullScan` index over the identical
-//! compressed table; only [`ScanMode`] differs. Counts are asserted equal.
+//! Both sides scan the identical compressed table: *packed* is the
+//! `FullScan` index (the scan kernel's block path), *decode-first* calls the
+//! reference row loop [`scan_rows`] directly, which decodes every value
+//! before comparing. Counts and sums are asserted equal.
 
 use super::ExpConfig;
 use crate::phases::time_phase;
 use crate::report;
 use flood_baselines::FullScan;
-use flood_store::{CountVisitor, MultiDimIndex, RangeQuery, ScanMode, SumVisitor, Table};
+use flood_store::{
+    scan_rows, CountVisitor, MultiDimIndex, RangeQuery, ScanStats, SumVisitor, Table, Visitor,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -85,17 +89,21 @@ fn queries(shape: &Shape, permille: usize, count: usize, seed: u64) -> Vec<Range
         .collect()
 }
 
-/// Run `qs` through `index`; returns (total count, total sum, wall ns).
-fn run_workload(index: &FullScan, qs: &[RangeQuery]) -> (u64, u64, u64) {
+/// Run `qs` through `scan` as a COUNT and a SUM over column 1; returns
+/// (total count, total sum, wall ns).
+fn run_workload(
+    scan: impl Fn(&RangeQuery, Option<usize>, &mut dyn Visitor),
+    qs: &[RangeQuery],
+) -> (u64, u64, u64) {
     let t0 = Instant::now();
     let mut count = 0u64;
     let mut sum = 0u64;
     for q in qs {
         let mut c = CountVisitor::default();
-        index.execute(q, None, &mut c);
+        scan(q, None, &mut c);
         count += c.count;
         let mut s = SumVisitor::default();
-        index.execute(q, Some(1), &mut s);
+        scan(q, Some(1), &mut s);
         sum = sum.wrapping_add(s.sum);
     }
     (count, sum, t0.elapsed().as_nanos() as u64)
@@ -106,21 +114,20 @@ pub fn compare(cfg: &ExpConfig) -> Vec<(&'static str, usize, f64, f64)> {
     let shapes = time_phase("data-gen", || build_shapes(cfg));
     let mut rows = Vec::new();
     for shape in &shapes {
-        let (mut packed, mut decode) = time_phase("index-build", || {
-            let packed = FullScan::build(&shape.table);
-            let decode = FullScan::build(&shape.table);
-            (packed, decode)
-        });
-        packed.set_scan_mode(ScanMode::Packed);
-        decode.set_scan_mode(ScanMode::DecodeFirst);
+        let packed = time_phase("index-build", || FullScan::build(&shape.table));
+        let run_packed = |q: &RangeQuery, agg: Option<usize>, v: &mut dyn Visitor| {
+            packed.execute(q, agg, v);
+        };
+        let run_decode = |q: &RangeQuery, agg: Option<usize>, v: &mut dyn Visitor| {
+            let (t, mut stats) = (&shape.table, ScanStats::default());
+            let Ok(()) = scan_rows(t, &q.checks(), 0, t.len(), agg, v, &mut stats);
+        };
         for &permille in SELECTIVITIES_PERMILLE {
             let qs = queries(shape, permille, cfg.queries, cfg.seed);
-            let (run_packed, run_decode) = time_phase("query-exec", || {
-                (run_workload(&packed, &qs), run_workload(&decode, &qs))
+            let ((pc, psum, pns), (dc, dsum, dns)) = time_phase("query-exec", || {
+                (run_workload(run_packed, &qs), run_workload(run_decode, &qs))
             });
-            let (pc, psum, pns) = run_packed;
-            let (dc, dsum, dns) = run_decode;
-            assert_eq!((pc, psum), (dc, dsum), "modes must agree on results");
+            assert_eq!((pc, psum), (dc, dsum), "paths must agree on results");
             // One representative query's block accounting.
             let mut v = CountVisitor::default();
             let stats = packed.execute(&qs[0], None, &mut v);

@@ -4,7 +4,6 @@ use crate::correlation::CorrelationConfig;
 use crate::flatten::Flattening;
 use crate::layout::Layout;
 use flood_learned::plm::DEFAULT_DELTA;
-use flood_store::ScanMode;
 use serde::{Deserialize, Serialize};
 
 /// How refinement (§3.2.2) locates the per-cell physical sub-range over the
@@ -37,9 +36,6 @@ pub struct FloodConfig {
     /// Dimensions to pre-build cumulative SUM columns for (enables the O(1)
     /// exact-range aggregation fast path of §7.1 on those dimensions).
     pub cumulative_dims: Vec<usize>,
-    /// How per-cell scans resolve filters against compressed columns
-    /// (default: packed-domain, no effect on uncompressed tables).
-    pub scan_mode: ScanMode,
     /// Soft-FD exploitation (Tsunami/COAX extension): detect correlated
     /// dimension pairs at build time and tighten projection/refinement
     /// through exact per-host envelopes, with residual per-point checks
@@ -57,7 +53,6 @@ impl Default for FloodConfig {
             plm_min_cell_size: 64,
             compress: false,
             cumulative_dims: Vec::new(),
-            scan_mode: ScanMode::default(),
             correlation: CorrelationConfig::default(),
         }
     }
@@ -130,13 +125,6 @@ impl FloodBuilder {
     /// SUM aggregation.
     pub fn cumulative_sum(mut self, dim: usize) -> Self {
         self.cfg.cumulative_dims.push(dim);
-        self
-    }
-
-    /// Select the scan kernel for compressed columns (default:
-    /// [`ScanMode::Packed`]).
-    pub fn scan_mode(mut self, mode: ScanMode) -> Self {
-        self.cfg.scan_mode = mode;
         self
     }
 

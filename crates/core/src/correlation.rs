@@ -34,7 +34,7 @@
 //!    value matches the filter are re-added **individually** with full
 //!    per-point checks (so residual cost is bounded by the outlier count,
 //!    never by cell size), and the dependent dimension's own bound is
-//!    still verified per point by the scan kernels (`scan_checked_dims*`)
+//!    still verified per point by the scan kernel (`scan_checked`)
 //!    — so results are bit-identical to a correlation-off index over the
 //!    same layout.
 //!

@@ -10,15 +10,15 @@
 use crate::config::FloodConfig;
 use crate::index::FloodIndex;
 use crate::layout::Layout;
-use flood_store::{MultiDimIndex, RangeQuery, ScanStats, Table, Visitor};
+use flood_store::{MatchCount, MultiDimIndex, RangeQuery, RowBuffer, ScanStats, Table, Visitor};
 
 /// A Flood index that accepts inserts through a delta buffer.
 #[derive(Debug)]
 pub struct DeltaFlood {
     base: FloodIndex,
     cfg: FloodConfig,
-    /// Buffered rows, column-major (one Vec per dimension).
-    delta: Vec<Vec<u64>>,
+    /// Buffered rows, scanned linearly after the base on every query.
+    delta: RowBuffer,
     merge_threshold: usize,
     merges: usize,
 }
@@ -28,11 +28,10 @@ impl DeltaFlood {
     /// reaches `merge_threshold` rows.
     pub fn build(table: &Table, layout: Layout, cfg: FloodConfig, merge_threshold: usize) -> Self {
         assert!(merge_threshold >= 1);
-        let dims = table.dims();
         DeltaFlood {
             base: FloodIndex::build(table, layout, cfg.clone()),
             cfg,
-            delta: vec![Vec::new(); dims],
+            delta: RowBuffer::new(table.dims()),
             merge_threshold,
             merges: 0,
         }
@@ -44,10 +43,7 @@ impl DeltaFlood {
     /// # Panics
     /// Panics on arity mismatch.
     pub fn insert(&mut self, row: &[u64]) -> bool {
-        assert_eq!(row.len(), self.delta.len(), "row arity mismatch");
-        for (col, &v) in self.delta.iter_mut().zip(row) {
-            col.push(v);
-        }
+        self.delta.push(row);
         if self.delta_len() >= self.merge_threshold {
             self.merge();
             true
@@ -58,7 +54,7 @@ impl DeltaFlood {
 
     /// Rows currently sitting in the delta buffer.
     pub fn delta_len(&self) -> usize {
-        self.delta.first().map_or(0, Vec::len)
+        self.delta.len()
     }
 
     /// Total rows (base + delta).
@@ -88,18 +84,14 @@ impl DeltaFlood {
             return;
         }
         let base_data = self.base.data();
-        let dims = base_data.dims();
-        let mut cols: Vec<Vec<u64>> = Vec::with_capacity(dims);
-        for d in 0..dims {
-            let mut col = base_data.column(d).to_vec();
-            col.extend_from_slice(&self.delta[d]);
-            cols.push(col);
+        let mut cols: Vec<Vec<u64>> = (0..base_data.dims())
+            .map(|d| base_data.column(d).to_vec())
+            .collect();
+        for (col, fresh) in cols.iter_mut().zip(self.delta.drain()) {
+            col.extend(fresh);
         }
         let merged = Table::from_named_columns(cols, base_data.names().to_vec());
         self.base = FloodIndex::build(&merged, self.base.layout().clone(), self.cfg.clone());
-        for col in &mut self.delta {
-            col.clear();
-        }
         self.merges += 1;
     }
 }
@@ -115,29 +107,16 @@ impl MultiDimIndex for DeltaFlood {
         let mut stats = self.base.execute(query, agg_dim, visitor);
         // …plus a linear pass over the (small) delta buffer. Delta rows are
         // reported with ids offset past the base data.
-        let n_delta = self.delta_len();
-        let base_len = self.base.data().len();
-        let needs_value = visitor.needs_value();
-        'rows: for i in 0..n_delta {
-            for d in query.filtered_dims() {
-                let v = self.delta[d][i];
-                if !query.matches_dim(d, v) {
-                    continue 'rows;
-                }
-            }
-            let v = match agg_dim {
-                Some(d) if needs_value => self.delta[d][i],
-                _ => 0,
-            };
-            visitor.visit(base_len + i, v);
-            stats.points_matched += 1;
-        }
-        stats.points_scanned += n_delta as u64;
+        let mut counter = MatchCount::new(visitor);
+        self.delta
+            .scan(query, agg_dim, self.base.data().len(), &mut counter);
+        stats.points_matched += counter.matched;
+        stats.points_scanned += self.delta_len() as u64;
         stats
     }
 
     fn index_size_bytes(&self) -> usize {
-        self.base.index_size_bytes() + self.delta_len() * self.delta.len() * 8
+        self.base.index_size_bytes() + self.delta_len() * self.delta.columns().len() * 8
     }
 
     fn name(&self) -> &'static str {

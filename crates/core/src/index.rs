@@ -13,8 +13,8 @@ use crate::layout::Layout;
 use flood_learned::plm::PiecewiseLinearModel;
 use flood_store::index_trait::{MultiDimIndex, PartitionedScan, ScanPlan};
 use flood_store::{
-    partition_ranges, scan_checked_dims, scan_checked_dims_packed, scan_exact, CumulativeColumn,
-    RangeChunk, RangeQuery, ScanMode, ScanStats, Table, Visitor,
+    partition_ranges, scan_checked, scan_exact, CumulativeColumn, MatchCount, RangeChunk,
+    RangeQuery, ScanStats, Table, Visitor,
 };
 use std::time::Instant;
 
@@ -264,10 +264,7 @@ impl FloodIndex {
         agg_dim: Option<usize>,
         visitor: &mut dyn Visitor,
     ) -> (ScanStats, PhaseTimes) {
-        let mut counter = MatchCounter {
-            inner: visitor,
-            matched: 0,
-        };
+        let mut counter = MatchCount::new(visitor);
         // Phases 1–2: projection (§3.2.1) + refinement (§3.2.2, §5.2).
         let (cells, mut stats, mut times) = self.plan(query);
         // Phase 3: scan (§3.2(3)).
@@ -281,15 +278,9 @@ impl FloodIndex {
 
     /// Filters on dimensions outside the index (always checked per point).
     fn unindexed_checks(&self, query: &RangeQuery) -> Vec<(usize, u64, u64)> {
-        query
-            .filtered_dims()
-            .into_iter()
-            .filter(|d| !self.layout.order().contains(d))
-            .map(|d| {
-                let (lo, hi) = query.bound(d).expect("filtered");
-                (d, lo, hi)
-            })
-            .collect()
+        let mut checks = query.checks();
+        checks.retain(|(d, ..)| !self.layout.order().contains(d));
+        checks
     }
 
     /// Scan a set of planned (projected + refined) cell ranges.
@@ -336,15 +327,13 @@ impl FloodIndex {
             }
             // Sort-dimension values are exact after refinement, so the sort
             // dimension never appears in the check list.
-            if checks.is_empty() {
-                scan_exact(&self.data, s, e, agg_dim, cumulative, visitor, stats);
-            } else if self.cfg.scan_mode == ScanMode::Packed {
-                scan_checked_dims_packed(
-                    &self.data, &checks, s, e, agg_dim, cumulative, visitor, stats,
-                );
+            let Ok(()) = if checks.is_empty() {
+                scan_exact(&self.data, s, e, agg_dim, cumulative, visitor, stats)
             } else {
-                scan_checked_dims(&self.data, &checks, s, e, agg_dim, visitor, stats);
-            }
+                scan_checked(
+                    &self.data, &checks, s, e, agg_dim, cumulative, visitor, stats,
+                )
+            };
         }
     }
 
@@ -633,10 +622,7 @@ impl ScanPlan for FloodScanPlan<'_> {
                 }
             })
             .collect();
-        let mut counter = MatchCounter {
-            inner: visitor,
-            matched: 0,
-        };
+        let mut counter = MatchCount::new(visitor);
         self.index.scan_cells(
             &subs,
             &self.query,
@@ -696,40 +682,12 @@ fn partition_point(len: usize, pred: impl Fn(usize) -> bool) -> usize {
     lo
 }
 
-/// Wraps the user's visitor to count matched points for [`ScanStats`].
-struct MatchCounter<'a> {
-    inner: &'a mut dyn Visitor,
-    matched: u64,
-}
-
-impl Visitor for MatchCounter<'_> {
-    #[inline]
-    fn visit(&mut self, row: usize, value: u64) {
-        self.matched += 1;
-        self.inner.visit(row, value);
-    }
-
-    #[inline]
-    fn visit_exact_sum(&mut self, count: usize, sum: u64) {
-        self.matched += count as u64;
-        self.inner.visit_exact_sum(count, sum);
-    }
-
-    fn needs_value(&self) -> bool {
-        self.inner.needs_value()
-    }
-
-    fn supports_exact(&self) -> bool {
-        self.inner.supports_exact()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::FloodBuilder;
     use crate::flatten::Flattening;
-    use flood_store::{scan_full, CollectVisitor, CountVisitor, SumVisitor};
+    use flood_store::{scan_rows, CollectVisitor, CountVisitor, SumVisitor};
 
     /// Deterministic pseudo-random test table.
     fn table(n: usize, dims: usize, seed: u64) -> Table {
@@ -754,14 +712,14 @@ mod tests {
     fn reference_count(t: &Table, q: &RangeQuery) -> u64 {
         let mut v = CountVisitor::default();
         let mut s = ScanStats::default();
-        scan_full(t, q, None, &mut v, &mut s);
+        let Ok(()) = scan_rows(t, &q.checks(), 0, t.len(), None, &mut v, &mut s);
         v.count
     }
 
     fn reference_sum(t: &Table, q: &RangeQuery, agg: usize) -> u64 {
         let mut v = SumVisitor::default();
         let mut s = ScanStats::default();
-        scan_full(t, q, Some(agg), &mut v, &mut s);
+        let Ok(()) = scan_rows(t, &q.checks(), 0, t.len(), Some(agg), &mut v, &mut s);
         v.sum
     }
 

@@ -168,28 +168,14 @@ impl QueryExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flood_store::{scan_filtered, ChunkedScanPlan, CountVisitor, SumVisitor, Table};
+    use flood_store::{
+        scan_filtered, ChunkedScanPlan, CountVisitor, MatchCount, SumVisitor, Table,
+    };
 
     /// A minimal PartitionedScan over a plain table (full-scan semantics),
     /// exercising the executor without pulling in flood-core.
     struct ChunkScan {
         data: Table,
-    }
-
-    struct Counter<'a> {
-        inner: &'a mut dyn Visitor,
-        matched: u64,
-    }
-
-    impl Visitor for Counter<'_> {
-        fn visit(&mut self, row: usize, value: u64) {
-            self.matched += 1;
-            self.inner.visit(row, value);
-        }
-
-        fn needs_value(&self) -> bool {
-            self.inner.needs_value()
-        }
     }
 
     impl MultiDimIndex for ChunkScan {
@@ -203,16 +189,14 @@ mod tests {
                 ranges_scanned: 1,
                 ..Default::default()
             };
-            let mut counter = Counter {
-                inner: visitor,
-                matched: 0,
-            };
-            scan_filtered(
+            let mut counter = MatchCount::new(visitor);
+            let Ok(()) = scan_filtered(
                 &self.data,
                 query,
                 0,
                 self.data.len(),
                 agg_dim,
+                None,
                 &mut counter,
                 &mut stats,
             );
@@ -241,7 +225,6 @@ mod tests {
                 Some(query.clone()),
                 agg_dim,
                 None,
-                flood_store::ScanMode::default(),
                 &[(0, self.data.len())],
                 max_tasks,
                 ScanStats {

@@ -12,7 +12,7 @@ use flood_core::{FloodBuilder, Layout};
 use flood_exec::QueryExecutor;
 use flood_store::{
     assert_stats_equivalent, CollectVisitor, CountVisitor, MinMaxVisitor, MultiDimIndex,
-    PartitionedScan, RangeQuery, ScanMode, ScanStats, SumVisitor, Table,
+    PartitionedScan, RangeQuery, ScanStats, SumVisitor, Table,
 };
 use proptest::prelude::*;
 
@@ -167,12 +167,12 @@ proptest! {
         }
     }
 
-    /// With compressed storage the default scan mode is packed: block
+    /// Over compressed storage the scan kernel takes its block path: block
     /// skipping must leave parallel ≡ serial intact (full stats equality,
     /// `blocks_*` counters included — block-aligned chunking guarantees each
-    /// block-subrange is classified by exactly one task), and the packed
-    /// indexes must agree bit-for-bit with their decode-first twins modulo
-    /// the counters only the packed path records.
+    /// block-subrange is classified by exactly one task), and every index
+    /// built compressed must agree bit-for-bit with the same index built
+    /// plain (the row path) modulo the counters only the block path records.
     #[test]
     fn packed_scans_parallel_equal_serial_and_decode_first(
         rows in proptest::collection::vec((0u64..64, 0u64..64, 0u64..64), 0..400),
@@ -193,33 +193,29 @@ proptest! {
             .cumulative_sum(2)
             .build(&table);
         check_index(&flood, &q, threads);
-        let decode = FloodBuilder::new()
+        let plain = FloodBuilder::new()
             .layout(layout())
-            .compress(true)
             .cumulative_sum(2)
-            .scan_mode(ScanMode::DecodeFirst)
             .build(&table);
         let (pv, ps) = serial::<SumVisitor>(&flood, &q, Some(2));
-        let (dv, ds) = serial::<SumVisitor>(&decode, &q, Some(2));
+        let (dv, ds) = serial::<SumVisitor>(&plain, &q, Some(2));
         prop_assert_eq!((pv.sum, pv.count), (dv.sum, dv.count));
-        assert_stats_equivalent(&ps, &ds, "flood packed vs decode-first");
+        assert_stats_equivalent(&ps, &ds, "flood compressed vs plain build");
 
-        let mut full = FullScan::build(&compressed);
+        let full = FullScan::build(&compressed);
         check_index(&full, &q, threads);
         let (pv, ps) = serial::<CollectVisitor>(&full, &q, None);
-        full.set_scan_mode(ScanMode::DecodeFirst);
-        let (dv, ds) = serial::<CollectVisitor>(&full, &q, None);
+        let (dv, ds) = serial::<CollectVisitor>(&FullScan::build(&table), &q, None);
         prop_assert_eq!(&pv.rows, &dv.rows);
-        assert_stats_equivalent(&ps, &ds, "full scan packed vs decode-first");
+        assert_stats_equivalent(&ps, &ds, "full scan compressed vs plain build");
 
         if !rows.is_empty() {
-            let mut clustered = ClusteredIndex::build(&compressed, 0);
+            let clustered = ClusteredIndex::build(&compressed, 0);
             check_index(&clustered, &q, threads);
             let (pv, ps) = serial::<CountVisitor>(&clustered, &q, None);
-            clustered.set_scan_mode(ScanMode::DecodeFirst);
-            let (dv, ds) = serial::<CountVisitor>(&clustered, &q, None);
+            let (dv, ds) = serial::<CountVisitor>(&ClusteredIndex::build(&table, 0), &q, None);
             prop_assert_eq!(pv.count, dv.count);
-            assert_stats_equivalent(&ps, &ds, "clustered packed vs decode-first");
+            assert_stats_equivalent(&ps, &ds, "clustered compressed vs plain build");
         }
     }
 

@@ -24,7 +24,7 @@
 
 use crate::epoch::{Epoch, Published};
 use flood_obs::Registry;
-use flood_store::tier::index::SCAN_RETRIES;
+use flood_store::tier::with_retries;
 use flood_store::{
     RangeQuery, ScanStats, SegmentCache, StorageBackend, StorageError, Table, TierConfig,
     TieredDelta, TieredScan, Visitor,
@@ -103,11 +103,10 @@ impl TieredServer {
     }
 
     /// Execute one query against the current snapshot. Transient storage
-    /// faults are retried in-place up to [`SCAN_RETRIES`] times (the
-    /// faulting scan guarantees the visitor saw nothing, so a retry is
-    /// safe); a query that exhausts the budget counts as degraded and
-    /// surfaces the last typed error. Returns `(stats, epoch served
-    /// from)`.
+    /// faults are retried in-place under [`with_retries`] (the faulting
+    /// scan guarantees the visitor saw nothing, so a retry is safe); a
+    /// query that exhausts the budget counts as degraded and surfaces the
+    /// last typed error. Returns `(stats, epoch served from)`.
     pub fn execute(
         &self,
         query: &RangeQuery,
@@ -116,23 +115,16 @@ impl TieredServer {
     ) -> Result<(ScanStats, u64), StorageError> {
         self.submitted.fetch_add(1, Ordering::Relaxed);
         let snap = self.published.snapshot();
-        let mut last: Option<StorageError> = None;
-        for attempt in 0..=SCAN_RETRIES {
-            match snap.value().try_execute(query, agg_dim, visitor) {
-                Ok(stats) => {
-                    self.completed.fetch_add(1, Ordering::Relaxed);
-                    return Ok((stats, snap.epoch()));
-                }
-                Err(e) => {
-                    if attempt < SCAN_RETRIES {
-                        self.retried.fetch_add(1, Ordering::Relaxed);
-                    }
-                    last = Some(e);
-                }
-            }
-        }
-        self.degraded.fetch_add(1, Ordering::Relaxed);
-        Err(last.expect("loop ran"))
+        let (result, attempts) = with_retries(|| snap.value().try_execute(query, agg_dim, visitor));
+        self.retried
+            .fetch_add(attempts as u64 - 1, Ordering::Relaxed);
+        let outcome = if result.is_ok() {
+            &self.completed
+        } else {
+            &self.degraded
+        };
+        outcome.fetch_add(1, Ordering::Relaxed);
+        result.map(|stats| (stats, snap.epoch()))
     }
 
     /// Buffer one row on the build side; returns its stable id. Invisible
@@ -222,6 +214,7 @@ impl TieredServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flood_store::tier::SCAN_RETRIES;
     use flood_store::{CountVisitor, FailingBackend, MemBackend, SumVisitor};
 
     fn table(n: u64) -> Table {

@@ -33,7 +33,7 @@ pub struct Block {
 }
 
 /// Disposition of an inclusive value-range predicate `[lo, hi]` against one
-/// block, decided from `[min, max]` metadata ([`Block::classify`]).
+/// block, decided from `[min, max]` metadata ([`BlockMeta::classify`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockMatch {
     /// `[lo, hi]` misses `[min, max]` entirely: no value can match, the
@@ -57,6 +57,45 @@ pub enum BlockMatch {
 /// when the value at block offset `i` matched. Two words cover
 /// [`BLOCK_LEN`] = 128 offsets.
 pub type BlockMask = [u64; 2];
+
+/// What a scan needs to know about a block before touching its packed
+/// words: enough to skip or accept it whole. Tiered tables keep exactly
+/// this resident per block while the words live in cold segments.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockMeta {
+    /// Minimum value in the block.
+    pub min: u64,
+    /// Maximum value in the block.
+    pub max: u64,
+    /// Number of rows in the block.
+    pub len: u16,
+}
+
+impl BlockMeta {
+    /// Classify the inclusive predicate `[lo, hi]` against `[min, max]`.
+    ///
+    /// For [`BlockMatch::Probe`] the returned bounds are already clamped
+    /// into the delta domain: a `lo` below the block minimum saturates to
+    /// delta 0, a `hi` above the block maximum clamps to `max - min`, so
+    /// the bounds always fit the block's bit width.
+    #[inline]
+    pub fn classify(&self, lo: u64, hi: u64) -> BlockMatch {
+        debug_assert!(lo <= hi);
+        if hi < self.min || lo > self.max {
+            return BlockMatch::Skip;
+        }
+        if lo <= self.min && self.max <= hi {
+            return BlockMatch::Accept;
+        }
+        // Partial overlap. `hi >= min` and `lo <= max` both hold here, and a
+        // width-0 block (min == max) can never reach this arm: overlapping
+        // a single point means containing it, which is `Accept`.
+        BlockMatch::Probe {
+            dlo: lo.saturating_sub(self.min),
+            dhi: (hi - self.min).min(self.max - self.min),
+        }
+    }
+}
 
 impl Block {
     /// Compress a slice of at most [`BLOCK_LEN`] values.
@@ -178,29 +217,21 @@ impl Block {
         })
     }
 
-    /// Classify the inclusive predicate `[lo, hi]` against this block's
-    /// `[min, max]` without touching the packed words.
-    ///
-    /// For [`BlockMatch::Probe`] the returned bounds are already clamped
-    /// into the delta domain: a `lo` below the block minimum saturates to
-    /// delta 0, a `hi` above the block maximum clamps to `max - min`, so
-    /// the bounds always fit the block's bit width.
+    /// This block's always-resident metadata.
+    #[inline]
+    pub fn meta(&self) -> BlockMeta {
+        BlockMeta {
+            min: self.min,
+            max: self.max,
+            len: self.len,
+        }
+    }
+
+    /// [`BlockMeta::classify`] against this block's `[min, max]`, without
+    /// touching the packed words.
     #[inline]
     pub fn classify(&self, lo: u64, hi: u64) -> BlockMatch {
-        debug_assert!(lo <= hi);
-        if hi < self.min || lo > self.max {
-            return BlockMatch::Skip;
-        }
-        if lo <= self.min && self.max <= hi {
-            return BlockMatch::Accept;
-        }
-        // Partial overlap. `hi >= min` and `lo <= max` both hold here, and a
-        // width-0 block (min == max) can never reach this arm: overlapping
-        // a single point means containing it, which is `Accept`.
-        BlockMatch::Probe {
-            dlo: lo.saturating_sub(self.min),
-            dhi: (hi - self.min).min(self.max - self.min),
-        }
+        self.meta().classify(lo, hi)
     }
 
     /// Build the match bitmap for block offsets `[start, end)` against the

@@ -100,7 +100,7 @@ pub fn decompose_in_list(base: &RangeQuery, dim: usize, values: &[u64]) -> Vec<R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::scan_full;
+    use crate::scan::scan_filtered;
     use crate::table::Table;
     use crate::visitor::CountVisitor;
 
@@ -115,7 +115,8 @@ mod tests {
             visitor: &mut dyn Visitor,
         ) -> ScanStats {
             let mut stats = ScanStats::default();
-            scan_full(&self.0, query, agg_dim, visitor, &mut stats);
+            let n = self.0.len();
+            let Ok(()) = scan_filtered(&self.0, query, 0, n, agg_dim, None, visitor, &mut stats);
             stats
         }
 

@@ -7,12 +7,13 @@
 //! Table 2 performance breakdown can be produced for any index.
 
 use crate::cumulative::CumulativeColumn;
-use crate::partition::{partition_ranges, RangeChunk};
+use crate::partition::{partition_ranges_aligned, RangeChunk};
 use crate::query::RangeQuery;
-use crate::scan::{scan_exact, scan_filtered, scan_filtered_packed, ScanMode};
+use crate::scan::{scan_exact, scan_filtered, BlockSource};
 use crate::stats::ScanStats;
 use crate::table::Table;
-use crate::visitor::Visitor;
+use crate::tier::{with_retries, SCAN_RETRIES};
+use crate::visitor::{MatchCount, Visitor};
 
 /// A read-optimized index over a fixed multi-dimensional table.
 ///
@@ -92,93 +93,72 @@ pub trait PartitionedScan: MultiDimIndex + Sync {
 }
 
 /// A ready-made [`ScanPlan`] for indexes whose planned scan work is plain
-/// physical row ranges of one table — the full-scan and clustered
-/// baselines, or anything else without per-range check lists.
+/// physical row ranges of one [`BlockSource`] — the full-scan (resident and
+/// tiered) and clustered baselines, or anything else without per-range
+/// check lists.
 ///
-/// Ranges are chunked by [`partition_ranges`]; each chunk runs
-/// [`scan_filtered`] against the residual query, or [`scan_exact`]
-/// (optionally through a cumulative column) when every row in range is
-/// known to match. Keeping the chunk-loop/stats protocol here — including
-/// `points_matched` attribution — means plan implementors can't drift from
-/// the serial counters one copy at a time.
-pub struct ChunkedScanPlan<'a> {
-    table: &'a Table,
+/// Ranges are chunked by [`partition_ranges_aligned`] at the source's own
+/// [`alignment`](BlockSource::alignment), so no compression block — and no
+/// cold segment — is read by two tasks; each chunk runs [`scan_filtered`]
+/// against the residual query, or [`scan_exact`] when every row in range
+/// is known to match. A chunk whose reads fail is retried under the tier's
+/// [`with_retries`] policy — it emitted nothing, so retrying just that
+/// chunk is sound — and a persistent failure panics, as the infallible
+/// trait surface requires. Keeping the chunk-loop/stats protocol here —
+/// including `points_matched` attribution — means plan implementors can't
+/// drift from the serial counters one copy at a time.
+pub struct ChunkedScanPlan<'a, S> {
+    source: &'a S,
     /// Per-row residual filters; `None` = every row in range matches.
     residual: Option<RangeQuery>,
     agg_dim: Option<usize>,
-    /// Cumulative SUM column: answers exact ranges, and — in
-    /// [`ScanMode::Packed`] — wholesale-accepted blocks under a residual.
+    /// Cumulative SUM column: answers exact ranges, and blocks a residual
+    /// accepts wholesale.
     cumulative: Option<&'a CumulativeColumn>,
-    mode: ScanMode,
     tasks: Vec<Vec<RangeChunk>>,
     plan_stats: ScanStats,
 }
 
-impl<'a> ChunkedScanPlan<'a> {
-    /// Chunk `ranges` into at most `max_tasks` balanced tasks over `table`.
-    #[allow(clippy::too_many_arguments)]
+impl<'a, S: BlockSource> ChunkedScanPlan<'a, S> {
+    /// Chunk `ranges` into at most `max_tasks` balanced tasks over `source`.
     pub fn new(
-        table: &'a Table,
+        source: &'a S,
         residual: Option<RangeQuery>,
         agg_dim: Option<usize>,
         cumulative: Option<&'a CumulativeColumn>,
-        mode: ScanMode,
         ranges: &[(usize, usize)],
         max_tasks: usize,
         plan_stats: ScanStats,
     ) -> Self {
         ChunkedScanPlan {
-            table,
+            source,
             residual,
             agg_dim,
             cumulative,
-            mode,
-            tasks: partition_ranges(ranges, max_tasks),
+            tasks: partition_ranges_aligned(ranges, max_tasks, source.alignment()),
             plan_stats,
         }
     }
 }
 
-impl ScanPlan for ChunkedScanPlan<'_> {
+impl<S: BlockSource + Sync> ScanPlan for ChunkedScanPlan<'_, S>
+where
+    S::Error: std::fmt::Display,
+{
     fn tasks(&self) -> usize {
         self.tasks.len()
     }
 
     fn run_task(&self, i: usize, visitor: &mut dyn Visitor, stats: &mut ScanStats) {
-        let mut counter = MatchCount {
-            inner: visitor,
-            matched: 0,
-        };
+        let mut counter = MatchCount::new(visitor);
+        let (src, agg, cum) = (self.source, self.agg_dim, self.cumulative);
         for c in &self.tasks[i] {
-            match &self.residual {
-                Some(residual) if self.mode == ScanMode::Packed => scan_filtered_packed(
-                    self.table,
-                    residual,
-                    c.start,
-                    c.end,
-                    self.agg_dim,
-                    self.cumulative,
-                    &mut counter,
-                    stats,
-                ),
-                Some(residual) => scan_filtered(
-                    self.table,
-                    residual,
-                    c.start,
-                    c.end,
-                    self.agg_dim,
-                    &mut counter,
-                    stats,
-                ),
-                None => scan_exact(
-                    self.table,
-                    c.start,
-                    c.end,
-                    self.agg_dim,
-                    self.cumulative,
-                    &mut counter,
-                    stats,
-                ),
+            let (scanned, _) = with_retries(|| match &self.residual {
+                Some(q) => scan_filtered(src, q, c.start, c.end, agg, cum, &mut counter, stats),
+                None => scan_exact(src, c.start, c.end, agg, cum, &mut counter, stats),
+            });
+            if let Err(e) = scanned {
+                panic!("scan task failed after {SCAN_RETRIES} retries: {e}");
             }
         }
         stats.points_matched += counter.matched;
@@ -200,32 +180,3 @@ const _: () = {
     _assert_send_sync::<ScanStats>();
     _assert_send_sync::<CumulativeColumn>();
 };
-
-/// Counts matched points on behalf of [`ScanStats`] while forwarding to the
-/// task's visitor.
-struct MatchCount<'a> {
-    inner: &'a mut dyn Visitor,
-    matched: u64,
-}
-
-impl Visitor for MatchCount<'_> {
-    #[inline]
-    fn visit(&mut self, row: usize, value: u64) {
-        self.matched += 1;
-        self.inner.visit(row, value);
-    }
-
-    #[inline]
-    fn visit_exact_sum(&mut self, count: usize, sum: u64) {
-        self.matched += count as u64;
-        self.inner.visit_exact_sum(count, sum);
-    }
-
-    fn needs_value(&self) -> bool {
-        self.inner.needs_value()
-    }
-
-    fn supports_exact(&self) -> bool {
-        self.inner.supports_exact()
-    }
-}

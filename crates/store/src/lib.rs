@@ -21,17 +21,18 @@
 //! * **Packed-domain predicate evaluation**: range filters are resolved
 //!   against compressed columns without decoding — blocks are skipped or
 //!   accepted wholesale from per-block min/max, and the rest are compared
-//!   word-parallel in the delta domain ([`scan::scan_filtered_packed`],
-//!   selected per index via [`scan::ScanMode`]).
+//!   word-parallel in the delta domain ([`scan::scan_checked`], which
+//!   picks block-wise or row-wise from the column representation).
 //!
 //! The crate also defines the shared query model ([`RangeQuery`]) and the
 //! [`Visitor`] abstraction that all indexes use to process matching records.
 //!
 //! For tables larger than RAM, the [`tier`] module seals columns into
 //! checksummed cold segments behind a pluggable [`StorageBackend`], keeps
-//! only per-block metadata and cumulative sidecars resident, and scans
-//! through a budgeted [`SegmentCache`] — bit-identical to the resident
-//! kernels in results and shared [`ScanStats`] counters.
+//! only per-block metadata and cumulative sidecars resident, and faults
+//! segments through a budgeted [`SegmentCache`]. The scan kernel is the
+//! same function over either kind of table (a [`BlockSource`]), so results
+//! and shared [`ScanStats`] counters are bit-identical by construction.
 
 pub mod block;
 pub mod column;
@@ -41,27 +42,28 @@ pub mod encode;
 pub mod index_trait;
 pub mod partition;
 pub mod query;
+pub mod row_buffer;
 pub mod scan;
 pub mod stats;
 pub mod table;
 pub mod tier;
 pub mod visitor;
 
-pub use block::{Block, BlockMask, BlockMatch, BLOCK_LEN};
+pub use block::{Block, BlockMask, BlockMatch, BlockMeta, BLOCK_LEN};
 pub use column::{Column, CompressedColumn};
 pub use cumulative::CumulativeColumn;
 pub use disjunction::{decompose_in_list, execute_disjoint_union};
 pub use index_trait::{ChunkedScanPlan, MultiDimIndex, PartitionedScan, ScanPlan};
 pub use partition::{partition_ranges, RangeChunk};
 pub use query::{QueryRect, RangeQuery};
-pub use scan::{
-    scan_checked_dims, scan_checked_dims_packed, scan_exact, scan_filtered, scan_filtered_packed,
-    scan_full, scan_full_packed, ScanMode,
-};
+pub use row_buffer::RowBuffer;
+pub use scan::{scan_checked, scan_exact, scan_filtered, scan_rows, BlockSource};
 pub use stats::{assert_stats_equivalent, ScanStats, ScanStatsMetrics};
 pub use table::Table;
 pub use tier::{
     FailingBackend, FileBackend, MemBackend, SegmentCache, SegmentKey, StorageBackend,
     StorageError, TierConfig, TieredDelta, TieredScan, TieredTable,
 };
-pub use visitor::{CollectVisitor, CountVisitor, MergeVisitor, MinMaxVisitor, SumVisitor, Visitor};
+pub use visitor::{
+    CollectVisitor, CountVisitor, MatchCount, MergeVisitor, MinMaxVisitor, SumVisitor, Visitor,
+};

@@ -90,6 +90,16 @@ impl RangeQuery {
         (0..self.dims()).filter(|&d| self.filters(d)).collect()
     }
 
+    /// The filters as `(dim, lo, hi)` per-row checks, in dimension order —
+    /// the form the scan kernels take.
+    pub fn checks(&self) -> Vec<(usize, u64, u64)> {
+        self.bounds
+            .iter()
+            .enumerate()
+            .filter_map(|(d, b)| b.map(|(lo, hi)| (d, lo, hi)))
+            .collect()
+    }
+
     /// Number of filtered dimensions.
     pub fn num_filtered(&self) -> usize {
         self.bounds.iter().filter(|b| b.is_some()).count()

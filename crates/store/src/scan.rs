@@ -1,45 +1,47 @@
-//! Scan kernels shared by all indexes.
+//! The scan kernel shared by every index, written once over a
+//! [`BlockSource`] (§3.2(3) and the §7.1 optimizations).
 //!
-//! Three flavors, matching §3.2(3) and the §7.1 optimizations:
-//!
-//! * [`scan_filtered`] — check each row of a physical range against the
-//!   query filter, touching only filtered columns.
+//! * [`scan_checked`] — check rows of a physical range against a list of
+//!   `(dim, lo, hi)` constraints, block-at-a-time: each block is classified
+//!   from its per-column min/max ([`BlockMeta::classify`]); a block some
+//!   check rules out is *skipped*, one every check covers is *accepted*
+//!   wholesale, and only the rest have their packed words compared in the
+//!   delta domain ([`Block::match_mask`]). [`scan_filtered`] is the same
+//!   call with the checks taken from a [`RangeQuery`].
+//! * [`scan_rows`] — the row-at-a-time loop: the only path for columns
+//!   without block metadata (plain columns) or an empty check list, which
+//!   `scan_checked` falls back to on its own, and the reference the
+//!   differential suites compare the block path against.
 //! * [`scan_exact`] — the caller guarantees every row in the range matches;
 //!   skip checks entirely and, when possible, answer from a cumulative column.
-//! * [`scan_full`] — a full table scan (the `Full Scan` baseline's kernel).
 //!
-//! Each filtering kernel also has a `_packed` twin that resolves predicates
-//! against compressed columns **without decoding**: whole blocks are skipped
-//! or accepted from per-block min/max metadata, and only the survivors have
-//! their packed words compared against delta-domain bounds (see
-//! [`crate::block`]). The twins are bit-identical to the decode-first
-//! kernels in both results and the pre-existing [`ScanStats`] counters; the
-//! `blocks_*` counters they add are always zero on the decode-first path.
+//! What differs between a resident [`Table`] and a tiered one is behind
+//! [`BlockSource`]: where block metadata comes from, and what *pinning* the
+//! blocks a scan reads means — nothing for a `Table`, faulting cold
+//! segments through the cache for a
+//! [`TieredTable`](crate::tier::TieredTable). Every kernel pins before it
+//! emits, so a failed scan has shown the visitor nothing and left `stats`
+//! untouched, and the caller may retry it wholesale.
+//!
+//! Results and [`ScanStats`] are bit-identical across the block and row
+//! paths and across sources (`points_scanned` counts rows *resolved*,
+//! whether per row or from block metadata); only the `blocks_*` counters
+//! (block path) and `segments_*` counters (tiered sources) are extra.
 
-use crate::block::{BlockMask, BlockMatch, BLOCK_LEN};
-use crate::column::CompressedColumn;
+use crate::block::{Block, BlockMatch, BlockMeta, BLOCK_LEN};
+use crate::column::Column;
 use crate::cumulative::CumulativeColumn;
 use crate::query::RangeQuery;
 use crate::stats::ScanStats;
 use crate::table::Table;
 use crate::visitor::Visitor;
-use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-/// How an index's scan path resolves filters against compressed columns.
-///
-/// Carried per index (not a process global) so concurrent queries — and
-/// concurrent tests — never observe another caller's mode.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ScanMode {
-    /// Decode every value before comparing (the pre-optimization baseline).
-    DecodeFirst,
-    /// Skip/accept whole blocks from min/max metadata and compare the
-    /// packed words of the rest directly in the delta domain.
-    #[default]
-    Packed,
-}
+/// One per-row constraint: `lo <= row[dim] <= hi`.
+type Check = (usize, u64, u64);
 
 /// When enabled, the scan kernels accumulate wall-clock time into
 /// [`ScanStats::scan_ns`], letting the harness decompose any index's query
@@ -61,7 +63,7 @@ pub fn scan_timing_enabled() -> bool {
 /// Run `f`, adding its duration to `stats.scan_ns` when timing is enabled.
 #[inline]
 fn timed(stats: &mut ScanStats, f: impl FnOnce(&mut ScanStats)) {
-    if SCAN_TIMING.load(Ordering::Relaxed) {
+    if scan_timing_enabled() {
         let t0 = Instant::now();
         f(stats);
         stats.scan_ns += t0.elapsed().as_nanos() as u64;
@@ -70,152 +72,302 @@ fn timed(stats: &mut ScanStats, f: impl FnOnce(&mut ScanStats)) {
     }
 }
 
-/// Scan rows `[start, end)` of `table`, checking each against `query`;
-/// matching rows are fed to `visitor` with their value in `agg_dim`
-/// (pass `None` for COUNT-style visitors).
-///
-/// Only the columns that appear in the query filter are accessed, plus the
-/// aggregation column for matches — the column-store access pattern from
-/// §7.2(1).
-pub fn scan_filtered(
-    table: &Table,
-    query: &RangeQuery,
+/// Block `b` of one column, resolved once per block by the kernels.
+#[derive(Debug, Clone, Copy)]
+pub enum BlockRef<'a> {
+    /// A bit-packed block.
+    Packed(&'a Block),
+    /// The block's rows in a plain column.
+    Plain(&'a [u64]),
+}
+
+impl<'a> BlockRef<'a> {
+    /// Value at offset `i` within the block.
+    #[inline]
+    pub fn get(&self, i: usize) -> u64 {
+        match self {
+            BlockRef::Packed(b) => b.get(i),
+            BlockRef::Plain(v) => v[i],
+        }
+    }
+
+    /// The packed block — what every column with [`BlockMeta`] resolves to.
+    #[inline]
+    fn packed(self) -> &'a Block {
+        match self {
+            BlockRef::Packed(b) => b,
+            BlockRef::Plain(_) => unreachable!("a column with block metadata is packed"),
+        }
+    }
+}
+
+/// Where a scan's blocks come from: the two things a resident and a tiered
+/// table differ in — block metadata and what reading a block costs.
+pub trait BlockSource {
+    /// Why pinning can fail ([`Infallible`] for resident data).
+    type Error;
+    /// The blocks one scan pinned, readable without further failure.
+    type Pinned<'a>: PinnedBlocks
+    where
+        Self: 'a;
+
+    /// Row alignment partitioned scans cut at (a multiple of [`BLOCK_LEN`]),
+    /// so no unit of pinning is shared between two tasks.
+    fn alignment(&self) -> usize;
+
+    /// Min/max/len of block `b` of column `dim`, available without pinning;
+    /// `None` for a column that keeps none (checked row-at-a-time instead).
+    fn block_meta(&self, dim: usize, b: usize) -> Option<BlockMeta>;
+
+    /// The wrapping sum of `dim` over `rows` (all inside block `b`) when
+    /// the source can give it without reading the block.
+    fn block_sum(&self, _dim: usize, _b: usize, _rows: Range<usize>) -> Option<u64> {
+        None
+    }
+
+    /// Pin what a scan of `rows` referencing columns `dims` will read.
+    /// `needs` reports every `(dim, block)` the scan reads, in any order
+    /// and with repeats; a source whose reads cannot fail never runs it.
+    fn pin<'a>(
+        &'a self,
+        rows: Range<usize>,
+        dims: impl Iterator<Item = usize>,
+        needs: impl FnOnce(&mut dyn FnMut(usize, usize)),
+    ) -> Result<Self::Pinned<'a>, Self::Error>;
+}
+
+/// The read side of [`BlockSource::pin`].
+pub trait PinnedBlocks {
+    /// Block `b` of column `dim` (must have been reported as needed).
+    fn block(&self, dim: usize, b: usize) -> BlockRef<'_>;
+
+    /// Value of `row` in column `dim`.
+    #[inline]
+    fn value(&self, dim: usize, row: usize) -> u64 {
+        self.block(dim, row / BLOCK_LEN).get(row % BLOCK_LEN)
+    }
+
+    /// Add what pinning cost (the `segments_*` counters) to `stats`.
+    fn record(&self, _stats: &mut ScanStats) {}
+}
+
+impl BlockSource for Table {
+    type Error = Infallible;
+    type Pinned<'a> = &'a Table;
+
+    fn alignment(&self) -> usize {
+        BLOCK_LEN
+    }
+
+    #[inline]
+    fn block_meta(&self, dim: usize, b: usize) -> Option<BlockMeta> {
+        self.column(dim)
+            .as_compressed()
+            .map(|c| c.blocks()[b].meta())
+    }
+
+    #[inline]
+    fn pin(
+        &self,
+        _rows: Range<usize>,
+        _dims: impl Iterator<Item = usize>,
+        _needs: impl FnOnce(&mut dyn FnMut(usize, usize)),
+    ) -> Result<&Table, Infallible> {
+        Ok(self)
+    }
+}
+
+impl PinnedBlocks for &Table {
+    #[inline]
+    fn block(&self, dim: usize, b: usize) -> BlockRef<'_> {
+        match self.column(dim) {
+            Column::Compressed(c) => BlockRef::Packed(&c.blocks()[b]),
+            Column::Plain(v) => {
+                BlockRef::Plain(&v[b * BLOCK_LEN..v.len().min((b + 1) * BLOCK_LEN)])
+            }
+        }
+    }
+
+    #[inline]
+    fn value(&self, dim: usize, row: usize) -> u64 {
+        Table::value(self, row, dim)
+    }
+}
+
+/// Rows `[start, end)` cut at block boundaries: `(block, first row, one
+/// past the last row)` per piece. `start < end`.
+fn block_pieces(start: usize, end: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    (start / BLOCK_LEN..=(end - 1) / BLOCK_LEN).map(move |b| {
+        (
+            b,
+            (b * BLOCK_LEN).max(start),
+            ((b + 1) * BLOCK_LEN).min(end),
+        )
+    })
+}
+
+/// The aggregation column a scan actually reads: none when the visitor
+/// ignores values, so it gets zeros and costs no aggregation-column access.
+fn read_agg(agg_dim: Option<usize>, visitor: &dyn Visitor) -> Option<usize> {
+    agg_dim.filter(|_| visitor.needs_value())
+}
+
+/// Whether `row` satisfies every check.
+#[inline]
+fn passes(pinned: &impl PinnedBlocks, checks: &[Check], row: usize) -> bool {
+    checks.iter().all(|&(d, lo, hi)| {
+        let v = pinned.value(d, row);
+        lo <= v && v <= hi
+    })
+}
+
+/// Visit the rows of `[start, end)` that pass `checks`, one at a time.
+fn visit_rows(
+    pinned: &impl PinnedBlocks,
+    checks: &[Check],
+    agg: Option<usize>,
+    start: usize,
+    end: usize,
+    visitor: &mut dyn Visitor,
+) {
+    for (b, bs, be) in block_pieces(start, end) {
+        let values = agg.map(|d| pinned.block(d, b));
+        for row in (bs..be).filter(|&row| passes(pinned, checks, row)) {
+            visitor.visit(row, values.map_or(0, |blk| blk.get(row - b * BLOCK_LEN)));
+        }
+    }
+}
+
+/// Wrapping sum of column `dim` over rows `[start, end)`.
+fn sum_rows(pinned: &impl PinnedBlocks, dim: usize, start: usize, end: usize) -> u64 {
+    let mut sum = 0u64;
+    for (b, bs, be) in block_pieces(start, end) {
+        let blk = pinned.block(dim, b);
+        for row in bs..be {
+            sum = sum.wrapping_add(blk.get(row - b * BLOCK_LEN));
+        }
+    }
+    sum
+}
+
+/// Scan rows `[start, end)` checking the listed `(dim, lo, hi)`
+/// constraints row by row; matching rows are fed to `visitor` with their
+/// value in `agg_dim` (pass `None` for COUNT-style visitors). Touches only
+/// the checked columns plus the aggregation column for matches — the
+/// column-store access pattern of §7.2(1). Records no `blocks_*` counters.
+pub fn scan_rows<S: BlockSource>(
+    source: &S,
+    checks: &[(usize, u64, u64)],
     start: usize,
     end: usize,
     agg_dim: Option<usize>,
     visitor: &mut dyn Visitor,
     stats: &mut ScanStats,
-) {
-    timed(stats, |stats| {
-        let filtered = query.filtered_dims();
-        stats.points_scanned += end.saturating_sub(start) as u64;
-        'rows: for row in start..end {
-            for &d in &filtered {
-                if !query.matches_dim(d, table.value(row, d)) {
-                    continue 'rows;
-                }
-            }
-            let v = match agg_dim {
-                Some(d) if visitor.needs_value() => table.value(row, d),
-                _ => 0,
-            };
-            visitor.visit(row, v);
+) -> Result<(), S::Error> {
+    if start >= end {
+        return Ok(());
+    }
+    let agg = read_agg(agg_dim, visitor);
+    let dims = || checks.iter().map(|c| c.0).chain(agg);
+    let pinned = source.pin(start..end, dims(), |need| {
+        for (b, ..) in block_pieces(start, end) {
+            dims().for_each(|d| need(d, b));
         }
+    })?;
+    timed(stats, |stats| {
+        stats.points_scanned += (end - start) as u64;
+        pinned.record(stats);
+        visit_rows(&pinned, checks, agg, start, end, visitor);
     });
+    Ok(())
 }
 
 /// Scan rows `[start, end)` that are all guaranteed to match (an *exact*
 /// range): no per-row checks. With a cumulative column and a visitor that
 /// supports the fast path, this is O(1).
-pub fn scan_exact(
-    table: &Table,
+pub fn scan_exact<S: BlockSource>(
+    source: &S,
     start: usize,
     end: usize,
     agg_dim: Option<usize>,
     cumulative: Option<&CumulativeColumn>,
     visitor: &mut dyn Visitor,
     stats: &mut ScanStats,
-) {
+) -> Result<(), S::Error> {
     if start >= end {
-        return;
+        return Ok(());
     }
-    timed(stats, |stats| {
-        stats.points_in_exact_ranges += (end - start) as u64;
-        if visitor.supports_exact() {
-            let sum = match (cumulative, agg_dim) {
-                (Some(c), _) => {
-                    // O(1): difference of prefix sums — no data access at all.
-                    c.range_sum(start, end - 1)
-                }
-                (None, Some(d)) if visitor.needs_value() => {
-                    stats.points_scanned += (end - start) as u64;
-                    let mut s = 0u64;
-                    for row in start..end {
-                        s = s.wrapping_add(table.value(row, d));
-                    }
-                    s
-                }
-                _ => 0,
-            };
-            visitor.visit_exact_sum(end - start, sum);
-        } else {
-            stats.points_scanned += (end - start) as u64;
-            for row in start..end {
-                let v = match agg_dim {
-                    Some(d) if visitor.needs_value() => table.value(row, d),
-                    _ => 0,
-                };
-                visitor.visit(row, v);
-            }
+    let n = (end - start) as u64;
+    let agg = read_agg(agg_dim, visitor);
+    let exact = visitor.supports_exact();
+    // O(1) when prefix sums answer for the data: nothing is read at all.
+    let reads = agg.filter(|_| !(exact && cumulative.is_some()));
+    let pinned = source.pin(start..end, reads.into_iter(), |need| {
+        for (b, ..) in block_pieces(start, end) {
+            reads.into_iter().for_each(|d| need(d, b));
         }
+    })?;
+    timed(stats, |stats| {
+        stats.points_in_exact_ranges += n;
+        pinned.record(stats);
+        if !exact {
+            stats.points_scanned += n;
+            visit_rows(&pinned, &[], agg, start, end, visitor);
+            return;
+        }
+        let sum = match (cumulative, agg) {
+            (Some(c), _) => c.range_sum(start, end - 1),
+            (None, Some(d)) => {
+                stats.points_scanned += n;
+                sum_rows(&pinned, d, start, end)
+            }
+            (None, None) => 0,
+        };
+        visitor.visit_exact_sum(end - start, sum);
     });
+    Ok(())
+}
+
+/// Classify block `b` against every check on a column with block metadata.
+/// Returns `false` when some check rules the whole block out; otherwise
+/// `probes` holds the checks the metadata could not decide, translated to
+/// the block's delta domain (empty: every such check covers the block).
+#[inline]
+fn classify_block(
+    source: &impl BlockSource,
+    checks: &[Check],
+    b: usize,
+    probes: &mut Vec<Check>,
+) -> bool {
+    probes.clear();
+    for &(d, lo, hi) in checks {
+        match source.block_meta(d, b).map(|m| m.classify(lo, hi)) {
+            Some(BlockMatch::Skip) => return false,
+            Some(BlockMatch::Probe { dlo, dhi }) => probes.push((d, dlo, dhi)),
+            Some(BlockMatch::Accept) | None => {}
+        }
+    }
+    true
 }
 
 /// Scan rows `[start, end)` checking only the listed `(dim, lo, hi)`
 /// constraints — the kernel behind Flood's per-cell scans, where dimensions
 /// proven exact by projection/refinement are dropped from the check list.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_checked_dims(
-    table: &Table,
-    checks: &[(usize, u64, u64)],
-    start: usize,
-    end: usize,
-    agg_dim: Option<usize>,
-    visitor: &mut dyn Visitor,
-    stats: &mut ScanStats,
-) {
-    timed(stats, |stats| {
-        stats.points_scanned += end.saturating_sub(start) as u64;
-        'rows: for row in start..end {
-            for &(d, lo, hi) in checks {
-                let v = table.value(row, d);
-                if v < lo || v > hi {
-                    continue 'rows;
-                }
-            }
-            let v = match agg_dim {
-                Some(d) if visitor.needs_value() => table.value(row, d),
-                _ => 0,
-            };
-            visitor.visit(row, v);
-        }
-    });
-}
-
-/// Scan the entire table against `query` (the Full Scan baseline kernel).
-pub fn scan_full(
-    table: &Table,
-    query: &RangeQuery,
-    agg_dim: Option<usize>,
-    visitor: &mut dyn Visitor,
-    stats: &mut ScanStats,
-) {
-    scan_filtered(table, query, 0, table.len(), agg_dim, visitor, stats);
-}
-
-/// Packed-domain twin of [`scan_checked_dims`]: resolve the checks against
-/// compressed columns block-at-a-time instead of row-at-a-time.
 ///
-/// Per block, each check on a compressed column is classified against the
-/// block's min/max: any always-false check skips the block outright; checks
-/// that can't fail are dropped; the rest are answered in the delta domain
-/// straight off the packed words ([`crate::block::Block::match_mask`]).
-/// Blocks where every check is dropped are *accepted*: their rows are
-/// emitted wholesale — through `cumulative` with zero data access when the
-/// visitor takes [`Visitor::visit_exact_sum`] (sound even under a residual
-/// filter, because acceptance proves every in-range row matches). Checks on
-/// plain columns are applied per surviving row, as are rows of blocks that
-/// needed a mask.
+/// Blocks are classified from metadata, so a skipped block costs no data
+/// access (on a tiered source: no I/O — a cold segment whose every block
+/// skips is never read). Accepted blocks emit their rows wholesale: through
+/// one [`Visitor::visit_exact_sum`] when the visitor takes it, answered
+/// from `cumulative` or [`BlockSource::block_sum`] with zero data access
+/// when either applies (sound under a filter, because acceptance proves
+/// every in-range row matches). Checks on columns without block metadata
+/// are applied per surviving row.
 ///
-/// Bit-identical to [`scan_checked_dims`] in results and in every counter
-/// that kernel records (`points_scanned` counts rows *resolved*, whether
-/// per-row or from block metadata); only the `blocks_*` counters are new.
-/// Falls back to [`scan_checked_dims`] when no checked column is
-/// compressed — `cumulative` is then unused, matching the decode-first
-/// kernel's signature.
+/// With no check on a column with block metadata — or no checks at all —
+/// this *is* [`scan_rows`]; `cumulative` is then unused.
 #[allow(clippy::too_many_arguments)]
-pub fn scan_checked_dims_packed(
-    table: &Table,
+pub fn scan_checked<S: BlockSource>(
+    source: &S,
     checks: &[(usize, u64, u64)],
     start: usize,
     end: usize,
@@ -223,146 +375,100 @@ pub fn scan_checked_dims_packed(
     cumulative: Option<&CumulativeColumn>,
     visitor: &mut dyn Visitor,
     stats: &mut ScanStats,
-) {
-    let mut comp: Vec<(&CompressedColumn, u64, u64)> = Vec::new();
-    let mut plain: Vec<(usize, u64, u64)> = Vec::new();
-    for &(d, lo, hi) in checks {
-        match table.column(d).as_compressed() {
-            Some(c) => comp.push((c, lo, hi)),
-            None => plain.push((d, lo, hi)),
-        }
+) -> Result<(), S::Error> {
+    if start >= end {
+        return Ok(());
     }
-    if comp.is_empty() || start >= end {
-        return scan_checked_dims(table, checks, start, end, agg_dim, visitor, stats);
+    // A column keeps metadata for all of its blocks or for none; checks on
+    // one that keeps none are resolved per surviving row.
+    let has_meta = |c: &Check| source.block_meta(c.0, start / BLOCK_LEN).is_some();
+    if !checks.iter().any(has_meta) {
+        return scan_rows(source, checks, start, end, agg_dim, visitor, stats);
     }
-    timed(stats, |stats| {
-        stats.points_scanned += (end - start) as u64;
-        let mut probes: Vec<(&crate::block::Block, u64, u64)> = Vec::new();
-        'blocks: for b in start / BLOCK_LEN..=(end - 1) / BLOCK_LEN {
-            let bs = (b * BLOCK_LEN).max(start);
-            let be = ((b + 1) * BLOCK_LEN).min(end);
-            // Block-relative offsets this scan range covers.
-            let off_s = bs - b * BLOCK_LEN;
-            let off_e = be - b * BLOCK_LEN;
-            probes.clear();
-            for &(c, lo, hi) in &comp {
-                match c.blocks()[b].classify(lo, hi) {
-                    BlockMatch::Skip => {
-                        stats.blocks_skipped += 1;
-                        continue 'blocks;
-                    }
-                    BlockMatch::Accept => {}
-                    BlockMatch::Probe { dlo, dhi } => probes.push((&c.blocks()[b], dlo, dhi)),
+    let residual: Vec<Check> = checks.iter().copied().filter(|c| !has_meta(c)).collect();
+    let agg = read_agg(agg_dim, visitor);
+    let exact = visitor.supports_exact();
+    // The sum of an accepted piece without reading it, when there is one:
+    // such a piece does not need the aggregation column pinned.
+    let free_sum = |d: usize, b: usize, rows: Range<usize>| match cumulative {
+        Some(c) => Some(c.range_sum(rows.start, rows.end - 1)),
+        None => source.block_sum(d, b, rows),
+    };
+    let mut probes: Vec<Check> = Vec::new();
+
+    let dims = checks.iter().map(|c| c.0).chain(agg);
+    let pinned = source.pin(start..end, dims, |need| {
+        for (b, bs, be) in block_pieces(start, end) {
+            if !classify_block(source, checks, b, &mut probes) {
+                continue;
+            }
+            probes.iter().chain(&residual).for_each(|c| need(c.0, b));
+            let accepted = probes.is_empty() && residual.is_empty();
+            if let Some(d) = agg {
+                if !(accepted && exact && free_sum(d, b, bs..be).is_some()) {
+                    need(d, b);
                 }
             }
-            if probes.is_empty() && plain.is_empty() {
+        }
+    })?;
+
+    timed(stats, |stats| {
+        stats.points_scanned += (end - start) as u64;
+        pinned.record(stats);
+        'blocks: for (b, bs, be) in block_pieces(start, end) {
+            if !classify_block(source, checks, b, &mut probes) {
+                stats.blocks_skipped += 1;
+                continue;
+            }
+            if probes.is_empty() && residual.is_empty() {
                 stats.blocks_accepted += 1;
-                emit_accepted(table, bs, be, agg_dim, cumulative, visitor);
+                if !exact {
+                    visit_rows(&pinned, &[], agg, bs, be, visitor);
+                    continue;
+                }
+                let sum = agg.map_or(0, |d| {
+                    free_sum(d, b, bs..be).unwrap_or_else(|| sum_rows(&pinned, d, bs, be))
+                });
+                visitor.visit_exact_sum(be - bs, sum);
                 continue;
             }
             stats.blocks_probed += 1;
-            let mut mask: Option<BlockMask> = None;
-            for &(blk, dlo, dhi) in &probes {
-                let m = blk.match_mask(dlo, dhi, off_s, off_e);
-                let acc = match &mut mask {
-                    None => mask.insert(m),
-                    Some(acc) => {
-                        acc[0] &= m[0];
-                        acc[1] &= m[1];
-                        acc
-                    }
-                };
-                if *acc == [0, 0] {
+            if probes.is_empty() {
+                visit_rows(&pinned, &residual, agg, bs, be, visitor);
+                continue;
+            }
+            let base = b * BLOCK_LEN;
+            let mut mask = [u64::MAX; 2];
+            for &(d, dlo, dhi) in &probes {
+                let m = pinned
+                    .block(d, b)
+                    .packed()
+                    .match_mask(dlo, dhi, bs - base, be - base);
+                mask = [mask[0] & m[0], mask[1] & m[1]];
+                if mask == [0, 0] {
                     continue 'blocks;
                 }
             }
-            match mask {
-                Some(m) => {
-                    for (wi, &word) in m.iter().enumerate() {
-                        let mut bits = word;
-                        while bits != 0 {
-                            let i = wi * 64 + bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            emit_if_plain_match(table, b * BLOCK_LEN + i, &plain, agg_dim, visitor);
-                        }
-                    }
-                }
-                None => {
-                    for row in bs..be {
-                        emit_if_plain_match(table, row, &plain, agg_dim, visitor);
+            let values = agg.map(|d| pinned.block(d, b));
+            for (wi, &word) in mask.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let i = wi * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if passes(&pinned, &residual, base + i) {
+                        visitor.visit(base + i, values.map_or(0, |blk| blk.get(i)));
                     }
                 }
             }
         }
     });
+    Ok(())
 }
 
-/// Emit every row of an accepted block range `[bs, be)` — all proven to
-/// match. Exact-capable visitors get one `visit_exact_sum`, answered from
-/// `cumulative` with no data access when available.
-fn emit_accepted(
-    table: &Table,
-    bs: usize,
-    be: usize,
-    agg_dim: Option<usize>,
-    cumulative: Option<&CumulativeColumn>,
-    visitor: &mut dyn Visitor,
-) {
-    if visitor.supports_exact() {
-        let sum = match (cumulative, agg_dim) {
-            (Some(c), _) => c.range_sum(bs, be - 1),
-            (None, Some(d)) if visitor.needs_value() => {
-                let mut s = 0u64;
-                for row in bs..be {
-                    s = s.wrapping_add(table.value(row, d));
-                }
-                s
-            }
-            _ => 0,
-        };
-        visitor.visit_exact_sum(be - bs, sum);
-    } else {
-        for row in bs..be {
-            let v = match agg_dim {
-                Some(d) if visitor.needs_value() => table.value(row, d),
-                _ => 0,
-            };
-            visitor.visit(row, v);
-        }
-    }
-}
-
-/// Emit `row` if it passes the residual checks on plain (uncompressed)
-/// columns.
-#[inline]
-fn emit_if_plain_match(
-    table: &Table,
-    row: usize,
-    plain: &[(usize, u64, u64)],
-    agg_dim: Option<usize>,
-    visitor: &mut dyn Visitor,
-) {
-    for &(d, lo, hi) in plain {
-        let v = table.value(row, d);
-        if v < lo || v > hi {
-            return;
-        }
-    }
-    let v = match agg_dim {
-        Some(d) if visitor.needs_value() => table.value(row, d),
-        _ => 0,
-    };
-    visitor.visit(row, v);
-}
-
-/// Packed-domain twin of [`scan_filtered`]. Unlike the decode-first kernel
-/// it takes the aggregation column's `cumulative` prefix sums: wholesale-
-/// accepted blocks can answer SUM without touching values even though the
-/// query carries a filter, because acceptance proves every in-range row
-/// matches it.
+/// [`scan_checked`] with the checks read off `query`'s filters.
 #[allow(clippy::too_many_arguments)]
-pub fn scan_filtered_packed(
-    table: &Table,
+pub fn scan_filtered<S: BlockSource>(
+    source: &S,
     query: &RangeQuery,
     start: usize,
     end: usize,
@@ -370,45 +476,17 @@ pub fn scan_filtered_packed(
     cumulative: Option<&CumulativeColumn>,
     visitor: &mut dyn Visitor,
     stats: &mut ScanStats,
-) {
-    let checks: Vec<(usize, u64, u64)> = query
-        .filtered_dims()
-        .into_iter()
-        .map(|d| {
-            let (lo, hi) = query.bound(d).expect("filtered dim has a bound");
-            (d, lo, hi)
-        })
-        .collect();
-    if checks.is_empty() {
-        // scan_filtered visits every row unconditionally in this case; the
-        // checked-dims kernels would too, but route through the same code
-        // path the decode-first kernel uses for exact stats parity.
-        return scan_filtered(table, query, start, end, agg_dim, visitor, stats);
-    }
-    scan_checked_dims_packed(
-        table, &checks, start, end, agg_dim, cumulative, visitor, stats,
-    );
-}
-
-/// Packed-domain twin of [`scan_full`].
-pub fn scan_full_packed(
-    table: &Table,
-    query: &RangeQuery,
-    agg_dim: Option<usize>,
-    cumulative: Option<&CumulativeColumn>,
-    visitor: &mut dyn Visitor,
-    stats: &mut ScanStats,
-) {
-    scan_filtered_packed(
-        table,
-        query,
-        0,
-        table.len(),
+) -> Result<(), S::Error> {
+    scan_checked(
+        source,
+        &query.checks(),
+        start,
+        end,
         agg_dim,
         cumulative,
         visitor,
         stats,
-    );
+    )
 }
 
 #[cfg(test)]
@@ -421,13 +499,25 @@ mod tests {
         Table::from_columns(vec![(0..10).collect(), (0..10).map(|i| i * 10).collect()])
     }
 
+    /// `scan_filtered` over `[start, end)` with no cumulative column.
+    fn filtered(
+        t: &Table,
+        q: &RangeQuery,
+        (start, end): (usize, usize),
+        agg: Option<usize>,
+        v: &mut dyn Visitor,
+    ) -> ScanStats {
+        let mut s = ScanStats::default();
+        let Ok(()) = scan_filtered(t, q, start, end, agg, None, v, &mut s);
+        s
+    }
+
     #[test]
     fn filtered_scan_counts_matches() {
         let t = table();
         let q = RangeQuery::all(2).with_range(0, 3, 6);
         let mut v = CountVisitor::default();
-        let mut s = ScanStats::default();
-        scan_filtered(&t, &q, 0, t.len(), None, &mut v, &mut s);
+        let s = filtered(&t, &q, (0, t.len()), None, &mut v);
         assert_eq!(v.count, 4); // rows 3,4,5,6
         assert_eq!(s.points_scanned, 10);
     }
@@ -437,8 +527,7 @@ mod tests {
         let t = table();
         let q = RangeQuery::all(2).with_range(0, 3, 6);
         let mut v = CountVisitor::default();
-        let mut s = ScanStats::default();
-        scan_filtered(&t, &q, 5, 9, None, &mut v, &mut s);
+        let s = filtered(&t, &q, (5, 9), None, &mut v);
         assert_eq!(v.count, 2); // rows 5,6
         assert_eq!(s.points_scanned, 4);
     }
@@ -448,9 +537,28 @@ mod tests {
         let t = table();
         let q = RangeQuery::all(2).with_range(0, 2, 4);
         let mut v = SumVisitor::default();
-        let mut s = ScanStats::default();
-        scan_filtered(&t, &q, 0, t.len(), Some(1), &mut v, &mut s);
+        filtered(&t, &q, (0, t.len()), Some(1), &mut v);
         assert_eq!(v.sum, 20 + 30 + 40);
+    }
+
+    #[test]
+    fn block_path_agrees_with_row_path_and_counts_blocks() {
+        let mut t = Table::from_columns(vec![(0..1_000).collect(), (0..1_000).rev().collect()]);
+        let checks = [(0, 100, 400), (1, 0, 800)];
+        let mut want = SumVisitor::default();
+        let mut want_s = ScanStats::default();
+        let Ok(()) = scan_rows(&t, &checks, 50, 900, Some(1), &mut want, &mut want_s);
+        assert_eq!(want_s.blocks_probed + want_s.blocks_skipped, 0);
+        // Compress one checked column only: the other check stays per-row.
+        for dims in [&[0][..], &[0, 1]] {
+            t.compress_dims(dims);
+            let mut got = SumVisitor::default();
+            let mut got_s = ScanStats::default();
+            let Ok(()) = scan_checked(&t, &checks, 50, 900, Some(1), None, &mut got, &mut got_s);
+            assert_eq!((got.sum, got.count), (want.sum, want.count), "{dims:?}");
+            assert_eq!(got_s.points_scanned, want_s.points_scanned);
+            assert!(got_s.blocks_skipped > 0 && got_s.blocks_probed > 0);
+        }
     }
 
     #[test]
@@ -458,7 +566,7 @@ mod tests {
         let t = table();
         let mut v = SumVisitor::default();
         let mut s = ScanStats::default();
-        scan_exact(&t, 2, 5, Some(1), None, &mut v, &mut s);
+        let Ok(()) = scan_exact(&t, 2, 5, Some(1), None, &mut v, &mut s);
         assert_eq!(v.sum, 20 + 30 + 40);
         assert_eq!(v.count, 3);
         assert_eq!(s.points_in_exact_ranges, 3);
@@ -470,7 +578,7 @@ mod tests {
         let c = t.cumulative_sum(1);
         let mut v = SumVisitor::default();
         let mut s = ScanStats::default();
-        scan_exact(&t, 0, 10, Some(1), Some(&c), &mut v, &mut s);
+        let Ok(()) = scan_exact(&t, 0, 10, Some(1), Some(&c), &mut v, &mut s);
         assert_eq!(v.sum, (0..10u64).map(|i| i * 10).sum());
         // Prefix-sum path scans nothing.
         assert_eq!(s.points_scanned, 0);
@@ -482,7 +590,7 @@ mod tests {
         let t = table();
         let mut v = CountVisitor::default();
         let mut s = ScanStats::default();
-        scan_exact(&t, 5, 5, None, None, &mut v, &mut s);
+        let Ok(()) = scan_exact(&t, 5, 5, None, None, &mut v, &mut s);
         assert_eq!(v.count, 0);
     }
 
@@ -491,15 +599,13 @@ mod tests {
         let t = table();
         let q = RangeQuery::all(2).with_range(0, 0, 9);
         let mut v = CountVisitor::default();
-        let mut s = ScanStats::default();
         super::set_scan_timing(true);
-        scan_full(&t, &q, None, &mut v, &mut s);
+        let s = filtered(&t, &q, (0, t.len()), None, &mut v);
         super::set_scan_timing(false);
         assert!(s.scan_ns > 0, "timing enabled must record scan time");
 
-        let mut s2 = ScanStats::default();
         let mut v2 = CountVisitor::default();
-        scan_full(&t, &q, None, &mut v2, &mut s2);
+        let s2 = filtered(&t, &q, (0, t.len()), None, &mut v2);
         assert_eq!(s2.scan_ns, 0, "timing disabled must record nothing");
     }
 
@@ -508,8 +614,7 @@ mod tests {
         let t = table();
         let q = RangeQuery::all(2).with_range(1, 25, 65);
         let mut v = CountVisitor::default();
-        let mut s = ScanStats::default();
-        scan_full(&t, &q, None, &mut v, &mut s);
+        filtered(&t, &q, (0, t.len()), None, &mut v);
         assert_eq!(v.count, 4); // 30,40,50,60
     }
 }

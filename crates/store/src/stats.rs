@@ -28,14 +28,14 @@ pub struct ScanStats {
     pub refinements: u64,
     /// Physical sub-ranges scanned (for run-length locality statistics).
     pub ranges_scanned: u64,
-    /// Blocks the packed-domain scan dismissed from min/max metadata alone
-    /// (no word of packed data touched). Always 0 on the decode-first path.
+    /// Blocks the scan kernel dismissed from min/max metadata alone (no
+    /// word of packed data touched). Always 0 on the row-at-a-time path.
     pub blocks_skipped: u64,
     /// Blocks accepted wholesale from min/max metadata (every in-range row
-    /// matches the filter). Always 0 on the decode-first path.
+    /// matches the filter). Always 0 on the row-at-a-time path.
     pub blocks_accepted: u64,
     /// Blocks whose packed words were compared against delta-domain bounds.
-    /// Always 0 on the decode-first path.
+    /// Always 0 on the row-at-a-time path.
     pub blocks_probed: u64,
     /// Cold column segments this scan loaded from the storage backend
     /// (tiered scans only; always 0 for fully-resident scans).
@@ -91,9 +91,10 @@ impl ScanStats {
         self.scan_ns += other.scan_ns;
     }
 
-    /// This query's counters with the packed-scan block counters zeroed —
-    /// the shape differential tests compare across scan modes, where every
-    /// shared counter must agree but block counters exist on one side only.
+    /// This query's counters with the block counters zeroed — the shape
+    /// differential tests compare across the block and row paths, where
+    /// every shared counter must agree but block counters exist on one
+    /// side only.
     pub fn sans_block_counters(&self) -> ScanStats {
         ScanStats {
             blocks_skipped: 0,
@@ -185,9 +186,9 @@ impl ScanStatsMetrics {
     }
 }
 
-/// Assert that two scan-stat sets are equivalent across scan modes: every
+/// Assert that two scan-stat sets are equivalent across scan paths: every
 /// shared counter must agree, block counters aside (they exist only on the
-/// packed side), segment counters aside (they exist only on the tiered
+/// block path), segment counters aside (they exist only on the tiered
 /// side) and `scan_ns` aside (wall clock is never comparable).
 ///
 /// This is *the* stats-equivalence check the differential and property
@@ -203,7 +204,7 @@ pub fn assert_stats_equivalent(got: &ScanStats, want: &ScanStats, label: &str) {
     );
     a.scan_ns = 0;
     b.scan_ns = 0;
-    assert_eq!(a, b, "scan stats diverge across scan modes: {label}");
+    assert_eq!(a, b, "scan stats diverge across scan paths: {label}");
 }
 
 #[cfg(test)]

@@ -1,16 +1,12 @@
 //! [`TieredDelta`]: fresh inserts over a sealed tiered table.
 //!
-//! The same write path shape as the resident store's delta (`delta.rs`):
-//! inserts land in a plain row buffer that every query scans linearly
-//! after the sealed base, and compaction drains the buffer — here by
-//! sealing it into *new cold segments* appended to the base
-//! ([`TieredTable::append_columns`]), so a larger-than-RAM table absorbs
-//! writes without ever materializing fully in memory.
-//!
-//! Row ids are stable and append-only: base rows keep their ids across
-//! compactions, buffered rows are addressed past the current base length
-//! (their ids shift only from "buffered" to "sealed" position — which is
-//! the same number, because compaction appends in insert order).
+//! The same write path as the resident store's delta (`flood-core`'s
+//! `DeltaFlood`), over the same [`RowBuffer`]: inserts land in the buffer,
+//! every query scans it linearly after the sealed base, and compaction
+//! drains it — here by sealing it into *new cold segments* appended to the
+//! base ([`TieredTable::append_columns`]), so a larger-than-RAM table
+//! absorbs writes without ever materializing fully in memory. Row ids are
+//! stable and append-only (see [`RowBuffer`]).
 //!
 //! The base scan is fallible (segment faults); the buffer scan is not.
 //! Queries run the fallible part *first* — an I/O error surfaces before
@@ -18,11 +14,12 @@
 //! contract as [`TieredScan`](super::TieredScan).
 
 use super::backend::StorageError;
-use super::scan::scan_filtered_tiered;
 use super::table::TieredTable;
 use crate::query::RangeQuery;
+use crate::row_buffer::RowBuffer;
+use crate::scan::scan_filtered;
 use crate::stats::ScanStats;
-use crate::visitor::Visitor;
+use crate::visitor::{MatchCount, Visitor};
 
 /// Default number of buffered rows that triggers auto-compaction.
 pub const DEFAULT_TIER_DELTA_THRESHOLD: usize = 4_096;
@@ -31,8 +28,7 @@ pub const DEFAULT_TIER_DELTA_THRESHOLD: usize = 4_096;
 #[derive(Debug)]
 pub struct TieredDelta {
     base: TieredTable,
-    /// Column-major insert buffer, one `Vec` per dimension.
-    buffer: Vec<Vec<u64>>,
+    buffer: RowBuffer,
     threshold: usize,
 }
 
@@ -45,10 +41,9 @@ impl TieredDelta {
     /// Wrap a sealed base; the buffer auto-compacts when it reaches
     /// `threshold` rows (`usize::MAX` for manual-only compaction).
     pub fn with_threshold(base: TieredTable, threshold: usize) -> Self {
-        let dims = base.dims();
         TieredDelta {
+            buffer: RowBuffer::new(base.dims()),
             base,
-            buffer: vec![Vec::new(); dims],
             threshold: threshold.max(1),
         }
     }
@@ -70,18 +65,15 @@ impl TieredDelta {
 
     /// Rows currently in the unsealed buffer.
     pub fn buffered(&self) -> usize {
-        self.buffer.first().map_or(0, Vec::len)
+        self.buffer.len()
     }
 
     /// Insert one row (one value per dimension). Returns the row's stable
     /// id. Auto-compacts when the buffer reaches the threshold; the only
     /// error source is that sealing write.
     pub fn insert(&mut self, row: &[u64]) -> Result<usize, StorageError> {
-        assert_eq!(row.len(), self.base.dims(), "row arity mismatch");
         let id = self.len();
-        for (col, &v) in self.buffer.iter_mut().zip(row) {
-            col.push(v);
-        }
+        self.buffer.push(row);
         if self.buffered() >= self.threshold {
             self.compact()?;
         }
@@ -95,11 +87,8 @@ impl TieredDelta {
         if self.buffered() == 0 {
             return Ok(());
         }
-        let staged = self.buffer.clone();
-        self.base.append_columns(staged)?;
-        for col in &mut self.buffer {
-            col.clear();
-        }
+        self.base.append_columns(self.buffer.columns().to_vec())?;
+        self.buffer.drain();
         Ok(())
     }
 
@@ -113,78 +102,26 @@ impl TieredDelta {
         visitor: &mut dyn Visitor,
     ) -> Result<ScanStats, StorageError> {
         let mut stats = ScanStats::default();
-        let mut counter = MatchCount {
-            inner: visitor,
-            matched: 0,
-        };
-        scan_filtered_tiered(
+        let mut counter = MatchCount::new(visitor);
+        scan_filtered(
             &self.base,
             query,
             0,
             self.base.len(),
             agg_dim,
+            None,
             &mut counter,
             &mut stats,
         )?;
         stats.ranges_scanned = 1;
-        let buffered = self.buffered();
-        if buffered > 0 {
-            // Linear scan of the plain buffer, same checks as the kernels.
+        if !self.buffer.is_empty() {
             stats.ranges_scanned += 1;
-            stats.points_scanned += buffered as u64;
-            let checks: Vec<(usize, u64, u64)> = query
-                .filtered_dims()
-                .into_iter()
-                .map(|d| {
-                    let (lo, hi) = query.bound(d).expect("filtered dim has a bound");
-                    (d, lo, hi)
-                })
-                .collect();
-            let needs_value = counter.needs_value();
-            'rows: for i in 0..buffered {
-                for &(d, lo, hi) in &checks {
-                    let v = self.buffer[d][i];
-                    if v < lo || v > hi {
-                        continue 'rows;
-                    }
-                }
-                let v = match agg_dim {
-                    Some(d) if needs_value => self.buffer[d][i],
-                    _ => 0,
-                };
-                counter.visit(self.base.len() + i, v);
-            }
+            stats.points_scanned += self.buffer.len() as u64;
+            self.buffer
+                .scan(query, agg_dim, self.base.len(), &mut counter);
         }
         stats.points_matched = counter.matched;
         Ok(stats)
-    }
-}
-
-/// Match counter forwarding to the caller's visitor.
-struct MatchCount<'a> {
-    inner: &'a mut dyn Visitor,
-    matched: u64,
-}
-
-impl Visitor for MatchCount<'_> {
-    #[inline]
-    fn visit(&mut self, row: usize, value: u64) {
-        self.matched += 1;
-        self.inner.visit(row, value);
-    }
-
-    #[inline]
-    fn visit_exact_sum(&mut self, count: usize, sum: u64) {
-        self.matched += count as u64;
-        self.inner.visit_exact_sum(count, sum);
-    }
-
-    fn needs_value(&self) -> bool {
-        self.inner.needs_value()
-    }
-
-    fn supports_exact(&self) -> bool {
-        self.inner.supports_exact()
     }
 }
 

@@ -8,35 +8,47 @@
 //! hit an I/O error or corruption. The policy, relied on by `flood-serve`:
 //!
 //! * [`TieredScan::try_execute`] surfaces the typed [`StorageError`]. The
-//!   kernels guarantee the visitor saw *nothing* from the failed attempt
+//!   kernel guarantees the visitor saw *nothing* from the failed attempt
 //!   (no partial results), so retrying with the same visitor is sound.
-//! * The infallible [`MultiDimIndex::execute`] retries up to
-//!   [`SCAN_RETRIES`] times — transient faults heal — and panics on a
-//!   persistent failure. Servers that want to degrade instead of die call
-//!   `try_execute` and apply their own retry budget
-//!   (`flood-serve`'s tiered server does exactly that).
+//! * [`with_retries`] is the one retry loop: up to [`SCAN_RETRIES`]
+//!   retries, so transient faults heal. The infallible
+//!   [`MultiDimIndex::execute`] and partitioned plans panic when it still
+//!   fails; `flood-serve`'s tiered server degrades the query instead.
 //!
-//! Partitioned plans cut at [`TieredTable::segment_rows`] boundaries, so
-//! every segment a query needs is faulted and pinned by exactly one task:
-//! parallel fault counts sum to the serial scan's and workers never race
-//! to load the same cold segment for one query.
+//! Partitioned plans cut at [`TieredTable::segment_rows`] boundaries
+//! ([`ChunkedScanPlan`] over the table's own alignment), so every segment a
+//! query needs is faulted and pinned by exactly one task: parallel fault
+//! counts sum to the serial scan's and workers never race to load the same
+//! cold segment for one query.
 
 use super::backend::StorageBackend;
 use super::backend::StorageError;
 use super::cache::TierConfig;
-use super::scan::scan_filtered_tiered;
 use super::table::TieredTable;
-use crate::index_trait::{MultiDimIndex, PartitionedScan, ScanPlan};
-use crate::partition::{partition_ranges_aligned, RangeChunk};
+use crate::index_trait::{ChunkedScanPlan, MultiDimIndex, PartitionedScan, ScanPlan};
 use crate::query::RangeQuery;
+use crate::scan::scan_filtered;
 use crate::stats::ScanStats;
 use crate::table::Table;
-use crate::visitor::Visitor;
+use crate::visitor::{MatchCount, Visitor};
 use std::sync::Arc;
 
-/// How many times the infallible execution paths retry a failed segment
-/// load before giving up (panicking).
+/// How many times a failed tier read is retried before giving up.
 pub const SCAN_RETRIES: usize = 2;
+
+/// Run a fallible tier read until it succeeds or has been retried
+/// [`SCAN_RETRIES`] times; returns the last result and the attempts used
+/// (`attempts - 1` retries happened). Sound only for reads that leave no
+/// trace when they fail, which every scan kernel guarantees.
+pub fn with_retries<T, E>(mut read: impl FnMut() -> Result<T, E>) -> (Result<T, E>, usize) {
+    let mut attempts = 1;
+    loop {
+        match read() {
+            Err(_) if attempts <= SCAN_RETRIES => attempts += 1,
+            last => return (last, attempts),
+        }
+    }
+}
 
 /// Full-scan execution over tiered storage.
 #[derive(Debug, Clone)]
@@ -77,16 +89,14 @@ impl TieredScan {
         visitor: &mut dyn Visitor,
     ) -> Result<ScanStats, StorageError> {
         let mut stats = ScanStats::default();
-        let mut counter = MatchCount {
-            inner: visitor,
-            matched: 0,
-        };
-        scan_filtered_tiered(
+        let mut counter = MatchCount::new(visitor);
+        scan_filtered(
             &self.data,
             query,
             0,
             self.data.len(),
             agg_dim,
+            None,
             &mut counter,
             &mut stats,
         )?;
@@ -103,18 +113,9 @@ impl MultiDimIndex for TieredScan {
         agg_dim: Option<usize>,
         visitor: &mut dyn Visitor,
     ) -> ScanStats {
-        let mut last: Option<StorageError> = None;
-        for _ in 0..=SCAN_RETRIES {
-            match self.try_execute(query, agg_dim, visitor) {
-                Ok(stats) => return stats,
-                Err(e) => last = Some(e),
-            }
-        }
-        panic!(
-            "tiered scan failed after {} retries: {}",
-            SCAN_RETRIES,
-            last.expect("loop ran")
-        );
+        with_retries(|| self.try_execute(query, agg_dim, visitor))
+            .0
+            .unwrap_or_else(|e| panic!("tiered scan failed after {SCAN_RETRIES} retries: {e}"))
     }
 
     fn index_size_bytes(&self) -> usize {
@@ -135,107 +136,18 @@ impl PartitionedScan for TieredScan {
         agg_dim: Option<usize>,
         max_tasks: usize,
     ) -> Box<dyn ScanPlan + '_> {
-        Box::new(TieredScanPlan {
-            data: &self.data,
-            query: query.clone(),
+        Box::new(ChunkedScanPlan::new(
+            &self.data,
+            Some(query.clone()),
             agg_dim,
-            tasks: partition_ranges_aligned(
-                &[(0, self.data.len())],
-                max_tasks,
-                self.data.segment_rows(),
-            ),
-            plan_stats: ScanStats {
+            None,
+            &[(0, self.data.len())],
+            max_tasks,
+            ScanStats {
                 ranges_scanned: 1,
                 ..Default::default()
             },
-        })
-    }
-}
-
-/// [`ScanPlan`] over segment-aligned chunks of a tiered table.
-struct TieredScanPlan<'a> {
-    data: &'a TieredTable,
-    query: RangeQuery,
-    agg_dim: Option<usize>,
-    tasks: Vec<Vec<RangeChunk>>,
-    plan_stats: ScanStats,
-}
-
-impl ScanPlan for TieredScanPlan<'_> {
-    fn tasks(&self) -> usize {
-        self.tasks.len()
-    }
-
-    fn run_task(&self, i: usize, visitor: &mut dyn Visitor, stats: &mut ScanStats) {
-        let mut counter = MatchCount {
-            inner: visitor,
-            matched: 0,
-        };
-        for c in &self.tasks[i] {
-            // Same retry policy as `execute`: a failed chunk emitted
-            // nothing, so retrying just that chunk is sound even though
-            // earlier chunks already fed the visitor.
-            let mut last: Option<StorageError> = None;
-            let mut done = false;
-            for _ in 0..=SCAN_RETRIES {
-                match scan_filtered_tiered(
-                    self.data,
-                    &self.query,
-                    c.start,
-                    c.end,
-                    self.agg_dim,
-                    &mut counter,
-                    stats,
-                ) {
-                    Ok(()) => {
-                        done = true;
-                        break;
-                    }
-                    Err(e) => last = Some(e),
-                }
-            }
-            if !done {
-                panic!(
-                    "tiered scan task failed after {} retries: {}",
-                    SCAN_RETRIES,
-                    last.expect("loop ran")
-                );
-            }
-        }
-        stats.points_matched += counter.matched;
-    }
-
-    fn plan_stats(&self) -> ScanStats {
-        self.plan_stats
-    }
-}
-
-/// Counts matched points on behalf of [`ScanStats`] while forwarding to
-/// the caller's visitor (the tier-local twin of the baselines' adapter).
-struct MatchCount<'a> {
-    inner: &'a mut dyn Visitor,
-    matched: u64,
-}
-
-impl Visitor for MatchCount<'_> {
-    #[inline]
-    fn visit(&mut self, row: usize, value: u64) {
-        self.matched += 1;
-        self.inner.visit(row, value);
-    }
-
-    #[inline]
-    fn visit_exact_sum(&mut self, count: usize, sum: u64) {
-        self.matched += count as u64;
-        self.inner.visit_exact_sum(count, sum);
-    }
-
-    fn needs_value(&self) -> bool {
-        self.inner.needs_value()
-    }
-
-    fn supports_exact(&self) -> bool {
-        self.inner.supports_exact()
+        ))
     }
 }
 

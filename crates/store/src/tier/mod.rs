@@ -16,10 +16,11 @@
 //!   eviction, plus [`TierConfig`] (`FLOOD_MEM_BUDGET`).
 //! * [`table`] — [`TieredTable`]: resident block metadata + cumulative
 //!   sidecars over cold segments; sealing and compaction.
-//! * [`scan`] — segment-faulting twins of the packed scan kernels,
-//!   bit-identical to the resident kernels in results and shared counters.
-//! * [`index`] — [`TieredScan`], the full-scan index over tiered data,
-//!   with the retry-or-panic policy for the infallible trait surface.
+//! * [`scan`] — [`BlockSource`](crate::BlockSource) for a [`TieredTable`]:
+//!   the one scan kernel ([`crate::scan`]) runs over cold segments by
+//!   pinning them through the cache before it emits.
+//! * [`index`] — [`TieredScan`], the full-scan index over tiered data, and
+//!   [`with_retries`], the retry policy for fallible tier reads.
 //! * [`delta`] — [`TieredDelta`], fresh inserts compacting into new cold
 //!   segments.
 
@@ -36,7 +37,6 @@ pub use backend::{
 };
 pub use cache::{LoadedSegment, SegmentCache, TierConfig};
 pub use delta::{TieredDelta, DEFAULT_TIER_DELTA_THRESHOLD};
-pub use index::{TieredScan, SCAN_RETRIES};
-pub use scan::{scan_checked_dims_tiered, scan_filtered_tiered, scan_full_tiered};
+pub use index::{with_retries, TieredScan, SCAN_RETRIES};
 pub use segment::{decode_segment, encode_segment};
-pub use table::{BlockMeta, SegSpan, TieredColumn, TieredTable};
+pub use table::{SegSpan, TieredColumn, TieredTable};

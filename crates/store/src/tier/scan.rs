@@ -1,366 +1,108 @@
-//! Segment-faulting scan kernels over a [`TieredTable`].
+//! [`BlockSource`] for a [`TieredTable`]: what the scan kernel
+//! ([`crate::scan`]) needs to run over cold segments.
 //!
-//! Each kernel is the tiered twin of a `_packed` kernel in
-//! [`crate::scan`], and runs in three phases:
-//!
-//! 1. **Plan** — classify every block of the scan range against the
-//!    always-resident [`BlockMeta`](super::BlockMeta), exactly as
-//!    [`Block::classify`] would. Blocks proven non-matching are skipped
-//!    *without any I/O*: a cold segment whose every block skips is never
-//!    read. Planning also decides, per surviving block, which segments the
-//!    emit phase will touch — probe columns for masks, the aggregation
-//!    column for values, nothing for whole-block exact accepts (those are
-//!    answered from the cumulative sidecar).
-//! 2. **Fault** — acquire every needed segment through the
-//!    [`SegmentCache`](super::SegmentCache), pinning them for the duration
-//!    of the scan. Any load failure returns a typed
-//!    [`StorageError`] here, *before the visitor has seen a single row*:
-//!    a failed tiered scan has no partial results and leaves `stats`
-//!    untouched, so callers can retry wholesale.
-//! 3. **Emit** — infallible; walks the plan against the pinned segments.
-//!    Results, row order, and every pre-existing [`ScanStats`] counter
-//!    (`blocks_*` included) are bit-identical to
-//!    [`scan_checked_dims_packed`](crate::scan::scan_checked_dims_packed)
-//!    over the fully-resident compressed table (with no cumulative
-//!    column); only the `segments_*` counters are new.
+//! Block metadata and the per-block cumulative sidecar are always
+//! resident, so the kernel classifies every block — and answers whole-block
+//! exact accepts — with no I/O: a cold segment whose every block skips is
+//! never read. Pinning acquires the segments the surviving blocks need
+//! through the [`SegmentCache`](super::SegmentCache), in ascending
+//! `(dim, segment)` order, and holds them for the duration of the scan. Any
+//! load failure returns a typed [`StorageError`] from there, *before the
+//! visitor has seen a single row*.
 
 use super::backend::StorageError;
 use super::cache::LoadedSegment;
 use super::table::TieredTable;
-use crate::block::{Block, BlockMask, BlockMatch, BLOCK_LEN};
-use crate::query::RangeQuery;
+use crate::block::{BlockMeta, BLOCK_LEN};
+use crate::scan::{BlockRef, BlockSource, PinnedBlocks};
 use crate::stats::ScanStats;
-use crate::visitor::Visitor;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
 
-/// Per-block outcome of the planning phase.
-enum BlockPlan {
-    /// Every check accepts the whole block; `full` is true when the scan
-    /// range covers all of its rows (exact-capable visitors then need no
-    /// data at all — the sum comes from the cumulative sidecar).
-    Accept { b: usize, full: bool },
-    /// Surviving checks to answer in the delta domain: `(dim, dlo, dhi)`.
-    Probe {
-        b: usize,
-        checks: Vec<(usize, u64, u64)>,
-    },
+/// The segments pinned for one scan, keyed by `(dim, segment)`, and what
+/// acquiring them cost.
+pub struct PinnedSegments<'a> {
+    table: &'a TieredTable,
+    segments: BTreeMap<(usize, usize), Arc<LoadedSegment>>,
+    faulted: u64,
+    hit: u64,
+    /// Referenced columns × overlapping segments, minus what was pinned:
+    /// segments whose data the scan never read.
+    skipped: u64,
 }
 
-/// The segments pinned for one scan, keyed by `(dim, segment)`.
-struct Pinned {
-    map: BTreeMap<(usize, usize), Arc<LoadedSegment>>,
-}
+impl BlockSource for TieredTable {
+    type Error = StorageError;
+    type Pinned<'a> = PinnedSegments<'a>;
 
-impl Pinned {
-    /// The loaded block holding `b` of column `dim` (must have been
-    /// planned as needed).
+    fn alignment(&self) -> usize {
+        self.segment_rows()
+    }
+
     #[inline]
-    fn block<'a>(&'a self, table: &TieredTable, dim: usize, b: usize) -> &'a Block {
-        let seg = table.segment_of_block(b);
-        let seg_data = self
-            .map
-            .get(&(dim, seg))
-            .expect("planned segment not pinned");
-        &seg_data.blocks[b - table.spans()[seg].first_block]
+    fn block_meta(&self, dim: usize, b: usize) -> Option<BlockMeta> {
+        Some(self.tiered_column(dim).meta()[b])
     }
 
-    /// Value of `row` in column `dim`.
-    #[inline]
-    fn value(&self, table: &TieredTable, dim: usize, row: usize) -> u64 {
-        self.block(table, dim, row / BLOCK_LEN).get(row % BLOCK_LEN)
-    }
-}
-
-/// Tiered twin of [`scan_checked_dims_packed`](crate::scan::scan_checked_dims_packed).
-///
-/// On success the visitor observes exactly the rows (in exactly the order)
-/// the resident packed kernel would emit, and `stats` gains identical
-/// pre-existing counters plus the tier counters. On error the visitor and
-/// `stats` are untouched.
-pub fn scan_checked_dims_tiered(
-    table: &TieredTable,
-    checks: &[(usize, u64, u64)],
-    start: usize,
-    end: usize,
-    agg_dim: Option<usize>,
-    visitor: &mut dyn Visitor,
-    stats: &mut ScanStats,
-) -> Result<(), StorageError> {
-    if start >= end {
-        return Ok(());
-    }
-    // Fold `needs_value` in once: a visitor that ignores values gets zeros
-    // and costs no aggregation-column I/O, mirroring the resident kernels'
-    // `Some(d) if visitor.needs_value()` arms.
-    let agg = match agg_dim {
-        Some(d) if visitor.needs_value() => Some(d),
-        _ => None,
-    };
-    if checks.is_empty() {
-        return visit_all_tiered(table, start, end, agg, visitor, stats);
+    /// Whole blocks only, from the cumulative sidecar.
+    fn block_sum(&self, dim: usize, b: usize, rows: Range<usize>) -> Option<u64> {
+        let col = self.tiered_column(dim);
+        let whole = rows.start == b * BLOCK_LEN && rows.len() == col.meta()[b].len as usize;
+        whole.then(|| col.block_sum(b))
     }
 
-    // Phase 1: plan from resident metadata. Counters accumulate in locals
-    // so a fault failure leaves `stats` untouched.
-    let supports_exact = visitor.supports_exact();
-    let mut plans: Vec<BlockPlan> = Vec::new();
-    let mut needed: std::collections::BTreeSet<(usize, usize)> = std::collections::BTreeSet::new();
-    let mut skipped: u64 = 0;
-    'blocks: for b in start / BLOCK_LEN..=(end - 1) / BLOCK_LEN {
-        let meta_len = table.tiered_column(checks[0].0).meta()[b].len as usize;
-        let bs = (b * BLOCK_LEN).max(start);
-        let be = (b * BLOCK_LEN + meta_len).min(end);
-        let full = bs == b * BLOCK_LEN && be == b * BLOCK_LEN + meta_len;
-        let mut probe_checks: Vec<(usize, u64, u64)> = Vec::new();
-        for &(d, lo, hi) in checks {
-            match table.tiered_column(d).meta()[b].classify(lo, hi) {
-                BlockMatch::Skip => {
-                    skipped += 1;
-                    continue 'blocks;
-                }
-                BlockMatch::Accept => {}
-                BlockMatch::Probe { dlo, dhi } => probe_checks.push((d, dlo, dhi)),
+    /// All-or-nothing: the first failed load aborts the scan.
+    fn pin<'a>(
+        &'a self,
+        rows: Range<usize>,
+        dims: impl Iterator<Item = usize>,
+        needs: impl FnOnce(&mut dyn FnMut(usize, usize)),
+    ) -> Result<PinnedSegments<'a>, StorageError> {
+        let mut needed: BTreeSet<(usize, usize)> = BTreeSet::new();
+        needs(&mut |dim, b| {
+            needed.insert((dim, self.segment_of_block(b)));
+        });
+        let mut segments = BTreeMap::new();
+        let (mut faulted, mut hit) = (0u64, 0u64);
+        for &(dim, seg) in &needed {
+            let (loaded, was_fault) = self.cache().acquire(self.segment_key(dim, seg))?;
+            if was_fault {
+                faulted += 1;
+            } else {
+                hit += 1;
             }
+            segments.insert((dim, seg), loaded);
         }
-        let seg = table.segment_of_block(b);
-        if probe_checks.is_empty() {
-            // Whole-block exact accepts answer from the cumulative sidecar
-            // with zero data access; every other accept needs the
-            // aggregation column (when the visitor wants values).
-            if let Some(d) = agg {
-                if !(supports_exact && full) {
-                    needed.insert((d, seg));
-                }
-            }
-            plans.push(BlockPlan::Accept { b, full });
-        } else {
-            for &(d, _, _) in &probe_checks {
-                needed.insert((d, seg));
-            }
-            if let Some(d) = agg {
-                needed.insert((d, seg));
-            }
-            plans.push(BlockPlan::Probe {
-                b,
-                checks: probe_checks,
-            });
-        }
-    }
-
-    // Phase 2: fault. Errors surface here, before any emission.
-    let (pinned, faulted, hit) = fault_segments(table, &needed)?;
-
-    // Referenced columns × overlapping segments, minus what we pinned:
-    // segments whose data the scan never read.
-    let mut ref_dims: std::collections::BTreeSet<usize> =
-        checks.iter().map(|&(d, _, _)| d).collect();
-    if let Some(d) = agg {
-        ref_dims.insert(d);
-    }
-    let first_seg = table.segment_of_block(start / BLOCK_LEN);
-    let last_seg = table.segment_of_block((end - 1) / BLOCK_LEN);
-    let overlapping = (ref_dims.len() * (last_seg - first_seg + 1)) as u64;
-    let seg_skipped = overlapping - needed.len() as u64;
-
-    // Phase 3: emit — infallible.
-    timed(stats, |stats| {
-        stats.points_scanned += (end - start) as u64;
-        stats.blocks_skipped += skipped;
-        stats.segments_faulted += faulted;
-        stats.segments_hit += hit;
-        stats.segments_skipped += seg_skipped;
-        'plans: for plan in &plans {
-            match *plan {
-                BlockPlan::Accept { b, full } => {
-                    stats.blocks_accepted += 1;
-                    let meta_len = table.tiered_column(checks[0].0).meta()[b].len as usize;
-                    let bs = (b * BLOCK_LEN).max(start);
-                    let be = (b * BLOCK_LEN + meta_len).min(end);
-                    emit_accepted_tiered(table, &pinned, b, bs, be, full, agg, visitor);
-                }
-                BlockPlan::Probe {
-                    b,
-                    checks: ref probe_checks,
-                } => {
-                    stats.blocks_probed += 1;
-                    let meta_len = table.tiered_column(checks[0].0).meta()[b].len as usize;
-                    let bs = (b * BLOCK_LEN).max(start);
-                    let be = (b * BLOCK_LEN + meta_len).min(end);
-                    let off_s = bs - b * BLOCK_LEN;
-                    let off_e = be - b * BLOCK_LEN;
-                    let mut mask_acc: Option<BlockMask> = None;
-                    for &(d, dlo, dhi) in probe_checks {
-                        let m = pinned.block(table, d, b).match_mask(dlo, dhi, off_s, off_e);
-                        let acc = match &mut mask_acc {
-                            None => mask_acc.insert(m),
-                            Some(acc) => {
-                                acc[0] &= m[0];
-                                acc[1] &= m[1];
-                                acc
-                            }
-                        };
-                        if *acc == [0, 0] {
-                            continue 'plans;
-                        }
-                    }
-                    let m = mask_acc.expect("probe plan has at least one check");
-                    for (wi, &word) in m.iter().enumerate() {
-                        let mut bits = word;
-                        while bits != 0 {
-                            let i = wi * 64 + bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            let row = b * BLOCK_LEN + i;
-                            let v = match agg {
-                                Some(d) => pinned.value(table, d, row),
-                                None => 0,
-                            };
-                            visitor.visit(row, v);
-                        }
-                    }
-                }
-            }
-        }
-    });
-    Ok(())
-}
-
-/// Tiered twin of [`scan_filtered_packed`](crate::scan::scan_filtered_packed).
-pub fn scan_filtered_tiered(
-    table: &TieredTable,
-    query: &RangeQuery,
-    start: usize,
-    end: usize,
-    agg_dim: Option<usize>,
-    visitor: &mut dyn Visitor,
-    stats: &mut ScanStats,
-) -> Result<(), StorageError> {
-    let checks: Vec<(usize, u64, u64)> = query
-        .filtered_dims()
-        .into_iter()
-        .map(|d| {
-            let (lo, hi) = query.bound(d).expect("filtered dim has a bound");
-            (d, lo, hi)
+        let referenced = dims.collect::<BTreeSet<usize>>().len();
+        let overlapping = self.segment_of_block((rows.end - 1) / BLOCK_LEN)
+            - self.segment_of_block(rows.start / BLOCK_LEN)
+            + 1;
+        Ok(PinnedSegments {
+            table: self,
+            segments,
+            faulted,
+            hit,
+            skipped: (referenced * overlapping - needed.len()) as u64,
         })
-        .collect();
-    scan_checked_dims_tiered(table, &checks, start, end, agg_dim, visitor, stats)
-}
-
-/// Tiered twin of [`scan_full_packed`](crate::scan::scan_full_packed).
-pub fn scan_full_tiered(
-    table: &TieredTable,
-    query: &RangeQuery,
-    agg_dim: Option<usize>,
-    visitor: &mut dyn Visitor,
-    stats: &mut ScanStats,
-) -> Result<(), StorageError> {
-    scan_filtered_tiered(table, query, 0, table.len(), agg_dim, visitor, stats)
-}
-
-/// The empty-check path: every row matches. Mirrors
-/// [`scan_checked_dims`](crate::scan::scan_checked_dims) with no checks —
-/// per-row `visit` calls, never the exact path.
-fn visit_all_tiered(
-    table: &TieredTable,
-    start: usize,
-    end: usize,
-    agg: Option<usize>,
-    visitor: &mut dyn Visitor,
-    stats: &mut ScanStats,
-) -> Result<(), StorageError> {
-    let mut needed: std::collections::BTreeSet<(usize, usize)> = std::collections::BTreeSet::new();
-    if let Some(d) = agg {
-        for b in start / BLOCK_LEN..=(end - 1) / BLOCK_LEN {
-            needed.insert((d, table.segment_of_block(b)));
-        }
-    }
-    let (pinned, faulted, hit) = fault_segments(table, &needed)?;
-    timed(stats, |stats| {
-        stats.points_scanned += (end - start) as u64;
-        stats.segments_faulted += faulted;
-        stats.segments_hit += hit;
-        for row in start..end {
-            let v = match agg {
-                Some(d) => pinned.value(table, d, row),
-                None => 0,
-            };
-            visitor.visit(row, v);
-        }
-    });
-    Ok(())
-}
-
-/// Acquire every needed segment, returning the pin map and the
-/// fault/hit split. All-or-nothing: the first failure aborts the scan.
-fn fault_segments(
-    table: &TieredTable,
-    needed: &std::collections::BTreeSet<(usize, usize)>,
-) -> Result<(Pinned, u64, u64), StorageError> {
-    let mut map = BTreeMap::new();
-    let (mut faulted, mut hit) = (0u64, 0u64);
-    for &(dim, seg) in needed {
-        let (loaded, was_fault) = table.cache().acquire(table.segment_key(dim, seg))?;
-        if was_fault {
-            faulted += 1;
-        } else {
-            hit += 1;
-        }
-        map.insert((dim, seg), loaded);
-    }
-    Ok((Pinned { map }, faulted, hit))
-}
-
-/// Emit every row of an accepted block range `[bs, be)`. Mirrors
-/// `emit_accepted` in [`crate::scan`] with `cumulative: None` — except
-/// that a full-block exact accept takes its sum from the resident
-/// cumulative sidecar instead of touching data (the sums are equal: both
-/// are the wrapping row sum).
-#[allow(clippy::too_many_arguments)]
-fn emit_accepted_tiered(
-    table: &TieredTable,
-    pinned: &Pinned,
-    b: usize,
-    bs: usize,
-    be: usize,
-    full: bool,
-    agg: Option<usize>,
-    visitor: &mut dyn Visitor,
-) {
-    if visitor.supports_exact() {
-        let sum = match agg {
-            Some(d) if full => table.tiered_column(d).block_sum(b),
-            Some(d) => {
-                let mut s = 0u64;
-                for row in bs..be {
-                    s = s.wrapping_add(pinned.value(table, d, row));
-                }
-                s
-            }
-            None => 0,
-        };
-        visitor.visit_exact_sum(be - bs, sum);
-    } else {
-        for row in bs..be {
-            let v = match agg {
-                Some(d) => pinned.value(table, d, row),
-                None => 0,
-            };
-            visitor.visit(row, v);
-        }
     }
 }
 
-/// Run `f`, adding its duration to `stats.scan_ns` when scan timing is
-/// enabled (same switch as the resident kernels).
-#[inline]
-fn timed(stats: &mut ScanStats, f: impl FnOnce(&mut ScanStats)) {
-    if crate::scan::scan_timing_enabled() {
-        let t0 = Instant::now();
-        f(stats);
-        stats.scan_ns += t0.elapsed().as_nanos() as u64;
-    } else {
-        f(stats);
+impl PinnedBlocks for PinnedSegments<'_> {
+    #[inline]
+    fn block(&self, dim: usize, b: usize) -> BlockRef<'_> {
+        let seg = self.table.segment_of_block(b);
+        let loaded = self
+            .segments
+            .get(&(dim, seg))
+            .expect("needed segment not pinned");
+        BlockRef::Packed(&loaded.blocks[b - self.table.spans()[seg].first_block])
+    }
+
+    fn record(&self, stats: &mut ScanStats) {
+        stats.segments_faulted += self.faulted;
+        stats.segments_hit += self.hit;
+        stats.segments_skipped += self.skipped;
     }
 }
 
@@ -369,10 +111,10 @@ mod tests {
     use super::super::backend::MemBackend;
     use super::super::cache::TierConfig;
     use super::*;
-    use crate::scan::scan_checked_dims_packed;
+    use crate::query::RangeQuery;
+    use crate::scan::{scan_checked, scan_filtered};
     use crate::table::Table;
-    use crate::visitor::{CollectVisitor, CountVisitor, SumVisitor};
-    use std::sync::Arc;
+    use crate::visitor::{CollectVisitor, CountVisitor, SumVisitor, Visitor};
 
     /// Records every (row, value) pair in visit order — the strictest
     /// observer: any difference in rows, order, or values shows up.
@@ -410,8 +152,8 @@ mod tests {
         (tiered, resident)
     }
 
-    /// Both kernels over the same checks; assert identical collected rows,
-    /// values, and shared counters.
+    /// The kernel over both sources with the same checks; assert identical
+    /// collected rows, values, and shared counters.
     fn assert_parity(
         tiered: &TieredTable,
         resident: &Table,
@@ -422,7 +164,7 @@ mod tests {
     ) {
         let mut want_v = RowValueVisitor::default();
         let mut want_s = ScanStats::default();
-        scan_checked_dims_packed(
+        let Ok(()) = scan_checked(
             resident,
             checks,
             start,
@@ -434,8 +176,10 @@ mod tests {
         );
         let mut got_v = RowValueVisitor::default();
         let mut got_s = ScanStats::default();
-        scan_checked_dims_tiered(tiered, checks, start, end, agg_dim, &mut got_v, &mut got_s)
-            .unwrap();
+        scan_checked(
+            tiered, checks, start, end, agg_dim, None, &mut got_v, &mut got_s,
+        )
+        .unwrap();
         assert_eq!(got_v, want_v, "row/value mismatch for {checks:?}");
         let mut want_cmp = want_s.sans_tier_counters();
         let mut got_cmp = got_s.sans_tier_counters();
@@ -492,7 +236,17 @@ mod tests {
         let (tiered, _resident) = pair(2_048, 0);
         let mut v = CountVisitor::default();
         let mut s = ScanStats::default();
-        scan_checked_dims_tiered(&tiered, &[(0, 0, 100)], 0, 2_048, None, &mut v, &mut s).unwrap();
+        scan_checked(
+            &tiered,
+            &[(0, 0, 100)],
+            0,
+            2_048,
+            None,
+            None,
+            &mut v,
+            &mut s,
+        )
+        .unwrap();
         assert_eq!(v.count, 101);
         assert!(s.segments_skipped > 0, "{s:?}");
         // Only dim0 segments overlapping [0,100] were faulted (1 probe
@@ -508,12 +262,13 @@ mod tests {
         let (tiered, resident) = pair(1_024, 0);
         let mut v = SumVisitor::default();
         let mut s = ScanStats::default();
-        scan_checked_dims_tiered(
+        scan_checked(
             &tiered,
             &[(0, 0, u64::MAX)],
             0,
             1_024,
             Some(1),
+            None,
             &mut v,
             &mut s,
         )
@@ -535,8 +290,17 @@ mod tests {
         let mut v = CountVisitor::default();
         let mut s = ScanStats::default();
         // Probe blocks need dim0 data, but CountVisitor never needs dim1.
-        scan_checked_dims_tiered(&tiered, &[(0, 10, 200)], 0, 512, Some(1), &mut v, &mut s)
-            .unwrap();
+        scan_checked(
+            &tiered,
+            &[(0, 10, 200)],
+            0,
+            512,
+            Some(1),
+            None,
+            &mut v,
+            &mut s,
+        )
+        .unwrap();
         assert_eq!(v.count, 191);
         for key in tiered.segment_keys(1) {
             assert!(
@@ -555,10 +319,10 @@ mod tests {
         for agg in [None, Some(2)] {
             let mut want_v = RowValueVisitor::default();
             let mut want_s = ScanStats::default();
-            crate::scan::scan_full_packed(&resident, &q, agg, None, &mut want_v, &mut want_s);
+            let Ok(()) = scan_filtered(&resident, &q, 0, 600, agg, None, &mut want_v, &mut want_s);
             let mut got_v = RowValueVisitor::default();
             let mut got_s = ScanStats::default();
-            scan_full_tiered(&tiered, &q, agg, &mut got_v, &mut got_s).unwrap();
+            scan_filtered(&tiered, &q, 0, 600, agg, None, &mut got_v, &mut got_s).unwrap();
             assert_eq!(got_v, want_v);
             assert_eq!(
                 got_s.sans_tier_counters().points_scanned,
@@ -585,15 +349,14 @@ mod tests {
         failing.fail_load(1);
         let mut v = CollectVisitor::default();
         let mut s = ScanStats::default();
+        let checks = [(0, 10, 300)];
         let err =
-            scan_checked_dims_tiered(&tiered, &[(0, 10, 300)], 0, 512, Some(1), &mut v, &mut s)
-                .unwrap_err();
+            scan_checked(&tiered, &checks, 0, 512, Some(1), None, &mut v, &mut s).unwrap_err();
         assert!(matches!(err, StorageError::Io { .. }), "{err}");
         assert!(v.rows.is_empty(), "no partial results on error");
         assert_eq!(s, ScanStats::default(), "stats untouched on error");
         // Retry succeeds: the failure was transient and nothing was emitted.
-        scan_checked_dims_tiered(&tiered, &[(0, 10, 300)], 0, 512, Some(1), &mut v, &mut s)
-            .unwrap();
+        scan_checked(&tiered, &checks, 0, 512, Some(1), None, &mut v, &mut s).unwrap();
         assert_eq!(v.rows.len(), 291);
     }
 }

@@ -28,7 +28,7 @@
 use super::backend::{SegmentKey, StorageBackend, StorageError};
 use super::cache::{SegmentCache, TierConfig};
 use super::segment::{decode_segment, encode_segment};
-use crate::block::{Block, BlockMatch, BLOCK_LEN};
+use crate::block::{Block, BlockMeta, BLOCK_LEN};
 use crate::table::Table;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,39 +36,6 @@ use std::sync::Arc;
 /// Allocates process-unique table lineage ids, so two tiered tables never
 /// collide in a shared backend.
 static TABLE_IDS: AtomicU64 = AtomicU64::new(1);
-
-/// Always-resident metadata for one block: everything
-/// [`Block::classify`]-equivalent decisions need, without the words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockMeta {
-    /// Minimum value in the block.
-    pub min: u64,
-    /// Maximum value in the block.
-    pub max: u64,
-    /// Number of rows in the block.
-    pub len: u16,
-}
-
-impl BlockMeta {
-    /// Classify the inclusive predicate `[lo, hi]` against this block —
-    /// the same decision [`Block::classify`] makes from the full block, so
-    /// a tiered scan's skip/accept/probe choices are bit-identical to a
-    /// resident packed scan's.
-    #[inline]
-    pub fn classify(&self, lo: u64, hi: u64) -> BlockMatch {
-        debug_assert!(lo <= hi);
-        if hi < self.min || lo > self.max {
-            return BlockMatch::Skip;
-        }
-        if lo <= self.min && self.max <= hi {
-            return BlockMatch::Accept;
-        }
-        BlockMatch::Probe {
-            dlo: lo.saturating_sub(self.min),
-            dhi: (hi - self.min).min(self.max - self.min),
-        }
-    }
-}
 
 /// A run of consecutive blocks sealed as one segment (shared geometry for
 /// every column).
@@ -372,16 +339,7 @@ impl TieredTable {
                     }));
                 }
                 new_files.push(files);
-                new_meta.push(
-                    blocks
-                        .iter()
-                        .map(|b| BlockMeta {
-                            min: b.min(),
-                            max: b.max(),
-                            len: b.len() as u16,
-                        })
-                        .collect(),
-                );
+                new_meta.push(blocks.iter().map(Block::meta).collect());
                 let mut sums = Vec::with_capacity(blocks.len());
                 for chunk in vals.chunks(BLOCK_LEN) {
                     sums.push(chunk.iter().fold(0u64, |a, &v| a.wrapping_add(v)));
@@ -516,11 +474,9 @@ mod tests {
     fn classify_meta_matches_block_classify() {
         let vals: Vec<u64> = (0..100u64).map(|i| 50 + (i * 7) % 200).collect();
         let blk = Block::compress(&vals);
-        let meta = BlockMeta {
-            min: blk.min(),
-            max: blk.max(),
-            len: blk.len() as u16,
-        };
+        let meta = blk.meta();
+        assert_eq!((meta.min, meta.max), (blk.min(), blk.max()));
+        assert_eq!(meta.len as usize, blk.len());
         for (lo, hi) in [
             (0, 49),
             (0, 50),

@@ -173,6 +173,44 @@ impl Visitor for MinMaxVisitor {
     }
 }
 
+/// Counts matched points on behalf of [`ScanStats`](crate::ScanStats)
+/// while forwarding every call to the wrapped visitor — how each index
+/// fills `points_matched` without its visitors knowing.
+pub struct MatchCount<'a> {
+    inner: &'a mut dyn Visitor,
+    /// Rows the wrapped visitor has been shown so far.
+    pub matched: u64,
+}
+
+impl<'a> MatchCount<'a> {
+    /// Wrap `inner`, starting from zero matches.
+    pub fn new(inner: &'a mut dyn Visitor) -> Self {
+        MatchCount { inner, matched: 0 }
+    }
+}
+
+impl Visitor for MatchCount<'_> {
+    #[inline]
+    fn visit(&mut self, row: usize, value: u64) {
+        self.matched += 1;
+        self.inner.visit(row, value);
+    }
+
+    #[inline]
+    fn visit_exact_sum(&mut self, count: usize, sum: u64) {
+        self.matched += count as u64;
+        self.inner.visit_exact_sum(count, sum);
+    }
+
+    fn needs_value(&self) -> bool {
+        self.inner.needs_value()
+    }
+
+    fn supports_exact(&self) -> bool {
+        self.inner.supports_exact()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

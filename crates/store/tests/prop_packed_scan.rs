@@ -1,13 +1,12 @@
-//! Differential property suite: the packed-domain scan kernels are
-//! bit-identical to the decode-first kernels.
+//! Differential property suite: the scan kernel's block path is
+//! bit-identical to the row-at-a-time loop.
 //!
 //! For arbitrary tables (mixed plain/compressed columns), check lists, row
-//! sub-ranges and visitors, `scan_checked_dims_packed` must produce exactly
-//! the results *and* the [`ScanStats`] of `scan_checked_dims` — block
-//! counters and wall-clock aside, which only the packed side records; the
-//! shared [`assert_stats_equivalent`] helper normalizes both sides.
-//! Likewise `scan_filtered_packed` vs `scan_filtered` and
-//! `scan_full_packed` vs `scan_full`.
+//! sub-ranges and visitors, `scan_checked` must produce exactly the results
+//! *and* the [`ScanStats`] of the reference `scan_rows` — block counters
+//! and wall-clock aside, which only the block path records; the shared
+//! [`assert_stats_equivalent`] helper normalizes both sides. Likewise
+//! `scan_filtered`, over a sub-range and over the whole table.
 //!
 //! Generators deliberately cover the adversarial block shapes: width-0
 //! (constant) blocks from run-length columns, width-64 blocks from
@@ -19,8 +18,7 @@
 //! `FLOOD_PROPTEST_CASES` scales the case count (CI raises it on push).
 
 use flood_store::{
-    assert_stats_equivalent, scan_checked_dims, scan_checked_dims_packed, scan_filtered,
-    scan_filtered_packed, scan_full, scan_full_packed, CollectVisitor, CountVisitor,
+    assert_stats_equivalent, scan_checked, scan_filtered, scan_rows, CollectVisitor, CountVisitor,
     CumulativeColumn, MinMaxVisitor, RangeQuery, ScanStats, SumVisitor, Table, Visitor, BLOCK_LEN,
 };
 use proptest::prelude::*;
@@ -123,8 +121,9 @@ fn make_checks(table: &Table, filters: &[DimFilter; 3]) -> (Vec<(usize, u64, u64
     (checks, query)
 }
 
-/// Run both kernels with visitor `V`; results and normalized stats must be
-/// bit-identical. Returns the packed side's stats for counter assertions.
+/// Run the row loop and the kernel with visitor `V`; results and normalized
+/// stats must be bit-identical. Returns the kernel's stats for counter
+/// assertions.
 #[allow(clippy::too_many_arguments)]
 fn diff_checked<V: Visitor + Default, R: PartialEq + std::fmt::Debug>(
     table: &Table,
@@ -138,10 +137,10 @@ fn diff_checked<V: Visitor + Default, R: PartialEq + std::fmt::Debug>(
 ) -> ScanStats {
     let mut dv = V::default();
     let mut ds = ScanStats::default();
-    scan_checked_dims(table, checks, start, end, agg, &mut dv, &mut ds);
+    let Ok(()) = scan_rows(table, checks, start, end, agg, &mut dv, &mut ds);
     let mut pv = V::default();
     let mut ps = ScanStats::default();
-    scan_checked_dims_packed(table, checks, start, end, agg, cumulative, &mut pv, &mut ps);
+    let Ok(()) = scan_checked(table, checks, start, end, agg, cumulative, &mut pv, &mut ps);
     assert_eq!(extract(&pv), extract(&dv), "{label}: result");
     assert_stats_equivalent(&ps, &ds, label);
     ps
@@ -205,8 +204,8 @@ proptest! {
     ) {
         let mut table = build_table(&runs, seed);
         // Compress a per-case subset of columns; checks on the plain rest
-        // exercise the packed kernel's per-row residual path (mask 0 = all
-        // plain, where the packed kernels must delegate outright).
+        // exercise the kernel's per-row residual path (mask 0 = all plain,
+        // where the kernel must delegate to the row loop outright).
         let dims: Vec<usize> = (0..3).filter(|d| compress_mask & (1 << d) != 0).collect();
         table.compress_dims(&dims);
         let len = table.len();
@@ -221,31 +220,31 @@ proptest! {
 
         diff_all_visitors(&table, &checks, start, end, Some(&cumulative));
 
-        // The filtered/full wrappers route identically.
+        // The query-taking wrapper routes identically.
         let mut dv = SumVisitor::default();
         let mut ds = ScanStats::default();
-        scan_filtered(&table, &query, start, end, Some(1), &mut dv, &mut ds);
+        let Ok(()) = scan_rows(&table, &query.checks(), start, end, Some(1), &mut dv, &mut ds);
         let mut pv = SumVisitor::default();
         let mut ps = ScanStats::default();
-        scan_filtered_packed(
+        let Ok(()) = scan_filtered(
             &table, &query, start, end, Some(1), Some(&cumulative), &mut pv, &mut ps,
         );
         prop_assert_eq!((pv.sum, pv.count), (dv.sum, dv.count));
-        assert_stats_equivalent(&ps, &ds, "scan_filtered wrappers");
+        assert_stats_equivalent(&ps, &ds, "scan_filtered, sub-range");
 
         let mut dv = CountVisitor::default();
         let mut ds = ScanStats::default();
-        scan_full(&table, &query, None, &mut dv, &mut ds);
+        let Ok(()) = scan_rows(&table, &query.checks(), 0, len, None, &mut dv, &mut ds);
         let mut pv = CountVisitor::default();
         let mut ps = ScanStats::default();
-        scan_full_packed(&table, &query, None, None, &mut pv, &mut ps);
+        let Ok(()) = scan_filtered(&table, &query, 0, len, None, None, &mut pv, &mut ps);
         prop_assert_eq!(pv.count, dv.count);
-        assert_stats_equivalent(&ps, &ds, "scan_full wrappers");
+        assert_stats_equivalent(&ps, &ds, "scan_filtered, whole table");
     }
 
-    /// Compression must not change what a kernel computes: the packed scan
-    /// over the compressed table equals the decode-first scan over the
-    /// *plain* copy, stats included.
+    /// Compression must not change what the kernel computes: the block
+    /// path over the compressed table equals the row loop over the *plain*
+    /// copy, stats included.
     #[test]
     fn packed_on_compressed_equals_plain_reference(
         runs in proptest::collection::vec((0u64..6, 1usize..220), 1..8),
@@ -262,10 +261,10 @@ proptest! {
 
         let mut rv = CollectVisitor::default();
         let mut rs = ScanStats::default();
-        scan_checked_dims(&plain, &checks, 0, len, None, &mut rv, &mut rs);
+        let Ok(()) = scan_rows(&plain, &checks, 0, len, None, &mut rv, &mut rs);
         let mut pv = CollectVisitor::default();
         let mut ps = ScanStats::default();
-        scan_checked_dims_packed(&compressed, &checks, 0, len, None, None, &mut pv, &mut ps);
+        let Ok(()) = scan_checked(&compressed, &checks, 0, len, None, None, &mut pv, &mut ps);
         prop_assert_eq!(&pv.rows, &rv.rows);
         assert_stats_equivalent(&ps, &rs, "compressed vs plain reference");
     }
@@ -428,10 +427,10 @@ fn accepted_blocks_answer_sums_from_cumulative() {
     let checks = [(0usize, 130u64, 900u64)];
     let mut dv = SumVisitor::default();
     let mut ds = ScanStats::default();
-    scan_checked_dims(&t, &checks, 0, 1024, Some(1), &mut dv, &mut ds);
+    let Ok(()) = scan_rows(&t, &checks, 0, 1024, Some(1), &mut dv, &mut ds);
     let mut pv = SumVisitor::default();
     let mut ps = ScanStats::default();
-    scan_checked_dims_packed(
+    let Ok(()) = scan_checked(
         &t,
         &checks,
         0,

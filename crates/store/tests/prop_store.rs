@@ -54,7 +54,7 @@ proptest! {
             .with_range(1, lo1, lo1 + w1);
         let mut v = CountVisitor::default();
         let mut s = ScanStats::default();
-        scan_filtered(&t, &q, 0, t.len(), None, &mut v, &mut s);
+        let Ok(()) = scan_filtered(&t, &q, 0, t.len(), None, None, &mut v, &mut s);
         let truth = rows
             .iter()
             .filter(|r| r.0 >= lo0 && r.0 <= lo0 + w0 && r.1 >= lo1 && r.1 <= lo1 + w1)
@@ -74,9 +74,9 @@ proptest! {
         let cum = t.cumulative_sum(0);
         let mut with = SumVisitor::default();
         let mut stats = ScanStats::default();
-        scan_exact(&t, s, e + 1, Some(0), Some(&cum), &mut with, &mut stats);
+        let Ok(()) = scan_exact(&t, s, e + 1, Some(0), Some(&cum), &mut with, &mut stats);
         let mut without = SumVisitor::default();
-        scan_exact(&t, s, e + 1, Some(0), None, &mut without, &mut stats);
+        let Ok(()) = scan_exact(&t, s, e + 1, Some(0), None, &mut without, &mut stats);
         prop_assert_eq!(with.sum, without.sum);
         prop_assert_eq!(with.count, without.count);
     }

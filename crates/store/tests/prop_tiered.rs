@@ -2,14 +2,14 @@
 //!
 //! For arbitrary tables, predicates, sub-ranges, memory budgets (including
 //! zero — everything cold, every scan faults) and adversarial eviction
-//! schedules injected between queries, `scan_checked_dims_tiered` must
-//! produce exactly the results, row order, *and* every pre-existing
-//! [`ScanStats`] counter of `scan_checked_dims_packed` over the same data
-//! fully resident — block counters included, since tiered planning must
-//! make the identical skip/accept/probe decision from resident metadata.
-//! Only the tier counters (`segments_*`) are new; the
-//! [`ScanStats::sans_tier_counters`] helper normalizes them away, the
-//! same way `sans_block_counters` bridges packed and decode-first scans.
+//! schedules injected between queries, `scan_checked` over a
+//! `TieredTable` must produce exactly the results, row order, *and* shared
+//! [`ScanStats`] counters of the reference row loop (`scan_rows`) over the
+//! same data fully resident — and the block counters of `scan_checked`
+//! over the resident compressed table, since a tiered scan must make the
+//! identical skip/accept/probe decision from resident metadata. Only the
+//! tier counters (`segments_*`) are new; `assert_stats_equivalent` and
+//! [`ScanStats::sans_tier_counters`] normalize them away.
 //!
 //! Residency is *performance* state, never *result* state: evicting
 //! everything, shrinking the budget mid-workload, or re-running a query
@@ -19,10 +19,9 @@
 //! `FLOOD_MEM_BUDGET`, when set, is added to the budget pool so CI can
 //! force a mostly-cold run of this whole suite.
 
-use flood_store::tier::scan::scan_checked_dims_tiered;
 use flood_store::{
-    scan_checked_dims_packed, CountVisitor, MemBackend, MinMaxVisitor, ScanStats, SumVisitor,
-    Table, TierConfig, TieredTable, Visitor,
+    assert_stats_equivalent, scan_checked, scan_rows, CountVisitor, MemBackend, MinMaxVisitor,
+    ScanStats, SumVisitor, Table, TierConfig, TieredTable, Visitor,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -177,9 +176,10 @@ impl Visitor for RowValueVisitor {
     }
 }
 
-/// Run both sides; results must be identical and the tiered stats, tier
-/// counters aside, must equal the resident packed stats exactly. Returns
-/// the tiered stats for tier-counter assertions.
+/// Run the row loop over `resident`, then the kernel over both tables;
+/// results must equal the row loop's and the tiered stats, tier counters
+/// aside, must equal the resident kernel's exactly. Returns the tiered
+/// stats for tier-counter assertions.
 #[allow(clippy::too_many_arguments)]
 fn diff_tiered<V: Visitor + Default, R: PartialEq + std::fmt::Debug>(
     resident: &Table,
@@ -191,14 +191,18 @@ fn diff_tiered<V: Visitor + Default, R: PartialEq + std::fmt::Debug>(
     extract: fn(&V) -> R,
     label: &str,
 ) -> ScanStats {
+    let mut want_v = V::default();
+    let mut want_s = ScanStats::default();
+    let Ok(()) = scan_rows(resident, checks, start, end, agg, &mut want_v, &mut want_s);
     let mut rv = V::default();
     let mut rs = ScanStats::default();
-    scan_checked_dims_packed(resident, checks, start, end, agg, None, &mut rv, &mut rs);
+    let Ok(()) = scan_checked(resident, checks, start, end, agg, None, &mut rv, &mut rs);
     let mut tv = V::default();
     let mut ts = ScanStats::default();
-    scan_checked_dims_tiered(tiered, checks, start, end, agg, &mut tv, &mut ts)
+    scan_checked(tiered, checks, start, end, agg, None, &mut tv, &mut ts)
         .expect("in-memory backend never fails");
-    assert_eq!(extract(&tv), extract(&rv), "{label}: result");
+    assert_eq!(extract(&tv), extract(&want_v), "{label}: result");
+    assert_stats_equivalent(&ts, &want_s, label);
     let mut got = ts.sans_tier_counters();
     got.scan_ns = 0;
     let mut want = rs;

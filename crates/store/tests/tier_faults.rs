@@ -5,10 +5,10 @@
 //! produce exactly the full result set.
 
 use flood_store::tier::index::SCAN_RETRIES;
-use flood_store::tier::scan::scan_checked_dims_tiered;
 use flood_store::{
-    CollectVisitor, CountVisitor, FailingBackend, FileBackend, MemBackend, RangeQuery, ScanStats,
-    StorageBackend, StorageError, SumVisitor, TierConfig, TieredScan, TieredTable,
+    scan_checked, CollectVisitor, CountVisitor, FailingBackend, FileBackend, MemBackend,
+    RangeQuery, ScanStats, StorageBackend, StorageError, SumVisitor, TierConfig, TieredScan,
+    TieredTable,
 };
 use std::sync::Arc;
 
@@ -42,7 +42,7 @@ fn injected_error_at_every_load_position_is_typed_and_clean() {
     // Baseline: how many loads does this query perform?
     let mut v = SumVisitor::default();
     let mut s = ScanStats::default();
-    scan_checked_dims_tiered(&tiered, &checks, 0, 1_024, Some(1), &mut v, &mut s).unwrap();
+    scan_checked(&tiered, &checks, 0, 1_024, Some(1), None, &mut v, &mut s).unwrap();
     let loads_per_query = s.segments_faulted;
     assert!(
         loads_per_query >= 2,
@@ -58,8 +58,8 @@ fn injected_error_at_every_load_position_is_typed_and_clean() {
         failing.fail_load(1 + k);
         let mut v = SumVisitor::default();
         let mut s = ScanStats::default();
-        let err = scan_checked_dims_tiered(&tiered, &checks, 0, 1_024, Some(1), &mut v, &mut s)
-            .unwrap_err();
+        let err =
+            scan_checked(&tiered, &checks, 0, 1_024, Some(1), None, &mut v, &mut s).unwrap_err();
         assert!(matches!(err, StorageError::Io { .. }), "load {k}: {err}");
         assert!(err.key().is_some(), "error must name the failing segment");
         assert_eq!((v.sum, v.count), (0, 0), "load {k}: partial results leaked");
@@ -67,7 +67,7 @@ fn injected_error_at_every_load_position_is_typed_and_clean() {
 
         let mut v = SumVisitor::default();
         let mut s = ScanStats::default();
-        scan_checked_dims_tiered(&tiered, &checks, 0, 1_024, Some(1), &mut v, &mut s).unwrap();
+        scan_checked(&tiered, &checks, 0, 1_024, Some(1), None, &mut v, &mut s).unwrap();
         assert_eq!((v.sum, v.count), want, "load {k}: retry must be complete");
     }
     assert_eq!(failing.injected(), loads_per_query);
@@ -81,8 +81,8 @@ fn short_reads_surface_as_corruption_not_panic() {
         failing.short_read_load(1, keep);
         let mut v = CollectVisitor::default();
         let mut s = ScanStats::default();
-        let err = scan_checked_dims_tiered(&tiered, &[(0, 1, 510)], 0, 512, None, &mut v, &mut s)
-            .unwrap_err();
+        let err =
+            scan_checked(&tiered, &[(0, 1, 510)], 0, 512, None, None, &mut v, &mut s).unwrap_err();
         match err {
             StorageError::Corrupt { detail, .. } => {
                 assert!(!detail.is_empty(), "corruption should say what failed");
@@ -110,8 +110,8 @@ fn overwritten_blob_fails_checksum() {
     mem.put(victim, &vec![0xAB; 4_096]).unwrap();
     let mut v = CountVisitor::default();
     let mut s = ScanStats::default();
-    let err = scan_checked_dims_tiered(&tiered, &[(0, 1, 510)], 0, 512, None, &mut v, &mut s)
-        .unwrap_err();
+    let err =
+        scan_checked(&tiered, &[(0, 1, 510)], 0, 512, None, None, &mut v, &mut s).unwrap_err();
     match &err {
         StorageError::Corrupt { key, .. } => assert_eq!(*key, victim),
         other => panic!("expected Corrupt, got {other}"),
@@ -146,16 +146,16 @@ fn deleted_file_is_missing_truncated_file_is_corrupt() {
     }
     let mut v = CountVisitor::default();
     let mut s = ScanStats::default();
-    let err = scan_checked_dims_tiered(&tiered, &[(0, 1, 510)], 0, 512, None, &mut v, &mut s)
-        .unwrap_err();
+    let err =
+        scan_checked(&tiered, &[(0, 1, 510)], 0, 512, None, None, &mut v, &mut s).unwrap_err();
     assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
 
     // Remove them outright: Missing, still typed, still no panic.
     for f in &files {
         std::fs::remove_file(f).unwrap();
     }
-    let err = scan_checked_dims_tiered(&tiered, &[(0, 1, 510)], 0, 512, None, &mut v, &mut s)
-        .unwrap_err();
+    let err =
+        scan_checked(&tiered, &[(0, 1, 510)], 0, 512, None, None, &mut v, &mut s).unwrap_err();
     assert!(matches!(err, StorageError::Missing { .. }), "{err}");
     assert_eq!(v.count, 0, "no emission across any failure mode");
 }

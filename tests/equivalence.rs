@@ -57,33 +57,45 @@ fn all_dims(t: &Table) -> Vec<usize> {
     (0..t.dims()).collect()
 }
 
+/// Build every index over `stored` and check it against the full-scan
+/// oracle over `plain` (the same rows, uncompressed).
+fn check_all(stored: &Table, plain: &Table, queries: &[RangeQuery], agg: usize) {
+    let check = |idx: &dyn MultiDimIndex| check_index(idx, plain, queries, agg);
+    let dims = all_dims(stored);
+    check(&ClusteredIndex::build(stored, 0));
+    check(&ZOrderIndex::build(stored, dims.clone()));
+    check(&UbTree::build(stored, dims.clone()));
+    check(&Hyperoctree::build(stored, dims.clone()));
+    check(&KdTree::build(stored, dims.clone()));
+    check(&RStarTree::build(stored, dims.clone()));
+    if let Ok(gf) = GridFile::build(stored, dims.clone()) {
+        check(&gf);
+    }
+    // Flood with a hand layout over the first three dims.
+    let flood = FloodBuilder::new()
+        .layout(Layout::new(vec![0, 1, 2], vec![6, 5]))
+        .build(stored);
+    check(&flood);
+    // Flood histogram variant.
+    let hist = FloodBuilder::new()
+        .layout(Layout::histogram(vec![0, 1], vec![8, 8]))
+        .build(stored);
+    check(&hist);
+}
+
 fn run_dataset(kind: DatasetKind, wkind: WorkloadKind) {
     let ds = kind.generate(N, 0xE0);
     let w = Workload::generate(wkind, &ds, QUERIES, 0.002, 0xE0);
     let queries: Vec<RangeQuery> = w.train.into_iter().chain(w.test).collect();
     let t = &ds.table;
     let agg = kind.agg_dim();
-    let dims = all_dims(t);
-
-    check_index(&ClusteredIndex::build(t, 0), t, &queries, agg);
-    check_index(&ZOrderIndex::build(t, dims.clone()), t, &queries, agg);
-    check_index(&UbTree::build(t, dims.clone()), t, &queries, agg);
-    check_index(&Hyperoctree::build(t, dims.clone()), t, &queries, agg);
-    check_index(&KdTree::build(t, dims.clone()), t, &queries, agg);
-    check_index(&RStarTree::build(t, dims.clone()), t, &queries, agg);
-    if let Ok(gf) = GridFile::build(t, dims.clone()) {
-        check_index(&gf, t, &queries, agg);
-    }
-    // Flood with a hand layout over the first three dims.
-    let flood = FloodBuilder::new()
-        .layout(Layout::new(vec![0, 1, 2], vec![6, 5]))
-        .build(t);
-    check_index(&flood, t, &queries, agg);
-    // Flood histogram variant.
-    let hist = FloodBuilder::new()
-        .layout(Layout::histogram(vec![0, 1], vec![8, 8]))
-        .build(t);
-    check_index(&hist, t, &queries, agg);
+    check_all(t, t, &queries, agg);
+    // Again over block-compressed columns (`Table::permuted` keeps them
+    // compressed), where every index's scans take the kernel's block path;
+    // the oracle stays on the plain table, off the path under test.
+    let mut compressed = t.clone();
+    compressed.compress();
+    check_all(&compressed, t, &queries, agg);
 }
 
 #[test]
