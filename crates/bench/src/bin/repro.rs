@@ -2,16 +2,14 @@
 //!
 //! ```text
 //! repro <experiment> [--scale F] [--queries N] [--seed N] [--threads N] \
-//!       [--json PATH] [--metrics PATH] [--full] [--verbose]
+//!       [--metrics PATH] [--full] [--verbose]
 //! repro list
 //! ```
 //!
 //! `--scale` multiplies the default dataset sizes (1.0 ≈ 30k–200k rows per
 //! dataset); `--threads N` runs every workload through the `flood-exec`
 //! pool with N workers (1 = the serial path); `--full` switches sweeps to
-//! the paper-sized grids; `--json PATH` writes a machine-readable perf
-//! record (per-experiment wall-clock, phase timings, and key metrics —
-//! the artifact CI uploads on every push); `--metrics PATH` dumps the
+//! the paper-sized grids; `--metrics PATH` dumps the
 //! process-global `flood-obs` registry as Prometheus text exposition after
 //! the run (every workload bridges its scan counters in; serve/drift/obs
 //! fold in their servers' full telemetry); `--verbose`
@@ -22,7 +20,6 @@
 
 use flood_bench::experiments::{self as exp, ExpConfig};
 use flood_bench::phases;
-use flood_bench::report::{self, ExperimentRecord, PerfReport};
 use std::process::ExitCode;
 
 /// CLI name, what it reproduces, entry point.
@@ -80,7 +77,7 @@ const EXPERIMENTS: &[Experiment] = &[
     ),
     (
         "optcost",
-        "Fig 15/16: optimizer search cost, full vs incremental stats",
+        "Fig 15/16: optimizer search cost and cache counters",
         exp::optcost::run,
     ),
     (
@@ -126,7 +123,7 @@ fn print_experiment_list() {
 fn usage() {
     eprintln!(
         "usage: repro <experiment> [--scale F] [--queries N] [--seed N] [--threads N] \
-         [--json PATH] [--metrics PATH] [--full] [--verbose]"
+         [--metrics PATH] [--full] [--verbose]"
     );
     eprintln!("       repro list");
     print_experiment_list();
@@ -143,14 +140,10 @@ fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Resu
 /// Parsed command line: experiment config, the worker count (applied once
 /// to the harness-global executor knob
 /// [`flood_bench::harness::set_exec_threads`] rather than carried in
-/// [`ExpConfig`]), and the optional `--json` / `--metrics` output paths.
-#[allow(clippy::type_complexity)]
-fn parse_config(
-    args: &[String],
-) -> Result<(ExpConfig, usize, Option<String>, Option<String>), String> {
+/// [`ExpConfig`]), and the optional `--metrics` output path.
+fn parse_config(args: &[String]) -> Result<(ExpConfig, usize, Option<String>), String> {
     let mut cfg = ExpConfig::default();
     let mut threads = 1usize;
-    let mut json: Option<String> = None;
     let mut metrics: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -174,10 +167,6 @@ fn parse_config(
                     return Err("--threads must be at least 1".to_string());
                 }
             }
-            "--json" => {
-                let path = it.next().ok_or("--json needs a file path")?;
-                json = Some(path.clone());
-            }
             "--metrics" => {
                 let path = it.next().ok_or("--metrics needs a file path")?;
                 metrics = Some(path.clone());
@@ -187,21 +176,11 @@ fn parse_config(
             other => return Err(format!("unknown flag: {other}")),
         }
     }
-    Ok((cfg, threads, json, metrics))
-}
-
-/// Serialize and write the perf report; a write failure is an error exit,
-/// not a panic (CI must notice a missing artifact).
-fn write_report(path: &str, report: &PerfReport) -> Result<(), String> {
-    let json = serde_json::to_string_pretty(report)
-        .map_err(|e| format!("cannot serialize perf report: {e}"))?;
-    std::fs::write(path, json + "\n").map_err(|e| format!("cannot write {path}: {e}"))?;
-    println!("perf report written to {path}");
-    Ok(())
+    Ok((cfg, threads, metrics))
 }
 
 /// Write the process-global metrics registry as Prometheus text
-/// exposition; same error contract as [`write_report`].
+/// exposition; a write failure is an error exit, not a panic.
 fn write_metrics(path: &str) -> Result<(), String> {
     let text = flood_obs::metrics::global().prometheus_text();
     std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -219,7 +198,7 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::SUCCESS;
     }
-    let (cfg, threads, json, metrics) = match parse_config(&args[1..]) {
+    let (cfg, threads, metrics) = match parse_config(&args[1..]) {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}\n");
@@ -233,15 +212,12 @@ fn main() -> ExitCode {
         cfg.scale, cfg.queries, cfg.seed, threads, cfg.full
     );
     let t0 = std::time::Instant::now();
-    let mut records: Vec<ExperimentRecord> = Vec::new();
     if which == "all" {
         for (name, _, run) in EXPERIMENTS {
             // Attribute phase time per experiment, not across the suite.
             phases::reset_phases();
-            report::take_metrics();
             let t = std::time::Instant::now();
             run(&cfg);
-            records.push(report::experiment_record(name, t.elapsed().as_secs_f64()));
             phases::print_phase_summary();
             println!("\n[{name} done in {:.1}s]", t.elapsed().as_secs_f64());
         }
@@ -251,28 +227,8 @@ fn main() -> ExitCode {
             print_experiment_list();
             return ExitCode::FAILURE;
         };
-        report::take_metrics();
         run(&cfg);
-        records.push(report::experiment_record(
-            &which,
-            t0.elapsed().as_secs_f64(),
-        ));
         phases::print_phase_summary();
-    }
-    if let Some(path) = json {
-        let perf = PerfReport {
-            schema_version: report::SCHEMA_VERSION,
-            scale: cfg.scale,
-            queries: cfg.queries,
-            seed: cfg.seed,
-            threads,
-            full: cfg.full,
-            experiments: records,
-        };
-        if let Err(e) = write_report(&path, &perf) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
     }
     if let Some(path) = metrics {
         if let Err(e) = write_metrics(&path) {

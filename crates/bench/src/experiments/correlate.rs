@@ -15,9 +15,9 @@
 //! * **strength**: noise width from collapse-grade to undetectable — the
 //!   speedup should shrink to ~1× as the dependency dissolves;
 //! * **on/off ratio** at the strongest settings — the headline numbers
-//!   (`correlate.clean.speedup` is gated ≥ 1.5× in CI; `strong` adds 1%
-//!   broken rows on top and is recorded alongside — the calibrated cost
-//!   model re-measures the machine each run, so learned layouts and
+//!   (at `--scale` ≥ 1 the `clean` speedup is asserted ≥ 1.5×; `strong`
+//!   adds 1% broken rows on top and is printed alongside — the calibrated
+//!   cost model re-measures the machine each run, so learned layouts and
 //!   ratios wobble more than `clean`'s);
 //! * **outlier sensitivity**: broken-row rates from 0 to past the
 //!   detection budget — exploitation must degrade gracefully, never
@@ -29,12 +29,14 @@
 use super::ExpConfig;
 use crate::harness::{calibrated_cost_model, percentiles_from_ns};
 use crate::phases::time_phase;
-use crate::report::metric;
 use flood_core::{CorrelationConfig, FloodBuilder, FloodIndex, LayoutOptimizer};
 use flood_data::datasets::highdim;
 use flood_data::workloads::QueryBuilder;
 use flood_store::{CountVisitor, MultiDimIndex, RangeQuery, Table};
 use std::time::Instant;
+
+/// Floor on the `clean` setting's off/on p50 ratio.
+const CLEAN_SPEEDUP_FLOOR: f64 = 1.5;
 
 /// One generator setting in the sweep.
 struct Setting {
@@ -207,22 +209,16 @@ pub fn run(cfg: &ExpConfig) {
             on_scanned,
             off_scanned,
         );
-        metric(
-            &format!("correlate.{}.on_us", s.name),
-            on_p50 as f64 / 1e3,
-            "us",
-        );
-        metric(
-            &format!("correlate.{}.off_us", s.name),
-            off_p50 as f64 / 1e3,
-            "us",
-        );
-        metric(&format!("correlate.{}.speedup", s.name), speedup, "x");
-        metric(
-            &format!("correlate.{}.collapsed_dims", s.name),
-            collapsed.len() as f64,
-            "dims",
-        );
+        // The headline win, gated on the noise-free setting at the scale
+        // BASELINES.md records: `clean` sits far above the bar, `strong`
+        // wobbles with machine noise.
+        if s.name == "clean" && cfg.scale >= 1.0 {
+            assert!(
+                speedup >= CLEAN_SPEEDUP_FLOOR,
+                "correlation-on speedup {speedup:.2}x on `clean` is below the \
+                 {CLEAN_SPEEDUP_FLOOR}x floor"
+            );
+        }
     }
     println!(
         "\nresults are asserted identical between modes on every query; \

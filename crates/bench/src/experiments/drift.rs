@@ -2,29 +2,23 @@
 //! robustness axis Tsunami and the learned-multidim survey call out).
 //!
 //! A phased workload rotates its hot dimensions, selectivity, and center
-//! of mass (`flood_data::workloads::drift`). Four contenders run the same
+//! of mass (`flood_data::workloads::drift`). Three contenders run the same
 //! stream:
 //!
 //! - **full-scan** — the floor: immune to drift, slow everywhere;
 //! - **frozen** — Flood's layout learned on phase 0 and never touched:
 //!   the paper's static index, fast until the shift;
-//! - **adapt-cold** — [`AdaptiveFlood`] with `share_cache: false`: detects
-//!   degradation and re-learns, paying a from-scratch sample flatten per
-//!   check and per re-learn;
-//! - **adapt-shared** — [`AdaptiveFlood`] with the shared
-//!   `EvaluatorCache` (the default): same decisions, but the data sample
-//!   is flattened once and each degradation check's pricing work feeds the
-//!   re-learn search that follows.
+//! - **adaptive** — [`AdaptiveFlood`]: detects degradation and re-learns;
+//!   the data sample is flattened once and each degradation check's
+//!   pricing work feeds the re-learn search that follows.
 //!
 //! Reported per phase: average *query* latency (adaptation excluded — it
 //! is reported separately as the re-learn columns), re-learn counts, and
-//! re-learn search cost. The shared-vs-cold re-learn time ratio is the
-//! headline number BASELINES.md tracks.
+//! re-learn search cost; then the adaptive loop's work ledger.
 
 use super::ExpConfig;
 use crate::harness::{calibrated_cost_model, fmt_ms, learn_flood, run_workload};
 use crate::phases::time_phase;
-use crate::report;
 use flood_baselines::FullScan;
 use flood_core::{
     AdaptiveConfig, AdaptiveDiagnostics, AdaptiveFlood, FloodConfig, LayoutOptimizer,
@@ -75,196 +69,58 @@ fn run_adaptive_phase(a: &mut AdaptiveFlood, queries: &[RangeQuery]) -> Adaptive
 }
 
 /// One full drift run (one mode), printed as a per-phase table. Returns the
-/// final diagnostics of (cold, shared).
-fn run_mode(
-    cfg: &ExpConfig,
-    table: &Table,
-    drift: &DriftingWorkload,
-) -> (AdaptiveDiagnostics, AdaptiveDiagnostics) {
+/// adaptive contender's final diagnostics.
+fn run_mode(cfg: &ExpConfig, table: &Table, drift: &DriftingWorkload) -> AdaptiveDiagnostics {
     let n = table.len();
     let opt_cfg = cfg.optimizer(n);
-    let optimizer = || LayoutOptimizer::with_config(calibrated_cost_model().clone(), opt_cfg);
     let qpp = drift.phases[0].queries.len();
-    let adaptive_cfg = |share_cache: bool| AdaptiveConfig {
-        window: (qpp / 3).clamp(12, 120),
-        check_every: (qpp / 6).clamp(6, 60),
-        degradation_factor: 1.25,
-        share_cache,
-    };
 
-    // Contenders. The frozen index and both adaptives learn on the same
+    // Contenders. The frozen index and the adaptive one learn on the same
     // phase-0 training split; the full scan needs no tuning.
     let frozen = learn_flood(table, &drift.train, opt_cfg);
     let full = FullScan::build(table);
-    let mut cold = time_phase("layout-opt", || {
+    let mut adaptive = time_phase("layout-opt", || {
         AdaptiveFlood::build(
             table,
             &drift.train,
-            optimizer(),
+            LayoutOptimizer::with_config(calibrated_cost_model().clone(), opt_cfg),
             FloodConfig::default(),
-            adaptive_cfg(false),
-        )
-    });
-    let mut shared = time_phase("layout-opt", || {
-        AdaptiveFlood::build(
-            table,
-            &drift.train,
-            optimizer(),
-            FloodConfig::default(),
-            adaptive_cfg(true),
+            AdaptiveConfig {
+                window: (qpp / 3).clamp(12, 120),
+                check_every: (qpp / 6).clamp(6, 60),
+                degradation_factor: 1.25,
+            },
         )
     });
 
     println!(
-        "{:<6} {:<10} {:>10} {:>10} {:>10} {:>12} {:>9} {:>14}",
+        "{:<6} {:<10} {:>10} {:>10} {:>12} {:>9} {:>12} {:>10}",
         "phase",
         "hot-dims",
         "scan(ms)",
         "frozen(ms)",
-        "cold(ms)",
-        "shared(ms)",
+        "adaptive(ms)",
         "relearns",
-        "relearn c/s(ms)"
+        "relearn(ms)",
+        "adapt(ms)"
     );
-    for (k, phase) in drift.phases.iter().enumerate() {
+    for phase in &drift.phases {
         let (scan_avg, _) = run_workload(&full, &phase.queries, None);
         let (frozen_avg, _) = run_workload(&frozen, &phase.queries, None);
-        let pc = run_adaptive_phase(&mut cold, &phase.queries);
-        let ps = run_adaptive_phase(&mut shared, &phase.queries);
+        let pa = run_adaptive_phase(&mut adaptive, &phase.queries);
         println!(
-            "{:<6} {:<10} {:>10} {:>10} {:>10} {:>12} {:>7}/{:<1} {:>6.1}/{:<6.1}",
+            "{:<6} {:<10} {:>10} {:>10} {:>12} {:>9} {:>12.1} {:>10.1}",
             phase.name,
             format!("{:?}", phase.hot_dims),
             fmt_ms(scan_avg),
             fmt_ms(frozen_avg),
-            fmt_ms(pc.query_avg),
-            fmt_ms(ps.query_avg),
-            pc.relearns,
-            ps.relearns,
-            pc.relearn_wall.as_secs_f64() * 1e3,
-            ps.relearn_wall.as_secs_f64() * 1e3,
-        );
-        let prefix = format!("drift.{}.p{k}", drift.mode.label());
-        report::metric(&format!("{prefix}.fullscan_ms"), ms(scan_avg), "ms");
-        report::metric(&format!("{prefix}.frozen_ms"), ms(frozen_avg), "ms");
-        report::metric(&format!("{prefix}.cold_ms"), ms(pc.query_avg), "ms");
-        report::metric(&format!("{prefix}.shared_ms"), ms(ps.query_avg), "ms");
-        report::metric(
-            &format!("{prefix}.relearns_cold"),
-            pc.relearns as f64,
-            "count",
-        );
-        report::metric(
-            &format!("{prefix}.relearns_shared"),
-            ps.relearns as f64,
-            "count",
-        );
-        report::metric(&format!("{prefix}.adapt_cold_ms"), ms(pc.adapt_total), "ms");
-        report::metric(
-            &format!("{prefix}.adapt_shared_ms"),
-            ms(ps.adapt_total),
-            "ms",
+            fmt_ms(pa.query_avg),
+            pa.relearns,
+            pa.relearn_wall.as_secs_f64() * 1e3,
+            pa.adapt_total.as_secs_f64() * 1e3,
         );
     }
-    (cold.diagnostics(), shared.diagnostics())
-}
-
-/// Milliseconds as f64.
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
-/// Controlled replay results: both modes do the *same* work over the same
-/// sliding-window sequence, so the ratios isolate the caching subsystem
-/// (the stream run above lets each mode make its own noisy threshold
-/// decisions).
-struct Replay {
-    /// Windows replayed.
-    windows: usize,
-    /// Degradation-check pricing: one fixed layout priced per window.
-    price_cold: Duration,
-    /// Same pricing through the shared cache (per-query costs of a stable
-    /// layout carry across windows — only queries that entered the window
-    /// are priced fresh).
-    price_shared: Duration,
-    /// Re-learn: a full layout search per window, fresh flattens each time.
-    learn_cold: Duration,
-    /// Same searches through the shared cache.
-    learn_shared: Duration,
-}
-
-/// Replay the stream's sliding windows through both modes with identical
-/// work: every window is priced (the check path), and every window is
-/// re-learned (the search path).
-fn replay(cfg: &ExpConfig, table: &Table, drift: &DriftingWorkload) -> Replay {
-    let opt_cfg = cfg.optimizer(table.len());
-    let optimizer = LayoutOptimizer::with_config(calibrated_cost_model().clone(), opt_cfg);
-    let stream: Vec<RangeQuery> = drift.stream().cloned().collect();
-    let qpp = drift.phases[0].queries.len();
-    let window = (qpp / 3).clamp(12, 120);
-    let stride = (qpp / 6).clamp(6, 60);
-    let windows: Vec<&[RangeQuery]> = (0..)
-        .map(|i| i * stride)
-        .take_while(|&s| s + window <= stream.len())
-        .map(|s| &stream[s..s + window])
-        .collect();
-    let start = optimizer.optimize(table, &drift.train).layout;
-
-    // Check pricing, cold: every check re-flattens (the pre-cache
-    // `AdaptiveFlood::execute` behaviour this PR's bugfix removes).
-    let t = Instant::now();
-    for w in &windows {
-        let _ = optimizer.evaluator_sampled(table, w).predict(&start);
-    }
-    let price_cold = t.elapsed();
-
-    // Check pricing, shared: the layout is stable between re-learns, so
-    // its per-query costs carry — only queries that entered the window
-    // since the last check are priced fresh.
-    let t = Instant::now();
-    let mut shared = flood_core::EvaluatorCache::new();
-    for w in &windows {
-        let (queries, mut rng) = optimizer.sample_queries(w);
-        let eval = shared.evaluator(&optimizer, table, &queries, &mut rng);
-        eval.advance_epoch();
-        let _ = eval.predict(&start);
-    }
-    let price_shared = t.elapsed();
-
-    // Re-learn, cold: price + full search, two fresh flattens per window.
-    let t = Instant::now();
-    let mut layout = start.clone();
-    for w in &windows {
-        let _ = optimizer.evaluator_sampled(table, w).predict(&layout);
-        layout = optimizer.optimize(table, w).layout;
-    }
-    let learn_cold = t.elapsed();
-
-    // Re-learn, shared: the pricing evaluator feeds each search, masks and
-    // per-query costs carry window to window.
-    let t = Instant::now();
-    let mut shared = flood_core::EvaluatorCache::new();
-    let mut layout = start;
-    for w in &windows {
-        let (queries, mut rng) = optimizer.sample_queries(w);
-        let eval = shared.evaluator(&optimizer, table, &queries, &mut rng);
-        let _ = eval.predict(&layout);
-        eval.advance_epoch();
-        layout = optimizer.optimize_in(eval).layout;
-    }
-    let learn_shared = t.elapsed();
-
-    crate::phases::record_phase(
-        "layout-opt",
-        price_cold + price_shared + learn_cold + learn_shared,
-    );
-    Replay {
-        windows: windows.len(),
-        price_cold,
-        price_shared,
-        learn_cold,
-        learn_shared,
-    }
+    adaptive.diagnostics()
 }
 
 /// Run the experiment at the configured scale.
@@ -302,81 +158,26 @@ pub fn run(cfg: &ExpConfig) {
             qpp,
             n
         );
-        let (dc, ds) = run_mode(cfg, &table, &drift);
-        let (cold_ms, shared_ms) = (
-            dc.relearn_wall_total().as_secs_f64() * 1e3,
-            ds.relearn_wall_total().as_secs_f64() * 1e3,
-        );
-        let ratio = cold_ms / shared_ms.max(1e-9);
+        let d = run_mode(cfg, &table, &drift);
         println!(
-            "\nre-learn searches: cold {} in {cold_ms:.1} ms, shared {} in {shared_ms:.1} ms \
-             ({ratio:.2}x cheaper shared)",
-            dc.relearn_wall.len(),
-            ds.relearn_wall.len(),
+            "\nwork ledger: {} checks, {} re-learn searches in {:.1} ms ({} adopted); \
+             {} sample flatten(s), {} window flatten(s), {} window reuse(s), \
+             {} cross-re-learn cache hits",
+            d.checks,
+            d.relearn_searches,
+            d.relearn_wall_total().as_secs_f64() * 1e3,
+            d.relearns,
+            d.sample_flattens,
+            d.window_flattens,
+            d.window_reuses,
+            d.cache_hits_across_relearns,
         );
-        println!(
-            "shared-cache work: {} sample flatten(s), {} window flatten(s), {} window reuse(s), \
-             {} cross-re-learn cache hits (cold re-flattened {} times)",
-            ds.sample_flattens,
-            ds.window_flattens,
-            ds.window_reuses,
-            ds.cache_hits_across_relearns,
-            dc.sample_flattens,
-        );
-        let prefix = format!("drift.{}", mode.label());
-        report::metric(&format!("{prefix}.relearn_cold_ms"), cold_ms, "ms");
-        report::metric(&format!("{prefix}.relearn_shared_ms"), shared_ms, "ms");
-        report::metric(&format!("{prefix}.relearn_speedup"), ratio, "x");
-        report::metric(
-            &format!("{prefix}.cross_relearn_hits"),
-            ds.cache_hits_across_relearns as f64,
-            "count",
-        );
-        // Embed the adaptive lifecycles' full telemetry in the --json
-        // record and fold it into the process-global registry for
-        // `repro --metrics`.
-        let reg = flood_obs::Registry::new();
-        dc.export(&reg, "adapt_cold");
-        ds.export(&reg, "adapt_shared");
-        report::embed_metrics_snapshot(&format!("{prefix}.metrics"), &reg.snapshot());
-        flood_obs::metrics::global().absorb(&reg);
-
-        // Controlled replays: identical check/re-learn work in both modes.
-        let r = replay(cfg, &table, &drift);
-        let price_ratio = r.price_cold.as_secs_f64() / r.price_shared.as_secs_f64().max(1e-12);
-        let learn_ratio = r.learn_cold.as_secs_f64() / r.learn_shared.as_secs_f64().max(1e-12);
-        println!(
-            "check-pricing replay ({} sliding windows, stable layout): \
-             cold {:.1} ms, shared {:.1} ms — {price_ratio:.1}x cheaper shared",
-            r.windows,
-            ms(r.price_cold),
-            ms(r.price_shared),
-        );
-        println!(
-            "re-learn replay ({} forced re-learns over sliding windows): \
-             cold {:.1} ms, shared {:.1} ms — {learn_ratio:.2}x cheaper shared",
-            r.windows,
-            ms(r.learn_cold),
-            ms(r.learn_shared),
-        );
-        report::metric(&format!("{prefix}.price_cold_ms"), ms(r.price_cold), "ms");
-        report::metric(
-            &format!("{prefix}.price_shared_ms"),
-            ms(r.price_shared),
-            "ms",
-        );
-        report::metric(&format!("{prefix}.price_speedup"), price_ratio, "x");
-        report::metric(&format!("{prefix}.replay_cold_ms"), ms(r.learn_cold), "ms");
-        report::metric(
-            &format!("{prefix}.replay_shared_ms"),
-            ms(r.learn_shared),
-            "ms",
-        );
-        report::metric(&format!("{prefix}.replay_speedup"), learn_ratio, "x");
+        // The adaptive lifecycle's telemetry, for `repro --metrics`.
+        d.export(flood_obs::metrics::global(), "adapt");
     }
     println!(
-        "\nthe frozen layout keeps phase-0 tuning; the adaptives re-learn when the cost \
-         model prices the window as degraded. see BASELINES.md for reference numbers."
+        "\nthe frozen layout keeps phase-0 tuning; the adaptive index re-learns when the \
+         cost model prices the window as degraded. see BASELINES.md for reference numbers."
     );
 }
 
@@ -384,9 +185,9 @@ pub fn run(cfg: &ExpConfig) {
 mod tests {
     use super::*;
 
-    /// The drift loop end-to-end at tiny scale: the adaptives must actually
-    /// re-learn on the rotated phases, and shared mode must flatten the
-    /// data sample exactly once.
+    /// The drift loop end-to-end at tiny scale: the adaptive index must
+    /// actually re-learn on the rotated phases, flattening the data sample
+    /// exactly once and feeding each search from its degradation check.
     #[test]
     fn adaptives_relearn_and_share_the_sample() {
         let cfg = ExpConfig {
@@ -408,18 +209,12 @@ mod tests {
                 seed: cfg.seed,
             },
         );
-        let (dc, ds) = run_mode(&cfg, &table, &drift);
+        let d = run_mode(&cfg, &table, &drift);
         assert!(
-            ds.relearns >= 1,
-            "rotated hot dims must trigger a re-learn: {ds:?}"
+            d.relearns >= 1,
+            "rotated hot dims must trigger a re-learn: {d:?}"
         );
-        assert!(dc.relearns >= 1, "cold mode adapts too: {dc:?}");
-        assert_eq!(ds.sample_flattens, 1, "shared flattens once: {ds:?}");
-        assert!(
-            dc.sample_flattens > ds.sample_flattens,
-            "cold re-flattens per check/re-learn: {dc:?}"
-        );
-        assert!(ds.cache_hits_across_relearns > 0);
-        assert_eq!(dc.cache_hits_across_relearns, 0);
+        assert_eq!(d.sample_flattens, 1, "one flatten, ever: {d:?}");
+        assert!(d.cache_hits_across_relearns > 0);
     }
 }

@@ -14,18 +14,22 @@
 //!
 //! The budget the design doc commits to (ARCHITECTURE.md, Observability):
 //! metrics on = two clock reads plus a handful of relaxed atomic RMWs per
-//! query, ≤5% p50 penalty on release builds. CI gates on the reported
-//! `obs.overhead.p50_pct` metric.
+//! query, ≤5% p50 penalty on release builds. At the scale BASELINES.md
+//! records (`--scale` ≥ 1) [`run`] asserts it, so `repro obs` exits
+//! non-zero over budget.
 
 use super::ExpConfig;
 use crate::harness::{calibrated_cost_model, exec_threads};
 use crate::phases::time_phase;
-use crate::report;
 use flood_core::{AdaptiveConfig, FloodConfig, LayoutOptimizer};
 use flood_data::DatasetKind;
 use flood_serve::{FloodServer, ServeConfig};
 use flood_store::{CountVisitor, RangeQuery};
 use std::time::Instant;
+
+/// The documented budget (ARCHITECTURE.md, Observability): metrics on may
+/// cost at most this much p50, in percent.
+const P50_BUDGET_PCT: f64 = 5.0;
 
 /// What one obs run measured (returned for the smoke test's asserts).
 pub struct ObsSummary {
@@ -33,7 +37,7 @@ pub struct ObsSummary {
     pub p50_on_ns: u64,
     /// Median per-trial exact p50, metrics off, nanoseconds.
     pub p50_off_ns: u64,
-    /// Median per-trial (on/off − 1) × 100 — the CI-gated number.
+    /// Median per-trial (on/off − 1) × 100 — the gated number.
     pub overhead_pct: f64,
     /// Interleaved trials run.
     pub trials: usize,
@@ -94,7 +98,6 @@ pub fn run_obs(cfg: &ExpConfig) -> ObsSummary {
             window: 120,
             check_every: usize::MAX / 2,
             degradation_factor: 1.25,
-            share_cache: true,
         },
         batch: 32,
         threads,
@@ -178,13 +181,16 @@ pub fn run(cfg: &ExpConfig) {
     );
     println!(
         "median of {} interleaved trials; instrumented server counted {} queries. \
-         budget: ≤5% p50 on release builds (CI gates obs.overhead.p50_pct).",
+         budget: ≤{P50_BUDGET_PCT}% p50 on release builds.",
         s.trials, s.queries_counted,
     );
-    report::metric("obs.overhead.p50_pct", s.overhead_pct, "%");
-    report::metric("obs.on.p50_ns", s.p50_on_ns as f64, "ns");
-    report::metric("obs.off.p50_ns", s.p50_off_ns as f64, "ns");
-    report::metric("obs.trials", s.trials as f64, "count");
+    if cfg.scale >= 1.0 {
+        assert!(
+            s.overhead_pct <= P50_BUDGET_PCT,
+            "query-path p50 penalty {:.2}% exceeds the {P50_BUDGET_PCT}% budget",
+            s.overhead_pct
+        );
+    }
 }
 
 #[cfg(test)]
@@ -194,8 +200,8 @@ mod tests {
     /// The overhead harness end to end at tiny scale: both servers serve,
     /// the instrumented one counts every driven request, and the headline
     /// ratio is a finite number. The ≤5% budget itself is only meaningful
-    /// on release builds — CI gates it from the `repro obs --json` record —
-    /// so here the bound is a loose debug-mode sanity ceiling.
+    /// on release builds — `run` asserts it at default scale — so here the
+    /// bound is a loose debug-mode sanity ceiling.
     #[test]
     fn overhead_harness_measures_and_counts() {
         let cfg = ExpConfig {

@@ -1,16 +1,14 @@
 //! Optimizer search cost (Fig 15/16 territory): layout-learning wall-clock
-//! vs dimensionality and table size, with the incremental per-dimension
-//! statistics cache toggled against a from-scratch re-scan per layout.
+//! and cache counters vs dimensionality and table size.
 //!
 //! The paper's learning-time curves (Figs 15/16 left panels) measure
 //! exactly this loop: Algorithm 1's gradient descent probing candidate
 //! column vectors against the flattened sample. Tsunami (Ding et al., VLDB
 //! 2020) calls layout-search cost the practical bottleneck of grid-style
-//! learned indexes; this experiment quantifies how much of it the
-//! `(dim, column_count)` cache removes. Both modes produce bit-identical
-//! layouts and predicted costs (pinned by `prop_incremental.rs`), so the
-//! comparison is pure search mechanics: the `agree` column double-checks
-//! it on every row.
+//! learned indexes; the `(dim, column_count)` statistics cache is what
+//! keeps it flat here, and the memo-hit and recount/reuse columns show how
+//! much of each search it answered (`prop_incremental.rs` pins the cache
+//! to a from-scratch sample scan bit for bit).
 
 use super::ExpConfig;
 use crate::harness::calibrated_cost_model;
@@ -22,27 +20,16 @@ use flood_data::workloads::{DimFilter, QueryBuilder, QueryTemplate};
 use flood_store::{RangeQuery, Table};
 use std::time::Instant;
 
-/// One sweep row: the same search run both ways.
+/// One sweep row.
 pub struct OptRow {
     /// Dimensions in the table.
     pub dims: usize,
     /// Rows in the table.
     pub rows: usize,
-    /// Mean learning wall-clock, full re-scan per distinct layout (ms).
-    pub full_ms: f64,
-    /// Mean learning wall-clock, incremental per-dimension stats (ms).
-    pub inc_ms: f64,
-    /// Diagnostics from the incremental run (last trial).
+    /// Mean learning wall-clock (ms).
+    pub search_ms: f64,
+    /// Diagnostics from the last trial.
     pub diag: OptimizedLayout,
-    /// Both modes chose the same layout at the same predicted cost.
-    pub agree: bool,
-}
-
-impl OptRow {
-    /// Search speedup of the incremental path.
-    pub fn speedup(&self) -> f64 {
-        self.full_ms / self.inc_ms.max(1e-9)
-    }
 }
 
 /// A workload whose templates rotate 3-dimensional filters across every
@@ -67,99 +54,55 @@ fn rotating_workload(table: &Table, cfg: &ExpConfig) -> Vec<RangeQuery> {
         .train
 }
 
-/// Time one `(dims, rows)` point in both modes, averaging over `trials`
-/// seeds.
+/// Time one `(dims, rows)` point, averaging over `trials` seeds.
 pub fn run_point(cfg: &ExpConfig, d: usize, n: usize, trials: usize) -> OptRow {
     let table = time_phase("data-gen", || uniform::generate(n, d, cfg.seed));
     let workload = time_phase("data-gen", || rotating_workload(&table, cfg));
     let cost = calibrated_cost_model().clone();
 
-    let timed = |incremental: bool| -> (f64, OptimizedLayout) {
-        let mut total = 0.0;
-        let mut last = None;
-        for trial in 0..trials.max(1) {
-            let opt_cfg = OptimizerConfig {
-                incremental,
-                seed: cfg.seed.wrapping_add(trial as u64),
-                ..cfg.optimizer(n)
-            };
-            let optimizer = LayoutOptimizer::with_config(cost.clone(), opt_cfg);
-            let t0 = Instant::now();
-            let learned = time_phase("layout-opt", || optimizer.optimize(&table, &workload));
-            total += t0.elapsed().as_secs_f64() * 1e3;
-            last = Some(learned);
-        }
-        (
-            total / trials.max(1) as f64,
-            last.expect("at least one trial"),
-        )
-    };
-
-    let (full_ms, full_diag) = timed(false);
-    let (inc_ms, diag) = timed(true);
-    let agree = full_diag.layout == diag.layout
-        && full_diag.predicted_ns.to_bits() == diag.predicted_ns.to_bits();
+    let mut total = 0.0;
+    let mut last = None;
+    for trial in 0..trials.max(1) {
+        let opt_cfg = OptimizerConfig {
+            seed: cfg.seed.wrapping_add(trial as u64),
+            ..cfg.optimizer(n)
+        };
+        let optimizer = LayoutOptimizer::with_config(cost.clone(), opt_cfg);
+        let t0 = Instant::now();
+        let learned = time_phase("layout-opt", || optimizer.optimize(&table, &workload));
+        total += t0.elapsed().as_secs_f64() * 1e3;
+        last = Some(learned);
+    }
     OptRow {
         dims: d,
         rows: n,
-        full_ms,
-        inc_ms,
-        diag,
-        agree,
-    }
-}
-
-/// Push each row's search speedup into the perf report (the regression
-/// signal `repro --json` preserves for CI).
-fn report_rows(prefix: &str, rows: &[OptRow]) {
-    for r in rows {
-        crate::report::metric(
-            &format!("optcost.{prefix}.d{}.n{}.speedup", r.dims, r.rows),
-            r.speedup(),
-            "x",
-        );
-        crate::report::metric(
-            &format!("optcost.{prefix}.d{}.n{}.incr_ms", r.dims, r.rows),
-            r.inc_ms,
-            "ms",
-        );
+        search_ms: total / trials.max(1) as f64,
+        diag: last.expect("at least one trial"),
     }
 }
 
 fn print_rows(rows: &[OptRow]) {
     println!(
-        "{:>5} {:>9} {:>10} {:>10} {:>8} {:>7} {:>10} {:>9} {:>8} {:>6}",
-        "dims",
-        "rows",
-        "full(ms)",
-        "incr(ms)",
-        "speedup",
-        "evals",
-        "memo-hits",
-        "recounts",
-        "reuses",
-        "agree"
+        "{:>5} {:>9} {:>11} {:>7} {:>10} {:>9} {:>8}",
+        "dims", "rows", "search(ms)", "evals", "memo-hits", "recounts", "reuses"
     );
     for r in rows {
         println!(
-            "{:>5} {:>9} {:>10.1} {:>10.1} {:>7.2}x {:>7} {:>10} {:>9} {:>8} {:>6}",
+            "{:>5} {:>9} {:>11.1} {:>7} {:>10} {:>9} {:>8}",
             r.dims,
             r.rows,
-            r.full_ms,
-            r.inc_ms,
-            r.speedup(),
+            r.search_ms,
             r.diag.cost_evals,
             r.diag.cache_hits,
             r.diag.dim_recounts,
             r.diag.dim_reuses,
-            if r.agree { "yes" } else { "NO" },
         );
     }
 }
 
 /// Run the experiment at the configured scale.
 pub fn run(cfg: &ExpConfig) {
-    println!("\n=== optimizer search cost: full re-scan vs incremental per-dimension stats ===");
+    println!("\n=== optimizer search cost and cache counters ===");
     let trials = if cfg.full { 3 } else { 2 };
 
     // Dimensionality sweep (Fig 16 territory: more dimensions, more
@@ -176,7 +119,6 @@ pub fn run(cfg: &ExpConfig) {
         .map(|&d| run_point(cfg, d, n.max(256), trials))
         .collect();
     print_rows(&rows);
-    report_rows("dims", &rows);
 
     // Table-size sweep (Fig 15 territory: the data sample — and with it
     // every mask build and re-scan — grows with the table until the
@@ -199,11 +141,10 @@ pub fn run(cfg: &ExpConfig) {
         })
         .collect();
     print_rows(&rows);
-    report_rows("size", &rows);
 
     println!(
-        "\nboth modes search identically (bit-identical costs; `agree` checks it) — \
-         the gap is pure cost-evaluation mechanics. see BASELINES.md for reference numbers."
+        "\nreuses ≫ recounts is the per-dimension cache at work; the live signals are \
+         core.search_ms and core.dim_reuse_rate in benchmark/README.md."
     );
 }
 
@@ -219,8 +160,7 @@ mod tests {
             ..Default::default()
         };
         let row = run_point(&cfg, 4, 2_000, 1);
-        assert!(row.agree, "full and incremental must pick the same layout");
-        assert!(row.full_ms > 0.0 && row.inc_ms > 0.0);
+        assert!(row.search_ms > 0.0);
         assert!(row.diag.cost_evals > 0);
         assert!(
             row.diag.dim_reuses > row.diag.dim_recounts,

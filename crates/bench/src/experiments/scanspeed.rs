@@ -18,7 +18,6 @@
 
 use super::ExpConfig;
 use crate::phases::time_phase;
-use crate::report;
 use flood_baselines::FullScan;
 use flood_store::{
     scan_rows, CountVisitor, MultiDimIndex, RangeQuery, ScanStats, SumVisitor, Table, Visitor,
@@ -149,11 +148,6 @@ pub fn compare(cfg: &ExpConfig) -> Vec<(&'static str, usize, f64, f64)> {
                 speedup,
                 skipped_frac * 100.0,
             );
-            let key = format!("scanspeed.{}.sel{permille}", shape.label);
-            report::metric(&format!("{key}.decode_ms"), d_ms, "ms");
-            report::metric(&format!("{key}.packed_ms"), p_ms, "ms");
-            report::metric(&format!("{key}.speedup"), speedup, "x");
-            report::metric(&format!("{key}.blocks_skipped_frac"), skipped_frac, "frac");
             rows.push((shape.label, permille, d_ms, p_ms));
         }
     }

@@ -39,7 +39,6 @@
 use super::ExpConfig;
 use crate::harness::{calibrated_cost_model, exec_threads};
 use crate::phases::time_phase;
-use crate::report;
 use flood_core::{AdaptiveConfig, FloodConfig, LayoutOptimizer};
 use flood_data::workloads::drift::{DriftConfig, DriftMode, DriftingWorkload};
 use flood_data::DatasetKind;
@@ -99,7 +98,7 @@ pub struct ServeSummary {
     pub swaps: u64,
     pub submitted: u64,
     pub completed: u64,
-    /// The server's full telemetry at end of run (embedded in `--json`).
+    /// The server's full telemetry at end of run.
     pub metrics: Option<flood_obs::MetricsSnapshot>,
 }
 
@@ -216,7 +215,6 @@ pub fn run_serve(cfg: &ExpConfig) -> ServeSummary {
                     window: (qpp / 3).clamp(12, 120),
                     check_every: (qpp / 6).clamp(6, 60),
                     degradation_factor: 1.25,
-                    share_cache: true,
                 },
                 batch: 32,
                 threads,
@@ -373,27 +371,6 @@ pub fn run(cfg: &ExpConfig) {
          {}/{} requests completed)",
         s.openloop_qps, s.swaps, s.completed, s.submitted,
     );
-
-    report::metric("serve.steady.p50_ms", ms(s.steady.p50), "ms");
-    report::metric("serve.steady.p99_ms", ms(s.steady.p99), "ms");
-    report::metric("serve.steady.p999_ms", ms(s.steady.p999), "ms");
-    report::metric("serve.steady.qps", s.steady_qps, "q/s");
-    report::metric("serve.stale.p50_ms", ms(s.stale.p50), "ms");
-    report::metric("serve.stale.p99_ms", ms(s.stale.p99), "ms");
-    report::metric("serve.contended.p50_ms", ms(s.contended.p50), "ms");
-    report::metric("serve.contended.p99_ms", ms(s.contended.p99), "ms");
-    report::metric("serve.swap.p50_ms", ms(s.swap.p50), "ms");
-    report::metric("serve.swap.p99_ms", ms(s.swap.p99), "ms");
-    report::metric("serve.swap.p999_ms", ms(s.swap.p999), "ms");
-    report::metric("serve.swap.samples", s.swap.samples as f64, "count");
-    report::metric("serve.swap.wall_ms", s.swap_wall.as_secs_f64() * 1e3, "ms");
-    report::metric("serve.p99_ratio", s.p99_ratio, "x");
-    report::metric("serve.p99_ratio_idle", s.p99_ratio_idle, "x");
-    report::metric("serve.openloop.qps", s.openloop_qps, "q/s");
-    report::metric("serve.swaps", s.swaps as f64, "count");
-    if let Some(snap) = &s.metrics {
-        report::embed_metrics_snapshot("serve.metrics", snap);
-    }
 }
 
 #[cfg(test)]

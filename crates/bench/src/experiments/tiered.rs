@@ -10,17 +10,15 @@
 //! is purely the cost of faulting cold segments, not a different scan.
 //!
 //! Reported per selectivity: resident p50, cold p50, and the degradation
-//! ratio (ARCHITECTURE.md commits to ≤5× at ≥50% cold on release builds;
-//! CI gates `tiered.degradation.p50_x` from the `--json` record). Cache
-//! behaviour (faults, hits, evictions, residency) is published through
-//! `flood-obs` gauges under the `tier` subsystem and lands in
-//! `repro --metrics` output. A final delta phase buffers fresh inserts and
-//! compacts them into new sealed segments, reporting the cold-bytes
-//! growth.
+//! ratio (ARCHITECTURE.md commits to ≤5× at ≥50% cold on release
+//! builds). Cache behaviour (faults, hits, evictions, residency) is
+//! published through `flood-obs` gauges under the `tier` subsystem and
+//! lands in `repro --metrics` output. A final delta phase buffers fresh
+//! inserts and compacts them into new sealed segments, reporting the
+//! cold-bytes growth.
 
 use super::ExpConfig;
 use crate::phases::time_phase;
-use crate::report;
 use flood_data::{DatasetKind, Workload, WorkloadKind};
 use flood_store::{
     CountVisitor, FileBackend, MultiDimIndex, RangeQuery, StorageBackend, TierConfig, TieredDelta,
@@ -215,33 +213,16 @@ pub fn run(cfg: &ExpConfig) {
     }
     println!(
         "cache: {} faults, {} hits, {} evictions; delta: {} rows appended, cold {} -> {} KiB. \
-         budget: cold p50 <= 5x resident at >=50% cold on release builds \
-         (CI gates tiered.degradation.p50_x).",
+         median degradation {:.2}x; budget: cold p50 <= 5x resident at >=50% cold on \
+         release builds.",
         s.faults,
         s.hits,
         s.evictions,
         s.appended,
         s.cold_bytes / 1024,
         s.cold_bytes_after_append / 1024,
+        s.degradation_p50_x,
     );
-    report::metric("tiered.degradation.p50_x", s.degradation_p50_x, "x");
-    report::metric("tiered.data_over_budget_x", s.data_over_budget_x, "x");
-    report::metric("tiered.cold_frac", s.cold_frac, "frac");
-    report::metric("tiered.faults", s.faults as f64, "count");
-    report::metric("tiered.evictions", s.evictions as f64, "count");
-    for (sel, r, c) in &s.p50 {
-        let tag = format!("{:.3}", sel * 100.0).replace('.', "_");
-        report::metric(
-            &format!("tiered.resident.p50_us.sel{tag}"),
-            *r as f64 / 1_000.0,
-            "us",
-        );
-        report::metric(
-            &format!("tiered.cold.p50_us.sel{tag}"),
-            *c as f64 / 1_000.0,
-            "us",
-        );
-    }
 }
 
 #[cfg(test)]

@@ -12,4 +12,3 @@
 pub mod experiments;
 pub mod harness;
 pub mod phases;
-pub mod report;

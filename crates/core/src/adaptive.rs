@@ -29,16 +29,13 @@
 //! ([`crate::optimizer::SampleSpace`]), whose expensive half — row
 //! sampling, per-dimension RMI training, flattening — depends only on the
 //! data. Flood is clustered, so rebuilds permute rows but never change the
-//! data *multiset*; with [`AdaptiveConfig::share_cache`] (the default) the
-//! [`Relearner`] keeps one [`EvaluatorCache`] alive across every check and
-//! re-learn: the data sample is flattened **once**, and the
-//! query-dependent layers (flattened windows, per-dimension mask caches,
-//! layout memos) are keyed on a fingerprint of the sampled observation
-//! window, so the degradation check that triggers a re-learn hands its
-//! masks and memo entries straight to the layout search. With
-//! `share_cache: false` every check and re-learn re-flattens from scratch
-//! — the cold baseline the `repro drift` experiment measures against.
-//! [`AdaptiveFlood::diagnostics`] reports both modes' work.
+//! data *multiset*; the [`Relearner`] keeps one [`EvaluatorCache`] alive
+//! across every check and re-learn: the data sample is flattened **once**,
+//! and the query-dependent layers (flattened windows, per-dimension mask
+//! caches, layout memos) are keyed on a fingerprint of the sampled
+//! observation window, so the degradation check that triggers a re-learn
+//! hands its masks and memo entries straight to the layout search.
+//! [`AdaptiveFlood::diagnostics`] reports the work.
 //!
 //! ## Correlation across re-learns (Tsunami/COAX extension)
 //!
@@ -73,11 +70,6 @@ pub struct AdaptiveConfig {
     /// Retrain when `cost(current layout, window)` exceeds
     /// `degradation_factor × cost(layout at last build, its workload)`.
     pub degradation_factor: f64,
-    /// Share the optimizer's flattened sample and statistics caches across
-    /// checks and re-learns (the default). `false` re-flattens everything
-    /// per check/re-learn — the cold baseline for measuring what sharing
-    /// saves.
-    pub share_cache: bool,
 }
 
 impl Default for AdaptiveConfig {
@@ -86,42 +78,41 @@ impl Default for AdaptiveConfig {
             window: 100,
             check_every: 50,
             degradation_factor: 1.5,
-            share_cache: true,
         }
     }
 }
 
 /// Work counters for one adaptive loop's lifetime, for the `repro drift`
 /// experiment and the re-learn regression tests.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AdaptiveDiagnostics {
     /// Times the layout was replaced.
     pub relearns: usize,
     /// Degradation checks run (windows priced).
     pub checks: usize,
-    /// Wall-clock of each re-learn *search* (a degraded check triggered
-    /// Algorithm 1), whether or not the resulting layout was adopted.
-    pub relearn_wall: Vec<Duration>,
+    /// Re-learn *searches* run (a degraded check triggered Algorithm 1),
+    /// whether or not the resulting layout was adopted.
+    pub relearn_searches: usize,
+    /// Total wall-clock of those searches.
+    pub relearn_wall: Duration,
     /// During re-learn searches: cost evaluations and per-dimension mask
     /// fetches served by cache state built *before* the search began — the
-    /// degradation check's pricing work, or earlier windows. Always 0 with
-    /// `share_cache: false`.
+    /// degradation check's pricing work, or earlier windows.
     pub cache_hits_across_relearns: usize,
-    /// Times the data sample was flattened (sampling + RMI training).
-    /// 1 for the whole lifetime with `share_cache`; grows with every check
-    /// and re-learn without it.
+    /// Times the data sample was flattened (sampling + RMI training): 1
+    /// for the whole lifetime unless the table's shape changed.
     pub sample_flattens: usize,
     /// Observation windows flattened into a fresh evaluator.
     pub window_flattens: usize,
     /// Checks/re-learns answered by a pooled evaluator (same window
-    /// fingerprint; only possible with `share_cache`).
+    /// fingerprint).
     pub window_reuses: usize,
 }
 
 impl AdaptiveDiagnostics {
     /// Total wall-clock spent in re-learn searches.
     pub fn relearn_wall_total(&self) -> Duration {
-        self.relearn_wall.iter().sum()
+        self.relearn_wall
     }
 
     /// Publish these lifetime counters into a `flood-obs` registry under
@@ -240,16 +231,11 @@ pub struct Relearner {
     optimizer: LayoutOptimizer,
     cfg: AdaptiveConfig,
     baseline_cost: f64,
-    /// Shared flattened sample + per-window evaluators (`share_cache`).
+    /// Shared flattened sample + per-window evaluators.
     shared: EvaluatorCache,
-    relearns: usize,
-    checks: usize,
-    relearn_wall: Vec<Duration>,
-    cross_hits: usize,
-    /// Flatten counters for the cold path (the shared path reads its own
-    /// from [`EvaluatorCache`]).
-    cold_sample_flattens: usize,
-    cold_window_flattens: usize,
+    /// The counters this side keeps itself; the flatten counts are read
+    /// off `shared` when [`Relearner::diagnostics`] is asked.
+    tally: AdaptiveDiagnostics,
 }
 
 impl Relearner {
@@ -263,26 +249,13 @@ impl Relearner {
         cfg: AdaptiveConfig,
     ) -> (Self, OptimizedLayout) {
         let mut shared = EvaluatorCache::new();
-        let (learned, cold_sample_flattens, cold_window_flattens) = if cfg.share_cache {
-            (
-                optimizer.optimize_shared(table, initial_workload, &mut shared),
-                0,
-                0,
-            )
-        } else {
-            (optimizer.optimize(table, initial_workload), 1, 1)
-        };
+        let learned = optimizer.optimize_shared(table, initial_workload, &mut shared);
         let relearner = Relearner {
             optimizer,
             cfg,
             baseline_cost: learned.predicted_ns,
             shared,
-            relearns: 0,
-            checks: 0,
-            relearn_wall: Vec::new(),
-            cross_hits: 0,
-            cold_sample_flattens,
-            cold_window_flattens,
+            tally: AdaptiveDiagnostics::default(),
         };
         (relearner, learned)
     }
@@ -292,10 +265,10 @@ impl Relearner {
     /// `None` to keep the current one (an un-adopted search raises the
     /// baseline so the same window doesn't thrash).
     ///
-    /// Both modes price the layout on the optimizer's deterministic query
-    /// sample of the window ([`LayoutOptimizer::sample_queries`]) — the
-    /// same subset a re-learn would search on, so the degradation
-    /// comparison and the adopt-or-keep comparison read from one scale.
+    /// The layout is priced on the optimizer's deterministic query sample
+    /// of the window ([`LayoutOptimizer::sample_queries`]) — the same
+    /// subset a re-learn would search on, so the degradation comparison
+    /// and the adopt-or-keep comparison read from one scale.
     pub fn check(
         &mut self,
         window: &[RangeQuery],
@@ -305,13 +278,9 @@ impl Relearner {
         if window.is_empty() {
             return None;
         }
-        self.checks += 1;
+        self.tally.checks += 1;
         let mut span = flood_obs::span("degradation_check");
-        let adopted = if self.cfg.share_cache {
-            self.check_shared(window, data, current)
-        } else {
-            self.check_cold(window, data, current)
-        };
+        let adopted = self.price_and_search(window, data, current);
         if span.is_sampled() {
             span.note(&format!(
                 "window={} adopted={}",
@@ -322,9 +291,9 @@ impl Relearner {
         adopted
     }
 
-    /// Shared path: one data sample for the lifetime, evaluators pooled by
-    /// window fingerprint, the check's pricing work feeding the search.
-    fn check_shared(
+    /// One data sample for the lifetime, evaluators pooled by window
+    /// fingerprint, the check's pricing work feeding the search.
+    fn price_and_search(
         &mut self,
         window: &[RangeQuery],
         data: &Table,
@@ -346,47 +315,15 @@ impl Relearner {
         let _span = flood_obs::span("relearn");
         let t0 = Instant::now();
         let learned = self.optimizer.optimize_in(eval);
-        let wall = t0.elapsed();
-        self.cross_hits += eval.cross_epoch_hits() - cross0;
-        self.finish(learned, current, wall)
-    }
-
-    /// Cold path: every check and every re-learn samples, trains, and
-    /// flattens from scratch — what the shared path exists to avoid.
-    fn check_cold(
-        &mut self,
-        window: &[RangeQuery],
-        data: &Table,
-        layout: &Layout,
-    ) -> Option<OptimizedLayout> {
-        self.cold_sample_flattens += 1;
-        self.cold_window_flattens += 1;
-        let mut eval = self.optimizer.evaluator_sampled(data, window);
-        let current = eval.predict(layout);
-        if current <= self.cfg.degradation_factor * self.baseline_cost {
-            return None;
-        }
-        self.cold_sample_flattens += 1;
-        self.cold_window_flattens += 1;
-        let _span = flood_obs::span("relearn");
-        let t0 = Instant::now();
-        let learned = self.optimizer.optimize(data, window);
-        let wall = t0.elapsed();
-        self.finish(learned, current, wall)
-    }
-
-    /// Adopt the learned layout when it beats the degraded current cost;
-    /// otherwise raise the baseline so the same window doesn't thrash.
-    fn finish(
-        &mut self,
-        learned: OptimizedLayout,
-        current: f64,
-        wall: Duration,
-    ) -> Option<OptimizedLayout> {
-        self.relearn_wall.push(wall);
+        self.tally.relearn_wall += t0.elapsed();
+        self.tally.relearn_searches += 1;
+        self.tally.cache_hits_across_relearns += eval.cross_epoch_hits() - cross0;
+        // Adopt the learned layout when it beats the degraded current
+        // cost; otherwise raise the baseline so the same window doesn't
+        // thrash.
         if learned.predicted_ns < current {
             self.baseline_cost = learned.predicted_ns;
-            self.relearns += 1;
+            self.tally.relearns += 1;
             Some(learned)
         } else {
             self.baseline_cost = current;
@@ -400,24 +337,18 @@ impl Relearner {
     pub fn relearn_on(&mut self, data: &Table, workload: &[RangeQuery]) -> OptimizedLayout {
         let _span = flood_obs::span("relearn");
         let t0 = Instant::now();
-        let learned = if self.cfg.share_cache {
-            let (queries, mut rng) = self.optimizer.sample_queries(workload);
-            let eval = self
-                .shared
-                .evaluator(&self.optimizer, data, &queries, &mut rng);
-            eval.advance_epoch();
-            let cross0 = eval.cross_epoch_hits();
-            let learned = self.optimizer.optimize_in(eval);
-            self.cross_hits += eval.cross_epoch_hits() - cross0;
-            learned
-        } else {
-            self.cold_sample_flattens += 1;
-            self.cold_window_flattens += 1;
-            self.optimizer.optimize(data, workload)
-        };
-        self.relearn_wall.push(t0.elapsed());
+        let (queries, mut rng) = self.optimizer.sample_queries(workload);
+        let eval = self
+            .shared
+            .evaluator(&self.optimizer, data, &queries, &mut rng);
+        eval.advance_epoch();
+        let cross0 = eval.cross_epoch_hits();
+        let learned = self.optimizer.optimize_in(eval);
+        self.tally.cache_hits_across_relearns += eval.cross_epoch_hits() - cross0;
+        self.tally.relearn_wall += t0.elapsed();
+        self.tally.relearn_searches += 1;
         self.baseline_cost = learned.predicted_ns;
-        self.relearns += 1;
+        self.tally.relearns += 1;
         learned
     }
 
@@ -433,28 +364,16 @@ impl Relearner {
 
     /// Times a re-learned layout was adopted.
     pub fn relearns(&self) -> usize {
-        self.relearns
+        self.tally.relearns
     }
 
     /// Lifetime work counters (see [`AdaptiveDiagnostics`]).
     pub fn diagnostics(&self) -> AdaptiveDiagnostics {
-        let (sample_flattens, window_flattens, window_reuses) = if self.cfg.share_cache {
-            (
-                self.shared.data_builds(),
-                self.shared.window_builds(),
-                self.shared.window_reuses(),
-            )
-        } else {
-            (self.cold_sample_flattens, self.cold_window_flattens, 0)
-        };
         AdaptiveDiagnostics {
-            relearns: self.relearns,
-            checks: self.checks,
-            relearn_wall: self.relearn_wall.clone(),
-            cache_hits_across_relearns: self.cross_hits,
-            sample_flattens,
-            window_flattens,
-            window_reuses,
+            sample_flattens: self.shared.data_builds(),
+            window_flattens: self.shared.window_builds(),
+            window_reuses: self.shared.window_reuses(),
+            ..self.tally
         }
     }
 }
@@ -631,7 +550,6 @@ mod tests {
                 window: 20,
                 check_every: 10,
                 degradation_factor: 1.5,
-                ..Default::default()
             },
         );
         let mut retrains = 0;
@@ -643,10 +561,10 @@ mod tests {
         assert_eq!(retrains, 0, "same workload should not trigger retraining");
         let d = a.diagnostics();
         assert!(d.checks > 0, "checks must run");
-        assert_eq!(d.relearn_wall.len(), 0, "no degraded check, no search");
+        assert_eq!(d.relearn_searches, 0, "no degraded check, no search");
         assert_eq!(
             d.sample_flattens, 1,
-            "shared mode flattens the data sample once, ever"
+            "the data sample is flattened once, ever"
         );
     }
 
@@ -664,7 +582,6 @@ mod tests {
                 window: 24,
                 check_every: 12,
                 degradation_factor: 1.2,
-                ..Default::default()
             },
         );
         let before = a.index().layout().clone();
@@ -690,7 +607,7 @@ mod tests {
         let d = a.diagnostics();
         assert_eq!(d.relearns, a.relearns());
         assert!(
-            d.relearn_wall.len() >= d.relearns,
+            d.relearn_searches >= d.relearns && d.relearn_wall > Duration::ZERO,
             "every adopted re-learn came from a timed search"
         );
         assert!(
@@ -698,43 +615,6 @@ mod tests {
             "the degradation check's pricing must feed the search"
         );
         assert_eq!(d.sample_flattens, 1, "one data flatten across re-learns");
-    }
-
-    #[test]
-    fn cold_mode_retrains_without_cross_relearn_hits() {
-        let t = table();
-        let w0 = workload_on(0, 30);
-        let mut a = AdaptiveFlood::build(
-            &t,
-            &w0,
-            optimizer(),
-            FloodConfig::default(),
-            AdaptiveConfig {
-                window: 24,
-                check_every: 12,
-                degradation_factor: 1.2,
-                share_cache: false,
-            },
-        );
-        let w1 = workload_on(1, 40);
-        let mut retrained = false;
-        for q in &w1 {
-            let mut v = CountVisitor::default();
-            let (_, r) = a.execute_adaptive(q, None, &mut v);
-            retrained |= r;
-        }
-        assert!(retrained, "cold mode must still adapt");
-        let d = a.diagnostics();
-        assert_eq!(
-            d.cache_hits_across_relearns, 0,
-            "no shared state to hit cold"
-        );
-        assert_eq!(
-            d.sample_flattens,
-            1 + d.checks + d.relearn_wall.len(),
-            "cold mode re-flattens per check and per re-learn search: {d:?}"
-        );
-        assert_eq!(d.window_reuses, 0);
     }
 
     #[test]
@@ -750,7 +630,6 @@ mod tests {
                 window: 16,
                 check_every: 8,
                 degradation_factor: 1.1,
-                ..Default::default()
             },
         );
         let w1 = workload_on(1, 30);
@@ -780,7 +659,6 @@ mod tests {
                 window: 64,
                 check_every: 1_000_000, // never due mid-run
                 degradation_factor: 1.5,
-                ..Default::default()
             },
         );
         let queries = workload_on(1, 25);
@@ -846,7 +724,8 @@ mod tests {
         let diag = AdaptiveDiagnostics {
             relearns: 3,
             checks: 12,
-            relearn_wall: vec![Duration::from_nanos(500), Duration::from_nanos(700)],
+            relearn_searches: 2,
+            relearn_wall: Duration::from_nanos(1_200),
             cache_hits_across_relearns: 42,
             sample_flattens: 1,
             window_flattens: 5,

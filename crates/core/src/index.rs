@@ -1,9 +1,10 @@
 //! The Flood index: build (layout → storage order → per-cell models) and
 //! query execution (projection → refinement → scan), §3 and §5.
 //!
-//! Execution is organized in the paper's three explicit phases so that
-//! per-phase timings — needed to calibrate the cost model (§4.1.1) and to
-//! produce Table 2's IT/ST breakdown — fall out of normal operation.
+//! Execution is organized in the paper's three explicit phases;
+//! [`FloodIndex::execute_profiled`] times each of them — what calibrating
+//! the cost model (§4.1.1) and Table 2's IT/ST breakdown need — while
+//! [`MultiDimIndex::execute`] runs the same code without reading the clock.
 
 use crate::config::{FloodConfig, Refinement};
 use crate::correlation::{CorrSupport, HostSlot};
@@ -52,6 +53,10 @@ pub struct BuildTimes {
     pub models_ns: u64,
 }
 
+/// Most grid dimensions a layout may have: one bit each in
+/// `CellRange::boundary_mask`.
+pub(crate) const MAX_GRID_DIMS: usize = u32::BITS as usize;
+
 /// One cell's physical range after projection, before/after refinement.
 #[derive(Debug, Clone, Copy)]
 struct CellRange {
@@ -90,12 +95,17 @@ impl FloodIndex {
     /// Build the index over `table` with the given layout and configuration.
     ///
     /// # Panics
-    /// Panics if the table exceeds `u32::MAX` rows or a layout dimension is
-    /// out of bounds.
+    /// Panics if the table exceeds `u32::MAX` rows, the layout has more
+    /// than 32 grid dimensions, or a layout dimension is out of bounds.
     pub fn build(table: &Table, layout: Layout, cfg: FloodConfig) -> Self {
         assert!(
             table.len() < u32::MAX as usize,
             "table too large for u32 row ids"
+        );
+        assert!(
+            layout.grid_dims().len() <= MAX_GRID_DIMS,
+            "layout has {} grid dimensions; at most {MAX_GRID_DIMS} fit the boundary mask",
+            layout.grid_dims().len()
         );
         for &d in layout.order() {
             assert!(d < table.dims(), "layout dimension {d} out of bounds");
@@ -256,23 +266,22 @@ impl FloodIndex {
             .collect()
     }
 
-    /// Execute `query` with per-phase timing (the profiled variant behind
-    /// [`MultiDimIndex::execute`]).
+    /// [`MultiDimIndex::execute`] with per-phase wall-clock: same plan, same
+    /// scan, same [`ScanStats`], plus three clock reads.
     pub fn execute_profiled(
         &self,
         query: &RangeQuery,
         agg_dim: Option<usize>,
         visitor: &mut dyn Visitor,
     ) -> (ScanStats, PhaseTimes) {
-        let mut counter = MatchCount::new(visitor);
+        let mut times = PhaseTimes::default();
         // Phases 1–2: projection (§3.2.1) + refinement (§3.2.2, §5.2).
-        let (cells, mut stats, mut times) = self.plan(query);
+        let (cells, mut stats) = self.plan(query, Some(&mut times));
         // Phase 3: scan (§3.2(3)).
         let t0 = Instant::now();
         let unindexed = self.unindexed_checks(query);
-        self.scan_cells(&cells, query, agg_dim, &unindexed, &mut counter, &mut stats);
+        self.scan_cells(&cells, query, agg_dim, &unindexed, visitor, &mut stats);
         times.scan_ns = t0.elapsed().as_nanos() as u64;
-        stats.points_matched = counter.matched;
         (stats, times)
     }
 
@@ -283,7 +292,8 @@ impl FloodIndex {
         checks
     }
 
-    /// Scan a set of planned (projected + refined) cell ranges.
+    /// Scan a set of planned (projected + refined) cell ranges, adding the
+    /// rows `visitor` is shown to `stats.points_matched`.
     fn scan_cells(
         &self,
         cells: &[CellRange],
@@ -293,6 +303,8 @@ impl FloodIndex {
         visitor: &mut dyn Visitor,
         stats: &mut ScanStats,
     ) {
+        let mut counter = MatchCount::new(visitor);
+        let visitor: &mut dyn Visitor = &mut counter;
         let grid_dims = self.layout.grid_dims();
         let cumulative = agg_dim.and_then(|d| {
             self.cumulatives
@@ -335,10 +347,12 @@ impl FloodIndex {
                 )
             };
         }
+        stats.points_matched += counter.matched;
     }
 
-    /// Projection + refinement: the planned cell ranges, the stats gathered
-    /// so far, and the per-phase timings.
+    /// Projection + refinement: the planned cell ranges and the stats
+    /// gathered so far. The two phases are timed only into a `times` the
+    /// caller hands in; without one the clock is never read.
     ///
     /// With soft-FD support present (see [`crate::correlation`]), a filter
     /// on a collapsed dependent dimension additionally (1) tightens the
@@ -353,10 +367,13 @@ impl FloodIndex {
     /// kernels, so results are identical to the untightened plan — only
     /// the visit counts differ, and residual work is bounded by the
     /// outlier count rather than by cell sizes.
-    fn plan(&self, query: &RangeQuery) -> (Vec<CellRange>, ScanStats, PhaseTimes) {
+    fn plan(
+        &self,
+        query: &RangeQuery,
+        times: Option<&mut PhaseTimes>,
+    ) -> (Vec<CellRange>, ScanStats) {
         let mut stats = ScanStats::default();
-        let mut times = PhaseTimes::default();
-        let t0 = Instant::now();
+        let mut timer = times.map(|t| (t, Instant::now()));
         let grid_dims = self.layout.grid_dims();
         let cols = self.layout.cols();
         // Base projection: the query's own bounds, per grid dimension.
@@ -437,14 +454,16 @@ impl FloodIndex {
             });
         }
 
-        times.projection_ns = t0.elapsed().as_nanos() as u64;
+        if let Some((times, t0)) = &mut timer {
+            times.projection_ns = t0.elapsed().as_nanos() as u64;
+            *t0 = Instant::now();
+        }
 
         // Refinement over the sort dimension (skipped by histogram layouts,
         // whose last dimension is gridded, not sorted): the query's own
         // bound intersected with the sort-hosted FD translations — rows a
         // translation excludes are, by the envelope invariant, outliers of
         // that FD and re-added individually below.
-        let t0 = Instant::now();
         let sort_dim = self.layout.sort_dim();
         let qsort = if self.layout.has_sort_dim() {
             query.bound(sort_dim)
@@ -555,8 +574,10 @@ impl FloodIndex {
             cells.extend(extra);
         }
         stats.cells_visited = cells.len() as u64;
-        times.refinement_ns = t0.elapsed().as_nanos() as u64;
-        (cells, stats, times)
+        if let Some((times, t0)) = timer {
+            times.refinement_ns = t0.elapsed().as_nanos() as u64;
+        }
+        (cells, stats)
     }
 }
 
@@ -567,7 +588,10 @@ impl MultiDimIndex for FloodIndex {
         agg_dim: Option<usize>,
         visitor: &mut dyn Visitor,
     ) -> ScanStats {
-        self.execute_profiled(query, agg_dim, visitor).0
+        let (cells, mut stats) = self.plan(query, None);
+        let unindexed = self.unindexed_checks(query);
+        self.scan_cells(&cells, query, agg_dim, &unindexed, visitor, &mut stats);
+        stats
     }
 
     fn index_size_bytes(&self) -> usize {
@@ -622,19 +646,17 @@ impl ScanPlan for FloodScanPlan<'_> {
                 }
             })
             .collect();
-        let mut counter = MatchCount::new(visitor);
         self.index.scan_cells(
             &subs,
             &self.query,
             self.agg_dim,
             &self.unindexed,
-            &mut counter,
+            visitor,
             stats,
         );
         // A cut range is still one range: attribute it to the chunk that
         // opened it so merged stats equal the serial scan's.
         stats.ranges_scanned -= chunks.iter().filter(|c| c.continuation).count() as u64;
-        stats.points_matched += counter.matched;
     }
 
     fn plan_stats(&self) -> ScanStats {
@@ -649,7 +671,7 @@ impl PartitionedScan for FloodIndex {
         agg_dim: Option<usize>,
         max_tasks: usize,
     ) -> Box<dyn ScanPlan + '_> {
-        let (cells, plan_stats, _times) = self.plan(query);
+        let (cells, plan_stats) = self.plan(query, None);
         let unindexed = self.unindexed_checks(query);
         let ranges: Vec<(usize, usize)> = cells
             .iter()
@@ -923,6 +945,37 @@ mod tests {
         );
         assert!(times.total_ns() > 0);
         assert!(stats.scan_overhead().unwrap_or(1.0) >= 1.0);
+    }
+
+    /// `execute` and `execute_profiled` are one plan and one scan: equal
+    /// stats, and the visitor is shown the same rows in the same order.
+    #[test]
+    fn profiled_execution_matches_plain() {
+        let t = table(20_000, 3, 67);
+        for layout in [
+            Layout::new(vec![0, 1, 2], vec![8, 8]),
+            Layout::histogram(vec![0, 1, 2], vec![4, 4, 4]),
+            Layout::sort_only(1),
+        ] {
+            let index = FloodBuilder::new().layout(layout.clone()).build(&t);
+            for (i, q) in queries(3).iter().enumerate() {
+                let mut plain = CollectVisitor::default();
+                let mut profiled = CollectVisitor::default();
+                let stats = index.execute(q, None, &mut plain);
+                let (profiled_stats, times) = index.execute_profiled(q, None, &mut profiled);
+                assert_eq!(stats, profiled_stats, "{layout}, query {i}");
+                assert_eq!(plain.rows, profiled.rows, "{layout}, query {i}");
+                assert!(times.total_ns() > 0);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32 fit the boundary mask")]
+    fn build_rejects_a_33rd_grid_dimension() {
+        let t = Table::from_columns(vec![vec![1, 2, 3]; 34]);
+        let layout = Layout::new((0..34).collect(), vec![1; 33]);
+        let _ = FloodIndex::build(&t, layout, FloodConfig::default());
     }
 
     #[test]

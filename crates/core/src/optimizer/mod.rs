@@ -44,8 +44,7 @@
 //! (gradient descent over column counts) → [`gradient`]; §7.7 sampling
 //! sensitivity (Figs 15/16) → [`OptimizerConfig::data_sample`] and
 //! [`OptimizerConfig::query_sample`]; the optimizer-search cost the paper
-//! reports as learning time (Figs 15/16's left panels) → `repro optcost`,
-//! which measures the full-vs-incremental gap.
+//! reports as learning time (Figs 15/16's left panels) → `repro optcost`.
 //!
 //! **Correlation extension (beyond the Flood paper).** Flood treats
 //! dimensions as independent; its successors exploit inter-dimension
@@ -69,6 +68,7 @@ pub use sample::{DataSample, SampleSpace, StatsCache};
 
 use crate::correlation::CorrelationConfig;
 use crate::cost::CostModel;
+use crate::index::MAX_GRID_DIMS;
 use crate::layout::Layout;
 use flood_store::{RangeQuery, Table};
 use rand::rngs::StdRng;
@@ -96,12 +96,6 @@ pub struct OptimizerConfig {
     pub init_points_per_cell: usize,
     /// RNG seed for sampling.
     pub seed: u64,
-    /// Evaluate candidate layouts through the incremental per-dimension
-    /// statistics cache (`true`, the default) or with a from-scratch sample
-    /// scan per distinct layout (`false`). The two produce bit-identical
-    /// layouts and costs; the flag exists so `repro optcost` can measure
-    /// the search-time gap.
-    pub incremental: bool,
     /// Soft-FD detection over the data sample (Tsunami/COAX extension).
     /// Detected collapse-grade dependents are dropped from the candidate
     /// grid dimensions (their predicates route through the host), and
@@ -121,7 +115,6 @@ impl Default for OptimizerConfig {
             max_total_cells: 1 << 20,
             init_points_per_cell: 1_024,
             seed: 0x0F700D,
-            incremental: true,
             correlation: CorrelationConfig::default(),
         }
     }
@@ -188,9 +181,9 @@ impl LayoutOptimizer {
     /// The deterministic query sampling `optimize` applies before
     /// flattening: shuffle the workload with the configured seed and keep
     /// [`OptimizerConfig::query_sample`] queries. Returns the sampled
-    /// queries plus the RNG in the exact state `optimize` would hand to the
-    /// data-sample builder, so external callers (the shared re-learn path)
-    /// reproduce `optimize`'s stream bit for bit.
+    /// queries plus the RNG in the state the data-sample builder draws its
+    /// rows from, so every caller of [`EvaluatorCache::evaluator`] sees the
+    /// same stream.
     pub fn sample_queries(&self, workload: &[RangeQuery]) -> (Vec<RangeQuery>, StdRng) {
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let mut queries: Vec<RangeQuery> = workload.to_vec();
@@ -199,43 +192,27 @@ impl LayoutOptimizer {
         (queries, rng)
     }
 
-    /// Find the cheapest layout for `workload` over `table` (Algorithm 1).
+    /// Find the cheapest layout for `workload` over `table` (Algorithm 1):
+    /// [`LayoutOptimizer::optimize_shared`] over a cache nobody else holds.
     ///
     /// # Panics
     /// Panics if the workload is empty or the table has no rows.
     pub fn optimize(&self, table: &Table, workload: &[RangeQuery]) -> OptimizedLayout {
-        assert!(
-            !workload.is_empty(),
-            "cannot optimize for an empty workload"
-        );
-        assert!(!table.is_empty(), "cannot optimize over an empty table");
-        let start = Instant::now();
-        // Sample queries, then build the flattened data sample.
-        let (queries, mut rng) = self.sample_queries(workload);
-        let space = SampleSpace::build(
-            table,
-            &queries,
-            self.cfg.data_sample,
-            &mut rng,
-            &self.cfg.correlation,
-        );
-        let mut evaluator =
-            CostEvaluator::over_space(space, self.cost.clone(), self.cfg.incremental);
-        self.search(&mut evaluator, start)
+        self.optimize_shared(table, workload, &mut EvaluatorCache::new())
     }
 
-    /// [`LayoutOptimizer::optimize`] against a shared [`EvaluatorCache`]:
-    /// the flattened data sample is built at most once per table and every
-    /// query-dependent layer (flat queries, per-dimension masks, layout
-    /// memo) is keyed on the sampled window's fingerprint, so repeat
-    /// windows — and the degradation check that preceded this call — feed
-    /// the search instead of being recomputed.
+    /// Algorithm 1 against a shared [`EvaluatorCache`]: the flattened data
+    /// sample is built at most once per table and every query-dependent
+    /// layer (flat queries, per-dimension masks, layout memo) is keyed on
+    /// the sampled window's fingerprint, so repeat windows — and the
+    /// degradation check that preceded this call — feed the search instead
+    /// of being recomputed.
     ///
-    /// With [`OptimizerConfig::data_sample`] ≥ the table size this is
-    /// bit-identical to [`LayoutOptimizer::optimize`]; with a partial
-    /// sample the shared path keeps the *original* sample alive while a
-    /// cold call would draw a fresh one (same multiset, different rows), so
-    /// predicted costs can differ within sampling noise.
+    /// A cache that already holds a data sample keeps it: with
+    /// [`OptimizerConfig::data_sample`] below the table size, a fresh cache
+    /// would draw its rows from the table's *current* order (same multiset,
+    /// different rows after a rebuild), so predicted costs can differ from
+    /// a fresh-cache call within sampling noise.
     ///
     /// # Panics
     /// Panics if the workload is empty or the table has no rows.
@@ -305,6 +282,9 @@ impl LayoutOptimizer {
                 candidates = pruned;
             }
         }
+        // One candidate sorts, the rest grid: keep the most selective
+        // `MAX_GRID_DIMS + 1`, the widest layout `FloodIndex` can build.
+        candidates.truncate(MAX_GRID_DIMS + 1);
         let reweighted: Vec<usize> = candidates
             .iter()
             .copied()
@@ -395,15 +375,7 @@ impl LayoutOptimizer {
     /// score any number of layouts against it without re-sampling or
     /// re-flattening.
     pub fn evaluator(&self, table: &Table, workload: &[RangeQuery]) -> CostEvaluator {
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let space = SampleSpace::build(
-            table,
-            workload,
-            self.cfg.data_sample,
-            &mut rng,
-            &self.cfg.correlation,
-        );
-        CostEvaluator::over_space(space, self.cost.clone(), self.cfg.incremental)
+        self.one_shot(table, workload, StdRng::seed_from_u64(self.cfg.seed))
     }
 
     /// [`LayoutOptimizer::evaluator`] over the *sampled* workload — the
@@ -411,15 +383,21 @@ impl LayoutOptimizer {
     /// pricing a layout here is directly comparable to an `optimize` run's
     /// `predicted_ns` on the same workload.
     pub fn evaluator_sampled(&self, table: &Table, workload: &[RangeQuery]) -> CostEvaluator {
-        let (queries, mut rng) = self.sample_queries(workload);
+        let (queries, rng) = self.sample_queries(workload);
+        self.one_shot(table, &queries, rng)
+    }
+
+    /// An evaluator owning its own sample of `table`, drawn from `rng`.
+    fn one_shot(&self, table: &Table, queries: &[RangeQuery], mut rng: StdRng) -> CostEvaluator {
         let space = SampleSpace::build(
             table,
-            &queries,
+            queries,
             self.cfg.data_sample,
             &mut rng,
             &self.cfg.correlation,
         );
-        CostEvaluator::over_space(space, self.cost.clone(), self.cfg.incremental)
+        let cache = space.stats_cache();
+        CostEvaluator::with_cache(space, self.cost.clone(), cache)
     }
 }
 
@@ -496,8 +474,8 @@ impl EvaluatorCache {
     /// the shared data sample (built only when absent or when `table`'s
     /// shape changed) carrying the accumulated per-query mask cache. `rng`
     /// must be in the post-query-sampling state
-    /// ([`LayoutOptimizer::sample_queries`]) so a fresh data sample draws
-    /// the same rows a cold `optimize` would.
+    /// ([`LayoutOptimizer::sample_queries`]): a fresh data sample draws its
+    /// rows from it.
     pub fn evaluator(
         &mut self,
         optimizer: &LayoutOptimizer,
@@ -553,8 +531,7 @@ impl EvaluatorCache {
         if stats.entry_count() > MASK_CACHE_CAP {
             stats.prune_stale(stats.epoch().saturating_sub(MASK_KEEP_EPOCHS));
         }
-        let evaluator =
-            CostEvaluator::with_cache(space, optimizer.cost.clone(), cfg.incremental, stats);
+        let evaluator = CostEvaluator::with_cache(space, optimizer.cost.clone(), stats);
         self.current = Some((fp, evaluator));
         &mut self.current.as_mut().expect("just set").1
     }
@@ -599,26 +576,14 @@ pub struct CostEvaluator {
     cost_evals: usize,
     cache_hits: usize,
     cross_epoch_memo_hits: usize,
-    incremental: bool,
 }
 
 impl CostEvaluator {
-    /// An evaluator over an already-flattened sample.
-    fn over_space(space: SampleSpace, cost: CostModel, incremental: bool) -> Self {
-        let cache = space.stats_cache();
-        CostEvaluator::with_cache(space, cost, incremental, cache)
-    }
-
     /// An evaluator adopting an existing mask cache (which must belong to
     /// `space`'s data sample). The layout memo starts empty — costs depend
     /// on the query set — but adopted masks keep serving any query they
     /// were built for.
-    fn with_cache(
-        space: SampleSpace,
-        cost: CostModel,
-        incremental: bool,
-        cache: StatsCache,
-    ) -> Self {
+    fn with_cache(space: SampleSpace, cost: CostModel, cache: StatsCache) -> Self {
         CostEvaluator {
             space,
             cost,
@@ -628,7 +593,6 @@ impl CostEvaluator {
             cost_evals: 0,
             cache_hits: 0,
             cross_epoch_memo_hits: 0,
-            incremental,
         }
     }
 
@@ -661,17 +625,12 @@ impl CostEvaluator {
             }
             return c;
         }
-        let c = if self.incremental {
-            self.predict_per_query(&key)
-        } else {
-            self.cost
-                .predict_workload(&self.space.query_stats(order, cols))
-        };
+        let c = self.predict_per_query(&key);
         self.memo.insert(key, (c, self.epoch));
         c
     }
 
-    /// The incremental pricing path: each query's cost under this layout is
+    /// The memo-miss pricing path: each query's cost under this layout is
     /// memoized in the carried cache keyed on `(layout, query fingerprint)`
     /// — a pair's cost depends on nothing else, so statistics and weight
     /// models run only for queries this layout was never priced on (in any
@@ -713,8 +672,7 @@ impl CostEvaluator {
         self.cache_hits
     }
 
-    /// Per-dimension contributions counted from scratch (incremental path
-    /// only; always 0 with `incremental: false`).
+    /// Per-dimension contributions counted from scratch.
     pub fn dim_recounts(&self) -> usize {
         self.cache.recounts()
     }
@@ -875,34 +833,109 @@ mod tests {
         assert_eq!((eval.dim_recounts(), eval.dim_reuses()), (60, 12));
     }
 
-    /// `incremental: false` takes the from-scratch scan path and must agree
-    /// with the default bit for bit — same layout, same predicted cost.
+    /// The reference the caches are held to: `predict` — layout memo,
+    /// per-query cost memo, per-dimension masks — equals one from-scratch
+    /// scan of the sample per layout, bit for bit, on the layout the search
+    /// picks, on explicit ones, and on a repeat that hits the memo.
     #[test]
     fn full_recompute_mode_matches_incremental() {
         let t = table();
         let w = workload();
-        let inc = LayoutOptimizer::with_config(CostModel::analytic_default(), fast_cfg())
-            .optimize(&t, &w);
-        let full_cfg = OptimizerConfig {
-            incremental: false,
-            ..fast_cfg()
-        };
-        let full =
-            LayoutOptimizer::with_config(CostModel::analytic_default(), full_cfg).optimize(&t, &w);
-        assert_eq!(inc.layout, full.layout);
-        assert_eq!(inc.predicted_ns.to_bits(), full.predicted_ns.to_bits());
-        assert_eq!(inc.cost_evals, full.cost_evals);
-        assert_eq!(inc.cache_hits, full.cache_hits);
-        assert_eq!(full.dim_recounts, 0, "full mode never builds masks");
-        // With only one grid dimension per candidate every memo miss moves
-        // it, so reuse mostly comes from sort entries here; the
-        // reuse-dominates regime at 4+ dims is measured by `repro optcost`.
-        assert!(
-            inc.dim_reuses > 0,
-            "probes should reuse cached dimensions: {} recounts vs {} reuses",
-            inc.dim_recounts,
-            inc.dim_reuses
+        let cost = CostModel::analytic_default();
+        let opt = LayoutOptimizer::with_config(cost.clone(), fast_cfg());
+        let learned = opt.optimize(&t, &w);
+        let mut eval = opt.evaluator_sampled(&t, &w);
+        let layouts = [
+            learned.layout.clone(),
+            Layout::new(vec![0, 1], vec![32]),
+            Layout::new(vec![1, 0], vec![8]),
+            Layout::new(vec![0, 1, 2], vec![16, 4]),
+            Layout::sort_only(0),
+            Layout::new(vec![0, 1], vec![32]),
+        ];
+        for layout in &layouts {
+            let cached = eval.predict(layout);
+            let full =
+                cost.predict_workload(&eval.space().query_stats(layout.order(), layout.cols()));
+            assert_eq!(cached.to_bits(), full.to_bits(), "layout {layout}");
+        }
+        assert_eq!(
+            learned.predicted_ns.to_bits(),
+            eval.predict(&learned.layout).to_bits(),
+            "the search reports the cost the reference assigns its winner"
         );
+        assert!(eval.cache_hits() > 0 && eval.dim_reuses() > 0);
+    }
+
+    /// `optimize` is `optimize_shared` over a fresh cache — same RNG
+    /// stream, same sampled rows — also when the sample is a strict subset
+    /// of the table.
+    #[test]
+    fn optimize_equals_optimize_shared_over_a_fresh_cache() {
+        let t = table();
+        let w = workload();
+        let opt = LayoutOptimizer::with_config(CostModel::analytic_default(), fast_cfg());
+        assert!(opt.config().data_sample < t.len(), "partial sample");
+        let cold = opt.optimize(&t, &w);
+        let mut cache = EvaluatorCache::new();
+        let shared = opt.optimize_shared(&t, &w, &mut cache);
+        assert_eq!(cold.layout, shared.layout);
+        assert_eq!(cold.predicted_ns.to_bits(), shared.predicted_ns.to_bits());
+        assert_eq!(
+            (
+                cold.cost_evals,
+                cold.cache_hits,
+                cold.dim_recounts,
+                cold.dim_reuses
+            ),
+            (
+                shared.cost_evals,
+                shared.cache_hits,
+                shared.dim_recounts,
+                shared.dim_reuses
+            ),
+        );
+        assert_eq!((cache.data_builds(), cache.window_builds()), (1, 1));
+    }
+
+    /// A workload filtering all 40 dimensions of a table: the search keeps
+    /// the `MAX_GRID_DIMS` most selective as grid candidates, and the index
+    /// built from the result answers like a full scan.
+    #[test]
+    fn wide_table_learns_a_buildable_layout() {
+        let (n, d) = (1_500u64, 40usize);
+        let t = Table::from_columns(
+            (0..d as u64)
+                .map(|c| (0..n).map(|i| (i * (2 * c + 7919)) % 1_000).collect())
+                .collect(),
+        );
+        let qs: Vec<RangeQuery> = (0..d)
+            .map(|i| {
+                RangeQuery::all(d)
+                    .with_range(i, 100, 400 + 10 * i as u64)
+                    .with_range((i + 1) % d, 0, 700)
+            })
+            .collect();
+        let opt = LayoutOptimizer::with_config(
+            CostModel::analytic_default(),
+            OptimizerConfig {
+                data_sample: 300,
+                query_sample: d,
+                gd_steps: 1,
+                max_total_cells: 1 << 10,
+                ..Default::default()
+            },
+        );
+        let learned = opt.optimize(&t, &qs);
+        assert_eq!(learned.candidates.len(), MAX_GRID_DIMS + 1);
+        assert_eq!(learned.layout.grid_dims().len(), MAX_GRID_DIMS);
+        let index = crate::FloodIndex::build(&t, learned.layout, Default::default());
+        for q in &qs {
+            let mut v = flood_store::CountVisitor::default();
+            flood_store::MultiDimIndex::execute(&index, q, None, &mut v);
+            let truth = (0..t.len()).filter(|&r| q.matches(&t.row(r))).count() as u64;
+            assert_eq!(v.count, truth);
+        }
     }
 
     #[test]

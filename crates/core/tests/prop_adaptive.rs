@@ -1,18 +1,22 @@
-//! Adaptive re-learning under drift: the shared-cache path must be a pure
-//! optimization — same decisions, same layouts, same results as the cold
-//! path — and the diagnostics must prove the sharing actually happened.
+//! Adaptive re-learning under drift: the cache the [`Relearner`] pools
+//! across checks and re-learns must be a pure optimization — every window
+//! priced and searched exactly as a from-scratch evaluator would — and the
+//! diagnostics must prove the sharing actually happened.
 //!
 //! The deterministic scenario runs with `data_sample ≥ n` (the whole table
-//! flattened), where cold and shared are **bit-identical** by construction:
-//! the data multiset never changes across rebuilds, so a full sample gives
-//! both paths identical CDFs, identical flattened queries, and
-//! multiset-invariant point counts. With a partial sample the two paths
-//! keep different (equally valid) samples alive, so the property test
-//! checks the invariant that really matters: query *results* never depend
-//! on the cache mode.
+//! flattened), where pooled and fresh are **bit-identical** by
+//! construction: the data multiset never changes across rebuilds, so a full
+//! sample gives both identical CDFs, identical flattened queries, and
+//! multiset-invariant point counts. With a partial sample a pooled and a
+//! fresh evaluator keep different (equally valid) samples alive, so the
+//! property test checks the invariant that really matters: query *results*
+//! never depend on what the cache holds.
+//!
+//! [`Relearner`]: flood_core::Relearner
 
 use flood_core::{
-    AdaptiveConfig, AdaptiveFlood, CostModel, FloodConfig, LayoutOptimizer, OptimizerConfig,
+    AdaptiveConfig, AdaptiveFlood, CostModel, EvaluatorCache, FloodConfig, FloodIndex,
+    LayoutOptimizer, OptimizerConfig,
 };
 use flood_store::{CountVisitor, RangeQuery, Table};
 use proptest::prelude::*;
@@ -52,12 +56,7 @@ fn drifting_stream(per_phase: usize) -> Vec<RangeQuery> {
     phase(0).chain(phase(1)).collect()
 }
 
-fn adaptive(
-    share_cache: bool,
-    full_sample: bool,
-    t: &Table,
-    train: &[RangeQuery],
-) -> AdaptiveFlood {
+fn adaptive(full_sample: bool, t: &Table, train: &[RangeQuery]) -> AdaptiveFlood {
     AdaptiveFlood::build(
         t,
         train,
@@ -67,70 +66,65 @@ fn adaptive(
             window: 16,
             check_every: 8,
             degradation_factor: 1.1,
-            share_cache,
         },
     )
 }
 
-/// With the full table as the sample, cold and shared make bit-identical
-/// decisions: same re-learn points, same layouts, same predicted baseline
-/// — and the diagnostics pin down that shared did the work once while cold
-/// re-flattened every time.
+/// With the full table as the sample, the pooled evaluator and a cold one
+/// agree bit for bit on every window of the stream: same price for the
+/// incumbent layout, same search result — and the diagnostics pin down
+/// that the adaptive loop did the shared work once.
 #[test]
 fn shared_and_cold_agree_bit_for_bit_on_full_sample() {
     let t = table(3_000);
     let stream = drifting_stream(30);
     let train: Vec<RangeQuery> = stream[..16].to_vec();
-    let mut cold = adaptive(false, true, &t, &train);
-    let mut shared = adaptive(true, true, &t, &train);
-    assert_eq!(
-        cold.index().layout(),
-        shared.index().layout(),
-        "initial learn must agree"
-    );
+    let opt = optimizer(true);
 
-    for q in &stream {
-        let mut vc = CountVisitor::default();
-        let mut vs = CountVisitor::default();
-        let (_, rc) = cold.execute_adaptive(q, None, &mut vc);
-        let (_, rs) = shared.execute_adaptive(q, None, &mut vs);
-        assert_eq!(rc, rs, "re-learn decisions must coincide");
-        assert_eq!(vc.count, vs.count, "results must coincide");
+    // The windows `AdaptiveConfig { window: 16, check_every: 8 }` checks,
+    // each over the table as the last adopted layout reordered it.
+    let mut pool = EvaluatorCache::new();
+    let mut layout = opt.optimize_shared(&t, &train, &mut pool).layout;
+    assert_eq!(layout, opt.optimize(&t, &train).layout, "initial learn");
+    for window in stream.windows(16).step_by(8) {
+        let index = FloodIndex::build(&t, layout.clone(), FloodConfig::default());
+        let data = index.data();
+        let (queries, mut rng) = opt.sample_queries(window);
+        let pooled = pool.evaluator(&opt, data, &queries, &mut rng);
+        assert_eq!(
+            pooled.predict(&layout).to_bits(),
+            opt.evaluator_sampled(data, window)
+                .predict(&layout)
+                .to_bits(),
+            "check pricing must coincide"
+        );
+        let shared = opt.optimize_in(pooled);
+        let cold = opt.optimize(data, window);
+        assert_eq!(shared.layout, cold.layout, "re-learns must coincide");
+        assert_eq!(shared.predicted_ns.to_bits(), cold.predicted_ns.to_bits());
+        layout = shared.layout;
     }
+    assert_eq!(pool.data_builds(), 1, "one flatten for every window");
 
-    let (dc, ds) = (cold.diagnostics(), shared.diagnostics());
-    assert!(
-        ds.relearns >= 1,
-        "the drift must trigger a re-learn: {ds:?}"
-    );
-    assert_eq!(dc.relearns, ds.relearns);
-    assert_eq!(dc.checks, ds.checks);
-    assert_eq!(cold.index().layout(), shared.index().layout());
+    // The work ledger of the loop that ships.
+    let mut a = adaptive(true, &t, &train);
+    for q in &stream {
+        let mut v = CountVisitor::default();
+        a.execute_adaptive(q, None, &mut v);
+    }
+    let d = a.diagnostics();
+    assert!(d.relearns >= 1, "the drift must trigger a re-learn: {d:?}");
+    assert!(d.relearn_searches >= d.relearns, "{d:?}");
+    assert_eq!(d.sample_flattens, 1, "{d:?}");
     assert_eq!(
-        cold.baseline_cost().to_bits(),
-        shared.baseline_cost().to_bits(),
-        "predicted costs must be bit-identical"
-    );
-
-    // The work ledger: shared flattened once ever; cold re-flattened at
-    // every check and every re-learn search.
-    assert_eq!(ds.sample_flattens, 1, "{ds:?}");
-    assert_eq!(
-        dc.sample_flattens,
-        1 + dc.checks + dc.relearn_wall.len(),
-        "{dc:?}"
-    );
-    assert_eq!(
-        ds.window_flattens,
-        1 + ds.checks,
-        "one per build + check: {ds:?}"
+        d.window_flattens,
+        1 + d.checks,
+        "one per build + check: {d:?}"
     );
     assert!(
-        ds.cache_hits_across_relearns > 0,
-        "the check's pricing must feed the search: {ds:?}"
+        d.cache_hits_across_relearns > 0,
+        "the check's pricing must feed the search: {d:?}"
     );
-    assert_eq!(dc.cache_hits_across_relearns, 0, "{dc:?}");
-    assert_eq!(dc.window_reuses, 0);
 }
 
 /// Re-running the same deterministic scenario reproduces the same
@@ -141,13 +135,13 @@ fn diagnostics_are_deterministic() {
     let stream = drifting_stream(24);
     let train: Vec<RangeQuery> = stream[..16].to_vec();
     let run = || {
-        let mut a = adaptive(true, true, &t, &train);
+        let mut a = adaptive(true, &t, &train);
         for q in &stream {
             let mut v = CountVisitor::default();
             a.execute_adaptive(q, None, &mut v);
         }
         let mut d = a.diagnostics();
-        d.relearn_wall.clear(); // wall-clock is the only nondeterministic field
+        d.relearn_wall = Default::default(); // wall-clock is the only nondeterministic field
         d
     };
     assert_eq!(run(), run());
@@ -156,8 +150,9 @@ fn diagnostics_are_deterministic() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// `share_cache` on/off never changes what queries return, whatever the
-    /// stream looks like — layouts may differ under partial samples, but
+    /// What the cache holds never changes what queries return, whatever
+    /// the stream looks like — a partial sample outlives the row order it
+    /// was drawn from, so layouts may differ from a fresh learn's, but
     /// layouts never change result sets.
     #[test]
     fn cache_mode_never_changes_results(
@@ -184,16 +179,12 @@ proptest! {
             .collect();
         let train: Vec<RangeQuery> = stream[..stream.len().min(8)].to_vec();
 
-        let mut cold = adaptive(false, false, &t, &train);
-        let mut shared = adaptive(true, false, &t, &train);
+        let mut a = adaptive(false, &t, &train);
         for q in &stream {
-            let mut vc = CountVisitor::default();
-            let mut vs = CountVisitor::default();
-            cold.execute_adaptive(q, None, &mut vc);
-            shared.execute_adaptive(q, None, &mut vs);
+            let mut v = CountVisitor::default();
+            a.execute_adaptive(q, None, &mut v);
             let truth = (0..t.len()).filter(|&r| q.matches(&t.row(r))).count() as u64;
-            prop_assert_eq!(vc.count, truth, "cold mode must stay correct");
-            prop_assert_eq!(vs.count, truth, "shared mode must stay correct");
+            prop_assert_eq!(v.count, truth);
         }
     }
 }

@@ -276,7 +276,6 @@ fn adaptive_relearn_under_drifting_correlation_stays_exact() {
                 window: 16,
                 check_every: 8,
                 degradation_factor: 1.0, // re-learn at every check
-                share_cache: true,
             },
         )
     };

@@ -10,7 +10,8 @@
 //!
 //! Retirement is `Arc` drop semantics: the swapped-out epoch stays alive
 //! exactly as long as the last in-flight reader holds its snapshot, and
-//! the publisher keeps only a [`Weak`] per retired epoch, so
+//! the publisher keeps only a [`Weak`] per retired epoch still pinned — dead
+//! ones are folded into a counter at the next publish — so
 //! [`Published::retired_epochs`] can report when old generations were
 //! actually freed without ever extending their lifetime.
 //!
@@ -67,10 +68,27 @@ pub type IndexSnapshot = Arc<EpochIndex>;
 #[derive(Debug)]
 pub struct Published<T> {
     current: RwLock<Arc<Epoch<T>>>,
-    /// `(epoch, weak)` per swapped-out generation, oldest first. Weak so
-    /// diagnostics never keep a retired generation alive.
-    retired: Mutex<Vec<(u64, Weak<Epoch<T>>)>>,
+    /// Swapped-out generations not yet known to be freed.
+    retired: Mutex<Retired<T>>,
     swaps: AtomicU64,
+}
+
+/// The retired generations: a count of those seen freed, and a `Weak` per
+/// generation a reader pinned when last looked at, oldest first. Weak so
+/// diagnostics never keep a retired generation alive; a dead `Weak` still
+/// holds its epoch's allocation, so each publish prunes them into `freed`
+/// and the list never outgrows the number of pinned generations.
+#[derive(Debug)]
+struct Retired<T> {
+    freed: usize,
+    pinned: Vec<Weak<Epoch<T>>>,
+}
+
+impl<T> Retired<T> {
+    /// Listed generations a reader pins right now.
+    fn live(&self) -> usize {
+        self.pinned.iter().filter(|w| w.strong_count() > 0).count()
+    }
 }
 
 /// The classic publication point over [`FloodIndex`] layouts.
@@ -81,7 +99,10 @@ impl<T> Published<T> {
     pub fn new(value: T) -> Self {
         Published {
             current: RwLock::new(Arc::new(Epoch { epoch: 0, value })),
-            retired: Mutex::new(Vec::new()),
+            retired: Mutex::new(Retired {
+                freed: 0,
+                pinned: Vec::new(),
+            }),
             swaps: AtomicU64::new(0),
         }
     }
@@ -110,10 +131,16 @@ impl<T> Published<T> {
             std::mem::replace(&mut *cur, Arc::new(Epoch { epoch, value }))
         };
         let epoch = old.epoch + 1;
-        self.retired
-            .lock()
-            .expect("retired list poisoned")
-            .push((old.epoch, Arc::downgrade(&old)));
+        let weak = Arc::downgrade(&old);
+        // Let go first: an epoch no reader pins is freed, and counted, now.
+        drop(old);
+        {
+            let mut retired = self.retired.lock().expect("retired list poisoned");
+            retired.pinned.push(weak);
+            let listed = retired.pinned.len();
+            retired.pinned.retain(|w| w.strong_count() > 0);
+            retired.freed += listed - retired.pinned.len();
+        }
         self.swaps.fetch_add(1, Ordering::Release);
         epoch
     }
@@ -126,12 +153,8 @@ impl<T> Published<T> {
     /// Swapped-out epochs whose memory has been freed — their last
     /// in-flight reader dropped its snapshot.
     pub fn retired_epochs(&self) -> usize {
-        self.retired
-            .lock()
-            .expect("retired list poisoned")
-            .iter()
-            .filter(|(_, w)| w.upgrade().is_none())
-            .count()
+        let retired = self.retired.lock().expect("retired list poisoned");
+        retired.freed + retired.pinned.len() - retired.live()
     }
 
     /// In-flight readers currently pinning the *live* epoch — snapshot
@@ -143,12 +166,7 @@ impl<T> Published<T> {
 
     /// Swapped-out epochs still pinned by at least one in-flight reader.
     pub fn live_retired(&self) -> usize {
-        self.retired
-            .lock()
-            .expect("retired list poisoned")
-            .iter()
-            .filter(|(_, w)| w.upgrade().is_some())
-            .count()
+        self.retired.lock().expect("retired list poisoned").live()
     }
 }
 
@@ -201,6 +219,31 @@ mod tests {
         drop(held);
         assert_eq!(p.live_retired(), 0, "last reader gone, epoch 0 freed");
         assert_eq!(p.retired_epochs(), 1);
+    }
+
+    #[test]
+    fn retired_list_holds_only_pinned_epochs() {
+        let p: Published<u64> = Published::new(0);
+        let listed = |p: &Published<u64>| p.retired.lock().expect("lock").pinned.len();
+        for v in 1..=1_000 {
+            p.publish(v);
+        }
+        let held = p.snapshot(); // pins epoch 1000 across the next swaps
+        for v in 1_001..=3_000 {
+            p.publish(v);
+        }
+        assert_eq!(listed(&p), 1, "dead entries are pruned at publish");
+        assert_eq!(p.live_retired(), 1, "the held snapshot is still counted");
+        assert_eq!(p.retired_epochs() as u64, p.swaps() - 1);
+        assert_eq!(held.value(), &1_000);
+        drop(held);
+        assert_eq!(
+            (p.live_retired(), p.retired_epochs() as u64),
+            (0, p.swaps())
+        );
+        p.publish(3_001);
+        assert_eq!(listed(&p), 0, "no reader pinned, nothing listed");
+        assert_eq!(p.retired_epochs() as u64, p.swaps());
     }
 
     #[test]

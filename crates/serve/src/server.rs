@@ -583,7 +583,6 @@ mod tests {
             window: 24,
             check_every: 12,
             degradation_factor: 1.2,
-            ..Default::default()
         });
         assert_eq!(s.maybe_adapt(), AdaptOutcome::NotDue);
         let before = s.snapshot();

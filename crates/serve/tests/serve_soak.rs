@@ -151,7 +151,6 @@ fn open_loop_soak_with_background_adaptation() {
                 window: 48,
                 check_every: 24,
                 degradation_factor: 1.2,
-                ..Default::default()
             },
             batch: 16,
             threads: 1, // readers are the threads here; batches stay inline

@@ -71,7 +71,6 @@ fn main() {
             window: 40,
             check_every: 20,
             degradation_factor: 1.3,
-            ..Default::default()
         },
     );
     println!(
