@@ -9,11 +9,7 @@
 //! leaves — exactly our [`Rmi`].
 
 use flood_learned::rmi::{Rmi, RmiConfig};
-use flood_store::index_trait::ChunkedScanPlan;
-use flood_store::{
-    scan_exact, scan_filtered, CumulativeColumn, MatchCount, MultiDimIndex, PartitionedScan,
-    RangeQuery, ScanPlan, ScanStats, Table, Visitor,
-};
+use flood_store::{CumulativeColumn, PlannedIndex, PlannedRange, RangePlan, RangeQuery, Table};
 
 /// A learned clustered index over one dimension.
 #[derive(Debug)]
@@ -62,134 +58,57 @@ impl ClusteredIndex {
     pub fn data(&self) -> &Table {
         &self.data
     }
+}
 
-    /// Shared planning for serial and partitioned execution: locate the key
-    /// range via the RMI, strip the key dimension from the residual filters,
-    /// and pick the cumulative column when the range is exact.
-    fn plan_range(&self, query: &RangeQuery, agg_dim: Option<usize>) -> KeyRangePlan<'_> {
+impl PlannedIndex for ClusteredIndex {
+    const NAME: &'static str = "Clustered";
+    type Source = Table;
+
+    fn source(&self) -> &Table {
+        &self.data
+    }
+
+    /// One range: the key bounds located by the RMI (the whole table when
+    /// the key is unfiltered). The key dimension is exact within it, so its
+    /// check is dropped; when it was the only filter the range is exact.
+    fn plan(&self, query: &RangeQuery) -> RangePlan {
         let col = self.data.column(self.key_dim);
-        let (start, end, refinements) = match query.bound(self.key_dim) {
-            Some((lo, hi)) => (
-                self.rmi.lookup_lb(lo, |i| col.get(i)),
-                self.rmi.lookup_ub(hi, |i| col.get(i)),
-                2,
-            ),
-            None => (0, self.data.len(), 0),
+        let mut plan = RangePlan::filtered(query);
+        let (start, end) = match query.bound(self.key_dim) {
+            Some((lo, hi)) => {
+                plan.stats.refinements = 2;
+                plan.tail.retain(|&(d, ..)| d != self.key_dim);
+                (
+                    self.rmi.lookup_lb(lo, |i| col.get(i)),
+                    self.rmi.lookup_ub(hi, |i| col.get(i)),
+                )
+            }
+            None => (0, self.data.len()),
         };
-        // The key dimension is exact within [start, end); drop its check.
-        // When it is the only filtered dimension the range is fully exact.
-        let mut residual = query.clone();
-        if query.filters(self.key_dim) {
-            residual = strip_dim(query, self.key_dim);
-        }
-        let exact = residual.num_filtered() == 0;
-        // Selected whenever the aggregation column has prefix sums: exact
-        // ranges answer from it outright, and the kernel uses it for blocks
-        // the residual accepts wholesale.
-        let cumulative = agg_dim.and_then(|d| {
-            self.cumulatives
-                .iter()
-                .find(|(dim, _)| *dim == d)
-                .map(|(_, c)| c)
+        plan.ranges.push(if plan.tail.is_empty() {
+            PlannedRange::exact(start, end)
+        } else {
+            PlannedRange::checked(start, end)
         });
-        KeyRangePlan {
-            start,
-            end,
-            refinements,
-            residual: (!exact).then_some(residual),
-            cumulative,
-        }
-    }
-}
-
-/// Output of [`ClusteredIndex::plan_range`].
-struct KeyRangePlan<'a> {
-    start: usize,
-    end: usize,
-    refinements: u64,
-    /// Filters checked per row; `None` when the range is exact.
-    residual: Option<RangeQuery>,
-    /// Cumulative SUM column of the aggregation dimension, if built.
-    cumulative: Option<&'a CumulativeColumn>,
-}
-
-impl MultiDimIndex for ClusteredIndex {
-    fn execute(
-        &self,
-        query: &RangeQuery,
-        agg_dim: Option<usize>,
-        visitor: &mut dyn Visitor,
-    ) -> ScanStats {
-        let plan = self.plan_range(query, agg_dim);
-        let mut stats = ScanStats {
-            ranges_scanned: 1,
-            refinements: plan.refinements,
-            ..Default::default()
-        };
-        let mut counter = MatchCount::new(visitor);
-        let (data, cum) = (&self.data, plan.cumulative);
-        let (s, e) = (plan.start, plan.end);
-        let Ok(()) = match &plan.residual {
-            None => scan_exact(data, s, e, agg_dim, cum, &mut counter, &mut stats),
-            Some(q) => scan_filtered(data, q, s, e, agg_dim, cum, &mut counter, &mut stats),
-        };
-        stats.points_matched = counter.matched;
-        stats
+        plan
     }
 
-    fn index_size_bytes(&self) -> usize {
+    /// Exact ranges answer SUMs from it outright, and the kernel uses it
+    /// for blocks the remaining filters accept wholesale.
+    fn cumulative(&self, agg_dim: usize) -> Option<&CumulativeColumn> {
+        let built = self.cumulatives.iter().find(|(dim, _)| *dim == agg_dim);
+        built.map(|(_, c)| c)
+    }
+
+    fn structure_bytes(&self) -> usize {
         self.rmi.size_bytes()
     }
-
-    fn name(&self) -> &'static str {
-        "Clustered"
-    }
-}
-
-impl PartitionedScan for ClusteredIndex {
-    /// The key range located by the RMI, cut into block-aligned chunks.
-    /// When the key was the only filter the range is exact and chunks skip
-    /// per-row checks (cumulative columns still answer SUMs per chunk).
-    fn plan_scan(
-        &self,
-        query: &RangeQuery,
-        agg_dim: Option<usize>,
-        max_tasks: usize,
-    ) -> Box<dyn ScanPlan + '_> {
-        let plan = self.plan_range(query, agg_dim);
-        Box::new(ChunkedScanPlan::new(
-            &self.data,
-            plan.residual,
-            agg_dim,
-            plan.cumulative,
-            &[(plan.start, plan.end)],
-            max_tasks,
-            ScanStats {
-                ranges_scanned: 1,
-                refinements: plan.refinements,
-                ..Default::default()
-            },
-        ))
-    }
-}
-
-/// A copy of `query` without the filter on `dim`.
-fn strip_dim(query: &RangeQuery, dim: usize) -> RangeQuery {
-    let mut q = RangeQuery::all(query.dims());
-    for d in 0..query.dims() {
-        if d != dim {
-            if let Some((lo, hi)) = query.bound(d) {
-                q = q.with_range(d, lo, hi);
-            }
-        }
-    }
-    q
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flood_store::{CountVisitor, SumVisitor};
+    use flood_store::{assert_partitioned_matches_serial, CountVisitor, MultiDimIndex, SumVisitor};
 
     fn table() -> Table {
         let n = 10_000u64;
@@ -277,24 +196,8 @@ mod tests {
                 .with_range(1, 100, 300),
             RangeQuery::all(2).with_range(1, 100, 300),
         ];
-        for (qi, q) in queries.iter().enumerate() {
-            let mut serial = SumVisitor::default();
-            let serial_stats = idx.execute(q, Some(1), &mut serial);
-            for max_tasks in [1, 4, 9] {
-                let plan = idx.plan_scan(q, Some(1), max_tasks);
-                let mut merged = SumVisitor::default();
-                let mut stats = plan.plan_stats();
-                for i in 0..plan.tasks() {
-                    let mut v = SumVisitor::default();
-                    let mut s = flood_store::ScanStats::default();
-                    plan.run_task(i, &mut v, &mut s);
-                    merged.sum = merged.sum.wrapping_add(v.sum);
-                    merged.count += v.count;
-                    stats.merge(&s);
-                }
-                assert_eq!(merged.sum, serial.sum, "query {qi}, {max_tasks} tasks");
-                assert_eq!(stats, serial_stats, "query {qi}, {max_tasks} tasks");
-            }
+        for q in &queries {
+            assert_partitioned_matches_serial::<SumVisitor>(&idx, q, Some(1), &[1, 4, 9]);
         }
     }
 }

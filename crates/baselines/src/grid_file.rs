@@ -14,9 +14,7 @@
 //! builder enforces a block budget and reports failure the way the paper
 //! timed out its runs.
 
-use flood_store::{
-    scan_filtered, MatchCount, MultiDimIndex, RangeQuery, ScanStats, Table, Visitor,
-};
+use flood_store::{PlannedIndex, PlannedRange, RangePlan, RangeQuery, Table};
 
 /// Default page size (points per bucket before splitting).
 pub const DEFAULT_PAGE_SIZE: usize = 1_024;
@@ -334,15 +332,17 @@ impl GridFile {
     }
 }
 
-impl MultiDimIndex for GridFile {
-    fn execute(
-        &self,
-        query: &RangeQuery,
-        agg_dim: Option<usize>,
-        visitor: &mut dyn Visitor,
-    ) -> ScanStats {
-        let mut stats = ScanStats::default();
-        let mut counter = MatchCount::new(visitor);
+impl PlannedIndex for GridFile {
+    const NAME: &'static str = "Grid File";
+    type Source = Table;
+
+    fn source(&self) -> &Table {
+        &self.data
+    }
+
+    /// Every bucket whose block box intersects the query's, checked per row.
+    fn plan(&self, query: &RangeQuery) -> RangePlan {
+        let mut plan = RangePlan::filtered(query);
         // Block ranges per indexed dim.
         let ranges: Vec<(u32, u32)> = self
             .dims
@@ -353,55 +353,33 @@ impl MultiDimIndex for GridFile {
                 None => (0, self.boundaries[i].len() as u32),
             })
             .collect();
-        // Buckets intersect the query iff their block box intersects the
-        // block range box.
-        let mut scanned = vec![false; self.buckets.len()];
-        for (id, b) in self.buckets.iter().enumerate() {
+        for b in &self.buckets {
             let hit = b
                 .blo
                 .iter()
                 .zip(&b.bhi)
                 .zip(&ranges)
                 .all(|((&blo, &bhi), &(qlo, qhi))| blo <= qhi && qlo <= bhi);
-            if !hit || scanned[id] {
-                continue;
+            if hit {
+                plan.stats.cells_visited += 1;
+                let (start, end) = (b.start as usize, b.end as usize);
+                plan.ranges.push(PlannedRange::checked(start, end));
             }
-            scanned[id] = true;
-            stats.cells_visited += 1;
-            if b.start == b.end {
-                continue;
-            }
-            stats.ranges_scanned += 1;
-            let Ok(()) = scan_filtered(
-                &self.data,
-                query,
-                b.start as usize,
-                b.end as usize,
-                agg_dim,
-                None,
-                &mut counter,
-                &mut stats,
-            );
         }
-        stats.points_matched = counter.matched;
-        stats
+        plan
     }
 
-    fn index_size_bytes(&self) -> usize {
+    fn structure_bytes(&self) -> usize {
         self.directory.len() * 4
             + self.boundaries.iter().map(|b| b.len() * 8).sum::<usize>()
             + self.buckets.len() * std::mem::size_of::<Bucket>()
-    }
-
-    fn name(&self) -> &'static str {
-        "Grid File"
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flood_store::CountVisitor;
+    use flood_store::{CountVisitor, MultiDimIndex};
 
     fn table(n: u64) -> Table {
         Table::from_columns(vec![

@@ -41,3 +41,41 @@ pub use octree::Hyperoctree;
 pub use rtree::RStarTree;
 pub use ub_tree::UbTree;
 pub use zorder::ZOrderIndex;
+
+use flood_store::{PlannedRange, RangePlan, RangeQuery};
+
+/// The plan of a bounding-box hierarchy (k-d tree, hyperoctree, R-tree),
+/// depth-first from `root`: a subtree the query contains is one exact
+/// range, a leaf it only intersects is checked per row. `bounds` gives a
+/// node's box and row range; `children` pushes its children — nothing for
+/// a leaf.
+pub(crate) fn plan_boxes<N>(
+    query: &RangeQuery,
+    nodes: &[N],
+    root: Option<u32>,
+    bounds: impl Fn(&N) -> (&[u64], &[u64], u32, u32),
+    children: impl Fn(&N, &mut Vec<u32>),
+) -> RangePlan {
+    let mut plan = RangePlan::filtered(query);
+    let rect = query.rect();
+    let mut stack: Vec<u32> = root.into_iter().collect();
+    while let Some(id) = stack.pop() {
+        let node = &nodes[id as usize];
+        let (lo, hi, start, end) = bounds(node);
+        let (start, end) = (start as usize, end as usize);
+        plan.stats.cells_visited += 1;
+        if !rect.intersects_box(lo, hi) {
+            continue;
+        }
+        let pushed = stack.len();
+        if rect.contains_box(lo, hi) {
+            plan.ranges.push(PlannedRange::exact(start, end));
+            continue;
+        }
+        children(node, &mut stack);
+        if stack.len() == pushed {
+            plan.ranges.push(PlannedRange::checked(start, end));
+        }
+    }
+    plan
+}

@@ -7,9 +7,8 @@
 //! and its physical range. Children are kept sparse: only non-empty
 //! hyperoctants are materialized.
 
-use flood_store::{
-    scan_exact, scan_filtered, MatchCount, MultiDimIndex, RangeQuery, ScanStats, Table, Visitor,
-};
+use crate::plan_boxes;
+use flood_store::{PlannedIndex, RangePlan, RangeQuery, Table};
 
 /// Default page size (points per leaf).
 pub const DEFAULT_PAGE_SIZE: usize = 1_024;
@@ -166,61 +165,25 @@ impl Builder<'_> {
     }
 }
 
-impl MultiDimIndex for Hyperoctree {
-    fn execute(
-        &self,
-        query: &RangeQuery,
-        agg_dim: Option<usize>,
-        visitor: &mut dyn Visitor,
-    ) -> ScanStats {
-        let mut stats = ScanStats::default();
-        let mut counter = MatchCount::new(visitor);
-        if self.nodes.is_empty() {
-            return stats;
-        }
-        let rect = query.rect();
-        let mut stack = vec![0u32];
-        while let Some(id) = stack.pop() {
-            let node = &self.nodes[id as usize];
-            stats.cells_visited += 1;
-            if !rect.intersects_box(&node.box_lo, &node.box_hi) {
-                continue;
-            }
-            if rect.contains_box(&node.box_lo, &node.box_hi) {
-                // Whole subtree matches: exact scan, no per-point checks.
-                stats.ranges_scanned += 1;
-                let Ok(()) = scan_exact(
-                    &self.data,
-                    node.start as usize,
-                    node.end as usize,
-                    agg_dim,
-                    None,
-                    &mut counter,
-                    &mut stats,
-                );
-                continue;
-            }
-            if node.children.is_empty() {
-                stats.ranges_scanned += 1;
-                let Ok(()) = scan_filtered(
-                    &self.data,
-                    query,
-                    node.start as usize,
-                    node.end as usize,
-                    agg_dim,
-                    None,
-                    &mut counter,
-                    &mut stats,
-                );
-            } else {
-                stack.extend(node.children.iter().map(|&(_, c)| c));
-            }
-        }
-        stats.points_matched = counter.matched;
-        stats
+impl PlannedIndex for Hyperoctree {
+    const NAME: &'static str = "Hyperoctree";
+    type Source = Table;
+
+    fn source(&self) -> &Table {
+        &self.data
     }
 
-    fn index_size_bytes(&self) -> usize {
+    fn plan(&self, query: &RangeQuery) -> RangePlan {
+        plan_boxes(
+            query,
+            &self.nodes,
+            (!self.nodes.is_empty()).then_some(0),
+            |n| (&n.box_lo[..], &n.box_hi[..], n.start, n.end),
+            |n, stack| stack.extend(n.children.iter().map(|&(_, c)| c)),
+        )
+    }
+
+    fn structure_bytes(&self) -> usize {
         self.nodes
             .iter()
             .map(|n| {
@@ -230,16 +193,12 @@ impl MultiDimIndex for Hyperoctree {
             })
             .sum()
     }
-
-    fn name(&self) -> &'static str {
-        "Hyperoctree"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flood_store::CountVisitor;
+    use flood_store::{CountVisitor, MultiDimIndex};
 
     fn table(n: u64) -> Table {
         Table::from_columns(vec![

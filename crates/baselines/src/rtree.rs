@@ -5,9 +5,8 @@
 //! an STR packer, so an STR-packed R-tree with rectangle-pruned descent
 //! reproduces the evaluated read path. (See DESIGN.md's substitution table.)
 
-use flood_store::{
-    scan_exact, scan_filtered, MatchCount, MultiDimIndex, RangeQuery, ScanStats, Table, Visitor,
-};
+use crate::plan_boxes;
+use flood_store::{PlannedIndex, RangePlan, RangeQuery, Table};
 
 /// Default leaf capacity (points per leaf page).
 pub const DEFAULT_PAGE_SIZE: usize = 1_024;
@@ -156,60 +155,25 @@ fn bbox(table: &Table, rows: &[u32]) -> (Vec<u64>, Vec<u64>) {
     (lo, hi)
 }
 
-impl MultiDimIndex for RStarTree {
-    fn execute(
-        &self,
-        query: &RangeQuery,
-        agg_dim: Option<usize>,
-        visitor: &mut dyn Visitor,
-    ) -> ScanStats {
-        let mut stats = ScanStats::default();
-        let mut counter = MatchCount::new(visitor);
-        if self.data.is_empty() {
-            return stats;
-        }
-        let rect = query.rect();
-        let mut stack = vec![self.root];
-        while let Some(id) = stack.pop() {
-            let node = &self.nodes[id as usize];
-            stats.cells_visited += 1;
-            if !rect.intersects_box(&node.box_lo, &node.box_hi) {
-                continue;
-            }
-            if rect.contains_box(&node.box_lo, &node.box_hi) {
-                stats.ranges_scanned += 1;
-                let Ok(()) = scan_exact(
-                    &self.data,
-                    node.start as usize,
-                    node.end as usize,
-                    agg_dim,
-                    None,
-                    &mut counter,
-                    &mut stats,
-                );
-                continue;
-            }
-            if node.children.is_empty() {
-                stats.ranges_scanned += 1;
-                let Ok(()) = scan_filtered(
-                    &self.data,
-                    query,
-                    node.start as usize,
-                    node.end as usize,
-                    agg_dim,
-                    None,
-                    &mut counter,
-                    &mut stats,
-                );
-            } else {
-                stack.extend_from_slice(&node.children);
-            }
-        }
-        stats.points_matched = counter.matched;
-        stats
+impl PlannedIndex for RStarTree {
+    const NAME: &'static str = "R* Tree";
+    type Source = Table;
+
+    fn source(&self) -> &Table {
+        &self.data
     }
 
-    fn index_size_bytes(&self) -> usize {
+    fn plan(&self, query: &RangeQuery) -> RangePlan {
+        plan_boxes(
+            query,
+            &self.nodes,
+            (!self.data.is_empty()).then_some(self.root),
+            |n| (&n.box_lo[..], &n.box_hi[..], n.start, n.end),
+            |n, stack| stack.extend_from_slice(&n.children),
+        )
+    }
+
+    fn structure_bytes(&self) -> usize {
         self.nodes
             .iter()
             .map(|n| {
@@ -219,16 +183,12 @@ impl MultiDimIndex for RStarTree {
             })
             .sum()
     }
-
-    fn name(&self) -> &'static str {
-        "R* Tree"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flood_store::CountVisitor;
+    use flood_store::{CountVisitor, MultiDimIndex};
 
     fn table(n: u64) -> Table {
         Table::from_columns(vec![

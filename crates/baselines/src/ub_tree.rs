@@ -58,6 +58,9 @@ impl UbTree {
 }
 
 impl MultiDimIndex for UbTree {
+    /// Hand-written — the one index that does not plan: BIGMIN skipping
+    /// decides where to go next from the row it just checked, so navigation
+    /// and row checks interleave and no kernel is ever called on a range.
     fn execute(
         &self,
         query: &RangeQuery,

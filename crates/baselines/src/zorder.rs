@@ -7,9 +7,7 @@
 //! min/max box intersects the query rectangle.
 
 use crate::morton::MortonEncoder;
-use flood_store::{
-    scan_filtered, MatchCount, MultiDimIndex, RangeQuery, ScanStats, Table, Visitor,
-};
+use flood_store::{PlannedIndex, PlannedRange, RangePlan, RangeQuery, Table};
 
 /// Default page size (points per page).
 pub const DEFAULT_PAGE_SIZE: usize = 1_024;
@@ -92,15 +90,18 @@ impl ZOrderIndex {
     }
 }
 
-impl MultiDimIndex for ZOrderIndex {
-    fn execute(
-        &self,
-        query: &RangeQuery,
-        agg_dim: Option<usize>,
-        visitor: &mut dyn Visitor,
-    ) -> ScanStats {
-        let mut stats = ScanStats::default();
-        let mut counter = MatchCount::new(visitor);
+impl PlannedIndex for ZOrderIndex {
+    const NAME: &'static str = "Z Order";
+    type Source = Table;
+
+    fn source(&self) -> &Table {
+        &self.data
+    }
+
+    /// The pages between the query's smallest and largest Z-value, each
+    /// checked per row when its min/max box can match the filter.
+    fn plan(&self, query: &RangeQuery) -> RangePlan {
+        let mut plan = RangePlan::filtered(query);
         let (rect_lo, rect_hi) = self.encoder.normalized_rect(query);
         let (z_lo, z_hi) = self.encoder.z_range(&rect_lo, &rect_hi);
         // Last page whose first Z ≤ z_lo could still contain z_lo.
@@ -109,47 +110,28 @@ impl MultiDimIndex for ZOrderIndex {
             .partition_point(|p| p.z_min <= z_lo)
             .saturating_sub(1);
         let rect = query.rect();
-        for page in &self.pages[first..] {
-            if page.z_min > z_hi {
-                break;
+        for page in self.pages[first..].iter().take_while(|p| p.z_min <= z_hi) {
+            plan.stats.cells_visited += 1;
+            if rect.intersects_box(&page.box_lo, &page.box_hi) {
+                let (start, end) = (page.start as usize, page.end as usize);
+                plan.ranges.push(PlannedRange::checked(start, end));
             }
-            stats.cells_visited += 1;
-            // Scan only when the page's min/max box can match the filter.
-            if !rect.intersects_box(&page.box_lo, &page.box_hi) {
-                continue;
-            }
-            stats.ranges_scanned += 1;
-            let Ok(()) = scan_filtered(
-                &self.data,
-                query,
-                page.start as usize,
-                page.end as usize,
-                agg_dim,
-                None,
-                &mut counter,
-                &mut stats,
-            );
         }
-        stats.points_matched = counter.matched;
-        stats
+        plan
     }
 
-    fn index_size_bytes(&self) -> usize {
+    fn structure_bytes(&self) -> usize {
         self.pages
             .iter()
             .map(|p| std::mem::size_of::<Page>() + (p.box_lo.len() + p.box_hi.len()) * 8)
             .sum()
-    }
-
-    fn name(&self) -> &'static str {
-        "Z Order"
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flood_store::CountVisitor;
+    use flood_store::{CountVisitor, MultiDimIndex};
 
     fn table(n: u64) -> Table {
         Table::from_columns(vec![

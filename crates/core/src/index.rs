@@ -1,10 +1,12 @@
 //! The Flood index: build (layout → storage order → per-cell models) and
 //! query execution (projection → refinement → scan), §3 and §5.
 //!
-//! Execution is organized in the paper's three explicit phases;
-//! [`FloodIndex::execute_profiled`] times each of them — what calibrating
-//! the cost model (§4.1.1) and Table 2's IT/ST breakdown need — while
-//! [`MultiDimIndex::execute`] runs the same code without reading the clock.
+//! Execution is organized in the paper's three explicit phases: the first
+//! two are this file's [`PlannedIndex::plan`], the third is `flood-store`'s
+//! scan driver running that plan (`execute` and the partitioned scans are
+//! derived from the two). [`FloodIndex::execute_profiled`] times each phase
+//! — what calibrating the cost model (§4.1.1) and Table 2's IT/ST breakdown
+//! need — over the same plan and the same run.
 
 use crate::config::{FloodConfig, Refinement};
 use crate::correlation::{CorrSupport, HostSlot};
@@ -12,10 +14,9 @@ use crate::flatten::Flattener;
 use crate::grid::Grid;
 use crate::layout::Layout;
 use flood_learned::plm::PiecewiseLinearModel;
-use flood_store::index_trait::{MultiDimIndex, PartitionedScan, ScanPlan};
 use flood_store::{
-    partition_ranges, scan_checked, scan_exact, CumulativeColumn, MatchCount, RangeChunk,
-    RangeQuery, ScanStats, Table, Visitor,
+    Check, CumulativeColumn, PlannedIndex, PlannedRange, RangePlan, RangeQuery, RangeScan,
+    ScanStats, Table, Visitor,
 };
 use std::time::Instant;
 
@@ -53,20 +54,9 @@ pub struct BuildTimes {
     pub models_ns: u64,
 }
 
-/// Most grid dimensions a layout may have: one bit each in
-/// `CellRange::boundary_mask`.
+/// Most grid dimensions a layout may have: one bit each in a planned
+/// range's check mask ([`PlannedRange::checks`]).
 pub(crate) const MAX_GRID_DIMS: usize = u32::BITS as usize;
-
-/// One cell's physical range after projection, before/after refinement.
-#[derive(Debug, Clone, Copy)]
-struct CellRange {
-    cell: u32,
-    start: u32,
-    end: u32,
-    /// Bit i set ⇒ grid ordering position i sits on a boundary column and
-    /// its dimension must be checked per point.
-    boundary_mask: u32,
-}
 
 /// A learned multi-dimensional clustered in-memory index (§3).
 #[derive(Debug)]
@@ -228,11 +218,6 @@ impl FloodIndex {
         &self.data
     }
 
-    /// The flattening models.
-    pub fn flattener(&self) -> &Flattener {
-        &self.flattener
-    }
-
     /// Build-phase timings (Table 4's loading time).
     pub fn build_times(&self) -> BuildTimes {
         self.build_times
@@ -241,11 +226,6 @@ impl FloodIndex {
     /// Number of non-empty cells.
     pub fn non_empty_cells(&self) -> usize {
         self.cell_starts.windows(2).filter(|w| w[0] < w[1]).count()
-    }
-
-    /// The grid geometry (strides, column counts).
-    pub fn grid(&self) -> &Grid {
-        &self.grid
     }
 
     /// Physical range `[start, end)` of cell `c` in the reordered data.
@@ -266,8 +246,9 @@ impl FloodIndex {
             .collect()
     }
 
-    /// [`MultiDimIndex::execute`] with per-phase wall-clock: same plan, same
-    /// scan, same [`ScanStats`], plus three clock reads.
+    /// [`MultiDimIndex::execute`](flood_store::MultiDimIndex::execute)
+    /// with per-phase wall-clock: same plan, same run, same [`ScanStats`],
+    /// plus three clock reads.
     pub fn execute_profiled(
         &self,
         query: &RangeQuery,
@@ -276,83 +257,20 @@ impl FloodIndex {
     ) -> (ScanStats, PhaseTimes) {
         let mut times = PhaseTimes::default();
         // Phases 1–2: projection (§3.2.1) + refinement (§3.2.2, §5.2).
-        let (cells, mut stats) = self.plan(query, Some(&mut times));
+        let plan = self.plan_timed(query, Some(&mut times));
         // Phase 3: scan (§3.2(3)).
         let t0 = Instant::now();
-        let unindexed = self.unindexed_checks(query);
-        self.scan_cells(&cells, query, agg_dim, &unindexed, visitor, &mut stats);
+        let stats = RangeScan::of(self, plan, agg_dim).run(visitor);
         times.scan_ns = t0.elapsed().as_nanos() as u64;
         (stats, times)
     }
 
-    /// Filters on dimensions outside the index (always checked per point).
-    fn unindexed_checks(&self, query: &RangeQuery) -> Vec<(usize, u64, u64)> {
-        let mut checks = query.checks();
-        checks.retain(|(d, ..)| !self.layout.order().contains(d));
-        checks
-    }
-
-    /// Scan a set of planned (projected + refined) cell ranges, adding the
-    /// rows `visitor` is shown to `stats.points_matched`.
-    fn scan_cells(
-        &self,
-        cells: &[CellRange],
-        query: &RangeQuery,
-        agg_dim: Option<usize>,
-        unindexed: &[(usize, u64, u64)],
-        visitor: &mut dyn Visitor,
-        stats: &mut ScanStats,
-    ) {
-        let mut counter = MatchCount::new(visitor);
-        let visitor: &mut dyn Visitor = &mut counter;
-        let grid_dims = self.layout.grid_dims();
-        let cumulative = agg_dim.and_then(|d| {
-            self.cumulatives
-                .iter()
-                .find(|(dim, _)| *dim == d)
-                .map(|(_, c)| c)
-        });
-        let mut checks: Vec<(usize, u64, u64)> = Vec::new();
-        // The check list depends only on the boundary mask (and the fixed
-        // unindexed tail), so runs of equal-mask ranges — notably the
-        // residual single-row ranges, which all carry the full mask —
-        // rebuild it once.
-        let mut cached_mask: Option<u32> = None;
-        for cr in cells {
-            let (s, e) = (cr.start as usize, cr.end as usize);
-            if s >= e {
-                continue;
-            }
-            stats.ranges_scanned += 1;
-            if cached_mask != Some(cr.boundary_mask) {
-                cached_mask = Some(cr.boundary_mask);
-                checks.clear();
-                let mut mask = cr.boundary_mask;
-                while mask != 0 {
-                    let i = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    let d = grid_dims[i];
-                    let (lo, hi) = query.bound(d).expect("boundary dims are filtered");
-                    checks.push((d, lo, hi));
-                }
-                checks.extend_from_slice(unindexed);
-            }
-            // Sort-dimension values are exact after refinement, so the sort
-            // dimension never appears in the check list.
-            let Ok(()) = if checks.is_empty() {
-                scan_exact(&self.data, s, e, agg_dim, cumulative, visitor, stats)
-            } else {
-                scan_checked(
-                    &self.data, &checks, s, e, agg_dim, cumulative, visitor, stats,
-                )
-            };
-        }
-        stats.points_matched += counter.matched;
-    }
-
-    /// Projection + refinement: the planned cell ranges and the stats
-    /// gathered so far. The two phases are timed only into a `times` the
-    /// caller hands in; without one the clock is never read.
+    /// Projection + refinement: one range per surviving cell, tagged with
+    /// the cell id, checking the grid dimensions whose boundary column the
+    /// cell sits on (the mask; sort-dimension values are exact after
+    /// refinement and never checked) plus every unindexed filter (the
+    /// tail). The two phases are timed only into a `times` the caller hands
+    /// in; without one the clock is never read.
     ///
     /// With soft-FD support present (see [`crate::correlation`]), a filter
     /// on a collapsed dependent dimension additionally (1) tightens the
@@ -367,11 +285,7 @@ impl FloodIndex {
     /// kernels, so results are identical to the untightened plan — only
     /// the visit counts differ, and residual work is bounded by the
     /// outlier count rather than by cell sizes.
-    fn plan(
-        &self,
-        query: &RangeQuery,
-        times: Option<&mut PhaseTimes>,
-    ) -> (Vec<CellRange>, ScanStats) {
+    fn plan_timed(&self, query: &RangeQuery, times: Option<&mut PhaseTimes>) -> RangePlan {
         let mut stats = ScanStats::default();
         let mut timer = times.map(|t| (t, Instant::now()));
         let grid_dims = self.layout.grid_dims();
@@ -424,7 +338,13 @@ impl FloodIndex {
         } else {
             Grid::cells_in_ranges(&ranges) as u64
         };
-        let mut cells: Vec<CellRange> = Vec::new();
+        // Filters on dimensions outside the index: checked on every range.
+        let mut tail: Vec<Check> = query.checks();
+        tail.retain(|(d, ..)| !self.layout.order().contains(d));
+        // A range with nothing left to check is exact.
+        let has_tail = !tail.is_empty();
+        let subset = |mask: u32| (mask != 0 || has_tail).then_some(mask);
+        let mut cells: Vec<PlannedRange> = Vec::new();
         if !empty_main {
             self.grid.for_each_cell(&ranges, |cell, coords| {
                 let (s, e) = self.cell_range(cell);
@@ -445,11 +365,11 @@ impl FloodIndex {
                         mask |= 1 << i;
                     }
                 }
-                cells.push(CellRange {
-                    cell: cell as u32,
-                    start: s as u32,
-                    end: e as u32,
-                    boundary_mask: mask,
+                cells.push(PlannedRange {
+                    start: s,
+                    end: e,
+                    checks: subset(mask),
+                    tag: cell as u32,
                 });
             });
         }
@@ -499,10 +419,10 @@ impl FloodIndex {
                     cr.start = cr.end;
                     continue;
                 }
-                let (s, e) = (cr.start as usize, cr.end as usize);
-                let len = e - s;
+                let s = cr.start;
+                let len = cr.end - s;
                 let get = |i: usize| self.data.value(s + i, sort_dim);
-                let (i1, i2) = match &self.cell_models[cr.cell as usize] {
+                let (i1, i2) = match &self.cell_models[cr.tag as usize] {
                     Some(plm) => (plm.lookup_lb(a, get), plm.lookup_ub(b, get)),
                     None => (
                         partition_point(len, |i| get(i) < a),
@@ -510,8 +430,8 @@ impl FloodIndex {
                     ),
                 };
                 stats.refinements += 1;
-                cr.start = (s + i1) as u32;
-                cr.end = (s + i2) as u32;
+                cr.start = s + i1;
+                cr.end = s + i2;
             }
         }
         // Residual pass: rows outside their FD envelope may match even
@@ -541,16 +461,16 @@ impl FloodIndex {
                 rows.sort_unstable();
                 rows.dedup();
             }
-            let mut extra: Vec<CellRange> = Vec::new();
+            let mut extra: Vec<PlannedRange> = Vec::new();
             for (r, cell) in rows {
                 // Must satisfy the query's own projection (the cell id was
                 // precomputed at build time alongside the outlier row).
-                let cell = cell as usize;
-                if !self.grid.cell_in_ranges(cell, &base) {
+                let r = r as usize;
+                if !self.grid.cell_in_ranges(cell as usize, &base) {
                     continue;
                 }
                 if let Some((a, b)) = qsort {
-                    let v = self.data.value(r as usize, sort_dim);
+                    let v = self.data.value(r, sort_dim);
                     if v < a || v > b {
                         continue;
                     }
@@ -559,42 +479,57 @@ impl FloodIndex {
                 // iterates cell ids in order), so the row's cell — and
                 // whether its refined range already covers the row — is a
                 // binary search away.
-                if let Ok(i) = cells.binary_search_by_key(&(cell as u32), |cr| cr.cell) {
+                if let Ok(i) = cells.binary_search_by_key(&cell, |cr| cr.tag) {
                     if cells[i].start <= r && r < cells[i].end {
                         continue;
                     }
                 }
-                extra.push(CellRange {
-                    cell: cell as u32,
+                extra.push(PlannedRange {
                     start: r,
                     end: r + 1,
-                    boundary_mask: full_mask,
+                    checks: subset(full_mask),
+                    tag: cell,
                 });
             }
             cells.extend(extra);
         }
         stats.cells_visited = cells.len() as u64;
+        // What a mask bit selects: grid position i's own bound (never
+        // selected where that dimension is unfiltered).
+        let masked = grid_dims
+            .iter()
+            .map(|&d| (d, query.lo(d), query.hi(d)))
+            .collect();
         if let Some((times, t0)) = timer {
             times.refinement_ns = t0.elapsed().as_nanos() as u64;
         }
-        (cells, stats)
+        RangePlan {
+            ranges: cells,
+            masked,
+            tail,
+            stats,
+        }
     }
 }
 
-impl MultiDimIndex for FloodIndex {
-    fn execute(
-        &self,
-        query: &RangeQuery,
-        agg_dim: Option<usize>,
-        visitor: &mut dyn Visitor,
-    ) -> ScanStats {
-        let (cells, mut stats) = self.plan(query, None);
-        let unindexed = self.unindexed_checks(query);
-        self.scan_cells(&cells, query, agg_dim, &unindexed, visitor, &mut stats);
-        stats
+impl PlannedIndex for FloodIndex {
+    const NAME: &'static str = "Flood";
+    type Source = Table;
+
+    fn source(&self) -> &Table {
+        &self.data
     }
 
-    fn index_size_bytes(&self) -> usize {
+    fn plan(&self, query: &RangeQuery) -> RangePlan {
+        self.plan_timed(query, None)
+    }
+
+    fn cumulative(&self, agg_dim: usize) -> Option<&CumulativeColumn> {
+        let built = self.cumulatives.iter().find(|(dim, _)| *dim == agg_dim);
+        built.map(|(_, c)| c)
+    }
+
+    fn structure_bytes(&self) -> usize {
         let models: usize = self
             .cell_models
             .iter()
@@ -605,88 +540,6 @@ impl MultiDimIndex for FloodIndex {
             + models
             + self.flattener.size_bytes()
             + std::mem::size_of::<Layout>()
-    }
-
-    fn name(&self) -> &'static str {
-        "Flood"
-    }
-}
-
-/// A partitioned Flood query plan (§8: "different cells can be refined and
-/// scanned simultaneously"): projection and refinement have already run on
-/// the planning thread; the surviving cell ranges are split into balanced,
-/// block-aligned tasks for the `flood-exec` pool.
-struct FloodScanPlan<'a> {
-    index: &'a FloodIndex,
-    query: RangeQuery,
-    agg_dim: Option<usize>,
-    unindexed: Vec<(usize, u64, u64)>,
-    /// Refined cell ranges, indexed by [`RangeChunk::source`].
-    cells: Vec<CellRange>,
-    tasks: Vec<Vec<RangeChunk>>,
-    plan_stats: ScanStats,
-}
-
-impl ScanPlan for FloodScanPlan<'_> {
-    fn tasks(&self) -> usize {
-        self.tasks.len()
-    }
-
-    fn run_task(&self, i: usize, visitor: &mut dyn Visitor, stats: &mut ScanStats) {
-        let chunks = &self.tasks[i];
-        let subs: Vec<CellRange> = chunks
-            .iter()
-            .map(|ch| {
-                let cr = self.cells[ch.source];
-                CellRange {
-                    cell: cr.cell,
-                    start: ch.start as u32,
-                    end: ch.end as u32,
-                    boundary_mask: cr.boundary_mask,
-                }
-            })
-            .collect();
-        self.index.scan_cells(
-            &subs,
-            &self.query,
-            self.agg_dim,
-            &self.unindexed,
-            visitor,
-            stats,
-        );
-        // A cut range is still one range: attribute it to the chunk that
-        // opened it so merged stats equal the serial scan's.
-        stats.ranges_scanned -= chunks.iter().filter(|c| c.continuation).count() as u64;
-    }
-
-    fn plan_stats(&self) -> ScanStats {
-        self.plan_stats
-    }
-}
-
-impl PartitionedScan for FloodIndex {
-    fn plan_scan(
-        &self,
-        query: &RangeQuery,
-        agg_dim: Option<usize>,
-        max_tasks: usize,
-    ) -> Box<dyn ScanPlan + '_> {
-        let (cells, plan_stats) = self.plan(query, None);
-        let unindexed = self.unindexed_checks(query);
-        let ranges: Vec<(usize, usize)> = cells
-            .iter()
-            .map(|c| (c.start as usize, c.end as usize))
-            .collect();
-        let tasks = partition_ranges(&ranges, max_tasks);
-        Box::new(FloodScanPlan {
-            index: self,
-            query: query.clone(),
-            agg_dim,
-            unindexed,
-            cells,
-            tasks,
-            plan_stats,
-        })
     }
 }
 
@@ -709,7 +562,10 @@ mod tests {
     use super::*;
     use crate::config::FloodBuilder;
     use crate::flatten::Flattening;
-    use flood_store::{scan_rows, CollectVisitor, CountVisitor, SumVisitor};
+    use flood_store::{
+        assert_partitioned_matches_serial, scan_rows, CollectVisitor, CountVisitor, MultiDimIndex,
+        SumVisitor,
+    };
 
     /// Deterministic pseudo-random test table.
     fn table(n: usize, dims: usize, seed: u64) -> Table {
@@ -1017,45 +873,14 @@ mod tests {
         assert!(with_models.index_size_bytes() > plain.index_size_bytes());
     }
 
-    /// Run every task of a partitioned plan sequentially into its own
-    /// visitor, merging like the executor does — isolates the plan's
-    /// correctness from the thread pool (exercised in `flood-exec`).
-    fn run_plan_merged<V: flood_store::MergeVisitor + Default>(
-        index: &FloodIndex,
-        q: &RangeQuery,
-        agg_dim: Option<usize>,
-        max_tasks: usize,
-    ) -> (V, ScanStats) {
-        let plan = index.plan_scan(q, agg_dim, max_tasks);
-        let mut merged = V::default();
-        let mut stats = plan.plan_stats();
-        for i in 0..plan.tasks() {
-            let mut v = V::default();
-            let mut s = ScanStats::default();
-            plan.run_task(i, &mut v, &mut s);
-            merged.merge_from(v);
-            stats.merge(&s);
-        }
-        (merged, stats)
-    }
-
     #[test]
     fn partitioned_plan_matches_sequential() {
         let t = table(30_000, 3, 59);
         let index = FloodBuilder::new()
             .layout(Layout::new(vec![0, 1, 2], vec![8, 8]))
             .build(&t);
-        for max_tasks in [1usize, 2, 4, 7, 32] {
-            for (i, q) in queries(3).iter().enumerate() {
-                let mut seq = CountVisitor::default();
-                let seq_stats = index.execute(q, None, &mut seq);
-                let (par, par_stats) = run_plan_merged::<CountVisitor>(&index, q, None, max_tasks);
-                assert_eq!(par.count, seq.count, "query {i}, {max_tasks} tasks");
-                assert_eq!(
-                    par_stats, seq_stats,
-                    "query {i}, {max_tasks} tasks: merged stats must equal serial"
-                );
-            }
+        for q in &queries(3) {
+            assert_partitioned_matches_serial::<CountVisitor>(&index, q, None, &[1, 2, 4, 7, 32]);
         }
     }
 
@@ -1069,12 +894,7 @@ mod tests {
         let q = RangeQuery::all(3)
             .with_range(0, 0, 800)
             .with_range(2, 0, 1 << 45);
-        let mut seq = SumVisitor::default();
-        let seq_stats = index.execute(&q, Some(1), &mut seq);
-        let (par, par_stats) = run_plan_merged::<SumVisitor>(&index, &q, Some(1), 4);
-        assert_eq!(par.sum, seq.sum);
-        assert_eq!(par.count, seq.count);
-        assert_eq!(par_stats, seq_stats);
+        assert_partitioned_matches_serial::<SumVisitor>(&index, &q, Some(1), &[4]);
     }
 
     #[test]

@@ -52,7 +52,6 @@ pub mod delta;
 pub mod flatten;
 pub mod grid;
 pub mod index;
-pub mod knn;
 pub mod layout;
 pub mod optimizer;
 
@@ -64,6 +63,5 @@ pub use delta::DeltaFlood;
 pub use flatten::{Flattener, Flattening};
 pub use grid::Grid;
 pub use index::FloodIndex;
-pub use knn::{KnnSearcher, Neighbor};
 pub use layout::Layout;
 pub use optimizer::{CostEvaluator, EvaluatorCache, LayoutOptimizer, OptimizerConfig};

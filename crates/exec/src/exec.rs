@@ -168,81 +168,15 @@ impl QueryExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flood_store::{
-        scan_filtered, ChunkedScanPlan, CountVisitor, MatchCount, SumVisitor, Table,
-    };
+    use flood_baselines::FullScan;
+    use flood_store::{CountVisitor, SumVisitor, Table};
 
-    /// A minimal PartitionedScan over a plain table (full-scan semantics),
-    /// exercising the executor without pulling in flood-core.
-    struct ChunkScan {
-        data: Table,
-    }
-
-    impl MultiDimIndex for ChunkScan {
-        fn execute(
-            &self,
-            query: &RangeQuery,
-            agg_dim: Option<usize>,
-            visitor: &mut dyn Visitor,
-        ) -> ScanStats {
-            let mut stats = ScanStats {
-                ranges_scanned: 1,
-                ..Default::default()
-            };
-            let mut counter = MatchCount::new(visitor);
-            let Ok(()) = scan_filtered(
-                &self.data,
-                query,
-                0,
-                self.data.len(),
-                agg_dim,
-                None,
-                &mut counter,
-                &mut stats,
-            );
-            stats.points_matched = counter.matched;
-            stats
-        }
-
-        fn index_size_bytes(&self) -> usize {
-            0
-        }
-
-        fn name(&self) -> &'static str {
-            "ChunkScan"
-        }
-    }
-
-    impl PartitionedScan for ChunkScan {
-        fn plan_scan(
-            &self,
-            query: &RangeQuery,
-            agg_dim: Option<usize>,
-            max_tasks: usize,
-        ) -> Box<dyn flood_store::ScanPlan + '_> {
-            Box::new(ChunkedScanPlan::new(
-                &self.data,
-                Some(query.clone()),
-                agg_dim,
-                None,
-                &[(0, self.data.len())],
-                max_tasks,
-                ScanStats {
-                    ranges_scanned: 1,
-                    ..Default::default()
-                },
-            ))
-        }
-    }
-
-    fn index() -> ChunkScan {
+    fn index() -> FullScan {
         let n = 10_000u64;
-        ChunkScan {
-            data: Table::from_columns(vec![
-                (0..n).map(|i| i % 1_000).collect(),
-                (0..n).map(|i| (i * 7) % 500).collect(),
-            ]),
-        }
+        FullScan::build(&Table::from_columns(vec![
+            (0..n).map(|i| i % 1_000).collect(),
+            (0..n).map(|i| (i * 7) % 500).collect(),
+        ]))
     }
 
     #[test]
@@ -287,9 +221,7 @@ mod tests {
 
     #[test]
     fn empty_table_executes() {
-        let idx = ChunkScan {
-            data: Table::from_columns(vec![vec![], vec![]]),
-        };
+        let idx = FullScan::build(&Table::from_columns(vec![vec![], vec![]]));
         let exec = QueryExecutor::with_threads(4);
         let (v, stats) = exec.execute::<CountVisitor>(&idx, &RangeQuery::all(2), None);
         assert_eq!(v.count, 0);

@@ -11,10 +11,11 @@
 //!   degenerate mode runs on the caller's stack. Sized explicitly, or via
 //!   the `FLOOD_THREADS` environment variable ([`ThreadPool::from_env`]).
 //! * [`QueryExecutor::execute`] — intra-query parallelism: an index that
-//!   implements `flood_store::PartitionedScan` (Flood, plus the full-scan
-//!   and clustered baselines) plans its cell ranges into balanced,
-//!   `BLOCK_LEN`-aligned tasks; each worker scans into a thread-local
-//!   visitor and `ScanStats`, merged deterministically at the end.
+//!   implements `flood_store::PartitionedScan` (every planned index: Flood
+//!   and all baselines but the UB-tree) has its planned row ranges cut
+//!   into balanced, `BLOCK_LEN`-aligned tasks; each worker scans into a
+//!   thread-local visitor and `ScanStats`, merged deterministically at
+//!   the end.
 //! * [`QueryExecutor::execute_batch`] — inter-query parallelism for
 //!   throughput workloads: a batch of `RangeQuery`s scheduled across the
 //!   pool, one visitor per query, results in input order. Works with every

@@ -7,7 +7,9 @@
 //! `CollectVisitor` rows are compared as sorted sets — task order is the
 //! one legitimate difference.
 
-use flood_baselines::{ClusteredIndex, FullScan};
+use flood_baselines::{
+    ClusteredIndex, FullScan, GridFile, Hyperoctree, KdTree, RStarTree, ZOrderIndex,
+};
 use flood_core::{FloodBuilder, Layout};
 use flood_exec::QueryExecutor;
 use flood_store::{
@@ -102,6 +104,22 @@ fn check_index(index: &dyn PartitionedScan, q: &RangeQuery, threads: usize) {
     assert_eq!(ps, ss, "collect stats, {threads} threads");
 }
 
+/// [`check_index`] on the five tree/curve baselines, with pages small
+/// enough that their plans hold many ranges, exact and checked.
+fn check_tree_baselines(table: &Table, q: &RangeQuery, threads: usize) {
+    let dims = || vec![0, 1, 2];
+    let grid = GridFile::build_with_page_size(table, dims(), 16, 1 << 16);
+    for index in [
+        &KdTree::build_with_page_size(table, dims(), 16) as &dyn PartitionedScan,
+        &Hyperoctree::build_with_page_size(table, dims(), 16),
+        &RStarTree::build_with_page_size(table, dims(), 16, 4),
+        &ZOrderIndex::build_with_page_size(table, dims(), 16),
+        &grid.expect("64³ values fit the directory"),
+    ] {
+        check_index(index, q, threads);
+    }
+}
+
 /// Non-property anchor: the env-sized executor (what `FLOOD_THREADS=N`
 /// selects — CI forces it to 2) agrees with serial execution end to end.
 #[test]
@@ -160,6 +178,7 @@ proptest! {
 
         let full = FullScan::build(&table);
         check_index(&full, &q, threads);
+        check_tree_baselines(&table, &q, threads);
 
         if !rows.is_empty() {
             let clustered = ClusteredIndex::build(&table, 0);
@@ -208,6 +227,7 @@ proptest! {
         let (dv, ds) = serial::<CollectVisitor>(&FullScan::build(&table), &q, None);
         prop_assert_eq!(&pv.rows, &dv.rows);
         assert_stats_equivalent(&ps, &ds, "full scan compressed vs plain build");
+        check_tree_baselines(&compressed, &q, threads);
 
         if !rows.is_empty() {
             let clustered = ClusteredIndex::build(&compressed, 0);

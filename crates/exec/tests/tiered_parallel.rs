@@ -11,9 +11,9 @@
 
 use flood_exec::QueryExecutor;
 use flood_store::{
-    CollectVisitor, CountVisitor, FailingBackend, MemBackend, MinMaxVisitor, MultiDimIndex,
-    PartitionedScan, RangeQuery, ScanStats, StorageBackend, SumVisitor, Table, TierConfig,
-    TieredScan, Visitor,
+    run_tasks_merged, CollectVisitor, CountVisitor, FailingBackend, MemBackend, MinMaxVisitor,
+    MultiDimIndex, PartitionedScan, RangeQuery, ScanStats, StorageBackend, SumVisitor, Table,
+    TierConfig, TieredScan, Visitor,
 };
 use std::sync::Arc;
 
@@ -151,13 +151,7 @@ fn parallel_cuts_respect_segment_boundaries() {
     // Indirect boundary check: merged chunk stats from a plan of any width
     // equal the serial run's — a segment split across two tasks would
     // double-count its fault under budget 0.
-    let mut v = CountVisitor::default();
-    let mut merged = plan.plan_stats();
-    for i in 0..plan.tasks() {
-        let mut s = ScanStats::default();
-        plan.run_task(i, &mut v, &mut s);
-        merged.merge(&s);
-    }
+    let (v, merged) = run_tasks_merged::<CountVisitor>(&*plan);
     let (sv, ss) = serial::<CountVisitor>(&idx, &RangeQuery::all(3), None);
     assert_eq!(v.count, sv.count);
     assert_eq!(shared(&merged), shared(&ss));

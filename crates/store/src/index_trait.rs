@@ -5,15 +5,27 @@
 //! end value of the filter range in each dimension and a visitor that
 //! accumulates the aggregation. Execution returns [`ScanStats`] so the
 //! Table 2 performance breakdown can be produced for any index.
+//!
+//! A query is **plan → run**. The half that *is* the index (projection
+//! and refinement, a tree or curve traversal, an endpoint lookup) is
+//! [`PlannedIndex::plan`]: an ordered list of physical row ranges, each
+//! exact or carrying the checks still owed per row. The half that is not —
+//! running that list over the column store — is written once, in
+//! [`crate::plan`]; [`MultiDimIndex::execute`] and
+//! [`PartitionedScan::plan_scan`] are derived from `plan`, so §7.2 compares
+//! indexes, not scan loops. The one index that cannot plan is the UB-tree,
+//! whose z-address skipping interleaves navigation with row checks; it
+//! implements [`MultiDimIndex`] by hand, as do the two delta composites (a
+//! planned base plus a row buffer).
 
 use crate::cumulative::CumulativeColumn;
-use crate::partition::{partition_ranges_aligned, RangeChunk};
+use crate::plan::{RangePlan, RangeScan};
 use crate::query::RangeQuery;
-use crate::scan::{scan_exact, scan_filtered, BlockSource};
+use crate::scan::BlockSource;
 use crate::stats::ScanStats;
 use crate::table::Table;
-use crate::tier::{with_retries, SCAN_RETRIES};
-use crate::visitor::{MatchCount, Visitor};
+use crate::visitor::{MergeVisitor, Visitor};
+use std::fmt::{Debug, Display};
 
 /// A read-optimized index over a fixed multi-dimensional table.
 ///
@@ -76,12 +88,8 @@ pub trait ScanPlan: Sync {
 /// An index whose single-query scan work can be partitioned for parallel
 /// execution.
 ///
-/// Planning (projection/refinement for Flood, endpoint lookup for a
-/// clustered index) stays on the calling thread; the returned [`ScanPlan`]
-/// carries the per-task scan work. Indexes whose execution cannot be
-/// decomposed (tree traversals interleaving navigation and scanning) simply
-/// don't implement this — batch-level parallelism via
-/// `flood-exec`'s `execute_batch` still applies to them.
+/// Planning stays on the calling thread; the returned [`ScanPlan`] carries
+/// the per-task scan work. Every [`PlannedIndex`] is one.
 pub trait PartitionedScan: MultiDimIndex + Sync {
     /// Plan `query` into at most `max_tasks` independently scannable tasks.
     fn plan_scan(
@@ -92,80 +100,105 @@ pub trait PartitionedScan: MultiDimIndex + Sync {
     ) -> Box<dyn ScanPlan + '_>;
 }
 
-/// A ready-made [`ScanPlan`] for indexes whose planned scan work is plain
-/// physical row ranges of one [`BlockSource`] — the full-scan (resident and
-/// tiered) and clustered baselines, or anything else without per-range
-/// check lists.
-///
-/// Ranges are chunked by [`partition_ranges_aligned`] at the source's own
-/// [`alignment`](BlockSource::alignment), so no compression block — and no
-/// cold segment — is read by two tasks; each chunk runs [`scan_filtered`]
-/// against the residual query, or [`scan_exact`] when every row in range
-/// is known to match. A chunk whose reads fail is retried under the tier's
-/// [`with_retries`] policy — it emitted nothing, so retrying just that
-/// chunk is sound — and a persistent failure panics, as the infallible
-/// trait surface requires. Keeping the chunk-loop/stats protocol here —
-/// including `points_matched` attribution — means plan implementors can't
-/// drift from the serial counters one copy at a time.
-pub struct ChunkedScanPlan<'a, S> {
-    source: &'a S,
-    /// Per-row residual filters; `None` = every row in range matches.
-    residual: Option<RangeQuery>,
-    agg_dim: Option<usize>,
-    /// Cumulative SUM column: answers exact ranges, and blocks a residual
-    /// accepts wholesale.
-    cumulative: Option<&'a CumulativeColumn>,
-    tasks: Vec<Vec<RangeChunk>>,
-    plan_stats: ScanStats,
+/// An index that answers a query by *planning* it: everything else —
+/// [`MultiDimIndex`] and [`PartitionedScan`] — is derived below.
+pub trait PlannedIndex: Sync {
+    /// [`MultiDimIndex::name`].
+    const NAME: &'static str;
+
+    /// Where the planned rows live.
+    type Source: BlockSource<Error: Display> + Sync;
+
+    /// The table the plan's row ranges index into.
+    fn source(&self) -> &Self::Source;
+
+    /// The row ranges `query` has to look at, in scan order. Shared-read:
+    /// see [`MultiDimIndex`].
+    fn plan(&self, query: &RangeQuery) -> RangePlan;
+
+    /// Prefix sums over column `agg_dim`, when the index keeps them.
+    fn cumulative(&self, _agg_dim: usize) -> Option<&CumulativeColumn> {
+        None
+    }
+
+    /// [`MultiDimIndex::index_size_bytes`].
+    fn structure_bytes(&self) -> usize;
 }
 
-impl<'a, S: BlockSource> ChunkedScanPlan<'a, S> {
-    /// Chunk `ranges` into at most `max_tasks` balanced tasks over `source`.
-    pub fn new(
-        source: &'a S,
-        residual: Option<RangeQuery>,
+impl<T: PlannedIndex> MultiDimIndex for T {
+    /// Plan, then run with retries; a read that keeps failing panics.
+    fn execute(
+        &self,
+        query: &RangeQuery,
         agg_dim: Option<usize>,
-        cumulative: Option<&'a CumulativeColumn>,
-        ranges: &[(usize, usize)],
-        max_tasks: usize,
-        plan_stats: ScanStats,
-    ) -> Self {
-        ChunkedScanPlan {
-            source,
-            residual,
-            agg_dim,
-            cumulative,
-            tasks: partition_ranges_aligned(ranges, max_tasks, source.alignment()),
-            plan_stats,
-        }
+        visitor: &mut dyn Visitor,
+    ) -> ScanStats {
+        RangeScan::of(self, self.plan(query), agg_dim).run(visitor)
+    }
+
+    fn index_size_bytes(&self) -> usize {
+        self.structure_bytes()
+    }
+
+    fn name(&self) -> &'static str {
+        T::NAME
     }
 }
 
-impl<S: BlockSource + Sync> ScanPlan for ChunkedScanPlan<'_, S>
-where
-    S::Error: std::fmt::Display,
+impl<T: PlannedIndex> PartitionedScan for T {
+    fn plan_scan(
+        &self,
+        query: &RangeQuery,
+        agg_dim: Option<usize>,
+        max_tasks: usize,
+    ) -> Box<dyn ScanPlan + '_> {
+        Box::new(RangeScan::of(self, self.plan(query), agg_dim).chunked(max_tasks))
+    }
+}
+
+/// Run every task of `plan` on the calling thread, each into its own
+/// visitor and stats, merged the way `flood-exec` merges them — the pool's
+/// result without the pool, for the suites that hold the two equal.
+pub fn run_tasks_merged<V: MergeVisitor + Default>(plan: &dyn ScanPlan) -> (V, ScanStats) {
+    let mut merged = V::default();
+    let mut stats = plan.plan_stats();
+    for i in 0..plan.tasks() {
+        let mut v = V::default();
+        let mut s = ScanStats::default();
+        plan.run_task(i, &mut v, &mut s);
+        merged.merge_from(v);
+        stats.merge(&s);
+    }
+    (merged, stats)
+}
+
+/// Assert that `index`'s partitioned plan for `query`, cut into each of
+/// `task_counts`, shows its visitors what the serial
+/// [`MultiDimIndex::execute`] shows and merges to the same stats — tier
+/// counters aside, which depend on what earlier runs left resident.
+///
+/// # Panics
+/// When a partitioned run disagrees with the serial one.
+#[track_caller]
+pub fn assert_partitioned_matches_serial<V>(
+    index: &dyn PartitionedScan,
+    query: &RangeQuery,
+    agg_dim: Option<usize>,
+    task_counts: &[usize],
+) where
+    V: MergeVisitor + Default + PartialEq + Debug,
 {
-    fn tasks(&self) -> usize {
-        self.tasks.len()
-    }
-
-    fn run_task(&self, i: usize, visitor: &mut dyn Visitor, stats: &mut ScanStats) {
-        let mut counter = MatchCount::new(visitor);
-        let (src, agg, cum) = (self.source, self.agg_dim, self.cumulative);
-        for c in &self.tasks[i] {
-            let (scanned, _) = with_retries(|| match &self.residual {
-                Some(q) => scan_filtered(src, q, c.start, c.end, agg, cum, &mut counter, stats),
-                None => scan_exact(src, c.start, c.end, agg, cum, &mut counter, stats),
-            });
-            if let Err(e) = scanned {
-                panic!("scan task failed after {SCAN_RETRIES} retries: {e}");
-            }
-        }
-        stats.points_matched += counter.matched;
-    }
-
-    fn plan_stats(&self) -> ScanStats {
-        self.plan_stats
+    let mut serial = V::default();
+    let serial_stats = index.execute(query, agg_dim, &mut serial);
+    for &max_tasks in task_counts {
+        let plan = index.plan_scan(query, agg_dim, max_tasks);
+        let (merged, stats) = run_tasks_merged::<V>(&*plan);
+        assert_eq!(merged, serial, "{max_tasks} tasks, {query:?}");
+        assert_eq!(
+            stats.sans_tier_counters(),
+            serial_stats.sans_tier_counters(),
+            "{max_tasks} tasks, {query:?}"
+        );
     }
 }
 

@@ -37,10 +37,10 @@
 pub mod block;
 pub mod column;
 pub mod cumulative;
-pub mod disjunction;
 pub mod encode;
 pub mod index_trait;
 pub mod partition;
+pub mod plan;
 pub mod query;
 pub mod row_buffer;
 pub mod scan;
@@ -52,12 +52,15 @@ pub mod visitor;
 pub use block::{Block, BlockMask, BlockMatch, BlockMeta, BLOCK_LEN};
 pub use column::{Column, CompressedColumn};
 pub use cumulative::CumulativeColumn;
-pub use disjunction::{decompose_in_list, execute_disjoint_union};
-pub use index_trait::{ChunkedScanPlan, MultiDimIndex, PartitionedScan, ScanPlan};
-pub use partition::{partition_ranges, RangeChunk};
+pub use index_trait::{
+    assert_partitioned_matches_serial, run_tasks_merged, MultiDimIndex, PartitionedScan,
+    PlannedIndex, ScanPlan,
+};
+pub use partition::{partition_ranges_aligned, RangeChunk};
+pub use plan::{ChunkedRangeScan, PlannedRange, RangePlan, RangeScan};
 pub use query::{QueryRect, RangeQuery};
 pub use row_buffer::RowBuffer;
-pub use scan::{scan_checked, scan_exact, scan_filtered, scan_rows, BlockSource};
+pub use scan::{scan_checked, scan_exact, scan_filtered, scan_rows, BlockSource, Check};
 pub use stats::{assert_stats_equivalent, ScanStats, ScanStatsMetrics};
 pub use table::Table;
 pub use tier::{

@@ -3,8 +3,8 @@
 //! The parallel execution layer (`flood-exec`) schedules one worker per
 //! task. Balance matters more than task count: a query's cells can differ
 //! in population by orders of magnitude, so tasks are sized by *points*,
-//! not by ranges, and a large range is cut at [`BLOCK_LEN`]-aligned
-//! boundaries so a cut never splits a compression block. (Range *ends*
+//! not by ranges, and a large range is cut at aligned boundaries so a cut
+//! never splits a compression block or a storage segment. (Range *ends*
 //! fall wherever the caller's cells fall — distinct ranges meeting inside
 //! one block can still land in different tasks, which is fine for the
 //! read-only scans this serves.)
@@ -15,20 +15,16 @@
 //! cells can be … scanned simultaneously" without touching the index
 //! structures. The population skew this guards against is the same
 //! skew flattening (§5.1) reduces but does not eliminate (Fig 5's
-//! cell-size spread); [`BLOCK_LEN`] alignment preserves the §3 column
-//! store's invariant that a compression block is decoded by exactly one
-//! scanner. [`RangeChunk::continuation`] exists for Table 2's accounting:
-//! merged [`ScanStats`](crate::ScanStats) — `ranges_scanned` included —
-//! must be identical to a serial execution, so a range cut across workers
-//! still counts once. The packed-domain scan's `blocks_*` counters lean on
-//! the same alignment: because a cut never splits a block, each
+//! cell-size spread). Because a cut never splits a block, each
 //! block-subrange of a source range is classified (skipped / accepted /
-//! probed) by exactly one task, and the merged counters again match a
-//! serial run exactly.
+//! probed) by exactly one task, and the merged `blocks_*` counters match a
+//! serial run exactly; [`RangeChunk::continuation`] lets the scan driver
+//! ([`crate::plan`]) do the same for `ranges_scanned`.
 
 use crate::block::BLOCK_LEN;
 
-/// A contiguous piece of one source range, produced by [`partition_ranges`].
+/// A contiguous piece of one source range, produced by
+/// [`partition_ranges_aligned`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RangeChunk {
     /// Index of the source range this chunk was cut from.
@@ -38,9 +34,7 @@ pub struct RangeChunk {
     /// One past the last row of the chunk.
     pub end: usize,
     /// True when `start` is not the source range's own start — this chunk
-    /// continues a range opened by an earlier chunk. Stats aggregation uses
-    /// this to keep `ranges_scanned` identical to a serial scan, which
-    /// counts each source range once however many workers it is cut across.
+    /// continues a range opened by an earlier chunk.
     pub continuation: bool,
 }
 
@@ -51,7 +45,7 @@ impl RangeChunk {
     }
 
     /// True when the chunk covers no rows (never produced by
-    /// [`partition_ranges`]).
+    /// [`partition_ranges_aligned`]).
     pub fn is_empty(&self) -> bool {
         self.start >= self.end
     }
@@ -61,21 +55,16 @@ impl RangeChunk {
 /// `max_tasks` task groups of roughly equal total point count.
 ///
 /// Empty ranges are dropped. Ranges larger than a task's share are cut at
-/// [`BLOCK_LEN`]-aligned row indices; every cut after the first within a
-/// range is flagged [`RangeChunk::continuation`]. The output is
-/// deterministic and covers every input row exactly once, in input order.
-pub fn partition_ranges(ranges: &[(usize, usize)], max_tasks: usize) -> Vec<Vec<RangeChunk>> {
-    partition_ranges_aligned(ranges, max_tasks, BLOCK_LEN)
-}
-
-/// [`partition_ranges`] with an explicit cut alignment.
+/// `align`-aligned row indices; every cut after the first within a range is
+/// flagged [`RangeChunk::continuation`]. The output is deterministic and
+/// covers every input row exactly once, in input order.
 ///
-/// Tiered scans pass their segment length (a multiple of [`BLOCK_LEN`]) so
-/// a cut never splits a storage segment: every segment is then faulted and
-/// pinned by exactly one task, parallel fault counts sum to the serial
-/// scan's, and two workers never race to load the same cold segment for
-/// one query. Alignments must be a positive multiple of [`BLOCK_LEN`] so
-/// block-counter parity (see module docs) is preserved.
+/// Resident scans pass [`BLOCK_LEN`]; tiered scans pass their segment
+/// length (a multiple of it) so a cut never splits a storage segment: every
+/// segment is then faulted and pinned by exactly one task, parallel fault
+/// counts sum to the serial scan's, and two workers never race to load the
+/// same cold segment for one query. Alignments must be a positive multiple
+/// of [`BLOCK_LEN`] so block-counter parity (see module docs) is preserved.
 ///
 /// # Panics
 /// When `align` is zero or not a multiple of [`BLOCK_LEN`].
@@ -146,6 +135,10 @@ pub fn partition_ranges_aligned(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn partition_ranges(ranges: &[(usize, usize)], max_tasks: usize) -> Vec<Vec<RangeChunk>> {
+        partition_ranges_aligned(ranges, max_tasks, BLOCK_LEN)
+    }
 
     /// Flatten tasks back into covered rows per source range.
     fn coverage(tasks: &[Vec<RangeChunk>], n_sources: usize) -> Vec<Vec<(usize, usize)>> {

@@ -11,6 +11,7 @@
 //! [`TieredDelta`]: crate::tier::TieredDelta
 
 use crate::query::RangeQuery;
+use crate::stats::ScanStats;
 use crate::visitor::Visitor;
 
 /// A column-major append buffer of rows.
@@ -61,14 +62,22 @@ impl RowBuffer {
 
     /// Visit every buffered row matching `query`, in insert order, as row
     /// `first_id + i` with its value in `agg_dim` (0 when the visitor needs
-    /// none).
+    /// none). Accounts for itself in `stats`, the same way for every delta
+    /// index: a non-empty buffer is one scanned range of `len()` scanned
+    /// points, and every row shown to `visitor` is a matched point.
     pub fn scan(
         &self,
         query: &RangeQuery,
         agg_dim: Option<usize>,
         first_id: usize,
         visitor: &mut dyn Visitor,
+        stats: &mut ScanStats,
     ) {
+        if self.is_empty() {
+            return;
+        }
+        stats.ranges_scanned += 1;
+        stats.points_scanned += self.len() as u64;
         let checks = query.checks();
         let values = agg_dim.filter(|_| visitor.needs_value());
         'rows: for i in 0..self.len() {
@@ -78,6 +87,7 @@ impl RowBuffer {
                     continue 'rows;
                 }
             }
+            stats.points_matched += 1;
             visitor.visit(first_id + i, values.map_or(0, |d| self.cols[d][i]));
         }
     }
@@ -97,15 +107,25 @@ mod tests {
         assert_eq!(buf.len(), 10);
         let q = RangeQuery::all(2).with_range(0, 3, 5);
         let mut rows = CollectVisitor::default();
-        buf.scan(&q, None, 1_000, &mut rows);
+        let mut stats = ScanStats::default();
+        buf.scan(&q, None, 1_000, &mut rows, &mut stats);
         assert_eq!(rows.rows, vec![1_003, 1_004, 1_005]);
+        let counted = (
+            stats.ranges_scanned,
+            stats.points_scanned,
+            stats.points_matched,
+        );
+        assert_eq!(counted, (1, 10, 3));
         let mut sum = SumVisitor::default();
-        buf.scan(&q, Some(1), 1_000, &mut sum);
+        buf.scan(&q, Some(1), 1_000, &mut sum, &mut stats);
         assert_eq!((sum.sum, sum.count), (1_200, 3));
 
         let cols = buf.drain();
         assert_eq!(cols[1][9], 900);
         assert!(buf.is_empty());
+        let mut none = ScanStats::default();
+        buf.scan(&q, None, 0, &mut rows, &mut none);
+        assert_eq!(none, ScanStats::default(), "an empty buffer is no range");
         buf.push(&[7, 7]);
         assert_eq!(buf.columns(), [vec![7], vec![7]]);
     }

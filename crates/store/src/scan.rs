@@ -40,8 +40,8 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-/// One per-row constraint: `lo <= row[dim] <= hi`.
-type Check = (usize, u64, u64);
+/// One per-row constraint `(dim, lo, hi)`: `lo <= row[dim] <= hi`.
+pub type Check = (usize, u64, u64);
 
 /// When enabled, the scan kernels accumulate wall-clock time into
 /// [`ScanStats::scan_ns`], letting the harness decompose any index's query

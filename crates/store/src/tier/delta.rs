@@ -15,11 +15,11 @@
 
 use super::backend::StorageError;
 use super::table::TieredTable;
+use crate::plan::{RangePlan, RangeScan};
 use crate::query::RangeQuery;
 use crate::row_buffer::RowBuffer;
-use crate::scan::scan_filtered;
 use crate::stats::ScanStats;
-use crate::visitor::{MatchCount, Visitor};
+use crate::visitor::Visitor;
 
 /// Default number of buffered rows that triggers auto-compaction.
 pub const DEFAULT_TIER_DELTA_THRESHOLD: usize = 4_096;
@@ -92,35 +92,27 @@ impl TieredDelta {
         Ok(())
     }
 
-    /// Execute `query` over base + buffer. The fallible base scan runs
-    /// first; on `Err` the visitor is untouched. Buffered rows are visited
-    /// after sealed rows, in insert order, with their stable ids.
+    /// Execute `query` over base + buffer — hand-written because it is a
+    /// composite: the sealed base goes through the scan driver as one full
+    /// range, the buffer accounts for itself ([`RowBuffer::scan`]). The
+    /// fallible base scan runs first; on `Err` the visitor is untouched.
+    /// Buffered rows are visited after sealed rows, in insert order, with
+    /// their stable ids.
     pub fn try_execute(
         &self,
         query: &RangeQuery,
         agg_dim: Option<usize>,
         visitor: &mut dyn Visitor,
     ) -> Result<ScanStats, StorageError> {
-        let mut stats = ScanStats::default();
-        let mut counter = MatchCount::new(visitor);
-        scan_filtered(
-            &self.base,
-            query,
-            0,
-            self.base.len(),
+        let base = RangeScan {
+            source: &self.base,
+            plan: RangePlan::full(self.base.len(), query),
             agg_dim,
-            None,
-            &mut counter,
-            &mut stats,
-        )?;
-        stats.ranges_scanned = 1;
-        if !self.buffer.is_empty() {
-            stats.ranges_scanned += 1;
-            stats.points_scanned += self.buffer.len() as u64;
-            self.buffer
-                .scan(query, agg_dim, self.base.len(), &mut counter);
-        }
-        stats.points_matched = counter.matched;
+            cumulative: None,
+        };
+        let mut stats = base.try_run(visitor)?;
+        self.buffer
+            .scan(query, agg_dim, self.base.len(), visitor, &mut stats);
         Ok(stats)
     }
 }

@@ -12,25 +12,26 @@
 //!   (no partial results), so retrying with the same visitor is sound.
 //! * [`with_retries`] is the one retry loop: up to [`SCAN_RETRIES`]
 //!   retries, so transient faults heal. The infallible
-//!   [`MultiDimIndex::execute`] and partitioned plans panic when it still
-//!   fails; `flood-serve`'s tiered server degrades the query instead.
+//!   [`MultiDimIndex::execute`](crate::MultiDimIndex::execute) and
+//!   partitioned plans panic when it still fails; `flood-serve`'s tiered
+//!   server degrades the query instead.
 //!
-//! Partitioned plans cut at [`TieredTable::segment_rows`] boundaries
-//! ([`ChunkedScanPlan`] over the table's own alignment), so every segment a
-//! query needs is faulted and pinned by exactly one task: parallel fault
-//! counts sum to the serial scan's and workers never race to load the same
-//! cold segment for one query.
+//! Partitioned plans cut at [`TieredTable::segment_rows`] boundaries (the
+//! table's own [`alignment`](crate::BlockSource::alignment)), so every
+//! segment a query needs is faulted and pinned by exactly one task:
+//! parallel fault counts sum to the serial scan's and workers never race to
+//! load the same cold segment for one query.
 
 use super::backend::StorageBackend;
 use super::backend::StorageError;
 use super::cache::TierConfig;
 use super::table::TieredTable;
-use crate::index_trait::{ChunkedScanPlan, MultiDimIndex, PartitionedScan, ScanPlan};
+use crate::index_trait::PlannedIndex;
+use crate::plan::{RangePlan, RangeScan};
 use crate::query::RangeQuery;
-use crate::scan::scan_filtered;
 use crate::stats::ScanStats;
 use crate::table::Table;
-use crate::visitor::{MatchCount, Visitor};
+use crate::visitor::Visitor;
 use std::sync::Arc;
 
 /// How many times a failed tier read is retried before giving up.
@@ -88,66 +89,26 @@ impl TieredScan {
         agg_dim: Option<usize>,
         visitor: &mut dyn Visitor,
     ) -> Result<ScanStats, StorageError> {
-        let mut stats = ScanStats::default();
-        let mut counter = MatchCount::new(visitor);
-        scan_filtered(
-            &self.data,
-            query,
-            0,
-            self.data.len(),
-            agg_dim,
-            None,
-            &mut counter,
-            &mut stats,
-        )?;
-        stats.points_matched = counter.matched;
-        stats.ranges_scanned = 1;
-        Ok(stats)
+        RangeScan::of(self, self.plan(query), agg_dim).try_run(visitor)
     }
 }
 
-impl MultiDimIndex for TieredScan {
-    fn execute(
-        &self,
-        query: &RangeQuery,
-        agg_dim: Option<usize>,
-        visitor: &mut dyn Visitor,
-    ) -> ScanStats {
-        with_retries(|| self.try_execute(query, agg_dim, visitor))
-            .0
-            .unwrap_or_else(|e| panic!("tiered scan failed after {SCAN_RETRIES} retries: {e}"))
+impl PlannedIndex for TieredScan {
+    const NAME: &'static str = "Tiered Scan";
+    type Source = TieredTable;
+
+    fn source(&self) -> &TieredTable {
+        &self.data
     }
 
-    fn index_size_bytes(&self) -> usize {
-        // The resident footprint of cold data: block metadata, cumulative
-        // sidecars, segment geometry.
+    fn plan(&self, query: &RangeQuery) -> RangePlan {
+        RangePlan::full(self.data.len(), query)
+    }
+
+    /// The resident footprint of cold data: block metadata, cumulative
+    /// sidecars, segment geometry.
+    fn structure_bytes(&self) -> usize {
         self.data.metadata_bytes()
-    }
-
-    fn name(&self) -> &'static str {
-        "Tiered Scan"
-    }
-}
-
-impl PartitionedScan for TieredScan {
-    fn plan_scan(
-        &self,
-        query: &RangeQuery,
-        agg_dim: Option<usize>,
-        max_tasks: usize,
-    ) -> Box<dyn ScanPlan + '_> {
-        Box::new(ChunkedScanPlan::new(
-            &self.data,
-            Some(query.clone()),
-            agg_dim,
-            None,
-            &[(0, self.data.len())],
-            max_tasks,
-            ScanStats {
-                ranges_scanned: 1,
-                ..Default::default()
-            },
-        ))
     }
 }
 
@@ -166,6 +127,9 @@ const _: () = {
 mod tests {
     use super::super::backend::{FailingBackend, MemBackend};
     use super::*;
+    use crate::index_trait::{
+        assert_partitioned_matches_serial, run_tasks_merged, MultiDimIndex, PartitionedScan,
+    };
     use crate::visitor::{CountVisitor, SumVisitor};
 
     fn table(n: u64) -> Table {
@@ -227,7 +191,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "tiered scan failed after 2 retries")]
+    #[should_panic(expected = "scan failed after 2 retries")]
     fn execute_panics_on_persistent_failure() {
         let inner = Arc::new(MemBackend::new());
         let failing = Arc::new(FailingBackend::new(inner));
@@ -254,28 +218,9 @@ mod tests {
         let q = RangeQuery::all(2)
             .with_range(0, 100, 4_200)
             .with_range(1, 0, 250);
-        let mut serial = CountVisitor::default();
-        let serial_stats = idx.execute(&q, None, &mut serial);
-        for max_tasks in [1, 3, 8] {
-            let plan = idx.plan_scan(&q, None, max_tasks);
-            let mut count = 0u64;
-            let mut stats = plan.plan_stats();
-            for i in 0..plan.tasks() {
-                let mut v = CountVisitor::default();
-                let mut s = ScanStats::default();
-                plan.run_task(i, &mut v, &mut s);
-                count += v.count;
-                stats.merge(&s);
-            }
-            assert_eq!(count, serial.count, "{max_tasks} tasks");
-            // Tier counters may split differently across warm caches, but
-            // every shared counter must merge to the serial value.
-            assert_eq!(
-                stats.sans_tier_counters(),
-                serial_stats.sans_tier_counters(),
-                "{max_tasks} tasks"
-            );
-        }
+        // Tier counters may split differently across warm caches, but
+        // every shared counter must merge to the serial value.
+        assert_partitioned_matches_serial::<CountVisitor>(&idx, &q, None, &[1, 3, 8]);
     }
 
     #[test]
@@ -292,16 +237,8 @@ mod tests {
         let serial_stats = idx.execute(&q, None, &mut sv);
         for max_tasks in [2, 5] {
             let plan = idx.plan_scan(&q, None, max_tasks);
-            let mut merged = plan.plan_stats();
-            let mut count = 0u64;
-            for i in 0..plan.tasks() {
-                let mut v = CountVisitor::default();
-                let mut s = ScanStats::default();
-                plan.run_task(i, &mut v, &mut s);
-                count += v.count;
-                merged.merge(&s);
-            }
-            assert_eq!(count, sv.count, "{max_tasks} tasks");
+            let (v, merged) = run_tasks_merged::<CountVisitor>(&*plan);
+            assert_eq!(v.count, sv.count, "{max_tasks} tasks");
             assert_eq!(
                 merged.segments_faulted, serial_stats.segments_faulted,
                 "{max_tasks} tasks: a segment was loaded by more than one task"

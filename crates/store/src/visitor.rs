@@ -71,7 +71,7 @@ impl MergeVisitor for CollectVisitor {
 }
 
 /// COUNT(*) visitor.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CountVisitor {
     /// Number of rows visited.
     pub count: u64,
@@ -99,7 +99,7 @@ impl Visitor for CountVisitor {
 
 /// SUM(column) visitor. Uses wrapping arithmetic: aggregates of synthetic
 /// 64-bit data may exceed `u64::MAX`, and the paper's store works modulo 2⁶⁴.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SumVisitor {
     /// Running sum of the aggregation column over visited rows.
     pub sum: u64,
@@ -126,7 +126,7 @@ impl Visitor for SumVisitor {
 }
 
 /// Collects the physical row ids of matching records (e.g. to return them).
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct CollectVisitor {
     /// Row ids of all visited records, in visit order.
     pub rows: Vec<usize>,
@@ -144,7 +144,7 @@ impl Visitor for CollectVisitor {
 }
 
 /// MIN/MAX visitor over the aggregation column.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MinMaxVisitor {
     /// Smallest value seen, `u64::MAX` when nothing visited.
     pub min: u64,

@@ -17,66 +17,17 @@
 //!
 //! `FLOOD_PROPTEST_CASES` scales the case count (CI raises it on push).
 
+mod common;
+
+use common::{
+    build_table, cases, cuts_strategy, diff_driver_all, filter_strategy, plan_from, Bound,
+    DimFilter,
+};
 use flood_store::{
     assert_stats_equivalent, scan_checked, scan_filtered, scan_rows, CollectVisitor, CountVisitor,
     CumulativeColumn, MinMaxVisitor, RangeQuery, ScanStats, SumVisitor, Table, Visitor, BLOCK_LEN,
 };
 use proptest::prelude::*;
-
-/// Case-count override from `FLOOD_PROPTEST_CASES` (unset/invalid → default).
-fn cases(default: u32) -> u32 {
-    std::env::var("FLOOD_PROPTEST_CASES")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-/// SplitMix64 — deterministic column fill from a proptest-chosen seed.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
-/// Column 2's run-length spec: `(value, run_len)` pairs. Runs ≥ [`BLOCK_LEN`]
-/// (and adjacent equal runs) produce genuine width-0 blocks.
-type Runs = Vec<(u64, usize)>;
-
-/// Three columns sharing the length the runs column dictates:
-/// d0 local (small deltas), d1 full-range u64 (width-64 blocks), d2 runs.
-fn build_table(runs: &Runs, seed: u64) -> Table {
-    let len: usize = runs.iter().map(|&(_, n)| n).sum();
-    let mut s = seed;
-    let d0: Vec<u64> = (0..len)
-        .map(|_| (1 << 20) | (splitmix(&mut s) % 256))
-        .collect();
-    let d1: Vec<u64> = (0..len).map(|_| splitmix(&mut s)).collect();
-    let d2: Vec<u64> = runs
-        .iter()
-        .flat_map(|&(v, n)| std::iter::repeat_n(v, n))
-        .collect();
-    Table::from_columns(vec![d0, d1, d2])
-}
-
-/// How one query bound is chosen once the table exists.
-#[derive(Debug, Clone, Copy)]
-enum Bound {
-    /// `sel / 1000` of the dimension's [min, max] span.
-    Frac(u16),
-    /// Exactly block `sel % num_blocks`'s min (`false`) or max (`true`) —
-    /// only meaningful on compressed columns; falls back to `Frac` on plain.
-    BlockEdge(u16, bool),
-}
-
-fn bound_strategy() -> impl Strategy<Value = Bound> {
-    prop_oneof![
-        (0u16..1001).prop_map(Bound::Frac),
-        (0u16..64, proptest::arbitrary::any::<bool>()).prop_map(|(b, mx)| Bound::BlockEdge(b, mx)),
-    ]
-}
 
 fn resolve(table: &Table, dim: usize, b: Bound) -> u64 {
     let (mn, mx) = table.dim_bounds(dim);
@@ -94,16 +45,6 @@ fn resolve(table: &Table, dim: usize, b: Bound) -> u64 {
         },
         Bound::Frac(sel) => mn + ((mx - mn) as u128 * sel as u128 / 1000) as u64,
     }
-}
-
-/// One dimension's filter spec; resolved against the built table.
-type DimFilter = Option<(Bound, Bound)>;
-
-fn filter_strategy() -> impl Strategy<Value = DimFilter> {
-    prop_oneof![
-        Just(None),
-        (bound_strategy(), bound_strategy()).prop_map(Some),
-    ]
 }
 
 /// Resolve filter specs into a checked-dims list and the equivalent query.
@@ -201,6 +142,8 @@ proptest! {
         filters in (filter_strategy(), filter_strategy(), filter_strategy()),
         compress_mask in 0u8..8,
         range_sel in (0u16..1000, 0u16..1000),
+        cuts in cuts_strategy(),
+        split in 0usize..4,
     ) {
         let mut table = build_table(&runs, seed);
         // Compress a per-case subset of columns; checks on the plain rest
@@ -240,6 +183,10 @@ proptest! {
         let Ok(()) = scan_filtered(&table, &query, 0, len, None, None, &mut pv, &mut ps);
         prop_assert_eq!(pv.count, dv.count);
         assert_stats_equivalent(&ps, &ds, "scan_filtered, whole table");
+
+        // The scan driver over a list of such ranges, serial and chunked.
+        let plan = plan_from(len, &checks, &cuts, split);
+        diff_driver_all(&table, &table, &plan, Some(&cumulative));
     }
 
     /// Compression must not change what the kernel computes: the block

@@ -19,49 +19,18 @@
 //! `FLOOD_MEM_BUDGET`, when set, is added to the budget pool so CI can
 //! force a mostly-cold run of this whole suite.
 
+mod common;
+
+use common::{
+    build_table, cases, cuts_strategy, diff_driver_all, filter_strategy, plan_from, splitmix,
+    Bound, DimFilter,
+};
 use flood_store::{
     assert_stats_equivalent, scan_checked, scan_rows, CountVisitor, MemBackend, MinMaxVisitor,
     ScanStats, SumVisitor, Table, TierConfig, TieredTable, Visitor,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// Case-count override from `FLOOD_PROPTEST_CASES` (unset/invalid → default).
-fn cases(default: u32) -> u32 {
-    std::env::var("FLOOD_PROPTEST_CASES")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-/// SplitMix64 — deterministic column fill from a proptest-chosen seed.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
-/// Column 2's run-length spec, as in `prop_packed_scan`: long runs produce
-/// width-0 blocks, the metadata-only fast path a tiered scan must also
-/// take (skip/accept with zero segment I/O).
-type Runs = Vec<(u64, usize)>;
-
-fn build_table(runs: &Runs, seed: u64) -> Table {
-    let len: usize = runs.iter().map(|&(_, n)| n).sum();
-    let mut s = seed;
-    let d0: Vec<u64> = (0..len)
-        .map(|_| (1 << 20) | (splitmix(&mut s) % 256))
-        .collect();
-    let d1: Vec<u64> = (0..len).map(|_| splitmix(&mut s)).collect();
-    let d2: Vec<u64> = runs
-        .iter()
-        .flat_map(|&(v, n)| std::iter::repeat_n(v, n))
-        .collect();
-    Table::from_columns(vec![d0, d1, d2])
-}
 
 /// The budget pool: everything-cold, tiny (heavy eviction churn), medium,
 /// effectively-unbounded — plus the CI override when present.
@@ -108,21 +77,6 @@ fn apply_evict(t: &TieredTable, op: Evict) {
     }
 }
 
-/// How one query bound is chosen once the table exists (as in
-/// `prop_packed_scan`: fractions of the span plus exact block edges).
-#[derive(Debug, Clone, Copy)]
-enum Bound {
-    Frac(u16),
-    BlockEdge(u16, bool),
-}
-
-fn bound_strategy() -> impl Strategy<Value = Bound> {
-    prop_oneof![
-        (0u16..1001).prop_map(Bound::Frac),
-        (0u16..64, proptest::arbitrary::any::<bool>()).prop_map(|(b, mx)| Bound::BlockEdge(b, mx)),
-    ]
-}
-
 fn resolve(tiered: &TieredTable, dim: usize, b: Bound) -> u64 {
     let meta = tiered.tiered_column(dim).meta();
     let (mn, mx) = meta.iter().fold((u64::MAX, 0u64), |(lo, hi), m| {
@@ -141,15 +95,6 @@ fn resolve(tiered: &TieredTable, dim: usize, b: Bound) -> u64 {
         Bound::BlockEdge(sel, _) => resolve(tiered, dim, Bound::Frac(sel % 1001)),
         Bound::Frac(sel) => mn + ((mx - mn) as u128 * sel as u128 / 1000) as u64,
     }
-}
-
-type DimFilter = Option<(Bound, Bound)>;
-
-fn filter_strategy() -> impl Strategy<Value = DimFilter> {
-    prop_oneof![
-        Just(None),
-        (bound_strategy(), bound_strategy()).prop_map(Some),
-    ]
 }
 
 fn make_checks(tiered: &TieredTable, filters: &[DimFilter; 3]) -> Vec<(usize, u64, u64)> {
@@ -276,6 +221,8 @@ proptest! {
         segment_blocks in 1usize..5,
         range_sels in proptest::collection::vec((0u16..1000, 0u16..1000), 1..4),
         evictions in proptest::collection::vec(evict_strategy(), 1..4),
+        cuts in cuts_strategy(),
+        split in 0usize..4,
     ) {
         let mut resident = build_table(&runs, seed);
         let pool = budgets();
@@ -303,6 +250,11 @@ proptest! {
                 prop_assert_eq!(ts.segments_hit, 0, "budget=0 must never hit");
             }
             apply_evict(&tiered, evictions[i % evictions.len()]);
+
+            // The scan driver over a list of ranges, serial and chunked at
+            // segment boundaries, from whatever residency that left.
+            let plan = plan_from(len, &checks, &cuts, split);
+            diff_driver_all(&tiered, &resident, &plan, None);
         }
     }
 

@@ -1,14 +1,14 @@
 //! The §8 extensions in action: a Flood index that absorbs streaming
 //! inserts through a delta buffer, detects when the query distribution has
-//! drifted, re-learns its layout — and serves kNN queries on the side (§6).
+//! drifted, and re-learns its layout.
 //!
 //! ```text
 //! cargo run --release --example streaming_inserts
 //! ```
 
 use flood::core::{
-    AdaptiveConfig, AdaptiveFlood, CostModel, DeltaFlood, FloodConfig, KnnSearcher, Layout,
-    LayoutOptimizer, OptimizerConfig,
+    AdaptiveConfig, AdaptiveFlood, CostModel, DeltaFlood, FloodConfig, Layout, LayoutOptimizer,
+    OptimizerConfig,
 };
 use flood::data::DatasetKind;
 use flood::store::{CountVisitor, MultiDimIndex, RangeQuery};
@@ -98,23 +98,4 @@ fn main() {
         retrains,
         adaptive.index().layout()
     );
-
-    // --- kNN on the grid (§6) ----------------------------------------------
-    let knn_index = flood::core::FloodBuilder::new()
-        .layout(Layout::new(vec![2, 3, 1], vec![32, 32]))
-        .build(&ds.table);
-    let searcher = KnnSearcher::new(&knn_index, vec![2, 3]);
-    // Five closest points to downtown Boston.
-    let probe = [0, 0, 42_360_000, 71_060_000, 0, 0];
-    let neighbors = searcher.knn(&probe, 5);
-    println!("\n5 nearest neighbors of downtown Boston:");
-    for n in neighbors {
-        let row = knn_index.data().row(n.row);
-        println!(
-            "  lat={:.4} lon={:.4} (distance {:.5})",
-            row[2] as f64 / 1e6,
-            row[3] as f64 / 1e6,
-            n.distance
-        );
-    }
 }

@@ -132,20 +132,3 @@ fn sales_mixed() {
 fn osm_many_dims() {
     run_dataset(DatasetKind::Osm, WorkloadKind::ManyDims);
 }
-
-#[test]
-fn disjunction_union_on_flood_matches_per_branch_oracle() {
-    use flood::store::execute_disjoint_union;
-    let ds = DatasetKind::Sales.generate(N, 0xD15);
-    let t = &ds.table;
-    let flood = FloodBuilder::new()
-        .layout(Layout::new(vec![0, 5, 3], vec![8, 8]))
-        .build(t);
-    // store IN {0, 3, 11} AND date in a window — §3's OR decomposition.
-    let base = RangeQuery::all(t.dims()).with_range(5, 100, 400);
-    let branches = flood::store::decompose_in_list(&base, 0, &[0, 3, 11]);
-    let mut v = CountVisitor::default();
-    execute_disjoint_union(&flood, &branches, None, &mut v).expect("disjoint branches");
-    let want: u64 = branches.iter().map(|q| oracle_count(t, q)).sum();
-    assert_eq!(v.count, want);
-}
