@@ -38,21 +38,6 @@ fn bench(c: &mut Criterion) {
         });
     }
     group.finish();
-
-    // Build-time comparison.
-    let mut group = c.benchmark_group("flood_build");
-    group.sample_size(10);
-    group.bench_function("flood_100k", |b| {
-        let small = DatasetKind::TpcH.generate(100_000, 5);
-        b.iter(|| {
-            black_box(
-                FloodBuilder::new()
-                    .layout(Layout::new(vec![0, 3, 2, 1], vec![16, 3, 4]))
-                    .build(&small.table),
-            )
-        })
-    });
-    group.finish();
 }
 
 criterion_group!(benches, bench);

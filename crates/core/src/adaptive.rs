@@ -388,7 +388,6 @@ impl Relearner {
 #[derive(Debug)]
 pub struct AdaptiveFlood {
     index: FloodIndex,
-    flood_cfg: FloodConfig,
     obs: ObservationLog,
     relearner: Relearner,
 }
@@ -405,10 +404,9 @@ impl AdaptiveFlood {
     ) -> Self {
         let (relearner, learned) =
             Relearner::learn_initial(table, initial_workload, optimizer, cfg);
-        let index = FloodIndex::build(table, learned.layout, flood_cfg.clone());
+        let index = FloodIndex::build(table, learned.layout, flood_cfg);
         AdaptiveFlood {
             index,
-            flood_cfg,
             obs: ObservationLog::new(cfg.window, cfg.check_every),
             relearner,
         }
@@ -461,9 +459,9 @@ impl AdaptiveFlood {
         {
             Some(learned) => {
                 // The rebuild happens on the index's own data copy (Flood
-                // is clustered: the data multiset is the table).
-                self.index =
-                    FloodIndex::build(self.index.data(), learned.layout, self.flood_cfg.clone());
+                // is clustered: the data multiset is the table), so the
+                // CDFs it has fitted carry over.
+                self.index = self.index.rebuild(learned.layout);
                 true
             }
             None => false,

@@ -50,6 +50,12 @@ impl Grid {
         &self.cols
     }
 
+    /// What one column step in grid dimension `i` adds to the cell id.
+    #[inline]
+    pub fn stride(&self, i: usize) -> usize {
+        self.strides[i]
+    }
+
     /// Cell id of a column tuple.
     ///
     /// # Panics

@@ -48,8 +48,15 @@ impl PhaseTimes {
 pub struct BuildTimes {
     /// Time spent training flattening CDFs.
     pub flatten_ns: u64,
-    /// Time spent assigning cells and sorting the data.
+    /// Time spent assigning cells and sorting the data: boundaries and cell
+    /// ids, the sort into storage order, the gather and the compression.
     pub sort_ns: u64,
+    /// The part of `sort_ns` spent computing column boundaries and every
+    /// row's cell id.
+    pub assign_ns: u64,
+    /// The part of `sort_ns` spent gathering the columns into storage
+    /// order (and compressing them).
+    pub permute_ns: u64,
     /// Time spent building per-cell refinement models.
     pub models_ns: u64,
 }
@@ -86,11 +93,38 @@ impl FloodIndex {
     ///
     /// # Panics
     /// Panics if the table exceeds `u32::MAX` rows, the layout has more
-    /// than 32 grid dimensions, or a layout dimension is out of bounds.
+    /// than 32 grid dimensions or `u32::MAX` cells or more, or a layout
+    /// dimension is out of bounds.
     pub fn build(table: &Table, layout: Layout, cfg: FloodConfig) -> Self {
+        Self::build_from(table, layout, cfg, None)
+    }
+
+    /// Re-lay this index's own data out under `layout`, same configuration:
+    /// `FloodIndex::build(self.data(), layout, self.config().clone())`,
+    /// except that the rows are the same multiset, so every CDF this index
+    /// already fitted is reused instead of re-sorting and re-fitting its
+    /// column.
+    pub fn rebuild(&self, layout: Layout) -> Self {
+        Self::build_from(&self.data, layout, self.cfg.clone(), Some(&self.flattener))
+    }
+
+    /// The one build path; `fitted` holds CDFs already fitted over
+    /// `table`'s multiset under `cfg.flattening`.
+    fn build_from(
+        table: &Table,
+        layout: Layout,
+        cfg: FloodConfig,
+        fitted: Option<&Flattener>,
+    ) -> Self {
         assert!(
             table.len() < u32::MAX as usize,
             "table too large for u32 row ids"
+        );
+        let cell_count = (layout.cols().iter()).fold(1u128, |n, &c| n.saturating_mul(c as u128));
+        assert!(
+            cell_count < u32::MAX as u128,
+            "layout has {cell_count} cells; fewer than {} fit a u32 cell id",
+            u32::MAX
         );
         assert!(
             layout.grid_dims().len() <= MAX_GRID_DIMS,
@@ -102,53 +136,81 @@ impl FloodIndex {
         }
         let mut build_times = BuildTimes::default();
 
-        // 1. Flattening CDFs for the grid dimensions (§5.1).
+        // 1. Flattening CDFs (§5.1) for the grid dimensions with more than
+        //    one column — a one-column dimension's bucket is 0 whatever the
+        //    model says, so none is fitted.
+        let grid = Grid::new(&layout);
         let t0 = Instant::now();
-        let flattener = Flattener::build(table, layout.grid_dims(), cfg.flattening);
+        let split: Vec<(usize, usize, usize)> = (layout.grid_dims().iter().zip(layout.cols()))
+            .enumerate()
+            .filter(|&(_, (_, &c))| c > 1)
+            .map(|(i, (&d, &c))| (d, c, grid.stride(i)))
+            .collect();
+        let split_dims: Vec<usize> = split.iter().map(|&(d, ..)| d).collect();
+        let flattener = Flattener::build_reusing(table, &split_dims, cfg.flattening, fitted);
         build_times.flatten_ns = t0.elapsed().as_nanos() as u64;
 
-        // 2. Assign each point to a cell, sort by (cell, sort value) — the
-        //    depth-first traversal order of §3.1 — and reorder the data.
+        // 2. Storage order: by cell, then by sort value — the depth-first
+        //    traversal of §3.1 — ties in row order. Work proportional to
+        //    what the layout splits:
+        //    (a) cell ids a column at a time. `bucket` is monotone in the
+        //        value, so a dimension's ≤ c − 1 column boundaries (found
+        //        with the model itself) place a value by comparisons alone;
+        //    (b) a counting sort by cell id — its histogram *is* the cell
+        //        table, its scatter is stable;
+        //    (c) each cell's (sort value, row) run sorted on its own — one
+        //        pass when the scatter left it in order, which std's
+        //        unstable sort detects;
+        //    (d) one gather per column.
+        //    The order is the one sorting unique (cell, value, row) triples
+        //    gives: (b) groups by the first component, (c) orders by the
+        //    other two.
         let t0 = Instant::now();
-        let grid = Grid::new(&layout);
         let n = table.len();
-        let sort_dim = layout.sort_dim();
-        let mut keyed: Vec<(u64, u64, u32)> = Vec::with_capacity(n);
-        {
-            let grid_dims = layout.grid_dims();
-            let cols = layout.cols();
-            let mut coords = vec![0usize; grid_dims.len()];
-            for row in 0..n {
-                for (i, (&d, &c)) in grid_dims.iter().zip(cols).enumerate() {
-                    coords[i] = flattener.bucket(d, table.value(row, d), c);
-                }
-                let cell = grid.cell_id(&coords) as u64;
-                keyed.push((cell, table.value(row, sort_dim), row as u32));
+        let mut cells = vec![0u32; n];
+        for &(d, c, stride) in &split {
+            let thr = flattener.dim(d).expect("fitted in step 1").boundaries(c);
+            for (cell, &v) in cells.iter_mut().zip(table.column(d).values().iter()) {
+                let col = thr.partition_point(|&t| t <= v);
+                debug_assert_eq!(col, flattener.bucket(d, v, c), "dimension {d}, value {v}");
+                *cell += (col * stride) as u32;
             }
         }
-        keyed.sort_unstable();
-        let perm: Vec<u32> = keyed.iter().map(|&(_, _, r)| r).collect();
-        let mut data = table.permuted(&perm);
-        if cfg.compress {
-            data.compress();
-        }
+        build_times.assign_ns = t0.elapsed().as_nanos() as u64;
 
         // Cell table: physical index of the first point of each cell.
         let num_cells = grid.num_cells();
         let mut cell_starts = vec![0u32; num_cells + 1];
-        {
-            let mut counts = vec![0u32; num_cells];
-            for &(cell, _, _) in &keyed {
-                counts[cell as usize] += 1;
-            }
-            let mut acc = 0u32;
-            for (c, &cnt) in counts.iter().enumerate() {
-                cell_starts[c] = acc;
-                acc += cnt;
-            }
-            cell_starts[num_cells] = acc;
+        for &cell in &cells {
+            cell_starts[cell as usize + 1] += 1;
         }
+        for c in 0..num_cells {
+            cell_starts[c + 1] += cell_starts[c];
+        }
+        let sort_dim = layout.sort_dim();
+        let mut keyed = vec![(0u64, 0u32); n];
+        {
+            let mut next = cell_starts[..num_cells].to_vec();
+            let keys = table.column(sort_dim).values();
+            for (row, (&cell, &key)) in cells.iter().zip(keys.iter()).enumerate() {
+                let slot = &mut next[cell as usize];
+                keyed[*slot as usize] = (key, row as u32);
+                *slot += 1;
+            }
+        }
+        drop(cells);
+        for w in cell_starts.windows(2) {
+            keyed[w[0] as usize..w[1] as usize].sort_unstable();
+        }
+        let perm: Vec<u32> = keyed.iter().map(|&(_, row)| row).collect();
         drop(keyed);
+
+        let t1 = Instant::now();
+        let mut data = table.permuted(&perm);
+        if cfg.compress {
+            data.compress();
+        }
+        build_times.permute_ns = t1.elapsed().as_nanos() as u64;
         build_times.sort_ns = t0.elapsed().as_nanos() as u64;
 
         // 3. Per-cell refinement models over the sort dimension (§5.2).
@@ -835,6 +897,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "fewer than 4294967295 fit a u32 cell id")]
+    fn build_rejects_a_cell_count_past_u32() {
+        let t = Table::from_columns(vec![vec![1, 2, 3]; 3]);
+        let layout = Layout::new(vec![0, 1, 2], vec![1 << 16, 1 << 16]);
+        let _ = FloodIndex::build(&t, layout, FloodConfig::default());
+    }
+
+    #[test]
     fn empty_table() {
         let t = Table::from_columns(vec![vec![], vec![]]);
         let index = FloodBuilder::new()
@@ -905,5 +975,7 @@ mod tests {
             .build(&t);
         let bt = index.build_times();
         assert!(bt.sort_ns > 0);
+        assert!(bt.assign_ns > 0 && bt.permute_ns > 0);
+        assert!(bt.assign_ns + bt.permute_ns <= bt.sort_ns);
     }
 }

@@ -1,8 +1,16 @@
 //! Property tests for the Flood index: equivalence with brute force under
 //! every configuration axis (flattening × refinement × compression ×
 //! cumulative columns), and grid/cell-table invariants.
+//!
+//! The second block pins the *build*: the storage order and cell table of
+//! [`FloodIndex::build`] against the row-at-a-time reference it replaced
+//! ([`reference_order`]), and [`FloodIndex::rebuild`] against `build`.
+//! `FLOOD_PROPTEST_CASES` scales that block's case count (CI runs it at
+//! 512 in the optimised build, where the build's `debug_assert`s are off).
 
-use flood_core::{Flattening, FloodBuilder, Layout, Refinement};
+use flood_core::{
+    Flattener, Flattening, FloodBuilder, FloodConfig, FloodIndex, Layout, Refinement,
+};
 use flood_store::{CountVisitor, MultiDimIndex, RangeQuery, SumVisitor, Table};
 use proptest::prelude::*;
 
@@ -129,6 +137,171 @@ proptest! {
         let stats = idx.execute(&q, None, &mut v);
         if let Some(so) = stats.scan_overhead() {
             prop_assert!(so >= 1.0, "scan overhead below 1: {so}");
+        }
+    }
+}
+
+/// Case-count override from `FLOOD_PROPTEST_CASES` (unset/invalid → default).
+fn cases(default: u32) -> u32 {
+    std::env::var("FLOOD_PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+fn lcg(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed | 1;
+    move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 11
+    }
+}
+
+/// Five columns that stress the build: three values repeated throughout
+/// (long runs of equal keys), a small domain, the full `u64` domain with
+/// both ends present, an already-ascending column with ties, and the row
+/// id — which makes every row distinct, so equal data row by row means an
+/// equal permutation. `n` may be 0 or 1.
+fn build_table(n: usize, seed: u64) -> Table {
+    let mut next = lcg(seed);
+    let mut cols: Vec<Vec<u64>> = vec![Vec::new(); 5];
+    for i in 0..n as u64 {
+        cols[0].push(next() % 3);
+        cols[1].push(next() % 5_000);
+        cols[2].push(match next() % 16 {
+            0 => u64::MAX,
+            1 => 0,
+            2 => (1 << 53) + next() % 4,
+            _ => (next() << 11) | (next() % 2_048),
+        });
+        cols[3].push(i / 3);
+        cols[4].push(i);
+    }
+    Table::from_columns(cols)
+}
+
+/// A layout over a seed-drawn subset and order of the five columns: one to
+/// four grid dimensions with 1, 2, 3, 7 or 16 columns each (one-column
+/// dimensions mixed with wider ones), with a sort dimension or without
+/// (`histogram`).
+fn build_layout(seed: u64, histogram: bool) -> Layout {
+    let mut next = lcg(seed);
+    let mut order: Vec<usize> = (0..5).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, next() as usize % (i + 1));
+    }
+    order.truncate(1 + next() as usize % 5);
+    let grid_dims = order.len() - usize::from(!histogram);
+    let cols = (0..grid_dims)
+        .map(|_| [1, 1, 2, 3, 7, 16][next() as usize % 6])
+        .collect();
+    if histogram {
+        Layout::histogram(order, cols)
+    } else {
+        Layout::new(order, cols)
+    }
+}
+
+/// The build as it was before column boundaries and the counting sort: one
+/// `bucket` per row and grid dimension (a CDF fitted for *every* grid
+/// dimension, one-column ones included), one comparison sort over unique
+/// `(cell, sort value, row)` triples, a second pass for the cell table.
+/// Returns the storage order and `cell_starts`.
+fn reference_order(t: &Table, layout: &Layout, mode: Flattening) -> (Vec<u32>, Vec<usize>) {
+    let flattener = Flattener::build(t, layout.grid_dims(), mode);
+    let cols = layout.cols();
+    let mut keyed: Vec<(u64, u64, u32)> = (0..t.len())
+        .map(|row| {
+            let mut cell = 0u64;
+            for (&d, &c) in layout.grid_dims().iter().zip(cols) {
+                cell = cell * c as u64 + flattener.bucket(d, t.value(row, d), c) as u64;
+            }
+            (cell, t.value(row, layout.sort_dim()), row as u32)
+        })
+        .collect();
+    keyed.sort_unstable();
+    let mut cell_starts = vec![0usize; layout.num_cells() + 1];
+    for &(cell, ..) in &keyed {
+        cell_starts[cell as usize + 1] += 1;
+    }
+    for c in 0..layout.num_cells() {
+        cell_starts[c + 1] += cell_starts[c];
+    }
+    (keyed.iter().map(|&(.., row)| row).collect(), cell_starts)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(64)))]
+
+    #[test]
+    fn build_equals_reference(
+        n in 0usize..400,
+        seed in any::<u64>(),
+        histogram in any::<bool>(),
+        uniform in any::<bool>(),
+        compressed_source in any::<bool>(),
+        compress in any::<bool>(),
+    ) {
+        let mut t = build_table(n, seed);
+        let layout = build_layout(seed.rotate_left(17), histogram);
+        let mode = if uniform { Flattening::Uniform } else { Flattening::Learned };
+        let (perm, cell_starts) = reference_order(&t, &layout, mode);
+        if compressed_source {
+            t.compress();
+        }
+        let idx = FloodBuilder::new()
+            .layout(layout.clone())
+            .flattening(mode)
+            .compress(compress)
+            .build(&t);
+        for c in 0..layout.num_cells() {
+            prop_assert_eq!(
+                idx.cell_range(c),
+                (cell_starts[c], cell_starts[c + 1]),
+                "{}, cell {}", layout, c
+            );
+        }
+        for (i, &row) in perm.iter().enumerate() {
+            prop_assert_eq!(idx.data().row(i), t.row(row as usize), "{}, row {}", layout, i);
+        }
+    }
+
+    /// A chain of re-layouts (grid dimensions kept, dropped, re-added and
+    /// changed in width along the way) through `rebuild`, each step
+    /// against a from-scratch `build` over the same data.
+    #[test]
+    fn rebuild_equals_build(
+        n in 0usize..400,
+        seed in any::<u64>(),
+        uniform in any::<bool>(),
+        compress in any::<bool>(),
+    ) {
+        let t = build_table(n, seed);
+        let cfg = FloodConfig {
+            flattening: if uniform { Flattening::Uniform } else { Flattening::Learned },
+            compress,
+            ..FloodConfig::default()
+        };
+        let chain = [
+            Layout::new(vec![0, 1, 2], vec![3, 7]),       // first fit of d0, d1
+            Layout::new(vec![1, 2, 3, 4], vec![5, 1, 4]), // d1 kept, d2 one column, d3 new
+            Layout::histogram(vec![0, 4], vec![2, 6]),    // disjoint from the last; d0 again
+            build_layout(seed.rotate_left(29), false),
+        ];
+        let mut live = FloodIndex::build(&t, Layout::sort_only(2), cfg.clone());
+        for layout in chain {
+            let fresh = FloodIndex::build(live.data(), layout.clone(), cfg.clone());
+            live = live.rebuild(layout);
+            for c in 0..fresh.layout().num_cells() {
+                prop_assert_eq!(live.cell_range(c), fresh.cell_range(c), "cell {}", c);
+            }
+            for i in 0..t.len() {
+                prop_assert_eq!(live.data().row(i), fresh.data().row(i), "row {}", i);
+            }
+            prop_assert_eq!(live.index_size_bytes(), fresh.index_size_bytes());
+            prop_assert_eq!(live.active_fds(), fresh.active_fds());
         }
     }
 }

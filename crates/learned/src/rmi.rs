@@ -333,6 +333,40 @@ mod tests {
         }
     }
 
+    /// Monotonicity is what lets a caller turn the model into exact value
+    /// boundaries (Flood's build) or project a range to a column range
+    /// (Flood's queries). Key sets chosen to break a leaf fit or the
+    /// `u64 → f64` conversion: long runs of one key, gaps of 2⁴⁰, keys past
+    /// 2⁵³ that round to a shared `f64`, and all of them in one set.
+    #[test]
+    fn cdf_is_monotone_on_adversarial_keys() {
+        let runs: Vec<u64> = [3u64, 4, 1 << 20, (1 << 20) + 1]
+            .iter()
+            .flat_map(|&k| std::iter::repeat_n(k, 2_500))
+            .collect();
+        let gaps: Vec<u64> = (0..5_000u64).map(|i| ((i / 50) << 40) | (i % 50)).collect();
+        let wide: Vec<u64> = (0..5_000u64).map(|i| (1 << 53) + i * 3 / 2).collect();
+        let top: Vec<u64> = (0..5_000u64).map(|i| u64::MAX - (4_999 - i)).collect();
+        let mut all: Vec<u64> = [&runs[..], &gaps, &wide, &top].concat();
+        all.sort_unstable();
+        for keys in [runs, gaps, wide, top, all] {
+            let rmi = Rmi::build(&keys, RmiConfig::default());
+            let mut probes: Vec<u64> = vec![0, u64::MAX];
+            for w in keys.windows(2) {
+                probes.extend([w[0].saturating_sub(1), w[0], w[0].saturating_add(1)]);
+                probes.push(w[0] + (w[1] - w[0]) / 2);
+            }
+            probes.sort_unstable();
+            let mut prev = 0.0;
+            for v in probes {
+                let c = rmi.cdf(v);
+                assert!((0.0..=1.0).contains(&c), "cdf out of range at {v}: {c}");
+                assert!(c >= prev, "cdf not monotone at {v}: {c} < {prev}");
+                prev = c;
+            }
+        }
+    }
+
     #[test]
     fn cdf_close_to_empirical() {
         use crate::cdf::EmpiricalCdf;

@@ -171,7 +171,6 @@ impl ServerMetrics {
 #[derive(Debug)]
 pub struct FloodServer {
     published: PublishedIndex,
-    flood_cfg: FloodConfig,
     exec: QueryExecutor,
     batch: usize,
     obs: ObservationLog,
@@ -200,7 +199,7 @@ impl FloodServer {
         cfg: ServeConfig,
     ) -> Self {
         let (relearner, learned) = Relearner::learn_initial(table, train, optimizer, cfg.adaptive);
-        let index = FloodIndex::build(table, learned.layout, flood_cfg.clone());
+        let index = FloodIndex::build(table, learned.layout, flood_cfg);
         let pool = if cfg.threads == 0 {
             ThreadPool::from_env()
         } else {
@@ -208,7 +207,6 @@ impl FloodServer {
         };
         FloodServer {
             published: PublishedIndex::new(index),
-            flood_cfg,
             exec: QueryExecutor::new(pool),
             batch: cfg.batch.max(1),
             obs: ObservationLog::new(cfg.adaptive.window, cfg.adaptive.check_every),
@@ -378,11 +376,12 @@ impl FloodServer {
     }
 
     /// Build a new index over the snapshot's data (Flood is clustered —
-    /// the data multiset is the table) and swap it in.
+    /// the data multiset is the table, so the snapshot's fitted CDFs carry
+    /// over) and swap it in.
     fn rebuild_and_publish(&self, snap: &IndexSnapshot, layout: flood_core::Layout) -> u64 {
         let _span = flood_obs::span("epoch_swap");
         let start = self.metrics.as_ref().map(|_| Instant::now());
-        let index = FloodIndex::build(snap.index().data(), layout, self.flood_cfg.clone());
+        let index = snap.index().rebuild(layout);
         let epoch = self.published.publish(index);
         if let (Some(m), Some(t0)) = (&self.metrics, start) {
             m.swaps.inc();

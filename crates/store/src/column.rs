@@ -7,6 +7,7 @@
 
 use crate::block::{Block, BLOCK_LEN};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// A read-only column of `u64` values.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -52,12 +53,19 @@ impl Column {
         }
     }
 
+    /// Every value as one slice: a plain column is borrowed, a compressed
+    /// one is decoded once. The way to read a whole column — [`Column::get`]
+    /// pays a block lookup and an unpack per value.
+    pub fn values(&self) -> Cow<'_, [u64]> {
+        match self {
+            Column::Plain(v) => Cow::Borrowed(v),
+            Column::Compressed(c) => Cow::Owned(c.to_vec()),
+        }
+    }
+
     /// Materialize the column as a plain vector.
     pub fn to_vec(&self) -> Vec<u64> {
-        match self {
-            Column::Plain(v) => v.clone(),
-            Column::Compressed(c) => c.to_vec(),
-        }
+        self.values().into_owned()
     }
 
     /// Heap size in bytes.
@@ -81,7 +89,8 @@ impl Column {
     /// Re-order the column by `perm`, producing a new column in the same
     /// representation: `out[i] = self[perm[i]]`.
     pub fn permute(&self, perm: &[u32]) -> Column {
-        let reordered: Vec<u64> = perm.iter().map(|&p| self.get(p as usize)).collect();
+        let values = self.values();
+        let reordered: Vec<u64> = perm.iter().map(|&p| values[p as usize]).collect();
         match self {
             Column::Plain(_) => Column::Plain(reordered),
             Column::Compressed(_) => Column::compressed(&reordered),

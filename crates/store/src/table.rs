@@ -129,19 +129,17 @@ impl Table {
     }
 
     /// Per-dimension `(min, max)` over the data; `(0,0)` for empty tables.
+    /// A compressed column answers from its blocks' headers, undecoded.
     pub fn dim_bounds(&self, dim: usize) -> (u64, u64) {
-        let col = &self.columns[dim];
-        if col.is_empty() {
-            return (0, 0);
+        fn span(ranges: impl Iterator<Item = (u64, u64)>) -> (u64, u64) {
+            ranges
+                .reduce(|(mn, mx), (lo, hi)| (mn.min(lo), mx.max(hi)))
+                .unwrap_or((0, 0))
         }
-        let mut mn = u64::MAX;
-        let mut mx = 0;
-        for i in 0..col.len() {
-            let v = col.get(i);
-            mn = mn.min(v);
-            mx = mx.max(v);
+        match &self.columns[dim] {
+            Column::Plain(v) => span(v.iter().map(|&x| (x, x))),
+            Column::Compressed(c) => span(c.blocks().iter().map(|b| (b.min(), b.max()))),
         }
-        (mn, mx)
     }
 }
 
@@ -200,6 +198,17 @@ mod tests {
         let t = t();
         assert_eq!(t.dim_bounds(0), (1, 4));
         assert_eq!(t.dim_bounds(1), (10, 40));
+    }
+
+    #[test]
+    fn dim_bounds_of_compressed_columns() {
+        // Three blocks and a short fourth; the extremes sit in different blocks.
+        let vals: Vec<u64> = (0..400u64).map(|i| 1_000 + (i * 37) % 5_000).collect();
+        let mut t = Table::from_columns(vec![vals, vec![7; 400]]);
+        let plain = (t.dim_bounds(0), t.dim_bounds(1));
+        t.compress();
+        assert_eq!((t.dim_bounds(0), t.dim_bounds(1)), plain);
+        assert_eq!(plain.1, (7, 7));
     }
 
     #[test]
