@@ -28,8 +28,10 @@ pub struct FloodConfig {
     pub refinement: Refinement,
     /// Average-error budget δ of the per-cell PLMs (Fig 17b; default 50).
     pub plm_delta: f64,
-    /// Cells smaller than this skip the PLM and always binary-search —
-    /// a model on a handful of points buys nothing.
+    /// Cells smaller than this get no PLM — a model on a handful of points
+    /// buys nothing. Floored at `BLOCK_LEN + 1` = 129 whatever is set here:
+    /// a cell of at most one block's rows is refined by ranking its packed
+    /// values, never through a model, so none is built for it.
     pub plm_min_cell_size: usize,
     /// Compress the reordered data copy with block-delta encoding.
     pub compress: bool,
@@ -109,7 +111,9 @@ impl FloodBuilder {
         self
     }
 
-    /// Only build PLMs for cells at least this large (default 64).
+    /// Only build PLMs for cells at least this large (default 64; values
+    /// below `BLOCK_LEN + 1` act as that — see
+    /// [`FloodConfig::plm_min_cell_size`]).
     pub fn plm_min_cell_size(mut self, n: usize) -> Self {
         self.cfg.plm_min_cell_size = n;
         self

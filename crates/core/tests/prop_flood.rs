@@ -5,13 +5,20 @@
 //! The second block pins the *build*: the storage order and cell table of
 //! [`FloodIndex::build`] against the row-at-a-time reference it replaced
 //! ([`reference_order`]), and [`FloodIndex::rebuild`] against `build`.
-//! `FLOOD_PROPTEST_CASES` scales that block's case count (CI runs it at
-//! 512 in the optimised build, where the build's `debug_assert`s are off).
+//! The third pins *refinement*: every planned `[start, end)` against
+//! `partition_point` over the decoded cell, on cells around one block long
+//! — where refinement ranks ([`flood_store::rank_rows`]) instead of
+//! searching. `FLOOD_PROPTEST_CASES` scales both blocks' case counts (CI
+//! runs them at 512 in the optimised build, where `debug_assert`s are off
+//! and shifts and subtractions wrap instead of panicking).
 
 use flood_core::{
-    Flattener, Flattening, FloodBuilder, FloodConfig, FloodIndex, Layout, Refinement,
+    CorrelationConfig, Flattener, Flattening, FloodBuilder, FloodConfig, FloodIndex, Layout,
+    Refinement,
 };
-use flood_store::{CountVisitor, MultiDimIndex, RangeQuery, SumVisitor, Table};
+use flood_store::{
+    CountVisitor, MultiDimIndex, PlannedIndex, RangeQuery, SumVisitor, Table, BLOCK_LEN,
+};
 use proptest::prelude::*;
 
 fn arb_table() -> impl Strategy<Value = Table> {
@@ -302,6 +309,94 @@ proptest! {
             }
             prop_assert_eq!(live.index_size_bytes(), fresh.index_size_bytes());
             prop_assert_eq!(live.active_fds(), fresh.active_fds());
+        }
+    }
+}
+
+/// A two-column table laid out as one cell per distinct value of column 0
+/// (under [`Flattening::Uniform`] with that many grid columns), sorted on
+/// column 1, plus the sort keys drawn. Cell sizes run from 1 to
+/// `BLOCK_LEN + 1` — single rows, half blocks, and the sizes either side of
+/// the block length, so cells start mid-block, span two blocks, and sit on
+/// both sides of the rank/search cut-off. Sort keys repeat heavily (a
+/// domain of 1, 3 or 40 values) or barely (2²⁰, the whole of `u64`), over
+/// a non-zero base.
+fn cell_table(cells: usize, seed: u64) -> (Table, Vec<u64>) {
+    let mut next = lcg(seed);
+    let domain = [1, 3, 40, 1 << 20, u64::MAX][next() as usize % 5];
+    let base = [0, 1_000, 1 << 40][next() as usize % 3];
+    let mut cols: Vec<Vec<u64>> = vec![Vec::new(); 2];
+    for cell in 0..cells as u64 {
+        let size = match next() % 6 {
+            0 => 1 + next() % 3,
+            1 => 60 + next() % 10,
+            2 | 3 => BLOCK_LEN as u64 - 2 + next() % 4,
+            _ => 1 + next() % (BLOCK_LEN as u64 + 1),
+        };
+        for _ in 0..size {
+            cols[0].push(cell);
+            cols[1].push(match domain {
+                u64::MAX => (next() << 11) | (next() % 2_048),
+                _ => base + next() % domain,
+            });
+        }
+    }
+    let keys = cols[1].clone();
+    (Table::from_columns(cols), keys)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(64)))]
+
+    /// Whatever refines a cell — ranking up to `BLOCK_LEN` rows, a PLM or
+    /// bisection above — the planned range is the `partition_point` pair
+    /// of the query's sort bound over the cell's decoded keys.
+    #[test]
+    fn refined_ranges_equal_partition_point(
+        cells in 1usize..12,
+        seed in any::<u64>(),
+        compress in any::<bool>(),
+        binsearch in any::<bool>(),
+        picks in proptest::collection::vec((any::<u64>(), 0u64..8), 2),
+    ) {
+        let (t, keys) = cell_table(cells, seed);
+        // Bounds on, next to and far from stored keys; 0 and u64::MAX too.
+        let bound = |(at, how): (u64, u64)| {
+            let key = keys[at as usize % keys.len()];
+            match how {
+                0 => 0,
+                1 => u64::MAX,
+                2 => key.saturating_sub(1),
+                3 => key.saturating_add(1),
+                _ => key,
+            }
+        };
+        let (a, b) = (bound(picks[0]), bound(picks[1]));
+        let (a, b) = (a.min(b), a.max(b));
+        let idx = FloodBuilder::new()
+            .layout(Layout::new(vec![0, 1], vec![cells]))
+            .flattening(Flattening::Uniform)
+            .refinement(if binsearch { Refinement::BinarySearch } else { Refinement::Plm })
+            .compress(compress)
+            // No soft-FD tightening: the plan is the query's own bound.
+            .correlation(CorrelationConfig { enabled: false, ..CorrelationConfig::default() })
+            .build(&t);
+        let plan = idx.plan(&RangeQuery::all(2).with_range(1, a, b));
+        // The generator's claim: one cell per value of column 0, all kept.
+        prop_assert_eq!(idx.non_empty_cells(), cells);
+        prop_assert_eq!(plan.ranges.len(), cells);
+        prop_assert_eq!(plan.stats.refinements, plan.ranges.len() as u64);
+        for r in &plan.ranges {
+            let (s, e) = idx.cell_range(r.tag as usize);
+            let cell: Vec<u64> = (s..e).map(|i| idx.data().value(i, 1)).collect();
+            let want = (
+                s + cell.partition_point(|&v| v < a),
+                s + cell.partition_point(|&v| v <= b),
+            );
+            prop_assert_eq!(
+                (r.start, r.end), want,
+                "cell {} = rows [{}, {}), bound [{}, {}]", r.tag, s, e, a, b
+            );
         }
     }
 }

@@ -3,14 +3,21 @@
 //! Each [`Block`] stores up to [`BLOCK_LEN`] (=128) `u64` values as deltas to
 //! the block minimum, packed at the smallest bit width that fits the largest
 //! delta. Random access is constant-time: the value at offset `i` is
-//! `min + extract_bits(packed, i * width, width)`.
+//! `min + delta_at(packed, i * width, width)`.
 //!
 //! Blocks also answer range predicates *without decoding*: the stored
 //! `[min, max]` classifies a predicate as rejecting or accepting the whole
 //! block ([`Block::classify`]), and partially overlapping predicates are
 //! translated into the block's delta domain and evaluated against the packed
-//! words directly ([`Block::match_mask`]) — word-parallel (SWAR) when the
-//! bit width subdivides a 64-bit word, scalar otherwise.
+//! words directly ([`Block::match_mask`]): one branch-free pass over the
+//! deltas of the offsets asked for, whatever the bit width — or, for a
+//! whole block whose width subdivides a 64-bit word, word-parallel (SWAR).
+//! The same pass counts instead of marking for [`Block::rank`], which is
+//! how a sorted run no longer than a block is searched.
+//!
+//! No loop here branches on a packed value: a delta is read as the two
+//! words it may span, unconditionally (`delta_at`), and a comparison
+//! becomes a bit or a count, never a jump.
 
 use serde::{Deserialize, Serialize};
 
@@ -153,7 +160,7 @@ impl Block {
         if self.width == 0 {
             return self.min;
         }
-        self.min + extract(&self.words, i * self.width as usize, self.width)
+        self.min + delta_at(&self.words, i * self.width as usize, self.width as usize)
     }
 
     /// Minimum value in the block (the delta base).
@@ -238,17 +245,23 @@ impl Block {
     /// delta-domain predicate `[dlo, dhi]` (from [`BlockMatch::Probe`]),
     /// comparing the packed words directly — no per-value decode.
     ///
-    /// Widths that subdivide a 64-bit word run word-parallel (SWAR); other
-    /// widths fall back to a scalar pass over the packed deltas. Offsets
-    /// outside `[start, end)` are always clear; `start >= end` yields an
-    /// empty mask.
+    /// One pass over the deltas of `[start, end)`, whatever the width: each
+    /// is read branch-free and `d - dlo <= dhi - dlo` (wrapping: one
+    /// unsigned comparison for both bounds) becomes its bit, gathered in a
+    /// register per 64 offsets. A *whole* block (`start == 0`,
+    /// `end == len`) whose width subdivides a 64-bit word runs
+    /// word-parallel (SWAR) instead: range-checking `64 / width` lanes at
+    /// once beats the pass there (`packed_scan unsorted/*`), while on a
+    /// short piece its per-hit transcription loses to it (`cells/*`).
+    /// Offsets outside `[start, end)` are always clear; `start >= end` or
+    /// `dlo > dhi` yields an empty mask.
     ///
     /// # Panics
     /// Panics in debug builds if `end > self.len()`.
     pub fn match_mask(&self, dlo: u64, dhi: u64, start: usize, end: usize) -> BlockMask {
         debug_assert!(end <= self.len());
         let mut mask: BlockMask = [0; 2];
-        if start >= end {
+        if start >= end || dlo > dhi {
             return mask;
         }
         let w = self.width as usize;
@@ -259,47 +272,92 @@ impl Block {
             }
             return mask;
         }
-        if 64 % w == 0 {
-            self.match_mask_swar(dlo, dhi, start, end, &mut mask);
-        } else {
-            for i in start..end {
-                let d = extract(&self.words, i * w, self.width);
-                if dlo <= d && d <= dhi {
-                    mask[i / 64] |= 1 << (i % 64);
-                }
-            }
+        if 64 % w == 0 && start == 0 && end == self.len() {
+            self.match_mask_swar(dlo, dhi, &mut mask);
+            return mask;
+        }
+        let span = dhi - dlo;
+        for (k, half) in mask.iter_mut().enumerate() {
+            let mut bits = 0u64;
+            self.for_each_delta(start.max(k * 64), end.min(k * 64 + 64), |i, d| {
+                bits |= u64::from(d.wrapping_sub(dlo) <= span) << (i % 64);
+            });
+            *half = bits;
         }
         mask
     }
 
-    /// SWAR kernel behind [`Block::match_mask`]: `64 / width` deltas per
-    /// packed word are range-checked at once; only matching lanes are
-    /// visited when transcribing into the offset bitmap.
-    fn match_mask_swar(&self, dlo: u64, dhi: u64, start: usize, end: usize, mask: &mut BlockMask) {
+    /// SWAR kernel behind [`Block::match_mask`] for a whole block:
+    /// `64 / width` deltas per packed word are range-checked at once; only
+    /// matching lanes are visited when transcribing into the offset bitmap.
+    fn match_mask_swar(&self, dlo: u64, dhi: u64, mask: &mut BlockMask) {
         let w = self.width as usize;
         let lanes = 64 / w;
         // Low bit of every lane; multiplying by it splats a lane value.
-        let ones = if w == 64 {
-            1
-        } else {
-            u64::MAX / ((1u64 << w) - 1)
-        };
+        let ones = u64::MAX / low_bits(w);
         let high = ones << (w - 1);
         let lo_splat = dlo.wrapping_mul(ones);
         let hi_splat = dhi.wrapping_mul(ones);
-        for word in (start / lanes)..=((end - 1) / lanes) {
-            let x = self.words[word];
+        for (word, &x) in self.words.iter().enumerate() {
             // Lane matches ⇔ !(x < dlo) && !(dhi < x); padding lanes past
-            // `len` hold zero and are excluded by the `[start, end)` guard.
+            // `len` hold zero and are excluded by the `i < len` guard.
             let mut hit = !swar_lt(x, lo_splat, high) & !swar_lt(hi_splat, x, high) & high;
             while hit != 0 {
                 let lane = hit.trailing_zeros() as usize / w;
                 hit &= hit - 1;
                 let i = word * lanes + lane;
-                if i >= start && i < end {
+                if i < self.len() {
                     mask[i / 64] |= 1 << (i % 64);
                 }
             }
+        }
+    }
+
+    /// Ranks of `a` and `b` among the values at offsets `[start, end)`:
+    /// how many are `< a`, and how many are `<= b`. Over a sorted run these
+    /// are `partition_point(< a)` and `partition_point(<= b)` — a search
+    /// that costs one branch-free pass instead of a mispredicted branch per
+    /// level. `[min, max]` answers without touching the packed words when
+    /// it can (always, for a width-0 block).
+    ///
+    /// # Panics
+    /// Panics in debug builds if `end > self.len()`.
+    pub fn rank(&self, a: u64, b: u64, start: usize, end: usize) -> (usize, usize) {
+        debug_assert!(end <= self.len());
+        let n = end.saturating_sub(start);
+        let decided = |none: bool, all: bool| match (none, all) {
+            (true, _) => Some(0),
+            (_, true) => Some(n),
+            _ => None,
+        };
+        let lt = decided(a <= self.min, a > self.max);
+        let le = decided(b < self.min, b >= self.max);
+        if let (Some(lt), Some(le)) = (lt, le) {
+            return (lt, le);
+        }
+        // Some bound lies inside `(min, max)`, so `width >= 1`. A bound the
+        // metadata already decided is counted too (against a wrapped or
+        // saturated delta) and its count discarded below.
+        let (da, db) = (a.saturating_sub(self.min), b.wrapping_sub(self.min));
+        let (mut n_lt, mut n_le) = (0usize, 0usize);
+        self.for_each_delta(start, end, |_, d| {
+            n_lt += usize::from(d < da);
+            n_le += usize::from(d <= db);
+        });
+        (lt.unwrap_or(n_lt), le.unwrap_or(n_le))
+    }
+
+    /// Call `f(offset, delta)` for every offset of `[start, end)` in order,
+    /// walking a running bit offset through the packed words. Needs
+    /// `width >= 1`; an empty or inverted range calls nothing.
+    #[inline(always)]
+    fn for_each_delta(&self, start: usize, end: usize, mut f: impl FnMut(usize, u64)) {
+        let w = self.width as usize;
+        let words = &self.words[..];
+        let mut bit = start * w;
+        for i in start..end {
+            f(i, delta_at(words, bit, w));
+            bit += w;
         }
     }
 
@@ -366,24 +424,26 @@ fn pack(words: &mut [u64], bit: usize, width: u8, v: u64) {
     }
 }
 
-/// Extract `width` bits at bit offset `bit` from `words`.
-#[inline]
-fn extract(words: &[u64], bit: usize, width: u8) -> u64 {
-    let w = bit / 64;
-    let off = bit % 64;
-    let mask = if width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    };
-    let lo = words[w] >> off;
-    let spill = off + width as usize;
-    let v = if spill > 64 {
-        lo | (words[w + 1] << (64 - off))
-    } else {
-        lo
-    };
-    v & mask
+/// A word with its `width` low bits set, `1 <= width <= 64`. Width 64 is
+/// the all-ones word: nothing here ever shifts by 64.
+#[inline(always)]
+fn low_bits(width: usize) -> u64 {
+    debug_assert!((1..=64).contains(&width));
+    u64::MAX >> (64 - width)
+}
+
+/// The `width`-bit delta at bit offset `bit` of `words`, `width >= 1`, read
+/// without a branch: the word the delta starts in and the one after it are
+/// both loaded and spliced. The second is shifted in two steps, so a delta
+/// starting on a word boundary shifts it out entirely rather than by 64;
+/// where the delta ends inside its first word, whatever the splice brings
+/// in lands at bit `64 - off >= width` or above and is masked away — which
+/// is also why the last word can stand in for the one past the end.
+#[inline(always)]
+fn delta_at(words: &[u64], bit: usize, width: usize) -> u64 {
+    let (wi, off) = (bit / 64, bit % 64);
+    let next = words[(wi + 1).min(words.len() - 1)];
+    ((words[wi] >> off) | ((next << 1) << (63 - off))) & low_bits(width)
 }
 
 #[cfg(test)]
@@ -542,7 +602,7 @@ mod tests {
         let b = Block::compress(&vals);
         assert_eq!(b.match_mask(0, 99, 40, 40), [0, 0]);
         assert_eq!(b.match_mask(0, 99, 0, 0), [0, 0]);
-        // Width-0 blocks too (the scalar-free early return).
+        // Width-0 blocks too (the early return that reads no words).
         let c = Block::compress(&[5; 64]);
         assert_eq!(c.match_mask(0, 0, 10, 10), [0, 0]);
     }
@@ -550,7 +610,7 @@ mod tests {
     #[test]
     fn match_mask_respects_subrange() {
         let vals: Vec<u64> = (0..128).collect();
-        let b = Block::compress(&vals); // width 7: scalar path
+        let b = Block::compress(&vals); // width 7: the general pass
         let m = b.match_mask(0, 127, 3, 70);
         for i in 0..128 {
             let set = m[i / 64] >> (i % 64) & 1 == 1;
@@ -596,8 +656,8 @@ mod tests {
 
     #[test]
     fn scalar_widths_match_decode_first() {
-        // Widths that do not subdivide a word (3, 5, 7, 13) take the scalar
-        // fallback; straddled word boundaries included.
+        // Widths that do not subdivide a word (3, 5, 7, 13): the general
+        // pass whatever the piece; straddled word boundaries included.
         for top in [7u64, 31, 127, 8000] {
             let vals: Vec<u64> = (0..128u64).map(|i| 1000 + (i * 61) % top).collect();
             for (lo, hi) in [
@@ -607,6 +667,127 @@ mod tests {
             ] {
                 assert_packed_matches(&vals, lo, hi, 0, vals.len());
                 assert_packed_matches(&vals, lo, hi, 5, 123);
+            }
+        }
+    }
+
+    /// `len` values whose block packs at exactly `width` bits: deltas 0 and
+    /// the all-ones delta are both present, the rest pseudo-random, over a
+    /// non-zero base wherever one fits.
+    fn values_of_width(width: u32, len: usize) -> Vec<u64> {
+        let top = if width == 0 {
+            0
+        } else {
+            u64::MAX >> (64 - width)
+        };
+        let base = 1_000u64.min(u64::MAX - top);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ u64::from(width);
+        let mut vals: Vec<u64> = (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                base + ((state >> 7) & top)
+            })
+            .collect();
+        vals[len / 3] = base;
+        vals[len - 1] = base + top;
+        vals
+    }
+
+    /// Every `(start, end)` over the piece edges the kernels distinguish:
+    /// block and word boundaries and their neighbours, the short block's end.
+    fn pieces(len: usize) -> Vec<(usize, usize)> {
+        let edges = [0, 1, 63, 64, 65, 127, len];
+        let mut out = Vec::new();
+        for &start in &edges {
+            for &end in &edges {
+                if start <= end && end <= len {
+                    out.push((start, end));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_width_and_piece_masks_like_decode_first() {
+        for width in 0..=64u32 {
+            // A full block and a short last block.
+            for len in [BLOCK_LEN, 77] {
+                let vals = values_of_width(width, len);
+                let b = Block::compress(&vals);
+                assert_eq!(u32::from(b.width()), width);
+                let top = b.max() - b.min();
+                let mid = vals[len / 2] - b.min();
+                let bounds = [
+                    (0, top),
+                    (0, 0),
+                    (top, top),
+                    (0, top / 2),
+                    (top / 3, top - top / 3),
+                    (mid, mid),
+                    (mid, top),
+                    (1.min(top), top.saturating_sub(1).max(1.min(top))),
+                ];
+                for (start, end) in pieces(len) {
+                    for (dlo, dhi) in bounds {
+                        let mut want = [0u64; 2];
+                        for i in start..end {
+                            let d = vals[i] - b.min();
+                            if dlo <= d && d <= dhi {
+                                want[i / 64] |= 1 << (i % 64);
+                            }
+                        }
+                        assert_eq!(
+                            b.match_mask(dlo, dhi, start, end),
+                            want,
+                            "width {width} len {len} [{dlo},{dhi}] over [{start},{end})"
+                        );
+                    }
+                }
+                // An inverted range matches nothing, at any width.
+                assert_eq!(b.match_mask(1, 0, 0, len), [0, 0], "width {width}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_width_and_piece_ranks_like_decode_first() {
+        for width in 0..=64u32 {
+            for len in [BLOCK_LEN, 77] {
+                let vals = values_of_width(width, len);
+                let b = Block::compress(&vals);
+                let (min, max, mid) = (b.min(), b.max(), vals[len / 2]);
+                let bounds = [
+                    0,
+                    u64::MAX,
+                    min,
+                    max,
+                    min.saturating_sub(1),
+                    max.saturating_add(1),
+                    min.saturating_add(1),
+                    max.saturating_sub(1),
+                    mid,
+                    mid.saturating_add(1),
+                    min + (max - min) / 2,
+                ];
+                for (start, end) in pieces(len) {
+                    for a in bounds {
+                        for bb in bounds {
+                            let piece = &vals[start..end];
+                            let want = (
+                                piece.iter().filter(|&&v| v < a).count(),
+                                piece.iter().filter(|&&v| v <= bb).count(),
+                            );
+                            assert_eq!(
+                                b.rank(a, bb, start, end),
+                                want,
+                                "width {width} len {len} a {a} b {bb} over [{start},{end})"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

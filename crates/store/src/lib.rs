@@ -21,8 +21,9 @@
 //! * **Packed-domain predicate evaluation**: range filters are resolved
 //!   against compressed columns without decoding — blocks are skipped or
 //!   accepted wholesale from per-block min/max, and the rest are compared
-//!   word-parallel in the delta domain ([`scan::scan_checked`], which
-//!   picks block-wise or row-wise from the column representation).
+//!   in the delta domain without a branch per value
+//!   ([`scan::scan_checked`], which picks block-wise or row-wise from the
+//!   column representation).
 //!
 //! The crate also defines the shared query model ([`RangeQuery`]) and the
 //! [`Visitor`] abstraction that all indexes use to process matching records.
@@ -60,7 +61,7 @@ pub use partition::{partition_ranges_aligned, RangeChunk};
 pub use plan::{ChunkedRangeScan, PlannedRange, RangePlan, RangeScan};
 pub use query::{QueryRect, RangeQuery};
 pub use row_buffer::RowBuffer;
-pub use scan::{scan_checked, scan_exact, scan_filtered, scan_rows, BlockSource, Check};
+pub use scan::{rank_rows, scan_checked, scan_exact, scan_filtered, scan_rows, BlockSource, Check};
 pub use stats::{assert_stats_equivalent, ScanStats, ScanStatsMetrics};
 pub use table::Table;
 pub use tier::{

@@ -6,14 +6,22 @@
 //!   from its per-column min/max ([`BlockMeta::classify`]); a block some
 //!   check rules out is *skipped*, one every check covers is *accepted*
 //!   wholesale, and only the rest have their packed words compared in the
-//!   delta domain ([`Block::match_mask`]). [`scan_filtered`] is the same
-//!   call with the checks taken from a [`RangeQuery`].
+//!   delta domain ([`Block::match_mask`]: one branch-free pass over the
+//!   piece's deltas at any width, SWAR for whole blocks of a width dividing
+//!   64). A probed piece's surviving mask reaches a visitor that
+//!   [`supports_exact`](Visitor::supports_exact) as one `(count, sum)`
+//!   group — as an accepted block does — and any other visitor row by row,
+//!   in row order. [`scan_filtered`] is the same call with the checks
+//!   taken from a [`RangeQuery`].
 //! * [`scan_rows`] — the row-at-a-time loop: the only path for columns
 //!   without block metadata (plain columns) or an empty check list, which
 //!   `scan_checked` falls back to on its own, and the reference the
 //!   differential suites compare the block path against.
 //! * [`scan_exact`] — the caller guarantees every row in the range matches;
 //!   skip checks entirely and, when possible, answer from a cumulative column.
+//! * [`rank_rows`] — not a scan but the same pass put to counting: how many
+//!   values of a short sorted run lie below a bound, which is where the
+//!   bound falls in it (Flood's refinement of cells up to a block long).
 //!
 //! What differs between a resident [`Table`] and a tiered one is behind
 //! [`BlockSource`]: where block metadata comes from, and what *pinning* the
@@ -28,7 +36,7 @@
 //! whether per row or from block metadata); only the `blocks_*` counters
 //! (block path) and `segments_*` counters (tiered sources) are extra.
 
-use crate::block::{Block, BlockMatch, BlockMeta, BLOCK_LEN};
+use crate::block::{Block, BlockMask, BlockMatch, BlockMeta, BLOCK_LEN};
 use crate::column::Column;
 use crate::cumulative::CumulativeColumn;
 use crate::query::RangeQuery;
@@ -88,6 +96,18 @@ impl<'a> BlockRef<'a> {
         match self {
             BlockRef::Packed(b) => b.get(i),
             BlockRef::Plain(v) => v[i],
+        }
+    }
+
+    /// How many values at offsets `[start, end)` are `< a`, and how many
+    /// are `<= b` ([`Block::rank`]; a plain block counts over its slice).
+    #[inline]
+    pub fn rank(&self, a: u64, b: u64, start: usize, end: usize) -> (usize, usize) {
+        match self {
+            BlockRef::Packed(blk) => blk.rank(a, b, start, end),
+            BlockRef::Plain(v) => v[start..end].iter().fold((0, 0), |(lt, le), &x| {
+                (lt + usize::from(x < a), le + usize::from(x <= b))
+            }),
         }
     }
 
@@ -250,6 +270,31 @@ fn sum_rows(pinned: &impl PinnedBlocks, dim: usize, start: usize, end: usize) ->
     sum
 }
 
+/// Ranks of `a` and `b` among rows `[start, end)` of column `dim`: how many
+/// values are `< a`, and how many are `<= b`, counted block piece by block
+/// piece ([`BlockRef::rank`]). Where the rows are sorted on `dim` these are
+/// `partition_point(< a)` and `partition_point(<= b)` over them — Flood's
+/// refinement of a cell no longer than a block, which spans at most two
+/// pieces.
+pub fn rank_rows(
+    table: &Table,
+    dim: usize,
+    a: u64,
+    b: u64,
+    start: usize,
+    end: usize,
+) -> (usize, usize) {
+    let mut ranks = (0, 0);
+    if start < end {
+        for (blk, bs, be) in block_pieces(start, end) {
+            let base = blk * BLOCK_LEN;
+            let (lt, le) = table.block(dim, blk).rank(a, b, bs - base, be - base);
+            ranks = (ranks.0 + lt, ranks.1 + le);
+        }
+    }
+    ranks
+}
+
 /// Scan rows `[start, end)` checking the listed `(dim, lo, hi)`
 /// constraints row by row; matching rows are fed to `visitor` with their
 /// value in `agg_dim` (pass `None` for COUNT-style visitors). Touches only
@@ -326,6 +371,17 @@ pub fn scan_exact<S: BlockSource>(
         visitor.visit_exact_sum(end - start, sum);
     });
     Ok(())
+}
+
+/// Call `f` with every offset set in `mask`, ascending.
+#[inline]
+fn for_each_set(mask: BlockMask, mut f: impl FnMut(usize)) {
+    for (wi, mut bits) in mask.into_iter().enumerate() {
+        while bits != 0 {
+            f(wi * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
 }
 
 /// Classify block `b` against every check on a column with block metadata.
@@ -450,16 +506,21 @@ pub fn scan_checked<S: BlockSource>(
                 }
             }
             let values = agg.map(|d| pinned.block(d, b));
-            for (wi, &word) in mask.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let i = wi * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    if passes(&pinned, &residual, base + i) {
-                        visitor.visit(base + i, values.map_or(0, |blk| blk.get(i)));
-                    }
+            if exact && residual.is_empty() {
+                // The mask is the answer: its rows as one anonymous group.
+                let mut sum = 0u64;
+                if let Some(blk) = values {
+                    for_each_set(mask, |i| sum = sum.wrapping_add(blk.get(i)));
                 }
+                let count = mask[0].count_ones() + mask[1].count_ones();
+                visitor.visit_exact_sum(count as usize, sum);
+                continue;
             }
+            for_each_set(mask, |i| {
+                if passes(&pinned, &residual, base + i) {
+                    visitor.visit(base + i, values.map_or(0, |blk| blk.get(i)));
+                }
+            });
         }
     });
     Ok(())

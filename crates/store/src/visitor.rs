@@ -13,14 +13,22 @@ pub trait Visitor {
     /// (0 when the visitor does not need a value, e.g. COUNT).
     fn visit(&mut self, row: usize, value: u64);
 
-    /// Fast path: `count` rows in an exact range matched; their aggregation
-    /// column sums to `sum` (from a cumulative column). Default expands to
-    /// nothing but bumping the internal state via `visit` is NOT required —
-    /// implementations override what they need.
+    /// `count` matching rows at once, their aggregation-column values
+    /// wrap-summing to `sum` — in place of `count` calls to
+    /// [`Visitor::visit`]. The scan kernels use it wherever they know a
+    /// group's count and sum without walking its rows (an exact range or an
+    /// accepted block, from a cumulative column) or can total them cheaper
+    /// than a call per row (the set bits of a probed block's mask).
+    ///
+    /// Contract: a visitor whose [`supports_exact`](Visitor::supports_exact)
+    /// is `true` must end in the same state whether its rows arrive one by
+    /// one or as `(count, sum)` groups, however the rows are grouped. The
+    /// kernels call this only on such a visitor, which is why the default
+    /// body is unreachable: a visitor that needs row ids, row order or the
+    /// individual values (`Collect`, `MinMax`) leaves both defaults alone.
     fn visit_exact_sum(&mut self, count: usize, sum: u64) {
-        // Default: treat as `count` anonymous visits totalling `sum`.
         let _ = (count, sum);
-        unimplemented!("this visitor does not support the exact-range fast path")
+        unreachable!("visit_exact_sum is only called on a visitor whose supports_exact() is true")
     }
 
     /// Whether the visitor needs per-row values (SUM does, COUNT does not).
@@ -29,7 +37,8 @@ pub trait Visitor {
         true
     }
 
-    /// Whether the visitor supports [`Visitor::visit_exact_sum`].
+    /// Whether the visitor takes [`Visitor::visit_exact_sum`], under the
+    /// contract stated there.
     fn supports_exact(&self) -> bool {
         false
     }
@@ -242,6 +251,65 @@ mod tests {
         v.visit(0, u64::MAX);
         v.visit(1, 2);
         assert_eq!(v.sum, 1);
+    }
+
+    /// The `visit_exact_sum` contract for the two visitors that opt in: any
+    /// grouping of the rows into `(count, wrapping sum)` pairs — empty
+    /// groups, one group, one row per group — equals row-by-row visits.
+    #[test]
+    fn exact_sum_groups_equal_row_by_row_visits() {
+        let values = [
+            u64::MAX,
+            2,
+            0,
+            u64::MAX - 1,
+            1 << 63,
+            1 << 63,
+            7,
+            u64::MAX,
+            41,
+        ];
+        let mut count_rows = CountVisitor::default();
+        let mut sum_rows = SumVisitor::default();
+        for (row, &v) in values.iter().enumerate() {
+            count_rows.visit(row, 0);
+            sum_rows.visit(row, v);
+        }
+        assert_eq!(count_rows.count, values.len() as u64);
+        // The true total is far past u64::MAX: the sums below must wrap.
+        assert!(values
+            .iter()
+            .try_fold(0u64, |s, &v| s.checked_add(v))
+            .is_none());
+
+        // Group boundaries as the set bits of `cuts`: every composition of
+        // the nine rows, an empty group appended to each.
+        for cuts in 0u32..1 << (values.len() - 1) {
+            let mut count_groups = CountVisitor::default();
+            let mut sum_groups = SumVisitor::default();
+            let mut counted = MatchCount::new(&mut sum_groups);
+            let mut group = (0usize, 0u64);
+            for (i, &v) in values.iter().enumerate() {
+                group = (group.0 + 1, group.1.wrapping_add(v));
+                if cuts >> i & 1 == 1 || i + 1 == values.len() {
+                    count_groups.visit_exact_sum(group.0, group.1);
+                    counted.visit_exact_sum(group.0, group.1);
+                    group = (0, 0);
+                }
+            }
+            count_groups.visit_exact_sum(0, 0);
+            counted.visit_exact_sum(0, 0);
+            assert_eq!(counted.matched, values.len() as u64, "cuts {cuts:#b}");
+            assert_eq!(count_groups, count_rows, "cuts {cuts:#b}");
+            assert_eq!(sum_groups, sum_rows, "cuts {cuts:#b}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "supports_exact() is true")]
+    fn exact_sum_on_a_row_visitor_is_a_kernel_bug() {
+        assert!(!CollectVisitor::default().supports_exact());
+        CollectVisitor::default().visit_exact_sum(1, 0);
     }
 
     #[test]
