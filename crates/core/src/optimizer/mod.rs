@@ -508,7 +508,10 @@ impl EvaluatorCache {
                 self.data_builds += 1;
                 // Masks over the old sample are meaningless for the new one.
                 self.current = None;
-                self.table_fp = table_multiset_fp(table);
+                // O(n·d) and read only by the `debug_assert_eq!` above.
+                if cfg!(debug_assertions) {
+                    self.table_fp = table_multiset_fp(table);
+                }
                 let d = Arc::new(DataSample::build(
                     table,
                     cfg.data_sample,
@@ -642,21 +645,20 @@ impl CostEvaluator {
         if qn == 0 {
             return 0.0;
         }
-        let mut costs: Vec<Option<f64>> = Vec::with_capacity(qn);
-        for qi in 0..qn {
-            let qfp = self.space.qfps()[qi];
-            costs.push(self.cache.cost_probe(key, qfp));
-        }
+        let qfps = self.space.qfps();
+        let mut costs = self.cache.cost_probe(key, qfps);
         let missing: Vec<usize> = (0..qn).filter(|&qi| costs[qi].is_none()).collect();
         if !missing.is_empty() {
             let stats =
                 self.space
                     .query_stats_cached_for(&key.0, &key.1, &missing, &mut self.cache);
             for (st, &qi) in stats.iter().zip(&missing) {
-                let t = self.cost.predict(st).time_ns;
-                self.cache.cost_insert(key, self.space.qfps()[qi], t);
-                costs[qi] = Some(t);
+                costs[qi] = Some(self.cost.predict(st).time_ns);
             }
+            let fresh = missing
+                .iter()
+                .map(|&qi| (qfps[qi], costs[qi].expect("just priced")));
+            self.cache.cost_insert(key, fresh);
         }
         let sum: f64 = costs.iter().map(|c| c.expect("filled above")).sum();
         sum / qn as f64

@@ -10,8 +10,8 @@
 //! ## Two layers: data sample vs query layer
 //!
 //! The expensive half of a [`SampleSpace`] — sampling rows, training one RMI
-//! per dimension, flattening the sample twice (row- and column-major) —
-//! depends only on the *data*. The cheap half — flattening the queries and
+//! per dimension, flattening the sample, sorting each dimension — depends
+//! only on the *data*. The cheap half — flattening the queries and
 //! computing per-dimension selectivities — depends on the *query set*.
 //! [`DataSample`] holds the first and is shareable (behind an `Arc`) across
 //! any number of query sets over the same table;
@@ -42,6 +42,32 @@
 //! column arithmetic, identical multiplication order for `N_c`, and one
 //! shared [`QueryStatistics::estimated`] constructor (pinned by
 //! `tests/prop_incremental.rs` over arbitrary probe sequences).
+//!
+//! ### A mask is a rank range
+//!
+//! Which column a point lands in does not depend on the query, and
+//! `col(v) = min(⌊v·c⌋, c − 1)` is monotone in `v`. So a mask is never
+//! counted point by point: [`DataSample`] keeps, per dimension, the flat
+//! values sorted, the point id at each rank, and **prefix bitmaps** — the
+//! bitset of the first `k · stride` ranks for every `k`. The points inside a
+//! query's column range are a run of ranks `[a, b)` found by
+//! `partition_point` with `col` itself as predicate (ties and `f32`→`f64`
+//! rounding cannot diverge from the per-point loop, which now lives only in
+//! this module's tests as the reference), and the run's bitmap is
+//! `prefix[⌊b/stride⌉] ^ prefix[⌊a/stride⌉]` plus at most `stride / 2`
+//! single-bit toggles per end: O(words), however many points pass. The
+//! boundary mask is the same call over four ranks, the sort mask the same
+//! with `v < lo` / `v <= hi` as predicates. The table has a fixed number of
+//! rows (≤ 65; `stride` is the multiple of 64 that makes it so), which bounds
+//! it at ≈ 8 bytes per point and dimension — 68 KB per dimension at the
+//! default 10 k sample — instead of O(n²) when the sample is the table.
+//!
+//! A mask that says nothing is a flag, not a bitmap: when every point
+//! passes (every mask at one column, most at two under loose filters) no
+//! `pass` bitmap is kept and the conjunction skips the AND; when no passing
+//! point lies strictly between the two boundary columns no `boundary`
+//! bitmap is kept and the query's exact-point count is 0 without touching a
+//! word. Both are properties of the mask, observable where it is built.
 //!
 //! Cache entries additionally remember the [`StatsCache::epoch`] they were
 //! created in; reuses of entries born in an earlier epoch are counted
@@ -87,10 +113,20 @@ pub struct FlatQuery {
 pub struct DataSample {
     /// Row-major flattened sample values: `flat[p * dims + d]`.
     flat: Vec<f32>,
-    /// Column-major copy: `flat_by_dim[d * n_points + p]`. Mask building in
-    /// the incremental path walks one dimension over every point; the
-    /// transposed layout keeps that walk sequential.
-    flat_by_dim: Vec<f32>,
+    /// Each dimension's flat values in ascending order:
+    /// `sorted[d * n_points + r]` is the `r`-th smallest of dimension `d`.
+    /// A column range of a query is a run of ranks here, found by
+    /// `partition_point`.
+    sorted: Vec<f32>,
+    /// The point holding each rank: `rank_ids[d * n_points + r]`.
+    rank_ids: Vec<u32>,
+    /// Per-dimension prefix bitmaps, `prefix_rows()` rows of
+    /// `n_points.div_ceil(64)` words each: row `k` of dimension `d` has bit `p` set ⇔ point `p` is among
+    /// the first `k * stride` ranks of `d`. At most [`PREFIX_BLOCKS`] + 1
+    /// rows whatever the sample size, so the table is O(n) per dimension.
+    prefix: Vec<u64>,
+    /// Ranks per prefix row: a multiple of [`WORD_BITS`].
+    stride: usize,
     n_points: usize,
     n_dims: usize,
     /// Scale factor from sample counts to full-dataset counts.
@@ -144,24 +180,58 @@ impl DataSample {
             cdfs.push(Rmi::build(&vals, RmiConfig::default()));
         }
 
-        // Flatten the sample, row-major, plus a column-major transpose for
-        // the incremental path's per-dimension mask builds.
+        // Flatten the sample, row-major.
         let mut flat = Vec::with_capacity(n_points * n_dims);
         for &r in &rows {
             for (d, cdf) in cdfs.iter().enumerate() {
                 flat.push(cdf.cdf(table.value(r, d)) as f32);
             }
         }
-        let mut flat_by_dim = vec![0.0f32; n_points * n_dims];
-        for p in 0..n_points {
-            for d in 0..n_dims {
-                flat_by_dim[d * n_points + p] = flat[p * n_dims + d];
+        // Checked once here: the per-dimension sort below and every
+        // `partition_point` over its output rely on a total order.
+        assert!(
+            flat.iter().all(|v| v.is_finite()),
+            "flattened sample values are finite"
+        );
+        assert!(
+            u32::try_from(n_points).is_ok(),
+            "sample point ids fit in u32"
+        );
+
+        // Per-dimension sort order and prefix bitmaps for the incremental
+        // path's mask builds (see `rank_prefix_xor`).
+        let words = n_points.div_ceil(WORD_BITS);
+        let stride = n_points
+            .div_ceil(PREFIX_BLOCKS)
+            .next_multiple_of(WORD_BITS)
+            .max(WORD_BITS);
+        let mut sorted = Vec::with_capacity(n_points * n_dims);
+        let mut rank_ids = Vec::with_capacity(n_points * n_dims);
+        let mut prefix = Vec::with_capacity(n_dims * (n_points.div_ceil(stride) + 1) * words);
+        let mut by_value: Vec<(f32, u32)> = Vec::with_capacity(n_points);
+        let mut row = vec![0u64; words];
+        for d in 0..n_dims {
+            by_value.clear();
+            by_value.extend((0..n_points).map(|p| (flat[p * n_dims + d], p as u32)));
+            by_value.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            row.fill(0);
+            prefix.extend_from_slice(&row);
+            for block in by_value.chunks(stride) {
+                for &(_, p) in block {
+                    row[p as usize / WORD_BITS] |= 1u64 << (p as usize % WORD_BITS);
+                }
+                prefix.extend_from_slice(&row);
             }
+            sorted.extend(by_value.iter().map(|&(v, _)| v));
+            rank_ids.extend(by_value.iter().map(|&(_, p)| p));
         }
 
         DataSample {
             flat,
-            flat_by_dim,
+            sorted,
+            rank_ids,
+            prefix,
+            stride,
             n_points,
             n_dims,
             scale: full_n as f64 / n_points.max(1) as f64,
@@ -175,6 +245,44 @@ impl DataSample {
     /// The soft FDs detected on this sample (empty when disabled).
     pub fn correlation(&self) -> &CorrelationModel {
         &self.correlation
+    }
+
+    /// Rows per dimension in `prefix`: the empty prefix, then one per
+    /// `stride` ranks.
+    fn prefix_rows(&self) -> usize {
+        self.n_points.div_ceil(self.stride) + 1
+    }
+
+    /// Dimension `dim`'s flat values in ascending order.
+    fn sorted(&self, dim: usize) -> &[f32] {
+        &self.sorted[dim * self.n_points..(dim + 1) * self.n_points]
+    }
+
+    /// XOR over `ranks` of `R(r)`, the bitmap of the points at ranks
+    /// `[0, r)` of `dim`'s sort order — so `[a, b]` with `a <= b` gives the
+    /// points at ranks `[a, b)`, and `[a, a2, b2, b]` those at
+    /// `[a, a2) ∪ [b2, b)`. Each `R(r)` is the nearest prefix row with the
+    /// ≤ `stride / 2` points between that row's edge and `r` toggled one
+    /// bit at a time: O(words + stride) per rank, however many points the
+    /// range holds.
+    fn rank_prefix_xor(&self, dim: usize, ranks: &[usize]) -> Vec<u64> {
+        let n = self.n_points;
+        let words = n.div_ceil(WORD_BITS);
+        let ids = &self.rank_ids[dim * n..(dim + 1) * n];
+        let rows = &self.prefix[dim * self.prefix_rows() * words..][..self.prefix_rows() * words];
+        let mut out = vec![0u64; words];
+        for &r in ranks {
+            // `r <= n <= (prefix_rows() - 1) * stride`, so `k` is a row.
+            let k = (r + self.stride / 2) / self.stride;
+            for (o, w) in out.iter_mut().zip(&rows[k * words..(k + 1) * words]) {
+                *o ^= w;
+            }
+            let edge = (k * self.stride).min(n);
+            for &p in &ids[r.min(edge)..r.max(edge)] {
+                out[p as usize / WORD_BITS] ^= 1u64 << (p as usize % WORD_BITS);
+            }
+        }
+        out
     }
 
     /// Number of sampled points.
@@ -548,17 +656,9 @@ impl SampleSpace {
             }
         }
 
-        let words = n_points.div_ceil(WORD_BITS);
-        // All-points mask, with trailing bits beyond `n_points` cleared so
-        // popcounts equal point counts.
-        let mut ones = vec![!0u64; words];
-        if let Some(last) = ones.last_mut() {
-            let tail = n_points % WORD_BITS;
-            if tail != 0 {
-                *last = (1u64 << tail) - 1;
-            }
-        }
-        let mut acc = vec![0u64; words];
+        let ones = all_points(n_points);
+        let mut acc = vec![0u64; ones.len()];
+        let mut boundaries: Vec<&[u64]> = Vec::with_capacity(grid_dims.len());
         let mut out = Vec::with_capacity(subset.len());
         for &qi in subset {
             let (q, qfp) = (&self.queries[qi], self.qfps[qi]);
@@ -567,12 +667,26 @@ impl SampleSpace {
             // scan, so the product is bit-identical.
             let mut nc = 1.0f64;
             acc.copy_from_slice(&ones);
+            // Any filter on an unindexed dimension forces per-point checks,
+            // so no sub-range can be exact.
+            let mut exact_possible =
+                !(0..n_dims).any(|d| q.bounds[d].is_some() && !order.contains(&d));
+            boundaries.clear();
             for (&d, &c) in grid_dims.iter().zip(cols) {
                 match q.bounds[d] {
                     Some(_) => {
                         let masks = &cache.grid[&(qfp, d, c)];
                         nc *= masks.ncols;
-                        and(&mut acc, &masks.pass);
+                        // An all-ones mask leaves `acc` as it is.
+                        if let Some(pass) = &masks.pass {
+                            and(&mut acc, pass);
+                        }
+                        match &masks.boundary {
+                            Some(boundary) => boundaries.push(boundary),
+                            // No interior: `acc ⊆ pass = boundary`, so
+                            // removing the boundary leaves nothing.
+                            None => exact_possible = false,
+                        }
                     }
                     // The query rectangle spans the whole dimension: every
                     // column contributes to N_c and every point passes.
@@ -580,22 +694,18 @@ impl SampleSpace {
                 }
             }
             if q.bounds[sort_dim].is_some() {
-                and(&mut acc, &cache.sort[&(qfp, sort_dim)].pass);
+                if let Some(pass) = &cache.sort[&(qfp, sort_dim)].pass {
+                    and(&mut acc, pass);
+                }
             }
             let ns_sample = popcount(&acc);
-            // Any filter on an unindexed dimension forces per-point checks,
-            // so no sub-range can be exact.
-            let has_unindexed_filter =
-                (0..n_dims).any(|d| q.bounds[d].is_some() && !order.contains(&d));
-            let exact_sample = if has_unindexed_filter {
-                0
-            } else {
-                for (&d, &c) in grid_dims.iter().zip(cols) {
-                    if q.bounds[d].is_some() {
-                        and_not(&mut acc, &cache.grid[&(qfp, d, c)].boundary);
-                    }
+            let exact_sample = if exact_possible {
+                for boundary in &boundaries {
+                    and_not(&mut acc, boundary);
                 }
                 popcount(&acc)
+            } else {
+                0
             };
             let ns = ns_sample as f64 * self.data.scale;
             let exact = exact_sample as f64 * self.data.scale;
@@ -614,52 +724,47 @@ impl SampleSpace {
 
     /// Count one filtered query's grid contribution at one column count:
     /// the per-point pass/boundary bitsets and the query rectangle's column
-    /// span. Uses exactly the column arithmetic of the full scan.
+    /// span. `col(v) = min(⌊v·c⌋, c − 1)` — exactly the column arithmetic
+    /// of the full scan — is monotone in `v`, so the points of a column
+    /// range are a run of the dimension's sort order: `partition_point`
+    /// with `col` itself as predicate finds it (ties and `f32`→`f64`
+    /// rounding cannot diverge from the per-point loop), and
+    /// [`DataSample::rank_prefix_xor`] turns the run into a bitmap without
+    /// visiting its points.
     fn build_query_grid_masks(&self, qi: usize, dim: usize, c: usize, epoch: usize) -> GridMasks {
-        let n_points = self.data.n_points;
-        let words = n_points.div_ceil(WORD_BITS);
-        let col_vals = &self.data.flat_by_dim[dim * n_points..(dim + 1) * n_points];
+        let sorted = self.data.sorted(dim);
         let (lo, hi) = self.queries[qi].bounds[dim].expect("only filtered dims are cached");
-        let lo_col = ((lo as f64 * c as f64) as u32).min(c as u32 - 1);
-        let hi_col = ((hi as f64 * c as f64) as u32).min(c as u32 - 1);
-        let mut pass = vec![0u64; words];
-        let mut boundary = vec![0u64; words];
-        for (p, &v) in col_vals.iter().enumerate() {
-            let col = ((v as f64 * c as f64) as u32).min(c as u32 - 1);
-            if col < lo_col || col > hi_col {
-                continue;
-            }
-            pass[p / WORD_BITS] |= 1u64 << (p % WORD_BITS);
-            if col == lo_col || col == hi_col {
-                boundary[p / WORD_BITS] |= 1u64 << (p % WORD_BITS);
-            }
-        }
+        let col = |v: f32| ((v as f64 * c as f64) as u32).min(c as u32 - 1);
+        let (lo_col, hi_col) = (col(lo), col(hi));
+        // Ranks [a, b) pass; of those, [a2, b2) lie strictly between the
+        // two boundary columns.
+        let a = sorted.partition_point(|&v| col(v) < lo_col);
+        let b = sorted.partition_point(|&v| col(v) <= hi_col);
+        let a2 = a + sorted[a..b].partition_point(|&v| col(v) <= lo_col);
+        let b2 = a + sorted[a..b].partition_point(|&v| col(v) < hi_col);
+        let full = a == 0 && b == sorted.len();
+        let no_interior = a2 >= b2;
         GridMasks {
             ncols: (hi_col - lo_col + 1) as f64,
-            pass,
-            boundary,
+            pass: (!full).then(|| self.data.rank_prefix_xor(dim, &[a, b])),
+            boundary: (!no_interior).then(|| self.data.rank_prefix_xor(dim, &[a, a2, b2, b])),
             created_epoch: epoch,
             last_used_epoch: epoch,
         }
     }
 
     /// Count one filtered query's sort-dimension crossings: which points
-    /// pass the query's sort-dimension bound. (Unfiltered sort dimensions
-    /// are never cached — refinement never runs and every point passes.)
+    /// pass the query's sort-dimension bound — again a run of the sort
+    /// order. (Unfiltered sort dimensions are never cached — refinement
+    /// never runs and every point passes.)
     fn build_query_sort_mask(&self, qi: usize, dim: usize, epoch: usize) -> SortMask {
-        let n_points = self.data.n_points;
-        let words = n_points.div_ceil(WORD_BITS);
-        let col_vals = &self.data.flat_by_dim[dim * n_points..(dim + 1) * n_points];
+        let sorted = self.data.sorted(dim);
         let (lo, hi) = self.queries[qi].bounds[dim].expect("only filtered dims are cached");
-        let mut pass = vec![0u64; words];
-        for (p, &v) in col_vals.iter().enumerate() {
-            if v < lo || v > hi {
-                continue;
-            }
-            pass[p / WORD_BITS] |= 1u64 << (p % WORD_BITS);
-        }
+        let a = sorted.partition_point(|&v| v < lo);
+        let b = sorted.partition_point(|&v| v <= hi);
+        let full = a == 0 && b == sorted.len();
         SortMask {
-            pass,
+            pass: (!full).then(|| self.data.rank_prefix_xor(dim, &[a, b])),
             created_epoch: epoch,
             last_used_epoch: epoch,
         }
@@ -702,6 +807,24 @@ fn fingerprint_query(q: &RangeQuery) -> u64 {
 
 const WORD_BITS: usize = 64;
 
+/// Most blocks a dimension's prefix-bitmap table is cut into. Fixed, so the
+/// table is at most `PREFIX_BLOCKS + 1` bitmaps of `n_points` bits — about
+/// 8 bytes per point and dimension — however large the sample grows.
+const PREFIX_BLOCKS: usize = 64;
+
+/// The all-points mask, with trailing bits beyond `n_points` cleared so
+/// popcounts equal point counts.
+fn all_points(n_points: usize) -> Vec<u64> {
+    let mut ones = vec![!0u64; n_points.div_ceil(WORD_BITS)];
+    if let Some(last) = ones.last_mut() {
+        let tail = n_points % WORD_BITS;
+        if tail != 0 {
+            *last = (1u64 << tail) - 1;
+        }
+    }
+    ones
+}
+
 #[inline]
 fn and(acc: &mut [u64], mask: &[u64]) {
     for (a, m) in acc.iter_mut().zip(mask) {
@@ -728,12 +851,15 @@ struct GridMasks {
     /// this dimension contributes to `N_c`.
     ncols: f64,
     /// Bit `p` set ⇔ point `p`'s column lies inside the query's column
-    /// range.
-    pass: Vec<u64>,
+    /// range. `None` ⇔ every point passes (the mask is *full*): no bitmap
+    /// is kept and the conjunction skips it.
+    pass: Option<Vec<u64>>,
     /// Bit `p` set ⇔ point `p` passes *and* lands on a boundary column
     /// (`lo_col` or `hi_col`) — it is visited but not inside an exact
-    /// sub-range.
-    boundary: Vec<u64>,
+    /// sub-range. `None` ⇔ no passing point lies strictly between the two
+    /// boundary columns (*no interior*): the boundary is `pass` itself, so
+    /// nothing under this query can be exact.
+    boundary: Option<Vec<u64>>,
     /// Cache epoch this entry was counted in (see [`StatsCache::epoch`]).
     created_epoch: usize,
     /// Cache epoch this entry last served a probe (staleness pruning).
@@ -755,7 +881,9 @@ struct CostEntry {
 /// independent: refinement bounds don't depend on the grid).
 #[derive(Debug, Clone)]
 struct SortMask {
-    pass: Vec<u64>,
+    /// Bit `p` set ⇔ point `p` lies inside the query's sort-dimension
+    /// bound; `None` ⇔ every point does.
+    pass: Option<Vec<u64>>,
     /// Cache epoch this entry was counted in (see [`StatsCache::epoch`]).
     created_epoch: usize,
     /// Cache epoch this entry last served a probe (staleness pruning).
@@ -807,39 +935,51 @@ pub struct StatsCache {
 }
 
 impl StatsCache {
-    /// The cached per-query cost of `layout_key` for the query with
-    /// fingerprint `qfp`, counting the hit (cross-epoch hits feed
-    /// [`StatsCache::cross_epoch_reuses`]).
+    /// The cached per-query costs of `layout_key` for the queries with
+    /// fingerprints `qfps`, in that order (`None`: never priced), counting
+    /// each hit (cross-epoch hits feed [`StatsCache::cross_epoch_reuses`]).
+    /// The layout's inner map is resolved once for the whole window.
     pub(crate) fn cost_probe(
         &mut self,
         layout_key: &(Vec<usize>, Vec<usize>),
-        qfp: u64,
-    ) -> Option<f64> {
-        let entry = self.costs.get_mut(layout_key)?.get_mut(&qfp)?;
-        self.cost_hits += 1;
-        if entry.created_epoch < self.epoch {
-            self.cross_epoch_reuses += 1;
+        qfps: &[u64],
+    ) -> Vec<Option<f64>> {
+        let Some(per_query) = self.costs.get_mut(layout_key) else {
+            return vec![None; qfps.len()];
+        };
+        let mut costs = Vec::with_capacity(qfps.len());
+        for qfp in qfps {
+            costs.push(per_query.get_mut(qfp).map(|entry| {
+                self.cost_hits += 1;
+                if entry.created_epoch < self.epoch {
+                    self.cross_epoch_reuses += 1;
+                }
+                entry.last_used_epoch = self.epoch;
+                entry.time_ns
+            }));
         }
-        entry.last_used_epoch = self.epoch;
-        Some(entry.time_ns)
+        costs
     }
 
-    /// Record a freshly computed per-query cost.
+    /// Record freshly computed per-query costs `(query fingerprint,
+    /// time_ns)` of one layout.
     pub(crate) fn cost_insert(
         &mut self,
         layout_key: &(Vec<usize>, Vec<usize>),
-        qfp: u64,
-        time_ns: f64,
+        fresh: impl IntoIterator<Item = (u64, f64)>,
     ) {
-        self.cost_misses += 1;
-        self.costs.entry(layout_key.clone()).or_default().insert(
-            qfp,
-            CostEntry {
-                time_ns,
-                created_epoch: self.epoch,
-                last_used_epoch: self.epoch,
-            },
-        );
+        let per_query = self.costs.entry(layout_key.clone()).or_default();
+        for (qfp, time_ns) in fresh {
+            self.cost_misses += 1;
+            per_query.insert(
+                qfp,
+                CostEntry {
+                    time_ns,
+                    created_epoch: self.epoch,
+                    last_used_epoch: self.epoch,
+                },
+            );
+        }
     }
 
     /// Per-(layout, query) cost lookups served from the cache.
@@ -1192,6 +1332,165 @@ mod tests {
         let before = cache.cross_epoch_reuses();
         let _ = s.query_stats_cached(&[0, 2], &[16], &mut cache);
         assert_eq!(cache.cross_epoch_reuses(), before + 1, "sort entry is old");
+    }
+
+    /// The per-point loop the rank-range masks replaced, kept as their
+    /// reference: `(pass, boundary, ncols)` of one filtered query-dimension
+    /// at `c` columns, and the sort-dimension pass mask.
+    fn reference_masks(s: &SampleSpace, qi: usize, dim: usize, c: usize) -> [Vec<u64>; 3] {
+        let (n_points, n_dims) = (s.data.n_points, s.data.n_dims);
+        let (lo, hi) = s.queries[qi].bounds[dim].expect("filtered");
+        let lo_col = ((lo as f64 * c as f64) as u32).min(c as u32 - 1);
+        let hi_col = ((hi as f64 * c as f64) as u32).min(c as u32 - 1);
+        let mut masks = [(); 3].map(|_| vec![0u64; n_points.div_ceil(WORD_BITS)]);
+        for p in 0..n_points {
+            let v = s.data.flat[p * n_dims + dim];
+            let bit = 1u64 << (p % WORD_BITS);
+            let col = ((v as f64 * c as f64) as u32).min(c as u32 - 1);
+            if col >= lo_col && col <= hi_col {
+                masks[0][p / WORD_BITS] |= bit;
+                if col == lo_col || col == hi_col {
+                    masks[1][p / WORD_BITS] |= bit;
+                }
+            }
+            if v >= lo && v <= hi {
+                masks[2][p / WORD_BITS] |= bit;
+            }
+        }
+        masks
+    }
+
+    /// Sample sizes around the prefix table's edges: one point, a word
+    /// boundary (= one block at the minimum stride of 64) ± 1, two blocks
+    /// and a bit (2·64 + 7), and — where the stride grows to 128 — a whole
+    /// number of blocks (33·128) ± 1 and a last block of one point.
+    const EDGE_SIZES: [usize; 9] = [1, 63, 64, 65, 135, 4_097, 4_223, 4_224, 4_225];
+
+    /// A deterministic stream for seed-derived tables and bounds.
+    fn lcg(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed | 1;
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        }
+    }
+
+    /// Wide, 97-valued, 4-valued and constant columns: the last three are
+    /// long runs of equal flat values that straddle column edges.
+    fn runs_table(n: usize, seed: u64) -> Table {
+        let mut next = lcg(seed);
+        Table::from_columns(vec![
+            (0..n).map(|_| 1_000 + next() % (1 << 30)).collect(),
+            (0..n).map(|_| 1_000 + next() % 97).collect(),
+            (0..n).map(|_| 1_000 + 50 * (next() % 4)).collect(),
+            vec![1_000; n],
+        ])
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(
+            std::env::var("FLOOD_PROPTEST_CASES")
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(24)
+        ))]
+
+        /// What licenses building masks from rank ranges: on every sample
+        /// size around a block edge, for column counts from 1 to more than
+        /// there are points, and for bounds below, above, equal to and
+        /// between the sample's values, `pass`, `boundary`, `ncols`, the
+        /// two flags and the sort mask equal the per-point loop's.
+        #[test]
+        fn rank_range_masks_equal_per_point_reference(
+            size in 0usize..EDGE_SIZES.len(),
+            table_seed in proptest::prelude::any::<u64>(),
+            q_seed in proptest::prelude::any::<u64>(),
+        ) {
+            use proptest::prelude::*;
+            let n = EDGE_SIZES[size];
+            let table = runs_table(n, table_seed);
+            let mut next = lcg(q_seed);
+            // Per dimension and end: below every value, above every value,
+            // some row's own value, or anywhere in the wide domain.
+            let mut bound = |dim: usize| match next() % 4 {
+                0 => next() % 1_000,
+                1 => (1 << 31) + next() % 1_000,
+                2 => table.value(next() as usize % n, dim),
+                _ => 1_000 + next() % (1 << 30),
+            };
+            let queries: Vec<RangeQuery> = (0..6)
+                .map(|_| {
+                    (0..4).fold(RangeQuery::all(4), |q, dim| {
+                        let (a, b) = (bound(dim), bound(dim));
+                        q.with_range(dim, a.min(b), a.max(b))
+                    })
+                })
+                .collect();
+            let ccfg = CorrelationConfig { enabled: false, ..Default::default() };
+            let mut rng = StdRng::seed_from_u64(table_seed);
+            let s = SampleSpace::build(&table, &queries, usize::MAX, &mut rng, &ccfg);
+            prop_assert_eq!(s.data.n_points, n);
+            prop_assert_eq!(s.data.stride, if n <= 4_096 { 64 } else { 128 });
+            let ones = all_points(n);
+            for qi in 0..queries.len() {
+                for dim in 0..4 {
+                    for c in [1, 2, 3, 64, 1_024, n + 37] {
+                        let [pass, boundary, sort] = reference_masks(&s, qi, dim, c);
+                        let got = s.build_query_grid_masks(qi, dim, c, 0);
+                        let at = format!("n {n} query {qi} dim {dim} c {c}");
+                        prop_assert_eq!(got.pass.is_none(), pass == ones, "full, {}", &at);
+                        prop_assert_eq!(got.pass.as_ref().unwrap_or(&ones), &pass, "pass, {}", &at);
+                        prop_assert_eq!(
+                            got.boundary.is_none(),
+                            boundary == pass,
+                            "no_interior, {}", &at
+                        );
+                        prop_assert_eq!(
+                            got.boundary.as_ref().unwrap_or(&pass),
+                            &boundary,
+                            "boundary, {}", &at
+                        );
+                        let (lo, hi) = s.queries[qi].bounds[dim].expect("filtered");
+                        let col = |v: f32| ((v as f64 * c as f64) as u32).min(c as u32 - 1);
+                        prop_assert_eq!(got.ncols, (col(hi) - col(lo) + 1) as f64, "ncols, {}", &at);
+                        let got = s.build_query_sort_mask(qi, dim, 0);
+                        prop_assert_eq!(got.pass.as_ref().unwrap_or(&ones), &sort, "sort, {}", &at);
+                        prop_assert_eq!(got.pass.is_none(), sort == ones, "sort full, {}", &at);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The prefix table has a fixed number of rows, so a sample as large as
+    /// its table costs a bounded number of bytes per point and dimension:
+    /// 4 (row-major flat) + 4 (sorted) + 4 (rank ids) + 65 bitmap rows of
+    /// one bit each (< 8.2). A table with one row per `stride` ranks at a
+    /// fixed stride would be O(n²) — 600 MB here at stride 64.
+    #[test]
+    fn data_sample_memory_is_linear_in_the_sample() {
+        let (n, d) = (200_000u64, 2usize);
+        let t = Table::from_columns(vec![
+            (0..n).map(|i| (i * 7919) % 100_003).collect(),
+            (0..n).map(|i| i % 1_000).collect(),
+        ]);
+        let mut rng = StdRng::seed_from_u64(3);
+        let ccfg = CorrelationConfig {
+            enabled: false,
+            ..Default::default()
+        };
+        let data = DataSample::build(&t, usize::MAX, &mut rng, &ccfg);
+        assert_eq!(data.len(), n as usize);
+        assert!(data.prefix_rows() <= PREFIX_BLOCKS + 1);
+        let bytes =
+            4 * (data.flat.len() + data.sorted.len() + data.rank_ids.len()) + 8 * data.prefix.len();
+        let per_point_dim = bytes as f64 / (n as usize * d) as f64;
+        assert!(
+            per_point_dim <= 20.5,
+            "{per_point_dim} bytes per point and dimension"
+        );
     }
 
     #[test]

@@ -13,6 +13,13 @@
 //! both paths share one arithmetic skeleton, so equal counts give equal
 //! floats).
 //!
+//! A second block drives the same equality through the regime the first
+//! one's generators (`d ≤ 5`, columns in `1..=64`) rarely reach: 8–12
+//! dimensions probed at 1–2 columns under loose filters, where most masks
+//! are all ones or have no interior and the cached path answers from flags
+//! instead of bitmaps. `FLOOD_PROPTEST_CASES` scales that block (CI runs it
+//! at 512 in release).
+//!
 //! The vendored proptest subset has no `prop_flat_map`, so the
 //! dimension-dependent structures (columns, query bounds, probe orders)
 //! are synthesized from drawn seeds with a splitmix-style stream — the
@@ -157,5 +164,97 @@ proptest! {
             warm_recounts,
             "a warm cache must re-count nothing on replay"
         );
+    }
+}
+
+/// 1–6 queries over `d` dimensions, each filtering most of them: loose
+/// ranges (the lower end in the bottom fifth of the domain, the upper in
+/// the top fifth, often the whole domain) with an occasional tight one.
+fn make_loose_queries(d: usize, seed: u64) -> Vec<RangeQuery> {
+    let mut s = Stream(seed | 1);
+    let count = 1 + s.below(6);
+    (0..count)
+        .map(|_| {
+            let mut q = RangeQuery::all(d);
+            for dim in 0..d {
+                let domain = DOMAINS[dim % DOMAINS.len()];
+                let (lo, hi) = match s.below(8) {
+                    0 => continue,
+                    1 => {
+                        let a = s.next() % domain;
+                        (a, a + s.next() % (domain / 16 + 1))
+                    }
+                    2 | 3 => (0, domain),
+                    _ => (
+                        s.next() % (domain / 5 + 1),
+                        domain - s.next() % (domain / 5 + 1),
+                    ),
+                };
+                q = q.with_range(dim, lo, hi);
+            }
+            q
+        })
+        .collect()
+}
+
+/// 2–9 probes over at least `d − 2` of the dimensions, with one or two
+/// columns per grid dimension and now and then a few more.
+fn make_narrow_probes(d: usize, seed: u64) -> Vec<(Vec<usize>, Vec<usize>)> {
+    let mut s = Stream(seed | 1);
+    let count = 2 + s.below(8);
+    (0..count)
+        .map(|_| {
+            let mut order: Vec<usize> = (0..d).collect();
+            for i in (1..d).rev() {
+                let j = s.below(i + 1);
+                order.swap(i, j);
+            }
+            order.truncate(d - s.below(3));
+            let cols = (1..order.len())
+                .map(|_| match s.below(10) {
+                    0 => 3 + s.below(6),
+                    _ => 1 + s.below(2),
+                })
+                .collect();
+            (order, cols)
+        })
+        .collect()
+}
+
+/// Case-count override from `FLOOD_PROPTEST_CASES` (unset/invalid → default).
+fn cases(default: u32) -> u32 {
+    std::env::var("FLOOD_PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(32)))]
+
+    /// The all-ones regime: many dimensions, one or two columns each, loose
+    /// filters. Cached statistics — mostly flags, few bitmaps — equal the
+    /// full scan's on every probe, and again on a warm replay.
+    #[test]
+    fn wide_spaces_at_one_or_two_columns_stay_exact(
+        d_raw in 0usize..5,
+        n in 1usize..300,
+        table_seed in any::<u64>(),
+        q_seed in any::<u64>(),
+        probe_seed in any::<u64>(),
+        sample in 1usize..400,
+    ) {
+        let d = 8 + d_raw;
+        let table = make_table(d, n, table_seed);
+        let queries = make_loose_queries(d, q_seed);
+        let mut rng = StdRng::seed_from_u64(table_seed ^ q_seed);
+        let space = SampleSpace::build(&table, &queries, sample, &mut rng, &CorrelationConfig::default());
+        let mut cache = space.stats_cache();
+        let probes = make_narrow_probes(d, probe_seed);
+        for (order, cols) in probes.iter().chain(probes.iter().rev()) {
+            let full = space.query_stats(order, cols);
+            let cached = space.query_stats_cached(order, cols, &mut cache);
+            prop_assert_eq!(&full, &cached, "order {:?} cols {:?}", order, cols);
+        }
     }
 }
