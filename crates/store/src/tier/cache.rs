@@ -8,11 +8,12 @@
 //! data mid-scan — it only drops the *cache's* reference, and the memory
 //! is freed when the last pin goes.
 //!
-//! Eviction is least-recently-used under a logical clock: every hit or
-//! fault stamps the entry, and when resident bytes exceed the budget the
-//! stalest entries are dropped. A budget of zero keeps nothing resident —
-//! every scan faults everything it touches, the worst case the
-//! differential suite pins against the fully-resident oracle.
+//! Eviction is exact least-recently-used in O(1): resident segments sit on
+//! a recency list — a slab of nodes linked by index, found through a hash
+//! map — so a hit or a fault moves one node to the front, and when resident
+//! bytes exceed the budget the tail is dropped. A budget of zero keeps
+//! nothing resident — every scan faults everything it touches, the worst
+//! case the differential suite pins against the fully-resident oracle.
 
 use super::backend::{SegmentKey, StorageBackend, StorageError};
 use super::segment::decode_segment;
@@ -20,7 +21,7 @@ use crate::block::Block;
 use flood_obs::Registry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Sealing and residency knobs for a tiered table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,17 +75,122 @@ pub struct LoadedSegment {
     pub bytes: usize,
 }
 
+/// "No node" in a [`Node`] link and in the list ends.
+const NIL: usize = usize::MAX;
+
+/// One resident segment on the recency list.
 #[derive(Debug)]
-struct Entry {
+struct Node {
+    key: SegmentKey,
     seg: Arc<LoadedSegment>,
-    last_use: u64,
+    /// Towards the most recently used end.
+    prev: usize,
+    /// Towards the stalest end.
+    next: usize,
 }
 
-#[derive(Debug, Default)]
+/// The resident set in recency order. `nodes` is dense — removal moves the
+/// last node into the hole — and list order *is* recency: `head` was used
+/// last, `tail` is the next to go.
+#[derive(Debug)]
 struct CacheState {
-    map: HashMap<SegmentKey, Entry>,
-    clock: u64,
+    map: HashMap<SegmentKey, usize>,
+    nodes: Vec<Node>,
+    head: usize,
+    tail: usize,
     resident_bytes: usize,
+}
+
+impl Default for CacheState {
+    fn default() -> Self {
+        CacheState {
+            map: HashMap::new(),
+            nodes: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            resident_bytes: 0,
+        }
+    }
+}
+
+impl CacheState {
+    /// The one link update: what follows `prev` becomes `after`, and what
+    /// precedes `next` becomes `before` — `NIL` for `prev` / `next` meaning
+    /// the head / tail of the list.
+    fn join(&mut self, prev: usize, next: usize, after: usize, before: usize) {
+        match prev {
+            NIL => self.head = after,
+            p => self.nodes[p].next = after,
+        }
+        match next {
+            NIL => self.tail = before,
+            n => self.nodes[n].prev = before,
+        }
+    }
+
+    /// Take slot `i` off the list: its neighbours point at each other.
+    fn unlink(&mut self, i: usize) {
+        let (prev, next) = (self.nodes[i].prev, self.nodes[i].next);
+        self.join(prev, next, next, prev);
+    }
+
+    /// Put slot `i` on the list as the most recently used.
+    fn link_front(&mut self, i: usize) {
+        let head = self.head;
+        (self.nodes[i].prev, self.nodes[i].next) = (NIL, head);
+        self.join(NIL, head, i, i);
+    }
+
+    /// A resident segment, marked most recently used.
+    fn touch(&mut self, key: SegmentKey) -> Option<Arc<LoadedSegment>> {
+        let i = *self.map.get(&key)?;
+        if self.head != i {
+            self.unlink(i);
+            self.link_front(i);
+        }
+        Some(self.nodes[i].seg.clone())
+    }
+
+    /// Make `seg` resident as the most recently used, in place of any copy
+    /// of `key` already there.
+    fn insert(&mut self, key: SegmentKey, seg: Arc<LoadedSegment>) {
+        self.remove(key);
+        self.resident_bytes += seg.bytes;
+        let i = self.nodes.len();
+        self.nodes.push(Node {
+            key,
+            seg,
+            prev: NIL,
+            next: NIL,
+        });
+        self.map.insert(key, i);
+        self.link_front(i);
+    }
+
+    /// End `key`'s residency, if any.
+    fn remove(&mut self, key: SegmentKey) -> Option<Arc<LoadedSegment>> {
+        let i = self.map.remove(&key)?;
+        self.unlink(i);
+        let node = self.nodes.swap_remove(i);
+        if let Some(moved) = self.nodes.get(i) {
+            // The former last node now lives in slot `i`: its neighbours
+            // and the map follow it there.
+            let (prev, next, moved_key) = (moved.prev, moved.next, moved.key);
+            self.join(prev, next, i, i);
+            self.map.insert(moved_key, i);
+        }
+        self.resident_bytes -= node.seg.bytes;
+        Some(node.seg)
+    }
+
+    /// End the stalest segment's residency; `false` when nothing is
+    /// resident.
+    fn evict_stalest(&mut self) -> bool {
+        match self.nodes.get(self.tail) {
+            Some(node) => self.remove(node.key).is_some(),
+            None => false,
+        }
+    }
 }
 
 /// The memory-budgeted residency manager shared by every snapshot of one
@@ -126,43 +232,38 @@ impl SegmentCache {
     /// concurrent scans faulting different segments do not serialize on
     /// each other's I/O.
     pub fn acquire(&self, key: SegmentKey) -> Result<(Arc<LoadedSegment>, bool), StorageError> {
-        {
-            let mut st = self.state.lock().expect("segment cache poisoned");
-            st.clock += 1;
-            let clock = st.clock;
-            if let Some(e) = st.map.get_mut(&key) {
-                e.last_use = clock;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((e.seg.clone(), false));
-            }
+        let hit = self.state().touch(key);
+        if let Some(seg) = hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((seg, false));
         }
+        let seg = self.load(key)?;
+        self.admit(key, seg.clone());
+        Ok((seg, true))
+    }
+
+    fn state(&self) -> MutexGuard<'_, CacheState> {
+        self.state.lock().expect("segment cache poisoned")
+    }
+
+    /// Read and decode one segment from the backend, past the cache: no
+    /// residency, no counters.
+    pub(crate) fn load(&self, key: SegmentKey) -> Result<Arc<LoadedSegment>, StorageError> {
         let bytes = self.backend.get(key)?;
         let blocks =
             decode_segment(&bytes).map_err(|detail| StorageError::Corrupt { key, detail })?;
-        let heap: usize = blocks.iter().map(Block::size_bytes).sum();
-        let seg = Arc::new(LoadedSegment {
-            blocks,
-            bytes: heap,
-        });
+        let bytes = blocks.iter().map(Block::size_bytes).sum();
+        Ok(Arc::new(LoadedSegment { blocks, bytes }))
+    }
+
+    /// Count a fault and make its segment resident. Another scan may have
+    /// loaded the same segment meanwhile; one copy is kept either way (this
+    /// one — last writer wins, both are identical).
+    fn admit(&self, key: SegmentKey, seg: Arc<LoadedSegment>) {
         self.faults.fetch_add(1, Ordering::Relaxed);
-        let mut st = self.state.lock().expect("segment cache poisoned");
-        st.clock += 1;
-        let clock = st.clock;
-        // Another scan may have loaded the same segment while we read; keep
-        // one copy either way (ours — last writer wins, both are identical).
-        let prev = st.map.insert(
-            key,
-            Entry {
-                seg: seg.clone(),
-                last_use: clock,
-            },
-        );
-        st.resident_bytes += heap;
-        if let Some(p) = prev {
-            st.resident_bytes -= p.seg.bytes;
-        }
+        let mut st = self.state();
+        st.insert(key, seg);
         self.evict_over_budget(&mut st);
-        Ok((seg, true))
     }
 
     /// Drop cache references until resident bytes fit the budget, stalest
@@ -170,15 +271,7 @@ impl SegmentCache {
     /// residency ends.
     fn evict_over_budget(&self, st: &mut CacheState) {
         let budget = self.budget.load(Ordering::Relaxed);
-        while st.resident_bytes > budget && !st.map.is_empty() {
-            let stalest = st
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_use)
-                .map(|(k, _)| *k)
-                .expect("non-empty");
-            let e = st.map.remove(&stalest).expect("present");
-            st.resident_bytes -= e.seg.bytes;
+        while st.resident_bytes > budget && st.evict_stalest() {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -186,27 +279,22 @@ impl SegmentCache {
     /// Evict every resident segment (the adversarial schedule in the
     /// property suite; in-flight pins stay valid).
     pub fn evict_all(&self) {
-        let mut st = self.state.lock().expect("segment cache poisoned");
-        let n = st.map.len() as u64;
-        st.map.clear();
-        st.resident_bytes = 0;
-        self.evictions.fetch_add(n, Ordering::Relaxed);
+        let mut st = self.state();
+        self.evictions
+            .fetch_add(st.nodes.len() as u64, Ordering::Relaxed);
+        *st = CacheState::default();
     }
 
     /// Forget one segment if resident (used when a compaction retires its
     /// key for good; not counted as an eviction).
     pub(crate) fn discard(&self, key: SegmentKey) {
-        let mut st = self.state.lock().expect("segment cache poisoned");
-        if let Some(e) = st.map.remove(&key) {
-            st.resident_bytes -= e.seg.bytes;
-        }
+        self.state().remove(key);
     }
 
     /// Change the memory budget; enforcement happens immediately.
     pub fn set_budget(&self, budget_bytes: usize) {
         self.budget.store(budget_bytes, Ordering::Relaxed);
-        let mut st = self.state.lock().expect("segment cache poisoned");
-        self.evict_over_budget(&mut st);
+        self.evict_over_budget(&mut self.state());
     }
 
     /// The current memory budget in bytes.
@@ -216,25 +304,18 @@ impl SegmentCache {
 
     /// Bytes of decoded segments currently resident.
     pub fn resident_bytes(&self) -> usize {
-        self.state
-            .lock()
-            .expect("segment cache poisoned")
-            .resident_bytes
+        self.state().resident_bytes
     }
 
     /// Number of segments currently resident.
     pub fn resident_segments(&self) -> usize {
-        self.state.lock().expect("segment cache poisoned").map.len()
+        self.state().nodes.len()
     }
 
     /// Whether a segment is currently resident (per-segment residency
     /// tracking, surfaced for tests and diagnostics).
     pub fn is_resident(&self, key: SegmentKey) -> bool {
-        self.state
-            .lock()
-            .expect("segment cache poisoned")
-            .map
-            .contains_key(&key)
+        self.state().map.contains_key(&key)
     }
 
     /// Lifetime count of backend loads (cold acquisitions).
@@ -358,6 +439,200 @@ mod tests {
         cache.set_budget(0);
         assert_eq!(cache.resident_segments(), 0);
         assert_eq!(cache.resident_bytes(), 0);
+    }
+
+    /// The policy this cache replaced, kept as the reference model: a
+    /// logical clock stamps every use and eviction takes
+    /// `min_by_key(last_use)` over the whole resident set.
+    #[derive(Default)]
+    struct ClockModel {
+        /// key → (bytes, last use).
+        map: HashMap<SegmentKey, (usize, u64)>,
+        clock: u64,
+        budget: usize,
+        resident_bytes: usize,
+        faults: u64,
+        hits: u64,
+        evictions: u64,
+        /// Keys evicted for the budget, in eviction order.
+        evicted: Vec<SegmentKey>,
+    }
+
+    impl ClockModel {
+        fn acquire(&mut self, key: SegmentKey, bytes: usize) {
+            self.clock += 1;
+            match self.map.get_mut(&key) {
+                Some(e) => {
+                    e.1 = self.clock;
+                    self.hits += 1;
+                }
+                None => self.load(key, bytes),
+            }
+        }
+
+        /// The insert half of a fault — on its own, a racing second load.
+        fn load(&mut self, key: SegmentKey, bytes: usize) {
+            self.faults += 1;
+            self.clock += 1;
+            let prev = self.map.insert(key, (bytes, self.clock));
+            self.resident_bytes += bytes;
+            self.resident_bytes -= prev.map_or(0, |p| p.0);
+            self.evict_over_budget();
+        }
+
+        fn evict_over_budget(&mut self) {
+            while self.resident_bytes > self.budget && !self.map.is_empty() {
+                let stalest = *self.map.iter().min_by_key(|(_, e)| e.1).unwrap().0;
+                self.resident_bytes -= self.map.remove(&stalest).unwrap().0;
+                self.evictions += 1;
+                self.evicted.push(stalest);
+            }
+        }
+
+        fn set_budget(&mut self, budget: usize) {
+            self.budget = budget;
+            self.evict_over_budget();
+        }
+
+        fn evict_all(&mut self) {
+            self.evictions += self.map.len() as u64;
+            self.map.clear();
+            self.resident_bytes = 0;
+        }
+
+        fn discard(&mut self, key: SegmentKey) {
+            self.resident_bytes -= self.map.remove(&key).map_or(0, |e| e.0);
+        }
+
+        /// Resident keys, most recently used first.
+        fn recency(&self) -> Vec<SegmentKey> {
+            let mut keys: Vec<_> = self.map.iter().map(|(k, e)| (e.1, *k)).collect();
+            keys.sort_unstable_by_key(|&(used, _)| std::cmp::Reverse(used));
+            keys.into_iter().map(|(_, k)| k).collect()
+        }
+    }
+
+    /// Walk the cache's list head to tail, checking the slab against the
+    /// map and the byte count on the way; returns the keys in list order.
+    fn checked_recency(cache: &SegmentCache) -> Vec<SegmentKey> {
+        let st = cache.state();
+        assert_eq!(st.map.len(), st.nodes.len());
+        let (mut keys, mut bytes, mut prev, mut at) = (Vec::new(), 0, NIL, st.head);
+        while at != NIL {
+            let node = &st.nodes[at];
+            assert_eq!(node.prev, prev, "back link of slot {at}");
+            assert_eq!(st.map[&node.key], at, "map entry of {:?}", node.key);
+            keys.push(node.key);
+            bytes += node.seg.bytes;
+            (prev, at) = (at, node.next);
+        }
+        assert_eq!(st.tail, prev);
+        assert_eq!(keys.len(), st.nodes.len(), "every slot is on the list");
+        assert_eq!(
+            st.resident_bytes, bytes,
+            "resident_bytes = Σ resident bytes"
+        );
+        keys
+    }
+
+    fn assert_same(cache: &SegmentCache, model: &ClockModel, step: &str) {
+        assert_eq!(checked_recency(cache), model.recency(), "{step}: recency");
+        assert_eq!(cache.resident_bytes(), model.resident_bytes, "{step}");
+        assert_eq!(
+            (cache.faults(), cache.hits(), cache.evictions()),
+            (model.faults, model.hits, model.evictions),
+            "{step}: faults / hits / evictions"
+        );
+    }
+
+    #[test]
+    fn lru_list_matches_clock_model_on_random_schedules() {
+        for seed in 0..150u64 {
+            let mut state = seed;
+            let mut rng = |below: u64| {
+                // SplitMix64.
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) % below
+            };
+            // 1–64 segments of one to three blocks at differing widths.
+            let backend = Arc::new(MemBackend::new());
+            let sizes: Vec<usize> = (0..1 + rng(64))
+                .map(|id| {
+                    let vals: Vec<u64> = (0..BLOCK_LEN as u64).map(|i| i << (id % 9)).collect();
+                    let blocks = vec![Block::compress(&vals); 1 + (id % 3) as usize];
+                    backend.put(key(id), &encode_segment(&blocks)).unwrap();
+                    blocks.iter().map(Block::size_bytes).sum()
+                })
+                .collect();
+            let total: usize = sizes.iter().sum();
+            let smallest = *sizes.iter().min().unwrap();
+            let budget = |rng: &mut dyn FnMut(u64) -> u64| match rng(6) {
+                0 => 0,
+                1 => 1,
+                2 => smallest - 1,
+                3 => 1 << 40,
+                _ => rng(total as u64 + 1) as usize,
+            };
+
+            let first = budget(&mut rng);
+            let cache = SegmentCache::new(backend, first);
+            let mut model = ClockModel {
+                budget: first,
+                ..Default::default()
+            };
+            for step in 0..250 {
+                let id = rng(sizes.len() as u64);
+                let (k, bytes) = (key(id), sizes[id as usize]);
+                let op = match rng(20) {
+                    0..=11 => {
+                        let hit = model.map.contains_key(&k);
+                        let (seg, faulted) = cache.acquire(k).unwrap();
+                        assert_eq!((seg.bytes, faulted), (bytes, !hit));
+                        model.acquire(k, bytes);
+                        "acquire"
+                    }
+                    12..=13 => {
+                        // A second load of a key that may already be
+                        // resident: what a racing scan's fault does.
+                        cache.admit(k, cache.load(k).unwrap());
+                        model.load(k, bytes);
+                        "duplicate load"
+                    }
+                    14..=15 => {
+                        cache.discard(k);
+                        model.discard(k);
+                        "discard"
+                    }
+                    16..=18 => {
+                        let b = budget(&mut rng);
+                        cache.set_budget(b);
+                        model.set_budget(b);
+                        "set_budget"
+                    }
+                    _ => {
+                        cache.evict_all();
+                        model.evict_all();
+                        "evict_all"
+                    }
+                };
+                assert_same(&cache, &model, &format!("seed {seed} step {step} {op}"));
+            }
+
+            // Drain one eviction at a time: each takes the list's tail, the
+            // segment the model calls stalest.
+            model.evicted.clear();
+            while model.resident_bytes > 0 {
+                let tail = *checked_recency(&cache).last().unwrap();
+                cache.set_budget(model.resident_bytes - 1);
+                model.set_budget(model.resident_bytes - 1);
+                assert_eq!(model.evicted.pop(), Some(tail), "seed {seed}: drain order");
+                assert!(model.evicted.is_empty(), "one eviction per step");
+                assert_same(&cache, &model, &format!("seed {seed} drain"));
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use super::backend::StorageError;
 use super::table::TieredTable;
-use crate::plan::{RangePlan, RangeScan};
+use crate::plan::RangeScan;
 use crate::query::RangeQuery;
 use crate::row_buffer::RowBuffer;
 use crate::stats::ScanStats;
@@ -93,8 +93,9 @@ impl TieredDelta {
     }
 
     /// Execute `query` over base + buffer — hand-written because it is a
-    /// composite: the sealed base goes through the scan driver as one full
-    /// range, the buffer accounts for itself ([`RowBuffer::scan`]). The
+    /// composite: the sealed base goes through the scan driver as its one
+    /// candidate range ([`TieredTable::candidate_rows`]), the buffer
+    /// accounts for itself ([`RowBuffer::scan`]). The
     /// fallible base scan runs first; on `Err` the visitor is untouched.
     /// Buffered rows are visited after sealed rows, in insert order, with
     /// their stable ids.
@@ -106,7 +107,7 @@ impl TieredDelta {
     ) -> Result<ScanStats, StorageError> {
         let base = RangeScan {
             source: &self.base,
-            plan: RangePlan::full(self.base.len(), query),
+            plan: self.base.plan(query),
             agg_dim,
             cumulative: None,
         };
@@ -149,7 +150,10 @@ mod tests {
         let mut v = CountVisitor::default();
         let before = d.try_execute(&q, None, &mut v).unwrap();
         assert_eq!(v.count, 50);
-        assert_eq!(before.ranges_scanned, 2);
+        // The base's running bounds (max 299) rule it out unread: only the
+        // buffer is scanned.
+        assert_eq!(before.ranges_scanned, 1);
+        assert_eq!(before.points_scanned, 50);
 
         d.compact().unwrap();
         assert_eq!(d.buffered(), 0);
@@ -158,6 +162,8 @@ mod tests {
         let after = d.try_execute(&q, None, &mut v2).unwrap();
         assert_eq!(v2.count, 50, "compaction must not change results");
         assert_eq!(after.ranges_scanned, 1, "buffer drained");
+        // Sealed, the 50 rows are the tail of the second 256-row segment.
+        assert_eq!(after.points_scanned, 350 - 256);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! [`TieredScan`]: the full-scan "index" over a [`TieredTable`] — the
-//! tiered counterpart of the `Full Scan` baseline, and the execution entry
+//! [`TieredScan`]: the scan "index" over a [`TieredTable`] — the tiered
+//! counterpart of the `Full Scan` baseline, narrowed to the segments the
+//! table's running bounds leave as candidates — and the execution entry
 //! point for sealed larger-than-RAM data.
 //!
 //! # Failure policy
@@ -51,7 +52,7 @@ pub fn with_retries<T, E>(mut read: impl FnMut() -> Result<T, E>) -> (Result<T, 
     }
 }
 
-/// Full-scan execution over tiered storage.
+/// Scan execution over tiered storage.
 #[derive(Debug, Clone)]
 pub struct TieredScan {
     data: TieredTable,
@@ -80,9 +81,9 @@ impl TieredScan {
     }
 
     /// Execute `query`, surfacing segment-load failures instead of
-    /// retrying. On `Err` the visitor is untouched; on `Ok` the stats and
-    /// results match the resident `Full Scan` baseline exactly (modulo the
-    /// tier counters).
+    /// retrying. On `Err` the visitor is untouched; on `Ok` the results
+    /// match the resident `Full Scan` baseline exactly, and so do the stats
+    /// of a scan of the planned range (modulo the tier counters).
     pub fn try_execute(
         &self,
         query: &RangeQuery,
@@ -101,8 +102,13 @@ impl PlannedIndex for TieredScan {
         &self.data
     }
 
+    /// One range: the table's [`candidate_rows`](TieredTable::candidate_rows)
+    /// for `query`'s filters, checked against all of them. **Accounting:**
+    /// `points_scanned` and `segments_skipped` count that range, not the
+    /// table — rows and segments the running bounds ruled out were never
+    /// looked at, so they are neither scanned nor skipped.
     fn plan(&self, query: &RangeQuery) -> RangePlan {
-        RangePlan::full(self.data.len(), query)
+        self.data.plan(query)
     }
 
     /// The resident footprint of cold data: block metadata, cumulative
@@ -165,7 +171,9 @@ mod tests {
         assert_eq!(v.count, 701);
         assert_eq!(stats.points_matched, 701);
         assert_eq!(stats.ranges_scanned, 1);
-        assert_eq!(stats.points_scanned, 1_500);
+        // Segments of 256 rows; [200, 900] on the ordered column can only
+        // be in the first four.
+        assert_eq!(stats.points_scanned, 1_024);
     }
 
     #[test]

@@ -14,13 +14,15 @@
 //! * [`segment`] — the checksummed on-disk codec for a run of blocks.
 //! * [`cache`] — [`SegmentCache`]: budgeted LRU residency with pin-safe
 //!   eviction, plus [`TierConfig`] (`FLOOD_MEM_BUDGET`).
-//! * [`table`] — [`TieredTable`]: resident block metadata + cumulative
-//!   sidecars over cold segments; sealing and compaction.
+//! * [`table`] — [`TieredTable`]: resident block metadata, cumulative
+//!   sidecars and running segment bounds over cold segments; sealing,
+//!   compaction, and the rows a read has to look at.
 //! * [`scan`] — [`BlockSource`](crate::BlockSource) for a [`TieredTable`]:
 //!   the one scan kernel ([`crate::scan`]) runs over cold segments by
 //!   pinning them through the cache before it emits.
-//! * [`index`] — [`TieredScan`], the full-scan index over tiered data, and
-//!   [`with_retries`], the retry policy for fallible tier reads.
+//! * [`index`] — [`TieredScan`], the scan index over tiered data (it
+//!   plans the table's candidate rows), and [`with_retries`], the retry
+//!   policy for fallible tier reads.
 //! * [`delta`] — [`TieredDelta`], fresh inserts compacting into new cold
 //!   segments.
 

@@ -4,15 +4,19 @@
 //! the compressed representation the scan kernels consume, so a fault is
 //! decode-free beyond validation: no re-compression, no value decoding.
 //!
-//! Layout (all integers little-endian):
+//! Layout, version 2 (all integers little-endian):
 //!
 //! ```text
-//! magic    8B  "FLDSEG01"
+//! magic    8B  "FLDSEG" + two ASCII version digits: "FLDSEG02"
 //! n_blocks 4B
 //! blocks   n_blocks × ( min 8B | max 8B | width 1B | len 2B |
 //!                       n_words 4B | words n_words × 8B )
-//! checksum 8B  FNV-1a over every preceding byte
+//! checksum 8B  over every preceding byte, a word at a time ([`checksum`])
 //! ```
+//!
+//! Version 1 differed only in its checksum (FNV-1a, a byte per multiply);
+//! a version this build does not read is refused by name, before any
+//! checksum is computed.
 //!
 //! [`decode_segment`] bounds-checks every read and verifies the trailing
 //! checksum, so a short read or bit flip surfaces as a typed
@@ -21,29 +25,46 @@
 
 use crate::block::Block;
 
-/// Format magic: identifies a segment blob and its layout version.
-const MAGIC: &[u8; 8] = b"FLDSEG01";
+/// What every version of the format starts with.
+const FORMAT_TAG: &[u8; 6] = b"FLDSEG";
 
-/// FNV-1a 64-bit, the trailing integrity check. Not cryptographic — it
+/// The layout version this build writes and reads.
+const VERSION: &[u8; 2] = b"02";
+
+/// Serialized bytes of a block ahead of its words.
+const BLOCK_HEADER: usize = 8 + 8 + 1 + 2 + 4;
+
+/// The trailing integrity check: FNV-1a's xor-then-multiply over
+/// little-endian 64-bit words instead of bytes, seeded with the length; the
+/// last `len % 8` bytes are folded in as one zero-extended word. Every step
+/// is a bijection of the running state, so any change confined to one word
+/// — every single-bit flip — changes the result. Not cryptographic: it
 /// guards against truncation and accidental corruption, which is the
 /// failure model for a local cold tier.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+fn checksum(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let step = |h: u64, word: u64| (h ^ word).wrapping_mul(PRIME);
+    let mut words = bytes.chunks_exact(8);
+    let mut h = step(0xcbf2_9ce4_8422_2325, bytes.len() as u64);
+    for w in &mut words {
+        h = step(h, u64::from_le_bytes(w.try_into().expect("8B")));
     }
-    h
+    let mut last = [0u8; 8];
+    last[..words.remainder().len()].copy_from_slice(words.remainder());
+    h = step(h, u64::from_le_bytes(last));
+    // A multiply only carries upwards: fold the high half back down.
+    h ^ (h >> 32)
 }
 
 /// Serialize a run of blocks into one segment blob.
 pub fn encode_segment(blocks: &[Block]) -> Vec<u8> {
     let payload: usize = blocks
         .iter()
-        .map(|b| 8 + 8 + 1 + 2 + 4 + b.words().len() * 8)
+        .map(|b| BLOCK_HEADER + b.words().len() * 8)
         .sum();
     let mut out = Vec::with_capacity(8 + 4 + payload + 8);
-    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(FORMAT_TAG);
+    out.extend_from_slice(VERSION);
     out.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
     for b in blocks {
         out.extend_from_slice(&b.min().to_le_bytes());
@@ -55,7 +76,7 @@ pub fn encode_segment(blocks: &[Block]) -> Vec<u8> {
             out.extend_from_slice(&w.to_le_bytes());
         }
     }
-    let sum = fnv1a(&out);
+    let sum = checksum(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
@@ -108,32 +129,43 @@ pub fn decode_segment(bytes: &[u8]) -> Result<Vec<Block>, String> {
             bytes.len()
         ));
     }
+    let (tag, version) = bytes[..8].split_at(FORMAT_TAG.len());
+    if tag != FORMAT_TAG {
+        return Err("bad magic: not a segment blob".into());
+    }
+    if version != VERSION {
+        return Err(format!(
+            "unsupported segment version {:?}: this build reads {:?}",
+            String::from_utf8_lossy(version),
+            String::from_utf8_lossy(VERSION)
+        ));
+    }
     let (body, tail) = bytes.split_at(bytes.len() - 8);
     let want = u64::from_le_bytes(tail.try_into().expect("8B"));
-    let got = fnv1a(body);
+    let got = checksum(body);
     if got != want {
         return Err(format!(
             "checksum mismatch: stored {want:#x}, computed {got:#x}"
         ));
     }
-    let mut r = Reader { bytes: body, at: 0 };
-    if r.take(8)? != MAGIC {
-        return Err("bad magic: not a segment blob".into());
-    }
+    let mut r = Reader { bytes: body, at: 8 };
     let n_blocks = r.u32()? as usize;
-    let mut blocks = Vec::with_capacity(n_blocks);
+    // The count is input: reserve no more than the blob could hold.
+    let mut blocks = Vec::with_capacity(n_blocks.min(body.len() / BLOCK_HEADER));
     for i in 0..n_blocks {
         let min = r.u64()?;
         let max = r.u64()?;
         let width = r.u8()?;
         let len = r.u16()?;
         let n_words = r.u32()? as usize;
-        let mut words = Vec::with_capacity(n_words);
-        for _ in 0..n_words {
-            words.push(r.u64()?);
-        }
+        // One bounds check for the block's words, then fixed-size chunks.
+        let words: Box<[u64]> = r
+            .take(n_words.checked_mul(8).ok_or("length overflow")?)?
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8B")))
+            .collect();
         blocks.push(
-            Block::from_raw_parts(min, max, width, len, words.into_boxed_slice())
+            Block::from_raw_parts(min, max, width, len, words)
                 .map_err(|e| format!("block {i}: {e}"))?,
         );
     }
@@ -151,18 +183,22 @@ mod tests {
     use super::*;
     use crate::block::BLOCK_LEN;
 
-    fn blocks() -> Vec<Block> {
-        let vals: Vec<u64> = (0..300u64).map(|i| 1_000 + (i * 37) % 512).collect();
+    /// `n` blocks of mixed widths; the last one is short.
+    fn blocks_of(n: usize) -> Vec<Block> {
+        let rows = (n * BLOCK_LEN).saturating_sub(84);
+        let vals: Vec<u64> = (0..rows as u64)
+            .map(|i| 1_000 + (i * 37) % (512 << (i / 128)))
+            .collect();
         vals.chunks(BLOCK_LEN).map(Block::compress).collect()
     }
 
-    #[test]
-    fn roundtrip_preserves_every_value() {
-        let orig = blocks();
-        let enc = encode_segment(&orig);
-        let dec = decode_segment(&enc).unwrap();
-        assert_eq!(dec.len(), orig.len());
-        for (a, b) in orig.iter().zip(&dec) {
+    fn blocks() -> Vec<Block> {
+        blocks_of(3)
+    }
+
+    fn assert_same_values(got: &[Block], want: &[Block]) {
+        assert_eq!(got.len(), want.len());
+        for (a, b) in want.iter().zip(got) {
             assert_eq!(a.len(), b.len());
             for i in 0..a.len() {
                 assert_eq!(a.get(i), b.get(i));
@@ -171,9 +207,16 @@ mod tests {
     }
 
     #[test]
+    fn roundtrip_preserves_every_value() {
+        let orig = blocks();
+        assert_eq!(orig.len(), 3);
+        assert_same_values(&decode_segment(&encode_segment(&orig)).unwrap(), &orig);
+    }
+
+    #[test]
     fn truncation_is_detected_at_every_length() {
         let enc = encode_segment(&blocks());
-        for keep in [0, 7, 11, 20, enc.len() / 2, enc.len() - 1] {
+        for keep in 0..enc.len() {
             let err = decode_segment(&enc[..keep]).unwrap_err();
             assert!(!err.is_empty(), "keep={keep}");
         }
@@ -189,16 +232,53 @@ mod tests {
     }
 
     #[test]
+    fn every_single_bit_flip_is_detected() {
+        let enc = encode_segment(&blocks());
+        for bit in 0..enc.len() * 8 {
+            let mut bad = enc.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(decode_segment(&bad).is_err(), "bit {bit} flipped unnoticed");
+        }
+    }
+
+    #[test]
+    fn every_blob_length_mod_eight_roundtrips_and_guards_its_tail() {
+        // 20 + 23 B per block + whole words: 0..=7 blocks give every residue.
+        let mut residues = [false; 8];
+        for n in 0..8 {
+            let orig = blocks_of(n);
+            let enc = encode_segment(&orig);
+            residues[enc.len() % 8] = true;
+            assert_same_values(&decode_segment(&enc).unwrap(), &orig);
+            // The last body byte sits in the checksum's partial word
+            // whenever there is one.
+            let mut bad = enc.clone();
+            bad[enc.len() - 9] ^= 0x80;
+            assert!(decode_segment(&bad).is_err(), "{n} blocks");
+        }
+        assert_eq!(residues, [true; 8]);
+    }
+
+    #[test]
     fn bad_magic_rejected() {
         let mut enc = encode_segment(&blocks());
         enc[0] = b'X';
-        // Checksum still covers the body, so recompute a valid one to reach
-        // the magic check.
-        let n = enc.len();
-        let sum = super::fnv1a(&enc[..n - 8]);
-        enc[n - 8..].copy_from_slice(&sum.to_le_bytes());
         let err = decode_segment(&enc).unwrap_err();
         assert!(err.contains("magic"), "{err}");
+    }
+
+    #[test]
+    fn version_one_blob_is_refused_by_name() {
+        // A well-formed version-1 blob: same body, FNV-1a a byte at a time.
+        let mut v1 = encode_segment(&blocks());
+        let body = v1.len() - 8;
+        v1[6..8].copy_from_slice(b"01");
+        let fnv1a = v1[..body].iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        v1[body..].copy_from_slice(&fnv1a.to_le_bytes());
+        let err = decode_segment(&v1).unwrap_err();
+        assert!(err.contains("unsupported segment version \"01\""), "{err}");
     }
 
     #[test]

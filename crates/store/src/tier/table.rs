@@ -12,6 +12,13 @@
 //! * a per-block cumulative sum sidecar — whole-block SUM accepts are
 //!   answered with zero data access, like the resident store's
 //!   [`CumulativeColumn`](crate::CumulativeColumn) at block granularity;
+//! * per column, the steps of its running maximum over segments `0..=s`
+//!   and running minimum over segments `s..` (`BoundSteps`) — what
+//!   [`TieredTable::candidate_rows`] plans a read from: both are monotone
+//!   in `s` whatever the data, so a range predicate bounds the segments
+//!   that can hold a match with two binary searches, and on a column the
+//!   rows happen to be ordered by (arrival time) that is the §3.2
+//!   sort-dimension refinement, discovered rather than declared;
 //! * segment geometry and residency handles.
 //!
 //! Segment files are reference-counted: cloning a `TieredTable` (how the
@@ -27,9 +34,13 @@
 
 use super::backend::{SegmentKey, StorageBackend, StorageError};
 use super::cache::{SegmentCache, TierConfig};
-use super::segment::{decode_segment, encode_segment};
+use super::segment::encode_segment;
 use crate::block::{Block, BlockMeta, BLOCK_LEN};
+use crate::plan::{PlannedRange, RangePlan};
+use crate::query::RangeQuery;
+use crate::scan::Check;
 use crate::table::Table;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -71,6 +82,51 @@ impl Drop for SegmentFile {
     }
 }
 
+/// A running bound over a column's segments, kept only where it changes:
+/// `vals` is strictly increasing and `segs[i]` is the segment that sets the
+/// bound to `vals[i]`. One entry per segment on a column the rows are
+/// ordered by, a handful on an unordered one.
+#[derive(Debug, Clone, Default)]
+struct BoundSteps {
+    segs: Vec<u32>,
+    vals: Vec<u64>,
+}
+
+impl BoundSteps {
+    /// Resident bytes.
+    fn size_bytes(&self) -> usize {
+        self.segs.len() * 4 + self.vals.len() * 8
+    }
+
+    /// Keep the first `n` steps.
+    fn keep(&mut self, n: usize) {
+        self.segs.truncate(n);
+        self.vals.truncate(n);
+    }
+
+    /// Forget segments `keep..` (a short tail about to be re-sealed).
+    fn truncate(&mut self, keep: usize) {
+        self.keep(self.segs.partition_point(|&s| (s as usize) < keep));
+    }
+
+    /// Running maximum over segments `0..=seg`: a step where `max` exceeds
+    /// every earlier segment's.
+    fn push_max(&mut self, seg: usize, max: u64) {
+        if self.vals.last().is_none_or(|&v| v < max) {
+            self.segs.push(seg as u32);
+            self.vals.push(max);
+        }
+    }
+
+    /// Running minimum over segments `seg..`: earlier steps that are not
+    /// below `min` no longer undercut everything after them.
+    fn push_min(&mut self, seg: usize, min: u64) {
+        self.keep(self.vals.partition_point(|&v| v < min));
+        self.segs.push(seg as u32);
+        self.vals.push(min);
+    }
+}
+
 /// One column of a tiered table: resident metadata plus segment handles.
 #[derive(Debug, Clone)]
 pub struct TieredColumn {
@@ -79,6 +135,12 @@ pub struct TieredColumn {
     /// Cumulative sidecar: `block_prefix[b]` is the wrapping sum of every
     /// value in blocks `0..=b`.
     block_prefix: Vec<u64>,
+    /// The running maximum over segments `0..=s`: its steps are the first
+    /// segment to reach each new high.
+    max_steps: BoundSteps,
+    /// The running minimum over segments `s..`: its steps are the last
+    /// segment to hold each value below everything after it.
+    min_steps: BoundSteps,
     /// One handle per segment, parallel to the table's spans.
     files: Vec<Arc<SegmentFile>>,
 }
@@ -104,6 +166,19 @@ impl TieredColumn {
     /// The key of segment `s` of this column.
     pub(crate) fn segment_key(&self, s: usize) -> SegmentKey {
         self.files[s].key()
+    }
+
+    /// The segments that can hold a value in `[lo, hi]`, as far as the
+    /// running bounds tell: from the first one whose maximum reaches `lo`
+    /// to the last one whose minimum is within `hi` — two binary searches.
+    /// Empty (`start >= end`) when no segment qualifies on either side.
+    fn candidate_segments(&self, lo: u64, hi: u64) -> Range<usize> {
+        let reaching = self.max_steps.vals.partition_point(|&v| v < lo);
+        let within = self.min_steps.vals.partition_point(|&v| v <= hi);
+        match (self.max_steps.segs.get(reaching), within.checked_sub(1)) {
+            (Some(&first), Some(i)) => first as usize..self.min_steps.segs[i] as usize + 1,
+            _ => 0..0,
+        }
     }
 }
 
@@ -142,6 +217,8 @@ impl TieredTable {
                 .map(|_| TieredColumn {
                     meta: Vec::new(),
                     block_prefix: Vec::new(),
+                    max_steps: BoundSteps::default(),
+                    min_steps: BoundSteps::default(),
                     files: Vec::new(),
                 })
                 .collect(),
@@ -228,9 +305,47 @@ impl TieredTable {
             .collect()
     }
 
+    /// The rows a read filtered by `checks` has to look at: one
+    /// [`segment_rows`](Self::segment_rows)-aligned range (its end clipped
+    /// to the table) outside which every block is ruled out by some check,
+    /// from each checked column's running segment bounds — resident
+    /// metadata, no I/O, two binary searches per check. Empty for a check
+    /// with `lo > hi`, an empty table, or bounds no segment can meet; the
+    /// whole table when nothing is checked.
+    pub fn candidate_rows(&self, checks: &[Check]) -> Range<usize> {
+        let mut segs = 0..self.n_segments();
+        for &(dim, lo, hi) in checks {
+            let col = if lo <= hi {
+                self.columns[dim].candidate_segments(lo, hi)
+            } else {
+                0..0
+            };
+            segs = segs.start.max(col.start)..segs.end.min(col.end);
+        }
+        if segs.is_empty() {
+            return 0..0;
+        }
+        let last = self.spans[segs.end - 1];
+        self.spans[segs.start].first_block * BLOCK_LEN
+            ..self.len.min((last.first_block + last.n_blocks) * BLOCK_LEN)
+    }
+
+    /// The plan of a read of this table: `query`'s filters checked over
+    /// [`candidate_rows`](Self::candidate_rows), and no range at all when
+    /// that is empty.
+    pub(crate) fn plan(&self, query: &RangeQuery) -> RangePlan {
+        let mut plan = RangePlan::filtered(query);
+        let rows = self.candidate_rows(&plan.tail);
+        if !rows.is_empty() {
+            plan.ranges
+                .push(PlannedRange::checked(rows.start, rows.end));
+        }
+        plan
+    }
+
     /// Always-resident metadata footprint in bytes: block metadata,
-    /// cumulative sidecars, and segment geometry. This is what a
-    /// larger-than-RAM table costs when fully cold.
+    /// cumulative sidecars, running segment bounds, and segment geometry.
+    /// This is what a larger-than-RAM table costs when fully cold.
     pub fn metadata_bytes(&self) -> usize {
         let per_col: usize = self
             .columns
@@ -238,6 +353,8 @@ impl TieredTable {
             .map(|c| {
                 c.meta.len() * std::mem::size_of::<BlockMeta>()
                     + c.block_prefix.len() * 8
+                    + c.max_steps.size_bytes()
+                    + c.min_steps.size_bytes()
                     + c.files.len() * std::mem::size_of::<SegmentFile>()
             })
             .sum();
@@ -259,12 +376,12 @@ impl TieredTable {
     /// lengths) as new sealed segments — the compaction path for
     /// `delta.rs`-style fresh inserts.
     ///
-    /// When the current row count is not block-aligned, the tail segment
-    /// is decoded, merged with the new rows, and re-sealed as fresh
-    /// segments (its old blob retires via handle drop — clones of this
-    /// table made earlier keep it alive and readable). All backend writes
-    /// happen before any self-mutation: on error the table is unchanged
-    /// and best-effort cleanup removes the orphaned new blobs.
+    /// When the tail segment is not full, it is decoded, merged with the
+    /// new rows, and re-sealed as fresh segments (its old blob retires via
+    /// handle drop — clones of this table made earlier keep it alive and
+    /// readable). All backend writes happen before any self-mutation: on
+    /// error the table is unchanged and best-effort cleanup removes the
+    /// orphaned new blobs.
     pub fn append_columns(&mut self, cols: Vec<Vec<u64>>) -> Result<(), StorageError> {
         assert_eq!(cols.len(), self.dims(), "column count mismatch");
         let added = cols.first().map_or(0, Vec::len);
@@ -277,13 +394,14 @@ impl TieredTable {
         }
 
         // Rows from the start of the tail segment that must be re-sealed
-        // together with the appended rows (none when block-aligned — the
-        // whole tail is already sealed tight).
-        let (keep_spans, tail_start) = if self.len % BLOCK_LEN == 0 {
-            (self.spans.len(), self.len)
-        } else {
-            let tail = *self.spans.last().expect("unaligned len implies a span");
-            (self.spans.len() - 1, tail.first_block * BLOCK_LEN)
+        // together with the appended rows: all of it unless it is full —
+        // a short tail left in place would put the next segment off the
+        // `segment_blocks` grid.
+        let (keep_spans, tail_start) = match self.spans.last() {
+            Some(tail) if self.len < (tail.first_block + self.segment_blocks) * BLOCK_LEN => {
+                (self.spans.len() - 1, tail.first_block * BLOCK_LEN)
+            }
+            _ => (self.spans.len(), self.len),
         };
         let first_new_block = tail_start / BLOCK_LEN;
 
@@ -376,6 +494,19 @@ impl TieredTable {
                 acc = acc.wrapping_add(s);
                 col.block_prefix.push(acc);
             }
+            // A re-sealed tail keeps its rows, so the segment that replaces
+            // it bounds them again: the steps of the segments kept are
+            // still the steps of the table they are a prefix of.
+            col.max_steps.truncate(keep_spans);
+            col.min_steps.truncate(keep_spans);
+            for (span_off, span) in new_spans.iter().enumerate() {
+                let first = span.first_block - first_new_block;
+                let blocks = &new_meta[d][first..first + span.n_blocks];
+                let max = blocks.iter().map(|m| m.max).max().expect("non-empty span");
+                let min = blocks.iter().map(|m| m.min).min().expect("non-empty span");
+                col.max_steps.push_max(keep_spans + span_off, max);
+                col.min_steps.push_min(keep_spans + span_off, min);
+            }
         }
         self.len = tail_start + new_rows;
         Ok(())
@@ -390,11 +521,7 @@ impl TieredTable {
         for col in &self.columns {
             let mut vals = Vec::with_capacity(self.len);
             for file in &col.files {
-                let key = file.key();
-                let bytes = self.cache.backend().get(key)?;
-                let blocks = decode_segment(&bytes)
-                    .map_err(|detail| StorageError::Corrupt { key, detail })?;
-                for b in &blocks {
+                for b in &self.cache.load(file.key())?.blocks {
                     b.decompress_into(&mut vals);
                 }
             }
@@ -510,24 +637,53 @@ mod tests {
 
     #[test]
     fn append_unaligned_reseal_preserves_rows() {
-        let (mut t, _backend) = seal(300, 1 << 20);
-        t.append_columns(vec![(1000..1070u64).collect(), (2000..2070u64).collect()])
+        // A tail short of a block (300 rows), and one of whole blocks but
+        // short of a segment (384 rows = 3 blocks, 2 to a segment).
+        for n in [300, 384] {
+            let (mut t, _backend) = seal(n as u64, 1 << 20);
+            t.append_columns(vec![(1000..1070u64).collect(), (2000..2070u64).collect()])
+                .unwrap();
+            assert_eq!(t.len(), n + 70);
+            let r = t.resident().unwrap();
+            let orig = table(n as u64);
+            for row in 0..n {
+                assert_eq!(r.value(row, 0), orig.value(row, 0), "row {row}");
+            }
+            for i in 0..70 {
+                assert_eq!(r.value(n + i, 0), 1000 + i as u64);
+                assert_eq!(r.value(n + i, 1), 2000 + i as u64);
+            }
+            // Geometry invariant: spans start at segment_blocks boundaries.
+            for s in t.spans() {
+                assert_eq!(s.first_block % 2, 0, "span start must stay aligned");
+                assert!(s.n_blocks <= 2);
+            }
+        }
+    }
+
+    #[test]
+    fn candidate_rows_edges() {
+        // Column a cycles 0..97 (every segment spans all of it), b likewise
+        // over 0..1009; neither narrows anything it can meet.
+        let (t, _backend) = seal(1000, 0);
+        assert_eq!(t.candidate_rows(&[]), 0..1000);
+        assert_eq!(t.candidate_rows(&[(0, 10, 20)]), 0..1000);
+        assert_eq!(t.candidate_rows(&[(0, 20, 10)]), 0..0, "lo > hi");
+        assert_eq!(t.candidate_rows(&[(0, 97, u64::MAX)]), 0..0, "above");
+        assert_eq!(t.candidate_rows(&[(0, 0, 96), (1, 2_000, 3_000)]), 0..0);
+        let (empty, _backend) = seal(0, 0);
+        assert_eq!(empty.candidate_rows(&[]), 0..0);
+        assert_eq!(empty.candidate_rows(&[(0, 0, u64::MAX)]), 0..0);
+
+        // Appended rows above (a) and below (b) everything sealed: each
+        // bound moves only the end it can.
+        let (mut t, _backend) = seal(512, 0);
+        t.append_columns(vec![vec![500; 256], vec![0; 256]])
             .unwrap();
-        assert_eq!(t.len(), 370);
-        let r = t.resident().unwrap();
-        let orig = table(300);
-        for row in 0..300 {
-            assert_eq!(r.value(row, 0), orig.value(row, 0), "row {row}");
-        }
-        for i in 0..70 {
-            assert_eq!(r.value(300 + i, 0), 1000 + i as u64);
-            assert_eq!(r.value(300 + i, 1), 2000 + i as u64);
-        }
-        // Geometry invariant: spans start at segment_blocks boundaries.
-        for s in t.spans() {
-            assert_eq!(s.first_block % 2, 0, "span start must stay aligned");
-            assert!(s.n_blocks <= 2);
-        }
+        assert_eq!(t.candidate_rows(&[(0, 100, 600)]), 512..768);
+        assert_eq!(t.candidate_rows(&[(0, 0, 96)]), 0..512);
+        // The low tail's maximum cannot trim the end: only minima do.
+        assert_eq!(t.candidate_rows(&[(1, 1, 1_008)]), 0..768);
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //! everything, shrinking the budget mid-workload, or re-running a query
 //! against a cold cache must be invisible in results.
 //!
+//! A read is *planned* before it is scanned: [`TieredScan`] and
+//! [`TieredDelta`] look only at the table's `candidate_rows`. The last
+//! property holds that plan against the full scan on tables whose columns
+//! are ordered, ordered in runs, reversed or random, grown by appends.
+//!
 //! `FLOOD_PROPTEST_CASES` scales the case count (CI raises it on push);
 //! `FLOOD_MEM_BUDGET`, when set, is added to the budget pool so CI can
 //! force a mostly-cold run of this whole suite.
@@ -26,10 +31,12 @@ use common::{
     Bound, DimFilter,
 };
 use flood_store::{
-    assert_stats_equivalent, scan_checked, scan_rows, CountVisitor, MemBackend, MinMaxVisitor,
-    ScanStats, SumVisitor, Table, TierConfig, TieredTable, Visitor,
+    assert_stats_equivalent, scan_checked, scan_rows, Check, CountVisitor, MemBackend,
+    MinMaxVisitor, RangeQuery, ScanStats, SumVisitor, Table, TierConfig, TieredDelta, TieredScan,
+    TieredTable, Visitor, BLOCK_LEN,
 };
 use proptest::prelude::*;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The budget pool: everything-cold, tiny (heavy eviction churn), medium,
@@ -207,6 +214,151 @@ fn diff_all_visitors(
     )
 }
 
+/// How one column of the planned-read tables is ordered.
+#[derive(Debug, Clone, Copy)]
+enum Order {
+    Sorted,
+    /// Ascending in runs of 97 rows, each run starting over.
+    RunwiseSorted,
+    Reversed,
+    Random,
+}
+
+fn order_strategy() -> impl Strategy<Value = Order> {
+    prop_oneof![
+        Just(Order::Sorted),
+        Just(Order::RunwiseSorted),
+        Just(Order::Reversed),
+        Just(Order::Random),
+    ]
+}
+
+/// Rows `rows` of a column ordered by `order`. A *dip* batch — the
+/// `dip`-th, counted from 1 — lies wholly below everything before it,
+/// whatever the order.
+fn column_rows(order: Order, rows: Range<usize>, dip: Option<u64>, s: &mut u64) -> Vec<u64> {
+    const BASE: u64 = 1 << 32;
+    rows.map(|r| {
+        let (r, jitter) = (r as u64, splitmix(s) % 3);
+        let v = match order {
+            Order::Sorted => r * 3 + jitter,
+            Order::RunwiseSorted => (r % 97) * 5 + r / 97 % 3,
+            Order::Reversed => (1 << 20) - r * 2,
+            Order::Random => splitmix(s) % 4_096,
+        };
+        match dip {
+            None => BASE + v,
+            Some(k) => BASE - k * (1 << 21) + v % (1 << 20),
+        }
+    })
+    .collect()
+}
+
+/// The segments `checks` leave as candidates, by brute force over block
+/// metadata: from the first segment with a block whose max reaches `lo` to
+/// the last with a block whose min is within `hi`, for every check.
+fn brute_candidate_rows(t: &TieredTable, checks: &[Check]) -> Range<usize> {
+    let mut segs = 0..t.n_segments();
+    for &(d, lo, hi) in checks {
+        let meta = t.tiered_column(d).meta();
+        let of = |span: &flood_store::tier::SegSpan| &meta[span.first_block..][..span.n_blocks];
+        let reaches = |sp| of(sp).iter().any(|m| m.max >= lo);
+        let within = |sp| of(sp).iter().any(|m| m.min <= hi);
+        let first = t.spans().iter().position(reaches);
+        let last = t.spans().iter().rposition(within);
+        segs = match (first, last) {
+            (Some(f), Some(l)) if lo <= hi => segs.start.max(f)..segs.end.min(l + 1),
+            _ => 0..0,
+        };
+    }
+    if segs.is_empty() {
+        return 0..0;
+    }
+    let last = t.spans()[segs.end - 1];
+    t.spans()[segs.start].first_block * BLOCK_LEN
+        ..t.len().min((last.first_block + last.n_blocks) * BLOCK_LEN)
+}
+
+/// One visitor kind through a planned read (`read`, returning its stats)
+/// against `scan_rows` over all of `full`: same result in the same order,
+/// same match count, and exactly `planned` rows looked at.
+fn planned_vs_full<V: Visitor + Default, R: PartialEq + std::fmt::Debug>(
+    full: &Table,
+    checks: &[Check],
+    agg: Option<usize>,
+    planned: usize,
+    read: &dyn Fn(Option<usize>, &mut dyn Visitor) -> ScanStats,
+    extract: fn(&V) -> R,
+    label: &str,
+) {
+    let mut want_v = V::default();
+    let mut want_s = ScanStats::default();
+    let Ok(()) = scan_rows(full, checks, 0, full.len(), agg, &mut want_v, &mut want_s);
+    let mut matched = CountVisitor::default();
+    let Ok(()) = scan_rows(full, checks, 0, full.len(), None, &mut matched, &mut want_s);
+    let mut got_v = V::default();
+    let got_s = read(agg, &mut got_v);
+    assert_eq!(extract(&got_v), extract(&want_v), "{label}: result");
+    assert_eq!(got_s.points_matched, matched.count, "{label}: matched");
+    assert_eq!(got_s.points_scanned, planned as u64, "{label}: scanned");
+    assert!(planned <= full.len(), "{label}: more than the full scan");
+}
+
+/// Every visitor kind through [`planned_vs_full`].
+fn planned_vs_full_all(
+    full: &Table,
+    checks: &[Check],
+    planned: usize,
+    read: &dyn Fn(Option<usize>, &mut dyn Visitor) -> ScanStats,
+) {
+    planned_vs_full::<CountVisitor, _>(full, checks, None, planned, read, |v| v.count, "count");
+    let sum = |v: &SumVisitor| (v.sum, v.count);
+    planned_vs_full::<SumVisitor, _>(full, checks, Some(1), planned, read, sum, "sum");
+    let minmax = |v: &MinMaxVisitor| (v.min, v.max, v.count);
+    planned_vs_full::<MinMaxVisitor, _>(full, checks, Some(1), planned, read, minmax, "minmax");
+    let seen = |v: &RowValueVisitor| v.seen.clone();
+    planned_vs_full::<RowValueVisitor, _>(full, checks, Some(2), planned, read, seen, "rowvalue");
+}
+
+/// A planned read of `delta` — and, when nothing is buffered, of a
+/// [`TieredScan`] over its base — against the full scan of `rows`, the
+/// same rows resident.
+fn check_planned_reads(delta: &TieredDelta, rows: &[Vec<u64>], filters: &[DimFilter; 3]) {
+    let base = delta.base();
+    let checks = make_checks(base, filters);
+    let candidates = base.candidate_rows(&checks);
+    assert_eq!(
+        candidates,
+        brute_candidate_rows(base, &checks),
+        "{checks:?}"
+    );
+    assert_eq!(candidates.start % base.segment_rows(), 0, "aligned start");
+    assert!(
+        candidates.end % base.segment_rows() == 0 || candidates.end == base.len(),
+        "aligned end: {candidates:?} of {}",
+        base.len()
+    );
+
+    let full = Table::from_columns(rows.to_vec());
+    let query = checks.iter().fold(RangeQuery::all(3), |q, &(d, lo, hi)| {
+        q.with_range(d, lo, hi)
+    });
+    let planned = candidates.len() + delta.buffered();
+    planned_vs_full_all(&full, &checks, planned, &|agg, v| {
+        delta
+            .try_execute(&query, agg, v)
+            .expect("in-memory backend")
+    });
+    if delta.buffered() == 0 {
+        let index = TieredScan::new(base.clone());
+        planned_vs_full_all(&full, &checks, planned, &|agg, v| {
+            index
+                .try_execute(&query, agg, v)
+                .expect("in-memory backend")
+        });
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(32)))]
 
@@ -318,5 +470,60 @@ proptest! {
         let filters = [filters.0, filters.1, filters.2];
         let checks = make_checks(&tiered, &filters);
         diff_all_visitors(&reference, &tiered, &checks, 0, reference.len());
+    }
+
+    /// Planned reads ≡ the full scan: `TieredScan` and `TieredDelta` look
+    /// only at `candidate_rows`, which is exactly what brute force over the
+    /// block metadata leaves — on columns ordered every which way, while
+    /// rows are buffered, and after each append re-seals an unaligned tail,
+    /// including batches that undercut everything sealed before them.
+    #[test]
+    fn planned_reads_equal_full_scan(
+        orders in (order_strategy(), order_strategy(), order_strategy()),
+        seed in 0u64..1_000_000,
+        sealed in 0usize..600,
+        appends in proptest::collection::vec((1usize..260, proptest::arbitrary::any::<bool>()), 2..5),
+        filters in proptest::collection::vec(
+            (filter_strategy(), filter_strategy(), filter_strategy()), 1..4),
+        budget_sel in 0usize..8,
+        segment_blocks in 1usize..5,
+    ) {
+        let orders = [orders.0, orders.1, orders.2];
+        let mut s = seed;
+        let mut batch = |rows: Range<usize>, dip: Option<u64>| -> Vec<Vec<u64>> {
+            orders.iter().map(|&o| column_rows(o, rows.clone(), dip, &mut s)).collect()
+        };
+        // An odd row count: the first append always re-seals a tail.
+        let mut rows = batch(0..sealed | 1, None);
+        let pool = budgets();
+        let base = TieredTable::seal(
+            &Table::from_columns(rows.clone()),
+            Arc::new(MemBackend::new()),
+            TierConfig { budget_bytes: pool[budget_sel % pool.len()], segment_blocks },
+        ).unwrap();
+        let mut delta = TieredDelta::with_threshold(base, usize::MAX);
+        let check = |delta: &TieredDelta, rows: &[Vec<u64>]| {
+            for f in &filters {
+                check_planned_reads(delta, rows, &[f.0, f.1, f.2]);
+            }
+        };
+        check(&delta, &rows);
+
+        let mut dips = 0;
+        for &(len, dip) in &appends {
+            dips += u64::from(dip);
+            let start = rows[0].len();
+            let fresh = batch(start..start + len, dip.then_some(dips));
+            for ((&a, &b), &c) in fresh[0].iter().zip(&fresh[1]).zip(&fresh[2]) {
+                delta.insert(&[a, b, c]).unwrap();
+            }
+            for (col, new) in rows.iter_mut().zip(&fresh) {
+                col.extend_from_slice(new);
+            }
+            check(&delta, &rows);
+            delta.compact().unwrap();
+            prop_assert_eq!(delta.base().len(), rows[0].len());
+            check(&delta, &rows);
+        }
     }
 }

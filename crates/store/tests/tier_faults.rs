@@ -120,6 +120,44 @@ fn overwritten_blob_fails_checksum() {
 }
 
 #[test]
+fn version_one_segment_is_refused_by_name_not_as_a_bad_checksum() {
+    let mem = Arc::new(MemBackend::new());
+    let tiered = TieredTable::seal(
+        &table(512),
+        mem.clone() as Arc<dyn StorageBackend>,
+        TierConfig {
+            budget_bytes: 0,
+            segment_blocks: 2,
+        },
+    )
+    .unwrap();
+    // What a version-1 build left behind: the same body under the old
+    // magic, closed by FNV-1a a byte at a time.
+    let victim = tiered.segment_key(0, 0);
+    let mut blob = mem.get(victim).unwrap();
+    let body = blob.len() - 8;
+    blob[..8].copy_from_slice(b"FLDSEG01");
+    let fnv1a = blob[..body].iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    blob[body..].copy_from_slice(&fnv1a.to_le_bytes());
+    mem.put(victim, &blob).unwrap();
+
+    let mut v = CountVisitor::default();
+    let mut s = ScanStats::default();
+    let err =
+        scan_checked(&tiered, &[(0, 1, 510)], 0, 512, None, None, &mut v, &mut s).unwrap_err();
+    match &err {
+        StorageError::Corrupt { key, detail } => {
+            assert_eq!(*key, victim);
+            assert!(detail.contains("unsupported segment version"), "{detail}");
+        }
+        other => panic!("expected Corrupt, got {other}"),
+    }
+    assert_eq!(v.count, 0);
+}
+
+#[test]
 fn deleted_file_is_missing_truncated_file_is_corrupt() {
     let dir_backend = FileBackend::new_temp().unwrap();
     let dir = dir_backend.dir().to_path_buf();
