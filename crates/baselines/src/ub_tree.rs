@@ -77,12 +77,6 @@ impl MultiDimIndex for UbTree {
         let filtered = query.filtered_dims();
         let needs_value = counter.needs_value();
 
-        // The UB-tree interleaves scanning and curve skipping per point, so
-        // its whole cursor loop counts as scan time (Table 2 shows UB-trees
-        // with near-zero index time for the same reason).
-        let timing = flood_store::scan::scan_timing_enabled();
-        let t0 = std::time::Instant::now();
-
         let mut idx = self.zvals.partition_point(|&z| z < z_lo);
         let mut last_page = usize::MAX;
         while idx < self.zvals.len() {
@@ -133,9 +127,6 @@ impl MultiDimIndex for UbTree {
                     }
                 }
             }
-        }
-        if timing {
-            stats.scan_ns += t0.elapsed().as_nanos() as u64;
         }
         stats.ranges_scanned = 1;
         stats.points_matched = counter.matched;

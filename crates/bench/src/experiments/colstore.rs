@@ -4,67 +4,63 @@
 //! The paper reports its store within 5% of MonetDB; ours should be within
 //! a few percent of the raw loop.
 
-use super::ExpConfig;
-use flood_data::{DatasetKind, Workload, WorkloadKind};
+use crate::harness::Harness;
+use flood_data::{DatasetKind, WorkloadKind};
 use flood_store::{scan_filtered, CountVisitor, ScanStats};
-use std::time::Instant;
 
 /// Run the comparison; returns (store ns/row, raw ns/row).
 #[allow(clippy::needless_range_loop)] // the raw loop indexes parallel columns
-pub fn compare(cfg: &ExpConfig) -> (f64, f64) {
+pub fn compare(h: &Harness) -> (f64, f64) {
     let kind = DatasetKind::TpcH;
-    let ds = crate::phases::time_phase("data-gen", || kind.generate(cfg.rows(kind), cfg.seed));
-    let w = Workload::generate(
-        WorkloadKind::OlapUniform,
-        &ds,
-        if cfg.full { 150 } else { 50 },
-        cfg.target_selectivity(),
-        cfg.seed,
-    );
+    let ds = h.generate(|| kind.generate(h.cfg.rows(kind), h.cfg.seed));
+    let n_queries = if h.cfg.full { 150 } else { 50 };
+    let w = h.workload(&ds, WorkloadKind::OlapUniform, n_queries);
+    let t = &ds.table;
     // Raw columns for the ideal-loop variant.
-    let raw: Vec<Vec<u64>> = (0..ds.table.dims())
-        .map(|d| ds.table.column(d).to_vec())
-        .collect();
+    let raw: Vec<Vec<u64>> = (0..t.dims()).map(|d| t.column(d).to_vec()).collect();
 
     // Our store.
-    let t0 = Instant::now();
-    let mut total_store = 0u64;
-    for q in &w.test {
-        let mut v = CountVisitor::default();
-        let mut s = ScanStats::default();
-        let t = &ds.table;
-        let Ok(()) = scan_filtered(t, q, 0, t.len(), None, None, &mut v, &mut s);
-        total_store += v.count;
-    }
-    let store_ns = t0.elapsed().as_nanos() as f64 / (ds.table.len() as f64 * w.test.len() as f64);
+    let (total_store, store) = h.phases.time("query-exec", || {
+        let mut total = 0u64;
+        for q in &w.test {
+            let mut v = CountVisitor::default();
+            let mut s = ScanStats::default();
+            let Ok(()) = scan_filtered(t, q, 0, t.len(), None, None, &mut v, &mut s);
+            total += v.count;
+        }
+        total
+    });
 
     // Ideal loop: same access pattern, hand-rolled.
-    let t0 = Instant::now();
-    let mut total_raw = 0u64;
-    for q in &w.test {
-        let filtered = q.filtered_dims();
-        let mut count = 0u64;
-        'rows: for r in 0..ds.table.len() {
-            for &d in &filtered {
-                let v = raw[d][r];
-                let (lo, hi) = q.bound(d).expect("filtered");
-                if v < lo || v > hi {
-                    continue 'rows;
+    let (total_raw, ideal) = h.phases.time("query-exec", || {
+        let mut total = 0u64;
+        for q in &w.test {
+            let filtered = q.filtered_dims();
+            'rows: for r in 0..t.len() {
+                for &d in &filtered {
+                    let v = raw[d][r];
+                    let (lo, hi) = q.bound(d).expect("filtered");
+                    if v < lo || v > hi {
+                        continue 'rows;
+                    }
                 }
+                total += 1;
             }
-            count += 1;
         }
-        total_raw += count;
-    }
-    let raw_ns = t0.elapsed().as_nanos() as f64 / (ds.table.len() as f64 * w.test.len() as f64);
+        total
+    });
     assert_eq!(total_store, total_raw, "scan results must agree");
-    (store_ns, raw_ns)
+    let rows_read = t.len() as f64 * w.test.len() as f64;
+    (
+        store.as_nanos() as f64 / rows_read,
+        ideal.as_nanos() as f64 / rows_read,
+    )
 }
 
 /// Print the ratio.
-pub fn run(cfg: &ExpConfig) {
+pub fn run(h: &Harness) {
     println!("\n=== §7.1: column-store scan throughput sanity ===");
-    let (store, raw) = compare(cfg);
+    let (store, raw) = compare(h);
     println!("our store: {store:.3} ns/row/query; ideal raw loop: {raw:.3} ns/row/query");
     println!(
         "overhead: {:+.1}% (paper reports within 5% of MonetDB)",

@@ -26,122 +26,83 @@
 //! Every query is executed in both modes and the counts are asserted
 //! equal — result identity is enforced, not assumed.
 
-use super::ExpConfig;
-use crate::harness::{calibrated_cost_model, percentiles_from_ns};
-use crate::phases::time_phase;
-use flood_core::{CorrelationConfig, FloodBuilder, FloodIndex, LayoutOptimizer};
+use crate::harness::{percentiles_from_ns, Harness};
+use flood_core::optimizer::OptimizedLayout;
+use flood_core::{FloodConfig, FloodIndex};
 use flood_data::datasets::highdim;
 use flood_data::workloads::QueryBuilder;
 use flood_store::{CountVisitor, MultiDimIndex, RangeQuery, Table};
-use std::time::Instant;
 
 /// Floor on the `clean` setting's off/on p50 ratio.
 const CLEAN_SPEEDUP_FLOOR: f64 = 1.5;
 
-/// One generator setting in the sweep.
-struct Setting {
-    name: &'static str,
-    noise_frac: f64,
-    outlier_rate: f64,
-}
-
-const SWEEP: &[Setting] = &[
+/// The sweep's generator settings: `(name, noise_frac, outlier_rate)`.
+const SWEEP: &[(&str, f64, f64)] = &[
     // Strength sweep (1% broken rows throughout).
-    Setting {
-        name: "strong",
-        noise_frac: 0.005,
-        outlier_rate: 0.01,
-    },
-    Setting {
-        name: "medium",
-        noise_frac: 0.05,
-        outlier_rate: 0.01,
-    },
-    Setting {
-        name: "weak",
-        noise_frac: 0.30,
-        outlier_rate: 0.01,
-    },
+    ("strong", 0.005, 0.01),
+    ("medium", 0.05, 0.01),
+    ("weak", 0.30, 0.01),
     // Outlier sensitivity at collapse-grade noise.
-    Setting {
-        name: "clean",
-        noise_frac: 0.005,
-        outlier_rate: 0.0,
-    },
-    Setting {
-        name: "dirty",
-        noise_frac: 0.005,
-        outlier_rate: 0.05,
-    },
+    ("clean", 0.005, 0.0),
+    ("dirty", 0.005, 0.05),
 ];
 
 /// Learn a layout and build the index with correlation on or off — both
 /// the optimizer's collapse/re-weight pass and the index's envelope
 /// tightening follow the same switch.
 fn learn_build(
+    h: &Harness,
     table: &Table,
     train: &[RangeQuery],
-    cfg: &ExpConfig,
     enabled: bool,
-) -> (FloodIndex, String, Vec<usize>, Vec<usize>) {
-    let mut ocfg = cfg.optimizer(table.len());
+) -> (FloodIndex, OptimizedLayout) {
+    let mut ocfg = h.cfg.optimizer(table.len());
     // The stock experiment budget samples ~2% of the rows — enough for the
     // paper experiments' 4–6 indexed dims, but too coarse to justify fine
     // host grids once collapsing concentrates the cell budget on 2–3 dims.
     // Both modes get the same roomier sample so the comparison stays fair.
     ocfg.data_sample = (table.len() / 8).clamp(1_000, 20_000);
     ocfg.correlation.enabled = enabled;
-    let optimizer = LayoutOptimizer::with_config(calibrated_cost_model().clone(), ocfg);
-    let learned = time_phase("layout-opt", || optimizer.optimize(table, train));
-    let ccfg = CorrelationConfig {
-        enabled,
-        ..Default::default()
-    };
-    let index = time_phase("index-build", || {
-        FloodBuilder::new()
-            .layout(learned.layout.clone())
-            .correlation(ccfg)
-            .build(table)
-    });
-    (
-        index,
-        learned.layout.to_string(),
-        learned.collapsed,
-        learned.reweighted,
-    )
+    let learned = h.learn(table, train, ocfg);
+    let mut fcfg = FloodConfig::default();
+    fcfg.correlation.enabled = enabled;
+    let (index, _) = h.build_flood(table, learned.layout.clone(), fcfg);
+    (index, learned)
 }
 
 /// Median per-query latency (best of `reps` per query), mean points
 /// scanned, and the per-query counts for the result-identity check.
-fn measure(index: &FloodIndex, test: &[RangeQuery], reps: usize) -> (u64, u64, Vec<u64>) {
-    let mut med_ns = Vec::with_capacity(test.len());
+fn measure(
+    h: &Harness,
+    index: &FloodIndex,
+    test: &[RangeQuery],
+    reps: usize,
+) -> (u64, u64, Vec<u64>) {
+    let mut best_ns = Vec::with_capacity(test.len());
     let mut counts = Vec::with_capacity(test.len());
     let mut scanned = 0u64;
     for q in test {
-        let mut best = u64::MAX;
-        let mut count = 0;
-        for rep in 0..reps.max(1) {
+        let mut first = None;
+        let ns = h.latencies(reps.max(1), |_| {
             let mut v = CountVisitor::default();
-            let t0 = Instant::now();
             let stats = index.execute(q, None, &mut v);
-            best = best.min(t0.elapsed().as_nanos() as u64);
-            count = v.count;
-            if rep == 0 {
-                scanned += stats.points_scanned;
-            }
-        }
-        med_ns.push(best);
+            first.get_or_insert((v.count, stats.points_scanned));
+        });
+        let (count, points) = first.expect("at least one rep");
+        best_ns.push(ns.into_iter().min().expect("at least one rep"));
         counts.push(count);
+        scanned += points;
     }
     (
-        percentiles_from_ns(&med_ns).p50,
+        percentiles_from_ns(&best_ns).p50,
         scanned / test.len().max(1) as u64,
         counts,
     )
 }
 
 /// Run the experiment at the configured scale.
-pub fn run(cfg: &ExpConfig) {
+pub fn run(h: &Harness) {
+    let cfg = &h.cfg;
     let d = 8;
     let n = (80_000.0 * if cfg.full { 2.0 } else { 1.0 } * cfg.scale) as usize;
     let reps = if cfg.full { 7 } else { 5 };
@@ -158,10 +119,8 @@ pub fn run(cfg: &ExpConfig) {
         "off scan"
     );
 
-    for s in SWEEP {
-        let table = time_phase("data-gen", || {
-            highdim::correlated(n, d, cfg.seed, s.noise_frac, s.outlier_rate)
-        });
+    for &(name, noise_frac, outlier_rate) in SWEEP {
+        let table = h.generate(|| highdim::correlated(n, d, cfg.seed, noise_frac, outlier_rate));
         let templates = highdim::correlated_templates(d, cfg.target_selectivity());
         let weights = vec![1.0; templates.len()];
         let mut qb = QueryBuilder::new(&table, cfg.seed);
@@ -173,36 +132,34 @@ pub fn run(cfg: &ExpConfig) {
             Some(cfg.target_selectivity()),
         );
 
-        let (on, on_layout, collapsed, reweighted) = learn_build(&table, &w.train, cfg, true);
-        let (off, _, _, _) = learn_build(&table, &w.train, cfg, false);
+        let (on, learned) = learn_build(h, &table, &w.train, true);
+        let (off, _) = learn_build(h, &table, &w.train, false);
 
-        let t0 = Instant::now();
-        let (on_p50, on_scanned, on_counts) = measure(&on, &w.test, reps);
-        let (off_p50, off_scanned, off_counts) = measure(&off, &w.test, reps);
-        crate::phases::record_phase("query-exec", t0.elapsed());
+        let (on_p50, on_scanned, on_counts) = measure(h, &on, &w.test, reps);
+        let (off_p50, off_scanned, off_counts) = measure(h, &off, &w.test, reps);
 
         // Result identity: collapsing + envelope tightening must never
         // change what a query returns, outliers and all.
         assert_eq!(
             on_counts, off_counts,
-            "correlation-on diverged from off at setting {}",
-            s.name
+            "correlation-on diverged from off at setting {name}"
         );
 
         let speedup = off_p50 as f64 / (on_p50 as f64).max(1.0);
-        let mut collapsed_note = if collapsed.is_empty() {
-            String::new()
-        } else {
-            format!("  [collapsed {collapsed:?}]")
-        };
-        if !reweighted.is_empty() {
-            collapsed_note.push_str(&format!("  [reweighted {reweighted:?}]"));
+        let mut note = learned.layout.to_string();
+        for (what, dims) in [
+            ("collapsed", &learned.collapsed),
+            ("reweighted", &learned.reweighted),
+        ] {
+            if !dims.is_empty() {
+                note.push_str(&format!("  [{what} {dims:?}]"));
+            }
         }
         println!(
-            "{:>8} {:>7.3} {:>8.0}% {:>12.1} {:>12.1} {:>8.2}x {:>9} {:>9}  {on_layout}{collapsed_note}",
-            s.name,
-            s.noise_frac,
-            s.outlier_rate * 100.0,
+            "{:>8} {:>7.3} {:>8.0}% {:>12.1} {:>12.1} {:>8.2}x {:>9} {:>9}  {note}",
+            name,
+            noise_frac,
+            outlier_rate * 100.0,
             on_p50 as f64 / 1e3,
             off_p50 as f64 / 1e3,
             speedup,
@@ -212,7 +169,7 @@ pub fn run(cfg: &ExpConfig) {
         // The headline win, gated on the noise-free setting at the scale
         // BASELINES.md records: `clean` sits far above the bar, `strong`
         // wobbles with machine noise.
-        if s.name == "clean" && cfg.scale >= 1.0 {
+        if name == "clean" && cfg.scale >= 1.0 {
             assert!(
                 speedup >= CLEAN_SPEEDUP_FLOOR,
                 "correlation-on speedup {speedup:.2}x on `clean` is below the \

@@ -11,67 +11,49 @@
 //! of random layouts, then evaluate prediction error on *fresh* random
 //! layouts (held-out), against the measured query times.
 
-use super::ExpConfig;
-use flood_core::cost::calibration::{
-    calibrate_cached, random_layout, CalibrationConfig, WeightModelKind,
-};
+use crate::harness::Harness;
+use flood_core::cost::calibration::{calibrate, random_layout, CalibrationConfig, WeightModelKind};
 use flood_core::cost::features::{cell_size_quantiles, QueryStatistics};
-use flood_core::{CostModel, FloodConfig, FloodIndex};
+use flood_core::{CostModel, FloodConfig};
 use flood_data::DatasetKind;
-use flood_store::CountVisitor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Mean relative error of each model: (forest, linear, constant).
-pub fn errors(cfg: &ExpConfig) -> (f64, f64, f64) {
-    let (ds, w) = cfg.dataset_and_workload(DatasetKind::TpcH);
+pub fn errors(h: &Harness) -> (f64, f64, f64) {
+    let (ds, w) = h.dataset(DatasetKind::TpcH);
     let cal = CalibrationConfig {
-        n_layouts: if cfg.full { 10 } else { 6 },
+        n_layouts: if h.cfg.full { 10 } else { 6 },
         max_cells_log2: 13,
         reps: 2,
-        seed: cfg.seed,
+        seed: h.cfg.seed,
         ..Default::default()
     };
-    let (forest, linear) = crate::phases::time_phase("calibration", || {
-        let (forest, _) = calibrate_cached(&ds.table, &w.train, cal);
-        let (linear, _) = calibrate_cached(
-            &ds.table,
-            &w.train,
-            CalibrationConfig {
-                kind: WeightModelKind::Linear,
-                ..cal
-            },
-        );
-        (forest, linear)
-    });
+    let calibrated = |kind| {
+        let cal = CalibrationConfig { kind, ..cal };
+        let ((weights, _), _) = h
+            .phases
+            .time("calibration", || calibrate(&ds.table, &w.train, cal));
+        CostModel::new(weights)
+    };
     let models = [
-        CostModel::new(forest),
-        CostModel::new(linear),
+        calibrated(WeightModelKind::Forest),
+        calibrated(WeightModelKind::Linear),
         CostModel::analytic_default(),
     ];
 
     // Held-out layouts: different seed stream than calibration's.
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xDEAD);
+    let mut rng = StdRng::seed_from_u64(h.cfg.seed ^ 0xDEAD);
     let mut errs = [Vec::new(), Vec::new(), Vec::new()];
     for _ in 0..4 {
         let layout = random_layout(ds.table.dims(), &mut rng, &cal);
-        let index = FloodIndex::build(&ds.table, layout, FloodConfig::default());
-        let sizes = index.cell_sizes();
-        let (avg, median, p95) = cell_size_quantiles(&sizes);
+        let (index, _) = h.build_flood(&ds.table, layout, FloodConfig::default());
+        let (avg, median, p95) = cell_size_quantiles(&index.cell_sizes());
         let total_cells = index.layout().num_cells() as f64;
         let sort_dim = index.layout().sort_dim();
-        for q in &w.test {
-            // Best-of-2 to denoise the "true" time.
-            let mut best: Option<(flood_store::ScanStats, u64)> = None;
-            for _ in 0..2 {
-                let mut v = CountVisitor::default();
-                let (stats, times) = index.execute_profiled(q, None, &mut v);
-                let t = times.total_ns();
-                if best.as_ref().is_none_or(|&(_, bt)| t < bt) {
-                    best = Some((stats, t));
-                }
-            }
-            let (stats, true_ns) = best.expect("two reps ran");
+        // Best-of-2 to denoise the "true" time.
+        for (q, (stats, times)) in w.test.iter().zip(h.profile(&index, &w.test, 2)) {
+            let true_ns = times.total_ns();
             if true_ns == 0 {
                 continue;
             }
@@ -99,9 +81,9 @@ pub fn errors(cfg: &ExpConfig) -> (f64, f64, f64) {
 }
 
 /// Print the comparison.
-pub fn run(cfg: &ExpConfig) {
+pub fn run(h: &Harness) {
     println!("\n=== §4.1.2: cost-model accuracy (why machine learning?) ===");
-    let (forest, linear, constant) = errors(cfg);
+    let (forest, linear, constant) = errors(h);
     println!("mean relative error on held-out random layouts (tpc-h):");
     println!("  random forest:      {:.2}", forest);
     println!(

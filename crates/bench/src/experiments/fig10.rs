@@ -2,101 +2,73 @@
 //! the original workload; Flood retrains its layout per workload and should
 //! win at the median.
 
-use super::ExpConfig;
-use crate::harness::{dims_by_selectivity, fmt_ms, learn_flood, measure};
-use flood_baselines::{GridFile, Hyperoctree, KdTree, UbTree, ZOrderIndex};
+use crate::harness::{fmt_ms, index_dims, Harness};
 use flood_data::workloads::random_workload;
-use flood_data::{DatasetKind, Workload, WorkloadKind};
-use std::time::Duration;
+use flood_data::{DatasetKind, WorkloadKind};
 
 /// One workload's outcome.
 pub struct Round {
-    /// Flood's average query time.
-    pub flood: Duration,
-    /// Best non-Flood average query time.
-    pub best_other: Duration,
-    /// Time Flood spent re-learning + rebuilding.
-    pub retrain: Duration,
+    /// Flood's average query time (ms).
+    pub flood_ms: f64,
+    /// Best non-Flood average query time (ms).
+    pub best_other_ms: f64,
+    /// Seconds Flood spent re-learning + rebuilding.
+    pub retrain_s: f64,
 }
 
 /// Run the rounds; returns one entry per random workload.
-pub fn rounds(cfg: &ExpConfig) -> Vec<Round> {
+pub fn rounds(h: &Harness) -> Vec<Round> {
+    let cfg = &h.cfg;
     let kind = DatasetKind::TpcH;
-    let ds = crate::phases::time_phase("data-gen", || kind.generate(cfg.rows(kind), cfg.seed));
-    let tuned_for = Workload::generate(
-        WorkloadKind::OlapSkewed,
-        &ds,
-        cfg.queries,
-        cfg.target_selectivity(),
-        cfg.seed,
-    );
-    let dims = dims_by_selectivity(&ds.table, &tuned_for.train);
-    let filtered: Vec<usize> = dims
-        .iter()
-        .copied()
-        .filter(|&d| tuned_for.train.iter().any(|q| q.filters(d)))
-        .collect();
-    let mut fixed: Vec<crate::harness::DynIndex> = vec![
-        Box::new(ZOrderIndex::build(&ds.table, filtered.clone())),
-        Box::new(UbTree::build(&ds.table, filtered.clone())),
-        Box::new(Hyperoctree::build(&ds.table, filtered.clone())),
-        Box::new(KdTree::build(&ds.table, filtered.clone())),
-    ];
-    if let Ok(gf) = GridFile::build(&ds.table, filtered.clone()) {
-        fixed.push(Box::new(gf));
-    }
+    let ds = h.generate(|| kind.generate(cfg.rows(kind), cfg.seed));
+    let tuned_for = h.workload(&ds, WorkloadKind::OlapSkewed, cfg.queries);
+    let fixed = h.fixed_baselines(&ds.table, &index_dims(&ds.table, &tuned_for.train));
     let agg = Some(kind.agg_dim());
     // The paper runs 30 random workloads; 6 already show the median story
     // at default scale.
     let n_rounds = if cfg.full { 30 } else { 6 };
     let keys = kind.key_dims();
 
-    let mut out = Vec::new();
-    for round in 0..n_rounds {
-        let w = random_workload(
-            &ds.table,
-            &keys,
-            cfg.queries,
-            cfg.target_selectivity(),
-            cfg.seed.wrapping_add(round as u64 * 1_000 + 17),
-        );
-        let t0 = std::time::Instant::now();
-        let flood = learn_flood(&ds.table, &w.train, cfg.optimizer(ds.table.len()));
-        let retrain = t0.elapsed();
-        let flood_r = measure(&flood, &w.test, agg, Default::default());
-        let best_other = fixed
-            .iter()
-            .map(|idx| measure(&**idx, &w.test, agg, Default::default()).avg_query)
-            .min()
-            .expect("baselines present");
-        out.push(Round {
-            flood: flood_r.avg_query,
-            best_other,
-            retrain,
-        });
-    }
-    out
+    (0..n_rounds)
+        .map(|round| {
+            let w = random_workload(
+                &ds.table,
+                &keys,
+                cfg.queries,
+                cfg.target_selectivity(),
+                cfg.seed.wrapping_add(round as u64 * 1_000 + 17),
+            );
+            let (flood, retrain) = h.learn_flood(&ds.table, &w.train);
+            Round {
+                flood_ms: h.drive(&flood, &w.test, agg).avg_ms(),
+                best_other_ms: fixed
+                    .iter()
+                    .map(|idx| h.drive(idx, &w.test, agg).avg_ms())
+                    .fold(f64::INFINITY, f64::min),
+                retrain_s: retrain.as_secs_f64(),
+            }
+        })
+        .collect()
 }
 
 /// Print per-round times and the median improvement.
-pub fn run(cfg: &ExpConfig) {
+pub fn run(h: &Harness) {
     println!("\n=== Fig 10: random query workloads (TPC-H) ===");
-    let rounds = rounds(cfg);
     println!(
         "{:<8} {:>12} {:>14} {:>12} {:>10}",
         "round", "flood (ms)", "best other(ms)", "speedup", "retrain(s)"
     );
     let mut speedups: Vec<f64> = Vec::new();
-    for (i, r) in rounds.iter().enumerate() {
-        let s = r.best_other.as_secs_f64() / r.flood.as_secs_f64().max(1e-12);
+    for (i, r) in rounds(h).iter().enumerate() {
+        let s = r.best_other_ms / r.flood_ms.max(1e-9);
         speedups.push(s);
         println!(
             "{:<8} {:>12} {:>14} {:>11.2}x {:>10.2}",
             i,
-            fmt_ms(r.flood),
-            fmt_ms(r.best_other),
+            fmt_ms(r.flood_ms),
+            fmt_ms(r.best_other_ms),
             s,
-            r.retrain.as_secs_f64()
+            r.retrain_s
         );
     }
     speedups.sort_by(|a, b| a.partial_cmp(b).expect("finite"));

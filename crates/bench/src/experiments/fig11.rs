@@ -8,118 +8,66 @@
 //! uniform column spacing for learned CDFs. "+Learning" runs the full
 //! layout optimizer.
 
-use super::ExpConfig;
-use crate::harness::{dims_by_selectivity, fmt_ms, learn_flood, measure, RunResult};
-use flood_core::{Flattening, FloodBuilder, Layout};
+use crate::harness::{avg_selectivity, fmt_ms, index_dims, Harness, RunResult};
+use flood_core::{Flattening, FloodConfig, Layout};
 use flood_data::DatasetKind;
 use flood_store::{RangeQuery, Table};
 
 /// The four ablation variants for one dataset.
-pub fn run_dataset(cfg: &ExpConfig, kind: DatasetKind) -> Vec<(String, RunResult)> {
-    let (ds, w) = cfg.dataset_and_workload(kind);
+pub fn run_dataset(h: &Harness, kind: DatasetKind) -> Vec<(&'static str, RunResult)> {
+    let (ds, w) = h.dataset(kind);
     let table = &ds.table;
     let agg = Some(kind.agg_dim());
-    let dims = filtered_by_selectivity(table, &w.train);
+    // Filtered dims, most selective first (the ablation's fixed ordering).
+    let dims = index_dims(table, &w.train);
     let target_cells = (table.len() / 1_024).max(16) as f64;
+    let grid = |layout: Layout, flattening: Flattening| {
+        let fcfg = FloodConfig {
+            flattening,
+            ..Default::default()
+        };
+        h.drive(&h.build_flood(table, layout, fcfg).0, &w.test, agg)
+    };
 
     let mut out = Vec::new();
 
     // 1. Simple Grid: histogram over all filtered dims, uniform spacing,
     //    columns proportional to selectivity.
-    let cols = proportional_cols(table, &w.train, &dims, target_cells, dims.len());
-    let idx = FloodBuilder::new()
-        .layout(Layout::histogram(dims.clone(), cols))
-        .flattening(Flattening::Uniform)
-        .build(table);
-    out.push((
-        "Simple Grid".to_string(),
-        measure(&idx, &w.test, agg, Default::default()),
-    ));
+    let cols = proportional_cols(table, &w.train, &dims, target_cells);
+    let layout = Layout::histogram(dims.clone(), cols);
+    out.push(("Simple Grid", grid(layout, Flattening::Uniform)));
 
     // 2. +Sort Dim: last dim becomes the sort dimension; its columns are
     //    reallocated to the remaining dims.
-    if dims.len() >= 2 {
-        let cols = proportional_cols(table, &w.train, &dims, target_cells, dims.len() - 1);
-        let idx = FloodBuilder::new()
-            .layout(Layout::new(dims.clone(), cols.clone()))
-            .flattening(Flattening::Uniform)
-            .build(table);
-        out.push((
-            "+Sort Dim".to_string(),
-            measure(&idx, &w.test, agg, Default::default()),
-        ));
+    if let Some((_sort, gridded)) = dims.split_last().filter(|(_, rest)| !rest.is_empty()) {
+        let cols = proportional_cols(table, &w.train, gridded, target_cells);
+        let layout = Layout::new(dims.clone(), cols);
+        out.push(("+Sort Dim", grid(layout.clone(), Flattening::Uniform)));
 
         // 3. +Flattening: learned CDF column spacing.
-        let idx = FloodBuilder::new()
-            .layout(Layout::new(dims.clone(), cols))
-            .flattening(Flattening::Learned)
-            .build(table);
-        out.push((
-            "+Flattening".to_string(),
-            measure(&idx, &w.test, agg, Default::default()),
-        ));
+        out.push(("+Flattening", grid(layout, Flattening::Learned)));
     }
 
     // 4. +Learning: the full optimizer.
-    let flood = learn_flood(table, &w.train, cfg.optimizer(table.len()));
-    out.push((
-        "+Learning".to_string(),
-        measure(&flood, &w.test, agg, Default::default()),
-    ));
+    let (flood, _) = h.learn_flood(table, &w.train);
+    out.push(("+Learning", h.drive(&flood, &w.test, agg)));
     out
 }
 
-/// Filtered dims, most selective first (the ablation's fixed ordering).
-fn filtered_by_selectivity(table: &Table, train: &[RangeQuery]) -> Vec<usize> {
-    dims_by_selectivity(table, train)
-        .into_iter()
-        .filter(|&d| train.iter().any(|q| q.filters(d)))
-        .collect()
-}
-
-/// Columns proportional to each dimension's (inverse) selectivity over the
-/// first `k` dims of `dims`, scaled so total cells ≈ `target_cells`.
+/// Columns proportional to each dimension's (inverse) selectivity, scaled
+/// so total cells ≈ `target_cells`.
 fn proportional_cols(
     table: &Table,
     train: &[RangeQuery],
     dims: &[usize],
     target_cells: f64,
-    k: usize,
 ) -> Vec<usize> {
-    let n = table.len().max(1);
-    let step = (n / 2_000).max(1);
-    // Average per-dim selectivity fraction (1.0 when unfiltered).
-    let sel: Vec<f64> = dims[..k]
-        .iter()
-        .map(|&d| {
-            let mut total = 0.0;
-            let mut cnt = 0;
-            for q in train {
-                if let Some((lo, hi)) = q.bound(d) {
-                    let mut hits = 0usize;
-                    let mut seen = 0usize;
-                    let mut r = 0;
-                    while r < n {
-                        let v = table.value(r, d);
-                        if v >= lo && v <= hi {
-                            hits += 1;
-                        }
-                        seen += 1;
-                        r += step;
-                    }
-                    total += hits as f64 / seen.max(1) as f64;
-                    cnt += 1;
-                }
-            }
-            if cnt == 0 {
-                1.0
-            } else {
-                (total / cnt as f64).max(1e-4)
-            }
-        })
-        .collect();
     // log-space shares ∝ log(1/sel), normalized to log(target_cells).
-    let shares: Vec<f64> = sel.iter().map(|&s| (1.0 / s).ln().max(0.1)).collect();
+    let shares: Vec<f64> = dims
+        .iter()
+        .map(|&d| avg_selectivity(table, train, d).map_or(1.0, |s| s.max(1e-4)))
+        .map(|sel| (1.0 / sel).ln().max(0.1))
+        .collect();
     let sum: f64 = shares.iter().sum();
     let budget = target_cells.ln();
     shares
@@ -129,17 +77,16 @@ fn proportional_cols(
 }
 
 /// Print all four datasets.
-pub fn run(cfg: &ExpConfig) {
+pub fn run(h: &Harness) {
     println!("\n=== Fig 11: component ablation ===");
     for kind in DatasetKind::ALL {
-        let rows = run_dataset(cfg, kind);
         println!("\n--- {} ---", kind.name());
         println!("{:<14} {:>14} {:>10}", "variant", "avg query(ms)", "SO");
-        for (name, r) in &rows {
+        for (name, r) in run_dataset(h, kind) {
             println!(
                 "{:<14} {:>14} {:>10.2}",
                 name,
-                fmt_ms(r.avg_query),
+                fmt_ms(r.avg_ms()),
                 r.scan_overhead()
             );
         }

@@ -6,83 +6,44 @@
 //! uniformly from 1 to d, filters land on the first k dimensions, and
 //! per-dimension selectivity is equal with overall selectivity 0.1%.
 
-use super::ExpConfig;
-use crate::harness::{fmt_ms, run_all_indexes, IndexSet, RunResult};
+use crate::harness::{dimensional_workload, fmt_ms, Baseline, Harness};
 use flood_data::datasets::uniform;
-use flood_data::workloads::{DimFilter, QueryBuilder, QueryTemplate};
+use flood_data::DatasetKind;
 
-/// Build the paper's dimensional workload: templates for k = 1..=d filtered
-/// dims at equal weight.
-pub fn dimensional_workload(
-    table: &flood_store::Table,
-    n: usize,
-    target: f64,
-    seed: u64,
-) -> flood_data::Workload {
-    let d = table.dims();
-    let templates: Vec<QueryTemplate> = (1..=d)
-        .map(|k| {
-            let per_dim = target.powf(1.0 / k as f64);
-            QueryTemplate::new(
-                &format!("k{k}"),
-                (0..k).map(|dim| DimFilter::range(dim, per_dim)).collect(),
-            )
-        })
-        .collect();
-    let weights = vec![1.0; templates.len()];
-    let mut b = QueryBuilder::new(table, seed);
-    b.workload("dims", &templates, &weights, n, None)
-}
-
-/// Run the sweep; returns per-d index results.
-pub fn run(cfg: &ExpConfig) {
+/// Run the sweep, printing per-d index results.
+pub fn run(h: &Harness) {
     println!("\n=== Fig 13: scaling dimensions (uniform synthetic) ===");
-    let dims: Vec<usize> = if cfg.full {
-        vec![2, 4, 6, 9, 12, 15, 18]
+    let cfg = &h.cfg;
+    let dims: &[usize] = if cfg.full {
+        &[2, 4, 6, 9, 12, 15, 18]
     } else {
-        vec![2, 4, 6, 9]
+        &[2, 4, 6, 9]
     };
-    let n = cfg.rows(flood_data::DatasetKind::Osm);
-    for d in dims {
-        let table = crate::phases::time_phase("data-gen", || uniform::generate(n, d, cfg.seed));
-        let w = dimensional_workload(&table, cfg.queries, cfg.target_selectivity(), cfg.seed);
-        let results = run_all_indexes(
-            &table,
-            &w.train,
-            &w.test,
-            None,
-            IndexSet {
-                rtree: false,
-                grid_file: d <= 6, // directory grows exponentially with d
-            },
-            cfg.optimizer(n),
-        );
-        let full_scan = results
-            .iter()
-            .find(|r| r.index == "Full Scan")
-            .expect("full scan always runs")
-            .avg_query;
+    let n = cfg.rows(DatasetKind::Osm);
+    let targets = [cfg.target_selectivity()];
+    for &d in dims {
+        let table = h.generate(|| uniform::generate(n, d, cfg.seed));
+        let w = dimensional_workload(&table, d, &targets, cfg.queries, cfg.seed);
+        // The Grid File's directory grows exponentially with d.
+        let skip: &[Baseline] = if d <= 6 {
+            &[Baseline::RStarTree]
+        } else {
+            &[Baseline::RStarTree, Baseline::GridFile]
+        };
+        let results = h.compare_all(&table, &w, None, skip);
+        let full_scan = results[0].avg_ms();
         print!("d={d:<3}");
         for r in &results {
-            print!(" {}={}", shorten(r), fmt_ms(r.avg_query));
+            print!(" {}={}", r.short_name(), fmt_ms(r.avg_ms()));
         }
         println!();
         print!("     ratio vs full scan:");
-        for r in &results {
-            if r.index != "Full Scan" {
-                print!(
-                    " {}={:.1}x",
-                    shorten(r),
-                    full_scan.as_secs_f64() / r.avg_query.as_secs_f64().max(1e-12)
-                );
-            }
+        for r in &results[1..] {
+            let ratio = full_scan / r.avg_ms().max(1e-9);
+            print!(" {}={ratio:.1}x", r.short_name());
         }
         println!();
     }
-}
-
-fn shorten(r: &RunResult) -> String {
-    r.index.replace(' ', "").chars().take(8).collect()
 }
 
 #[cfg(test)]
@@ -92,7 +53,7 @@ mod tests {
     #[test]
     fn dimensional_workload_covers_k_1_through_d() {
         let t = uniform::generate(3_000, 4, 1);
-        let w = dimensional_workload(&t, 200, 0.001, 1);
+        let w = dimensional_workload(&t, 4, &[0.001], 200, 1);
         let mut seen = [false; 5];
         for q in &w.train {
             let k = q.num_filtered();
@@ -109,7 +70,7 @@ mod tests {
     #[test]
     fn per_dim_selectivity_shrinks_with_k() {
         let t = uniform::generate(5_000, 3, 2);
-        let w = dimensional_workload(&t, 100, 0.001, 2);
+        let w = dimensional_workload(&t, 3, &[0.001], 100, 2);
         // A k=1 query's single range must be far narrower than a k=3
         // query's per-dim ranges (0.001 vs 0.1 of the domain).
         let width = |q: &flood_store::RangeQuery, d: usize| {

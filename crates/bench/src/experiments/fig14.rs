@@ -5,11 +5,10 @@
 //! proportionally, measuring per-phase times via Flood's profiled
 //! execution; the optimizer's chosen cell count is reported alongside.
 
-use super::ExpConfig;
-use crate::harness::learn_flood;
-use flood_core::{FloodBuilder, FloodIndex};
+use crate::harness::Harness;
+use flood_core::{FloodConfig, FloodIndex};
 use flood_data::DatasetKind;
-use flood_store::CountVisitor;
+use flood_store::{RangeQuery, ScanStats};
 
 /// One sweep point.
 pub struct SweepPoint {
@@ -26,43 +25,37 @@ pub struct SweepPoint {
 }
 
 /// Measure one index over the test split with phase timing.
-fn profile(index: &FloodIndex, test: &[flood_store::RangeQuery]) -> (f64, f64, f64, f64) {
-    let mut scan = 0u64;
-    let mut idx = 0u64;
-    let mut total = 0u64;
-    let mut stats = flood_store::ScanStats::default();
-    for q in test {
-        let mut v = CountVisitor::default();
-        let (s, t) = index.execute_profiled(q, None, &mut v);
+fn profile(h: &Harness, index: &FloodIndex, test: &[RangeQuery]) -> SweepPoint {
+    let (mut scan, mut idx) = (0u64, 0u64);
+    let mut stats = ScanStats::default();
+    for (s, t) in h.profile(index, test, 1) {
         scan += t.scan_ns;
         idx += t.index_ns();
-        total += t.total_ns();
         stats.merge(&s);
     }
-    let n = test.len().max(1) as f64;
-    (
-        total as f64 / 1e6 / n,
-        scan as f64 / 1e6 / n,
-        idx as f64 / 1e6 / n,
-        stats.scan_overhead().unwrap_or(f64::NAN),
-    )
+    let per_query_ms = |ns: u64| ns as f64 / 1e6 / test.len().max(1) as f64;
+    SweepPoint {
+        cells: index.layout().num_cells(),
+        total_ms: per_query_ms(scan + idx),
+        scan_ms: per_query_ms(scan),
+        index_ms: per_query_ms(idx),
+        so: stats.scan_overhead().unwrap_or(f64::NAN),
+    }
 }
 
 /// Run the sweep; returns the points and the learned layout's cell count.
-pub fn sweep(cfg: &ExpConfig) -> (Vec<SweepPoint>, usize) {
-    let kind = DatasetKind::TpcH;
-    let (ds, w) = cfg.dataset_and_workload(kind);
-    let flood = learn_flood(&ds.table, &w.train, cfg.optimizer(ds.table.len()));
+pub fn sweep(h: &Harness) -> (Vec<SweepPoint>, usize) {
+    let (ds, w) = h.dataset(DatasetKind::TpcH);
+    let (flood, _) = h.learn_flood(&ds.table, &w.train);
     let learned = flood.layout().clone();
-    let learned_cells = learned.num_cells();
 
-    let factors: &[f64] = if cfg.full {
-        &[1.0 / 64.0, 1.0 / 16.0, 0.25, 1.0, 4.0, 16.0, 64.0]
+    let factors: &[f64] = if h.cfg.full {
+        &[1.0 / 64.0, 1.0 / 16.0, 0.25, 4.0, 16.0, 64.0]
     } else {
-        &[1.0 / 16.0, 0.25, 1.0, 4.0, 16.0]
+        &[1.0 / 16.0, 0.25, 4.0, 16.0]
     };
     let k = learned.cols().len().max(1) as f64;
-    let mut points = Vec::new();
+    let mut points = vec![profile(h, &flood, &w.test)];
     for &f in factors {
         let per_dim = f.powf(1.0 / k);
         let cols: Vec<usize> = learned
@@ -70,33 +63,20 @@ pub fn sweep(cfg: &ExpConfig) -> (Vec<SweepPoint>, usize) {
             .iter()
             .map(|&c| ((c as f64 * per_dim).round() as usize).clamp(1, 8_192))
             .collect();
-        let layout = learned.with_cols(cols);
-        let cells = layout.num_cells();
-        let index = if f == 1.0 {
-            // Reuse the already built learned index.
-            None
-        } else {
-            Some(FloodBuilder::new().layout(layout).build(&ds.table))
-        };
-        let idx_ref = index.as_ref().unwrap_or(&flood);
-        let (total_ms, scan_ms, index_ms, so) = profile(idx_ref, &w.test);
-        points.push(SweepPoint {
-            cells,
-            total_ms,
-            scan_ms,
-            index_ms,
-            so,
-        });
+        let (index, _) = h.build_flood(&ds.table, learned.with_cols(cols), FloodConfig::default());
+        points.push(profile(h, &index, &w.test));
     }
+    // Stable, so of two layouts with the learned cell count the learned
+    // one (first) is kept.
     points.sort_by_key(|p| p.cells);
     points.dedup_by_key(|p| p.cells);
-    (points, learned_cells)
+    (points, learned.num_cells())
 }
 
 /// Print the cost surface.
-pub fn run(cfg: &ExpConfig) {
+pub fn run(h: &Harness) {
     println!("\n=== Fig 14: cells vs query/scan/index time (tpc-h) ===");
-    let (points, learned_cells) = sweep(cfg);
+    let (points, learned_cells) = sweep(h);
     println!(
         "{:>10} {:>12} {:>10} {:>10} {:>8}",
         "cells", "query(ms)", "scan(ms)", "index(ms)", "SO"

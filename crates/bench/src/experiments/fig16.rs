@@ -3,91 +3,32 @@
 //! within each type have similar characteristics … Flood only requires a
 //! few queries of each type to learn a good layout."
 
-use super::ExpConfig;
-use flood_core::{FloodBuilder, LayoutOptimizer, OptimizerConfig};
+use super::fig15::{print, sweep, SampleRow};
+use crate::harness::Harness;
+use flood_core::OptimizerConfig;
 use flood_data::DatasetKind;
-use std::time::Instant;
-
-/// One measurement row.
-pub struct QuerySampleRow {
-    /// Query-sample size used for learning.
-    pub sample: usize,
-    /// Mean layout-learning time (s).
-    pub learn_s: f64,
-    /// Mean test query time (ms) and standard deviation over trials.
-    pub query_ms: (f64, f64),
-}
 
 /// Run one dataset's sweep.
-pub fn run_dataset(cfg: &ExpConfig, kind: DatasetKind) -> Vec<QuerySampleRow> {
-    let (ds, w) = cfg.dataset_and_workload(kind);
-    let n = ds.table.len();
+pub fn run_dataset(h: &Harness, kind: DatasetKind) -> Vec<SampleRow> {
+    let data = h.dataset(kind);
+    let (n, n_train) = (data.0.table.len(), data.1.train.len());
     // The paper's point is that ~5 queries per type suffice; the default
     // sweep tops out at 50 learning queries, --full at the whole train set.
-    let top = if cfg.full { w.train.len() } else { 50 };
+    let top = if h.cfg.full { n_train } else { 50 };
     let mut samples: Vec<usize> = [5usize, 10, 25, top]
-        .iter()
-        .copied()
-        .filter(|&s| s <= w.train.len())
+        .into_iter()
+        .filter(|&s| s <= n_train)
         .collect();
     samples.dedup();
-    let trials = if cfg.full { 3 } else { 2 };
-    let mut out = Vec::new();
-    for s in samples {
-        let mut learns = Vec::new();
-        let mut queries = Vec::new();
-        for trial in 0..trials {
-            let opt_cfg = OptimizerConfig {
-                query_sample: s,
-                seed: cfg.seed.wrapping_add(100 + trial as u64),
-                ..cfg.optimizer(n)
-            };
-            let optimizer = LayoutOptimizer::with_config(
-                crate::harness::calibrated_cost_model().clone(),
-                opt_cfg,
-            );
-            let t0 = Instant::now();
-            let learned = optimizer.optimize(&ds.table, &w.train);
-            learns.push(t0.elapsed().as_secs_f64());
-            let index = FloodBuilder::new().layout(learned.layout).build(&ds.table);
-            // Through run_workload so --threads and phase accounting apply.
-            let (avg, _) = crate::harness::run_workload(&index, &w.test, None);
-            queries.push(avg.as_secs_f64() * 1e3);
-        }
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        let m = mean(&queries);
-        let std =
-            (queries.iter().map(|q| (q - m) * (q - m)).sum::<f64>() / queries.len() as f64).sqrt();
-        out.push(QuerySampleRow {
-            sample: s,
-            learn_s: mean(&learns),
-            query_ms: (m, std),
-        });
-    }
-    out
+    sweep(h, &data, &samples, |query_sample, trial| OptimizerConfig {
+        query_sample,
+        seed: h.cfg.seed.wrapping_add(100 + trial),
+        ..h.cfg.optimizer(n)
+    })
 }
 
-/// Print the sweep — the smallest and largest dataset by default, all four
-/// with `--full` (every dataset tells the same story: a handful of learning
-/// queries already finds the good layout).
-pub fn run(cfg: &ExpConfig) {
+/// A handful of learning queries already finds the good layout.
+pub fn run(h: &Harness) {
     println!("\n=== Fig 16: query-sample size vs learning & query time ===");
-    let kinds: &[DatasetKind] = if cfg.full {
-        &DatasetKind::ALL
-    } else {
-        &[DatasetKind::Sales, DatasetKind::TpcH]
-    };
-    for &kind in kinds {
-        println!("\n--- {} ---", kind.name());
-        println!(
-            "{:>10} {:>12} {:>18}",
-            "queries", "learn (s)", "query (ms ± std)"
-        );
-        for row in run_dataset(cfg, kind) {
-            println!(
-                "{:>10} {:>12.3} {:>12.3} ± {:.3}",
-                row.sample, row.learn_s, row.query_ms.0, row.query_ms.1
-            );
-        }
-    }
+    print(h, "queries", |kind| run_dataset(h, kind));
 }

@@ -1,13 +1,12 @@
 //! Fig 17: per-cell CDF models (§7.8) — (a) PLM vs RMI vs binary search on
 //! OSM timestamps and staggered-uniform data; (b) the δ size/speed tradeoff.
 
-use super::ExpConfig;
+use crate::harness::{fmt_bytes, Harness};
 use flood_data::datasets::osm;
 use flood_learned::plm::PiecewiseLinearModel;
 use flood_learned::rmi::{Rmi, RmiConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
 
 /// Staggered uniform data: "uniform over identically sized but disjoint
 /// intervals".
@@ -26,15 +25,14 @@ pub fn staggered_uniform(n: usize, intervals: usize, seed: u64) -> Vec<u64> {
 }
 
 /// Average lookup time (ns) of `lookup(probe)` over the probe set.
-fn time_lookups(probes: &[u64], mut lookup: impl FnMut(u64) -> usize) -> f64 {
-    let t0 = Instant::now();
-    let mut sink = 0usize;
-    for &p in probes {
-        sink = sink.wrapping_add(lookup(p));
-    }
-    let elapsed = t0.elapsed().as_nanos() as f64 / probes.len().max(1) as f64;
+fn time_lookups(h: &Harness, probes: &[u64], mut lookup: impl FnMut(u64) -> usize) -> f64 {
+    let (sink, elapsed) = h.phases.time("query-exec", || {
+        probes
+            .iter()
+            .fold(0usize, |sink, &p| sink.wrapping_add(lookup(p)))
+    });
     std::hint::black_box(sink);
-    elapsed
+    elapsed.as_nanos() as f64 / probes.len().max(1) as f64
 }
 
 fn probes(values: &[u64], n: usize, seed: u64) -> Vec<u64> {
@@ -45,20 +43,20 @@ fn probes(values: &[u64], n: usize, seed: u64) -> Vec<u64> {
 }
 
 /// (a) Compare the three per-cell model options on one sorted value set.
-pub fn compare(values: &[u64], label: &str, n_probes: usize, seed: u64) {
-    let p = probes(values, n_probes, seed);
+pub fn compare(h: &Harness, values: &[u64], label: &str, n_probes: usize) {
+    let p = probes(values, n_probes, h.cfg.seed);
     let plm = PiecewiseLinearModel::build_default(values);
     let rmi = Rmi::build(values, RmiConfig::default());
-    let t_plm = time_lookups(&p, |v| plm.lookup_lb(v, |i| values[i]));
-    let t_rmi = time_lookups(&p, |v| rmi.lookup_lb(v, |i| values[i]));
-    let t_bin = time_lookups(&p, |v| values.partition_point(|&x| x < v));
+    let t_plm = time_lookups(h, &p, |v| plm.lookup_lb(v, |i| values[i]));
+    let t_rmi = time_lookups(h, &p, |v| rmi.lookup_lb(v, |i| values[i]));
+    let t_bin = time_lookups(h, &p, |v| values.partition_point(|&x| x < v));
     println!(
         "{label:<22} {:>10.1} {:>10.1} {:>10.1} {:>9} {:>10}",
         t_plm,
         t_rmi,
         t_bin,
         plm.num_segments(),
-        crate::harness::fmt_bytes(plm.size_bytes()),
+        fmt_bytes(plm.size_bytes()),
     );
 }
 
@@ -76,8 +74,21 @@ fn fmt_count(n: usize) -> String {
     }
 }
 
+/// Sorted OSM timestamps (`data-gen`).
+fn osm_timestamps(h: &Harness, n: usize) -> Vec<u64> {
+    h.generate(|| {
+        let table = osm::generate(n, h.cfg.seed);
+        let mut ts: Vec<u64> = (0..table.len())
+            .map(|r| table.value(r, osm::COL_TIMESTAMP))
+            .collect();
+        ts.sort_unstable();
+        ts
+    })
+}
+
 /// Run both panels.
-pub fn run(cfg: &ExpConfig) {
+pub fn run(h: &Harness) {
+    let cfg = &h.cfg;
     println!("\n=== Fig 17a: per-cell model lookup time (ns) ===");
     println!(
         "{:<22} {:>10} {:>10} {:>10} {:>9} {:>10}",
@@ -103,15 +114,8 @@ pub fn run(cfg: &ExpConfig) {
     // sizes are ascending, so one dedup keeps each row distinct.
     osm_sizes.dedup();
     for n in osm_sizes {
-        let ts = crate::phases::time_phase("data-gen", || {
-            let table = osm::generate(n, cfg.seed);
-            let mut ts: Vec<u64> = (0..table.len())
-                .map(|r| table.value(r, osm::COL_TIMESTAMP))
-                .collect();
-            ts.sort_unstable();
-            ts
-        });
-        compare(&ts, &format!("osm-{}", fmt_count(n)), n_probes, cfg.seed);
+        let ts = osm_timestamps(h, n);
+        compare(h, &ts, &format!("osm-{}", fmt_count(n)), n_probes);
     }
     // Staggered uniform (paper: 500k / 10M).
     let mut st_sizes = vec![scaled(500_000, cfg.scale), scaled(1_000_000, cfg.scale)];
@@ -120,13 +124,8 @@ pub fn run(cfg: &ExpConfig) {
     }
     st_sizes.dedup();
     for n in st_sizes {
-        let vals = crate::phases::time_phase("data-gen", || staggered_uniform(n, 20, cfg.seed));
-        compare(
-            &vals,
-            &format!("staggered-{}", fmt_count(n)),
-            n_probes,
-            cfg.seed,
-        );
+        let vals = h.generate(|| staggered_uniform(n, 20, cfg.seed));
+        compare(h, &vals, &format!("staggered-{}", fmt_count(n)), n_probes);
     }
 
     let plm_n = scaled(300_000, cfg.scale);
@@ -134,14 +133,7 @@ pub fn run(cfg: &ExpConfig) {
         "\n=== Fig 17b: δ tradeoff (PLM size vs lookup time, osm-{}) ===",
         fmt_count(plm_n)
     );
-    let ts = crate::phases::time_phase("data-gen", || {
-        let table = osm::generate(plm_n, cfg.seed);
-        let mut ts: Vec<u64> = (0..table.len())
-            .map(|r| table.value(r, osm::COL_TIMESTAMP))
-            .collect();
-        ts.sort_unstable();
-        ts
-    });
+    let ts = osm_timestamps(h, plm_n);
     let p = probes(&ts, n_probes, cfg.seed);
     println!(
         "{:>8} {:>10} {:>12} {:>10}",
@@ -149,11 +141,11 @@ pub fn run(cfg: &ExpConfig) {
     );
     for delta in [2.0, 10.0, 50.0, 200.0, 1_000.0] {
         let plm = PiecewiseLinearModel::build(&ts, delta);
-        let t = time_lookups(&p, |v| plm.lookup_lb(v, |i| ts[i]));
+        let t = time_lookups(h, &p, |v| plm.lookup_lb(v, |i| ts[i]));
         println!(
             "{delta:>8} {:>10} {:>12} {t:>10.1}",
             plm.num_segments(),
-            crate::harness::fmt_bytes(plm.size_bytes()),
+            fmt_bytes(plm.size_bytes()),
         );
     }
 }

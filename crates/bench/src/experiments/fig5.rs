@@ -2,59 +2,45 @@
 //! number of scanned points and the average scan run length (locality), the
 //! motivation for learned weight models (§4.1.2).
 
-use super::ExpConfig;
+use crate::harness::Harness;
 use flood_core::cost::calibration::{random_layout, CalibrationConfig};
-use flood_core::{FloodConfig, FloodIndex};
+use flood_core::FloodConfig;
 use flood_data::DatasetKind;
-use flood_store::CountVisitor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Collected `(ws, points scanned, avg run length)` samples.
-pub struct WsSamples {
-    /// One entry per query per layout.
-    pub samples: Vec<(f64, f64, f64)>,
-}
-
-/// Gather w_s measurements across random layouts.
-pub fn collect(cfg: &ExpConfig) -> WsSamples {
-    let (ds, w) = cfg.dataset_and_workload(DatasetKind::TpcH);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+/// `(ws, points scanned, avg run length)`, one per query per random layout.
+pub fn collect(h: &Harness) -> Vec<(f64, f64, f64)> {
+    let (ds, w) = h.dataset(DatasetKind::TpcH);
+    let mut rng = StdRng::seed_from_u64(h.cfg.seed);
     let cal_cfg = CalibrationConfig {
         max_cells_log2: 12,
         ..Default::default()
     };
-    let n_layouts = if cfg.full { 10 } else { 5 };
+    let n_layouts = if h.cfg.full { 10 } else { 5 };
     let mut samples = Vec::new();
     for _ in 0..n_layouts {
         let layout = random_layout(ds.table.dims(), &mut rng, &cal_cfg);
-        let index = FloodIndex::build(&ds.table, layout, FloodConfig::default());
-        for q in &w.test {
-            let mut v = CountVisitor::default();
-            let (stats, times) = index.execute_profiled(q, None, &mut v);
+        let (index, _) = h.build_flood(&ds.table, layout, FloodConfig::default());
+        for (stats, times) in h.profile(&index, &w.test, 1) {
             let ns = (stats.points_scanned + stats.points_in_exact_ranges) as f64;
-            if ns < 1.0 {
-                continue;
+            if ns >= 1.0 {
+                samples.push((times.scan_ns as f64 / ns, ns, stats.avg_run_length()));
             }
-            let ws = times.scan_ns as f64 / ns;
-            samples.push((ws, ns, stats.avg_run_length()));
         }
     }
-    WsSamples { samples }
+    samples
 }
 
 /// Print w_s binned against both features.
-pub fn run(cfg: &ExpConfig) {
-    let data = collect(cfg);
+pub fn run(h: &Harness) {
+    let samples = collect(h);
     println!("\n=== Fig 5: w_s is not constant ===");
-    print_binned("num scanned points", &data.samples, |s| s.1);
-    print_binned("avg scan run length", &data.samples, |s| s.2);
-    let (min, max) = data
-        .samples
-        .iter()
-        .fold((f64::INFINITY, 0.0f64), |(mn, mx), s| {
-            (mn.min(s.0), mx.max(s.0))
-        });
+    print_binned("num scanned points", &samples, |s| s.1);
+    print_binned("avg scan run length", &samples, |s| s.2);
+    let (min, max) = samples.iter().fold((f64::INFINITY, 0.0f64), |(mn, mx), s| {
+        (mn.min(s.0), mx.max(s.0))
+    });
     println!(
         "w_s range across queries: {min:.2} – {max:.2} ns/point ({:.1}x spread)",
         max / min.max(1e-9)

@@ -2,47 +2,35 @@
 //! their page size; Flood sweeps its cell budget; the paper's point is that
 //! Flood sits below-left of everything else.
 
-use super::ExpConfig;
-use crate::harness::{fmt_bytes, fmt_ms, learn_flood, measure};
-use flood_baselines::{Hyperoctree, KdTree, UbTree, ZOrderIndex};
-use flood_core::FloodBuilder;
+use crate::harness::{fmt_bytes, fmt_ms, index_dims, Baseline, Harness, RunResult};
+use flood_core::FloodConfig;
 use flood_data::DatasetKind;
-use flood_store::MultiDimIndex;
-use std::time::Instant;
 
 /// Run the sweep on one dataset and print (size, time) series per index.
-pub fn run_dataset(cfg: &ExpConfig, kind: DatasetKind) {
-    let (ds, w) = cfg.dataset_and_workload(kind);
+pub fn run_dataset(h: &Harness, kind: DatasetKind) {
+    let (ds, w) = h.dataset(kind);
     let table = &ds.table;
-    let dims = crate::harness::dims_by_selectivity(table, &w.train);
-    let filtered: Vec<usize> = dims
-        .iter()
-        .copied()
-        .filter(|&d| w.train.iter().any(|q| q.filters(d)))
-        .collect();
-    let agg = Some(ds.kind.agg_dim());
-    let pages = if cfg.full {
-        vec![64usize, 256, 1024, 4096, 16_384]
+    let dims = index_dims(table, &w.train);
+    let agg = Some(kind.agg_dim());
+    let pages: &[usize] = if h.cfg.full {
+        &[64, 256, 1024, 4096, 16_384]
     } else {
-        vec![256usize, 1_024, 4_096]
+        &[256, 1_024, 4_096]
     };
 
     println!("\n--- {}: size vs query time ---", ds.name());
     println!("{:<14} {:>10} {:>14}", "index", "size", "avg query(ms)");
-    for &p in &pages {
-        let idx = ZOrderIndex::build_with_page_size(table, filtered.clone(), p);
-        report(&idx, &w.test, agg);
-        let idx = UbTree::build_with_page_size(table, filtered.clone(), p);
-        report(&idx, &w.test, agg);
-        let idx = Hyperoctree::build_with_page_size(table, filtered.clone(), p);
-        report(&idx, &w.test, agg);
-        let idx = KdTree::build_with_page_size(table, filtered.clone(), p);
-        report(&idx, &w.test, agg);
+    for &p in pages {
+        for b in Baseline::PAGED {
+            if let Some((idx, _)) = h.build_baseline(b, table, &dims, Some(p)) {
+                report(&h.drive(&idx, &w.test, agg));
+            }
+        }
     }
     // Flood: sweep the total-cell budget around the learned layout.
-    let flood = learn_flood(table, &w.train, cfg.optimizer(table.len()));
+    let (flood, _) = h.learn_flood(table, &w.train);
     let learned = flood.layout().clone();
-    report(&flood, &w.test, agg);
+    report(&h.drive(&flood, &w.test, agg));
     for factor in [0.25f64, 4.0] {
         let k = learned.cols().len().max(1) as f64;
         let scaled: Vec<usize> = learned
@@ -50,32 +38,26 @@ pub fn run_dataset(cfg: &ExpConfig, kind: DatasetKind) {
             .iter()
             .map(|&c| ((c as f64 * factor.powf(1.0 / k)).round() as usize).max(1))
             .collect();
-        if scaled == learned.cols() {
-            continue;
+        if scaled != learned.cols() {
+            let (idx, _) = h.build_flood(table, learned.with_cols(scaled), FloodConfig::default());
+            report(&h.drive(&idx, &w.test, agg));
         }
-        let t0 = Instant::now();
-        let idx = FloodBuilder::new()
-            .layout(learned.with_cols(scaled))
-            .build(table);
-        let _ = t0.elapsed();
-        report(&idx, &w.test, agg);
     }
 }
 
-fn report(idx: &(dyn MultiDimIndex + Sync), test: &[flood_store::RangeQuery], agg: Option<usize>) {
-    let r = measure(idx, test, agg, Default::default());
+fn report(r: &RunResult) {
     println!(
         "{:<14} {:>10} {:>14}",
         r.index,
         fmt_bytes(r.index_size),
-        fmt_ms(r.avg_query)
+        fmt_ms(r.avg_ms())
     );
 }
 
 /// All four datasets.
-pub fn run(cfg: &ExpConfig) {
+pub fn run(h: &Harness) {
     println!("\n=== Fig 8: index size vs query time (Pareto frontier) ===");
     for kind in DatasetKind::ALL {
-        run_dataset(cfg, kind);
+        run_dataset(h, kind);
     }
 }

@@ -3,38 +3,33 @@
 //! workload; Flood re-learns its layout per variant — the paper's point is
 //! that self-optimization wins when the admin can't retune everything.
 
-use super::ExpConfig;
-use crate::harness::{dims_by_selectivity, fmt_ms, learn_flood, measure, RunResult};
-use flood_baselines::{GridFile, Hyperoctree, KdTree, UbTree, ZOrderIndex};
+use crate::harness::{fmt_ms, index_dims, Harness, RunResult};
 use flood_data::{DatasetKind, Workload, WorkloadKind};
 
-/// Workload variants per dataset, mirroring the figure's x-axes.
+/// Workload variants per dataset, mirroring the figure's x-axes: TPC-H is
+/// the only dataset with enough dimensions and keys for MD and O2.
 pub fn variants(kind: DatasetKind) -> Vec<WorkloadKind> {
-    match kind {
-        DatasetKind::TpcH => vec![
-            WorkloadKind::FewerDims,
-            WorkloadKind::ManyDims,
-            WorkloadKind::Mixed,
-            WorkloadKind::OlapSkewed,
-            WorkloadKind::OlapUniform,
-            WorkloadKind::OltpSingleKey,
-            WorkloadKind::OltpTwoKeys,
-            WorkloadKind::SingleType,
-        ],
-        _ => vec![
-            WorkloadKind::FewerDims,
-            WorkloadKind::Mixed,
-            WorkloadKind::OlapSkewed,
-            WorkloadKind::OlapUniform,
-            WorkloadKind::OltpSingleKey,
-            WorkloadKind::SingleType,
-        ],
-    }
+    use WorkloadKind::*;
+    let all = [
+        FewerDims,
+        ManyDims,
+        Mixed,
+        OlapSkewed,
+        OlapUniform,
+        OltpSingleKey,
+        OltpTwoKeys,
+        SingleType,
+    ];
+    let tpch_only = |v: &WorkloadKind| matches!(v, ManyDims | OltpTwoKeys);
+    (all.into_iter())
+        .filter(|v| kind == DatasetKind::TpcH || !tpch_only(v))
+        .collect()
 }
 
 /// Run one dataset's panel; returns (variant label, per-index results).
-pub fn run_dataset(cfg: &ExpConfig, kind: DatasetKind) -> Vec<(String, Vec<RunResult>)> {
-    let ds = crate::phases::time_phase("data-gen", || kind.generate(cfg.rows(kind), cfg.seed));
+pub fn run_dataset(h: &Harness, kind: DatasetKind) -> Vec<(String, Vec<RunResult>)> {
+    let cfg = &h.cfg;
+    let ds = h.generate(|| kind.generate(cfg.rows(kind), cfg.seed));
     // 14 variant panels × 6 indexes re-measure here; at default scale a
     // smaller per-variant query budget keeps the whole figure in seconds.
     let n_queries = if cfg.full {
@@ -42,65 +37,43 @@ pub fn run_dataset(cfg: &ExpConfig, kind: DatasetKind) -> Vec<(String, Vec<RunRe
     } else {
         cfg.queries.min(60)
     };
-    let tuned_for = Workload::generate(
-        WorkloadKind::OlapSkewed,
-        &ds,
-        n_queries,
-        cfg.target_selectivity(),
-        cfg.seed,
-    );
     // Baselines: built once, tuned for the OLAP workload.
-    let dims = dims_by_selectivity(&ds.table, &tuned_for.train);
-    let filtered: Vec<usize> = dims
-        .iter()
-        .copied()
-        .filter(|&d| tuned_for.train.iter().any(|q| q.filters(d)))
-        .collect();
-    let mut fixed: Vec<crate::harness::DynIndex> = vec![
-        Box::new(ZOrderIndex::build(&ds.table, filtered.clone())),
-        Box::new(UbTree::build(&ds.table, filtered.clone())),
-        Box::new(Hyperoctree::build(&ds.table, filtered.clone())),
-        Box::new(KdTree::build(&ds.table, filtered.clone())),
-    ];
-    if let Ok(gf) = GridFile::build(&ds.table, filtered.clone()) {
-        fixed.push(Box::new(gf));
-    }
+    let tuned_for = h.workload(&ds, WorkloadKind::OlapSkewed, n_queries);
+    let fixed = h.fixed_baselines(&ds.table, &index_dims(&ds.table, &tuned_for.train));
 
     let agg = Some(kind.agg_dim());
+    let sel = cfg.target_selectivity();
     let mut out = Vec::new();
     for v in variants(kind) {
-        let w = Workload::generate(v, &ds, n_queries, cfg.target_selectivity(), cfg.seed ^ 7);
-        let mut results: Vec<RunResult> = fixed
-            .iter()
-            .map(|idx| measure(&**idx, &w.test, agg, Default::default()))
-            .collect();
+        let w = Workload::generate(v, &ds, n_queries, sel, cfg.seed ^ 7);
+        let mut results: Vec<RunResult> =
+            fixed.iter().map(|idx| h.drive(idx, &w.test, agg)).collect();
         // Flood re-learns for each variant.
-        let flood = learn_flood(&ds.table, &w.train, cfg.optimizer(ds.table.len()));
-        results.push(measure(&flood, &w.test, agg, Default::default()));
+        let (flood, _) = h.learn_flood(&ds.table, &w.train);
+        results.push(h.drive(&flood, &w.test, agg));
         out.push((v.label().to_string(), results));
     }
     out
 }
 
 /// Print both panels.
-pub fn run(cfg: &ExpConfig) {
+pub fn run(h: &Harness) {
     println!("\n=== Fig 9: representative workload variants ===");
-    if !cfg.full && cfg.queries > 60 {
+    if !h.cfg.full && h.cfg.queries > 60 {
         println!("(capping at 60 queries per variant at default scale; --full uses all)");
     }
     for kind in [DatasetKind::TpcH, DatasetKind::Osm] {
-        let rows = run_dataset(cfg, kind);
+        let rows = run_dataset(h, kind);
         println!("\n--- {} ---", kind.name());
-        let names: Vec<String> = rows[0].1.iter().map(|r| r.index.clone()).collect();
         print!("{:<10}", "workload");
-        for n in &names {
-            print!(" {n:>12}");
+        for r in &rows[0].1 {
+            print!(" {:>12}", r.index);
         }
         println!(" (avg ms)");
         for (label, results) in &rows {
             print!("{label:<10}");
             for r in results {
-                print!(" {:>12}", fmt_ms(r.avg_query));
+                print!(" {:>12}", fmt_ms(r.avg_ms()));
             }
             println!();
         }

@@ -5,68 +5,42 @@
 //! pages".
 //!
 //! Flood's side is its projection phase (per the paper, refinement
-//! excluded); the trees' side is their traversal time, measured as
-//! TT − ST with scan-kernel timing enabled.
+//! excluded); the trees' side is their traversal — the time they take to
+//! plan a query, Table 2's IT.
 
-use super::ExpConfig;
-use crate::harness::{dims_by_selectivity, learn_flood, measure};
-use flood_baselines::{Hyperoctree, KdTree};
+use crate::harness::{index_dims, Baseline, Harness};
 use flood_data::DatasetKind;
-use flood_store::scan::set_scan_timing;
-use flood_store::CountVisitor;
 
 /// Run the comparison on TPC-H; returns (name, identification ms/query).
-pub fn compare(cfg: &ExpConfig) -> Vec<(String, f64)> {
-    let (ds, w) = cfg.dataset_and_workload(DatasetKind::TpcH);
-    let dims = dims_by_selectivity(&ds.table, &w.train);
-    let filtered: Vec<usize> = dims
-        .iter()
-        .copied()
-        .filter(|&d| w.train.iter().any(|q| q.filters(d)))
-        .collect();
-    let mut out = Vec::new();
+pub fn compare(h: &Harness) -> Vec<(String, f64)> {
+    let (ds, w) = h.dataset(DatasetKind::TpcH);
+    let per_query_ms = 1e3 / w.test.len().max(1) as f64;
 
     // Flood: projection time only.
-    let flood = learn_flood(&ds.table, &w.train, cfg.optimizer(ds.table.len()));
-    let mut projection_ns = 0u64;
-    for q in &w.test {
-        let mut v = CountVisitor::default();
-        let (_, times) = flood.execute_profiled(q, None, &mut v);
-        projection_ns += times.projection_ns;
-    }
-    out.push((
+    let (flood, _) = h.learn_flood(&ds.table, &w.train);
+    let projection_ns: u64 = (h.profile(&flood, &w.test, 1).iter())
+        .map(|(_, times)| times.projection_ns)
+        .sum();
+    let mut out = vec![(
         "Flood".to_string(),
-        projection_ns as f64 / 1e6 / w.test.len().max(1) as f64,
-    ));
+        projection_ns as f64 / 1e9 * per_query_ms,
+    )];
 
-    // Trees: traversal time = TT − ST.
-    let kd = KdTree::build(&ds.table, filtered.clone());
-    let oct = Hyperoctree::build(&ds.table, filtered);
-    set_scan_timing(true);
-    for (name, r) in [
-        ("K-d tree", measure(&kd, &w.test, None, Default::default())),
-        (
-            "Hyperoctree",
-            measure(&oct, &w.test, None, Default::default()),
-        ),
-    ] {
-        let st_ms = r.stats.scan_ns as f64 / 1e6 / r.queries.max(1) as f64;
-        let tt_ms = r.avg_query.as_secs_f64() * 1e3;
-        out.push((name.to_string(), (tt_ms - st_ms).max(0.0)));
+    // Trees: traversal time.
+    let dims = index_dims(&ds.table, &w.train);
+    for b in [Baseline::KdTree, Baseline::Hyperoctree] {
+        let (tree, _) = (h.build_baseline(b, &ds.table, &dims, None)).expect("trees build");
+        let r = h.drive(&tree, &w.test, None);
+        out.push((r.index, r.index_time.as_secs_f64() * per_query_ms));
     }
-    set_scan_timing(false);
     out
 }
 
 /// Print it.
-pub fn run(cfg: &ExpConfig) {
+pub fn run(h: &Harness) {
     println!("\n=== §6: cell/page identification latency (tpc-h) ===");
-    let rows = compare(cfg);
-    let flood = rows
-        .iter()
-        .find(|(n, _)| n == "Flood")
-        .expect("Flood present")
-        .1;
+    let rows = compare(h);
+    let flood = rows[0].1;
     println!("{:<14} {:>16} {:>10}", "index", "identify (ms)", "vs Flood");
     for (name, it) in &rows {
         println!("{name:<14} {it:>16.4} {:>9.1}x", it / flood.max(1e-9));

@@ -1,11 +1,10 @@
-//! One module per paper experiment; DESIGN.md §4 maps figures/tables to
-//! modules. Every experiment prints the same rows/series its figure or
-//! table reports and is driven through the `repro` binary.
+//! One module per paper experiment, listed in [`EXPERIMENTS`]. Every
+//! experiment prints the rows/series its figure or table reports, from what
+//! the [`Harness`] measured, and is driven through the `repro` binary.
 
 pub mod colstore;
 pub mod correlate;
 pub mod costmodel;
-pub mod drift;
 pub mod fig10;
 pub mod fig11;
 pub mod fig12;
@@ -20,18 +19,59 @@ pub mod fig8;
 pub mod fig9;
 pub mod lookup;
 pub mod obs;
-pub mod optcost;
-pub mod scanspeed;
-pub mod serve;
 pub mod tab1;
 pub mod tab2;
 pub mod tab3;
 pub mod tab4;
-pub mod threads;
-pub mod tiered;
 
+use crate::harness::Harness;
 use flood_core::OptimizerConfig;
-use flood_data::{Dataset, DatasetKind, Workload, WorkloadKind};
+use flood_data::DatasetKind;
+
+/// CLI name, what it reproduces, entry point.
+pub type Experiment = (&'static str, &'static str, fn(&Harness));
+
+/// Every experiment, in paper order — the one list `repro`, the smoke
+/// suite and the README table are checked against.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("tab1", "Table 1: dataset summary", tab1::run),
+    ("colstore", "§3: column-store scan kernels", colstore::run),
+    ("fig5", "Fig 5: w_s is not constant", fig5::run),
+    (
+        "fig7",
+        "Fig 7: query time, all indexes x datasets",
+        fig7::run,
+    ),
+    ("fig8", "Fig 8: index size vs query time", fig8::run),
+    ("fig9", "Fig 9: workload variants", fig9::run),
+    ("fig10", "Fig 10: 30 random workloads", fig10::run),
+    ("tab2", "Table 2: performance breakdown", tab2::run),
+    ("fig11", "Fig 11: component ablation", fig11::run),
+    (
+        "fig12",
+        "Fig 12: dataset size & selectivity scaling",
+        fig12::run,
+    ),
+    ("fig13", "Fig 13: scaling dimensions", fig13::run),
+    ("fig14", "Fig 14: cells vs query time surface", fig14::run),
+    ("tab3", "Table 3: cost-model transfer", tab3::run),
+    ("tab4", "Table 4: loading/learning time", tab4::run),
+    ("fig15", "Fig 15: data-sample size sweep", fig15::run),
+    ("fig16", "Fig 16: query-sample size sweep", fig16::run),
+    ("fig17", "Fig 17: per-cell CDF models", fig17::run),
+    ("costmodel", "§4.1.2: cost-model accuracy", costmodel::run),
+    ("lookup", "§6: cell identification latency", lookup::run),
+    (
+        "obs",
+        "flood-obs: instrumentation overhead on the query path",
+        obs::run,
+    ),
+    (
+        "correlate",
+        "Tsunami/COAX ext: correlation-aware layouts — soft-FD collapse on/off",
+        correlate::run,
+    ),
+];
 
 /// Shared experiment configuration, parsed from the `repro` command line.
 #[derive(Debug, Clone, Copy)]
@@ -98,21 +138,6 @@ impl ExpConfig {
     pub fn target_selectivity(&self) -> f64 {
         0.001
     }
-
-    /// Generate a dataset and its Fig 7 (skewed OLAP) workload.
-    pub fn dataset_and_workload(&self, kind: DatasetKind) -> (Dataset, Workload) {
-        crate::phases::time_phase("data-gen", || {
-            let ds = kind.generate(self.rows(kind), self.seed);
-            let w = Workload::generate(
-                WorkloadKind::OlapSkewed,
-                &ds,
-                self.queries,
-                self.target_selectivity(),
-                self.seed,
-            );
-            (ds, w)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +181,7 @@ mod tests {
             queries: 10,
             ..Default::default()
         };
-        let (ds, w) = cfg.dataset_and_workload(DatasetKind::Sales);
+        let (ds, w) = Harness::pinned(cfg).dataset(DatasetKind::Sales);
         assert_eq!(ds.table.len(), cfg.rows(DatasetKind::Sales));
         assert_eq!(w.train.len(), 10);
         assert_eq!(w.test.len(), 10);

@@ -18,14 +18,11 @@
 //! records (`--scale` ≥ 1) [`run`] asserts it, so `repro obs` exits
 //! non-zero over budget.
 
-use super::ExpConfig;
-use crate::harness::{calibrated_cost_model, exec_threads};
-use crate::phases::time_phase;
-use flood_core::{AdaptiveConfig, FloodConfig, LayoutOptimizer};
+use crate::harness::Harness;
+use flood_core::{AdaptiveConfig, FloodConfig};
 use flood_data::DatasetKind;
 use flood_serve::{FloodServer, ServeConfig};
 use flood_store::{CountVisitor, RangeQuery};
-use std::time::Instant;
 
 /// The documented budget (ARCHITECTURE.md, Observability): metrics on may
 /// cost at most this much p50, in percent.
@@ -48,48 +45,26 @@ pub struct ObsSummary {
 
 /// Drive `samples` closed-loop requests (cycling `queries`) and return the
 /// per-request latencies.
-fn drive(server: &FloodServer, queries: &[RangeQuery], samples: usize) -> Vec<u64> {
-    let mut ns = Vec::with_capacity(samples);
-    'outer: loop {
-        for q in queries {
-            let mut v = CountVisitor::default();
-            let t = Instant::now();
-            server.execute(q, None, &mut v);
-            ns.push(t.elapsed().as_nanos() as u64);
-            if ns.len() >= samples {
-                break 'outer;
-            }
-        }
-    }
-    ns
+fn drive(h: &Harness, server: &FloodServer, queries: &[RangeQuery], samples: usize) -> Vec<u64> {
+    h.latencies(samples, |i| {
+        let q = &queries[i % queries.len()];
+        server.execute(q, None, &mut CountVisitor::default());
+    })
 }
 
-/// Exact (sorted, nearest-rank) p50 — the control-side estimator, kept
+/// Exact (sorted, nearest-rank) median — the control-side estimator, kept
 /// independent of the histogram under test.
-fn exact_p50(mut ns: Vec<u64>) -> u64 {
-    ns.sort_unstable();
-    ns[(ns.len() - 1) / 2]
-}
-
-fn median_f64(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
-    xs[(xs.len() - 1) / 2]
-}
-
-fn median_u64(mut xs: Vec<u64>) -> u64 {
-    xs.sort_unstable();
+fn median<T: PartialOrd + Copy>(mut xs: Vec<T>) -> T {
+    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     xs[(xs.len() - 1) / 2]
 }
 
 /// Run the overhead measurement; the returned summary carries every number
 /// the report emits.
-pub fn run_obs(cfg: &ExpConfig) -> ObsSummary {
-    let (ds, w) = cfg.dataset_and_workload(DatasetKind::Sales);
+pub fn run_obs(h: &Harness) -> ObsSummary {
+    let cfg = &h.cfg;
+    let (ds, w) = h.dataset(DatasetKind::Sales);
     let n = ds.table.len();
-    let threads = match exec_threads() {
-        1 => 0,
-        t => t,
-    };
     let serve_cfg = |metrics: bool| ServeConfig {
         adaptive: AdaptiveConfig {
             // A huge window/cadence: adaptation must never fire inside a
@@ -100,30 +75,29 @@ pub fn run_obs(cfg: &ExpConfig) -> ObsSummary {
             degradation_factor: 1.25,
         },
         batch: 32,
-        threads,
+        threads: 0,
         metrics,
     };
     let build = |metrics: bool| {
         FloodServer::build(
             &ds.table,
             &w.train,
-            LayoutOptimizer::with_config(calibrated_cost_model().clone(), cfg.optimizer(n)),
+            h.optimizer(cfg.optimizer(n)),
             FloodConfig::default(),
             serve_cfg(metrics),
         )
     };
-    let off = time_phase("layout-opt", || build(false));
-    let on = time_phase("layout-opt", || build(true));
+    let (off, _) = h.phases.time("layout-opt", || build(false));
+    let (on, _) = h.phases.time("layout-opt", || build(true));
 
     // Odd trial count so the median is a real trial; 9 tolerates four
     // preempted/noisy trials on a 1-vCPU runner.
     let trials = 9usize;
     let per_trial = (cfg.queries * 20).clamp(200, 2_000);
-    let t0 = Instant::now();
     // Warm both paths (page cache, branch predictors, lazy allocations)
     // before anything is recorded.
-    drive(&off, &w.test, per_trial.min(200));
-    drive(&on, &w.test, per_trial.min(200));
+    drive(h, &off, &w.test, per_trial.min(200));
+    drive(h, &on, &w.test, per_trial.min(200));
 
     let mut p50_off = Vec::with_capacity(trials);
     let mut p50_on = Vec::with_capacity(trials);
@@ -132,8 +106,8 @@ pub fn run_obs(cfg: &ExpConfig) -> ObsSummary {
         // Alternate which server goes first so any monotone machine drift
         // cancels across trials instead of biasing one side.
         let (a, b) = if t % 2 == 0 { (&off, &on) } else { (&on, &off) };
-        let ns_a = exact_p50(drive(a, &w.test, per_trial));
-        let ns_b = exact_p50(drive(b, &w.test, per_trial));
+        let ns_a = median(drive(h, a, &w.test, per_trial));
+        let ns_b = median(drive(h, b, &w.test, per_trial));
         let (o, i) = if t % 2 == 0 {
             (ns_a, ns_b)
         } else {
@@ -143,9 +117,8 @@ pub fn run_obs(cfg: &ExpConfig) -> ObsSummary {
         p50_on.push(i);
         ratios.push(i as f64 / o.max(1) as f64);
     }
-    crate::phases::record_phase("query-exec", t0.elapsed());
 
-    let overhead_pct = (median_f64(ratios) - 1.0) * 100.0;
+    let overhead_pct = (median(ratios) - 1.0) * 100.0;
     let snap = on
         .metrics_snapshot()
         .expect("instrumented server has metrics");
@@ -159,8 +132,8 @@ pub fn run_obs(cfg: &ExpConfig) -> ObsSummary {
         flood_obs::metrics::global().absorb(m.registry());
     }
     ObsSummary {
-        p50_on_ns: median_u64(p50_on),
-        p50_off_ns: median_u64(p50_off),
+        p50_on_ns: median(p50_on),
+        p50_off_ns: median(p50_off),
         overhead_pct,
         trials,
         queries_counted,
@@ -168,9 +141,9 @@ pub fn run_obs(cfg: &ExpConfig) -> ObsSummary {
 }
 
 /// Run the experiment at the configured scale.
-pub fn run(cfg: &ExpConfig) {
+pub fn run(h: &Harness) {
     println!("\n=== observability overhead (flood-obs on the query path) ===");
-    let s = run_obs(cfg);
+    let s = run_obs(h);
     println!(
         "{:<14} {:>12} {:>12} {:>10}",
         "trials", "p50 off(ns)", "p50 on(ns)", "penalty"
@@ -184,7 +157,7 @@ pub fn run(cfg: &ExpConfig) {
          budget: ≤{P50_BUDGET_PCT}% p50 on release builds.",
         s.trials, s.queries_counted,
     );
-    if cfg.scale >= 1.0 {
+    if h.cfg.scale >= 1.0 {
         assert!(
             s.overhead_pct <= P50_BUDGET_PCT,
             "query-path p50 penalty {:.2}% exceeds the {P50_BUDGET_PCT}% budget",
@@ -204,12 +177,12 @@ mod tests {
     /// bound is a loose debug-mode sanity ceiling.
     #[test]
     fn overhead_harness_measures_and_counts() {
-        let cfg = ExpConfig {
+        let cfg = crate::experiments::ExpConfig {
             scale: 0.05,
             queries: 8,
             ..Default::default()
         };
-        let s = run_obs(&cfg);
+        let s = run_obs(&Harness::pinned(cfg));
         assert_eq!(s.trials, 9);
         assert!(s.p50_on_ns > 0 && s.p50_off_ns > 0);
         assert!(s.overhead_pct.is_finite());

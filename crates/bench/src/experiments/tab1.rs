@@ -1,10 +1,10 @@
 //! Table 1: dataset and query characteristics.
 
-use super::ExpConfig;
+use crate::harness::Harness;
 use flood_data::DatasetKind;
 
 /// Print the Table 1 equivalent at the configured scale.
-pub fn run(cfg: &ExpConfig) {
+pub fn run(h: &Harness) {
     println!("\n=== Table 1: dataset and query characteristics ===");
     println!("(paper sizes: sales 30M / tpc-h 300M / osm 105M / perfmon 230M)");
     println!(
@@ -12,7 +12,7 @@ pub fn run(cfg: &ExpConfig) {
         "dataset", "records", "queries", "dimensions", "size (MB)"
     );
     for kind in DatasetKind::ALL {
-        let (ds, w) = cfg.dataset_and_workload(kind);
+        let (ds, w) = h.dataset(kind);
         println!(
             "{:<10} {:>10} {:>9} {:>11} {:>10.2}",
             ds.name(),

@@ -1,61 +1,37 @@
 //! Table 2: the performance breakdown — scan overhead (SO), time per
-//! scanned point (TPS), scan time (ST), index time (IT), total time (TT).
-//!
-//! Scan-kernel timing is enabled for this experiment so ST is measured
-//! inside every index's scan kernels and IT falls out as TT − ST.
+//! scanned point (TPS), scan time (ST), index time (IT), total time (TT),
+//! with IT and ST clocked apart by [`Harness::drive`].
 
-use super::ExpConfig;
-use crate::harness::{run_all_indexes, IndexSet, RunResult};
+use crate::harness::{Harness, RunResult};
 use flood_data::DatasetKind;
-use flood_store::scan::set_scan_timing;
 
 /// Run the breakdown for one dataset.
-pub fn run_dataset(cfg: &ExpConfig, kind: DatasetKind) -> Vec<RunResult> {
-    let (ds, w) = cfg.dataset_and_workload(kind);
-    set_scan_timing(true);
-    let results = run_all_indexes(
-        &ds.table,
-        &w.train,
-        &w.test,
-        Some(ds.kind.agg_dim()),
-        IndexSet::default(),
-        cfg.optimizer(ds.table.len()),
-    );
-    set_scan_timing(false);
-    results
+pub fn run_dataset(h: &Harness, kind: DatasetKind) -> Vec<RunResult> {
+    let (ds, w) = h.dataset(kind);
+    h.compare_all(&ds.table, &w, Some(kind.agg_dim()), &[])
 }
 
 /// Print the Table 2 columns for every dataset.
-pub fn run(cfg: &ExpConfig) {
+pub fn run(h: &Harness) {
     println!("\n=== Table 2: performance breakdown ===");
     println!("SO = points touched / matched; TPS = ns per scanned point;");
     println!("ST = scan ms/query; IT = index (projection+refinement) ms/query; TT = total.");
     for kind in DatasetKind::ALL {
-        let results = run_dataset(cfg, kind);
         println!("\n--- {} ---", kind.name());
         println!(
             "{:<14} {:>8} {:>8} {:>10} {:>10} {:>10}",
             "index", "SO", "TPS", "ST(ms)", "IT(ms)", "TT(ms)"
         );
-        for r in &results {
-            let n_q = r.queries.max(1) as f64;
-            let touched = (r.stats.points_scanned + r.stats.points_in_exact_ranges) as f64;
-            let st_ms = r.stats.scan_ns as f64 / 1e6 / n_q;
-            let tt_ms = r.avg_query.as_secs_f64() * 1e3;
-            let it_ms = (tt_ms - st_ms).max(0.0);
-            let tps = if touched > 0.0 {
-                r.stats.scan_ns as f64 / touched
-            } else {
-                f64::NAN
-            };
+        for r in run_dataset(h, kind) {
+            let per_query_ms = 1e3 / r.queries.max(1) as f64;
             println!(
                 "{:<14} {:>8.2} {:>8.2} {:>10.3} {:>10.4} {:>10.3}",
                 r.index,
                 r.scan_overhead(),
-                tps,
-                st_ms,
-                it_ms,
-                tt_ms
+                r.scan_time.as_nanos() as f64 / r.touched() as f64,
+                r.scan_time.as_secs_f64() * per_query_ms,
+                r.index_time.as_secs_f64() * per_query_ms,
+                r.total_time().as_secs_f64() * per_query_ms,
             );
         }
     }

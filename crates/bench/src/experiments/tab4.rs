@@ -4,58 +4,46 @@
 //! ([`flood_core::index::BuildTimes`]): CDF fitting, cell assignment, the
 //! sort into storage order, the column gather, per-cell models.
 
-use super::ExpConfig;
-use flood_baselines::{
-    ClusteredIndex, GridFile, Hyperoctree, KdTree, RStarTree, UbTree, ZOrderIndex,
-};
-use flood_core::{FloodBuilder, LayoutOptimizer};
+use crate::harness::{index_dims, Baseline, Harness};
+use flood_core::FloodConfig;
 use flood_data::DatasetKind;
-use std::time::Instant;
+
+const BASELINES: [(&str, Baseline); 7] = [
+    ("Clustered", Baseline::Clustered),
+    ("Z Order", Baseline::ZOrder),
+    ("UB tree", Baseline::UbTree),
+    ("Hyperoctree", Baseline::Hyperoctree),
+    ("K-d tree", Baseline::KdTree),
+    ("Grid File", Baseline::GridFile),
+    ("R* tree", Baseline::RStarTree),
+];
 
 /// Print creation times for every index on every dataset.
-pub fn run(cfg: &ExpConfig) {
+pub fn run(h: &Harness) {
     println!("\n=== Table 4: index creation time (seconds) ===");
     println!(
         "{:<16} {:>10} {:>10} {:>10} {:>10}",
         "index", "sales", "tpc-h", "osm", "perfmon"
     );
-    let mut rows: Vec<(String, Vec<f64>)> = vec![
-        ("Flood Learning".into(), Vec::new()),
-        ("Flood Loading".into(), Vec::new()),
-        ("Flood Total".into(), Vec::new()),
-        ("Clustered".into(), Vec::new()),
-        ("Z Order".into(), Vec::new()),
-        ("UB tree".into(), Vec::new()),
-        ("Hyperoctree".into(), Vec::new()),
-        ("K-d tree".into(), Vec::new()),
-        ("Grid File".into(), Vec::new()),
-        ("R* tree".into(), Vec::new()),
-    ];
+    let flood = ["Flood Learning", "Flood Loading", "Flood Total"];
+    let mut rows: Vec<(&str, Vec<f64>)> = (flood.into_iter())
+        .chain(BASELINES.map(|(name, _)| name))
+        .map(|name| (name, Vec::new()))
+        .collect();
     // Flood Loading by phase, printed beneath it (what is left of loading
     // is cumulative columns and soft-FD support).
     let mut loading: [(&str, Vec<f64>); 5] =
         ["flatten", "assign", "sort", "permute", "models"].map(|phase| (phase, Vec::new()));
     for kind in DatasetKind::ALL {
-        let (ds, w) = cfg.dataset_and_workload(kind);
+        let (ds, w) = h.dataset(kind);
         let table = &ds.table;
-        let dims = crate::harness::dims_by_selectivity(table, &w.train);
-        let filtered: Vec<usize> = dims
-            .iter()
-            .copied()
-            .filter(|&d| w.train.iter().any(|q| q.filters(d)))
-            .collect();
 
         // Flood: learning + loading.
-        let optimizer = LayoutOptimizer::with_config(
-            crate::harness::calibrated_cost_model().clone(),
-            cfg.optimizer(table.len()),
-        );
-        let t0 = Instant::now();
-        let learned = optimizer.optimize(table, &w.train);
-        let learn = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        let flood = FloodBuilder::new().layout(learned.layout).build(table);
-        let load = t0.elapsed().as_secs_f64();
+        let ocfg = h.cfg.optimizer(table.len());
+        let learned = h.learn(table, &w.train, ocfg);
+        let learn = learned.learn_time.as_secs_f64();
+        let (flood, load) = h.build_flood(table, learned.layout, FloodConfig::default());
+        let load = load.as_secs_f64();
         let bt = flood.build_times();
         let phases = [
             bt.flatten_ns,
@@ -71,37 +59,12 @@ pub fn run(cfg: &ExpConfig) {
         rows[1].1.push(load);
         rows[2].1.push(learn + load);
 
-        let time = |f: &dyn Fn()| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        };
-        let key = filtered[0];
-        rows[3].1.push(time(&|| {
-            let _ = ClusteredIndex::build(table, key);
-        }));
-        rows[4].1.push(time(&|| {
-            let _ = ZOrderIndex::build(table, filtered.clone());
-        }));
-        rows[5].1.push(time(&|| {
-            let _ = UbTree::build(table, filtered.clone());
-        }));
-        rows[6].1.push(time(&|| {
-            let _ = Hyperoctree::build(table, filtered.clone());
-        }));
-        rows[7].1.push(time(&|| {
-            let _ = KdTree::build(table, filtered.clone());
-        }));
-        let t0 = Instant::now();
-        let gf_ok = GridFile::build(table, filtered.clone()).is_ok();
-        rows[8].1.push(if gf_ok {
-            t0.elapsed().as_secs_f64()
-        } else {
-            f64::NAN
-        });
-        rows[9].1.push(time(&|| {
-            let _ = RStarTree::build(table, filtered.clone());
-        }));
+        let dims = index_dims(table, &w.train);
+        for (row, (_, b)) in rows[3..].iter_mut().zip(BASELINES) {
+            let built = h.build_baseline(b, table, &dims, None);
+            row.1
+                .push(built.map_or(f64::NAN, |(_, dt)| dt.as_secs_f64()));
+        }
     }
     for (name, times) in rows {
         print!("{name:<16}");

@@ -7,7 +7,8 @@
 //! cargo run --release -p flood-bench --bin repro -- fig7 --scale 200000
 //! ```
 //!
-//! Modules map one-to-one onto experiments; see DESIGN.md §4 for the index.
+//! [`experiments`] holds one module per experiment and the registry;
+//! [`harness`] is the one value they all run on.
 
 pub mod experiments;
 pub mod harness;

@@ -1,14 +1,13 @@
-//! Per-phase wall-clock accounting for the repro harness.
+//! The phase ledger: where one experiment's wall-clock went.
 //!
-//! Every experiment funnels its expensive work through five named phases —
+//! The harness funnels every expensive step through five named phases —
 //! `data-gen`, `calibration`, `layout-opt`, `index-build`, `query-exec` —
-//! so a single summary table shows where a run's time went and `--verbose`
-//! streams progress as each phase starts and finishes. The registry is
-//! process-global (the `repro` binary is single-threaded per experiment)
-//! and can be reset between experiments to attribute time per experiment.
+//! so one summary table shows where a run's time went, and `--verbose`
+//! streams progress as each phase finishes. A ledger is a value owned by
+//! one [`Harness`](crate::harness::Harness): a fresh ledger per experiment
+//! attributes time per experiment.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
 /// Canonical phase names, in pipeline order (used to sort the summary).
@@ -20,84 +19,79 @@ pub const PHASE_ORDER: &[&str] = &[
     "query-exec",
 ];
 
-static VERBOSE: AtomicBool = AtomicBool::new(false);
-static TOTALS: Mutex<Vec<(String, Duration, usize)>> = Mutex::new(Vec::new());
-
-/// Enable/disable `--verbose` progress lines on stderr.
-pub fn set_verbose(on: bool) {
-    VERBOSE.store(on, Ordering::Relaxed);
+/// `(phase, total, calls)` rows plus the `--verbose` switch.
+#[derive(Debug, Default)]
+pub struct Phases {
+    verbose: bool,
+    totals: RefCell<Vec<(String, Duration, usize)>>,
 }
 
-/// Whether verbose progress output is enabled.
-pub fn verbose() -> bool {
-    VERBOSE.load(Ordering::Relaxed)
-}
-
-/// Print a progress line to stderr when `--verbose` is on.
-pub fn progress(msg: &str) {
-    if verbose() {
-        eprintln!("  [progress] {msg}");
+impl Phases {
+    /// An empty ledger; `verbose` streams progress lines to stderr.
+    pub fn new(verbose: bool) -> Self {
+        Phases {
+            verbose,
+            totals: RefCell::default(),
+        }
     }
-}
 
-/// Run `f`, attributing its wall-clock to `name` in the phase registry.
-/// Nested phases each record their own time (the outer phase includes the
-/// inner one's — the summary is a where-does-time-go guide, not a
-/// partition).
-pub fn time_phase<T>(name: &str, f: impl FnOnce() -> T) -> T {
-    if verbose() {
-        eprintln!("  [phase] {name} ...");
+    /// Print a progress line to stderr when verbose.
+    pub fn progress(&self, msg: &str) {
+        if self.verbose {
+            eprintln!("  [progress] {msg}");
+        }
     }
-    let t0 = Instant::now();
-    let out = f();
-    let dt = t0.elapsed();
-    record_phase(name, dt);
-    if verbose() {
-        eprintln!("  [phase] {name} done in {:.2}s", dt.as_secs_f64());
+
+    /// Run `f`, attributing its wall-clock to `name`; returns it alongside
+    /// the result. Nested phases each record their own time (the outer one
+    /// includes the inner one's — the summary is a where-does-time-go
+    /// guide, not a partition).
+    pub fn time<T>(&self, name: &str, f: impl FnOnce() -> T) -> (T, Duration) {
+        let t0 = Instant::now();
+        let out = f();
+        let dt = t0.elapsed();
+        self.record(name, dt);
+        if self.verbose {
+            eprintln!("  [phase] {name} done in {:.2}s", dt.as_secs_f64());
+        }
+        (out, dt)
     }
-    out
-}
 
-/// Add `dt` to phase `name` without wrapping a closure (for call sites that
-/// already measured the interval themselves).
-pub fn record_phase(name: &str, dt: Duration) {
-    let mut totals = TOTALS.lock().expect("phase registry lock");
-    if let Some(slot) = totals.iter_mut().find(|(n, _, _)| n == name) {
-        slot.1 += dt;
-        slot.2 += 1;
-    } else {
-        totals.push((name.to_string(), dt, 1));
+    /// Add an interval measured elsewhere to phase `name`.
+    pub fn record(&self, name: &str, dt: Duration) {
+        let mut totals = self.totals.borrow_mut();
+        if let Some(slot) = totals.iter_mut().find(|(n, _, _)| n == name) {
+            slot.1 += dt;
+            slot.2 += 1;
+        } else {
+            totals.push((name.to_string(), dt, 1));
+        }
     }
-}
 
-/// Snapshot of `(phase, total, count)` rows, canonical phases first.
-pub fn phase_totals() -> Vec<(String, Duration, usize)> {
-    let mut rows = TOTALS.lock().expect("phase registry lock").clone();
-    let rank = |n: &str| {
-        PHASE_ORDER
-            .iter()
-            .position(|&p| p == n)
-            .unwrap_or(PHASE_ORDER.len())
-    };
-    rows.sort_by_key(|(n, _, _)| rank(n));
-    rows
-}
-
-/// Clear the registry (start attributing a fresh experiment).
-pub fn reset_phases() {
-    TOTALS.lock().expect("phase registry lock").clear();
-}
-
-/// Print the phase summary table to stdout; no-op when nothing was recorded.
-pub fn print_phase_summary() {
-    let rows = phase_totals();
-    if rows.is_empty() {
-        return;
+    /// Snapshot of `(phase, total, calls)` rows, canonical phases first.
+    pub fn totals(&self) -> Vec<(String, Duration, usize)> {
+        let mut rows = self.totals.borrow().clone();
+        let rank = |n: &str| {
+            PHASE_ORDER
+                .iter()
+                .position(|&p| p == n)
+                .unwrap_or(PHASE_ORDER.len())
+        };
+        rows.sort_by_key(|(n, _, _)| rank(n));
+        rows
     }
-    println!("\n-- phase summary --");
-    println!("{:<14} {:>10} {:>8}", "phase", "total (s)", "calls");
-    for (name, total, count) in rows {
-        println!("{:<14} {:>10.2} {:>8}", name, total.as_secs_f64(), count);
+
+    /// Print the summary table to stdout; no-op when nothing was recorded.
+    pub fn print_summary(&self) {
+        let rows = self.totals();
+        if rows.is_empty() {
+            return;
+        }
+        println!("\n-- phase summary --");
+        println!("{:<14} {:>10} {:>8}", "phase", "total (s)", "calls");
+        for (name, total, count) in rows {
+            println!("{:<14} {:>10.2} {:>8}", name, total.as_secs_f64(), count);
+        }
     }
 }
 
@@ -105,41 +99,31 @@ pub fn print_phase_summary() {
 mod tests {
     use super::*;
 
-    // The registry is process-global and other lib tests record real phases
-    // concurrently, so assert only on names unique to this test and never
-    // on total row counts or global emptiness.
     #[test]
     fn registry_records_merges_and_resets() {
-        let find = |name: &str| {
-            phase_totals()
-                .into_iter()
-                .find(|(n, _, _)| n == name)
-                .map(|(_, total, count)| (total, count))
-        };
-        time_phase("test-exec", || std::thread::sleep(Duration::from_millis(2)));
-        record_phase("test-exec", Duration::from_millis(5));
-        record_phase("test-gen", Duration::from_millis(1));
-        let (total, count) = find("test-exec").expect("phase recorded");
-        assert_eq!(count, 2, "two recordings merged");
-        assert!(total >= Duration::from_millis(7));
-        assert!(find("test-gen").is_some());
-        // Canonical phases sort ahead of ad-hoc names like ours.
-        let rows = phase_totals();
-        let pos = |n: &str| rows.iter().position(|(name, _, _)| name == n);
-        if let (Some(canon), Some(adhoc)) = (pos("data-gen"), pos("test-exec")) {
-            assert!(canon < adhoc);
-        }
-        reset_phases();
-        assert!(find("test-exec").is_none());
-        assert!(find("test-gen").is_none());
+        let phases = Phases::new(false);
+        phases.time("query-exec", || {
+            std::thread::sleep(Duration::from_millis(2))
+        });
+        phases.record("query-exec", Duration::from_millis(5));
+        phases.record("adhoc", Duration::from_millis(1));
+        phases.record("data-gen", Duration::from_millis(1));
+        let rows = phases.totals();
+        // Canonical phases sort ahead of ad-hoc names, in pipeline order.
+        let names: Vec<&str> = rows.iter().map(|(n, _, _)| n.as_str()).collect();
+        assert_eq!(names, ["data-gen", "query-exec", "adhoc"]);
+        let (_, total, count) = &rows[1];
+        assert_eq!(*count, 2, "two recordings merged");
+        assert!(*total >= Duration::from_millis(7));
+        // A fresh ledger starts empty: per-experiment attribution.
+        assert!(Phases::new(false).totals().is_empty());
     }
 
     #[test]
     fn verbose_flag_round_trips() {
-        set_verbose(true);
-        assert!(verbose());
-        progress("covered: progress line while verbose");
-        set_verbose(false);
-        assert!(!verbose());
+        let loud = Phases::new(true);
+        assert!(loud.verbose);
+        loud.progress("covered: progress line while verbose");
+        assert!(!Phases::default().verbose);
     }
 }

@@ -2,6 +2,7 @@
 //! prints the experiment list and exits non-zero; `list` documents every
 //! experiment.
 
+use flood_bench::experiments::EXPERIMENTS;
 use std::process::{Command, Output};
 
 fn repro(args: &[&str]) -> Output {
@@ -27,36 +28,8 @@ fn list_shows_every_experiment_and_succeeds() {
     let out = repro(&["list"]);
     assert!(out.status.success());
     let err = stderr(&out);
-    for name in [
-        "tab1",
-        "tab2",
-        "tab3",
-        "tab4",
-        "fig5",
-        "fig7",
-        "fig8",
-        "fig9",
-        "fig10",
-        "fig11",
-        "fig12",
-        "fig13",
-        "fig14",
-        "fig15",
-        "fig16",
-        "fig17",
-        "colstore",
-        "costmodel",
-        "lookup",
-        "threads",
-        "optcost",
-        "drift",
-        "serve",
-        "scanspeed",
-        "obs",
-        "tiered",
-        "correlate",
-        "all",
-    ] {
+    let names = EXPERIMENTS.iter().map(|(name, _, _)| *name);
+    for name in names.chain(["all"]) {
         assert!(err.contains(name), "`repro list` must mention {name}");
     }
 }
@@ -79,9 +52,6 @@ fn bad_scale_values_fail_without_panicking() {
         &["fig5", "--scale"],
         &["fig5", "--queries", "0"],
         &["fig5", "--seed", "x"],
-        &["fig5", "--threads", "0"],
-        &["fig5", "--threads", "two"],
-        &["fig5", "--threads"],
     ] {
         let out = repro(bad);
         assert!(!out.status.success(), "{bad:?} must fail");
@@ -90,6 +60,7 @@ fn bad_scale_values_fail_without_panicking() {
             err.contains("error:") && !err.contains("panicked"),
             "{bad:?} must report a parse error, got: {err}"
         );
+        assert!(err.contains("usage: repro"), "bad flags must print usage");
     }
 }
 
@@ -157,11 +128,19 @@ fn unknown_flag_fails() {
     }
 }
 
+/// README's "Running the experiments" table lists the registry, in order,
+/// then `all`.
 #[test]
-fn threads_zero_prints_usage_and_fails() {
-    let out = repro(&["threads", "--threads", "0"]);
-    assert!(!out.status.success());
-    let err = stderr(&out);
-    assert!(err.contains("--threads must be at least 1"), "{err}");
-    assert!(err.contains("usage: repro"), "bad flags must print usage");
+fn readme_table_lists_the_registry() {
+    let readme = include_str!("../../../README.md");
+    let (_, section) = readme
+        .split_once("## Running the experiments")
+        .expect("README has the section");
+    let section = section.split("\n## ").next().expect("non-empty");
+    let documented: Vec<&str> = section
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `")?.split('`').next())
+        .collect();
+    let names = EXPERIMENTS.iter().map(|(name, _, _)| *name);
+    assert_eq!(documented, names.chain(["all"]).collect::<Vec<_>>());
 }

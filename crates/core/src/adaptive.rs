@@ -82,8 +82,8 @@ impl Default for AdaptiveConfig {
     }
 }
 
-/// Work counters for one adaptive loop's lifetime, for the `repro drift`
-/// experiment and the re-learn regression tests.
+/// Work counters for one adaptive loop's lifetime, for `flood-benchmark`
+/// and the re-learn regression tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AdaptiveDiagnostics {
     /// Times the layout was replaced.

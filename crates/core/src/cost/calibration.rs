@@ -10,11 +10,7 @@
 //! examples to create accurate models."
 //!
 //! Calibration is a one-time cost per machine; Table 3 shows the resulting
-//! weights transfer across datasets. Because of that, repeating it inside
-//! one process is pure waste: [`calibrate_cached`] memoizes results on a
-//! fingerprint of the configuration and inputs, so a run that learns many
-//! layouts (the `repro` experiment suite, Figs 7–16) pays for each distinct
-//! calibration exactly once.
+//! weights transfer across datasets.
 
 use crate::config::FloodConfig;
 use crate::cost::features::{cell_size_quantiles, QueryStatistics};
@@ -28,7 +24,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::sync::Mutex;
 
 /// Which regressor calibration trains for each weight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -219,78 +214,6 @@ pub fn calibrate(
     (WeightModels { wp, wr, ws }, report)
 }
 
-/// Process-wide memo of calibration results, keyed by input fingerprint.
-static CALIBRATION_CACHE: Mutex<Vec<(u64, (WeightModels, CalibrationReport))>> =
-    Mutex::new(Vec::new());
-
-/// FNV-1a over the calibration inputs: every config field, the table shape
-/// plus a strided sample of its values, and every query's bounds. Collisions
-/// would silently reuse a model calibrated on different inputs, so the
-/// fingerprint covers everything `calibrate` reads (data values enter via
-/// the sampled stride; measurement noise is deliberately not part of the
-/// key — calibration is already best-of-`reps` denoised).
-fn fingerprint(table: &Table, queries: &[RangeQuery], cfg: &CalibrationConfig) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
-    mix(cfg.n_layouts as u64);
-    mix(cfg.kind as u64);
-    mix(cfg.min_cells_log2 as u64);
-    mix(cfg.max_cells_log2 as u64);
-    mix(cfg.seed);
-    mix(cfg.reps as u64);
-    mix(table.len() as u64);
-    mix(table.dims() as u64);
-    let step = (table.len() / 512).max(1);
-    for d in 0..table.dims() {
-        let mut r = 0;
-        while r < table.len() {
-            mix(table.value(r, d));
-            r += step;
-        }
-    }
-    mix(queries.len() as u64);
-    for q in queries {
-        for d in 0..q.dims() {
-            if let Some((lo, hi)) = q.bound(d) {
-                mix(d as u64 + 1);
-                mix(lo);
-                mix(hi);
-            }
-        }
-    }
-    h
-}
-
-/// [`calibrate`], memoized process-wide: identical `(table, queries, cfg)`
-/// inputs return the cached models without re-measuring. Use this from
-/// harnesses that may calibrate the same setup repeatedly in one run.
-pub fn calibrate_cached(
-    table: &Table,
-    queries: &[RangeQuery],
-    cfg: CalibrationConfig,
-) -> (WeightModels, CalibrationReport) {
-    let key = fingerprint(table, queries, &cfg);
-    if let Some((_, hit)) = CALIBRATION_CACHE
-        .lock()
-        .expect("calibration cache lock")
-        .iter()
-        .find(|(k, _)| *k == key)
-    {
-        return hit.clone();
-    }
-    let out = calibrate(table, queries, cfg);
-    CALIBRATION_CACHE
-        .lock()
-        .expect("calibration cache lock")
-        .push((key, out.clone()));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,36 +287,6 @@ mod tests {
         let feats = [0.0; 10];
         assert!(models.wp.predict(&feats).is_finite());
         assert!(models.ws.predict(&feats).is_finite());
-    }
-
-    #[test]
-    fn cached_calibration_reuses_and_distinguishes_inputs() {
-        let cfg = CalibrationConfig {
-            n_layouts: 2,
-            max_cells_log2: 6,
-            ..Default::default()
-        };
-        let t = small_table();
-        let qs = small_queries();
-        let t0 = std::time::Instant::now();
-        let (_, first) = calibrate_cached(&t, &qs, cfg);
-        let cold = t0.elapsed();
-        let t0 = std::time::Instant::now();
-        let (_, second) = calibrate_cached(&t, &qs, cfg);
-        let warm = t0.elapsed();
-        assert_eq!(first.examples, second.examples);
-        // The warm path is a cache lookup — orders of magnitude faster; a
-        // loose 2x bound keeps the test robust on noisy machines.
-        assert!(warm < cold / 2, "warm {warm:?} vs cold {cold:?}");
-        // A different seed is a different calibration.
-        let other = CalibrationConfig {
-            seed: cfg.seed ^ 0xFF,
-            ..cfg
-        };
-        assert_ne!(
-            super::fingerprint(&t, &qs, &cfg),
-            super::fingerprint(&t, &qs, &other)
-        );
     }
 
     #[test]

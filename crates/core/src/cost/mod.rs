@@ -14,15 +14,15 @@
 //!   random forest, on held-out layouts.
 //! - `repro tab3` calibrates per dataset ([`calibration::calibrate`]) and
 //!   transfers the weights across datasets (§7.6).
-//! - The `repro` harness itself calibrates once per process via
-//!   [`calibration::calibrate_cached`]; Table 4's "learning" column is what
-//!   the resulting model costs to use inside the optimizer.
+//! - The `repro` harness calibrates once per run and keeps the model in
+//!   its harness value; Table 4's "learning" column is what the resulting
+//!   model costs to use inside the optimizer.
 
 pub mod calibration;
 pub mod features;
 pub mod weights;
 
-pub use calibration::{calibrate, calibrate_cached, CalibrationConfig, CalibrationReport};
+pub use calibration::{calibrate, CalibrationConfig, CalibrationReport};
 pub use features::QueryStatistics;
 pub use weights::{WeightModel, WeightModels};
 

@@ -44,7 +44,8 @@
 //! (gradient descent over column counts) → [`gradient`]; §7.7 sampling
 //! sensitivity (Figs 15/16) → [`OptimizerConfig::data_sample`] and
 //! [`OptimizerConfig::query_sample`]; the optimizer-search cost the paper
-//! reports as learning time (Figs 15/16's left panels) → `repro optcost`.
+//! reports as learning time (Figs 15/16's left panels) → `repro fig15` /
+//! `fig16` and `flood-benchmark`'s `core.search_ms`.
 //!
 //! **Correlation extension (beyond the Flood paper).** Flood treats
 //! dimensions as independent; its successors exploit inter-dimension

@@ -10,9 +10,9 @@
 //! throughput mode ([`QueryExecutor::execute_batch`]) is the independent
 //! complement for OLAP workloads like §7.3's: whole queries are
 //! independent units of work, so any [`MultiDimIndex`] — baselines
-//! included — benefits without implementing partitioning. `repro threads`
-//! sweeps both modes; BASELINES.md records the numbers and the 1-vCPU
-//! caveat of the reference machine.
+//! included — benefits without implementing partitioning. The
+//! `parallel_scan` criterion bench and `flood-benchmark`'s batched phase
+//! (`exec.*`) measure both modes.
 
 use crate::pool::{PoolMetrics, ThreadPool};
 use flood_store::{MergeVisitor, MultiDimIndex, PartitionedScan, RangeQuery, ScanStats, Visitor};
@@ -78,8 +78,7 @@ impl QueryExecutor {
     /// scan task accumulates into its own `V`, merged deterministically at
     /// the end. The result and the aggregate [`ScanStats`] are identical to
     /// the serial [`MultiDimIndex::execute`] up to visitor ordering (a
-    /// `CollectVisitor` sees rows in task order, not global row order) and
-    /// `scan_ns` (wall-clock now overlaps across workers).
+    /// `CollectVisitor` sees rows in task order, not global row order).
     pub fn execute<V>(
         &self,
         index: &dyn PartitionedScan,

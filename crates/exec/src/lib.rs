@@ -23,16 +23,13 @@
 //!
 //! Parallel and serial execution are result- and stats-equivalent (the
 //! property suite in `tests/prop_parallel.rs` pins this for Count/Sum/
-//! MinMax/Collect visitors); only visitor ordering and `scan_ns` may
-//! differ.
+//! MinMax/Collect visitors); only visitor ordering may differ.
 //!
-//! Paper map: §8 "Other Optimizations" (concurrency) → [`exec`] and the
-//! `repro threads` experiment; the phase anatomy that motivates splitting
-//! only the scan (Table 2's SO/TPS/IT/ST breakdown) → [`exec`]'s module
-//! docs; the balanced, block-aligned task planning → `flood_store`'s
-//! `partition` module. Measured scaling lives in BASELINES.md — note the
-//! reference machine has one vCPU, so its tables pin overhead, not
-//! speedup.
+//! Paper map: §8 "Other Optimizations" (concurrency) → [`exec`]; the
+//! phase anatomy that motivates splitting only the scan (Table 2's
+//! SO/TPS/IT/ST breakdown) → [`exec`]'s module docs; the balanced,
+//! block-aligned task planning → `flood_store`'s `partition` module.
+//! Measured scaling: `flood-benchmark`'s `exec.batch_qps_t1`/`_t2`.
 //!
 //! ```
 //! use flood_exec::{QueryExecutor, ThreadPool};

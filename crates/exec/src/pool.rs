@@ -14,7 +14,7 @@
 //! Paper map: the paper's evaluation is single-threaded ("Flood is
 //! currently single threaded", §7) and §8 sketches intra-query parallelism
 //! as future work; this pool is the substrate that turns the sketch into
-//! the measured `repro threads` experiment. Scoped (per-call) workers were
+//! something measured (`flood-benchmark`'s `exec.*` metrics). Scoped (per-call) workers were
 //! chosen over a resident pool because every paper-shaped workload is a
 //! burst of scans over borrowed `Table`s — there is no long-lived server
 //! loop to amortize thread startup against, and scoped lifetimes let scan
@@ -88,8 +88,7 @@ impl ThreadPool {
     ///
     /// # Panics
     /// Panics when `FLOOD_THREADS` is set but not a positive integer — a
-    /// misconfigured pool must not silently run serial (same hardening as
-    /// `repro --threads`).
+    /// misconfigured pool must not silently run serial.
     pub fn from_env() -> Self {
         let threads = match std::env::var(THREADS_ENV) {
             Ok(v) => match v.parse::<usize>() {

@@ -72,11 +72,9 @@ fn serial<V: Visitor + Default>(
     (v, s)
 }
 
-/// Mask residency-dependent counters and timing before comparing.
+/// Mask residency-dependent counters before comparing.
 fn shared(s: &ScanStats) -> ScanStats {
-    let mut s = s.sans_tier_counters();
-    s.scan_ns = 0;
-    s
+    s.sans_tier_counters()
 }
 
 #[test]

@@ -40,16 +40,21 @@ thread_local! {
     static SAMPLED: Cell<bool> = const { Cell::new(false) };
 }
 
+/// The rate a `FLOOD_TRACE` value asks for, clamped below [`RATE_UNSET`]
+/// so no setting can read as "not yet parsed".
+fn parse_rate(value: &str) -> u32 {
+    match value.trim() {
+        "" | "0" | "off" | "false" => RATE_OFF,
+        "on" | "true" => 1,
+        n => n
+            .parse::<u32>()
+            .map_or(RATE_OFF, |every| every.min(RATE_UNSET - 1)),
+    }
+}
+
 #[cold]
 fn init_rate() -> u32 {
-    let rate = match std::env::var("FLOOD_TRACE") {
-        Ok(v) => match v.trim() {
-            "" | "0" | "off" | "false" => RATE_OFF,
-            "on" | "true" => 1,
-            n => n.parse::<u32>().unwrap_or(RATE_OFF),
-        },
-        Err(_) => RATE_OFF,
-    };
+    let rate = std::env::var("FLOOD_TRACE").map_or(RATE_OFF, |v| parse_rate(&v));
     RATE.store(rate, Ordering::Relaxed);
     rate
 }
@@ -263,6 +268,16 @@ mod tests {
         take_spans();
         SAMPLED.with(|s| s.set(false));
         DEPTH.with(|d| d.set(0));
+    }
+
+    #[test]
+    fn env_rate_never_parses_to_the_unset_sentinel() {
+        assert_eq!(parse_rate("4294967295"), RATE_UNSET - 1);
+        assert_eq!(parse_rate(" 8 "), 8);
+        assert_eq!(parse_rate("on"), 1);
+        for off in ["", "0", "off", "false", "every-8th", "4294967296"] {
+            assert_eq!(parse_rate(off), RATE_OFF, "{off:?}");
+        }
     }
 
     #[test]

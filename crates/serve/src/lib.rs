@@ -24,9 +24,8 @@
 //! The concurrency contract — every result is bit-identical to a serial
 //! run against *either* the old or the new layout, never a mix — is
 //! pinned by `tests/prop_serve.rs`; `tests/serve_soak.rs` drives open-loop
-//! drift traffic with background adaptation end to end. `repro serve`
-//! measures steady-state vs during-swap latency percentiles
-//! (BASELINES.md).
+//! drift traffic with background adaptation end to end. `flood-benchmark`
+//! measures latency across swaps (`serve.*`, `epoch_swap_ms`).
 //!
 //! The same publication machinery is generic ([`Published<T>`]): the
 //! [`TieredServer`] publishes sealed cold-tier scan generations through

@@ -45,40 +45,9 @@ use crate::table::Table;
 use crate::visitor::Visitor;
 use std::convert::Infallible;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Instant;
 
 /// One per-row constraint `(dim, lo, hi)`: `lo <= row[dim] <= hi`.
 pub type Check = (usize, u64, u64);
-
-/// When enabled, the scan kernels accumulate wall-clock time into
-/// [`ScanStats::scan_ns`], letting the harness decompose any index's query
-/// time into scan time (ST) and index time (IT = total − ST) the way
-/// Table 2 reports it. Off by default: the hot path then pays only one
-/// relaxed atomic load per kernel call.
-static SCAN_TIMING: AtomicBool = AtomicBool::new(false);
-
-/// Globally enable or disable scan-kernel timing.
-pub fn set_scan_timing(on: bool) {
-    SCAN_TIMING.store(on, Ordering::Relaxed);
-}
-
-/// Whether scan-kernel timing is currently enabled.
-pub fn scan_timing_enabled() -> bool {
-    SCAN_TIMING.load(Ordering::Relaxed)
-}
-
-/// Run `f`, adding its duration to `stats.scan_ns` when timing is enabled.
-#[inline]
-fn timed(stats: &mut ScanStats, f: impl FnOnce(&mut ScanStats)) {
-    if scan_timing_enabled() {
-        let t0 = Instant::now();
-        f(stats);
-        stats.scan_ns += t0.elapsed().as_nanos() as u64;
-    } else {
-        f(stats);
-    }
-}
 
 /// Block `b` of one column, resolved once per block by the kernels.
 #[derive(Debug, Clone, Copy)]
@@ -319,11 +288,9 @@ pub fn scan_rows<S: BlockSource>(
             dims().for_each(|d| need(d, b));
         }
     })?;
-    timed(stats, |stats| {
-        stats.points_scanned += (end - start) as u64;
-        pinned.record(stats);
-        visit_rows(&pinned, checks, agg, start, end, visitor);
-    });
+    stats.points_scanned += (end - start) as u64;
+    pinned.record(stats);
+    visit_rows(&pinned, checks, agg, start, end, visitor);
     Ok(())
 }
 
@@ -352,24 +319,22 @@ pub fn scan_exact<S: BlockSource>(
             reads.into_iter().for_each(|d| need(d, b));
         }
     })?;
-    timed(stats, |stats| {
-        stats.points_in_exact_ranges += n;
-        pinned.record(stats);
-        if !exact {
+    stats.points_in_exact_ranges += n;
+    pinned.record(stats);
+    if !exact {
+        stats.points_scanned += n;
+        visit_rows(&pinned, &[], agg, start, end, visitor);
+        return Ok(());
+    }
+    let sum = match (cumulative, agg) {
+        (Some(c), _) => c.range_sum(start, end - 1),
+        (None, Some(d)) => {
             stats.points_scanned += n;
-            visit_rows(&pinned, &[], agg, start, end, visitor);
-            return;
+            sum_rows(&pinned, d, start, end)
         }
-        let sum = match (cumulative, agg) {
-            (Some(c), _) => c.range_sum(start, end - 1),
-            (None, Some(d)) => {
-                stats.points_scanned += n;
-                sum_rows(&pinned, d, start, end)
-            }
-            (None, None) => 0,
-        };
-        visitor.visit_exact_sum(end - start, sum);
-    });
+        (None, None) => 0,
+    };
+    visitor.visit_exact_sum(end - start, sum);
     Ok(())
 }
 
@@ -468,61 +433,59 @@ pub fn scan_checked<S: BlockSource>(
         }
     })?;
 
-    timed(stats, |stats| {
-        stats.points_scanned += (end - start) as u64;
-        pinned.record(stats);
-        'blocks: for (b, bs, be) in block_pieces(start, end) {
-            if !classify_block(source, checks, b, &mut probes) {
-                stats.blocks_skipped += 1;
-                continue;
-            }
-            if probes.is_empty() && residual.is_empty() {
-                stats.blocks_accepted += 1;
-                if !exact {
-                    visit_rows(&pinned, &[], agg, bs, be, visitor);
-                    continue;
-                }
-                let sum = agg.map_or(0, |d| {
-                    free_sum(d, b, bs..be).unwrap_or_else(|| sum_rows(&pinned, d, bs, be))
-                });
-                visitor.visit_exact_sum(be - bs, sum);
-                continue;
-            }
-            stats.blocks_probed += 1;
-            if probes.is_empty() {
-                visit_rows(&pinned, &residual, agg, bs, be, visitor);
-                continue;
-            }
-            let base = b * BLOCK_LEN;
-            let mut mask = [u64::MAX; 2];
-            for &(d, dlo, dhi) in &probes {
-                let m = pinned
-                    .block(d, b)
-                    .packed()
-                    .match_mask(dlo, dhi, bs - base, be - base);
-                mask = [mask[0] & m[0], mask[1] & m[1]];
-                if mask == [0, 0] {
-                    continue 'blocks;
-                }
-            }
-            let values = agg.map(|d| pinned.block(d, b));
-            if exact && residual.is_empty() {
-                // The mask is the answer: its rows as one anonymous group.
-                let mut sum = 0u64;
-                if let Some(blk) = values {
-                    for_each_set(mask, |i| sum = sum.wrapping_add(blk.get(i)));
-                }
-                let count = mask[0].count_ones() + mask[1].count_ones();
-                visitor.visit_exact_sum(count as usize, sum);
-                continue;
-            }
-            for_each_set(mask, |i| {
-                if passes(&pinned, &residual, base + i) {
-                    visitor.visit(base + i, values.map_or(0, |blk| blk.get(i)));
-                }
-            });
+    stats.points_scanned += (end - start) as u64;
+    pinned.record(stats);
+    'blocks: for (b, bs, be) in block_pieces(start, end) {
+        if !classify_block(source, checks, b, &mut probes) {
+            stats.blocks_skipped += 1;
+            continue;
         }
-    });
+        if probes.is_empty() && residual.is_empty() {
+            stats.blocks_accepted += 1;
+            if !exact {
+                visit_rows(&pinned, &[], agg, bs, be, visitor);
+                continue;
+            }
+            let sum = agg.map_or(0, |d| {
+                free_sum(d, b, bs..be).unwrap_or_else(|| sum_rows(&pinned, d, bs, be))
+            });
+            visitor.visit_exact_sum(be - bs, sum);
+            continue;
+        }
+        stats.blocks_probed += 1;
+        if probes.is_empty() {
+            visit_rows(&pinned, &residual, agg, bs, be, visitor);
+            continue;
+        }
+        let base = b * BLOCK_LEN;
+        let mut mask = [u64::MAX; 2];
+        for &(d, dlo, dhi) in &probes {
+            let m = pinned
+                .block(d, b)
+                .packed()
+                .match_mask(dlo, dhi, bs - base, be - base);
+            mask = [mask[0] & m[0], mask[1] & m[1]];
+            if mask == [0, 0] {
+                continue 'blocks;
+            }
+        }
+        let values = agg.map(|d| pinned.block(d, b));
+        if exact && residual.is_empty() {
+            // The mask is the answer: its rows as one anonymous group.
+            let mut sum = 0u64;
+            if let Some(blk) = values {
+                for_each_set(mask, |i| sum = sum.wrapping_add(blk.get(i)));
+            }
+            let count = mask[0].count_ones() + mask[1].count_ones();
+            visitor.visit_exact_sum(count as usize, sum);
+            continue;
+        }
+        for_each_set(mask, |i| {
+            if passes(&pinned, &residual, base + i) {
+                visitor.visit(base + i, values.map_or(0, |blk| blk.get(i)));
+            }
+        });
+    }
     Ok(())
 }
 
@@ -653,21 +616,6 @@ mod tests {
         let mut s = ScanStats::default();
         let Ok(()) = scan_exact(&t, 5, 5, None, None, &mut v, &mut s);
         assert_eq!(v.count, 0);
-    }
-
-    #[test]
-    fn scan_timing_populates_scan_ns() {
-        let t = table();
-        let q = RangeQuery::all(2).with_range(0, 0, 9);
-        let mut v = CountVisitor::default();
-        super::set_scan_timing(true);
-        let s = filtered(&t, &q, (0, t.len()), None, &mut v);
-        super::set_scan_timing(false);
-        assert!(s.scan_ns > 0, "timing enabled must record scan time");
-
-        let mut v2 = CountVisitor::default();
-        let s2 = filtered(&t, &q, (0, t.len()), None, &mut v2);
-        assert_eq!(s2.scan_ns, 0, "timing disabled must record nothing");
     }
 
     #[test]

@@ -47,9 +47,6 @@ pub struct ScanStats {
     /// always-resident metadata alone — never acquired, so a cold segment
     /// among them cost zero disk reads (tiered scans only).
     pub segments_skipped: u64,
-    /// Wall-clock nanoseconds spent in scan kernels; populated only while
-    /// [`crate::scan::set_scan_timing`] is enabled (Table 2's ST).
-    pub scan_ns: u64,
 }
 
 impl ScanStats {
@@ -88,7 +85,6 @@ impl ScanStats {
         self.segments_faulted += other.segments_faulted;
         self.segments_hit += other.segments_hit;
         self.segments_skipped += other.segments_skipped;
-        self.scan_ns += other.scan_ns;
     }
 
     /// This query's counters with the block counters zeroed — the shape
@@ -138,7 +134,6 @@ pub struct ScanStatsMetrics {
     segments_faulted: Arc<Counter>,
     segments_hit: Arc<Counter>,
     segments_skipped: Arc<Counter>,
-    scan_ns: Arc<Counter>,
 }
 
 impl ScanStatsMetrics {
@@ -161,7 +156,6 @@ impl ScanStatsMetrics {
             segments_faulted: c("segments_faulted"),
             segments_hit: c("segments_hit"),
             segments_skipped: c("segments_skipped"),
-            scan_ns: c("scan_ns"),
         }
     }
 
@@ -182,14 +176,13 @@ impl ScanStatsMetrics {
         self.segments_faulted.add(stats.segments_faulted);
         self.segments_hit.add(stats.segments_hit);
         self.segments_skipped.add(stats.segments_skipped);
-        self.scan_ns.add(stats.scan_ns);
     }
 }
 
 /// Assert that two scan-stat sets are equivalent across scan paths: every
 /// shared counter must agree, block counters aside (they exist only on the
-/// block path), segment counters aside (they exist only on the tiered
-/// side) and `scan_ns` aside (wall clock is never comparable).
+/// block path) and segment counters aside (they exist only on the tiered
+/// side).
 ///
 /// This is *the* stats-equivalence check the differential and property
 /// suites share; `label` names the comparison in the panic message.
@@ -198,13 +191,11 @@ impl ScanStatsMetrics {
 /// When the two stat sets disagree on any compared counter.
 #[track_caller]
 pub fn assert_stats_equivalent(got: &ScanStats, want: &ScanStats, label: &str) {
-    let (mut a, mut b) = (
+    assert_eq!(
         got.sans_block_counters().sans_tier_counters(),
         want.sans_block_counters().sans_tier_counters(),
+        "scan stats diverge across scan paths: {label}"
     );
-    a.scan_ns = 0;
-    b.scan_ns = 0;
-    assert_eq!(a, b, "scan stats diverge across scan paths: {label}");
 }
 
 #[cfg(test)]
@@ -277,7 +268,6 @@ mod tests {
             segments_faulted: 11,
             segments_hit: 12,
             segments_skipped: 13,
-            scan_ns: 14,
         };
         bridge.record(&s);
         bridge.record(&s);
@@ -296,7 +286,6 @@ mod tests {
             ("segments_faulted", 22),
             ("segments_hit", 24),
             ("segments_skipped", 26),
-            ("scan_ns", 28),
         ] {
             assert_eq!(snap.counter("scan", name), Some(want), "{name}");
         }
@@ -324,13 +313,11 @@ mod tests {
             blocks_skipped: 3,
             blocks_accepted: 1,
             blocks_probed: 2,
-            scan_ns: 999,
             ..Default::default()
         };
         let plain = ScanStats {
             points_scanned: 10,
             points_matched: 4,
-            scan_ns: 123,
             ..Default::default()
         };
         assert_stats_equivalent(&packed, &plain, "packed vs plain");

@@ -55,13 +55,20 @@ impl TierConfig {
     /// This configuration with the `FLOOD_MEM_BUDGET` environment variable
     /// (bytes) overriding the budget when set — how CI forces the test
     /// suites through a mostly-cold tier.
+    ///
+    /// # Panics
+    /// When `FLOOD_MEM_BUDGET` is set but not a byte count — a typo must
+    /// not turn the forced-cold pass into a warm one.
     pub fn from_env(self) -> Self {
-        match std::env::var("FLOOD_MEM_BUDGET")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            Some(budget) => self.with_budget(budget),
-            None => self,
+        self.with_budget_override(std::env::var("FLOOD_MEM_BUDGET").ok().as_deref())
+    }
+
+    /// [`Self::from_env`] on the variable's value, `None` when unset.
+    fn with_budget_override(self, value: Option<&str>) -> Self {
+        let Some(v) = value else { return self };
+        match v.trim().parse() {
+            Ok(budget) => self.with_budget(budget),
+            Err(_) => panic!("FLOOD_MEM_BUDGET must be a byte count, got {v:?}"),
         }
     }
 }
@@ -334,8 +341,8 @@ impl SegmentCache {
     }
 
     /// Publish the cache's current state as gauges under `subsystem` in
-    /// `registry` — the `flood-obs` bridge the `repro tiered` experiment
-    /// and the tiered server report fault/eviction counts through.
+    /// `registry` — the `flood-obs` bridge the tiered server reports
+    /// fault/eviction counts through.
     pub fn publish_gauges(&self, registry: &Registry, subsystem: &str) {
         let g = |name: &str, v: i64| registry.gauge(subsystem, name).set(v);
         g("budget_bytes", self.budget_bytes() as i64);
@@ -659,5 +666,14 @@ mod tests {
             let cfg = TierConfig::default().with_budget(123).from_env();
             assert_eq!(cfg.budget_bytes, 123);
         }
+        let base = TierConfig::default().with_budget(123);
+        assert_eq!(base.with_budget_override(None).budget_bytes, 123);
+        assert_eq!(base.with_budget_override(Some(" 4096 ")).budget_bytes, 4096);
+    }
+
+    #[test]
+    #[should_panic(expected = "FLOOD_MEM_BUDGET must be a byte count, got \"4k\"")]
+    fn unparsable_budget_override_is_rejected_by_name() {
+        let _ = TierConfig::default().with_budget_override(Some("4k"));
     }
 }

@@ -362,8 +362,7 @@ impl TieredTable {
     }
 
     /// Total encoded bytes across every cold segment of every column — the
-    /// dataset's cold-tier footprint, which `repro tiered` sizes its
-    /// memory budget against.
+    /// dataset's cold-tier footprint, to size a memory budget against.
     pub fn cold_bytes(&self) -> usize {
         self.columns
             .iter()

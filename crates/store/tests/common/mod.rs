@@ -172,14 +172,14 @@ fn diff_driver<S, V>(
     assert_eq!(serial_v, want_v, "serial");
     assert_stats_equivalent(&serial, &want, "serial");
 
-    let sans_clock = |mut s: ScanStats| {
-        s.scan_ns = 0;
-        s.sans_tier_counters()
-    };
     for tasks in [1, 3, 8] {
         let (v, merged) = run_tasks_merged::<V>(&bound().chunked(tasks));
         assert_eq!(v, want_v, "{tasks} tasks");
         // Aligned cuts: even the block counters merge to the serial run's.
-        assert_eq!(sans_clock(merged), sans_clock(serial), "{tasks} tasks");
+        assert_eq!(
+            merged.sans_tier_counters(),
+            serial.sans_tier_counters(),
+            "{tasks} tasks"
+        );
     }
 }
