@@ -47,9 +47,9 @@ const SWEEP: &[(&str, f64, f64)] = &[
     ("dirty", 0.005, 0.05),
 ];
 
-/// Learn a layout and build the index with correlation on or off — both
-/// the optimizer's collapse/re-weight pass and the index's envelope
-/// tightening follow the same switch.
+/// Learn a layout with correlation on or off and build the index over it —
+/// the learned layout carries the FDs the search collapsed (none when off),
+/// so the index's envelope tightening follows the same switch.
 fn learn_build(
     h: &Harness,
     table: &Table,
@@ -64,9 +64,7 @@ fn learn_build(
     ocfg.data_sample = (table.len() / 8).clamp(1_000, 20_000);
     ocfg.correlation.enabled = enabled;
     let learned = h.learn(table, train, ocfg);
-    let mut fcfg = FloodConfig::default();
-    fcfg.correlation.enabled = enabled;
-    let (index, _) = h.build_flood(table, learned.layout.clone(), fcfg);
+    let (index, _) = h.build_flood(table, learned.layout.clone(), FloodConfig::default());
     (index, learned)
 }
 

@@ -41,13 +41,11 @@
 //!
 //! No extra wiring is needed to keep soft-FD exploitation current: a
 //! re-learn searches with [`crate::optimizer::OptimizerConfig::correlation`]
-//! (collapse/re-weight candidates against the sampled window), and the
-//! rebuild that adopts the winning layout re-runs exact support
-//! construction inside [`FloodIndex`]'s build — envelopes and outlier rows
-//! are **re-detected from scratch on every adopted layout**, so a
-//! dependency that dissolved (or appeared) since the last build is picked
-//! up automatically. `tests/prop_correlation.rs` pins the result identity
-//! of this loop under a drifting workload.
+//! (collapse/re-weight candidates against the sampled window), the winning
+//! layout carries the FDs that search priced, and the rebuild that adopts
+//! it builds exact envelopes and outlier rows for exactly those.
+//! `tests/prop_correlation.rs` pins the result identity of this loop under
+//! a drifting workload.
 
 use crate::config::FloodConfig;
 use crate::index::FloodIndex;

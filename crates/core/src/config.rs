@@ -1,6 +1,9 @@
 //! Build-time configuration for a [`FloodIndex`](crate::index::FloodIndex).
+//!
+//! What to index — the dimensions, their columns, and the soft FDs to
+//! tighten through — is the [`Layout`]'s; these knobs only say how to
+//! store and refine it.
 
-use crate::correlation::CorrelationConfig;
 use crate::flatten::Flattening;
 use crate::layout::Layout;
 use flood_learned::plm::DEFAULT_DELTA;
@@ -27,23 +30,14 @@ pub struct FloodConfig {
     /// Refinement strategy over the sort dimension.
     pub refinement: Refinement,
     /// Average-error budget δ of the per-cell PLMs (Fig 17b; default 50).
+    /// Cells of at most one block's rows get no PLM: they are refined by
+    /// ranking their packed values, never through a model.
     pub plm_delta: f64,
-    /// Cells smaller than this get no PLM — a model on a handful of points
-    /// buys nothing. Floored at `BLOCK_LEN + 1` = 129 whatever is set here:
-    /// a cell of at most one block's rows is refined by ranking its packed
-    /// values, never through a model, so none is built for it.
-    pub plm_min_cell_size: usize,
     /// Compress the reordered data copy with block-delta encoding.
     pub compress: bool,
     /// Dimensions to pre-build cumulative SUM columns for (enables the O(1)
     /// exact-range aggregation fast path of §7.1 on those dimensions).
     pub cumulative_dims: Vec<usize>,
-    /// Soft-FD exploitation (Tsunami/COAX extension): detect correlated
-    /// dimension pairs at build time and tighten projection/refinement
-    /// through exact per-host envelopes, with residual per-point checks
-    /// keeping results identical. Default on; disabled ⇒ bit-identical to
-    /// the pre-correlation index.
-    pub correlation: CorrelationConfig,
 }
 
 impl Default for FloodConfig {
@@ -52,10 +46,8 @@ impl Default for FloodConfig {
             flattening: Flattening::Learned,
             refinement: Refinement::Plm,
             plm_delta: DEFAULT_DELTA,
-            plm_min_cell_size: 64,
             compress: false,
             cumulative_dims: Vec::new(),
-            correlation: CorrelationConfig::default(),
         }
     }
 }
@@ -111,14 +103,6 @@ impl FloodBuilder {
         self
     }
 
-    /// Only build PLMs for cells at least this large (default 64; values
-    /// below `BLOCK_LEN + 1` act as that — see
-    /// [`FloodConfig::plm_min_cell_size`]).
-    pub fn plm_min_cell_size(mut self, n: usize) -> Self {
-        self.cfg.plm_min_cell_size = n;
-        self
-    }
-
     /// Store the reordered data block-delta compressed (default off).
     pub fn compress(mut self, on: bool) -> Self {
         self.cfg.compress = on;
@@ -129,14 +113,6 @@ impl FloodBuilder {
     /// SUM aggregation.
     pub fn cumulative_sum(mut self, dim: usize) -> Self {
         self.cfg.cumulative_dims.push(dim);
-        self
-    }
-
-    /// Configure soft-FD detection and exploitation (default: enabled with
-    /// [`CorrelationConfig::default`]). Pass `enabled: false` to get the
-    /// pre-correlation scan path, bit for bit.
-    pub fn correlation(mut self, c: CorrelationConfig) -> Self {
-        self.cfg.correlation = c;
         self
     }
 

@@ -10,56 +10,56 @@
 //! a diagonal support — most projected cells are empty or boundary cells.
 //!
 //! This module implements the three stages the optimizer and the index use
-//! to exploit such **soft functional dependencies** (soft FDs):
+//! to exploit such **soft functional dependencies** (soft FDs). Detection
+//! runs **once**, in the layout search; the layout carries its verdict.
 //!
-//! 1. **Detection** ([`CorrelationModel::detect`]): on a deterministic row
-//!    sample, sort each (host, dep) pair by the host value, split into
-//!    host-quantile buckets, and fit a trimmed `[lo, hi]` envelope of the
-//!    dependent values per bucket (a monotone piecewise-constant fit with
-//!    residual bounds, COAX-style). The fit is scored by *strength*
+//! 1. **Detection** ([`CorrelationModel::detect_rows`], on the optimizer's
+//!    data sample): sort each (host, dep) pair by the host value, split
+//!    into host-quantile buckets, and fit a trimmed `[lo, hi]` envelope of
+//!    the dependent values per bucket (a monotone piecewise-constant fit
+//!    with residual bounds, COAX-style). The fit is scored by *strength*
 //!    (1 − mean envelope width / global dep width) and *outlier rate*
 //!    (fraction of sampled rows outside their bucket's envelope).
 //! 2. **Collapse / re-weight** (the optimizer, see `optimizer::search`):
 //!    strong fits collapse the dependent dimension out of the candidate
 //!    grid — its predicates are routed through the host dimension by
 //!    [`CorrelationModel::rewrite`] — while mid-strength fits only shrink
-//!    the dependent dimension's column budget in the gradient search.
+//!    the dependent dimension's column budget in the gradient search. The
+//!    winning layout carries the collapse-grade FDs whose host it indexes
+//!    ([`CorrelationModel::attach`], [`Layout::fds`]).
 //! 3. **Residual check** (`CorrSupport`, built inside
-//!    `FloodIndex::build`): the index rebuilds *exact* envelopes over the
-//!    **full** table (per host grid column, or per host-value bucket when
-//!    the host is the sort dimension) plus the exact sorted set of rows
-//!    outside their envelope (*outlier rows*). At query time a filter on
-//!    a collapsed dimension tightens the projection to the host columns
-//!    whose envelope intersects the filter; outlier rows whose dependent
-//!    value matches the filter are re-added **individually** with full
-//!    per-point checks (so residual cost is bounded by the outlier count,
-//!    never by cell size), and the dependent dimension's own bound is
-//!    still verified per point by the scan kernel (`scan_checked`)
-//!    — so results are bit-identical to a correlation-off index over the
-//!    same layout.
+//!    `FloodIndex::build` for exactly the layout's FDs): the index builds
+//!    *exact* envelopes over the **full** table (per host grid column, or
+//!    per host-value bucket when the host is the sort dimension) plus the
+//!    exact sorted set of rows outside their envelope (*outlier rows*). At
+//!    query time a filter on a collapsed dimension tightens the projection
+//!    to the host columns whose envelope intersects the filter; outlier
+//!    rows whose dependent value matches the filter are re-added
+//!    **individually** with full per-point checks (so residual cost is
+//!    bounded by the outlier count, never by cell size), and the dependent
+//!    dimension's own bound is still verified per point by the scan kernel
+//!    (`scan_checked`) — so results are bit-identical to an index over the
+//!    same layout carrying no FDs.
 //!
-//! Everything is behind [`CorrelationConfig::enabled`] (default **on**);
-//! disabled, detection returns an empty model and every hook degenerates
-//! to the pre-correlation code path, bit for bit.
+//! The search's detection is behind [`CorrelationConfig::enabled`]
+//! (default **on**); disabled, it returns an empty model, the layout
+//! carries nothing, and every hook degenerates to the pre-correlation code
+//! path, bit for bit.
 
 use flood_store::{RangeQuery, Table};
 use serde::{Deserialize, Serialize};
 
 use crate::grid::Grid;
-use crate::layout::Layout;
+use crate::layout::{FdPair, Layout};
 
-/// Knobs for soft-FD detection and exploitation. Carried by both
-/// `OptimizerConfig` (collapse / re-weight during the layout search) and
-/// `FloodConfig` (projection tightening + residual checks at query time).
+/// Knobs for soft-FD detection, carried by `OptimizerConfig` (collapse /
+/// re-weight during the layout search). The index takes its FDs from the
+/// layout and has no knobs of its own.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CorrelationConfig {
     /// Master switch. Off ⇒ no detection, no rewriting, no tightening —
     /// bit-identical to the pre-correlation system.
     pub enabled: bool,
-    /// Detection sample size (rows). Detection cost is
-    /// `O(dims² · sample · log sample)`; the envelopes the *index* uses
-    /// for tightening are always rebuilt exactly over the full table.
-    pub sample: usize,
     /// Host-quantile buckets for the monotone envelope fit (fewer buckets
     /// are used when the sample is small).
     pub buckets: usize,
@@ -79,7 +79,6 @@ impl Default for CorrelationConfig {
     fn default() -> Self {
         CorrelationConfig {
             enabled: true,
-            sample: 4_096,
             buckets: 48,
             min_strength: 0.9,
             reweight_strength: 0.5,
@@ -213,50 +212,16 @@ fn fit_pair(mut pairs: Vec<(u64, u64)>, cfg: &CorrelationConfig) -> Option<(f64,
 }
 
 impl CorrelationModel {
-    /// Detect soft FDs on a deterministic stride sample of `table`
-    /// (≤ `cfg.sample` rows). The empty model when disabled or the table
-    /// is too small.
-    pub fn detect(table: &Table, cfg: &CorrelationConfig) -> Self {
-        Self::detect_hosted(table, cfg, None)
-    }
-
-    /// [`CorrelationModel::detect`] with host candidates restricted to
-    /// `hosts` (when given). A linear dependency fits equally well in both
-    /// directions, so unrestricted detection picks its host by sampling
-    /// noise; the index restricts hosts to the layout's indexed dimensions
-    /// so every detected FD is one its grid or sort order can exploit.
-    pub fn detect_hosted(table: &Table, cfg: &CorrelationConfig, hosts: Option<&[usize]>) -> Self {
-        let n = table.len();
-        if !cfg.enabled || n < 64 || table.dims() < 2 {
-            return Self::default();
-        }
-        let take = cfg.sample.clamp(1, n);
-        let stride = n / take;
-        let rows: Vec<usize> = (0..take).map(|i| i * stride).collect();
-        Self::detect_impl(table, &rows, cfg, hosts)
-    }
-
-    /// Detect soft FDs on an explicit row sample (the optimizer reuses the
-    /// rows its `DataSample` already drew).
+    /// Detect soft FDs on a row sample of `table` (the optimizer's
+    /// `DataSample` rows). The empty model when disabled or the sample is
+    /// too small.
     pub fn detect_rows(table: &Table, rows: &[usize], cfg: &CorrelationConfig) -> Self {
-        Self::detect_impl(table, rows, cfg, None)
-    }
-
-    fn detect_impl(
-        table: &Table,
-        rows: &[usize],
-        cfg: &CorrelationConfig,
-        hosts: Option<&[usize]>,
-    ) -> Self {
         let d = table.dims();
         if !cfg.enabled || rows.len() < 64 || d < 2 {
             return Self::default();
         }
         let mut fits: Vec<PairFit> = Vec::new();
         for host in 0..d {
-            if hosts.is_some_and(|hs| !hs.contains(&host)) {
-                continue;
-            }
             for dep in 0..d {
                 if dep == host {
                     continue;
@@ -359,6 +324,21 @@ impl CorrelationModel {
     pub fn rewrite_all(&self, qs: &[RangeQuery]) -> Vec<RangeQuery> {
         qs.iter().map(|q| self.rewrite(q)).collect()
     }
+
+    /// `layout` carrying this model's collapse-grade FDs whose host it
+    /// indexes: the FDs [`CorrelationModel::rewrite`] priced the layout
+    /// with, less those its index could not tighten through. The layout
+    /// search attaches its verdict with this.
+    pub fn attach(&self, layout: Layout) -> Layout {
+        let fds = (self.fds.iter())
+            .filter(|f| f.collapse && layout.order().contains(&f.host))
+            .map(|f| FdPair {
+                host: f.host,
+                dep: f.dep,
+            })
+            .collect();
+        layout.with_fds(fds)
+    }
 }
 
 /// Where a supported FD's host sits in the index layout.
@@ -376,7 +356,7 @@ pub(crate) enum HostSlot {
 /// envelope.
 #[derive(Debug, Clone)]
 pub(crate) struct FdSupport {
-    pub fd: SoftFd,
+    pub fd: FdPair,
     pub slot: HostSlot,
     /// Per column (Grid) or per bucket (Sort): dependent envelope; only
     /// meaningful where `present`.
@@ -449,58 +429,37 @@ impl FdSupport {
     }
 }
 
-/// All exploitable FDs of one built index. Detection runs on a sample;
-/// the envelopes and outlier sets here are **exact** over the full
-/// (reordered) table, which is what makes query-time tightening lossless.
+/// Trim budget of the index's exact envelopes (half per side; see
+/// [`adaptive_trim`]) — [`CorrelationConfig::max_outlier_rate`]'s default.
+const SUPPORT_TRIM_RATE: f64 = 0.02;
+/// Host-value buckets of a sort-hosted FD's envelopes —
+/// [`CorrelationConfig::buckets`]' default.
+const SUPPORT_BUCKETS: usize = 48;
+
+/// Exact support for the FDs a layout carries. The search detected them on
+/// a sample; the envelopes and outlier sets here are **exact** over the
+/// full (reordered) table, which is what makes query-time tightening
+/// lossless.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CorrSupport {
     pub fds: Vec<FdSupport>,
 }
 
 impl CorrSupport {
-    pub fn is_empty(&self) -> bool {
-        self.fds.is_empty()
-    }
-
-    /// Detect FDs on `data` (the reordered table) and build exact support
-    /// for every collapse-grade FD whose host is indexed by `layout`.
-    pub fn build(
-        cfg: &CorrelationConfig,
-        layout: &Layout,
-        grid: &Grid,
-        data: &Table,
-        cell_starts: &[u32],
-    ) -> Self {
-        if !cfg.enabled || data.is_empty() {
-            return Self::default();
-        }
-        // Restrict hosts to indexed dimensions: a symmetric (e.g. linear)
-        // dependency then resolves in the direction the layout can exploit
-        // instead of whichever direction sampling noise favoured.
-        let model = CorrelationModel::detect_hosted(data, cfg, Some(layout.order()));
+    /// Build exact support over `data` (the reordered table) for every FD
+    /// `layout` carries.
+    pub fn build(layout: &Layout, grid: &Grid, data: &Table, cell_starts: &[u32]) -> Self {
         let mut out = Self::default();
-        for f in model.fds() {
-            // Exploit an FD when its dependent is *not* indexed (the
-            // optimizer collapsed it — or never indexed it — so envelope
-            // tightening is the only acceleration its filters get, at any
-            // strength), or when the fit is collapse-grade (tight enough
-            // to out-tighten the dependent's own grid columns). A mid
-            // strength FD over an indexed dependent is pure overhead: the
-            // grid already handles those filters.
-            if !f.collapse && layout.order().contains(&f.dep) {
-                continue;
-            }
-            let slot = if layout.has_sort_dim() && layout.sort_dim() == f.host {
-                HostSlot::Sort
+        if data.is_empty() {
+            return out;
+        }
+        for &f in layout.fds() {
+            let support = if layout.has_sort_dim() && layout.sort_dim() == f.host {
+                build_sort_support(f, data, cell_starts)
             } else {
-                match layout.grid_dims().iter().position(|&d| d == f.host) {
-                    Some(i) => HostSlot::Grid(i),
-                    None => continue, // host unindexed: nothing to tighten
-                }
-            };
-            let support = match slot {
-                HostSlot::Grid(i) => build_grid_support(*f, i, cfg, grid, data, cell_starts),
-                HostSlot::Sort => build_sort_support(*f, cfg, data, cell_starts),
+                let i = (layout.grid_dims().iter().position(|&d| d == f.host))
+                    .expect("Layout::with_fds checked the host is indexed");
+                build_grid_support(f, i, grid, data, cell_starts)
             };
             // A dependency whose exact outlier set is large (the sample
             // under-reported how dirty the pair is) costs more to patch
@@ -532,9 +491,8 @@ fn adaptive_trim(sorted: &[u64], rate: f64) -> usize {
 /// Exact per-host-column envelopes: rows are contiguous per cell after the
 /// build reorder, and a cell's host column is a coordinate of its id.
 fn build_grid_support(
-    fd: SoftFd,
+    fd: FdPair,
     pos: usize,
-    cfg: &CorrelationConfig,
     grid: &Grid,
     data: &Table,
     cell_starts: &[u32],
@@ -557,7 +515,7 @@ fn build_grid_support(
             continue;
         }
         vals.sort_unstable();
-        let t = adaptive_trim(vals, cfg.max_outlier_rate);
+        let t = adaptive_trim(vals, SUPPORT_TRIM_RATE);
         env_lo[c] = vals[t];
         env_hi[c] = vals[vals.len() - 1 - t];
         present[c] = true;
@@ -594,16 +552,11 @@ fn build_grid_support(
 
 /// Exact envelopes over host-value quantile buckets when the host is the
 /// sort dimension (there are no host columns to key on).
-fn build_sort_support(
-    fd: SoftFd,
-    cfg: &CorrelationConfig,
-    data: &Table,
-    cell_starts: &[u32],
-) -> FdSupport {
+fn build_sort_support(fd: FdPair, data: &Table, cell_starts: &[u32]) -> FdSupport {
     let n = data.len();
     let mut vals: Vec<u64> = (0..n).map(|r| data.value(r, fd.host)).collect();
     vals.sort_unstable();
-    let k = cfg.buckets.clamp(1, n.max(1));
+    let k = SUPPORT_BUCKETS.clamp(1, n.max(1));
     let mut cuts: Vec<u64> = (0..k).map(|b| vals[(b + 1) * n / k - 1]).collect();
     cuts.dedup();
     let min_host = vals[0];
@@ -622,7 +575,7 @@ fn build_sort_support(
             continue;
         }
         deps.sort_unstable();
-        let t = adaptive_trim(deps, cfg.max_outlier_rate);
+        let t = adaptive_trim(deps, SUPPORT_TRIM_RATE);
         env_lo[b] = deps[t];
         env_hi[b] = deps[deps.len() - 1 - t];
         present[b] = true;
@@ -657,6 +610,13 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Detection over every row of `t` (the optimizer's sample at
+    /// `data_sample ≥ n`).
+    fn detect(t: &Table, cfg: &CorrelationConfig) -> CorrelationModel {
+        let rows: Vec<usize> = (0..t.len()).collect();
+        CorrelationModel::detect_rows(t, &rows, cfg)
+    }
 
     /// host uniform, dep = host/2 + noise in [0, w), optional outliers.
     fn correlated_table(n: usize, w: u64, outlier_every: usize, seed: u64) -> Table {
@@ -706,7 +666,7 @@ mod tests {
     #[test]
     fn detects_strong_dependency_and_direction() {
         let t = vee_table(4_000, 1_000, 0, 7);
-        let m = CorrelationModel::detect(&t, &CorrelationConfig::default());
+        let m = detect(&t, &CorrelationConfig::default());
         assert!(
             m.fds()
                 .iter()
@@ -724,7 +684,7 @@ mod tests {
         // A linear relation fits equally well both ways; either direction
         // is a correct exploitation, but exactly one must be assigned.
         let t = correlated_table(4_000, 1_000, 0, 7);
-        let m = CorrelationModel::detect(&t, &CorrelationConfig::default());
+        let m = detect(&t, &CorrelationConfig::default());
         let pair: Vec<_> = m
             .fds()
             .iter()
@@ -741,7 +701,7 @@ mod tests {
             .map(|_| (0..4_000).map(|_| rng.gen_range(0..1_000_000)).collect())
             .collect();
         let t = Table::from_columns(cols);
-        let m = CorrelationModel::detect(&t, &CorrelationConfig::default());
+        let m = detect(&t, &CorrelationConfig::default());
         assert!(m.is_empty(), "spurious FDs: {:?}", m.fds());
     }
 
@@ -752,14 +712,14 @@ mod tests {
             enabled: false,
             ..Default::default()
         };
-        assert!(CorrelationModel::detect(&t, &cfg).is_empty());
+        assert!(detect(&t, &cfg).is_empty());
     }
 
     #[test]
     fn outlier_rate_threshold_rejects_noisy_fits() {
         // Every 10th row breaks the dependency: ~10% outliers ≫ 2% budget.
         let t = correlated_table(4_000, 1_000, 10, 7);
-        let m = CorrelationModel::detect(&t, &CorrelationConfig::default());
+        let m = detect(&t, &CorrelationConfig::default());
         assert!(
             !m.fds().iter().any(|f| f.host == 0 && f.dep == 1),
             "10% outliers must not pass: {:?}",
@@ -771,8 +731,8 @@ mod tests {
     fn detection_is_deterministic() {
         let t = correlated_table(3_000, 500, 0, 11);
         let cfg = CorrelationConfig::default();
-        let a = CorrelationModel::detect(&t, &cfg);
-        let b = CorrelationModel::detect(&t, &cfg);
+        let a = detect(&t, &cfg);
+        let b = detect(&t, &cfg);
         assert_eq!(a.fds(), b.fds());
     }
 
@@ -793,7 +753,7 @@ mod tests {
             c2.push(b);
         }
         let t = Table::from_columns(vec![c0, c1, c2]);
-        let m = CorrelationModel::detect(&t, &CorrelationConfig::default());
+        let m = detect(&t, &CorrelationConfig::default());
         assert!(!m.is_empty());
         for f in m.fds() {
             assert!(
@@ -813,7 +773,7 @@ mod tests {
     #[test]
     fn rewrite_routes_dep_bound_through_host() {
         let t = vee_table(4_000, 1_000, 0, 7);
-        let m = CorrelationModel::detect(&t, &CorrelationConfig::default());
+        let m = detect(&t, &CorrelationConfig::default());
         assert!(m.is_collapsed_dep(1));
         let q = RangeQuery::all(3).with_range(1, 100_000, 110_000);
         let rq = m.rewrite(&q);
@@ -843,7 +803,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let indep: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1_000_000)).collect();
         let t = Table::from_columns(vec![host, dep, indep]);
-        let m = CorrelationModel::detect(&t, &CorrelationConfig::default());
+        let m = detect(&t, &CorrelationConfig::default());
         let f = m
             .fds()
             .iter()
@@ -859,7 +819,7 @@ mod tests {
         // invariant directly: every row is inside its column's envelope or
         // listed in the outlier-row set.
         let t = vee_table(2_000, 800, 97, 13);
-        let layout = Layout::new(vec![0, 2], vec![8]);
+        let layout = Layout::new(vec![0, 2], vec![8]).with_fds(vec![FdPair { host: 0, dep: 1 }]);
         let grid = Grid::new(&layout);
         // Reorder the way FloodIndex::build does (uniform flattening is
         // fine for the invariant).
@@ -884,16 +844,9 @@ mod tests {
         for i in 0..grid.num_cells() {
             cell_starts[i + 1] += cell_starts[i];
         }
-        let support = CorrSupport::build(
-            &CorrelationConfig::default(),
-            &layout,
-            &grid,
-            &data,
-            &cell_starts,
-        );
-        let Some(fd) = support.fds.iter().find(|s| s.fd.host == 0 && s.fd.dep == 1) else {
-            // Outliers every 97 rows ≈ 1% — inside the 2% budget, so the
-            // FD should be detected; if thresholds change, fail loudly.
+        let support = CorrSupport::build(&layout, &grid, &data, &cell_starts);
+        // Outliers every 97 rows ≈ 1% — far below the ⅛ cut.
+        let [fd] = &support.fds[..] else {
             panic!("expected grid-hosted FD support, got {:?}", support.fds);
         };
         for cell in 0..grid.num_cells() {

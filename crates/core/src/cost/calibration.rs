@@ -119,13 +119,9 @@ pub fn calibrate(
 
     for _ in 0..cfg.n_layouts {
         let layout = random_layout(dims, &mut rng, &cfg);
-        // Calibration measures the machine's raw projection / refinement /
-        // scan weights; the cost model computes N_c from layout geometry
-        // alone, so the probe indexes must run the un-tightened scan path —
-        // soft-FD exploitation would deflate the measured projection work.
-        let mut probe_cfg = FloodConfig::default();
-        probe_cfg.correlation.enabled = false;
-        let index = FloodIndex::build(table, layout, probe_cfg);
+        // Random layouts carry no soft FDs, so the probe indexes run the
+        // un-tightened scan path the cost model's N_c assumes.
+        let index = FloodIndex::build(table, layout, FloodConfig::default());
         let sizes = index.cell_sizes();
         let (avg, median, p95) = cell_size_quantiles(&sizes);
         let total_cells = index.layout().num_cells() as f64;

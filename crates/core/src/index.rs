@@ -12,7 +12,7 @@ use crate::config::{FloodConfig, Refinement};
 use crate::correlation::{CorrSupport, HostSlot};
 use crate::flatten::Flattener;
 use crate::grid::Grid;
-use crate::layout::Layout;
+use crate::layout::{FdPair, Layout};
 use flood_learned::plm::PiecewiseLinearModel;
 use flood_store::{
     rank_rows, Check, CumulativeColumn, PlannedIndex, PlannedRange, RangePlan, RangeQuery,
@@ -90,9 +90,8 @@ pub struct FloodIndex {
     /// Pre-built cumulative SUM columns, keyed by dimension.
     cumulatives: Vec<(usize, CumulativeColumn)>,
     /// Soft-FD support (Tsunami/COAX extension): exact full-table
-    /// envelopes + outlier rows per collapse-grade dependency whose host
-    /// is indexed. Empty when `cfg.correlation` is disabled or nothing was
-    /// detected.
+    /// envelopes + outlier rows per FD the layout carries. Empty when it
+    /// carries none.
     correlation: CorrSupport,
     build_times: BuildTimes,
 }
@@ -142,6 +141,9 @@ impl FloodIndex {
         );
         for &d in layout.order() {
             assert!(d < table.dims(), "layout dimension {d} out of bounds");
+        }
+        for f in layout.fds() {
+            assert!(f.dep < table.dims(), "FD dependent {} out of bounds", f.dep);
         }
         let mut build_times = BuildTimes::default();
 
@@ -229,7 +231,7 @@ impl FloodIndex {
             let mut buf: Vec<u64> = Vec::new();
             for c in 0..num_cells {
                 let (s, e) = (cell_starts[c] as usize, cell_starts[c + 1] as usize);
-                if e - s >= cfg.plm_min_cell_size.max(RANK_MAX_CELL + 1) {
+                if e - s > RANK_MAX_CELL {
                     buf.clear();
                     buf.extend((s..e).map(|i| data.value(i, sort_dim)));
                     cell_models.push(Some(PiecewiseLinearModel::build(&buf, cfg.plm_delta)));
@@ -248,10 +250,10 @@ impl FloodIndex {
             .map(|&d| (d, data.cumulative_sum(d)))
             .collect();
 
-        // 4. Soft-FD support (extension): detect on a sample, then build
-        //    exact per-host envelopes + outlier cells over the full
-        //    reordered data, so query-time tightening is lossless.
-        let correlation = CorrSupport::build(&cfg.correlation, &layout, &grid, &data, &cell_starts);
+        // 4. Soft-FD support (extension): exact per-host envelopes +
+        //    outlier rows over the full reordered data for the FDs the
+        //    layout carries, so query-time tightening is lossless.
+        let correlation = CorrSupport::build(&layout, &grid, &data, &cell_starts);
 
         FloodIndex {
             cfg,
@@ -267,10 +269,9 @@ impl FloodIndex {
         }
     }
 
-    /// The soft FDs this index actively exploits (detected at build time,
-    /// host indexed). Empty when correlation is disabled or nothing
-    /// qualified.
-    pub fn active_fds(&self) -> Vec<crate::correlation::SoftFd> {
+    /// The soft FDs this index actively exploits: the layout's, less those
+    /// whose exact outlier set holds more than ⅛ of the rows.
+    pub fn active_fds(&self) -> Vec<FdPair> {
         self.correlation.fds.iter().map(|s| s.fd).collect()
     }
 
@@ -382,25 +383,23 @@ impl FloodIndex {
         // Translated sort bounds; None ⇒ no non-outlier match.
         let mut sort_fds: Vec<Option<(u64, u64)>> = Vec::new();
         let mut applicable: Vec<usize> = Vec::new();
-        if !self.correlation.is_empty() {
-            for (fi, f) in self.correlation.fds.iter().enumerate() {
-                let Some((lo, hi)) = query.bound(f.fd.dep) else {
-                    continue;
-                };
-                applicable.push(fi);
-                match f.slot {
-                    HostSlot::Grid(i) => match f.translate_cols(lo, hi) {
-                        Some((tlo, thi)) => {
-                            ranges[i].0 = ranges[i].0.max(tlo);
-                            ranges[i].1 = ranges[i].1.min(thi);
-                            if ranges[i].0 > ranges[i].1 {
-                                empty_main = true;
-                            }
+        for (fi, f) in self.correlation.fds.iter().enumerate() {
+            let Some((lo, hi)) = query.bound(f.fd.dep) else {
+                continue;
+            };
+            applicable.push(fi);
+            match f.slot {
+                HostSlot::Grid(i) => match f.translate_cols(lo, hi) {
+                    Some((tlo, thi)) => {
+                        ranges[i].0 = ranges[i].0.max(tlo);
+                        ranges[i].1 = ranges[i].1.min(thi);
+                        if ranges[i].0 > ranges[i].1 {
+                            empty_main = true;
                         }
-                        None => empty_main = true,
-                    },
-                    HostSlot::Sort => sort_fds.push(f.translate_sort(lo, hi)),
-                }
+                    }
+                    None => empty_main = true,
+                },
+                HostSlot::Sort => sort_fds.push(f.translate_sort(lo, hi)),
             }
         }
 
@@ -915,6 +914,39 @@ mod tests {
         let t = Table::from_columns(vec![vec![1, 2, 3]; 3]);
         let layout = Layout::new(vec![0, 1, 2], vec![1 << 16, 1 << 16]);
         let _ = FloodIndex::build(&t, layout, FloodConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "FD dependent 3 out of bounds")]
+    fn build_rejects_an_fd_dependent_out_of_bounds() {
+        let t = Table::from_columns(vec![vec![1, 2, 3]; 3]);
+        let layout = Layout::new(vec![0, 1], vec![2]).with_fds(vec![FdPair { host: 0, dep: 3 }]);
+        let _ = FloodIndex::build(&t, layout, FloodConfig::default());
+    }
+
+    /// An FD is exploited unless its exact outlier set passes ⅛ of the
+    /// rows. `dep` cycles through four values along `host`: a 4-row host
+    /// column's trimmed envelope leaves half its rows outside, a 1 000-row
+    /// column's keeps them all.
+    #[test]
+    fn active_fds_are_the_layouts_less_the_outlier_cut() {
+        let n = 2_000u64;
+        let t = Table::from_columns(vec![
+            (0..n).collect(),
+            (0..n).map(|i| i % 4 * 1_000).collect(),
+            (0..n).map(|i| i * 7 % 1_000).collect(),
+        ]);
+        let fds = vec![FdPair { host: 0, dep: 1 }];
+        let build = |cols: usize| {
+            FloodBuilder::new()
+                .layout(Layout::new(vec![0, 2], vec![cols]).with_fds(fds.clone()))
+                .flattening(Flattening::Uniform)
+                .build(&t)
+        };
+        assert_eq!(build(2).active_fds(), fds);
+        let fine = build(500);
+        assert!(fine.active_fds().is_empty());
+        assert_eq!(fine.layout().fds(), &fds[..], "the layout keeps its list");
     }
 
     #[test]

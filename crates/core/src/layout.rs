@@ -17,8 +17,21 @@
 //!   frontier both use it to move along one axis of the search space.
 //! - The total cell count ([`Layout::num_cells`]) is the x-axis of Fig 14
 //!   and the size knob behind Fig 8.
+//! - [`Layout::with_fds`] (extension, beyond the paper) attaches the soft
+//!   functional dependencies the built index tightens through — the ones
+//!   the layout search priced (see [`crate::correlation`]).
 
 use serde::{Deserialize, Serialize};
+
+/// A soft functional dependency a layout carries: filters on `dep` are
+/// routed through `host`, an indexed dimension.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FdPair {
+    /// The indexed dimension the dependent's filters are routed through.
+    pub host: usize,
+    /// The dependent dimension.
+    pub dep: usize,
+}
 
 /// A Flood layout: dimension ordering plus per-grid-dimension column counts.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -30,6 +43,9 @@ pub struct Layout {
     /// (`cols.len() == order.len() - 1`). Every entry is ≥ 1; a dimension
     /// with a single column is effectively unpartitioned.
     cols: Vec<usize>,
+    /// Soft FDs the index builds exact envelopes for; every host is in
+    /// `order`. Empty unless attached with [`Layout::with_fds`].
+    fds: Vec<FdPair>,
 }
 
 impl Layout {
@@ -76,7 +92,38 @@ impl Layout {
         seen.dedup();
         assert_eq!(seen.len(), order.len(), "duplicate dimension in layout");
         assert!(cols.iter().all(|&c| c >= 1), "column counts must be >= 1");
-        Layout { order, cols }
+        Layout {
+            order,
+            cols,
+            fds: Vec::new(),
+        }
+    }
+
+    /// This layout carrying `fds`. The layout search attaches the FDs it
+    /// priced ([`CorrelationModel::attach`](crate::correlation::CorrelationModel::attach));
+    /// a dependent beyond the table's dimensions is caught by
+    /// [`FloodIndex::build`](crate::index::FloodIndex::build), like any
+    /// other out-of-bounds dimension.
+    ///
+    /// # Panics
+    /// Panics if an FD's host is not indexed or its dependent is its host.
+    pub fn with_fds(mut self, fds: Vec<FdPair>) -> Self {
+        for f in &fds {
+            assert!(
+                self.order.contains(&f.host),
+                "FD host {} is not indexed",
+                f.host
+            );
+            assert!(f.dep != f.host, "FD dependent {} is its own host", f.dep);
+        }
+        self.fds = fds;
+        self
+    }
+
+    /// The soft FDs this layout carries.
+    #[inline]
+    pub fn fds(&self) -> &[FdPair] {
+        &self.fds
     }
 
     /// A layout that sorts by a single dimension (no grid) — Flood
@@ -134,9 +181,9 @@ impl Layout {
         self.order.len()
     }
 
-    /// A copy with different column counts (same ordering).
+    /// A copy with different column counts (same ordering, same FDs).
     pub fn with_cols(&self, cols: Vec<usize>) -> Self {
-        Layout::new(self.order.clone(), cols)
+        Layout::new(self.order.clone(), cols).with_fds(self.fds.clone())
     }
 }
 
@@ -200,10 +247,24 @@ mod tests {
 
     #[test]
     fn with_cols_keeps_order() {
-        let l = Layout::new(vec![2, 1, 0], vec![2, 2]);
+        let fds = vec![FdPair { host: 0, dep: 3 }];
+        let l = Layout::new(vec![2, 1, 0], vec![2, 2]).with_fds(fds.clone());
         let l2 = l.with_cols(vec![5, 6]);
         assert_eq!(l2.order(), &[2, 1, 0]);
         assert_eq!(l2.num_cells(), 30);
+        assert_eq!(l2.fds(), &fds[..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "FD host 3 is not indexed")]
+    fn fd_on_unindexed_host_panics() {
+        let _ = Layout::new(vec![0, 1], vec![4]).with_fds(vec![FdPair { host: 3, dep: 2 }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "FD dependent 1 is its own host")]
+    fn fd_hosting_itself_panics() {
+        let _ = Layout::new(vec![0, 1], vec![4]).with_fds(vec![FdPair { host: 1, dep: 1 }]);
     }
 
     #[test]

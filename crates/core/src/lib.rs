@@ -48,7 +48,6 @@ pub mod adaptive;
 pub mod config;
 pub mod correlation;
 pub mod cost;
-pub mod delta;
 pub mod flatten;
 pub mod grid;
 pub mod index;
@@ -59,9 +58,8 @@ pub use adaptive::{AdaptiveConfig, AdaptiveDiagnostics, AdaptiveFlood, Observati
 pub use config::{FloodBuilder, FloodConfig, Refinement};
 pub use correlation::{CorrelationConfig, CorrelationModel, SoftFd};
 pub use cost::{CostModel, QueryCostEstimate, WeightModels};
-pub use delta::DeltaFlood;
 pub use flatten::{Flattener, Flattening};
 pub use grid::Grid;
 pub use index::FloodIndex;
-pub use layout::Layout;
+pub use layout::{FdPair, Layout};
 pub use optimizer::{CostEvaluator, EvaluatorCache, LayoutOptimizer, OptimizerConfig};

@@ -59,7 +59,10 @@
 //! **re-weight** it with a per-dimension column-budget cap scaled by the
 //! fit strength ([`GdConfig::per_dim_max_log2`]). With the knob off the
 //! search is bit-identical to the paper's. [`OptimizedLayout::collapsed`]
-//! and [`OptimizedLayout::reweighted`] report what fired.
+//! and [`OptimizedLayout::reweighted`] report what fired, and the winning
+//! layout carries the collapse-grade FDs it indexes the host of
+//! ([`crate::correlation::CorrelationModel::attach`]) — the index builds
+//! exact support for exactly those, and detects nothing itself.
 
 pub mod gradient;
 pub mod sample;
@@ -97,12 +100,14 @@ pub struct OptimizerConfig {
     pub init_points_per_cell: usize,
     /// RNG seed for sampling.
     pub seed: u64,
-    /// Soft-FD detection over the data sample (Tsunami/COAX extension).
-    /// Detected collapse-grade dependents are dropped from the candidate
-    /// grid dimensions (their predicates route through the host), and
-    /// re-weight-grade dependents search under a reduced column cap.
-    /// Detection runs *after* row sampling, so disabling it leaves the
-    /// sampling stream — and therefore the search — bit-identical.
+    /// Soft-FD detection over the data sample (Tsunami/COAX extension) —
+    /// the only soft-FD detection there is. Detected collapse-grade
+    /// dependents are dropped from the candidate grid dimensions (their
+    /// predicates route through the host, and the layout carries the FD
+    /// to the index), and re-weight-grade dependents search under a
+    /// reduced column cap. Detection runs *after* row sampling, so
+    /// disabling it leaves the sampling stream — and therefore the search
+    /// — bit-identical.
     pub correlation: CorrelationConfig,
 }
 
@@ -124,7 +129,8 @@ impl Default for OptimizerConfig {
 /// The result of a layout search.
 #[derive(Debug, Clone)]
 pub struct OptimizedLayout {
-    /// The winning layout.
+    /// The winning layout, carrying the collapse-grade soft FDs whose host
+    /// it indexes.
     pub layout: Layout,
     /// Its predicted average query time (ns).
     pub predicted_ns: f64,
@@ -350,7 +356,7 @@ impl LayoutOptimizer {
         }
         let (layout, predicted_ns) = best.expect("at least one candidate");
         OptimizedLayout {
-            layout,
+            layout: corr.attach(layout),
             predicted_ns,
             learn_time: start.elapsed(),
             candidates: diagnostics,

@@ -1,17 +1,24 @@
 //! Correlation exploitation must be invisible in results: for any table,
 //! any injected soft functional dependency (any noise width, any broken-row
-//! rate), any layout, and every visitor, a correlation-**on** index returns
-//! exactly what the correlation-**off** index (and a brute-force oracle)
-//! returns. Detection quality is deliberately *not* assumed — the config
-//! used here is far more aggressive than the default so that weak, dirty
+//! rate), any layout, and every visitor, a correlation-**on** index — its
+//! layout carries soft FDs — returns exactly what the correlation-**off**
+//! index over the same layout without them (and a brute-force oracle)
+//! returns. Fit quality is deliberately *not* assumed: fixed layouts carry
+//! the planted pair whatever its noise, and learned layouts come from a
+//! detection config far more aggressive than the default, so weak, dirty
 //! fits get exploited too, and the exact-envelope + residual-pass design
 //! has to absorb them losslessly.
 //!
-//! `FLOOD_PROPTEST_CASES` scales the case count (CI raises it on push).
+//! The learned-layout case also pins what travels on the layout: the
+//! search's collapse-grade FDs on indexed hosts, of which the index
+//! exploits all but the outlier cut, across `rebuild` and `with_cols`.
+//!
+//! `FLOOD_PROPTEST_CASES` scales the case count (CI raises it on push, and
+//! runs it at 512 in the optimised build).
 
 use flood_core::{
-    AdaptiveConfig, AdaptiveFlood, CorrelationConfig, CostModel, FloodBuilder, FloodConfig, Layout,
-    LayoutOptimizer, OptimizerConfig,
+    AdaptiveConfig, AdaptiveFlood, CorrelationConfig, CorrelationModel, CostModel, FdPair,
+    FloodBuilder, FloodConfig, FloodIndex, Layout, LayoutOptimizer, OptimizerConfig,
 };
 use flood_store::{
     CollectVisitor, CountVisitor, MinMaxVisitor, MultiDimIndex, RangeQuery, SumVisitor, Table,
@@ -26,12 +33,11 @@ fn cases(default: u32) -> u32 {
         .unwrap_or(default)
 }
 
-/// Exploit-everything config: full-table detection sample, thresholds low
-/// enough that even a noise-dominated fit is taken. Results must not care.
+/// Exploit-everything detection: thresholds low enough that even a
+/// noise-dominated fit is taken. Results must not care.
 fn aggressive() -> CorrelationConfig {
     CorrelationConfig {
         enabled: true,
-        sample: usize::MAX,
         min_strength: 0.3,
         reweight_strength: 0.1,
         max_outlier_rate: 0.1,
@@ -109,8 +115,20 @@ fn oracle_count(t: &Table, q: &RangeQuery) -> u64 {
     (0..t.len()).filter(|&r| q.matches(&t.row(r))).count() as u64
 }
 
+/// What the fixed-layout cases attach: the planted `d1 ≈ 2·d0`, plus a
+/// pair of independent columns (d3 on d2) the index must absorb just as
+/// losslessly — with both filtered, the residual pass unions two FDs.
+const CARRIED: [FdPair; 2] = [FdPair { host: 0, dep: 1 }, FdPair { host: 2, dep: 3 }];
+
+/// Whether `active` is `carried` less some entries (the outlier cut), in
+/// order.
+fn is_cut_of(active: &[FdPair], carried: &[FdPair]) -> bool {
+    let mut rest = carried.iter();
+    active.iter().all(|a| rest.any(|c| c == a))
+}
+
 /// Matching rows as value tuples (physical ids differ between layouts).
-fn collected_tuples(idx: &flood_core::FloodIndex, q: &RangeQuery) -> Vec<Vec<u64>> {
+fn collected_tuples(idx: &FloodIndex, q: &RangeQuery) -> Vec<Vec<u64>> {
     let mut v = CollectVisitor::default();
     idx.execute(q, None, &mut v);
     let mut rows: Vec<Vec<u64>> = v.rows.iter().map(|&r| idx.data().row(r)).collect();
@@ -118,20 +136,19 @@ fn collected_tuples(idx: &flood_core::FloodIndex, q: &RangeQuery) -> Vec<Vec<u64
     rows
 }
 
-/// Every visitor, on vs off vs oracle, for one (table, query, layout).
+/// Every visitor, on vs off vs oracle, for one (table, query, layout): the
+/// on side's layout carries [`CARRIED`], the off side's nothing.
 fn check_all_visitors(
     t: &Table,
     q: &RangeQuery,
     layout: Layout,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let on = FloodBuilder::new()
-        .layout(layout.clone())
-        .correlation(aggressive())
+        .layout(layout.clone().with_fds(CARRIED.to_vec()))
         .build(t);
-    let off_idx = FloodBuilder::new()
-        .layout(layout)
-        .correlation(off())
-        .build(t);
+    let off_idx = FloodBuilder::new().layout(layout).build(t);
+    prop_assert!(is_cut_of(&on.active_fds(), &CARRIED));
+    prop_assert!(off_idx.active_fds().is_empty());
 
     let mut c_on = CountVisitor::default();
     let mut c_off = CountVisitor::default();
@@ -167,8 +184,9 @@ fn check_all_visitors(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(32)))]
 
-    /// Grid-hosted exploitation: the dependent is unindexed, its host is a
-    /// grid dimension, so every d1 filter routes through d0's envelopes.
+    /// Grid-hosted exploitation: the planted dependent is unindexed, its
+    /// host is a grid dimension, so every d1 filter routes through d0's
+    /// envelopes.
     #[test]
     fn grid_hosted_on_equals_off(t in arb_fd_table(), q in arb_query()) {
         check_all_visitors(&t, &q, Layout::new(vec![0, 2, 3], vec![6, 4]))?;
@@ -181,8 +199,8 @@ proptest! {
         check_all_visitors(&t, &q, Layout::new(vec![2, 3, 0], vec![5, 4]))?;
     }
 
-    /// The dependent indexed alongside its host: only collapse-grade fits
-    /// may tighten here, and they must still change nothing.
+    /// The dependent indexed alongside its host: tightening competes with
+    /// the dependent's own columns, and must still change nothing.
     #[test]
     fn indexed_dep_on_equals_off(t in arb_fd_table(), q in arb_query()) {
         check_all_visitors(&t, &q, Layout::new(vec![0, 1, 2, 3], vec![4, 3, 3]))?;
@@ -194,47 +212,67 @@ proptest! {
 
     /// End-to-end: layouts *learned* with correlation on and off (the on
     /// side may collapse or re-weight the dependent) return identical
-    /// results for queries the optimizer never saw.
+    /// results for queries the optimizer never saw — and so does the on
+    /// index re-laid out with one more column per grid dimension. The on
+    /// layout carries exactly the collapse-grade FDs of the search's model
+    /// whose host it indexes, the off layout none, and each index exploits
+    /// its layout's list less the outlier cut.
     #[test]
     fn learned_layouts_agree_on_results(
         t in arb_fd_table(),
         train in proptest::collection::vec(arb_query(), 8),
         test in proptest::collection::vec(arb_query(), 8),
     ) {
-        let learn = |enabled: bool| {
+        let learn = |ccfg: CorrelationConfig| {
             let ocfg = OptimizerConfig {
                 data_sample: usize::MAX,
                 query_sample: 8,
                 gd_steps: 4,
                 max_total_cells: 1 << 8,
-                correlation: if enabled { aggressive() } else { off() },
+                correlation: ccfg,
                 ..Default::default()
             };
             let opt = LayoutOptimizer::with_config(CostModel::analytic_default(), ocfg);
-            let layout = opt.optimize(&t, &train).layout;
-            FloodBuilder::new()
-                .layout(layout)
-                .correlation(if enabled { aggressive() } else { off() })
-                .build(&t)
+            FloodBuilder::new().layout(opt.optimize(&t, &train).layout).build(&t)
         };
-        let on = learn(true);
-        let off_idx = learn(false);
+        let on = learn(aggressive());
+        let off_idx = learn(off());
+
+        // The search's model: `data_sample ≥ n` samples every row.
+        let rows: Vec<usize> = (0..t.len()).collect();
+        let model = CorrelationModel::detect_rows(&t, &rows, &aggressive());
+        let layout = on.layout();
+        let priced: Vec<FdPair> = (model.fds().iter())
+            .filter(|f| f.collapse && layout.order().contains(&f.host))
+            .map(|f| FdPair { host: f.host, dep: f.dep })
+            .collect();
+        prop_assert_eq!(layout.fds(), &priced[..]);
+        prop_assert!(off_idx.layout().fds().is_empty());
+        prop_assert!(is_cut_of(&on.active_fds(), layout.fds()));
+
+        // Same layout, same rows, same envelopes: the cut repeats.
+        prop_assert_eq!(on.rebuild(layout.clone()).active_fds(), on.active_fds());
+        let wider = layout.with_cols(layout.cols().iter().map(|c| c + 1).collect());
+        let rebuilt = on.rebuild(wider);
+        prop_assert_eq!(rebuilt.layout().fds(), layout.fds());
+        prop_assert!(is_cut_of(&rebuilt.active_fds(), layout.fds()));
+
         for q in &test {
-            let mut v_on = CountVisitor::default();
-            let mut v_off = CountVisitor::default();
-            on.execute(q, None, &mut v_on);
-            off_idx.execute(q, None, &mut v_off);
-            prop_assert_eq!(v_on.count, v_off.count, "learned layouts diverged");
-            prop_assert_eq!(v_on.count, oracle_count(&t, q), "wrong vs oracle");
+            let truth = oracle_count(&t, q);
+            for (idx, name) in [(&on, "on"), (&off_idx, "off"), (&rebuilt, "rebuilt on")] {
+                let mut v = CountVisitor::default();
+                idx.execute(q, None, &mut v);
+                prop_assert_eq!(v.count, truth, "{} wrong vs oracle", name);
+            }
         }
     }
 }
 
-/// Re-learning re-detects: an adaptive index with correlation on serves a
-/// stream that drifts from host-filtering to dependent-filtering. The
-/// re-learn must rebuild the support on the new layout (collapse or not)
-/// and every single answer along the way must match brute force and a
-/// correlation-off twin.
+/// Re-learning carries the search's FDs over: an adaptive index with
+/// correlation on serves a stream that drifts from host-filtering to
+/// dependent-filtering. The re-learn must rebuild the support for the new
+/// layout's list (collapse or not) and every single answer along the way
+/// must match brute force and a correlation-off twin.
 #[test]
 fn adaptive_relearn_under_drifting_correlation_stays_exact() {
     let t = fd_table(3_000, 42, 64, 5);
@@ -268,10 +306,7 @@ fn adaptive_relearn_under_drifting_correlation_stays_exact() {
             &t,
             &train,
             LayoutOptimizer::with_config(CostModel::analytic_default(), ocfg),
-            FloodConfig {
-                correlation: ccfg,
-                ..Default::default()
-            },
+            FloodConfig::default(),
             AdaptiveConfig {
                 window: 16,
                 check_every: 8,

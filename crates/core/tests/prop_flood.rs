@@ -13,8 +13,7 @@
 //! and shifts and subtractions wrap instead of panicking).
 
 use flood_core::{
-    CorrelationConfig, Flattener, Flattening, FloodBuilder, FloodConfig, FloodIndex, Layout,
-    Refinement,
+    FdPair, Flattener, Flattening, FloodBuilder, FloodConfig, FloodIndex, Layout, Refinement,
 };
 use flood_store::{
     CountVisitor, MultiDimIndex, PlannedIndex, RangeQuery, SumVisitor, Table, BLOCK_LEN,
@@ -291,9 +290,11 @@ proptest! {
             compress,
             ..FloodConfig::default()
         };
+        // The first two carry a soft FD: grid-hosted, then sort-hosted.
+        let fd = |host, dep| vec![FdPair { host, dep }];
         let chain = [
-            Layout::new(vec![0, 1, 2], vec![3, 7]),       // first fit of d0, d1
-            Layout::new(vec![1, 2, 3, 4], vec![5, 1, 4]), // d1 kept, d2 one column, d3 new
+            Layout::new(vec![0, 1, 2], vec![3, 7]).with_fds(fd(0, 3)), // first fit of d0, d1
+            Layout::new(vec![1, 2, 3, 4], vec![5, 1, 4]).with_fds(fd(4, 0)), // d1 kept, d2 one column, d3 new
             Layout::histogram(vec![0, 4], vec![2, 6]),    // disjoint from the last; d0 again
             build_layout(seed.rotate_left(29), false),
         ];
@@ -378,8 +379,6 @@ proptest! {
             .flattening(Flattening::Uniform)
             .refinement(if binsearch { Refinement::BinarySearch } else { Refinement::Plm })
             .compress(compress)
-            // No soft-FD tightening: the plan is the query's own bound.
-            .correlation(CorrelationConfig { enabled: false, ..CorrelationConfig::default() })
             .build(&t);
         let plan = idx.plan(&RangeQuery::all(2).with_range(1, a, b));
         // The generator's claim: one cell per value of column 0, all kept.

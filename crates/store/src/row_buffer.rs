@@ -1,9 +1,8 @@
-//! [`RowBuffer`]: the unsorted insert buffer behind both delta indexes
-//! (`flood-core`'s `DeltaFlood` over a resident index, [`TieredDelta`]
-//! over sealed cold segments).
+//! [`RowBuffer`]: the unsorted insert buffer behind [`TieredDelta`], the
+//! write path over sealed cold segments.
 //!
 //! Inserts append; every query scans the buffer linearly after its sealed
-//! base; a merge or compaction drains it. Rows are addressed by *stable
+//! base; a compaction drains it. Rows are addressed by *stable
 //! ids*: the caller passes the id of the buffer's first row (its base's
 //! length), and because draining appends to the base in insert order, a
 //! row keeps its id when it moves from buffered to sealed.

@@ -1,11 +1,12 @@
 //! [`TieredDelta`]: fresh inserts over a sealed tiered table.
 //!
-//! The same write path as the resident store's delta (`flood-core`'s
-//! `DeltaFlood`), over the same [`RowBuffer`]: inserts land in the buffer,
-//! every query scans it linearly after the sealed base, and compaction
-//! drains it — here by sealing it into *new cold segments* appended to the
-//! base ([`TieredTable::append_columns`]), so a larger-than-RAM table
-//! absorbs writes without ever materializing fully in memory. Row ids are
+//! The store's write path (§8, Insertions: "a delta index in which
+//! updates are buffered and periodically merged"), over a [`RowBuffer`]:
+//! inserts land in the buffer, every query scans it linearly after the
+//! sealed base, and compaction drains it by sealing it into *new cold
+//! segments* appended to the base ([`TieredTable::append_columns`]), so a
+//! larger-than-RAM table absorbs writes without ever materializing fully
+//! in memory. Row ids are
 //! stable and append-only (see [`RowBuffer`]).
 //!
 //! The base scan is fallible (segment faults); the buffer scan is not.

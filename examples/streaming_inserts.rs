@@ -1,34 +1,41 @@
-//! The §8 extensions in action: a Flood index that absorbs streaming
-//! inserts through a delta buffer, detects when the query distribution has
-//! drifted, and re-learns its layout.
+//! The §8 extensions in action: a table that absorbs streaming inserts
+//! through a write buffer over tiered storage, and a Flood index that
+//! detects when the query distribution has drifted and re-learns its
+//! layout.
 //!
 //! ```text
 //! cargo run --release --example streaming_inserts
 //! ```
 
 use flood::core::{
-    AdaptiveConfig, AdaptiveFlood, CostModel, DeltaFlood, FloodConfig, Layout, LayoutOptimizer,
-    OptimizerConfig,
+    AdaptiveConfig, AdaptiveFlood, CostModel, FloodConfig, LayoutOptimizer, OptimizerConfig,
 };
 use flood::data::DatasetKind;
-use flood::store::{CountVisitor, MultiDimIndex, RangeQuery};
+use flood::serve::TieredServer;
+use flood::store::{CountVisitor, MemBackend, RangeQuery, TierConfig};
+use std::sync::Arc;
 
 fn main() {
     let ds = DatasetKind::Osm.generate(150_000, 17);
 
-    // --- Delta-buffered inserts -------------------------------------------
-    let mut delta = DeltaFlood::build(
-        &ds.table,
-        Layout::new(vec![2, 3, 1], vec![16, 16]),
-        FloodConfig::default(),
-        10_000, // merge threshold
-    );
+    // --- Buffered inserts -------------------------------------------------
+    // Seal the table into cold segments (in memory here; `FileBackend`
+    // writes them to disk) and serve it as epoch 0.
+    let backend = Arc::new(MemBackend::new());
+    let server = TieredServer::seal(&ds.table, backend, TierConfig::default()).expect("in-memory");
     let q = RangeQuery::all(6).with_range(2, 40_000_000, 43_000_000);
-    let mut v = CountVisitor::default();
-    delta.execute(&q, None, &mut v);
-    println!("before inserts: {} rows in the lat band", v.count);
+    let visible = || {
+        let mut v = CountVisitor::default();
+        let (_, epoch) = server.execute(&q, None, &mut v).expect("in-memory");
+        (v.count, epoch)
+    };
+    println!(
+        "(rows in the lat band, epoch) before inserts: {:?}",
+        visible()
+    );
 
-    // Stream 12k new points near Boston (triggers one merge at 10k).
+    // Stream 12k new points near Boston. Readers see none of them until a
+    // compaction seals the buffer and publishes the next epoch.
     for i in 0..12_000u64 {
         let row = [
             1_000_000 + i,             // id
@@ -38,16 +45,11 @@ fn main() {
             0,                         // type = node
             3,                         // category
         ];
-        delta.insert(&row);
+        server.insert(&row).expect("in-memory");
     }
-    let mut v = CountVisitor::default();
-    delta.execute(&q, None, &mut v);
-    println!(
-        "after 12k inserts: {} rows ({} merges, {} still buffered)",
-        v.count,
-        delta.merges(),
-        delta.delta_len()
-    );
+    println!("after 12k inserts: {:?}", visible());
+    server.compact().expect("in-memory");
+    println!("after compaction: {:?}", visible());
 
     // --- Adaptive retraining ----------------------------------------------
     let optimizer = LayoutOptimizer::with_config(
