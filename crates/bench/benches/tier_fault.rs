@@ -1,7 +1,11 @@
 //! Criterion bench: what a tiered read pays besides its I/O — the three
 //! pieces of `crates/store/src/tier/` a fault goes through, over a
-//! [`MemBackend`] so the backend read is a copy.
+//! [`MemBackend`] so the backend read is a copy — and that read itself.
 //!
+//! * `backend_get/{file,mem}` — one [`StorageBackend::get`] of a ≈ 2 KB
+//!   segment from a store holding 1 024: a positioned read of
+//!   [`FileBackend`]'s data file (page cache warm), against a copy out of
+//!   [`MemBackend`].
 //! * `cold_acquire/N` — [`SegmentCache::acquire`] of a cold one-block
 //!   segment with `N` segments resident and the budget full: read, decode,
 //!   insert, evict the stalest. The bookkeeping is O(1), so the three sizes
@@ -16,8 +20,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use flood_store::tier::{decode_segment, encode_segment};
 use flood_store::{
-    Block, MemBackend, RangeQuery, SegmentCache, SegmentKey, StorageBackend, SumVisitor, Table,
-    TierConfig, TieredScan, BLOCK_LEN,
+    Block, FileBackend, MemBackend, RangeQuery, SegmentCache, SegmentKey, StorageBackend,
+    SumVisitor, Table, TierConfig, TieredScan, BLOCK_LEN,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -71,6 +75,30 @@ fn cold_acquire(c: &mut Criterion) {
     group.finish();
 }
 
+fn backend_get(c: &mut Criterion) {
+    const SEGMENTS: u64 = 1_024;
+    let blob = encode_segment(&blocks(8, &mut StdRng::seed_from_u64(0xb10b)));
+    let backends: [(&str, Arc<dyn StorageBackend>); 2] = [
+        ("file", Arc::new(FileBackend::new_temp().expect("temp dir"))),
+        ("mem", Arc::new(MemBackend::new())),
+    ];
+    let mut group = c.benchmark_group("backend_get");
+    for (name, backend) in backends {
+        for id in 0..SEGMENTS {
+            backend.put(key(id), &blob).unwrap();
+        }
+        let mut next = 0;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                // Stride coprime to the store: consecutive gets land apart.
+                next = (next + 389) % SEGMENTS;
+                black_box(backend.get(key(next)).unwrap())
+            })
+        });
+    }
+    group.finish();
+}
+
 fn decode(c: &mut Criterion) {
     let blob = encode_segment(&blocks(8, &mut StdRng::seed_from_u64(0xdec0de)));
     c.benchmark_group("decode_segment")
@@ -109,5 +137,5 @@ fn time_range_read(c: &mut Criterion) {
         });
 }
 
-criterion_group!(benches, cold_acquire, decode, time_range_read);
+criterion_group!(benches, cold_acquire, backend_get, decode, time_range_read);
 criterion_main!(benches);

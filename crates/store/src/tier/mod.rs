@@ -3,14 +3,16 @@
 //! The resident column store ([`crate::table`]) is the hot tier. This
 //! module adds the cold tier: sealed tables whose bit-packed blocks live
 //! in checksummed segment blobs on a pluggable backend (in-memory for
-//! tests, files for real datasets), loaded and evicted at segment
+//! tests, one data file for real datasets), loaded and evicted at segment
 //! granularity under a configurable memory budget.
 //!
 //! Layering:
 //!
 //! * [`backend`] — [`SegmentKey`], [`StorageError`], the [`StorageBackend`]
 //!   trait, and its implementations ([`MemBackend`], [`FileBackend`],
-//!   fault-injecting [`FailingBackend`]).
+//!   fault-injecting [`FailingBackend`]). [`FileBackend`] appends every
+//!   blob to one data file and finds it through an in-memory
+//!   `key → (offset, len)` index, so a fault is one positioned read.
 //! * [`segment`] — the checksummed on-disk codec for a run of blocks.
 //! * [`cache`] — [`SegmentCache`]: budgeted LRU residency with pin-safe
 //!   eviction, plus [`TierConfig`] (`FLOOD_MEM_BUDGET`).

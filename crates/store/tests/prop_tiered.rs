@@ -28,12 +28,12 @@ mod common;
 
 use common::{
     build_table, cases, cuts_strategy, diff_driver_all, filter_strategy, plan_from, splitmix,
-    Bound, DimFilter,
+    Bound, Cut, DimFilter,
 };
 use flood_store::{
-    assert_stats_equivalent, scan_checked, scan_rows, Check, CountVisitor, MemBackend,
-    MinMaxVisitor, RangeQuery, ScanStats, SumVisitor, Table, TierConfig, TieredDelta, TieredScan,
-    TieredTable, Visitor, BLOCK_LEN,
+    assert_stats_equivalent, scan_checked, scan_rows, Check, CountVisitor, FileBackend, MemBackend,
+    MinMaxVisitor, RangeQuery, ScanStats, StorageBackend, SumVisitor, Table, TierConfig,
+    TieredDelta, TieredScan, TieredTable, Visitor, BLOCK_LEN,
 };
 use proptest::prelude::*;
 use std::ops::Range;
@@ -150,7 +150,7 @@ fn diff_tiered<V: Visitor + Default, R: PartialEq + std::fmt::Debug>(
     let mut tv = V::default();
     let mut ts = ScanStats::default();
     scan_checked(tiered, checks, start, end, agg, None, &mut tv, &mut ts)
-        .expect("in-memory backend never fails");
+        .expect("the test backends never fail");
     assert_eq!(extract(&tv), extract(&want_v), "{label}: result");
     assert_stats_equivalent(&ts, &want_s, label);
     assert_eq!(
@@ -357,6 +357,54 @@ fn check_planned_reads(delta: &TieredDelta, rows: &[Vec<u64>], filters: &[DimFil
     }
 }
 
+/// The core differential: `resident` sealed into `backend` under a budget
+/// from the pool, queried with one predicate over varying sub-ranges, with
+/// adversarial residency perturbations between queries. Results and shared
+/// counters must be identical every time — the cache state a query starts
+/// from is invisible.
+#[allow(clippy::too_many_arguments)]
+fn tiered_equals_resident_on(
+    backend: Arc<dyn StorageBackend>,
+    mut resident: Table,
+    filters: [DimFilter; 3],
+    budget_sel: usize,
+    segment_blocks: usize,
+    range_sels: &[(u16, u16)],
+    evictions: &[Evict],
+    cuts: &[Cut],
+    split: usize,
+) {
+    let pool = budgets();
+    let budget = pool[budget_sel % pool.len()];
+    let tiered = TieredTable::seal(
+        &resident,
+        backend,
+        TierConfig {
+            budget_bytes: budget,
+            segment_blocks,
+        },
+    )
+    .unwrap();
+    resident.compress();
+    let checks = make_checks(&tiered, &filters);
+    let len = resident.len();
+    for (i, &(a, b)) in range_sels.iter().enumerate() {
+        let (x, y) = (len * a as usize / 1000, len * b as usize / 1000);
+        let (start, end) = (x.min(y), x.max(y));
+        let ts = diff_all_visitors(&resident, &tiered, &checks, start, end);
+        if budget == 0 {
+            // Everything-cold: a scan can never find a segment resident.
+            assert_eq!(ts.segments_hit, 0, "budget=0 must never hit");
+        }
+        apply_evict(&tiered, evictions[i % evictions.len()]);
+
+        // The scan driver over a list of ranges, serial and chunked at
+        // segment boundaries, from whatever residency that left.
+        let plan = plan_from(len, &checks, cuts, split);
+        diff_driver_all(&tiered, &resident, &plan, None);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(32)))]
 
@@ -374,38 +422,34 @@ proptest! {
         cuts in cuts_strategy(),
         split in 0usize..4,
     ) {
-        let mut resident = build_table(&runs, seed);
-        let pool = budgets();
-        let budget = pool[budget_sel % pool.len()];
-        let tiered = TieredTable::seal(
-            &resident,
+        tiered_equals_resident_on(
             Arc::new(MemBackend::new()),
-            TierConfig { budget_bytes: budget, segment_blocks },
-        ).unwrap();
-        resident.compress();
-        let filters = [filters.0, filters.1, filters.2];
-        let checks = make_checks(&tiered, &filters);
-        let len = resident.len();
+            build_table(&runs, seed),
+            [filters.0, filters.1, filters.2],
+            budget_sel, segment_blocks, &range_sels, &evictions, &cuts, split,
+        );
+    }
 
-        // A little workload: same predicate over varying sub-ranges, with
-        // adversarial residency perturbations between queries. Results and
-        // shared counters must be identical every time — the cache state a
-        // query starts from is invisible.
-        for (i, &(a, b)) in range_sels.iter().enumerate() {
-            let (x, y) = (len * a as usize / 1000, len * b as usize / 1000);
-            let (start, end) = (x.min(y), x.max(y));
-            let ts = diff_all_visitors(&resident, &tiered, &checks, start, end);
-            if budget == 0 {
-                // Everything-cold: a scan can never find a segment resident.
-                prop_assert_eq!(ts.segments_hit, 0, "budget=0 must never hit");
-            }
-            apply_evict(&tiered, evictions[i % evictions.len()]);
-
-            // The scan driver over a list of ranges, serial and chunked at
-            // segment boundaries, from whatever residency that left.
-            let plan = plan_from(len, &checks, &cuts, split);
-            diff_driver_all(&tiered, &resident, &plan, None);
-        }
+    /// The core differential sealed through the file backend: every fault
+    /// is a positioned read of the one data file.
+    #[test]
+    fn tiered_equals_resident_over_files(
+        runs in proptest::collection::vec((0u64..6, 1usize..220), 1..8),
+        seed in 0u64..1_000_000,
+        filters in (filter_strategy(), filter_strategy(), filter_strategy()),
+        budget_sel in 0usize..8,
+        segment_blocks in 1usize..5,
+        range_sels in proptest::collection::vec((0u16..1000, 0u16..1000), 1..4),
+        evictions in proptest::collection::vec(evict_strategy(), 1..4),
+        cuts in cuts_strategy(),
+        split in 0usize..4,
+    ) {
+        tiered_equals_resident_on(
+            Arc::new(FileBackend::new_temp().unwrap()),
+            build_table(&runs, seed),
+            [filters.0, filters.1, filters.2],
+            budget_sel, segment_blocks, &range_sels, &evictions, &cuts, split,
+        );
     }
 
     /// Sealing is lossless: decoding every cold segment reproduces the

@@ -158,42 +158,45 @@ fn version_one_segment_is_refused_by_name_not_as_a_bad_checksum() {
 }
 
 #[test]
-fn deleted_file_is_missing_truncated_file_is_corrupt() {
-    let dir_backend = FileBackend::new_temp().unwrap();
-    let dir = dir_backend.dir().to_path_buf();
-    let backend: Arc<dyn StorageBackend> = Arc::new(dir_backend);
+fn truncated_data_file_is_corrupt_deleted_key_is_missing() {
+    let backend = Arc::new(FileBackend::new_temp().unwrap());
     let tiered = TieredTable::seal(
         &table(512),
-        backend,
+        backend.clone() as Arc<dyn StorageBackend>,
         TierConfig {
             budget_bytes: 0,
             segment_blocks: 2,
         },
     )
     .unwrap();
-    let files: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .collect();
-    assert!(!files.is_empty());
+    // Both columns filtered: every segment of the table is needed, so the
+    // loads reach past any cut of the data file.
+    let checks = [(0, 1, 510), (1, 1, 510)];
 
-    // Truncate every blob: the first needed load decodes short → Corrupt.
-    for f in &files {
-        let bytes = std::fs::read(f).unwrap();
-        std::fs::write(f, &bytes[..bytes.len() / 2]).unwrap();
-    }
+    // Cut the data file in half: the first needed load whose blob lay past
+    // the cut reads short → Corrupt.
+    let data = backend.dir().join("segments.dat");
+    let len = std::fs::metadata(&data).unwrap().len();
+    assert!(len > 0);
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&data)
+        .unwrap()
+        .set_len(len / 2)
+        .unwrap();
     let mut v = CountVisitor::default();
     let mut s = ScanStats::default();
-    let err =
-        scan_checked(&tiered, &[(0, 1, 510)], 0, 512, None, None, &mut v, &mut s).unwrap_err();
+    let err = scan_checked(&tiered, &checks, 0, 512, None, None, &mut v, &mut s).unwrap_err();
     assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
 
-    // Remove them outright: Missing, still typed, still no panic.
-    for f in &files {
-        std::fs::remove_file(f).unwrap();
+    // Delete every segment through the backend: Missing, still typed,
+    // still no panic.
+    for d in 0..tiered.dims() {
+        for key in tiered.segment_keys(d) {
+            backend.delete(key).unwrap();
+        }
     }
-    let err =
-        scan_checked(&tiered, &[(0, 1, 510)], 0, 512, None, None, &mut v, &mut s).unwrap_err();
+    let err = scan_checked(&tiered, &checks, 0, 512, None, None, &mut v, &mut s).unwrap_err();
     assert!(matches!(err, StorageError::Missing { .. }), "{err}");
     assert_eq!(v.count, 0, "no emission across any failure mode");
 }
