@@ -16,12 +16,13 @@
 //!   baseline, and the re-learn caches. [`Relearner::check`] prices the
 //!   current layout on a window snapshot and, when degraded, runs
 //!   Algorithm 1 and decides adoption. It never touches an index: it
-//!   returns the winning [`OptimizedLayout`] and the caller rebuilds and
-//!   *publishes* however it likes — in place here, or behind an
-//!   epoch-swapped `Arc` in `flood-serve`.
+//!   returns the winning [`OptimizedLayout`] and the caller rebuilds
+//!   ([`crate::FloodIndex::rebuild`]) and publishes it.
 //!
-//! [`AdaptiveFlood`] composes the two with a [`FloodIndex`] into the
-//! single-threaded §8 loop: observe, check, rebuild in place.
+//! `flood-serve`'s `FloodServer` composes the two into the §8 loop:
+//! readers record, a maintenance turn checks, and an adopted layout is
+//! rebuilt off the serving path and published behind an epoch-swapped
+//! `Arc`.
 //!
 //! ## Cache sharing across re-learns
 //!
@@ -35,7 +36,7 @@
 //! caches, layout memos) are keyed on a fingerprint of the sampled
 //! observation window, so the degradation check that triggers a re-learn
 //! hands its masks and memo entries straight to the layout search.
-//! [`AdaptiveFlood::diagnostics`] reports the work.
+//! [`Relearner::diagnostics`] reports the work.
 //!
 //! ## Correlation across re-learns (Tsunami/COAX extension)
 //!
@@ -47,18 +48,16 @@
 //! `tests/prop_correlation.rs` pins the result identity of this loop under
 //! a drifting workload.
 
-use crate::config::FloodConfig;
-use crate::index::FloodIndex;
 use crate::layout::Layout;
 use crate::optimizer::{EvaluatorCache, LayoutOptimizer, OptimizedLayout};
-use flood_store::{MultiDimIndex, RangeQuery, ScanStats, Table, Visitor};
+use flood_store::{RangeQuery, Table};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Configuration for the adaptive loop ([`AdaptiveFlood`], and the serving
-/// layer's background adaptation in `flood-serve`).
+/// Configuration for the adaptive loop (the serving layer's background
+/// adaptation in `flood-serve`).
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptiveConfig {
     /// Number of recent queries kept in the observation window.
@@ -108,11 +107,6 @@ pub struct AdaptiveDiagnostics {
 }
 
 impl AdaptiveDiagnostics {
-    /// Total wall-clock spent in re-learn searches.
-    pub fn relearn_wall_total(&self) -> Duration {
-        self.relearn_wall
-    }
-
     /// Publish these lifetime counters into a `flood-obs` registry under
     /// `subsystem` as gauges — the diagnostics are cumulative snapshots,
     /// so repeated exports overwrite rather than double-count.
@@ -129,7 +123,7 @@ impl AdaptiveDiagnostics {
         g("window_reuses", self.window_reuses);
         registry
             .gauge(subsystem, "relearn_wall_ns")
-            .set(self.relearn_wall_total().as_nanos() as i64);
+            .set(self.relearn_wall.as_nanos() as i64);
     }
 }
 
@@ -151,9 +145,9 @@ pub struct ObservationLog {
 }
 
 impl ObservationLog {
-    /// A log keeping the most recent `cap` queries, declaring a check due
-    /// every `check_every` records (once the window is at least half
-    /// full).
+    /// A log keeping the most recent `cap` queries (at least one),
+    /// declaring a check due every `check_every` records (once the window
+    /// is at least half full).
     pub fn new(cap: usize, check_every: usize) -> Self {
         ObservationLog {
             window: Mutex::new(VecDeque::with_capacity(cap)),
@@ -172,7 +166,7 @@ impl ObservationLog {
     pub fn record(&self, query: &RangeQuery) -> bool {
         let len = {
             let mut w = self.window.lock().expect("observation window poisoned");
-            if w.len() == self.cap {
+            if w.len() >= self.cap.max(1) {
                 w.pop_front();
             }
             w.push_back(query.clone());
@@ -350,21 +344,6 @@ impl Relearner {
         learned
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &AdaptiveConfig {
-        &self.cfg
-    }
-
-    /// Predicted cost baseline (ns/query) of the current layout.
-    pub fn baseline_cost(&self) -> f64 {
-        self.baseline_cost
-    }
-
-    /// Times a re-learned layout was adopted.
-    pub fn relearns(&self) -> usize {
-        self.tally.relearns
-    }
-
     /// Lifetime work counters (see [`AdaptiveDiagnostics`]).
     pub fn diagnostics(&self) -> AdaptiveDiagnostics {
         AdaptiveDiagnostics {
@@ -376,128 +355,14 @@ impl Relearner {
     }
 }
 
-/// A self-retuning Flood index: [`ObservationLog`] + [`Relearner`] +
-/// [`FloodIndex`], rebuilt in place on the caller's thread.
-///
-/// Shared readers can record observations through
-/// [`AdaptiveFlood::record`] (`&self`); the check and rebuild still take
-/// `&mut self`. For a serving layer where the rebuild itself happens off
-/// the read path, see `flood-serve`.
-#[derive(Debug)]
-pub struct AdaptiveFlood {
-    index: FloodIndex,
-    obs: ObservationLog,
-    relearner: Relearner,
-}
-
-impl AdaptiveFlood {
-    /// Build with an initial workload (used to learn the first layout and
-    /// set the cost baseline).
-    pub fn build(
-        table: &Table,
-        initial_workload: &[RangeQuery],
-        optimizer: LayoutOptimizer,
-        flood_cfg: FloodConfig,
-        cfg: AdaptiveConfig,
-    ) -> Self {
-        let (relearner, learned) =
-            Relearner::learn_initial(table, initial_workload, optimizer, cfg);
-        let index = FloodIndex::build(table, learned.layout, flood_cfg);
-        AdaptiveFlood {
-            index,
-            obs: ObservationLog::new(cfg.window, cfg.check_every),
-            relearner,
-        }
-    }
-
-    /// Execute a query, record it in the observation window, and retrain if
-    /// the periodic check finds the layout degraded. Returns the stats plus
-    /// whether a retrain happened.
-    pub fn execute_adaptive(
-        &mut self,
-        query: &RangeQuery,
-        agg_dim: Option<usize>,
-        visitor: &mut dyn Visitor,
-    ) -> (ScanStats, bool) {
-        let stats = self.index.execute(query, agg_dim, visitor);
-        let retrained = self.observe(query);
-        (stats, retrained)
-    }
-
-    /// Record an already-executed query in the observation window and run
-    /// the periodic degradation check. Returns whether a retrain happened.
-    ///
-    /// Harnesses that time query execution separately from adaptation
-    /// execute against [`AdaptiveFlood::index`] and then feed the query
-    /// here; [`AdaptiveFlood::execute_adaptive`] is the two fused.
-    pub fn observe(&mut self, query: &RangeQuery) -> bool {
-        if self.record(query) {
-            self.maybe_retrain()
-        } else {
-            false
-        }
-    }
-
-    /// The read-side half of [`AdaptiveFlood::observe`]: record a query
-    /// through a shared reference (no `&mut` needed — concurrent readers
-    /// can call this while executing against [`AdaptiveFlood::index`]).
-    /// Returns `true` when a degradation check is due; hand that to
-    /// [`AdaptiveFlood::maybe_retrain`] on the writer's turn.
-    pub fn record(&self, query: &RangeQuery) -> bool {
-        self.obs.record(query)
-    }
-
-    /// Price the current layout on the window; retrain when degraded.
-    /// Returns whether a retrain happened.
-    pub fn maybe_retrain(&mut self) -> bool {
-        let window = self.obs.snapshot();
-        match self
-            .relearner
-            .check(&window, self.index.data(), self.index.layout())
-        {
-            Some(learned) => {
-                // The rebuild happens on the index's own data copy (Flood
-                // is clustered: the data multiset is the table), so the
-                // CDFs it has fitted carry over.
-                self.index = self.index.rebuild(learned.layout);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The live index.
-    pub fn index(&self) -> &FloodIndex {
-        &self.index
-    }
-
-    /// The observation window (shared read side).
-    pub fn observations(&self) -> &ObservationLog {
-        &self.obs
-    }
-
-    /// Times the layout has been replaced.
-    pub fn relearns(&self) -> usize {
-        self.relearner.relearns()
-    }
-
-    /// Predicted cost baseline (ns/query) of the current layout.
-    pub fn baseline_cost(&self) -> f64 {
-        self.relearner.baseline_cost()
-    }
-
-    /// Lifetime work counters (see [`AdaptiveDiagnostics`]).
-    pub fn diagnostics(&self) -> AdaptiveDiagnostics {
-        self.relearner.diagnostics()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::CostModel;
+    use crate::index::FloodIndex;
     use crate::optimizer::OptimizerConfig;
-    use flood_store::CountVisitor;
+    use crate::FloodConfig;
+    use flood_store::{CountVisitor, MultiDimIndex};
 
     fn table() -> Table {
         let n = 6_000u64;
@@ -533,82 +398,54 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn stable_workload_never_retrains() {
+    /// A relearner and index tuned for dim-0 ranges only.
+    fn learned_on_dim0(degradation_factor: f64) -> (Relearner, FloodIndex) {
         let t = table();
-        let w = workload_on(0, 30);
-        let mut a = AdaptiveFlood::build(
+        let (relearner, learned) = Relearner::learn_initial(
             &t,
-            &w,
+            &workload_on(0, 30),
             optimizer(),
-            FloodConfig::default(),
             AdaptiveConfig {
-                window: 20,
-                check_every: 10,
-                degradation_factor: 1.5,
+                degradation_factor,
+                ..Default::default()
             },
         );
-        let mut retrains = 0;
-        for q in w.iter().cycle().take(60) {
-            let mut v = CountVisitor::default();
-            let (_, r) = a.execute_adaptive(q, None, &mut v);
-            retrains += r as usize;
-        }
-        assert_eq!(retrains, 0, "same workload should not trigger retraining");
-        let d = a.diagnostics();
-        assert!(d.checks > 0, "checks must run");
-        assert_eq!(d.relearn_searches, 0, "no degraded check, no search");
-        assert_eq!(
-            d.sample_flattens, 1,
-            "the data sample is flattened once, ever"
-        );
+        (
+            relearner,
+            FloodIndex::build(&t, learned.layout, FloodConfig::default()),
+        )
     }
 
     #[test]
     fn shifted_workload_triggers_retrain() {
-        let t = table();
-        // Initial layout tuned for dim 0 only.
-        let w0 = workload_on(0, 30);
-        let mut a = AdaptiveFlood::build(
-            &t,
-            &w0,
-            optimizer(),
-            FloodConfig::default(),
-            AdaptiveConfig {
-                window: 24,
-                check_every: 12,
-                degradation_factor: 1.2,
-            },
-        );
-        let before = a.index().layout().clone();
+        let (mut r, index) = learned_on_dim0(1.2);
         // Shift: everything now filters dim 1 only.
-        let w1 = workload_on(1, 40);
-        let mut retrained = false;
-        for q in &w1 {
-            let mut v = CountVisitor::default();
-            let (_, r) = a.execute_adaptive(q, None, &mut v);
-            retrained |= r;
-        }
-        assert!(
-            retrained,
-            "shift to an unindexed dim must trigger retraining"
+        let w1 = workload_on(1, 24);
+        let learned = r
+            .check(&w1[..12], index.data(), index.layout())
+            .expect("shift to an unindexed dim must trigger retraining");
+        assert_ne!(
+            index.layout(),
+            &learned.layout,
+            "retraining should change the layout"
         );
-        assert!(a.relearns() >= 1);
-        let after = a.index().layout();
-        assert_ne!(&before, after, "retraining should change the layout");
         assert!(
-            after.order().contains(&1),
-            "new layout must index the hot dimension: {after}"
+            learned.layout.order().contains(&1),
+            "new layout must index the hot dimension: {}",
+            learned.layout
         );
-        let d = a.diagnostics();
-        assert_eq!(d.relearns, a.relearns());
+        // A wider window priced against the same stale layout searches
+        // again, on top of what the first check and search cached.
+        assert!(r.check(&w1, index.data(), index.layout()).is_some());
+        let d = r.diagnostics();
+        assert_eq!((d.checks, d.relearns), (2, 2));
         assert!(
             d.relearn_searches >= d.relearns && d.relearn_wall > Duration::ZERO,
             "every adopted re-learn came from a timed search"
         );
         assert!(
             d.cache_hits_across_relearns > 0,
-            "the degradation check's pricing must feed the search"
+            "earlier pricing must feed a later search"
         );
         assert_eq!(d.sample_flattens, 1, "one data flatten across re-learns");
     }
@@ -616,70 +453,59 @@ mod tests {
     #[test]
     fn results_stay_correct_across_retrains() {
         let t = table();
-        let w0 = workload_on(0, 20);
-        let mut a = AdaptiveFlood::build(
-            &t,
-            &w0,
-            optimizer(),
-            FloodConfig::default(),
-            AdaptiveConfig {
-                window: 16,
-                check_every: 8,
-                degradation_factor: 1.1,
-            },
-        );
+        let (mut r, index) = learned_on_dim0(1.1);
         let w1 = workload_on(1, 30);
+        let learned = r
+            .check(&w1[..16], index.data(), index.layout())
+            .expect("degraded window re-learns");
+        let rebuilt = index.rebuild(learned.layout);
         for q in &w1 {
-            let mut v = CountVisitor::default();
-            a.execute_adaptive(q, None, &mut v);
             let truth = (0..t.len()).filter(|&r| q.matches(&t.row(r))).count() as u64;
-            assert_eq!(v.count, truth);
+            for idx in [&index, &rebuilt] {
+                let mut v = CountVisitor::default();
+                idx.execute(q, None, &mut v);
+                assert_eq!(v.count, truth);
+            }
         }
     }
 
-    /// The observe() bugfix regression: concurrent readers sharing
-    /// `&AdaptiveFlood` record observations while executing; a later
-    /// `&mut` check sees every one of them. Before the split, recording
-    /// required `&mut self` even on the no-relearn path, so this could
-    /// not compile, let alone run.
+    /// Concurrent readers record observations through `&ObservationLog`
+    /// while executing; the writer's later check sees every one of them.
     #[test]
     fn shared_readers_record_observations() {
-        let t = table();
-        let w0 = workload_on(0, 30);
-        let a = AdaptiveFlood::build(
-            &t,
-            &w0,
-            optimizer(),
-            FloodConfig::default(),
-            AdaptiveConfig {
-                window: 64,
-                check_every: 1_000_000, // never due mid-run
-                degradation_factor: 1.5,
-            },
-        );
+        let (mut r, index) = learned_on_dim0(1.5);
+        let log = ObservationLog::new(64, 1_000_000); // never due mid-run
         let queries = workload_on(1, 25);
         let threads = 4;
         std::thread::scope(|scope| {
             for _ in 0..threads {
-                let (a, queries) = (&a, &queries);
+                let (log, index, queries) = (&log, &index, &queries);
                 scope.spawn(move || {
                     for q in queries {
                         let mut v = CountVisitor::default();
-                        a.index().execute(q, None, &mut v);
-                        let due = a.record(q);
+                        index.execute(q, None, &mut v);
+                        let due = log.record(q);
                         assert!(!due, "cadence of 1M can never be due here");
                     }
                 });
             }
         });
-        let obs = a.observations();
-        assert_eq!(obs.observed(), (threads * queries.len()) as u64);
-        assert_eq!(obs.len(), 64, "window retains the most recent cap");
+        assert_eq!(log.observed(), (threads * queries.len()) as u64);
+        assert_eq!(log.len(), 64, "window retains the most recent cap");
         // The writer's turn sees the recorded window and can check on it.
-        let mut a = a;
-        let checks0 = a.diagnostics().checks;
-        a.maybe_retrain();
-        assert_eq!(a.diagnostics().checks, checks0 + 1);
+        r.check(&log.snapshot(), index.data(), index.layout());
+        assert_eq!(r.diagnostics().checks, 1);
+    }
+
+    /// A zero-capacity window still keeps the latest query, never more.
+    #[test]
+    fn zero_capacity_window_keeps_one_query() {
+        let log = ObservationLog::new(0, 10);
+        let w = workload_on(0, 100);
+        let dues: usize = w.iter().map(|q| log.record(q) as usize).sum();
+        assert_eq!(log.snapshot(), w[99..].to_vec());
+        assert_eq!(log.observed(), 100);
+        assert_eq!(dues, 10, "the cadence still fires every 10 records");
     }
 
     /// One recorder per cadence crossing is told a check is due, even with

@@ -6,7 +6,6 @@
 
 use crate::flatten::Flattening;
 use crate::layout::Layout;
-use flood_learned::plm::DEFAULT_DELTA;
 use serde::{Deserialize, Serialize};
 
 /// How refinement (§3.2.2) locates the per-cell physical sub-range over the
@@ -27,12 +26,10 @@ pub enum Refinement {
 pub struct FloodConfig {
     /// CDF models used to place points into grid columns.
     pub flattening: Flattening,
-    /// Refinement strategy over the sort dimension.
+    /// Refinement strategy over the sort dimension. The per-cell PLMs use
+    /// the paper's error budget δ = 50; cells of at most one block's rows
+    /// get no PLM and are refined by ranking their packed values.
     pub refinement: Refinement,
-    /// Average-error budget δ of the per-cell PLMs (Fig 17b; default 50).
-    /// Cells of at most one block's rows get no PLM: they are refined by
-    /// ranking their packed values, never through a model.
-    pub plm_delta: f64,
     /// Compress the reordered data copy with block-delta encoding.
     pub compress: bool,
     /// Dimensions to pre-build cumulative SUM columns for (enables the O(1)
@@ -45,7 +42,6 @@ impl Default for FloodConfig {
         FloodConfig {
             flattening: Flattening::Learned,
             refinement: Refinement::Plm,
-            plm_delta: DEFAULT_DELTA,
             compress: false,
             cumulative_dims: Vec::new(),
         }
@@ -97,12 +93,6 @@ impl FloodBuilder {
         self
     }
 
-    /// Set the PLM error budget δ (default 50).
-    pub fn plm_delta(mut self, delta: f64) -> Self {
-        self.cfg.plm_delta = delta;
-        self
-    }
-
     /// Store the reordered data block-delta compressed (default off).
     pub fn compress(mut self, on: bool) -> Self {
         self.cfg.compress = on;
@@ -140,7 +130,6 @@ mod tests {
         let c = FloodConfig::default();
         assert_eq!(c.flattening, Flattening::Learned);
         assert_eq!(c.refinement, Refinement::Plm);
-        assert_eq!(c.plm_delta, 50.0);
     }
 
     #[test]
@@ -148,12 +137,10 @@ mod tests {
         let b = FloodBuilder::new()
             .flattening(Flattening::Uniform)
             .refinement(Refinement::BinarySearch)
-            .plm_delta(10.0)
             .compress(true)
             .cumulative_sum(3);
         assert_eq!(b.config().flattening, Flattening::Uniform);
         assert_eq!(b.config().refinement, Refinement::BinarySearch);
-        assert_eq!(b.config().plm_delta, 10.0);
         assert!(b.config().compress);
         assert_eq!(b.config().cumulative_dims, vec![3]);
     }

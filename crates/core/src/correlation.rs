@@ -68,7 +68,8 @@ pub struct CorrelationConfig {
     pub min_strength: f64,
     /// Re-weight band: fits in `[reweight_strength, min_strength)` keep
     /// the dependent dimension in the grid but cap its column budget to
-    /// `max_col_log2 · (1 − strength)`.
+    /// `MAX_COL_LOG2 · (1 − strength)`, where the search's per-dimension
+    /// cap `MAX_COL_LOG2` is 10 (1024 columns).
     pub reweight_strength: f64,
     /// Maximum tolerated fraction of rows outside their bucket envelope;
     /// also the trim budget when fitting envelopes (half per side).

@@ -35,6 +35,10 @@ pub enum WeightModelKind {
     Linear,
 }
 
+/// log2 of the smallest random total-cell target (capped at
+/// [`CalibrationConfig::max_cells_log2`]).
+const MIN_CELLS_LOG2: u32 = 4;
+
 /// Configuration for [`calibrate`].
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct CalibrationConfig {
@@ -42,9 +46,7 @@ pub struct CalibrationConfig {
     pub n_layouts: usize,
     /// Regressor family.
     pub kind: WeightModelKind,
-    /// log2 of the smallest / largest random total-cell target.
-    pub min_cells_log2: u32,
-    /// See `min_cells_log2`.
+    /// log2 of the largest random total-cell target.
     pub max_cells_log2: u32,
     /// RNG seed.
     pub seed: u64,
@@ -58,7 +60,6 @@ impl Default for CalibrationConfig {
         CalibrationConfig {
             n_layouts: 10,
             kind: WeightModelKind::Forest,
-            min_cells_log2: 4,
             max_cells_log2: 14,
             seed: 0xCA11B,
             reps: 1,
@@ -84,7 +85,8 @@ pub fn random_layout(dims: usize, rng: &mut StdRng, cfg: &CalibrationConfig) -> 
         return Layout::sort_only(order[0]);
     }
     // Random target total cells, split log-uniformly across grid dims.
-    let total_log2 = rng.gen_range(cfg.min_cells_log2..=cfg.max_cells_log2) as f64;
+    let total_log2 =
+        rng.gen_range(MIN_CELLS_LOG2.min(cfg.max_cells_log2)..=cfg.max_cells_log2) as f64;
     let mut shares: Vec<f64> = (0..dims - 1).map(|_| rng.gen_range(0.1..1.0)).collect();
     let sum: f64 = shares.iter().sum();
     for s in &mut shares {
@@ -259,6 +261,26 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let l = random_layout(1, &mut rng, &cfg);
         assert_eq!(l.num_cells(), 1);
+    }
+
+    /// A cell budget below `MIN_CELLS_LOG2` draws from the budget itself
+    /// instead of an empty range.
+    #[test]
+    fn random_layout_below_min_cells_target() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let one_cell = CalibrationConfig {
+            max_cells_log2: 0,
+            ..Default::default()
+        };
+        assert_eq!(random_layout(4, &mut rng, &one_cell).num_cells(), 1);
+        let tiny = CalibrationConfig {
+            max_cells_log2: 2,
+            ..Default::default()
+        };
+        for _ in 0..20 {
+            let l = random_layout(4, &mut rng, &tiny);
+            assert!(l.num_cells() <= 8, "{l}");
+        }
     }
 
     #[test]

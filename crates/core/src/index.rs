@@ -13,7 +13,7 @@ use crate::correlation::{CorrSupport, HostSlot};
 use crate::flatten::Flattener;
 use crate::grid::Grid;
 use crate::layout::{FdPair, Layout};
-use flood_learned::plm::PiecewiseLinearModel;
+use flood_learned::plm::{PiecewiseLinearModel, DEFAULT_DELTA};
 use flood_store::{
     rank_rows, Check, CumulativeColumn, PlannedIndex, PlannedRange, RangePlan, RangeQuery,
     RangeScan, ScanStats, Table, Visitor, BLOCK_LEN,
@@ -234,7 +234,7 @@ impl FloodIndex {
                 if e - s > RANK_MAX_CELL {
                     buf.clear();
                     buf.extend((s..e).map(|i| data.value(i, sort_dim)));
-                    cell_models.push(Some(PiecewiseLinearModel::build(&buf, cfg.plm_delta)));
+                    cell_models.push(Some(PiecewiseLinearModel::build(&buf, DEFAULT_DELTA)));
                 } else {
                     cell_models.push(None);
                 }

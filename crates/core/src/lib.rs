@@ -54,7 +54,7 @@ pub mod index;
 pub mod layout;
 pub mod optimizer;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveDiagnostics, AdaptiveFlood, ObservationLog, Relearner};
+pub use adaptive::{AdaptiveConfig, AdaptiveDiagnostics, ObservationLog, Relearner};
 pub use config::{FloodBuilder, FloodConfig, Refinement};
 pub use correlation::{CorrelationConfig, CorrelationModel, SoftFd};
 pub use cost::{CostModel, QueryCostEstimate, WeightModels};

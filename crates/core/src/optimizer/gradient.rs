@@ -14,16 +14,21 @@
 //! statistics cache (`optimizer::StatsCache`), leaving the rest as cached
 //! bitset ANDs.
 
+/// Default upper bound on log₂(columns) per dimension (1024 columns).
+pub(crate) const MAX_COL_LOG2: f64 = 10.0;
+
+/// Initial learning rate (in log₂-column units).
+const LR: f64 = 1.0;
+
+/// Finite-difference half-step (log₂ units); large enough to change the
+/// rounded column count.
+const H: f64 = 0.5;
+
 /// Knobs for [`descend`].
 #[derive(Debug, Clone)]
 pub struct GdConfig {
     /// Number of gradient steps.
     pub steps: usize,
-    /// Initial learning rate (in log₂-column units).
-    pub lr: f64,
-    /// Finite-difference half-step (log₂ units); must be large enough to
-    /// change the rounded column count.
-    pub h: f64,
     /// Upper bound on log₂(columns) per dimension.
     pub max_col_log2: f64,
     /// Upper bound on the total number of cells (product of columns).
@@ -41,9 +46,7 @@ impl Default for GdConfig {
     fn default() -> Self {
         GdConfig {
             steps: 20,
-            lr: 1.0,
-            h: 0.5,
-            max_col_log2: 10.0,
+            max_col_log2: MAX_COL_LOG2,
             max_total_cells: 1 << 20,
             per_dim_max_log2: Vec::new(),
         }
@@ -96,7 +99,7 @@ pub fn descend(
     let mut fx = eval(&x, &mut objective);
     let mut best_x = x.clone();
     let mut best_f = fx;
-    let mut lr = cfg.lr;
+    let mut lr = LR;
 
     for _ in 0..cfg.steps {
         // Numeric gradient.
@@ -104,10 +107,10 @@ pub fn descend(
         let mut max_abs = 0.0f64;
         for i in 0..dims {
             let mut xp = x.clone();
-            xp[i] += cfg.h;
+            xp[i] += H;
             let mut xm = x.clone();
-            xm[i] -= cfg.h;
-            let g = (eval(&xp, &mut objective) - eval(&xm, &mut objective)) / (2.0 * cfg.h);
+            xm[i] -= H;
+            let g = (eval(&xp, &mut objective) - eval(&xm, &mut objective)) / (2.0 * H);
             grad[i] = g;
             max_abs = max_abs.max(g.abs());
         }

@@ -34,7 +34,7 @@
 //!    bitsets ([`OptimizedLayout::dim_recounts`] /
 //!    [`OptimizedLayout::dim_reuses`]); because entries are keyed by query
 //!    identity, the cache also survives the *workload* changing, which is
-//!    what [`EvaluatorCache`] exploits across `AdaptiveFlood` re-learns.
+//!    what [`EvaluatorCache`] exploits across [`crate::Relearner`] re-learns.
 //!
 //! Callers that score many explicit layouts against one workload (Fig 14's
 //! cost surface) should hold a [`CostEvaluator`] instead of calling
@@ -75,6 +75,7 @@ use crate::cost::CostModel;
 use crate::index::MAX_GRID_DIMS;
 use crate::layout::Layout;
 use flood_store::{RangeQuery, Table};
+use gradient::MAX_COL_LOG2;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -92,8 +93,6 @@ pub struct OptimizerConfig {
     pub query_sample: usize,
     /// Gradient-descent steps per sort-dimension candidate.
     pub gd_steps: usize,
-    /// Per-dimension column cap, as log₂ (10 → 1024 columns).
-    pub max_col_log2: f64,
     /// Cap on the total cell count of candidate layouts.
     pub max_total_cells: usize,
     /// Target average points per cell for the descent's starting layout.
@@ -117,7 +116,6 @@ impl Default for OptimizerConfig {
             data_sample: 10_000,
             query_sample: 100,
             gd_steps: 20,
-            max_col_log2: 10.0,
             max_total_cells: 1 << 20,
             init_points_per_cell: 1_024,
             seed: 0x0F700D,
@@ -300,7 +298,6 @@ impl LayoutOptimizer {
 
         let gd_cfg = GdConfig {
             steps: self.cfg.gd_steps,
-            max_col_log2: self.cfg.max_col_log2,
             max_total_cells: self.cfg.max_total_cells,
             ..Default::default()
         };
@@ -338,8 +335,8 @@ impl LayoutOptimizer {
                         per_dim_max_log2: order[..k]
                             .iter()
                             .map(|&d| match corr.reweight_strength_of(d) {
-                                Some(s) => self.cfg.max_col_log2 * (1.0 - s),
-                                None => self.cfg.max_col_log2,
+                                Some(s) => MAX_COL_LOG2 * (1.0 - s),
+                                None => MAX_COL_LOG2,
                             })
                             .collect(),
                         ..gd_cfg.clone()
@@ -413,9 +410,10 @@ impl LayoutOptimizer {
 /// [`CostEvaluator`], keyed by the window's fingerprint
 /// ([`SampleSpace::query_fingerprint`] of the *sampled* window).
 ///
-/// `AdaptiveFlood` holds one of these across rebuilds. The data multiset of
-/// a clustered index never changes, so the expensive query-independent work
-/// (row sampling, per-dimension RMI training, flattening) happens once.
+/// [`crate::Relearner`] holds one of these across rebuilds. The data
+/// multiset of a clustered index never changes, so the expensive
+/// query-independent work (row sampling, per-dimension RMI training,
+/// flattening) happens once.
 /// When the window changes, the evaluator is rebuilt — a cheap query
 /// flatten — but its mask cache is *carried over*: masks are keyed by each
 /// query's own fingerprint, and sliding windows share most of their

@@ -17,8 +17,8 @@
 //! runs it at 512 in the optimised build).
 
 use flood_core::{
-    AdaptiveConfig, AdaptiveFlood, CorrelationConfig, CorrelationModel, CostModel, FdPair,
-    FloodBuilder, FloodConfig, FloodIndex, Layout, LayoutOptimizer, OptimizerConfig,
+    AdaptiveConfig, CorrelationConfig, CorrelationModel, CostModel, FdPair, FloodBuilder,
+    FloodConfig, FloodIndex, Layout, LayoutOptimizer, ObservationLog, OptimizerConfig, Relearner,
 };
 use flood_store::{
     CollectVisitor, CountVisitor, MinMaxVisitor, MultiDimIndex, RangeQuery, SumVisitor, Table,
@@ -272,7 +272,9 @@ proptest! {
 /// correlation on serves a stream that drifts from host-filtering to
 /// dependent-filtering. The re-learn must rebuild the support for the new
 /// layout's list (collapse or not) and every single answer along the way
-/// must match brute force and a correlation-off twin.
+/// must match brute force and a correlation-off twin. The loop is the
+/// serving layer's, inline: record each query, check when due, rebuild
+/// on adoption.
 #[test]
 fn adaptive_relearn_under_drifting_correlation_stays_exact() {
     let t = fd_table(3_000, 42, 64, 5);
@@ -302,31 +304,41 @@ fn adaptive_relearn_under_drifting_correlation_stays_exact() {
             correlation: ccfg,
             ..Default::default()
         };
-        AdaptiveFlood::build(
-            &t,
-            &train,
-            LayoutOptimizer::with_config(CostModel::analytic_default(), ocfg),
-            FloodConfig::default(),
-            AdaptiveConfig {
-                window: 16,
-                check_every: 8,
-                degradation_factor: 1.0, // re-learn at every check
-            },
+        let cfg = AdaptiveConfig {
+            window: 16,
+            check_every: 8,
+            degradation_factor: 1.0, // re-learn at every check
+        };
+        let optimizer = LayoutOptimizer::with_config(CostModel::analytic_default(), ocfg);
+        let (relearner, learned) = Relearner::learn_initial(&t, &train, optimizer, cfg);
+        let index = FloodIndex::build(&t, learned.layout, FloodConfig::default());
+        (
+            ObservationLog::new(cfg.window, cfg.check_every),
+            relearner,
+            index,
         )
     };
     let mut on = adaptive(aggressive());
     let mut off_twin = adaptive(off());
 
     for q in &stream {
-        let mut v_on = CountVisitor::default();
-        let mut v_off = CountVisitor::default();
-        on.execute_adaptive(q, None, &mut v_on);
-        off_twin.execute_adaptive(q, None, &mut v_off);
-        assert_eq!(v_on.count, v_off.count, "adaptive on/off diverged");
-        assert_eq!(v_on.count, oracle_count(&t, q), "adaptive wrong vs oracle");
+        let [count_on, count_off] = [&mut on, &mut off_twin].map(|(log, relearner, index)| {
+            let mut v = CountVisitor::default();
+            index.execute(q, None, &mut v);
+            if log.record(q) {
+                if let Some(learned) =
+                    relearner.check(&log.snapshot(), index.data(), index.layout())
+                {
+                    *index = index.rebuild(learned.layout);
+                }
+            }
+            v.count
+        });
+        assert_eq!(count_on, count_off, "adaptive on/off diverged");
+        assert_eq!(count_on, oracle_count(&t, q), "adaptive wrong vs oracle");
     }
     assert!(
-        on.relearns() >= 1,
+        on.1.diagnostics().relearns >= 1,
         "the drifting stream must trigger at least one re-learn"
     );
 }

@@ -127,11 +127,7 @@ impl QueryExecutor {
         V: Visitor + Default + Send,
         I: MultiDimIndex + Sync + ?Sized,
     {
-        self.pool.run(queries.len(), |i| {
-            let mut v = V::default();
-            let s = index.execute(&queries[i], agg_dim, &mut v);
-            (v, s)
-        })
+        self.execute_batch_observed(index, queries, agg_dim, None)
     }
 
     /// [`QueryExecutor::execute_batch`] with optional pool telemetry: when

@@ -42,7 +42,7 @@ pub use server::{
 };
 pub use tiered::{TieredServeDiagnostics, TieredServer, TieredSnapshot};
 
-use flood_core::{AdaptiveFlood, FloodIndex, ObservationLog, Relearner};
+use flood_core::{FloodIndex, ObservationLog, Relearner};
 
 // The whole design rests on these types being shareable across reader
 // threads; regressions (an Rc, a RefCell, a raw pointer) must fail to
@@ -55,7 +55,6 @@ const _: () = {
     _assert_send_sync::<FloodServer>();
     _assert_send_sync::<ObservationLog>();
     _assert_send_sync::<Relearner>();
-    _assert_send_sync::<AdaptiveFlood>();
     _assert_send_sync::<Epoch<flood_store::TieredScan>>();
     _assert_send_sync::<Published<flood_store::TieredScan>>();
     _assert_send_sync::<TieredServer>();

@@ -577,6 +577,34 @@ mod tests {
     }
 
     #[test]
+    fn stable_workload_never_retrains() {
+        let (_, s) = server(AdaptiveConfig {
+            window: 20,
+            check_every: 10,
+            degradation_factor: 1.5,
+        });
+        for q in workload_on(0, 30).iter().cycle().take(60) {
+            let mut v = CountVisitor::default();
+            s.execute(q, None, &mut v);
+            assert!(
+                !matches!(s.maybe_adapt(), AdaptOutcome::Swapped(_)),
+                "same workload should not trigger retraining"
+            );
+        }
+        let d = s.diagnostics();
+        assert_eq!((d.epoch, d.swaps), (0, 0));
+        assert!(d.adaptive.checks > 0, "checks must run");
+        assert_eq!(
+            d.adaptive.relearn_searches, 0,
+            "no degraded check, no search"
+        );
+        assert_eq!(
+            d.adaptive.sample_flattens, 1,
+            "the data sample is flattened once, ever"
+        );
+    }
+
+    #[test]
     fn shifted_workload_swaps_in_the_background_turn() {
         let (t, s) = server(AdaptiveConfig {
             window: 24,

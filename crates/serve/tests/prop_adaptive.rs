@@ -12,12 +12,17 @@
 //! property test checks the invariant that really matters: query *results*
 //! never depend on what the cache holds.
 //!
+//! The loop under test is [`FloodServer`]'s: one worker, each query served
+//! with [`FloodServer::execute`] and followed by one
+//! [`FloodServer::maybe_adapt`] turn.
+//!
 //! [`Relearner`]: flood_core::Relearner
 
 use flood_core::{
-    AdaptiveConfig, AdaptiveFlood, CostModel, EvaluatorCache, FloodConfig, FloodIndex,
+    AdaptiveConfig, AdaptiveDiagnostics, CostModel, EvaluatorCache, FloodConfig, FloodIndex,
     LayoutOptimizer, OptimizerConfig,
 };
+use flood_serve::{FloodServer, ServeConfig};
 use flood_store::{CountVisitor, RangeQuery, Table};
 use proptest::prelude::*;
 
@@ -56,18 +61,33 @@ fn drifting_stream(per_phase: usize) -> Vec<RangeQuery> {
     phase(0).chain(phase(1)).collect()
 }
 
-fn adaptive(full_sample: bool, t: &Table, train: &[RangeQuery]) -> AdaptiveFlood {
-    AdaptiveFlood::build(
+fn adaptive(full_sample: bool, t: &Table, train: &[RangeQuery]) -> FloodServer {
+    FloodServer::build(
         t,
         train,
         optimizer(full_sample),
         FloodConfig::default(),
-        AdaptiveConfig {
-            window: 16,
-            check_every: 8,
-            degradation_factor: 1.1,
+        ServeConfig {
+            adaptive: AdaptiveConfig {
+                window: 16,
+                check_every: 8,
+                degradation_factor: 1.1,
+            },
+            threads: 1,
+            ..Default::default()
         },
     )
+}
+
+/// Serve `stream` one query at a time, each followed by an adaptation
+/// turn, and return the build side's lifetime counters.
+fn serve(s: &FloodServer, stream: &[RangeQuery]) -> AdaptiveDiagnostics {
+    for q in stream {
+        let mut v = CountVisitor::default();
+        s.execute(q, None, &mut v);
+        s.maybe_adapt();
+    }
+    s.diagnostics().adaptive
 }
 
 /// With the full table as the sample, the pooled evaluator and a cold one
@@ -107,12 +127,7 @@ fn shared_and_cold_agree_bit_for_bit_on_full_sample() {
     assert_eq!(pool.data_builds(), 1, "one flatten for every window");
 
     // The work ledger of the loop that ships.
-    let mut a = adaptive(true, &t, &train);
-    for q in &stream {
-        let mut v = CountVisitor::default();
-        a.execute_adaptive(q, None, &mut v);
-    }
-    let d = a.diagnostics();
+    let d = serve(&adaptive(true, &t, &train), &stream);
     assert!(d.relearns >= 1, "the drift must trigger a re-learn: {d:?}");
     assert!(d.relearn_searches >= d.relearns, "{d:?}");
     assert_eq!(d.sample_flattens, 1, "{d:?}");
@@ -135,12 +150,7 @@ fn diagnostics_are_deterministic() {
     let stream = drifting_stream(24);
     let train: Vec<RangeQuery> = stream[..16].to_vec();
     let run = || {
-        let mut a = adaptive(true, &t, &train);
-        for q in &stream {
-            let mut v = CountVisitor::default();
-            a.execute_adaptive(q, None, &mut v);
-        }
-        let mut d = a.diagnostics();
+        let mut d = serve(&adaptive(true, &t, &train), &stream);
         d.relearn_wall = Default::default(); // wall-clock is the only nondeterministic field
         d
     };
@@ -179,10 +189,11 @@ proptest! {
             .collect();
         let train: Vec<RangeQuery> = stream[..stream.len().min(8)].to_vec();
 
-        let mut a = adaptive(false, &t, &train);
+        let s = adaptive(false, &t, &train);
         for q in &stream {
             let mut v = CountVisitor::default();
-            a.execute_adaptive(q, None, &mut v);
+            s.execute(q, None, &mut v);
+            s.maybe_adapt();
             let truth = (0..t.len()).filter(|&r| q.matches(&t.row(r))).count() as u64;
             prop_assert_eq!(v.count, truth);
         }

@@ -10,8 +10,8 @@
 //!   blocks of 128 values; each value is encoded as a bit-packed delta to the
 //!   minimum value of its block. Access remains constant-time
 //!   ([`CompressedColumn`]).
-//! * **64-bit integer attributes**: strings are dictionary-encoded and floats
-//!   are scaled to integers before ingestion ([`encode`]).
+//! * **64-bit integer attributes**: every column is `u64`; strings and
+//!   floats are mapped to integers before ingestion.
 //! * **Exact-range scan elision**: when a caller can prove that an entire
 //!   physical range matches the query filter, per-value predicate checks are
 //!   skipped ([`scan::scan_exact`]).
@@ -38,7 +38,6 @@
 pub mod block;
 pub mod column;
 pub mod cumulative;
-pub mod encode;
 pub mod index_trait;
 pub mod partition;
 pub mod plan;

@@ -7,11 +7,9 @@
 //! cargo run --release --example streaming_inserts
 //! ```
 
-use flood::core::{
-    AdaptiveConfig, AdaptiveFlood, CostModel, FloodConfig, LayoutOptimizer, OptimizerConfig,
-};
+use flood::core::{AdaptiveConfig, CostModel, FloodConfig, LayoutOptimizer, OptimizerConfig};
 use flood::data::DatasetKind;
-use flood::serve::TieredServer;
+use flood::serve::{AdaptOutcome, FloodServer, ServeConfig, TieredServer};
 use flood::store::{CountVisitor, MemBackend, RangeQuery, TierConfig};
 use std::sync::Arc;
 
@@ -64,20 +62,24 @@ fn main() {
     let w_time: Vec<RangeQuery> = (0..40)
         .map(|i| RangeQuery::all(6).with_range(1, i * 10_000_000, i * 10_000_000 + 4_000_000))
         .collect();
-    let mut adaptive = AdaptiveFlood::build(
+    let adaptive = FloodServer::build(
         &ds.table,
         &w_time,
         optimizer,
         FloodConfig::default(),
-        AdaptiveConfig {
-            window: 40,
-            check_every: 20,
-            degradation_factor: 1.3,
+        ServeConfig {
+            adaptive: AdaptiveConfig {
+                window: 40,
+                check_every: 20,
+                degradation_factor: 1.3,
+            },
+            threads: 1,
+            ..Default::default()
         },
     );
     println!(
         "\nadaptive index starts with layout {}",
-        adaptive.index().layout()
+        adaptive.snapshot().index().layout()
     );
 
     // The workload shifts to lat/lon rectangles.
@@ -92,12 +94,12 @@ fn main() {
     let mut retrains = 0;
     for q in &w_geo {
         let mut v = CountVisitor::default();
-        let (_, retrained) = adaptive.execute_adaptive(q, None, &mut v);
-        retrains += retrained as usize;
+        adaptive.execute(q, None, &mut v);
+        retrains += matches!(adaptive.maybe_adapt(), AdaptOutcome::Swapped(_)) as usize;
     }
     println!(
         "after the shift to geo queries: {} retrain(s); layout is now {}",
         retrains,
-        adaptive.index().layout()
+        adaptive.snapshot().index().layout()
     );
 }
