@@ -1,29 +1,26 @@
-//! The serving front end: shared readers over a [`PublishedIndex`] with
-//! background adaptation.
+//! The one serving front end, [`Server<T, B>`]: readers pin an epoch of
+//! a [`Published<T>`] generation — any [`PlannedIndex`] — while the build
+//! side `B`, which readers never lock, prepares the next one.
 //!
-//! [`FloodServer`] composes the pieces the rest of the workspace provides:
-//!
-//! * reads go through [`PublishedIndex::snapshot`] — every request (or
-//!   batch) pins one epoch and never observes a mix of layouts;
-//! * admission is layered on the `flood-exec` scoped pool:
-//!   [`FloodServer::execute`] is the closed-loop per-request path,
-//!   [`FloodServer::serve_batch`] / [`FloodServer::serve_stream`] the
-//!   open-loop batched path ([`flood_exec::QueryExecutor::execute_batch`]
-//!   under one snapshot per batch);
-//! * every served query is recorded in an [`ObservationLog`] through
-//!   `&self`, and the [`Relearner`] — behind a mutex that readers never
-//!   touch — prices the window, searches, and rebuilds off the serving
-//!   path, publishing the replacement with a pointer swap
-//!   ([`FloodServer::maybe_adapt`]).
+//! [`Server::try_execute`] is the one read path: pin, plan, scan under
+//! [`with_retries`], and count `submitted` / `completed` / `retried` /
+//! `degraded` and the [`ServerMetrics`] in one place. What only one `T`
+//! can do stays on its alias: batched admission on the `flood-exec` pool
+//! and the §8 adaptation turn on [`FloodServer`] (a resident read cannot
+//! fail, so its `execute` is infallible), insert / compact on
+//! [`TieredServer`](crate::TieredServer).
 
-use crate::epoch::{IndexSnapshot, PublishedIndex};
+use crate::epoch::{Epoch, IndexSnapshot, Published};
 use flood_core::{
     AdaptiveConfig, AdaptiveDiagnostics, FloodConfig, FloodIndex, LayoutOptimizer, ObservationLog,
     Relearner,
 };
 use flood_exec::{PoolMetrics, QueryExecutor, ThreadPool};
 use flood_obs::{Counter, Histogram, MetricsSnapshot, Registry};
-use flood_store::{RangeQuery, ScanStats, ScanStatsMetrics, Table, Visitor};
+use flood_store::tier::with_retries;
+use flood_store::{
+    BlockSource, PlannedIndex, RangeQuery, RangeScan, ScanStats, ScanStatsMetrics, Table, Visitor,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -82,12 +79,13 @@ pub struct ServedBatch<V> {
     pub results: Vec<(V, ScanStats)>,
 }
 
-/// Serving-layer counters ([`FloodServer::diagnostics`]).
-#[derive(Debug, Clone)]
+/// Serving-layer counters ([`Server::diagnostics`]), one type for both
+/// servers; a field only one build side keeps reads 0 on the other.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServeDiagnostics {
     /// Current epoch number.
     pub epoch: u64,
-    /// Layout swaps published.
+    /// Generations published (layout swaps, or compactions).
     pub swaps: u64,
     /// Swapped-out epochs whose last reader has dropped (memory freed).
     pub retired_epochs: usize,
@@ -95,23 +93,29 @@ pub struct ServeDiagnostics {
     pub live_retired: usize,
     /// Requests admitted.
     pub submitted: u64,
-    /// Requests answered (== `submitted` once the server is idle: the
-    /// serving path never drops a request).
+    /// Requests answered completely (`submitted == completed + degraded`
+    /// once the server is idle: the serving path never drops a request).
     pub completed: u64,
-    /// Queries recorded in the observation window.
+    /// Attempts that hit a storage fault and were retried in place.
+    pub retried: u64,
+    /// Requests that exhausted the retry budget and surfaced a typed error.
+    pub degraded: u64,
+    /// Queries recorded in the observation window (resident).
     pub observed: u64,
-    /// `maybe_adapt` calls that found the relearner busy.
+    /// `maybe_adapt` calls that found the relearner busy (resident).
     pub adapt_skipped: u64,
-    /// The build side's counters (checks, relearns, cache work).
+    /// The relearner's counters: checks, relearns, cache work (resident).
     pub adaptive: AdaptiveDiagnostics,
+    /// Rows buffered, not yet visible to readers (tiered).
+    pub buffered: usize,
 }
 
 /// The server's registered metric handles, one `flood-obs` [`Registry`]
 /// per server, grouped by subsystem:
 ///
-/// * `serve` — `queries`/`completed`/`batches` counters, `query_ns`
-///   (closed-loop latency), `batch_ns` and `batch_size` histograms;
-/// * `scan` — every [`ScanStats`] counter, accumulated per served query;
+/// * `serve` — `queries` (admitted) / `completed` / `batches` counters,
+///   `query_ns` (closed-loop latency), `batch_ns`, `batch_size` histograms;
+/// * `scan` — every [`ScanStats`] counter, accumulated per answered query;
 /// * `pool` — executor telemetry (tasks, runs, busy time, injector depth);
 /// * `adapt` — `swaps`/`kept`/`busy` outcome counters, `swap_wall_ns`,
 ///   plus the relearner's lifetime gauges refreshed at snapshot time;
@@ -161,31 +165,216 @@ impl ServerMetrics {
     }
 }
 
-/// A shared-read front end over one table's [`FloodIndex`], re-learning
-/// its layout in the background while readers stream through.
-///
-/// All serving methods take `&self`: share a `FloodServer` across threads
-/// (e.g. `std::thread::scope`) and call [`FloodServer::execute`] /
-/// [`FloodServer::serve_batch`] from readers while one maintenance thread
-/// polls [`FloodServer::maybe_adapt`].
+/// The side of a [`Server`] that prepares the next generation. Readers
+/// never lock it: they only hand it the queries they answered.
+pub trait BuildSide {
+    /// Note a query the read path answered.
+    fn observe(&self, _query: &RangeQuery) {}
+
+    /// Fill in this side's fields of `d`.
+    fn report(&self, d: &mut ServeDiagnostics);
+
+    /// Refresh this side's gauges in the server's registry.
+    fn export(&self, _registry: &Registry) {}
+}
+
+/// A shared-read front end: readers pin an epoch of `T` and never take a
+/// lock for the duration of a query, while the build side `B` publishes
+/// replacements. All methods take `&self`: share a server across threads.
 #[derive(Debug)]
-pub struct FloodServer {
-    published: PublishedIndex,
+pub struct Server<T, B> {
+    published: Published<T>,
+    pub(crate) build: B,
+    submitted: AtomicU64,
+    completed: AtomicU64,
+    retried: AtomicU64,
+    degraded: AtomicU64,
+    /// `None` when [`ServeConfig::metrics`] was off: the query path then
+    /// takes no clock reads and touches no metric atomics at all.
+    metrics: Option<ServerMetrics>,
+}
+
+impl<T: PlannedIndex, B: BuildSide> Server<T, B> {
+    /// Publish `value` as epoch 0 next to its build side.
+    pub(crate) fn new(value: T, build: B, metrics: bool) -> Self {
+        Server {
+            published: Published::new(value),
+            build,
+            submitted: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
+            retried: AtomicU64::new(0),
+            degraded: AtomicU64::new(0),
+            metrics: metrics.then(ServerMetrics::new),
+        }
+    }
+
+    /// The read path: execute one query against the current snapshot and
+    /// return `(stats, epoch served from)`. A failed read is retried in
+    /// place under [`with_retries`]; a query that exhausts the budget
+    /// counts as degraded and surfaces the last typed error, its visitor
+    /// untouched.
+    pub fn try_execute(
+        &self,
+        query: &RangeQuery,
+        agg_dim: Option<usize>,
+        visitor: &mut dyn Visitor,
+    ) -> Result<(ScanStats, u64), <T::Source as BlockSource>::Error> {
+        let mut span = flood_obs::span("query");
+        self.submitted.fetch_add(1, Ordering::Relaxed);
+        let start = self.metrics.as_ref().map(|m| {
+            m.queries.inc();
+            Instant::now()
+        });
+        let snap = {
+            let _pin = flood_obs::span("pin");
+            self.published.snapshot()
+        };
+        let (result, attempts) = {
+            let _scan = flood_obs::span("scan");
+            let index = snap.value();
+            let scan = RangeScan::of(index, index.plan(query), agg_dim);
+            // Retrying the whole query is sound only while a failed
+            // `try_run` has shown the visitor nothing: `TieredScan` plans
+            // one range, and a resident read cannot fail. A fallible plan of
+            // several ranges would need per-piece retries instead.
+            with_retries(|| scan.try_run(visitor))
+        };
+        if attempts > 1 {
+            self.retried
+                .fetch_add(attempts as u64 - 1, Ordering::Relaxed);
+        }
+        let stats = result.inspect_err(|_| {
+            self.degraded.fetch_add(1, Ordering::Relaxed);
+        })?;
+        {
+            let _observe = flood_obs::span("observe");
+            self.build.observe(query);
+        }
+        self.completed.fetch_add(1, Ordering::Relaxed);
+        if let (Some(m), Some(t0)) = (&self.metrics, start) {
+            m.completed.inc();
+            m.query_ns.record(t0.elapsed().as_nanos() as u64);
+            m.scan.record(&stats);
+        }
+        if span.is_sampled() {
+            span.note(&format!(
+                "epoch={} matched={}",
+                snap.epoch(),
+                stats.points_matched
+            ));
+        }
+        Ok((stats, snap.epoch()))
+    }
+
+    /// A snapshot of the current epoch (pin an epoch across a measurement
+    /// loop; a retired generation stays queryable while it is held).
+    pub fn snapshot(&self) -> Arc<Epoch<T>> {
+        self.published.snapshot()
+    }
+
+    /// The publication point (epoch / swap / retirement accounting).
+    pub fn published(&self) -> &Published<T> {
+        &self.published
+    }
+
+    /// Current epoch number.
+    pub fn epoch(&self) -> u64 {
+        self.published.epoch()
+    }
+
+    /// Refresh the point-in-time gauges the hot path doesn't maintain:
+    /// epoch accounting, then the build side's own.
+    fn refresh_gauges(&self, m: &ServerMetrics) {
+        let reg = &m.registry;
+        let g = |name: &str, v: i64| reg.gauge("epoch", name).set(v);
+        g("current", self.published.epoch() as i64);
+        g("swaps", self.published.swaps() as i64);
+        g("retired", self.published.retired_epochs() as i64);
+        g("live_retired", self.published.live_retired() as i64);
+        g("pinned_readers", self.published.pinned_readers() as i64);
+        self.build.export(reg);
+    }
+
+    /// A point-in-time copy of every server metric. `None` when
+    /// [`ServeConfig::metrics`] was off.
+    pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
+        let m = self.metrics.as_ref()?;
+        self.refresh_gauges(m);
+        Some(m.registry.snapshot())
+    }
+
+    /// The live metric handles (e.g. to absorb this server's registry into
+    /// the process-global one). Gauges are refreshed first, as in
+    /// [`Server::metrics_snapshot`]. `None` when metrics are off.
+    pub fn metrics(&self) -> Option<&ServerMetrics> {
+        let m = self.metrics.as_ref()?;
+        self.refresh_gauges(m);
+        Some(m)
+    }
+
+    /// Serving-layer counters plus the build side's.
+    pub fn diagnostics(&self) -> ServeDiagnostics {
+        let mut d = ServeDiagnostics {
+            epoch: self.published.epoch(),
+            swaps: self.published.swaps(),
+            retired_epochs: self.published.retired_epochs(),
+            live_retired: self.published.live_retired(),
+            submitted: self.submitted.load(Ordering::Relaxed),
+            completed: self.completed.load(Ordering::Relaxed),
+            retried: self.retried.load(Ordering::Relaxed),
+            degraded: self.degraded.load(Ordering::Relaxed),
+            ..Default::default()
+        };
+        self.build.report(&mut d);
+        d
+    }
+}
+
+/// The resident server: a [`FloodIndex`] layout re-learned in the
+/// background while readers stream through. Share it across threads and
+/// call [`FloodServer::execute`] / [`FloodServer::serve_batch`] from
+/// readers while one maintenance thread polls [`FloodServer::maybe_adapt`].
+pub type FloodServer = Server<FloodIndex, AdaptiveSide>;
+
+/// [`FloodServer`]'s build side: the observation window readers record
+/// into, the [`Relearner`] behind a mutex readers never touch, and the
+/// pool the batched path runs on.
+#[derive(Debug)]
+pub struct AdaptiveSide {
     exec: QueryExecutor,
     batch: usize,
     obs: ObservationLog,
     /// Set by the recorder that crosses the check cadence, consumed by
     /// the adaptation turn that wins the relearner lock.
     check_due: AtomicBool,
-    /// The build side. Readers never take this lock — a re-learn in
-    /// flight only makes `maybe_adapt` report [`AdaptOutcome::Busy`].
+    /// A re-learn in flight only makes `maybe_adapt` report
+    /// [`AdaptOutcome::Busy`].
     relearner: Mutex<Relearner>,
-    submitted: AtomicU64,
-    completed: AtomicU64,
     adapt_skipped: AtomicU64,
-    /// `None` when [`ServeConfig::metrics`] was off: the query path then
-    /// takes no clock reads and touches no metric atomics at all.
-    metrics: Option<ServerMetrics>,
+}
+
+impl BuildSide for AdaptiveSide {
+    /// Record the query; remember when a degradation check comes due.
+    fn observe(&self, query: &RangeQuery) {
+        if self.obs.record(query) {
+            self.check_due.store(true, Ordering::Release);
+        }
+    }
+
+    fn report(&self, d: &mut ServeDiagnostics) {
+        d.observed = self.obs.observed();
+        d.adapt_skipped = self.adapt_skipped.load(Ordering::Relaxed);
+        let relearner = self.relearner.lock().expect("relearner poisoned");
+        d.adaptive = relearner.diagnostics();
+    }
+
+    /// Polled with `try_lock`: a re-learn in flight keeps the previous
+    /// gauge values rather than blocking the scrape.
+    fn export(&self, registry: &Registry) {
+        if let Ok(relearner) = self.relearner.try_lock() {
+            relearner.diagnostics().export(registry, "adapt");
+        }
+    }
 }
 
 impl FloodServer {
@@ -205,59 +394,27 @@ impl FloodServer {
         } else {
             ThreadPool::new(cfg.threads)
         };
-        FloodServer {
-            published: PublishedIndex::new(index),
+        let build = AdaptiveSide {
             exec: QueryExecutor::new(pool),
             batch: cfg.batch.max(1),
             obs: ObservationLog::new(cfg.adaptive.window, cfg.adaptive.check_every),
             check_due: AtomicBool::new(false),
             relearner: Mutex::new(relearner),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
             adapt_skipped: AtomicU64::new(0),
-            metrics: cfg.metrics.then(ServerMetrics::new),
-        }
+        };
+        Server::new(index, build, cfg.metrics)
     }
 
-    /// Closed-loop path: execute one query against the current snapshot,
-    /// record the observation, and return `(stats, epoch served from)`.
+    /// Closed-loop path: [`Server::try_execute`], which cannot fail on a
+    /// resident index.
     pub fn execute(
         &self,
         query: &RangeQuery,
         agg_dim: Option<usize>,
         visitor: &mut dyn Visitor,
     ) -> (ScanStats, u64) {
-        use flood_store::MultiDimIndex;
-        let mut span = flood_obs::span("query");
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        let start = self.metrics.as_ref().map(|_| Instant::now());
-        let snap = {
-            let _pin = flood_obs::span("pin");
-            self.published.snapshot()
-        };
-        let stats = {
-            let _scan = flood_obs::span("scan");
-            snap.index().execute(query, agg_dim, visitor)
-        };
-        {
-            let _observe = flood_obs::span("observe");
-            self.note(query);
-        }
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        if let (Some(m), Some(t0)) = (&self.metrics, start) {
-            m.queries.inc();
-            m.completed.inc();
-            m.query_ns.record(t0.elapsed().as_nanos() as u64);
-            m.scan.record(&stats);
-        }
-        if span.is_sampled() {
-            span.note(&format!(
-                "epoch={} matched={}",
-                snap.epoch(),
-                stats.points_matched
-            ));
-        }
-        (stats, snap.epoch())
+        let Ok(served) = self.try_execute(query, agg_dim, visitor);
+        served
     }
 
     /// Open-loop path: execute a batch under one snapshot, queries spread
@@ -276,7 +433,7 @@ impl FloodServer {
         };
         let results = {
             let _scan = flood_obs::span("scan");
-            self.exec.execute_batch_observed::<V, _>(
+            self.build.exec.execute_batch_observed::<V, _>(
                 snap.index(),
                 queries,
                 agg_dim,
@@ -286,7 +443,7 @@ impl FloodServer {
         {
             let _observe = flood_obs::span("observe");
             for q in queries {
-                self.note(q);
+                self.build.observe(q);
             }
         }
         self.completed
@@ -323,16 +480,9 @@ impl FloodServer {
         V: Visitor + Default + Send,
     {
         queries
-            .chunks(self.batch)
+            .chunks(self.build.batch)
             .map(|chunk| self.serve_batch(chunk, agg_dim))
             .collect()
-    }
-
-    /// Record a served query; remember when a degradation check comes due.
-    fn note(&self, query: &RangeQuery) {
-        if self.obs.record(query) {
-            self.check_due.store(true, Ordering::Release);
-        }
     }
 
     /// The adaptation turn, callable from any maintenance thread. When a
@@ -340,20 +490,21 @@ impl FloodServer {
     /// window against the current snapshot, and when degraded, search,
     /// rebuild off the serving path, and publish the replacement.
     pub fn maybe_adapt(&self) -> AdaptOutcome {
-        if !self.check_due.load(Ordering::Acquire) {
+        let side = &self.build;
+        if !side.check_due.load(Ordering::Acquire) {
             return AdaptOutcome::NotDue;
         }
-        let Ok(mut relearner) = self.relearner.try_lock() else {
-            self.adapt_skipped.fetch_add(1, Ordering::Relaxed);
+        let Ok(mut relearner) = side.relearner.try_lock() else {
+            side.adapt_skipped.fetch_add(1, Ordering::Relaxed);
             if let Some(m) = &self.metrics {
                 m.busy.inc();
             }
             return AdaptOutcome::Busy;
         };
-        self.check_due.store(false, Ordering::Release);
+        side.check_due.store(false, Ordering::Release);
         let _span = flood_obs::span("adapt");
         let snap = self.published.snapshot();
-        let window = self.obs.snapshot();
+        let window = side.obs.snapshot();
         match relearner.check(&window, snap.index().data(), snap.index().layout()) {
             Some(learned) => AdaptOutcome::Swapped(self.rebuild_and_publish(&snap, learned.layout)),
             None => {
@@ -369,7 +520,7 @@ impl FloodServer {
     /// deterministic swap schedules for experiments and soak tests.
     /// Blocks until the new epoch is live; returns its number.
     pub fn force_relearn(&self, workload: &[RangeQuery]) -> u64 {
-        let mut relearner = self.relearner.lock().expect("relearner poisoned");
+        let mut relearner = self.build.relearner.lock().expect("relearner poisoned");
         let snap = self.published.snapshot();
         let learned = relearner.relearn_on(snap.index().data(), workload);
         self.rebuild_and_publish(&snap, learned.layout)
@@ -388,94 +539,6 @@ impl FloodServer {
             m.swap_wall_ns.record(t0.elapsed().as_nanos() as u64);
         }
         epoch
-    }
-
-    /// A snapshot of the current epoch (for harnesses that pin an epoch
-    /// across their own measurement loops).
-    pub fn snapshot(&self) -> IndexSnapshot {
-        self.published.snapshot()
-    }
-
-    /// The publication point (epoch / swap / retirement accounting).
-    pub fn published(&self) -> &PublishedIndex {
-        &self.published
-    }
-
-    /// Current epoch number.
-    pub fn epoch(&self) -> u64 {
-        self.published.epoch()
-    }
-
-    /// Worker threads batched execution uses.
-    pub fn threads(&self) -> usize {
-        self.exec.threads()
-    }
-
-    /// Refresh the point-in-time gauges (epoch accounting, relearner
-    /// lifetime counters) the hot path doesn't maintain. The relearner is
-    /// polled with `try_lock`: a re-learn in flight keeps its previous
-    /// gauge values rather than blocking the scrape.
-    fn refresh_gauges(&self, m: &ServerMetrics) {
-        let reg = &m.registry;
-        let g = |name: &str, v: i64| reg.gauge("epoch", name).set(v);
-        g("current", self.published.epoch() as i64);
-        g("swaps", self.published.swaps() as i64);
-        g("retired", self.published.retired_epochs() as i64);
-        g("live_retired", self.published.live_retired() as i64);
-        g("pinned_readers", self.published.pinned_readers() as i64);
-        if let Ok(relearner) = self.relearner.try_lock() {
-            relearner.diagnostics().export(reg, "adapt");
-        }
-    }
-
-    /// A point-in-time copy of every server metric — scan, pool, adapt and
-    /// epoch subsystems included. `None` when [`ServeConfig::metrics`] was
-    /// off.
-    pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        let m = self.metrics.as_ref()?;
-        self.refresh_gauges(m);
-        Some(m.registry.snapshot())
-    }
-
-    /// Prometheus text exposition of the current metrics. `None` when
-    /// metrics are off.
-    pub fn metrics_prometheus(&self) -> Option<String> {
-        Some(self.metrics_snapshot()?.prometheus_text())
-    }
-
-    /// JSON exposition of the current metrics. `None` when metrics are
-    /// off.
-    pub fn metrics_json(&self) -> Option<String> {
-        Some(self.metrics_snapshot()?.to_json())
-    }
-
-    /// The live metric handles (e.g. to absorb this server's registry into
-    /// the process-global one). Gauges are refreshed first, as in
-    /// [`FloodServer::metrics_snapshot`]. `None` when metrics are off.
-    pub fn metrics(&self) -> Option<&ServerMetrics> {
-        let m = self.metrics.as_ref()?;
-        self.refresh_gauges(m);
-        Some(m)
-    }
-
-    /// Serving-layer counters plus the build side's diagnostics.
-    pub fn diagnostics(&self) -> ServeDiagnostics {
-        let adaptive = self
-            .relearner
-            .lock()
-            .expect("relearner poisoned")
-            .diagnostics();
-        ServeDiagnostics {
-            epoch: self.published.epoch(),
-            swaps: self.published.swaps(),
-            retired_epochs: self.published.retired_epochs(),
-            live_retired: self.published.live_retired(),
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            observed: self.obs.observed(),
-            adapt_skipped: self.adapt_skipped.load(Ordering::Relaxed),
-            adaptive,
-        }
     }
 }
 
@@ -550,6 +613,7 @@ mod tests {
         assert_eq!(d.submitted, 20);
         assert_eq!(d.completed, 20);
         assert_eq!(d.observed, 20);
+        assert_eq!((d.retried, d.degraded), (0, 0));
     }
 
     #[test]
@@ -686,10 +750,10 @@ mod tests {
         assert_eq!(snap.gauge("epoch", "swaps"), Some(1));
         assert_eq!(snap.gauge("epoch", "pinned_readers"), Some(0));
         // Both expositions render the same counters.
-        let prom = s.metrics_prometheus().unwrap();
+        let prom = snap.prometheus_text();
         assert!(prom.contains("flood_serve_queries_total 25"), "{prom}");
         assert!(prom.contains("flood_epoch_current 1"), "{prom}");
-        let json = s.metrics_json().unwrap();
+        let json = snap.to_json();
         assert!(json.contains("\"queries\":25"), "{json}");
     }
 
@@ -711,8 +775,6 @@ mod tests {
         let mut v = CountVisitor::default();
         s.execute(&workload_on(1, 1)[0], None, &mut v);
         assert!(s.metrics_snapshot().is_none());
-        assert!(s.metrics_prometheus().is_none());
-        assert!(s.metrics_json().is_none());
         assert!(s.metrics().is_none());
         // The plain diagnostics still work with metrics off.
         assert_eq!(s.diagnostics().submitted, 1);

@@ -39,6 +39,13 @@ impl RowBuffer {
         }
     }
 
+    /// Drop the newest row: undo a [`push`](Self::push).
+    pub fn pop(&mut self) {
+        for col in &mut self.cols {
+            col.pop();
+        }
+    }
+
     /// Number of buffered rows.
     pub fn len(&self) -> usize {
         self.cols.first().map_or(0, Vec::len)

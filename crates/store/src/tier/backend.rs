@@ -67,6 +67,13 @@ pub enum StorageError {
         /// Backend-specific description.
         detail: String,
     },
+    /// An inserted row whose value count is not the table's column count.
+    Arity {
+        /// The table's column count.
+        expected: usize,
+        /// Values the row carried.
+        got: usize,
+    },
 }
 
 impl StorageError {
@@ -76,7 +83,7 @@ impl StorageError {
             StorageError::Io { key, .. }
             | StorageError::Corrupt { key, .. }
             | StorageError::Missing { key } => Some(*key),
-            StorageError::Backend { .. } => None,
+            StorageError::Backend { .. } | StorageError::Arity { .. } => None,
         }
     }
 }
@@ -90,6 +97,9 @@ impl fmt::Display for StorageError {
             }
             StorageError::Missing { key } => write!(f, "segment {key}: not found"),
             StorageError::Backend { detail } => write!(f, "storage backend error: {detail}"),
+            StorageError::Arity { expected, got } => {
+                write!(f, "row has {got} values, table has {expected} columns")
+            }
         }
     }
 }

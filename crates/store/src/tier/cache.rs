@@ -341,8 +341,8 @@ impl SegmentCache {
     }
 
     /// Publish the cache's current state as gauges under `subsystem` in
-    /// `registry` — the `flood-obs` bridge the tiered server reports
-    /// fault/eviction counts through.
+    /// `registry` — the `flood-obs` bridge for the cold tier's
+    /// fault/eviction counts.
     pub fn publish_gauges(&self, registry: &Registry, subsystem: &str) {
         let g = |name: &str, v: i64| registry.gauge(subsystem, name).set(v);
         g("budget_bytes", self.budget_bytes() as i64);

@@ -70,13 +70,20 @@ impl TieredDelta {
     }
 
     /// Insert one row (one value per dimension). Returns the row's stable
-    /// id. Auto-compacts when the buffer reaches the threshold; the only
-    /// error source is that sealing write.
+    /// id. Auto-compacts when the buffer reaches the threshold. Errors: a
+    /// row of the wrong arity ([`StorageError::Arity`]), or a failed
+    /// sealing write. On `Err` the row is not in the table — the length
+    /// and the next id are unchanged — so a retry stores it once.
     pub fn insert(&mut self, row: &[u64]) -> Result<usize, StorageError> {
+        let expected = self.base.dims();
+        if row.len() != expected {
+            let got = row.len();
+            return Err(StorageError::Arity { expected, got });
+        }
         let id = self.len();
         self.buffer.push(row);
         if self.buffered() >= self.threshold {
-            self.compact()?;
+            self.compact().inspect_err(|_| self.buffer.pop())?;
         }
         Ok(id)
     }

@@ -14,8 +14,8 @@
 //! * [`with_retries`] is the one retry loop: up to [`SCAN_RETRIES`]
 //!   retries, so transient faults heal. The infallible
 //!   [`MultiDimIndex::execute`](crate::MultiDimIndex::execute) and
-//!   partitioned plans panic when it still fails; `flood-serve`'s tiered
-//!   server degrades the query instead.
+//!   partitioned plans panic when it still fails; `flood-serve`'s read
+//!   path degrades the query instead.
 //!
 //! Partitioned plans cut at [`TieredTable::segment_rows`] boundaries (the
 //! table's own [`alignment`](crate::BlockSource::alignment)), so every

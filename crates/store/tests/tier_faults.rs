@@ -260,3 +260,32 @@ fn compaction_write_failure_leaves_table_and_buffer_intact() {
         .unwrap();
     assert_eq!(v.count, 310);
 }
+
+#[test]
+fn failed_auto_compaction_does_not_keep_the_row() {
+    use flood_store::TieredDelta;
+    let (tiered, failing) = failing_setup(300);
+    let mut delta = TieredDelta::with_threshold(tiered, 4);
+    for i in 0..3u64 {
+        assert_eq!(delta.insert(&[i, i + 1]).unwrap(), 300 + i as usize);
+    }
+    // The 4th insert reaches the threshold, and its sealing write must
+    // first read the unaligned tail segment: fail that load.
+    failing.fail_load(1);
+    let err = delta.insert(&[3, 4]).unwrap_err();
+    assert!(matches!(err, StorageError::Io { .. }), "{err}");
+    assert_eq!(
+        (delta.len(), delta.buffered()),
+        (303, 3),
+        "a failed insert stores nothing"
+    );
+
+    // The caller's retry stores the row once, under the same id.
+    assert_eq!(delta.insert(&[3, 4]).unwrap(), 303);
+    assert_eq!(delta.buffered(), 0, "the retry compacts");
+    let mut v = CountVisitor::default();
+    delta
+        .try_execute(&RangeQuery::all(2), None, &mut v)
+        .unwrap();
+    assert_eq!(v.count, 304);
+}
