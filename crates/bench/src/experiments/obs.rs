@@ -19,9 +19,9 @@
 //! non-zero over budget.
 
 use crate::harness::Harness;
-use flood_core::{AdaptiveConfig, FloodConfig};
+use flood_core::FloodConfig;
 use flood_data::DatasetKind;
-use flood_serve::{FloodServer, ServeConfig};
+use flood_serve::{AdaptiveConfig, FloodServer, ServeConfig};
 use flood_store::{CountVisitor, RangeQuery};
 
 /// The documented budget (ARCHITECTURE.md, Observability): metrics on may

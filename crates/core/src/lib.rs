@@ -44,7 +44,6 @@
 //! To *learn* the layout for a workload instead of specifying one, see
 //! [`optimizer::LayoutOptimizer`].
 
-pub mod adaptive;
 pub mod config;
 pub mod correlation;
 pub mod cost;
@@ -54,7 +53,6 @@ pub mod index;
 pub mod layout;
 pub mod optimizer;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveDiagnostics, ObservationLog, Relearner};
 pub use config::{FloodBuilder, FloodConfig, Refinement};
 pub use correlation::{CorrelationConfig, CorrelationModel, SoftFd};
 pub use cost::{CostModel, QueryCostEstimate, WeightModels};

@@ -34,7 +34,7 @@
 //!    bitsets ([`OptimizedLayout::dim_recounts`] /
 //!    [`OptimizedLayout::dim_reuses`]); because entries are keyed by query
 //!    identity, the cache also survives the *workload* changing, which is
-//!    what [`EvaluatorCache`] exploits across [`crate::Relearner`] re-learns.
+//!    what [`EvaluatorCache`] exploits across `flood-serve`'s re-learns.
 //!
 //! Callers that score many explicit layouts against one workload (Fig 14's
 //! cost surface) should hold a [`CostEvaluator`] instead of calling
@@ -410,7 +410,7 @@ impl LayoutOptimizer {
 /// [`CostEvaluator`], keyed by the window's fingerprint
 /// ([`SampleSpace::query_fingerprint`] of the *sampled* window).
 ///
-/// [`crate::Relearner`] holds one of these across rebuilds. The data
+/// `flood-serve`'s adaptive loop holds one across rebuilds. The data
 /// multiset of a clustered index never changes, so the expensive
 /// query-independent work (row sampling, per-dimension RMI training,
 /// flattening) happens once.

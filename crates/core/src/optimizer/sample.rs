@@ -16,9 +16,9 @@
 //! [`DataSample`] holds the first and is shareable (behind an `Arc`) across
 //! any number of query sets over the same table;
 //! [`SampleSpace::over`] attaches a query layer without touching the data.
-//! [`crate::Relearner`] exploits this across re-learns: the data multiset of a
-//! clustered index never changes, so one [`DataSample`] serves every
-//! observation window, keyed by [`SampleSpace::query_fingerprint`].
+//! `flood-serve`'s adaptive loop exploits this across re-learns: the data
+//! multiset of a clustered index never changes, so one [`DataSample`] serves
+//! every observation window, keyed by [`SampleSpace::query_fingerprint`].
 //!
 //! ## Incremental per-dimension statistics
 //!
@@ -36,9 +36,8 @@
 //! word-parallel operation 64× narrower than the point scan. Keying by the
 //! *query's own* fingerprint (not its position in some window) makes the
 //! cache valid across query sets over the same data sample: sliding
-//! observation windows share most of their queries, so a
-//! [`crate::Relearner`] re-learn finds the masks its earlier checks and
-//! re-learns already built. The two paths are bit-identical by construction: identical
+//! observation windows share most of their queries, so a re-learn finds
+//! the masks its earlier checks and re-learns already built. The two paths are bit-identical by construction: identical
 //! column arithmetic, identical multiplication order for `N_c`, and one
 //! shared [`QueryStatistics::estimated`] constructor (pinned by
 //! `tests/prop_incremental.rs` over arbitrary probe sequences).
@@ -72,7 +71,7 @@
 //! Cache entries additionally remember the [`StatsCache::epoch`] they were
 //! created in; reuses of entries born in an earlier epoch are counted
 //! separately ([`StatsCache::cross_epoch_reuses`]), which is how
-//! [`crate::Relearner`] attributes re-learn cache hits to work done by earlier
+//! the adaptive loop attributes re-learn cache hits to work done by earlier
 //! degradation checks.
 //!
 //! ## Correlation rewrite (Tsunami/COAX extension, beyond the Flood paper)
@@ -404,7 +403,7 @@ impl SampleSpace {
     /// Order-sensitive fingerprint of a query set: a stable 64-bit hash
     /// combining every query's own fingerprint. Two windows with equal
     /// queries in equal order collide by construction; anything else
-    /// collides with probability ~2⁻⁶⁴. The keying [`crate::Relearner`]
+    /// collides with probability ~2⁻⁶⁴. The keying [`crate::EvaluatorCache`]
     /// uses to recognise a repeat observation window.
     pub fn query_fingerprint(queries: &[RangeQuery]) -> u64 {
         let mut h = FNV_OFFSET;

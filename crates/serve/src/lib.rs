@@ -7,9 +7,8 @@
 //! The paper evaluates Flood single-threaded (§7) and sketches
 //! concurrency, insertions and workload-shift adaptation as §8 future
 //! work. This crate composes the workspace's pieces — `flood-exec`'s pool,
-//! `flood-core`'s [`Relearner`](flood_core::Relearner), `flood-store`'s
-//! tier — into one front end where *building the next generation never
-//! blocks serving*:
+//! `flood-core`'s layout optimizer, `flood-store`'s tier — into one front
+//! end where *building the next generation never blocks serving*:
 //!
 //! * [`Published<T>`] — the live generation behind an epoch-swapped `Arc`.
 //!   Readers clone the `Arc` (a read lock held for nanoseconds) and run
@@ -20,9 +19,9 @@
 //!   over a published `T`, beside a build side `B` that readers never lock:
 //!   * [`FloodServer`] publishes [`FloodIndex`](flood_core::FloodIndex)
 //!     layouts, adds batched admission on the pool and a background
-//!     adaptation turn ([`FloodServer::maybe_adapt`]) that prices the
-//!     observed window, re-learns when degraded, rebuilds off the serving
-//!     path, and publishes;
+//!     adaptation turn ([`FloodServer::maybe_adapt`], the whole §8 loop in
+//!     [`adaptive`]) that prices the observed window, re-learns when
+//!     degraded, rebuilds off the serving path, and publishes;
 //!   * [`TieredServer`] publishes sealed cold-tier scan generations and
 //!     adds buffered inserts, made visible by a compaction that publishes.
 //!
@@ -33,14 +32,14 @@
 //! end to end. `flood-benchmark` measures latency across swaps
 //! (`serve.*`, `epoch_swap_ms`).
 
+pub mod adaptive;
 pub mod epoch;
 pub mod server;
 pub mod tiered;
 
+pub use adaptive::{AdaptOutcome, AdaptiveConfig, AdaptiveDiagnostics};
 pub use epoch::{Epoch, EpochIndex, IndexSnapshot, Published, PublishedIndex};
-pub use server::{
-    AdaptOutcome, FloodServer, ServeConfig, ServeDiagnostics, ServedBatch, Server, ServerMetrics,
-};
+pub use server::{FloodServer, ServeConfig, ServeDiagnostics, ServedBatch, Server, ServerMetrics};
 pub use tiered::{TieredServeDiagnostics, TieredServer, TieredSnapshot};
 
 // The whole design rests on these types being shareable across reader

@@ -6,23 +6,21 @@
 //! [`with_retries`], and count `submitted` / `completed` / `retried` /
 //! `degraded` and the [`ServerMetrics`] in one place. What only one `T`
 //! can do stays on its alias: batched admission on the `flood-exec` pool
-//! and the §8 adaptation turn on [`FloodServer`] (a resident read cannot
-//! fail, so its `execute` is infallible), insert / compact on
-//! [`TieredServer`](crate::TieredServer).
+//! and the §8 adaptation turn ([`crate::adaptive`]) on [`FloodServer`] (a
+//! resident read cannot fail, so its `execute` is infallible), insert /
+//! compact on [`TieredServer`](crate::TieredServer).
 
-use crate::epoch::{Epoch, IndexSnapshot, Published};
-use flood_core::{
-    AdaptiveConfig, AdaptiveDiagnostics, FloodConfig, FloodIndex, LayoutOptimizer, ObservationLog,
-    Relearner,
-};
-use flood_exec::{PoolMetrics, QueryExecutor, ThreadPool};
+use crate::adaptive::{AdaptiveConfig, AdaptiveDiagnostics, AdaptiveSide};
+use crate::epoch::{Epoch, Published};
+use flood_core::FloodIndex;
+use flood_exec::PoolMetrics;
 use flood_obs::{Counter, Histogram, MetricsSnapshot, Registry};
 use flood_store::tier::with_retries;
 use flood_store::{
-    BlockSource, PlannedIndex, RangeQuery, RangeScan, ScanStats, ScanStatsMetrics, Table, Visitor,
+    BlockSource, PlannedIndex, RangeQuery, RangeScan, ScanStats, ScanStatsMetrics, Visitor,
 };
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Configuration for [`FloodServer`].
@@ -54,20 +52,6 @@ impl Default for ServeConfig {
             metrics: true,
         }
     }
-}
-
-/// What one [`FloodServer::maybe_adapt`] call did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdaptOutcome {
-    /// No degradation check was due.
-    NotDue,
-    /// A check was due but another adaptation was in flight; the due flag
-    /// is left set so a later call retries.
-    Busy,
-    /// The window was priced; the current layout survives.
-    Kept,
-    /// A re-learned layout was built and published as this epoch.
-    Swapped(u64),
 }
 
 /// One batch's results: every query answered against the same epoch.
@@ -102,9 +86,9 @@ pub struct ServeDiagnostics {
     pub degraded: u64,
     /// Queries recorded in the observation window (resident).
     pub observed: u64,
-    /// `maybe_adapt` calls that found the relearner busy (resident).
+    /// `maybe_adapt` calls that found the learner busy (resident).
     pub adapt_skipped: u64,
-    /// The relearner's counters: checks, relearns, cache work (resident).
+    /// The learner's counters: checks, relearns, cache work (resident).
     pub adaptive: AdaptiveDiagnostics,
     /// Rows buffered, not yet visible to readers (tiered).
     pub buffered: usize,
@@ -117,8 +101,8 @@ pub struct ServeDiagnostics {
 ///   `query_ns` (closed-loop latency), `batch_ns`, `batch_size` histograms;
 /// * `scan` — every [`ScanStats`] counter, accumulated per answered query;
 /// * `pool` — executor telemetry (tasks, runs, busy time, injector depth);
-/// * `adapt` — `swaps`/`kept`/`busy` outcome counters, `swap_wall_ns`,
-///   plus the relearner's lifetime gauges refreshed at snapshot time;
+/// * `adapt` — the `swap_wall_ns` histogram, plus the build side's
+///   lifetime gauges refreshed at snapshot time;
 /// * `epoch` — publication gauges (current epoch, retirements, pinned
 ///   readers) refreshed at snapshot time.
 #[derive(Debug)]
@@ -132,10 +116,7 @@ pub struct ServerMetrics {
     batch_size: Arc<Histogram>,
     scan: ScanStatsMetrics,
     pool: PoolMetrics,
-    swaps: Arc<Counter>,
-    kept: Arc<Counter>,
-    busy: Arc<Counter>,
-    swap_wall_ns: Arc<Histogram>,
+    pub(crate) swap_wall_ns: Arc<Histogram>,
 }
 
 impl ServerMetrics {
@@ -150,9 +131,6 @@ impl ServerMetrics {
             batch_size: registry.histogram("serve", "batch_size"),
             scan: ScanStatsMetrics::register(&registry, "scan"),
             pool: PoolMetrics::register(&registry, "pool"),
-            swaps: registry.counter("adapt", "swaps"),
-            kept: registry.counter("adapt", "kept"),
-            busy: registry.counter("adapt", "busy"),
             swap_wall_ns: registry.histogram("adapt", "swap_wall_ns"),
             registry,
         }
@@ -183,7 +161,7 @@ pub trait BuildSide {
 /// replacements. All methods take `&self`: share a server across threads.
 #[derive(Debug)]
 pub struct Server<T, B> {
-    published: Published<T>,
+    pub(crate) published: Published<T>,
     pub(crate) build: B,
     submitted: AtomicU64,
     completed: AtomicU64,
@@ -191,7 +169,7 @@ pub struct Server<T, B> {
     degraded: AtomicU64,
     /// `None` when [`ServeConfig::metrics`] was off: the query path then
     /// takes no clock reads and touches no metric atomics at all.
-    metrics: Option<ServerMetrics>,
+    pub(crate) metrics: Option<ServerMetrics>,
 }
 
 impl<T: PlannedIndex, B: BuildSide> Server<T, B> {
@@ -336,75 +314,7 @@ impl<T: PlannedIndex, B: BuildSide> Server<T, B> {
 /// readers while one maintenance thread polls [`FloodServer::maybe_adapt`].
 pub type FloodServer = Server<FloodIndex, AdaptiveSide>;
 
-/// [`FloodServer`]'s build side: the observation window readers record
-/// into, the [`Relearner`] behind a mutex readers never touch, and the
-/// pool the batched path runs on.
-#[derive(Debug)]
-pub struct AdaptiveSide {
-    exec: QueryExecutor,
-    batch: usize,
-    obs: ObservationLog,
-    /// Set by the recorder that crosses the check cadence, consumed by
-    /// the adaptation turn that wins the relearner lock.
-    check_due: AtomicBool,
-    /// A re-learn in flight only makes `maybe_adapt` report
-    /// [`AdaptOutcome::Busy`].
-    relearner: Mutex<Relearner>,
-    adapt_skipped: AtomicU64,
-}
-
-impl BuildSide for AdaptiveSide {
-    /// Record the query; remember when a degradation check comes due.
-    fn observe(&self, query: &RangeQuery) {
-        if self.obs.record(query) {
-            self.check_due.store(true, Ordering::Release);
-        }
-    }
-
-    fn report(&self, d: &mut ServeDiagnostics) {
-        d.observed = self.obs.observed();
-        d.adapt_skipped = self.adapt_skipped.load(Ordering::Relaxed);
-        let relearner = self.relearner.lock().expect("relearner poisoned");
-        d.adaptive = relearner.diagnostics();
-    }
-
-    /// Polled with `try_lock`: a re-learn in flight keeps the previous
-    /// gauge values rather than blocking the scrape.
-    fn export(&self, registry: &Registry) {
-        if let Ok(relearner) = self.relearner.try_lock() {
-            relearner.diagnostics().export(registry, "adapt");
-        }
-    }
-}
-
 impl FloodServer {
-    /// Learn an initial layout for `train` over `table`, build it, and
-    /// publish it as epoch 0.
-    pub fn build(
-        table: &Table,
-        train: &[RangeQuery],
-        optimizer: LayoutOptimizer,
-        flood_cfg: FloodConfig,
-        cfg: ServeConfig,
-    ) -> Self {
-        let (relearner, learned) = Relearner::learn_initial(table, train, optimizer, cfg.adaptive);
-        let index = FloodIndex::build(table, learned.layout, flood_cfg);
-        let pool = if cfg.threads == 0 {
-            ThreadPool::from_env()
-        } else {
-            ThreadPool::new(cfg.threads)
-        };
-        let build = AdaptiveSide {
-            exec: QueryExecutor::new(pool),
-            batch: cfg.batch.max(1),
-            obs: ObservationLog::new(cfg.adaptive.window, cfg.adaptive.check_every),
-            check_due: AtomicBool::new(false),
-            relearner: Mutex::new(relearner),
-            adapt_skipped: AtomicU64::new(0),
-        };
-        Server::new(index, build, cfg.metrics)
-    }
-
     /// Closed-loop path: [`Server::try_execute`], which cannot fail on a
     /// resident index.
     pub fn execute(
@@ -484,68 +394,13 @@ impl FloodServer {
             .map(|chunk| self.serve_batch(chunk, agg_dim))
             .collect()
     }
-
-    /// The adaptation turn, callable from any maintenance thread. When a
-    /// check is due and no other adaptation is in flight: price the
-    /// window against the current snapshot, and when degraded, search,
-    /// rebuild off the serving path, and publish the replacement.
-    pub fn maybe_adapt(&self) -> AdaptOutcome {
-        let side = &self.build;
-        if !side.check_due.load(Ordering::Acquire) {
-            return AdaptOutcome::NotDue;
-        }
-        let Ok(mut relearner) = side.relearner.try_lock() else {
-            side.adapt_skipped.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.metrics {
-                m.busy.inc();
-            }
-            return AdaptOutcome::Busy;
-        };
-        side.check_due.store(false, Ordering::Release);
-        let _span = flood_obs::span("adapt");
-        let snap = self.published.snapshot();
-        let window = side.obs.snapshot();
-        match relearner.check(&window, snap.index().data(), snap.index().layout()) {
-            Some(learned) => AdaptOutcome::Swapped(self.rebuild_and_publish(&snap, learned.layout)),
-            None => {
-                if let Some(m) = &self.metrics {
-                    m.kept.inc();
-                }
-                AdaptOutcome::Kept
-            }
-        }
-    }
-
-    /// Re-learn on `workload` unconditionally and publish the result —
-    /// deterministic swap schedules for experiments and soak tests.
-    /// Blocks until the new epoch is live; returns its number.
-    pub fn force_relearn(&self, workload: &[RangeQuery]) -> u64 {
-        let mut relearner = self.build.relearner.lock().expect("relearner poisoned");
-        let snap = self.published.snapshot();
-        let learned = relearner.relearn_on(snap.index().data(), workload);
-        self.rebuild_and_publish(&snap, learned.layout)
-    }
-
-    /// Build a new index over the snapshot's data (Flood is clustered —
-    /// the data multiset is the table, so the snapshot's fitted CDFs carry
-    /// over) and swap it in.
-    fn rebuild_and_publish(&self, snap: &IndexSnapshot, layout: flood_core::Layout) -> u64 {
-        let _span = flood_obs::span("epoch_swap");
-        let start = self.metrics.as_ref().map(|_| Instant::now());
-        let index = snap.index().rebuild(layout);
-        let epoch = self.published.publish(index);
-        if let (Some(m), Some(t0)) = (&self.metrics, start) {
-            m.swaps.inc();
-            m.swap_wall_ns.record(t0.elapsed().as_nanos() as u64);
-        }
-        epoch
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use flood_core::{CostModel, OptimizerConfig};
+    use crate::adaptive::AdaptOutcome;
+    use flood_core::{CostModel, FloodConfig, LayoutOptimizer, OptimizerConfig};
     use flood_store::{CountVisitor, MultiDimIndex, Table};
 
     fn table() -> Table {
@@ -570,7 +425,7 @@ mod tests {
         )
     }
 
-    fn workload_on(dim: usize, n: usize) -> Vec<RangeQuery> {
+    pub(crate) fn workload_on(dim: usize, n: usize) -> Vec<RangeQuery> {
         (0..n)
             .map(|i| {
                 RangeQuery::all(3).with_range(
@@ -582,7 +437,7 @@ mod tests {
             .collect()
     }
 
-    fn server(adaptive: AdaptiveConfig) -> (Table, FloodServer) {
+    pub(crate) fn server(adaptive: AdaptiveConfig) -> (Table, FloodServer) {
         let t = table();
         let s = FloodServer::build(
             &t,
@@ -743,9 +598,9 @@ mod tests {
         assert_eq!(snap.counter("pool", "tasks"), Some(20));
         assert_eq!(snap.counter("pool", "runs"), Some(2));
         // adapt + epoch: the forced swap is visible everywhere.
-        assert_eq!(snap.counter("adapt", "swaps"), Some(1));
         assert_eq!(snap.histogram("adapt", "swap_wall_ns").unwrap().count, 1);
         assert_eq!(snap.gauge("adapt", "relearns"), Some(1));
+        assert_eq!(snap.gauge("adapt", "checks"), Some(0));
         assert_eq!(snap.gauge("epoch", "current"), Some(1));
         assert_eq!(snap.gauge("epoch", "swaps"), Some(1));
         assert_eq!(snap.gauge("epoch", "pinned_readers"), Some(0));

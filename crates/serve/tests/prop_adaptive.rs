@@ -1,4 +1,4 @@
-//! Adaptive re-learning under drift: the cache the [`Relearner`] pools
+//! Adaptive re-learning under drift: the cache the adaptive loop pools
 //! across checks and re-learns must be a pure optimization — every window
 //! priced and searched exactly as a from-scratch evaluator would — and the
 //! diagnostics must prove the sharing actually happened.
@@ -14,15 +14,14 @@
 //!
 //! The loop under test is [`FloodServer`]'s: one worker, each query served
 //! with [`FloodServer::execute`] and followed by one
-//! [`FloodServer::maybe_adapt`] turn.
-//!
-//! [`Relearner`]: flood_core::Relearner
+//! [`FloodServer::maybe_adapt`] turn. The same loop must keep correlation
+//! exploitation invisible in results as the layouts it adopts change.
 
 use flood_core::{
-    AdaptiveConfig, AdaptiveDiagnostics, CostModel, EvaluatorCache, FloodConfig, FloodIndex,
-    LayoutOptimizer, OptimizerConfig,
+    CorrelationConfig, CostModel, EvaluatorCache, FloodConfig, FloodIndex, LayoutOptimizer,
+    OptimizerConfig,
 };
-use flood_serve::{FloodServer, ServeConfig};
+use flood_serve::{AdaptiveConfig, AdaptiveDiagnostics, FloodServer, ServeConfig};
 use flood_store::{CountVisitor, RangeQuery, Table};
 use proptest::prelude::*;
 
@@ -62,16 +61,26 @@ fn drifting_stream(per_phase: usize) -> Vec<RangeQuery> {
 }
 
 fn adaptive(full_sample: bool, t: &Table, train: &[RangeQuery]) -> FloodServer {
+    adaptive_with(optimizer(full_sample), 1.1, t, train)
+}
+
+/// A one-worker server checking a window of 16 every 8 queries.
+fn adaptive_with(
+    optimizer: LayoutOptimizer,
+    degradation_factor: f64,
+    t: &Table,
+    train: &[RangeQuery],
+) -> FloodServer {
     FloodServer::build(
         t,
         train,
-        optimizer(full_sample),
+        optimizer,
         FloodConfig::default(),
         ServeConfig {
             adaptive: AdaptiveConfig {
                 window: 16,
                 check_every: 8,
-                degradation_factor: 1.1,
+                degradation_factor,
             },
             threads: 1,
             ..Default::default()
@@ -155,6 +164,101 @@ fn diagnostics_are_deterministic() {
         d
     };
     assert_eq!(run(), run());
+}
+
+/// 4-dim table with a soft FD `d1 ≈ 2·d0 + noise` (noise width 64) that
+/// 5% of the rows break (uniform d1).
+fn fd_table() -> Table {
+    let n = 3_000;
+    let mut state = 42u64 | 1;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let host: Vec<u64> = (0..n).map(|_| next() % 10_000).collect();
+    let dep: Vec<u64> = host
+        .iter()
+        .map(|&h| {
+            if next() % 100 < 5 {
+                next() % 30_000
+            } else {
+                2 * h + next() % 64
+            }
+        })
+        .collect();
+    let c2: Vec<u64> = (0..n).map(|_| next() % 64).collect();
+    let c3: Vec<u64> = (0..n).map(|_| next() % (1 << 20)).collect();
+    Table::from_columns(vec![host, dep, c2, c3])
+}
+
+/// Re-learning carries the search's FDs over: two servers, correlation on
+/// (exploit-everything detection) and off, serve a stream that drifts from
+/// host-filtering to dependent-filtering. Each re-learn rebuilds the
+/// support for the new layout's FDs (collapse or not), and every answer
+/// along the way must match brute force and the correlation-off twin.
+#[test]
+fn adaptive_relearn_under_drifting_correlation_stays_exact() {
+    let t = fd_table();
+    // Phase 1 filters the host; phase 2 drifts to the dependent plus an
+    // independent dimension the initial layout never indexed.
+    let phase1 = (0..30).map(|i| {
+        let lo = (i as u64 * 977) % 9_000;
+        RangeQuery::all(4).with_range(0, lo, lo + 400)
+    });
+    let phase2 = (0..30).map(|i| {
+        let lo = (i as u64 * 977) % 16_000;
+        RangeQuery::all(4).with_range(1, lo, lo + 800).with_range(
+            3,
+            (i as u64 * 31_337) % (1 << 19),
+            1 << 19,
+        )
+    });
+    let stream: Vec<RangeQuery> = phase1.chain(phase2).collect();
+    let train: Vec<RangeQuery> = stream[..16].to_vec();
+
+    let server = |correlation: CorrelationConfig| {
+        let optimizer = LayoutOptimizer::with_config(
+            CostModel::analytic_default(),
+            OptimizerConfig {
+                data_sample: usize::MAX,
+                query_sample: 10,
+                gd_steps: 5,
+                max_total_cells: 1 << 10,
+                correlation,
+                ..Default::default()
+            },
+        );
+        adaptive_with(optimizer, 1.0, &t, &train) // re-learn at every check
+    };
+    let on = server(CorrelationConfig {
+        enabled: true,
+        min_strength: 0.3,
+        reweight_strength: 0.1,
+        max_outlier_rate: 0.1,
+        ..Default::default()
+    });
+    let off = server(CorrelationConfig {
+        enabled: false,
+        ..Default::default()
+    });
+
+    for q in &stream {
+        let [count_on, count_off] = [&on, &off].map(|s| {
+            let mut v = CountVisitor::default();
+            s.execute(q, None, &mut v);
+            s.maybe_adapt();
+            v.count
+        });
+        let truth = (0..t.len()).filter(|&r| q.matches(&t.row(r))).count() as u64;
+        assert_eq!(count_on, count_off, "adaptive on/off diverged");
+        assert_eq!(count_on, truth, "adaptive wrong vs oracle");
+    }
+    assert!(
+        on.diagnostics().adaptive.relearns >= 1,
+        "the drifting stream must trigger at least one re-learn"
+    );
 }
 
 proptest! {

@@ -14,9 +14,9 @@
 //!   invariants (no panic, zero dropped requests, monotone epochs,
 //!   swap/retirement accounting), not a schedule.
 
-use flood_core::{AdaptiveConfig, CostModel, FloodConfig, LayoutOptimizer, OptimizerConfig};
+use flood_core::{CostModel, FloodConfig, LayoutOptimizer, OptimizerConfig};
 use flood_data::workloads::drift::{DriftConfig, DriftMode, DriftingWorkload};
-use flood_serve::{FloodServer, ServeConfig};
+use flood_serve::{AdaptiveConfig, FloodServer, ServeConfig};
 use flood_store::{CountVisitor, RangeQuery, Table};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};

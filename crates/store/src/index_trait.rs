@@ -15,8 +15,7 @@
 //! [`PartitionedScan::plan_scan`] are derived from `plan`, so §7.2 compares
 //! indexes, not scan loops. The one index that cannot plan is the UB-tree,
 //! whose z-address skipping interleaves navigation with row checks; it
-//! implements [`MultiDimIndex`] by hand, as do the two delta composites (a
-//! planned base plus a row buffer).
+//! implements [`MultiDimIndex`] by hand.
 
 use crate::cumulative::CumulativeColumn;
 use crate::plan::{RangePlan, RangeScan};

@@ -7,9 +7,9 @@
 //! cargo run --release --example streaming_inserts
 //! ```
 
-use flood::core::{AdaptiveConfig, CostModel, FloodConfig, LayoutOptimizer, OptimizerConfig};
+use flood::core::{CostModel, FloodConfig, LayoutOptimizer, OptimizerConfig};
 use flood::data::DatasetKind;
-use flood::serve::{AdaptOutcome, FloodServer, ServeConfig, TieredServer};
+use flood::serve::{AdaptOutcome, AdaptiveConfig, FloodServer, ServeConfig, TieredServer};
 use flood::store::{CountVisitor, MemBackend, RangeQuery, TierConfig};
 use std::sync::Arc;
 
