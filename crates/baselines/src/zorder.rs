@@ -83,11 +83,6 @@ impl ZOrderIndex {
     pub fn data(&self) -> &Table {
         &self.data
     }
-
-    /// Number of pages.
-    pub fn num_pages(&self) -> usize {
-        self.pages.len()
-    }
 }
 
 impl PlannedIndex for ZOrderIndex {

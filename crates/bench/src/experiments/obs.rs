@@ -21,7 +21,7 @@
 use crate::harness::Harness;
 use flood_core::FloodConfig;
 use flood_data::DatasetKind;
-use flood_serve::{AdaptiveConfig, FloodServer, ServeConfig};
+use flood_serve::{FloodServer, ServeConfig};
 use flood_store::{CountVisitor, RangeQuery};
 
 /// The documented budget (ARCHITECTURE.md, Observability): metrics on may
@@ -65,18 +65,11 @@ pub fn run_obs(h: &Harness) -> ObsSummary {
     let cfg = &h.cfg;
     let (ds, w) = h.dataset(DatasetKind::Sales);
     let n = ds.table.len();
+    // Only `execute` is driven, never `maybe_adapt`, so no layout swap can
+    // land in a trial whatever the adaptation settings.
     let serve_cfg = |metrics: bool| ServeConfig {
-        adaptive: AdaptiveConfig {
-            // A huge window/cadence: adaptation must never fire inside a
-            // measured trial, so both servers do identical work per query
-            // (execute + observe) and differ only in telemetry.
-            window: 120,
-            check_every: usize::MAX / 2,
-            degradation_factor: 1.25,
-        },
-        batch: 32,
-        threads: 0,
         metrics,
+        ..Default::default()
     };
     let build = |metrics: bool| {
         FloodServer::build(

@@ -38,12 +38,6 @@ impl Grid {
         self.num_cells
     }
 
-    /// Number of grid dimensions.
-    #[inline]
-    pub fn num_grid_dims(&self) -> usize {
-        self.cols.len()
-    }
-
     /// Column counts per grid dimension (ordering positions).
     #[inline]
     pub fn cols(&self) -> &[usize] {

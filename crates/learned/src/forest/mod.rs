@@ -81,16 +81,6 @@ impl RandomForest {
         self.trees.iter().map(|t| t.predict(x)).sum::<f64>() / self.trees.len() as f64
     }
 
-    /// Number of trees in the ensemble.
-    pub fn num_trees(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// Expected feature-vector width.
-    pub fn num_features(&self) -> usize {
-        self.n_features
-    }
-
     /// Mean absolute error over a labelled set (diagnostics / tests).
     pub fn mae(&self, xs: &[Vec<f64>], ys: &[f64]) -> f64 {
         if xs.is_empty() {

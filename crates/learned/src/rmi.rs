@@ -122,11 +122,6 @@ impl Rmi {
         self.n == 0
     }
 
-    /// Number of leaf models.
-    pub fn num_leaves(&self) -> usize {
-        self.leaves.len()
-    }
-
     /// Predicted position of `key` in the sorted key set, in `[0, n]`.
     /// Monotone in `key`.
     #[inline]

@@ -1,41 +1,31 @@
 //! # flood-obs
 //!
-//! Unified observability for the Flood workspace: a lock-free metrics
-//! registry and sampled structured tracing, dependency-free so every other
-//! crate can report through it.
+//! The Flood workspace's runtime telemetry: a lock-free metrics registry,
+//! dependency-free so every other crate can report through it.
 //!
 //! The paper's premise is that layout decisions should follow *measured*
 //! workload behavior; this crate is where those measurements live at
-//! runtime rather than only inside `repro` experiments:
+//! runtime rather than only inside `repro` experiments.
+//! [`Counter`]/[`Gauge`]/[`Histogram`] handles sit behind a [`Registry`]
+//! keyed by `(subsystem, name)`. Recording is relaxed atomics only; the
+//! registry mutex is touched at registration and snapshot time.
+//! [`Histogram`] is log2-bucketed with 32 linear sub-buckets per octave,
+//! bounding percentile error to ~3.1% ([`Histogram::RELATIVE_ERROR`]) in
+//! constant memory — the same type the bench harness derives its reported
+//! percentiles from. [`MetricsSnapshot`] renders Prometheus text and JSON
+//! expositions.
 //!
-//! * [`metrics`] — [`Counter`]/[`Gauge`]/[`Histogram`] handles behind a
-//!   [`Registry`] keyed by `(subsystem, name)`. Recording is relaxed
-//!   atomics only; the registry mutex is touched at registration and
-//!   snapshot time. [`Histogram`] is log2-bucketed with 32 linear
-//!   sub-buckets per octave, bounding percentile error to ~3.1%
-//!   ([`Histogram::RELATIVE_ERROR`]) in constant memory — the same type
-//!   the bench harness derives its reported percentiles from.
-//!   [`MetricsSnapshot`] renders Prometheus text and JSON expositions.
-//! * [`trace`] — thread-local span stacks over the query lifecycle
-//!   (admit → snapshot pin → partitioned scan → merge) and the adaptation
-//!   lifecycle (observe → degradation check → re-learn → epoch swap),
-//!   buffered in a fixed-size ring with JSONL export. The `FLOOD_TRACE`
-//!   env knob sets 1-in-N sampling; disabled, a [`trace::span`] call is
-//!   one atomic load and a branch.
-//!
-//! `flood-serve` exposes both through `FloodServer::metrics_snapshot()`;
-//! `repro --metrics PATH` dumps the process-global registry
-//! ([`metrics::global`]) for any experiment. The `repro obs` experiment
-//! holds the instrumented query path to a ≤5% p50 overhead budget
-//! (BASELINES.md).
+//! `flood-serve` exposes a server's registry through
+//! `FloodServer::metrics_snapshot()`; `repro --metrics PATH` dumps the
+//! process-global registry ([`metrics::global`]) for any experiment. The
+//! `repro obs` experiment holds the instrumented query path to a ≤5% p50
+//! overhead budget (BASELINES.md).
 
 pub mod metrics;
-pub mod trace;
 
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSummary, MetricKind, MetricValue, MetricsSnapshot, Registry,
 };
-pub use trace::{span, SpanEvent, SpanGuard};
 
 // Handles are shared across reader threads and the adaptation thread;
 // anything non-Send/Sync here must fail to compile, not race.

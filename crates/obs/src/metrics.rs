@@ -50,18 +50,6 @@ impl Gauge {
         self.value.store(v, Ordering::Relaxed);
     }
 
-    /// Add `n` (may be negative via [`Gauge::sub`]).
-    #[inline]
-    pub fn add(&self, n: i64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Subtract `n`.
-    #[inline]
-    pub fn sub(&self, n: i64) {
-        self.value.fetch_sub(n, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)

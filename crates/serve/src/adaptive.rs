@@ -223,7 +223,6 @@ impl Learner {
         // so the cross-epoch counter reports exactly what pricing pre-paid.
         eval.advance_epoch();
         let cross0 = eval.cross_epoch_hits();
-        let _span = flood_obs::span("relearn");
         let t0 = Instant::now();
         let learned = self.optimizer.optimize_in(eval);
         self.tally.relearn_wall += t0.elapsed();
@@ -311,19 +310,10 @@ impl FloodServer {
             return AdaptOutcome::Busy;
         };
         side.check_due.store(false, Ordering::Release);
-        let mut span = flood_obs::span("adapt");
         let snap = self.published.snapshot();
         let window = side.window();
         let index = snap.index();
-        let learned = learner.learn(index.data(), &window, Some(index.layout()));
-        if span.is_sampled() {
-            span.note(&format!(
-                "window={} adopted={}",
-                window.len(),
-                learned.is_some()
-            ));
-        }
-        match learned {
+        match learner.learn(index.data(), &window, Some(index.layout())) {
             Some(layout) => AdaptOutcome::Swapped(self.rebuild_and_publish(&snap, layout)),
             None => AdaptOutcome::Kept,
         }
@@ -347,7 +337,6 @@ impl FloodServer {
     /// the data multiset is the table, so the snapshot's fitted CDFs carry
     /// over) and swap it in.
     fn rebuild_and_publish(&self, snap: &IndexSnapshot, layout: Layout) -> u64 {
-        let _span = flood_obs::span("epoch_swap");
         let start = self.metrics.as_ref().map(|_| Instant::now());
         let index = snap.index().rebuild(layout);
         let epoch = self.published.publish(index);

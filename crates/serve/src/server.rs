@@ -197,26 +197,19 @@ impl<T: PlannedIndex, B: BuildSide> Server<T, B> {
         agg_dim: Option<usize>,
         visitor: &mut dyn Visitor,
     ) -> Result<(ScanStats, u64), <T::Source as BlockSource>::Error> {
-        let mut span = flood_obs::span("query");
         self.submitted.fetch_add(1, Ordering::Relaxed);
         let start = self.metrics.as_ref().map(|m| {
             m.queries.inc();
             Instant::now()
         });
-        let snap = {
-            let _pin = flood_obs::span("pin");
-            self.published.snapshot()
-        };
-        let (result, attempts) = {
-            let _scan = flood_obs::span("scan");
-            let index = snap.value();
-            let scan = RangeScan::of(index, index.plan(query), agg_dim);
-            // Retrying the whole query is sound only while a failed
-            // `try_run` has shown the visitor nothing: `TieredScan` plans
-            // one range, and a resident read cannot fail. A fallible plan of
-            // several ranges would need per-piece retries instead.
-            with_retries(|| scan.try_run(visitor))
-        };
+        let snap = self.published.snapshot();
+        let index = snap.value();
+        let scan = RangeScan::of(index, index.plan(query), agg_dim);
+        // Retrying the whole query is sound only while a failed `try_run`
+        // has shown the visitor nothing: `TieredScan` plans one range, and a
+        // resident read cannot fail. A fallible plan of several ranges would
+        // need per-piece retries instead.
+        let (result, attempts) = with_retries(|| scan.try_run(visitor));
         if attempts > 1 {
             self.retried
                 .fetch_add(attempts as u64 - 1, Ordering::Relaxed);
@@ -224,22 +217,12 @@ impl<T: PlannedIndex, B: BuildSide> Server<T, B> {
         let stats = result.inspect_err(|_| {
             self.degraded.fetch_add(1, Ordering::Relaxed);
         })?;
-        {
-            let _observe = flood_obs::span("observe");
-            self.build.observe(query);
-        }
+        self.build.observe(query);
         self.completed.fetch_add(1, Ordering::Relaxed);
         if let (Some(m), Some(t0)) = (&self.metrics, start) {
             m.completed.inc();
             m.query_ns.record(t0.elapsed().as_nanos() as u64);
             m.scan.record(&stats);
-        }
-        if span.is_sampled() {
-            span.note(&format!(
-                "epoch={} matched={}",
-                snap.epoch(),
-                stats.points_matched
-            ));
         }
         Ok((stats, snap.epoch()))
     }
@@ -333,28 +316,18 @@ impl FloodServer {
     where
         V: Visitor + Default + Send,
     {
-        let mut span = flood_obs::span("batch");
         self.submitted
             .fetch_add(queries.len() as u64, Ordering::Relaxed);
         let start = self.metrics.as_ref().map(|_| Instant::now());
-        let snap = {
-            let _pin = flood_obs::span("pin");
-            self.published.snapshot()
-        };
-        let results = {
-            let _scan = flood_obs::span("scan");
-            self.build.exec.execute_batch_observed::<V, _>(
-                snap.index(),
-                queries,
-                agg_dim,
-                self.metrics.as_ref().map(|m| &m.pool),
-            )
-        };
-        {
-            let _observe = flood_obs::span("observe");
-            for q in queries {
-                self.build.observe(q);
-            }
+        let snap = self.published.snapshot();
+        let results = self.build.exec.execute_batch_observed::<V, _>(
+            snap.index(),
+            queries,
+            agg_dim,
+            self.metrics.as_ref().map(|m| &m.pool),
+        );
+        for q in queries {
+            self.build.observe(q);
         }
         self.completed
             .fetch_add(queries.len() as u64, Ordering::Relaxed);
@@ -367,9 +340,6 @@ impl FloodServer {
             for (_, s) in &results {
                 m.scan.record(s);
             }
-        }
-        if span.is_sampled() {
-            span.note(&format!("epoch={} size={}", snap.epoch(), queries.len()));
         }
         ServedBatch {
             epoch: snap.epoch(),

@@ -140,16 +140,6 @@ impl MemBackend {
     pub fn blob_count(&self) -> usize {
         self.blobs.lock().expect("mem backend poisoned").len()
     }
-
-    /// Total stored bytes across all blobs.
-    pub fn stored_bytes(&self) -> usize {
-        self.blobs
-            .lock()
-            .expect("mem backend poisoned")
-            .values()
-            .map(|b| b.len())
-            .sum()
-    }
 }
 
 impl StorageBackend for MemBackend {
