@@ -10,7 +10,7 @@
 //! dataset); `--full` switches sweeps to the paper-sized grids;
 //! `--metrics PATH` dumps the process-global `flood-obs` registry as
 //! Prometheus text exposition after the run (every workload bridges its
-//! scan counters in; `obs` folds in its server's full telemetry);
+//! scan counters and its `bench` query count and latency in);
 //! `--verbose` streams per-phase progress to stderr. Absolute numbers
 //! differ from the paper's testbed; the reproduction target is the *shape*
 //! of each result. A per-phase wall-clock summary (data gen, calibration,
@@ -85,7 +85,7 @@ fn parse_config(args: &[String]) -> Result<(ExpConfig, bool, Option<String>), St
 /// Write the process-global metrics registry as Prometheus text
 /// exposition; a write failure is an error exit, not a panic.
 fn write_metrics(path: &str) -> Result<(), String> {
-    let text = flood_obs::metrics::global().prometheus_text();
+    let text = flood_obs::metrics::global().snapshot().prometheus_text();
     std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
     println!("metrics exposition written to {path}");
     Ok(())

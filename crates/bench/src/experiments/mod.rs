@@ -18,7 +18,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod lookup;
-pub mod obs;
 pub mod tab1;
 pub mod tab2;
 pub mod tab3;
@@ -61,11 +60,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("fig17", "Fig 17: per-cell CDF models", fig17::run),
     ("costmodel", "§4.1.2: cost-model accuracy", costmodel::run),
     ("lookup", "§6: cell identification latency", lookup::run),
-    (
-        "obs",
-        "flood-obs: instrumentation overhead on the query path",
-        obs::run,
-    ),
     (
         "correlate",
         "Tsunami/COAX ext: correlation-aware layouts — soft-FD collapse on/off",

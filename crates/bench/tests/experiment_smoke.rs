@@ -59,7 +59,7 @@ macro_rules! smoke {
 
 smoke!(
     tab1, colstore, fig5, fig7, fig8, fig9, fig10, tab2, fig11, fig12, fig13, fig14, tab3, tab4,
-    fig15, fig16, fig17, costmodel, lookup, obs, correlate,
+    fig15, fig16, fig17, costmodel, lookup, correlate,
 );
 
 #[test]

@@ -70,10 +70,11 @@ fn metrics_flag_writes_prometheus_exposition() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("metrics.prom");
     let path_s = path.to_str().expect("utf-8 path");
-    // `obs` folds its instrumented server's registry into the global one,
-    // so the exposition carries serve + scan series end to end.
+    // `lookup` drives its trees through `Harness::drive`, which bridges each
+    // workload's scan counters and its query count and latency into the
+    // process-global registry.
     let out = repro(&[
-        "obs",
+        "lookup",
         "--scale",
         "0.02",
         "--queries",
@@ -86,9 +87,9 @@ fn metrics_flag_writes_prometheus_exposition() {
     for needle in [
         "# TYPE flood_scan_points_scanned_total counter",
         "flood_scan_points_scanned_total ",
-        "flood_serve_queries_total ",
-        "# TYPE flood_serve_query_ns summary",
-        "flood_serve_query_ns{quantile=\"0.5\"}",
+        "flood_bench_queries_total ",
+        "# TYPE flood_bench_workload_ns summary",
+        "flood_bench_workload_ns{quantile=\"0.5\"}",
     ] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
     }

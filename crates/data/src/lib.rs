@@ -16,6 +16,5 @@ pub mod workloads;
 
 pub use datasets::{Dataset, DatasetKind};
 pub use workloads::{
-    DimFilter, DriftConfig, DriftMode, DriftPhase, DriftingWorkload, QueryTemplate, Workload,
-    WorkloadKind,
+    DimFilter, DriftConfig, DriftPhase, DriftingWorkload, QueryTemplate, Workload, WorkloadKind,
 };

@@ -16,11 +16,8 @@
 //!    slides across the data per phase, so even unchanged dimensions see a
 //!    different hot region.
 //!
-//! Two transition shapes: [`DriftMode::Abrupt`] switches the distribution
-//! at the phase boundary (a step function, the hardest case for a frozen
-//! layout), [`DriftMode::Gradual`] cross-fades — within phase `k`, the
-//! probability of drawing from phase `k+1`'s spec ramps linearly, so the
-//! boundary is smooth.
+//! The distribution switches abruptly at each phase boundary: a step
+//! function, the hardest case for a frozen layout.
 //!
 //! Everything is built from the existing template machinery
 //! ([`QueryTemplate`] + [`QueryBuilder`], with per-query selectivity
@@ -30,27 +27,6 @@ use super::{DimFilter, QueryBuilder, QueryTemplate};
 use flood_store::{RangeQuery, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-
-/// How the query distribution moves between phases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DriftMode {
-    /// Step change at each phase boundary.
-    Abrupt,
-    /// Linear cross-fade: late queries of phase `k` increasingly draw from
-    /// phase `k+1`'s spec.
-    Gradual,
-}
-
-impl DriftMode {
-    /// Short label for tables and CLI output.
-    pub fn label(self) -> &'static str {
-        match self {
-            DriftMode::Abrupt => "abrupt",
-            DriftMode::Gradual => "gradual",
-        }
-    }
-}
 
 /// Configuration for [`DriftingWorkload::generate`].
 #[derive(Debug, Clone, Copy)]
@@ -64,8 +40,6 @@ pub struct DriftConfig {
     /// Average total selectivity the phases cycle around (the paper's
     /// default is 0.001).
     pub target_selectivity: f64,
-    /// Transition shape.
-    pub mode: DriftMode,
     /// Seed for all randomness (templates, centers, calibration).
     pub seed: u64,
 }
@@ -77,7 +51,6 @@ impl Default for DriftConfig {
             queries_per_phase: 200,
             filters_per_query: 2,
             target_selectivity: 0.001,
-            mode: DriftMode::Abrupt,
             seed: 0xD21F7,
         }
     }
@@ -116,10 +89,8 @@ pub struct DriftPhase {
 /// phase 0's distribution (what a frozen index gets to learn on).
 #[derive(Debug, Clone)]
 pub struct DriftingWorkload {
-    /// Display name (`drift-abrupt-<seed>`).
+    /// Display name (`drift-<seed>`).
     pub name: String,
-    /// Transition shape the stream was generated with.
-    pub mode: DriftMode,
     /// Training queries from phase 0's distribution (separate draws from
     /// the phase-0 stream).
     pub train: Vec<RangeQuery>,
@@ -148,19 +119,8 @@ impl DriftingWorkload {
             .iter()
             .enumerate()
             .map(|(k, spec)| {
-                let next = specs.get(k + 1).unwrap_or(spec);
                 let queries = (0..cfg.queries_per_phase)
-                    .map(|i| {
-                        let from_next = match cfg.mode {
-                            DriftMode::Abrupt => false,
-                            DriftMode::Gradual => {
-                                let ramp = i as f64 / cfg.queries_per_phase.max(1) as f64;
-                                rng.gen_range(0.0..1.0) < ramp
-                            }
-                        };
-                        let s = if from_next { next } else { spec };
-                        draw(&mut qb, &mut rng, s)
-                    })
+                    .map(|_| draw(&mut qb, &mut rng, spec))
                     .collect();
                 DriftPhase {
                     name: format!("p{k}"),
@@ -172,8 +132,7 @@ impl DriftingWorkload {
             })
             .collect();
         DriftingWorkload {
-            name: format!("drift-{}-{}", cfg.mode.label(), cfg.seed),
-            mode: cfg.mode,
+            name: format!("drift-{}", cfg.seed),
             train,
             phases,
         }
@@ -325,35 +284,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn gradual_mixes_in_next_phase_late() {
-        let t = table();
-        let w = DriftingWorkload::generate(
-            &t,
-            &DriftConfig {
-                mode: DriftMode::Gradual,
-                queries_per_phase: 60,
-                ..cfg()
-            },
-        );
-        // Phase 0 (hot {0,1} / alt {1,2}) should contain some draws from
-        // phase 1's spec (hot {2,3} / alt {3,0}) — and they should
-        // concentrate in the late half of the phase.
-        let p0 = &w.phases[0];
-        let from_next = |q: &RangeQuery| {
-            let mut dims = q.filtered_dims();
-            dims.sort_unstable();
-            dims == vec![2, 3] || dims == vec![0, 3]
-        };
-        let early = p0.queries[..30].iter().filter(|q| from_next(q)).count();
-        let late = p0.queries[30..].iter().filter(|q| from_next(q)).count();
-        assert!(late > 0, "gradual mode must blend the next phase in");
-        assert!(
-            late >= early,
-            "the blend ramps: {early} early vs {late} late"
-        );
     }
 
     #[test]

@@ -13,7 +13,7 @@ pub mod drift;
 pub mod random;
 
 pub use builder::QueryBuilder;
-pub use drift::{DriftConfig, DriftMode, DriftPhase, DriftingWorkload};
+pub use drift::{DriftConfig, DriftPhase, DriftingWorkload};
 pub use random::random_workload;
 
 use crate::datasets::Dataset;

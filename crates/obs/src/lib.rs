@@ -12,14 +12,13 @@
 //! [`Histogram`] is log2-bucketed with 32 linear sub-buckets per octave,
 //! bounding percentile error to ~3.1% ([`Histogram::RELATIVE_ERROR`]) in
 //! constant memory — the same type the bench harness derives its reported
-//! percentiles from. [`MetricsSnapshot`] renders Prometheus text and JSON
-//! expositions.
+//! percentiles from. [`MetricsSnapshot`] renders the Prometheus text
+//! exposition.
 //!
-//! `flood-serve` exposes a server's registry through
-//! `FloodServer::metrics_snapshot()`; `repro --metrics PATH` dumps the
-//! process-global registry ([`metrics::global`]) for any experiment. The
-//! `repro obs` experiment holds the instrumented query path to a ≤5% p50
-//! overhead budget (BASELINES.md).
+//! Every `flood-serve` server counts its serving events in its own
+//! registry, always on, and exposes it through `Server::metrics_snapshot()`;
+//! `repro --metrics PATH` dumps the process-global registry
+//! ([`metrics::global`]) for any experiment.
 
 pub mod metrics;
 

@@ -1,9 +1,9 @@
 //! The lock-free metrics layer: counters, gauges, log2-bucketed latency
-//! histograms, and the [`Registry`] that names them and renders
-//! expositions.
+//! histograms, and the [`Registry`] that names them and snapshots them for
+//! the Prometheus exposition.
 //!
-//! Hot-path cost is the design constraint — metrics stay on by default in
-//! the serving layer, so every update is a handful of relaxed atomic
+//! Hot-path cost is the design constraint — metrics are always on in the
+//! serving layer, so every update is a handful of relaxed atomic
 //! read-modify-writes on handles the caller acquired once at registration
 //! time. The registry's mutex guards *registration and snapshotting only*;
 //! recording never takes a lock.
@@ -220,23 +220,6 @@ impl Histogram {
             p999: self.quantile(0.999),
         }
     }
-
-    /// Fold another histogram's contents into this one (bucket-wise add —
-    /// count and sum are conserved exactly).
-    pub fn merge_from(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(other.count(), Ordering::Relaxed);
-        self.sum.fetch_add(other.sum(), Ordering::Relaxed);
-        self.min
-            .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
 }
 
 /// What kind of metric a registry entry is.
@@ -366,44 +349,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// JSON exposition: one object per subsystem, metrics as members,
-    /// histograms as nested summary objects.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let mut first_sub = true;
-        for subsystem in self.subsystems() {
-            if !first_sub {
-                out.push(',');
-            }
-            first_sub = false;
-            out.push_str(&format!("{}:{{", json_str(subsystem)));
-            let mut first = true;
-            for (s, name, value) in &self.values {
-                if s != subsystem {
-                    continue;
-                }
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&json_str(name));
-                out.push(':');
-                match value {
-                    MetricValue::Counter(v) => out.push_str(&v.to_string()),
-                    MetricValue::Gauge(v) => out.push_str(&v.to_string()),
-                    MetricValue::Histogram(h) => out.push_str(&format!(
-                        "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\
-                         \"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{}}}",
-                        h.count, h.sum, h.min, h.max, h.p50, h.p90, h.p99, h.p999
-                    )),
-                }
-            }
-            out.push('}');
-        }
-        out.push('}');
-        out
-    }
 }
 
 /// Lowercase, `[a-z0-9_]` only — the Prometheus metric-name charset.
@@ -415,22 +360,6 @@ fn sanitize(s: &str) -> String {
             _ => '_',
         })
         .collect()
-}
-
-/// A JSON string literal (quotes, backslashes and control chars escaped).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Names metrics and hands out shared handles. Registration is idempotent:
@@ -503,36 +432,10 @@ impl Registry {
                 .collect(),
         }
     }
-
-    /// Prometheus text exposition of the current state.
-    pub fn prometheus_text(&self) -> String {
-        self.snapshot().prometheus_text()
-    }
-
-    /// JSON exposition of the current state.
-    pub fn to_json(&self) -> String {
-        self.snapshot().to_json()
-    }
-
-    /// Fold `other`'s metrics into this registry: counters and histograms
-    /// accumulate, gauges overwrite (latest wins). Metrics missing here are
-    /// registered. Used to publish a component-local registry (e.g. one
-    /// server's) into the process-global one at end of run.
-    pub fn absorb(&self, other: &Registry) {
-        let theirs = other.entries.lock().expect("metrics registry poisoned");
-        for ((s, n), e) in theirs.iter() {
-            match e {
-                Entry::Counter(c) => self.counter(s, n).add(c.get()),
-                Entry::Gauge(g) => self.gauge(s, n).set(g.get()),
-                Entry::Histogram(h) => self.histogram(s, n).merge_from(h),
-            }
-        }
-    }
 }
 
 /// The process-global registry — what `repro --metrics` exposes. Components
-/// either register into it directly or [`Registry::absorb`] their local
-/// registries into it at end of run.
+/// register into it directly.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
@@ -607,22 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_conserves_count_and_sum() {
-        let (a, b) = (Histogram::new(), Histogram::new());
-        for v in [1u64, 5, 100, 10_000] {
-            a.record(v);
-        }
-        for v in [2u64, 7, 1_000_000] {
-            b.record(v);
-        }
-        a.merge_from(&b);
-        assert_eq!(a.count(), 7);
-        assert_eq!(a.sum(), 1 + 5 + 100 + 10_000 + 2 + 7 + 1_000_000);
-        assert_eq!(a.summary().min, 1);
-        assert_eq!(a.summary().max, 1_000_000);
-    }
-
-    #[test]
     fn concurrent_recording_conserves_totals() {
         let h = Histogram::new();
         let c = Counter::default();
@@ -668,7 +555,7 @@ mod tests {
         let h = r.histogram("serve", "query_ns");
         h.record(1_000);
         h.record(2_000);
-        let text = r.prometheus_text();
+        let text = r.snapshot().prometheus_text();
         assert!(text.contains("# TYPE flood_serve_queries_total counter"));
         assert!(text.contains("flood_serve_queries_total 42"));
         assert!(text.contains("# TYPE flood_epoch_live_pinned gauge"));
@@ -676,39 +563,6 @@ mod tests {
         assert!(text.contains("flood_serve_query_ns{quantile=\"0.5\"}"));
         assert!(text.contains("flood_serve_query_ns_count 2"));
         assert!(text.contains("flood_serve_query_ns_sum 3000"));
-    }
-
-    #[test]
-    fn json_exposition_shape() {
-        let r = Registry::new();
-        r.counter("serve", "queries").add(7);
-        r.histogram("serve", "query_ns").record(100);
-        r.gauge("pool", "queue_depth").set(-1);
-        let json = r.to_json();
-        assert!(json.contains("\"serve\":{"), "{json}");
-        assert!(json.contains("\"queries\":7"), "{json}");
-        assert!(json.contains("\"queue_depth\":-1"), "{json}");
-        assert!(json.contains("\"count\":1"), "{json}");
-        // No raw control characters, balanced braces.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
-        );
-    }
-
-    #[test]
-    fn absorb_accumulates_counters_and_merges_histograms() {
-        let (global, local) = (Registry::new(), Registry::new());
-        global.counter("scan", "points").add(10);
-        local.counter("scan", "points").add(5);
-        local.gauge("epoch", "current").set(4);
-        local.histogram("serve", "query_ns").record(123);
-        global.absorb(&local);
-        let snap = global.snapshot();
-        assert_eq!(snap.counter("scan", "points"), Some(15));
-        assert_eq!(snap.gauge("epoch", "current"), Some(4));
-        assert_eq!(snap.histogram("serve", "query_ns").unwrap().count, 1);
     }
 
     #[test]

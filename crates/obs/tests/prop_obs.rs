@@ -1,11 +1,9 @@
 //! Property suite for the flood-obs histogram: percentile accuracy against
-//! the exact sorted-sample answer, and exact conservation of count/sum
-//! under arbitrary partition-and-merge schedules — the invariant the
-//! serving layer relies on when per-thread histograms fold into one.
+//! the exact sorted-sample answer.
 //!
 //! `FLOOD_PROPTEST_CASES` scales the case count (CI raises it on push).
 
-use flood_obs::{Histogram, Registry};
+use flood_obs::Histogram;
 use proptest::prelude::*;
 
 /// Case-count override from `FLOOD_PROPTEST_CASES` (unset/invalid → default).
@@ -73,63 +71,5 @@ proptest! {
         }
         prop_assert_eq!(h.summary().min, sorted[0]);
         prop_assert_eq!(h.summary().max, sorted[sorted.len() - 1]);
-    }
-
-    /// Partitioning a sample arbitrarily, recording each partition into its
-    /// own histogram, and merging is indistinguishable (count, sum,
-    /// extremes, every quantile) from recording serially into one.
-    #[test]
-    fn partition_merge_equals_serial(
-        seed in 0u64..1_000_000,
-        len in 1usize..2_000,
-        parts in 1usize..8,
-        scale_shift in 4u32..40,
-    ) {
-        let vals = sample(seed, len, scale_shift);
-        let serial = Histogram::new();
-        for &v in &vals {
-            serial.record(v);
-        }
-        let merged = Histogram::new();
-        for chunk in vals.chunks(vals.len().div_ceil(parts)) {
-            let part = Histogram::new();
-            for &v in chunk {
-                part.record(v);
-            }
-            merged.merge_from(&part);
-        }
-        prop_assert_eq!(merged.summary(), serial.summary());
-        for q in [0.1, 0.5, 0.95] {
-            prop_assert_eq!(merged.quantile(q), serial.quantile(q));
-        }
-    }
-
-    /// Absorbing per-partition registries into a fresh one conserves every
-    /// counter total and histogram count, regardless of how values were
-    /// split.
-    #[test]
-    fn registry_absorb_conserves_totals(
-        seed in 0u64..1_000_000,
-        len in 1usize..1_000,
-        parts in 1usize..6,
-    ) {
-        let vals = sample(seed, len, 10);
-        let global = Registry::new();
-        for chunk in vals.chunks(vals.len().div_ceil(parts)) {
-            let local = Registry::new();
-            let c = local.counter("scan", "rows");
-            let h = local.histogram("serve", "query_ns");
-            for &v in chunk {
-                c.inc();
-                h.record(v);
-            }
-            global.absorb(&local);
-        }
-        let snap = global.snapshot();
-        prop_assert_eq!(snap.counter("scan", "rows"), Some(vals.len() as u64));
-        prop_assert_eq!(
-            snap.histogram("serve", "query_ns").map(|h| (h.count, h.sum)),
-            Some((vals.len() as u64, vals.iter().sum::<u64>()))
-        );
     }
 }

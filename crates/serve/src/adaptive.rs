@@ -97,7 +97,6 @@ pub struct AdaptiveSide {
     cap: usize,
     check_every: usize,
     since_check: AtomicUsize,
-    observed: AtomicU64,
     /// Set by the recorder that crosses the check cadence, consumed by
     /// the adaptation turn that wins the learner lock.
     check_due: AtomicBool,
@@ -125,7 +124,6 @@ impl AdaptiveSide {
             w.push_back(query.clone());
             w.len()
         };
-        self.observed.fetch_add(1, Ordering::Relaxed);
         let n = self.since_check.fetch_add(1, Ordering::AcqRel) + 1;
         n >= self.check_every
             && len >= self.cap / 2
@@ -151,7 +149,6 @@ impl BuildSide for AdaptiveSide {
     }
 
     fn report(&self, d: &mut ServeDiagnostics) {
-        d.observed = self.observed.load(Ordering::Relaxed);
         d.adapt_skipped = self.adapt_skipped.load(Ordering::Relaxed);
         d.adaptive = self.learner.lock().expect("learner poisoned").diagnostics();
     }
@@ -288,12 +285,11 @@ impl FloodServer {
             cap: cfg.adaptive.window,
             check_every: cfg.adaptive.check_every,
             since_check: AtomicUsize::new(0),
-            observed: AtomicU64::new(0),
             check_due: AtomicBool::new(false),
             learner: Mutex::new(learner),
             adapt_skipped: AtomicU64::new(0),
         };
-        Server::new(index, build, cfg.metrics)
+        Server::new(index, build)
     }
 
     /// The adaptation turn, callable from any maintenance thread. When a
@@ -337,12 +333,12 @@ impl FloodServer {
     /// the data multiset is the table, so the snapshot's fitted CDFs carry
     /// over) and swap it in.
     fn rebuild_and_publish(&self, snap: &IndexSnapshot, layout: Layout) -> u64 {
-        let start = self.metrics.as_ref().map(|_| Instant::now());
+        let t0 = Instant::now();
         let index = snap.index().rebuild(layout);
         let epoch = self.published.publish(index);
-        if let (Some(m), Some(t0)) = (&self.metrics, start) {
-            m.swap_wall_ns.record(t0.elapsed().as_nanos() as u64);
-        }
+        self.metrics
+            .swap_wall_ns
+            .record(t0.elapsed().as_nanos() as u64);
         epoch
     }
 }
@@ -364,8 +360,12 @@ mod tests {
         let w = workload_on(0, 100);
         let dues: usize = w.iter().map(|q| s.build.record(q) as usize).sum();
         assert_eq!(s.build.window(), w[99..].to_vec());
-        assert_eq!(s.diagnostics().observed, 100);
         assert_eq!(dues, 10, "the cadence still fires every 10 records");
+        assert_eq!(
+            s.build.since_check.load(Ordering::Relaxed),
+            0,
+            "the 100th record claimed the last crossing"
+        );
     }
 
     /// One recorder per cadence crossing is told a check is due, even with
@@ -427,12 +427,14 @@ mod tests {
                 });
             }
         });
-        assert_eq!(s.diagnostics().observed, (threads * queries.len()) as u64);
         assert_eq!(
             s.build.window().len(),
             64,
             "window retains the most recent cap"
         );
+        // 100 records at cadence 100: the crossing reset the counter, so
+        // none was lost or counted twice.
+        assert_eq!(s.build.since_check.load(Ordering::Relaxed), 0);
         // The 100th record crossed the cadence, exactly once.
         assert_ne!(s.maybe_adapt(), AdaptOutcome::NotDue);
         assert_eq!(s.maybe_adapt(), AdaptOutcome::NotDue);

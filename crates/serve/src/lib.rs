@@ -39,7 +39,7 @@ pub mod tiered;
 
 pub use adaptive::{AdaptOutcome, AdaptiveConfig, AdaptiveDiagnostics};
 pub use epoch::{Epoch, EpochIndex, IndexSnapshot, Published, PublishedIndex};
-pub use server::{FloodServer, ServeConfig, ServeDiagnostics, ServedBatch, Server, ServerMetrics};
+pub use server::{FloodServer, ServeConfig, ServeDiagnostics, ServedBatch, Server};
 pub use tiered::{TieredServeDiagnostics, TieredServer, TieredSnapshot};
 
 // The whole design rests on these types being shareable across reader

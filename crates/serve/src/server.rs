@@ -3,8 +3,9 @@
 //! side `B`, which readers never lock, prepares the next one.
 //!
 //! [`Server::try_execute`] is the one read path: pin, plan, scan under
-//! [`with_retries`], and count `submitted` / `completed` / `retried` /
-//! `degraded` and the [`ServerMetrics`] in one place. What only one `T`
+//! [`with_retries`], and count each serving event once, in the server's
+//! metrics registry — [`Server::diagnostics`] reads its ledger from the same
+//! counters [`Server::metrics_snapshot`] exposes. What only one `T`
 //! can do stays on its alias: batched admission on the `flood-exec` pool
 //! and the §8 adaptation turn ([`crate::adaptive`]) on [`FloodServer`] (a
 //! resident read cannot fail, so its `execute` is infallible), insert /
@@ -19,7 +20,6 @@ use flood_store::tier::with_retries;
 use flood_store::{
     BlockSource, PlannedIndex, RangeQuery, RangeScan, ScanStats, ScanStatsMetrics, Visitor,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -35,12 +35,6 @@ pub struct ServeConfig {
     /// Worker threads for batched execution. 0 sizes from the environment
     /// (`FLOOD_THREADS`, else available parallelism).
     pub threads: usize,
-    /// Keep the metrics registry live (the default). The instrumented
-    /// query path costs a clock read and a handful of relaxed atomics per
-    /// query — `repro obs` holds it to a ≤5% p50 budget. `false` serves
-    /// with no telemetry at all, the baseline that budget is measured
-    /// against.
-    pub metrics: bool,
 }
 
 impl Default for ServeConfig {
@@ -49,7 +43,6 @@ impl Default for ServeConfig {
             adaptive: AdaptiveConfig::default(),
             batch: 64,
             threads: 0,
-            metrics: true,
         }
     }
 }
@@ -75,17 +68,18 @@ pub struct ServeDiagnostics {
     pub retired_epochs: usize,
     /// Swapped-out epochs still pinned by in-flight snapshots.
     pub live_retired: usize,
-    /// Requests admitted.
+    /// Requests admitted (`serve.queries`).
     pub submitted: u64,
-    /// Requests answered completely (`submitted == completed + degraded`
-    /// once the server is idle: the serving path never drops a request).
+    /// Requests answered completely (`serve.completed`;
+    /// `submitted == completed + degraded` once the server is idle: the
+    /// serving path never drops a request).
     pub completed: u64,
-    /// Attempts that hit a storage fault and were retried in place.
+    /// Attempts that hit a storage fault and were retried in place
+    /// (`serve.retried`).
     pub retried: u64,
-    /// Requests that exhausted the retry budget and surfaced a typed error.
+    /// Requests that exhausted the retry budget and surfaced a typed error
+    /// (`serve.degraded`).
     pub degraded: u64,
-    /// Queries recorded in the observation window (resident).
-    pub observed: u64,
     /// `maybe_adapt` calls that found the learner busy (resident).
     pub adapt_skipped: u64,
     /// The learner's counters: checks, relearns, cache work (resident).
@@ -95,10 +89,12 @@ pub struct ServeDiagnostics {
 }
 
 /// The server's registered metric handles, one `flood-obs` [`Registry`]
-/// per server, grouped by subsystem:
+/// per server and the only place a serving event is counted, grouped by
+/// subsystem:
 ///
-/// * `serve` — `queries` (admitted) / `completed` / `batches` counters,
-///   `query_ns` (closed-loop latency), `batch_ns`, `batch_size` histograms;
+/// * `serve` — `queries` (admitted) / `completed` / `retried` / `degraded`
+///   / `batches` counters, `query_ns` (closed-loop latency), `batch_ns`,
+///   `batch_size` histograms;
 /// * `scan` — every [`ScanStats`] counter, accumulated per answered query;
 /// * `pool` — executor telemetry (tasks, runs, busy time, injector depth);
 /// * `adapt` — the `swap_wall_ns` histogram, plus the build side's
@@ -106,10 +102,12 @@ pub struct ServeDiagnostics {
 /// * `epoch` — publication gauges (current epoch, retirements, pinned
 ///   readers) refreshed at snapshot time.
 #[derive(Debug)]
-pub struct ServerMetrics {
+pub(crate) struct ServerMetrics {
     registry: Registry,
     queries: Arc<Counter>,
     completed: Arc<Counter>,
+    retried: Arc<Counter>,
+    degraded: Arc<Counter>,
     batches: Arc<Counter>,
     query_ns: Arc<Histogram>,
     batch_ns: Arc<Histogram>,
@@ -125,6 +123,8 @@ impl ServerMetrics {
         ServerMetrics {
             queries: registry.counter("serve", "queries"),
             completed: registry.counter("serve", "completed"),
+            retried: registry.counter("serve", "retried"),
+            degraded: registry.counter("serve", "degraded"),
             batches: registry.counter("serve", "batches"),
             query_ns: registry.histogram("serve", "query_ns"),
             batch_ns: registry.histogram("serve", "batch_ns"),
@@ -134,12 +134,6 @@ impl ServerMetrics {
             swap_wall_ns: registry.histogram("adapt", "swap_wall_ns"),
             registry,
         }
-    }
-
-    /// The registry itself — e.g. to [`Registry::absorb`] this server's
-    /// metrics into the process-global registry at end of run.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 }
 
@@ -163,26 +157,16 @@ pub trait BuildSide {
 pub struct Server<T, B> {
     pub(crate) published: Published<T>,
     pub(crate) build: B,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    retried: AtomicU64,
-    degraded: AtomicU64,
-    /// `None` when [`ServeConfig::metrics`] was off: the query path then
-    /// takes no clock reads and touches no metric atomics at all.
-    pub(crate) metrics: Option<ServerMetrics>,
+    pub(crate) metrics: ServerMetrics,
 }
 
 impl<T: PlannedIndex, B: BuildSide> Server<T, B> {
     /// Publish `value` as epoch 0 next to its build side.
-    pub(crate) fn new(value: T, build: B, metrics: bool) -> Self {
+    pub(crate) fn new(value: T, build: B) -> Self {
         Server {
             published: Published::new(value),
             build,
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            retried: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            metrics: metrics.then(ServerMetrics::new),
+            metrics: ServerMetrics::new(),
         }
     }
 
@@ -197,11 +181,9 @@ impl<T: PlannedIndex, B: BuildSide> Server<T, B> {
         agg_dim: Option<usize>,
         visitor: &mut dyn Visitor,
     ) -> Result<(ScanStats, u64), <T::Source as BlockSource>::Error> {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        let start = self.metrics.as_ref().map(|m| {
-            m.queries.inc();
-            Instant::now()
-        });
+        let m = &self.metrics;
+        m.queries.inc();
+        let t0 = Instant::now();
         let snap = self.published.snapshot();
         let index = snap.value();
         let scan = RangeScan::of(index, index.plan(query), agg_dim);
@@ -211,19 +193,13 @@ impl<T: PlannedIndex, B: BuildSide> Server<T, B> {
         // need per-piece retries instead.
         let (result, attempts) = with_retries(|| scan.try_run(visitor));
         if attempts > 1 {
-            self.retried
-                .fetch_add(attempts as u64 - 1, Ordering::Relaxed);
+            m.retried.add(attempts as u64 - 1);
         }
-        let stats = result.inspect_err(|_| {
-            self.degraded.fetch_add(1, Ordering::Relaxed);
-        })?;
+        let stats = result.inspect_err(|_| m.degraded.inc())?;
         self.build.observe(query);
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        if let (Some(m), Some(t0)) = (&self.metrics, start) {
-            m.completed.inc();
-            m.query_ns.record(t0.elapsed().as_nanos() as u64);
-            m.scan.record(&stats);
-        }
+        m.completed.inc();
+        m.query_ns.record(t0.elapsed().as_nanos() as u64);
+        m.scan.record(&stats);
         Ok((stats, snap.epoch()))
     }
 
@@ -245,8 +221,8 @@ impl<T: PlannedIndex, B: BuildSide> Server<T, B> {
 
     /// Refresh the point-in-time gauges the hot path doesn't maintain:
     /// epoch accounting, then the build side's own.
-    fn refresh_gauges(&self, m: &ServerMetrics) {
-        let reg = &m.registry;
+    fn refresh_gauges(&self) {
+        let reg = &self.metrics.registry;
         let g = |name: &str, v: i64| reg.gauge("epoch", name).set(v);
         g("current", self.published.epoch() as i64);
         g("swaps", self.published.swaps() as i64);
@@ -256,34 +232,26 @@ impl<T: PlannedIndex, B: BuildSide> Server<T, B> {
         self.build.export(reg);
     }
 
-    /// A point-in-time copy of every server metric. `None` when
-    /// [`ServeConfig::metrics`] was off.
+    /// A point-in-time copy of every server metric. Always `Some`: the
+    /// registry is always live.
     pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        let m = self.metrics.as_ref()?;
-        self.refresh_gauges(m);
-        Some(m.registry.snapshot())
+        self.refresh_gauges();
+        Some(self.metrics.registry.snapshot())
     }
 
-    /// The live metric handles (e.g. to absorb this server's registry into
-    /// the process-global one). Gauges are refreshed first, as in
-    /// [`Server::metrics_snapshot`]. `None` when metrics are off.
-    pub fn metrics(&self) -> Option<&ServerMetrics> {
-        let m = self.metrics.as_ref()?;
-        self.refresh_gauges(m);
-        Some(m)
-    }
-
-    /// Serving-layer counters plus the build side's.
+    /// Serving-layer counters plus the build side's. The request ledger is
+    /// read off the registry's `serve.*` counters.
     pub fn diagnostics(&self) -> ServeDiagnostics {
+        let m = &self.metrics;
         let mut d = ServeDiagnostics {
             epoch: self.published.epoch(),
             swaps: self.published.swaps(),
             retired_epochs: self.published.retired_epochs(),
             live_retired: self.published.live_retired(),
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            retried: self.retried.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
+            submitted: m.queries.get(),
+            completed: m.completed.get(),
+            retried: m.retried.get(),
+            degraded: m.degraded.get(),
             ..Default::default()
         };
         self.build.report(&mut d);
@@ -316,30 +284,26 @@ impl FloodServer {
     where
         V: Visitor + Default + Send,
     {
-        self.submitted
-            .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        let start = self.metrics.as_ref().map(|_| Instant::now());
+        let m = &self.metrics;
+        let n = queries.len() as u64;
+        m.queries.add(n);
+        let t0 = Instant::now();
         let snap = self.published.snapshot();
         let results = self.build.exec.execute_batch_observed::<V, _>(
             snap.index(),
             queries,
             agg_dim,
-            self.metrics.as_ref().map(|m| &m.pool),
+            Some(&m.pool),
         );
         for q in queries {
             self.build.observe(q);
         }
-        self.completed
-            .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        if let (Some(m), Some(t0)) = (&self.metrics, start) {
-            m.batches.inc();
-            m.batch_ns.record(t0.elapsed().as_nanos() as u64);
-            m.batch_size.record(queries.len() as u64);
-            m.queries.add(queries.len() as u64);
-            m.completed.add(queries.len() as u64);
-            for (_, s) in &results {
-                m.scan.record(s);
-            }
+        m.completed.add(n);
+        m.batches.inc();
+        m.batch_ns.record(t0.elapsed().as_nanos() as u64);
+        m.batch_size.record(n);
+        for (_, s) in &results {
+            m.scan.record(s);
         }
         ServedBatch {
             epoch: snap.epoch(),
@@ -418,7 +382,6 @@ pub(crate) mod tests {
                 adaptive,
                 batch: 16,
                 threads: 1,
-                ..Default::default()
             },
         );
         (t, s)
@@ -437,7 +400,6 @@ pub(crate) mod tests {
         let d = s.diagnostics();
         assert_eq!(d.submitted, 20);
         assert_eq!(d.completed, 20);
-        assert_eq!(d.observed, 20);
         assert_eq!((d.retried, d.degraded), (0, 0));
     }
 
@@ -538,6 +500,21 @@ pub(crate) mod tests {
         assert_eq!(s.diagnostics().adaptive.relearns, 2);
     }
 
+    /// Each request-ledger field of [`ServeDiagnostics`] equals its
+    /// `serve.*` registry counter: one count per serving event.
+    pub(crate) fn assert_ledger_is_the_registry<T: PlannedIndex, B: BuildSide>(
+        s: &Server<T, B>,
+    ) -> ServeDiagnostics {
+        let d = s.diagnostics();
+        let snap = s.metrics_snapshot().expect("metrics are always on");
+        let c = |name: &str| snap.counter("serve", name);
+        assert_eq!(c("queries"), Some(d.submitted));
+        assert_eq!(c("completed"), Some(d.completed));
+        assert_eq!(c("retried"), Some(d.retried));
+        assert_eq!(c("degraded"), Some(d.degraded));
+        d
+    }
+
     #[test]
     fn metrics_snapshot_covers_every_subsystem() {
         let (_, s) = server(AdaptiveConfig::default());
@@ -546,9 +523,14 @@ pub(crate) mod tests {
             let mut v = CountVisitor::default();
             s.execute(q, None, &mut v);
         }
+        let d = assert_ledger_is_the_registry(&s);
+        assert_eq!((d.submitted, d.completed), (5, 5), "single admission");
         s.serve_stream::<CountVisitor>(&workload_on(0, 20), None);
+        let d = assert_ledger_is_the_registry(&s);
+        assert_eq!((d.submitted, d.completed), (25, 25), "batched admission");
+        assert_eq!((d.retried, d.degraded), (0, 0));
         s.force_relearn(&workload_on(1, 24));
-        let snap = s.metrics_snapshot().expect("metrics on by default");
+        let snap = s.metrics_snapshot().expect("metrics are always on");
         assert_eq!(
             snap.subsystems(),
             vec!["adapt", "epoch", "pool", "scan", "serve"]
@@ -574,34 +556,9 @@ pub(crate) mod tests {
         assert_eq!(snap.gauge("epoch", "current"), Some(1));
         assert_eq!(snap.gauge("epoch", "swaps"), Some(1));
         assert_eq!(snap.gauge("epoch", "pinned_readers"), Some(0));
-        // Both expositions render the same counters.
+        // The exposition renders the same counters.
         let prom = snap.prometheus_text();
         assert!(prom.contains("flood_serve_queries_total 25"), "{prom}");
         assert!(prom.contains("flood_epoch_current 1"), "{prom}");
-        let json = snap.to_json();
-        assert!(json.contains("\"queries\":25"), "{json}");
-    }
-
-    #[test]
-    fn metrics_off_serves_without_telemetry() {
-        let t = table();
-        let s = FloodServer::build(
-            &t,
-            &workload_on(0, 30),
-            optimizer(),
-            FloodConfig::default(),
-            ServeConfig {
-                metrics: false,
-                batch: 16,
-                threads: 1,
-                ..Default::default()
-            },
-        );
-        let mut v = CountVisitor::default();
-        s.execute(&workload_on(1, 1)[0], None, &mut v);
-        assert!(s.metrics_snapshot().is_none());
-        assert!(s.metrics().is_none());
-        // The plain diagnostics still work with metrics off.
-        assert_eq!(s.diagnostics().submitted, 1);
     }
 }

@@ -51,7 +51,7 @@ impl TieredServer {
     ) -> Result<Self, StorageError> {
         let base = TieredTable::seal(table, backend, cfg)?;
         let scan = TieredScan::new(base.clone());
-        Ok(Server::new(scan, Mutex::new(TieredDelta::new(base)), true))
+        Ok(Server::new(scan, Mutex::new(TieredDelta::new(base))))
     }
 
     /// The read path, [`Server::try_execute`]: `Err` is the typed error of
@@ -107,6 +107,7 @@ impl TieredServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::tests::assert_ledger_is_the_registry;
     use flood_store::tier::SCAN_RETRIES;
     use flood_store::{CountVisitor, FailingBackend, MemBackend, SumVisitor};
 
@@ -202,8 +203,9 @@ mod tests {
         let (stats, _) = s.execute(&q, None, &mut v).unwrap();
         assert_eq!(v.count, 701, "retry must not duplicate or lose rows");
         assert_eq!(stats.points_matched, 701);
-        assert_eq!(s.diagnostics().retried, 1);
-        assert_eq!(s.diagnostics().degraded, 0);
+        let d = assert_ledger_is_the_registry(&s);
+        assert_eq!((d.submitted, d.completed), (1, 1));
+        assert_eq!((d.retried, d.degraded), (1, 0));
 
         // Faults on every attempt: the query degrades with a typed error
         // and the visitor saw nothing.
@@ -214,11 +216,12 @@ mod tests {
         let err = s.execute(&q, Some(1), &mut v).unwrap_err();
         assert!(matches!(err, StorageError::Io { .. }), "{err}");
         assert_eq!((v.sum, v.count), (0, 0), "degraded query leaked results");
-        let d = s.diagnostics();
-        assert_eq!(d.degraded, 1);
+        let d = assert_ledger_is_the_registry(&s);
+        assert_eq!((d.submitted, d.completed), (2, 1));
+        assert_eq!((d.retried, d.degraded), (1 + SCAN_RETRIES as u64, 1));
         assert_eq!(d.submitted, d.completed + d.degraded);
-        let m = s.metrics_snapshot().expect("metrics on");
-        assert_eq!(m.counter("serve", "completed"), Some(d.completed));
+        let m = s.metrics_snapshot().expect("metrics are always on");
+        assert_eq!(m.histogram("serve", "query_ns").unwrap().count, 1);
 
         // Injections exhausted: service is whole again.
         let mut v = CountVisitor::default();
@@ -236,7 +239,7 @@ mod tests {
         let q = RangeQuery::all(2).with_range(0, 1, 500);
         let mut v = SumVisitor::default();
         s.execute(&q, Some(1), &mut v).unwrap();
-        let snap = s.metrics_snapshot().expect("metrics on");
+        let snap = s.metrics_snapshot().expect("metrics are always on");
         assert_eq!(snap.gauge("epoch", "current"), Some(1));
         assert_eq!(snap.gauge("epoch", "swaps"), Some(1));
         let reg = flood_obs::Registry::new();

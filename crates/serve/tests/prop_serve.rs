@@ -275,9 +275,8 @@ proptest! {
         prop_assert_eq!(d.swaps, swaps_published);
     }
 
-    /// Generator 4: metric conservation through the serving layer. With
-    /// metrics on (the default), the registry's counters are exactly the
-    /// sums of what every caller saw — no query double-counted, none
+    /// Generator 4: metric conservation through the serving layer. The
+    /// registry's counters are exactly the sums of what every caller saw — no query double-counted, none
     /// dropped — across arbitrary mixes of single and batched admission
     /// and thread counts, and the latency/batch histograms count one
     /// observation per request/batch.
@@ -331,7 +330,7 @@ proptest! {
         }
         let total = singles as u64 + batched;
 
-        let snap = server.metrics_snapshot().expect("metrics on by default");
+        let snap = server.metrics_snapshot().expect("metrics are always on");
         prop_assert_eq!(snap.counter("serve", "queries"), Some(total));
         prop_assert_eq!(snap.counter("serve", "completed"), Some(total));
         prop_assert_eq!(snap.counter("serve", "batches"), Some(batches));

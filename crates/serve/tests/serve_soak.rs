@@ -15,7 +15,7 @@
 //!   swap/retirement accounting), not a schedule.
 
 use flood_core::{CostModel, FloodConfig, LayoutOptimizer, OptimizerConfig};
-use flood_data::workloads::drift::{DriftConfig, DriftMode, DriftingWorkload};
+use flood_data::workloads::drift::{DriftConfig, DriftingWorkload};
 use flood_serve::{AdaptiveConfig, FloodServer, ServeConfig};
 use flood_store::{CountVisitor, RangeQuery, Table};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -51,7 +51,6 @@ fn drift(table: &Table, phases: usize, queries_per_phase: usize) -> DriftingWork
             queries_per_phase,
             filters_per_query: 2,
             target_selectivity: 0.005,
-            mode: DriftMode::Abrupt,
             seed: 42,
         },
     )
@@ -84,7 +83,6 @@ fn scheduled_swaps_match_known_diagnostics() {
             },
             batch: 16,
             threads: 2,
-            metrics: true,
         },
     );
 
@@ -121,7 +119,6 @@ fn scheduled_swaps_match_known_diagnostics() {
     assert_eq!(diag.swaps, 3);
     assert_eq!(diag.submitted, total as u64);
     assert_eq!(diag.completed, total as u64, "zero dropped requests");
-    assert_eq!(diag.observed, total as u64);
     assert_eq!(diag.adaptive.relearns, 3, "exactly the forced schedule");
     // No snapshots are held here, so every swapped-out epoch is freed.
     assert_eq!(diag.retired_epochs, 3);
@@ -154,7 +151,6 @@ fn open_loop_soak_with_background_adaptation() {
             },
             batch: 16,
             threads: 1, // readers are the threads here; batches stay inline
-            metrics: true,
         },
     );
     // Pin the initial epoch for the whole run: retirement accounting must
@@ -215,7 +211,6 @@ fn open_loop_soak_with_background_adaptation() {
     let diag = server.diagnostics();
     assert_eq!(diag.submitted, total as u64);
     assert_eq!(diag.completed, total as u64, "zero dropped requests");
-    assert_eq!(diag.observed, total as u64);
     assert_eq!(diag.epoch, diag.swaps, "epoch counts published swaps");
     assert_eq!(
         diag.retired_epochs + diag.live_retired,
