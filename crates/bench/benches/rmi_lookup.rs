@@ -2,7 +2,6 @@
 //! flattening hot path (§5.1) and the clustered baseline's endpoint search.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use flood_learned::cdf::CdfModel;
 use flood_learned::rmi::{Rmi, RmiConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -824,8 +824,9 @@ mod tests {
         let grid = Grid::new(&layout);
         // Reorder the way FloodIndex::build does (uniform flattening is
         // fine for the invariant).
-        let flattener = crate::flatten::Flattener::build(
+        let flattener = crate::flatten::Flattener::fit(
             &t,
+            None,
             layout.grid_dims(),
             crate::flatten::Flattening::Uniform,
         );

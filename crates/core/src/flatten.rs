@@ -7,8 +7,13 @@
 //! models each attribute with an RMI; the uniform (non-flattened) variant —
 //! equally spaced columns between the dimension's min and max, §3.1 — is kept
 //! for the Fig 11 ablation.
+//!
+//! One [`Flattener`] per table, fitted once by [`Flattener::fit`]: the data
+//! sample fits it on its rows and the search prices layouts through it; a
+//! server's index and every rebuild cut their grid with that same `Arc`. A
+//! standalone [`FloodIndex::build`](crate::FloodIndex::build) fits its split
+//! dimensions over all rows.
 
-use flood_learned::cdf::CdfModel;
 use flood_learned::rmi::{Rmi, RmiConfig};
 use flood_store::Table;
 use serde::{Deserialize, Serialize};
@@ -101,47 +106,34 @@ impl DimCdf {
 /// What a [`DimCdf::Uniform`] — or a dimension's empty slot — is counted as.
 const UNIFORM_BYTES: usize = 16;
 
-/// The per-dimension CDF models of one index: one slot per table
-/// dimension, filled only for the dimensions its layout grids on **with
-/// more than one column**. Those are the only ones ever read — a
-/// one-column dimension's bucket is 0 under any model, a dimension outside
-/// the grid has no bucket at all — so nothing is sorted, fitted or even
-/// min/max-scanned for the rest.
+/// The per-dimension CDF models of one table, one slot per dimension. A
+/// grid reads only the dimensions it splits into **more than one column**:
+/// a one-column dimension's bucket is 0 under any model, a dimension
+/// outside the grid has no bucket at all.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Flattener {
     dims: Vec<Option<DimCdf>>,
 }
 
 impl Flattener {
-    /// Fit CDF models for the listed `dims` of `table`; every other
-    /// dimension's slot stays empty.
-    pub fn build(table: &Table, dims: &[usize], mode: Flattening) -> Self {
-        Self::build_reusing(table, dims, mode, None)
-    }
-
-    /// [`Flattener::build`], taking from `fitted` the models it already
-    /// holds. A model is a pure function of the column's sorted values and
-    /// the mode, so this is only for a `fitted` built in the same mode over
-    /// the same multiset of rows (a re-layout of an index's own data);
-    /// each hit saves a full-column sort and fit.
-    pub(crate) fn build_reusing(
-        table: &Table,
-        dims: &[usize],
-        mode: Flattening,
-        fitted: Option<&Flattener>,
-    ) -> Self {
+    /// Fit `mode` CDF models for the listed `dims` over `rows` of `table` —
+    /// every row when `rows` is `None`; every other dimension's slot stays
+    /// empty. A learned model is an RMI over the sorted values, a uniform
+    /// one spans their `[min, max]`.
+    pub fn fit(table: &Table, rows: Option<&[usize]>, dims: &[usize], mode: Flattening) -> Self {
         let fit = |d: usize| {
-            if let Some(model) = fitted.and_then(|f| f.dims[d].as_ref()) {
-                return model.clone();
-            }
+            let mut vals: Vec<u64> = match rows {
+                Some(rows) => rows.iter().map(|&r| table.value(r, d)).collect(),
+                None => table.column(d).to_vec(),
+            };
             match mode {
                 Flattening::Learned => {
-                    let mut vals = table.column(d).to_vec();
                     vals.sort_unstable();
                     DimCdf::Learned(Rmi::build(&vals, RmiConfig::default()))
                 }
                 Flattening::Uniform => {
-                    let (min, max) = table.dim_bounds(d);
+                    let min = vals.iter().min().copied().unwrap_or(0);
+                    let max = vals.iter().max().copied().unwrap_or(0);
                     DimCdf::Uniform {
                         min,
                         range: (max - min).saturating_add(1),
@@ -164,28 +156,27 @@ impl Flattener {
     /// Column of `v` in dimension `d` under `n` columns.
     ///
     /// # Panics
-    /// Panics when `n > 1` and dimension `d` has no model.
+    /// Panics when `n > 1` and dimension `d` has no model. One column
+    /// evaluates no model.
     #[inline]
     pub fn bucket(&self, d: usize, v: u64, n: usize) -> usize {
+        if n == 1 {
+            return 0;
+        }
         match &self.dims[d] {
             Some(model) => model.bucket(v, n),
-            None => {
-                assert_eq!(n, 1, "dimension {d} has no CDF to split {n} columns with");
-                0
-            }
+            None => panic!("dimension {d} has no CDF to split {n} columns with"),
         }
     }
 
-    /// Number of dimensions covered.
-    pub fn num_dims(&self) -> usize {
-        self.dims.len()
-    }
-
-    /// Approximate heap size in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.dims
-            .iter()
-            .map(|m| m.as_ref().map_or(UNIFORM_BYTES, DimCdf::size_bytes))
+    /// Approximate heap size in bytes of the models of `dims`, every other
+    /// slot counted as empty — what a grid splitting `dims` reads.
+    pub(crate) fn size_bytes(&self, dims: &[usize]) -> usize {
+        (self.dims.iter().enumerate())
+            .map(|(d, m)| match m {
+                Some(model) if dims.contains(&d) => model.size_bytes(),
+                _ => UNIFORM_BYTES,
+            })
             .sum()
     }
 }
@@ -205,7 +196,7 @@ mod tests {
     #[test]
     fn uniform_flattening_is_linear() {
         let t = Table::from_columns(vec![(0..100u64).collect()]);
-        let f = Flattener::build(&t, &[0], Flattening::Uniform);
+        let f = Flattener::fit(&t, None, &[0], Flattening::Uniform);
         let cdf = f.dim(0).expect("fitted");
         assert_eq!(cdf.cdf(0), 0.0);
         assert!((cdf.cdf(50) - 0.5).abs() < 0.01);
@@ -216,7 +207,7 @@ mod tests {
     #[test]
     fn learned_flattening_equalizes_mass() {
         let t = skewed_table();
-        let f = Flattener::build(&t, &[0], Flattening::Learned);
+        let f = Flattener::fit(&t, None, &[0], Flattening::Learned);
         // Bucket the skewed dimension into 10 columns and count points.
         let mut counts = [0usize; 10];
         for i in 0..t.len() {
@@ -233,7 +224,7 @@ mod tests {
 
         // Uniform spacing on the same data is badly unbalanced (most of the
         // quadratic's mass sits at small values).
-        let u = Flattener::build(&t, &[0], Flattening::Uniform);
+        let u = Flattener::fit(&t, None, &[0], Flattening::Uniform);
         let mut ucounts = [0usize; 10];
         for i in 0..t.len() {
             ucounts[u.bucket(0, t.value(i, 0), 10)] += 1;
@@ -247,7 +238,7 @@ mod tests {
     #[test]
     fn bucket_is_monotone_in_value() {
         let t = skewed_table();
-        let f = Flattener::build(&t, &[0], Flattening::Learned);
+        let f = Flattener::fit(&t, None, &[0], Flattening::Learned);
         let mut prev = 0usize;
         for v in 0..10_000u64 {
             let b = f.bucket(0, v, 64);
@@ -259,7 +250,7 @@ mod tests {
     #[test]
     fn unneeded_dims_get_no_model() {
         let t = skewed_table();
-        let f = Flattener::build(&t, &[0], Flattening::Learned);
+        let f = Flattener::fit(&t, None, &[0], Flattening::Learned);
         assert!(f.dim(1).is_none());
         assert!(matches!(f.dim(0), Some(DimCdf::Learned(_))));
         // One column needs no model.
@@ -269,7 +260,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "dimension 1 has no CDF to split 2 columns with")]
     fn splitting_an_unfitted_dimension_panics() {
-        let f = Flattener::build(&skewed_table(), &[0], Flattening::Learned);
+        let f = Flattener::fit(&skewed_table(), None, &[0], Flattening::Learned);
         f.bucket(1, 1234, 2);
     }
 
@@ -293,7 +284,7 @@ mod tests {
         ];
         for t in &tables {
             for mode in [Flattening::Learned, Flattening::Uniform] {
-                let f = Flattener::build(t, &[0], mode);
+                let f = Flattener::fit(t, None, &[0], mode);
                 let cdf = f.dim(0).expect("fitted");
                 for n in [1, 2, 7, 67, 1000] {
                     let thr = cdf.boundaries(n);
@@ -315,11 +306,47 @@ mod tests {
         }
     }
 
+    /// Per-column row spread of a grid cut with sample-fitted CDFs, as a
+    /// server's is: a cubic-skew column of 200 000 rows, fitted on 10 000
+    /// sampled rows, split into 1 000 columns. Measured: the sample fit
+    /// leaves 2 columns empty (max/min unbounded) and fills the fullest with
+    /// 548 rows, 2.74× the mean, piled at the RMI's 100 leaf edges; a
+    /// full-column fit spreads the rows 111..256 (max/min 2.31). Bounds:
+    /// ≤ 2 empty columns and max ≤ 3× the mean; full fit max/min ≤ 2.5.
+    #[test]
+    fn sample_fitted_columns_spread() {
+        use rand::rngs::StdRng;
+        use rand::seq::index::sample;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(41);
+        let (n, cols) = (200_000, 1_000);
+        let t = Table::from_columns(vec![(0..n)
+            .map(|_| rng.gen_range(0..1u64 << 20).pow(3))
+            .collect()]);
+        let rows = sample(&mut rng, n, 10_000).into_vec();
+        let spread = |f: &Flattener| {
+            let mut per_col = vec![0usize; cols];
+            for &v in t.column(0).values().iter() {
+                per_col[f.bucket(0, v, cols)] += 1;
+            }
+            let empty = per_col.iter().filter(|&&c| c == 0).count();
+            let (min, max) = (per_col.iter().min(), per_col.iter().max());
+            (empty, *min.expect("columns"), *max.expect("columns"))
+        };
+        let (empty, _, max) = spread(&Flattener::fit(&t, Some(&rows), &[0], Flattening::Learned));
+        assert!(
+            empty <= 2 && max <= 3 * n / cols,
+            "sample fit: {empty} empty, max {max}"
+        );
+        let (_, min, max) = spread(&Flattener::fit(&t, None, &[0], Flattening::Learned));
+        assert!(min > 0 && max * 2 <= min * 5, "full fit: {min}..{max}");
+    }
+
     #[test]
     fn constant_dimension() {
         let t = Table::from_columns(vec![vec![5u64; 100]]);
         for mode in [Flattening::Learned, Flattening::Uniform] {
-            let f = Flattener::build(&t, &[0], mode);
+            let f = Flattener::fit(&t, None, &[0], mode);
             let b = f.bucket(0, 5, 4);
             assert!(b < 4);
         }

@@ -18,6 +18,7 @@ use flood_store::{
     rank_rows, Check, CumulativeColumn, PlannedIndex, PlannedRange, RangePlan, RangeQuery,
     RangeScan, ScanStats, Table, Visitor, BLOCK_LEN,
 };
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Per-phase wall-clock timings of one query (nanoseconds).
@@ -46,7 +47,7 @@ impl PhaseTimes {
 /// Build-phase timings (Table 4's loading time).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct BuildTimes {
-    /// Time spent training flattening CDFs.
+    /// Time spent fitting flattening CDFs: 0 for a build handed its CDFs.
     pub flatten_ns: u64,
     /// Time spent assigning cells and sorting the data: boundaries and cell
     /// ids, the sort into storage order, the gather and the compression.
@@ -80,7 +81,9 @@ pub struct FloodIndex {
     cfg: FloodConfig,
     layout: Layout,
     grid: Grid,
-    flattener: Flattener,
+    /// The CDFs the grid's columns are cut with; shared with the sample
+    /// they were fitted on and with every rebuild.
+    flattener: Arc<Flattener>,
     /// The data, re-ordered into Flood's storage order.
     data: Table,
     /// `cell_starts[c]..cell_starts[c+1]` is cell `c`'s physical range.
@@ -97,32 +100,33 @@ pub struct FloodIndex {
 }
 
 impl FloodIndex {
-    /// Build the index over `table` with the given layout and configuration.
+    /// Build the index over `table` with the given layout and configuration,
+    /// fitting `cfg.flattening` CDFs over all of `table`'s rows for the grid
+    /// dimensions the layout splits into more than one column.
     ///
     /// # Panics
     /// Panics if the table exceeds `u32::MAX` rows, the layout has more
     /// than 32 grid dimensions or `u32::MAX` cells or more, or a layout
     /// dimension is out of bounds.
     pub fn build(table: &Table, layout: Layout, cfg: FloodConfig) -> Self {
-        Self::build_from(table, layout, cfg, None)
+        let t0 = Instant::now();
+        let flattener = Flattener::fit(table, None, &split_dims(&layout), cfg.flattening);
+        let flatten_ns = t0.elapsed().as_nanos() as u64;
+        let mut index = Self::build_with(table, layout, cfg, Arc::new(flattener));
+        index.build_times.flatten_ns = flatten_ns;
+        index
     }
 
-    /// Re-lay this index's own data out under `layout`, same configuration:
-    /// `FloodIndex::build(self.data(), layout, self.config().clone())`,
-    /// except that the rows are the same multiset, so every CDF this index
-    /// already fitted is reused instead of re-sorting and re-fitting its
-    /// column.
-    pub fn rebuild(&self, layout: Layout) -> Self {
-        Self::build_from(&self.data, layout, self.cfg.clone(), Some(&self.flattener))
-    }
-
-    /// The one build path; `fitted` holds CDFs already fitted over
-    /// `table`'s multiset under `cfg.flattening`.
-    fn build_from(
+    /// [`FloodIndex::build`] cutting the grid with CDFs fitted on the same
+    /// table — a server passes its data sample's
+    /// ([`EvaluatorCache::flattener`](crate::EvaluatorCache::flattener)), so
+    /// the grid is the one the search priced. Fits nothing; ignores
+    /// `cfg.flattening`. Also panics if a split dimension has no CDF.
+    pub fn build_with(
         table: &Table,
         layout: Layout,
         cfg: FloodConfig,
-        fitted: Option<&Flattener>,
+        flattener: Arc<Flattener>,
     ) -> Self {
         assert!(
             table.len() < u32::MAX as usize,
@@ -147,19 +151,15 @@ impl FloodIndex {
         }
         let mut build_times = BuildTimes::default();
 
-        // 1. Flattening CDFs (§5.1) for the grid dimensions with more than
-        //    one column — a one-column dimension's bucket is 0 whatever the
-        //    model says, so none is fitted.
+        // 1. The grid dimensions with more than one column, cut with the
+        //    flattening CDFs (§5.1) — a one-column dimension's bucket is 0
+        //    whatever the model says.
         let grid = Grid::new(&layout);
-        let t0 = Instant::now();
         let split: Vec<(usize, usize, usize)> = (layout.grid_dims().iter().zip(layout.cols()))
             .enumerate()
             .filter(|&(_, (_, &c))| c > 1)
             .map(|(i, (&d, &c))| (d, c, grid.stride(i)))
             .collect();
-        let split_dims: Vec<usize> = split.iter().map(|&(d, ..)| d).collect();
-        let flattener = Flattener::build_reusing(table, &split_dims, cfg.flattening, fitted);
-        build_times.flatten_ns = t0.elapsed().as_nanos() as u64;
 
         // 2. Storage order: by cell, then by sort value — the depth-first
         //    traversal of §3.1 — ties in row order. Work proportional to
@@ -180,7 +180,7 @@ impl FloodIndex {
         let n = table.len();
         let mut cells = vec![0u32; n];
         for &(d, c, stride) in &split {
-            let thr = flattener.dim(d).expect("fitted in step 1").boundaries(c);
+            let thr = flattener.dim(d).expect("split, so fitted").boundaries(c);
             for (cell, &v) in cells.iter_mut().zip(table.column(d).values().iter()) {
                 let col = thr.partition_point(|&t| t <= v);
                 debug_assert_eq!(col, flattener.bucket(d, v, c), "dimension {d}, value {v}");
@@ -267,6 +267,26 @@ impl FloodIndex {
             correlation,
             build_times,
         }
+    }
+
+    /// Re-lay this index's own data out under `layout`, same configuration,
+    /// sharing its CDFs: Flood is clustered, so the rows are the multiset
+    /// they were fitted on. A layout splitting a dimension they lack (a
+    /// [`FloodIndex::build`] fits only what its layout splits) is built
+    /// from scratch instead.
+    pub fn rebuild(&self, layout: Layout) -> Self {
+        let (data, cfg) = (&self.data, self.cfg.clone());
+        let fitted = |d: &usize| self.flattener.dim(*d).is_some();
+        if split_dims(&layout).iter().all(fitted) {
+            Self::build_with(data, layout, cfg, Arc::clone(&self.flattener))
+        } else {
+            Self::build(data, layout, cfg)
+        }
+    }
+
+    /// The CDFs this index's grid is cut with.
+    pub fn flattener(&self) -> &Arc<Flattener> {
+        &self.flattener
     }
 
     /// The soft FDs this index actively exploits: the layout's, less those
@@ -612,9 +632,18 @@ impl PlannedIndex for FloodIndex {
             .sum();
         self.cell_starts.len() * 4
             + models
-            + self.flattener.size_bytes()
+            + self.flattener.size_bytes(&split_dims(&self.layout))
             + std::mem::size_of::<Layout>()
     }
+}
+
+/// The grid dimensions `layout` splits into more than one column: the only
+/// ones whose CDF a grid reads.
+fn split_dims(layout: &Layout) -> Vec<usize> {
+    (layout.grid_dims().iter().zip(layout.cols()))
+        .filter(|&(_, &c)| c > 1)
+        .map(|(&d, _)| d)
+        .collect()
 }
 
 /// First index in `[0, len)` where `pred` turns false (binary search).

@@ -72,6 +72,7 @@ pub use sample::{DataSample, SampleSpace, StatsCache};
 
 use crate::correlation::CorrelationConfig;
 use crate::cost::CostModel;
+use crate::flatten::Flattener;
 use crate::index::MAX_GRID_DIMS;
 use crate::layout::Layout;
 use flood_store::{RangeQuery, Table};
@@ -413,7 +414,9 @@ impl LayoutOptimizer {
 /// `flood-serve`'s adaptive loop holds one across rebuilds. The data
 /// multiset of a clustered index never changes, so the expensive
 /// query-independent work (row sampling, per-dimension RMI training,
-/// flattening) happens once.
+/// flattening) happens once — and the sample's CDFs
+/// ([`EvaluatorCache::flattener`]) are the ones every index the loop
+/// builds cuts its grid with.
 /// When the window changes, the evaluator is rebuilt — a cheap query
 /// flatten — but its mask cache is *carried over*: masks are keyed by each
 /// query's own fingerprint, and sliding windows share most of their
@@ -542,6 +545,12 @@ impl EvaluatorCache {
         let evaluator = CostEvaluator::with_cache(space, optimizer.cost.clone(), stats);
         self.current = Some((fp, evaluator));
         &mut self.current.as_mut().expect("just set").1
+    }
+
+    /// The CDFs of the current data sample, once one is built: what the
+    /// search priced layouts through, for the build to cut its grid with.
+    pub fn flattener(&self) -> Option<&Arc<Flattener>> {
+        self.data.as_ref().map(|d| d.flattener())
     }
 
     /// Times the data sample was flattened (1 after any use; more only if

@@ -9,16 +9,18 @@
 //!
 //! ## Two layers: data sample vs query layer
 //!
-//! The expensive half of a [`SampleSpace`] — sampling rows, training one RMI
-//! per dimension, flattening the sample, sorting each dimension — depends
-//! only on the *data*. The cheap half — flattening the queries and
-//! computing per-dimension selectivities — depends on the *query set*.
+//! The expensive half of a [`SampleSpace`] — sampling rows, fitting its
+//! [`Flattener`] (one RMI per dimension), flattening the sample, sorting
+//! each dimension — depends only on the *data*. The cheap half — flattening
+//! the queries and computing per-dimension selectivities — depends on the
+//! *query set*.
 //! [`DataSample`] holds the first and is shareable (behind an `Arc`) across
 //! any number of query sets over the same table;
 //! [`SampleSpace::over`] attaches a query layer without touching the data.
 //! `flood-serve`'s adaptive loop exploits this across re-learns: the data
 //! multiset of a clustered index never changes, so one [`DataSample`] serves
-//! every observation window, keyed by [`SampleSpace::query_fingerprint`].
+//! every observation window, keyed by [`SampleSpace::query_fingerprint`],
+//! and its [`Flattener`] cuts the grid of every index the loop builds.
 //!
 //! ## Incremental per-dimension statistics
 //!
@@ -87,8 +89,7 @@
 
 use crate::correlation::{CorrelationConfig, CorrelationModel};
 use crate::cost::features::QueryStatistics;
-use flood_learned::cdf::CdfModel;
-use flood_learned::rmi::{Rmi, RmiConfig};
+use crate::flatten::{DimCdf, Flattener, Flattening};
 use flood_store::{RangeQuery, Table};
 use rand::rngs::StdRng;
 use rand::seq::index::sample as index_sample;
@@ -105,9 +106,11 @@ pub struct FlatQuery {
 }
 
 /// The query-independent half of a [`SampleSpace`]: sampled rows flattened
-/// through per-dimension RMIs. Building one costs a table sample, `dims`
-/// RMI trainings, and two copies of the flattened sample — everything a
-/// re-learn on the same table can skip by sharing it via `Arc`.
+/// through a [`Flattener`] fitted on them, one RMI per dimension. Building
+/// one costs a table sample, `dims` RMI trainings, and two copies of the
+/// flattened sample — everything a re-learn on the same table can skip by
+/// sharing it via `Arc`. Its `Flattener` is also what a server's index
+/// cuts its grid with, so the grid the search priced is the grid built.
 #[derive(Debug)]
 pub struct DataSample {
     /// Row-major flattened sample values: `flat[p * dims + d]`.
@@ -131,9 +134,10 @@ pub struct DataSample {
     /// Scale factor from sample counts to full-dataset counts.
     scale: f64,
     full_n: usize,
-    /// The per-dimension CDFs the sample was flattened through; kept so new
-    /// query sets can be flattened against the *same* space later.
-    cdfs: Vec<Rmi>,
+    /// The per-dimension CDFs the sample was flattened through, fitted on
+    /// its rows: new query sets are flattened against the *same* space, and
+    /// an index built from this sample cuts its grid with them.
+    flattener: Arc<Flattener>,
     /// Process-unique identity stamped at build time; a [`StatsCache`]
     /// carries its creator's id so cross-space reuse panics instead of
     /// silently producing wrong statistics (sample sizes can collide,
@@ -172,12 +176,11 @@ impl DataSample {
         let correlation = CorrelationModel::detect_rows(table, &rows, ccfg);
 
         // Per-dimension CDFs trained on the sample.
-        let mut cdfs = Vec::with_capacity(n_dims);
-        for d in 0..n_dims {
-            let mut vals: Vec<u64> = rows.iter().map(|&r| table.value(r, d)).collect();
-            vals.sort_unstable();
-            cdfs.push(Rmi::build(&vals, RmiConfig::default()));
-        }
+        let all: Vec<usize> = (0..n_dims).collect();
+        let flattener = Flattener::fit(table, Some(&rows), &all, Flattening::Learned);
+        let cdfs: Vec<&DimCdf> = (0..n_dims)
+            .map(|d| flattener.dim(d).expect("fitted above"))
+            .collect();
 
         // Flatten the sample, row-major.
         let mut flat = Vec::with_capacity(n_points * n_dims);
@@ -235,10 +238,15 @@ impl DataSample {
             n_dims,
             scale: full_n as f64 / n_points.max(1) as f64,
             full_n,
-            cdfs,
+            flattener: Arc::new(flattener),
             space_id: NEXT_SPACE_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             correlation,
         }
+    }
+
+    /// The CDFs this sample was flattened through, one per dimension.
+    pub(crate) fn flattener(&self) -> &Arc<Flattener> {
+        &self.flattener
     }
 
     /// The soft FDs detected on this sample (empty when disabled).
@@ -356,6 +364,13 @@ impl SampleSpace {
             &rewritten
         };
         let n_dims = data.n_dims;
+        let cdfs: Vec<&DimCdf> = (0..n_dims)
+            .map(|d| {
+                data.flattener
+                    .dim(d)
+                    .expect("a sample fits every dimension")
+            })
+            .collect();
         let mut sel_sum = vec![0.0f64; n_dims];
         let mut sel_cnt = vec![0usize; n_dims];
         let flat_queries: Vec<FlatQuery> = queries
@@ -365,8 +380,7 @@ impl SampleSpace {
                 for d in 0..n_dims {
                     match q.bound(d) {
                         Some((lo, hi)) => {
-                            let flo = data.cdfs[d].cdf(lo) as f32;
-                            let fhi = data.cdfs[d].cdf(hi) as f32;
+                            let (flo, fhi) = (cdfs[d].cdf(lo) as f32, cdfs[d].cdf(hi) as f32);
                             sel_sum[d] += (fhi - flo) as f64;
                             sel_cnt[d] += 1;
                             bounds.push(Some((flo, fhi)));

@@ -216,7 +216,7 @@ fn build_layout(seed: u64, histogram: bool) -> Layout {
 /// `(cell, sort value, row)` triples, a second pass for the cell table.
 /// Returns the storage order and `cell_starts`.
 fn reference_order(t: &Table, layout: &Layout, mode: Flattening) -> (Vec<u32>, Vec<usize>) {
-    let flattener = Flattener::build(t, layout.grid_dims(), mode);
+    let flattener = Flattener::fit(t, None, layout.grid_dims(), mode);
     let cols = layout.cols();
     let mut keyed: Vec<(u64, u64, u32)> = (0..t.len())
         .map(|row| {

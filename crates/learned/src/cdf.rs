@@ -1,4 +1,4 @@
-//! CDF models: the abstraction behind *flattening* (§5.1).
+//! The exact empirical CDF, the reference a learned CDF model is measured by.
 //!
 //! A CDF model maps an attribute value `v` to the fraction of points with
 //! values `≤ v`. Flattening places a point with value `v` into column
@@ -7,22 +7,6 @@
 //! point inside a query range could land outside the projected column range.
 
 use serde::{Deserialize, Serialize};
-
-/// A monotone map from attribute values to `[0, 1]`.
-pub trait CdfModel {
-    /// Estimated fraction of points with value `≤ v`, in `[0, 1]`.
-    fn cdf(&self, v: u64) -> f64;
-
-    /// Column assignment for flattening: `⌊cdf(v) · n⌋`, clamped to `n - 1`.
-    fn bucket(&self, v: u64, n: usize) -> usize {
-        debug_assert!(n > 0);
-        ((self.cdf(v) * n as f64) as usize).min(n - 1)
-    }
-
-    /// Approximate inverse: smallest value whose CDF reaches `q`.
-    /// Used to report column boundaries for diagnostics.
-    fn quantile(&self, q: f64) -> u64;
-}
 
 /// An exact empirical CDF over a (sorted copy of a) value set.
 ///
@@ -47,32 +31,13 @@ impl EmpiricalCdf {
         EmpiricalCdf { sorted }
     }
 
-    /// Number of underlying values.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True when the CDF was built over no values.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-}
-
-impl CdfModel for EmpiricalCdf {
-    fn cdf(&self, v: u64) -> f64 {
+    /// Fraction of the values `≤ v`, in `[0, 1]`.
+    pub fn cdf(&self, v: u64) -> f64 {
         if self.sorted.is_empty() {
             return 0.0;
         }
         let rank = self.sorted.partition_point(|&x| x <= v);
         rank as f64 / self.sorted.len() as f64
-    }
-
-    fn quantile(&self, q: f64) -> u64 {
-        if self.sorted.is_empty() {
-            return 0;
-        }
-        let idx = ((q * self.sorted.len() as f64) as usize).min(self.sorted.len() - 1);
-        self.sorted[idx]
     }
 }
 
@@ -100,38 +65,9 @@ mod tests {
     }
 
     #[test]
-    fn bucket_assignment_even_mass() {
-        // Skewed data: empirical CDF still spreads mass evenly.
-        let mut vals = vec![0u64; 900];
-        vals.extend((1..=100).map(|i| i * 1000));
-        let c = EmpiricalCdf::build(&vals);
-        // Value 0 covers 90% of mass → bucket of 0 in a 10-bucket layout is 8
-        // (cdf(0)=0.9 → bucket 9 clamped... cdf(0)=0.9 → floor(9.0)=9) — what
-        // matters is that the LAST bucket holds the dominant value and the
-        // remaining values spread across the rest.
-        assert_eq!(c.bucket(0, 10), 9);
-        assert!(c.bucket(1000, 10) >= 9);
-    }
-
-    #[test]
-    fn bucket_clamps_to_last() {
-        let c = EmpiricalCdf::build(&[1, 2, 3]);
-        assert_eq!(c.bucket(u64::MAX, 4), 3);
-    }
-
-    #[test]
-    fn quantiles() {
-        let c = EmpiricalCdf::build(&[10, 20, 30, 40]);
-        assert_eq!(c.quantile(0.0), 10);
-        assert_eq!(c.quantile(0.5), 30);
-        assert_eq!(c.quantile(1.0), 40);
-    }
-
-    #[test]
     fn empty_cdf() {
         let c = EmpiricalCdf::build(&[]);
         assert_eq!(c.cdf(42), 0.0);
-        assert_eq!(c.quantile(0.5), 0);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   dimension.
 //! * [`eytzinger`] — a cache-optimized implicit search tree over segment
 //!   boundary keys (the paper's "cache-optimized B-Tree over those values").
-//! * [`cdf`] — empirical CDFs and the [`cdf::CdfModel`] abstraction shared by
-//!   flattening implementations.
+//! * [`cdf`] — the exact empirical CDF a learned CDF model is measured
+//!   against.
 //! * [`linear`] — ordinary least squares (1-D and multivariate), linear
 //!   splines; building blocks for the RMI and the cost-model ablations.
 //! * [`forest`] — a from-scratch CART random-forest regressor; the paper
@@ -29,7 +29,7 @@ pub mod plm;
 pub mod rmi;
 pub mod search;
 
-pub use cdf::{CdfModel, EmpiricalCdf};
+pub use cdf::EmpiricalCdf;
 pub use eytzinger::Eytzinger;
 pub use forest::{RandomForest, RandomForestConfig};
 pub use linear::{LinearModel, LinearSpline, MultiLinearModel};

@@ -17,7 +17,6 @@
 //!    `[pos_lo, pos_hi]`, and the ranges of successive leaves are
 //!    non-overlapping and increasing.
 
-use crate::cdf::CdfModel;
 use crate::linear::{LinearModel, LinearSpline};
 use crate::search::{exponential_search_lb, exponential_search_ub};
 use serde::{Deserialize, Serialize};
@@ -40,7 +39,7 @@ impl Default for RmiConfig {
     }
 }
 
-/// One leaf model with its clamp range and observed error bound.
+/// One leaf model with its clamp range.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Leaf {
     model: LinearModel,
@@ -48,8 +47,6 @@ struct Leaf {
     pos_lo: f64,
     /// One past the largest position of a key routed here (clamp ceiling).
     pos_hi: f64,
-    /// Max |prediction − true position| over training keys in this leaf.
-    max_err: u32,
 }
 
 /// A two-layer recursive model index over `n` sorted keys.
@@ -78,7 +75,6 @@ impl Rmi {
                     },
                     pos_lo: 0.0,
                     pos_hi: 0.0,
-                    max_err: 0,
                 }],
                 n: 0,
             };
@@ -110,18 +106,6 @@ impl Rmi {
         Rmi { root, leaves, n }
     }
 
-    /// Number of keys the model was trained on.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when trained on no keys.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// Predicted position of `key` in the sorted key set, in `[0, n]`.
     /// Monotone in `key`.
     #[inline]
@@ -133,26 +117,6 @@ impl Rmi {
         leaf.model
             .predict(key as f64)
             .clamp(leaf.pos_lo, leaf.pos_hi)
-    }
-
-    /// Predicted position plus the leaf's observed max training error.
-    #[inline]
-    pub fn predict_with_err(&self, key: u64) -> (usize, u32) {
-        if self.n == 0 {
-            return (0, 0);
-        }
-        let li = route(&self.root, self.leaves.len(), key);
-        let leaf = &self.leaves[li];
-        let p = leaf
-            .model
-            .predict(key as f64)
-            .clamp(leaf.pos_lo, leaf.pos_hi);
-        (p as usize, leaf.max_err)
-    }
-
-    /// Largest max-error across leaves (diagnostic, Fig 17 comparisons).
-    pub fn max_error(&self) -> u32 {
-        self.leaves.iter().map(|l| l.max_err).max().unwrap_or(0)
     }
 
     /// First index `i` with `get(i) >= key`, where `get` reads the *same
@@ -173,28 +137,14 @@ impl Rmi {
             + self.leaves.len() * std::mem::size_of::<Leaf>()
             + self.root.len() * 16
     }
-}
 
-impl CdfModel for Rmi {
-    fn cdf(&self, v: u64) -> f64 {
+    /// The modeled CDF of `v`: its predicted position over `n`, in
+    /// `[0, 1]`, monotone in `v`.
+    pub fn cdf(&self, v: u64) -> f64 {
         if self.n == 0 {
             return 0.0;
         }
         (self.predict(v) / self.n as f64).clamp(0.0, 1.0)
-    }
-
-    fn quantile(&self, q: f64) -> u64 {
-        // Invert by binary search over the key domain (monotone cdf).
-        let (mut lo, mut hi) = (0u64, u64::MAX);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.cdf(mid) < q {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
     }
 }
 
@@ -239,25 +189,14 @@ fn fit_leaf(keys: &[u64], start: usize, end: usize, floor_lo: f64) -> Leaf {
             },
             pos_lo: floor_lo,
             pos_hi: floor_lo,
-            max_err: 0,
         };
     }
     let xs: Vec<f64> = keys[start..end].iter().map(|&k| k as f64).collect();
     let ys: Vec<f64> = (start..end).map(|i| i as f64).collect();
-    let model = LinearModel::fit_monotone(&xs, &ys);
-    let pos_lo = start as f64;
-    let pos_hi = end as f64;
-    let mut max_err = 0u32;
-    for (x, y) in xs.iter().zip(&ys) {
-        let p = model.predict(*x).clamp(pos_lo, pos_hi);
-        let e = (p - y).abs().ceil() as u32;
-        max_err = max_err.max(e);
-    }
     Leaf {
-        model,
-        pos_lo,
-        pos_hi,
-        max_err,
+        model: LinearModel::fit_monotone(&xs, &ys),
+        pos_lo: start as f64,
+        pos_hi: end as f64,
     }
 }
 
@@ -396,19 +335,6 @@ mod tests {
         assert_eq!(rmi.lookup_lb(7, |_| 7), 0);
         assert_eq!(rmi.lookup_ub(7, |_| 7), 1);
         assert_eq!(rmi.lookup_lb(8, |_| 7), 1);
-    }
-
-    #[test]
-    fn quantile_inverts_cdf() {
-        let keys = uniform(10_000);
-        let rmi = Rmi::build(&keys, RmiConfig::default());
-        let q50 = rmi.quantile(0.5);
-        let want = keys[keys.len() / 2];
-        let tolerance = 7 * 200; // a few positions of slack, in key units
-        assert!(
-            (q50 as i64 - want as i64).unsigned_abs() <= tolerance,
-            "q50={q50}, want≈{want}"
-        );
     }
 
     #[test]

@@ -7,18 +7,19 @@
 //! prices the current layout on the window and, past the threshold, runs
 //! Algorithm 1, rebuilds off the serving path and publishes. All three calls
 //! share one learn path and one [`EvaluatorCache`]: a rebuild never changes
-//! the data multiset, so the data sample is flattened once, and the check
-//! that triggers a re-learn hands its masks and memo entries to the search.
+//! the data multiset, so the data sample is flattened once, every index is
+//! cut with that sample's CDFs, and the check that triggers a re-learn
+//! hands its masks and memo entries to the search.
 
 use crate::epoch::IndexSnapshot;
 use crate::server::{BuildSide, FloodServer, ServeConfig, ServeDiagnostics, Server};
-use flood_core::{EvaluatorCache, FloodConfig, FloodIndex, Layout, LayoutOptimizer};
+use flood_core::{EvaluatorCache, Flattening, FloodConfig, FloodIndex, Layout, LayoutOptimizer};
 use flood_exec::{QueryExecutor, ThreadPool};
 use flood_obs::Registry;
 use flood_store::{RangeQuery, Table};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Window, cadence and degradation threshold of the adaptive loop.
@@ -246,11 +247,13 @@ impl Learner {
 }
 
 impl FloodServer {
-    /// Learn an initial layout for `train` over `table`, build it, and
-    /// publish it as epoch 0.
+    /// Learn an initial layout for `train` over `table`, build it with the
+    /// learner's sample CDFs, and publish it as epoch 0.
     ///
     /// # Panics
-    /// Panics if `train` is empty or `table` has no rows.
+    /// Panics if `train` is empty, `table` has no rows, or `flood_cfg`
+    /// asks for [`Flattening::Uniform`]: a server's grid is cut with the
+    /// learned CDFs its search priced, which are fitted once per table.
     pub fn build(
         table: &Table,
         train: &[RangeQuery],
@@ -259,6 +262,11 @@ impl FloodServer {
         cfg: ServeConfig,
     ) -> Self {
         assert!(!table.is_empty(), "cannot optimize over an empty table");
+        assert_eq!(
+            flood_cfg.flattening,
+            Flattening::Learned,
+            "a server cuts its grid with its sample's learned CDFs"
+        );
         let mut learner = Learner {
             optimizer,
             degradation_factor: cfg.adaptive.degradation_factor,
@@ -272,7 +280,12 @@ impl FloodServer {
         // The initial learn replaces no layout: the lifetime counters
         // start after it.
         learner.tally = AdaptiveDiagnostics::default();
-        let index = FloodIndex::build(table, layout, flood_cfg);
+        // The grid is cut with the CDFs the search priced it through.
+        let cdfs = learner
+            .shared
+            .flattener()
+            .expect("the learn built a sample");
+        let index = FloodIndex::build_with(table, layout, flood_cfg, Arc::clone(cdfs));
         let pool = if cfg.threads == 0 {
             ThreadPool::from_env()
         } else {
@@ -329,9 +342,9 @@ impl FloodServer {
         }
     }
 
-    /// Build a new index over the snapshot's data (Flood is clustered —
-    /// the data multiset is the table, so the snapshot's fitted CDFs carry
-    /// over) and swap it in.
+    /// Build a new index over the snapshot's data and swap it in. Flood is
+    /// clustered — the data multiset is the table — so the rebuild shares
+    /// the snapshot's CDFs, the learner's sample ones, and fits none.
     fn rebuild_and_publish(&self, snap: &IndexSnapshot, layout: Layout) -> u64 {
         let t0 = Instant::now();
         let index = snap.index().rebuild(layout);
@@ -467,6 +480,50 @@ mod tests {
             Some(d.relearn_wall.as_nanos() as i64)
         );
         assert_eq!(gauge("skipped"), Some(0));
+    }
+
+    /// The served grid is cut with the CDFs the search priced: the live
+    /// index shares the learner's sample `Flattener` after the build, after
+    /// a `maybe_adapt` swap and after `force_relearn`, so none of them fits
+    /// a CDF of its own.
+    #[test]
+    fn served_index_shares_the_sample_cdfs() {
+        let (_, s) = server(AdaptiveConfig {
+            window: 24,
+            check_every: 12,
+            degradation_factor: 1.2,
+        });
+        let shares_sample = |s: &FloodServer| {
+            let learner = s.build.learner.lock().expect("learner poisoned");
+            let sample = learner
+                .shared
+                .flattener()
+                .expect("built by the first learn");
+            Arc::ptr_eq(s.snapshot().index().flattener(), sample)
+        };
+        assert!(shares_sample(&s), "after build");
+        let swapped = workload_on(1, 60).iter().any(|q| {
+            s.execute(q, None, &mut CountVisitor::default());
+            matches!(s.maybe_adapt(), AdaptOutcome::Swapped(_))
+        });
+        assert!(swapped, "the shifted workload swaps");
+        assert!(shares_sample(&s), "after a maybe_adapt swap");
+        assert_eq!(s.force_relearn(&workload_on(2, 24)), s.epoch());
+        assert!(s.epoch() >= 2);
+        assert!(shares_sample(&s), "after force_relearn");
+        assert_eq!(s.diagnostics().adaptive.sample_flattens, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "a server cuts its grid with its sample's learned CDFs")]
+    fn a_server_rejects_uniform_flattening() {
+        let t = Table::from_columns(vec![(0..100).collect()]);
+        let opt = LayoutOptimizer::new(flood_core::CostModel::analytic_default());
+        let cfg = FloodConfig {
+            flattening: Flattening::Uniform,
+            ..Default::default()
+        };
+        FloodServer::build(&t, &[RangeQuery::all(1)], opt, cfg, ServeConfig::default());
     }
 
     /// A forced re-learn on no queries learns nothing: no epoch, no swap,
