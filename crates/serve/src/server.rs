@@ -140,8 +140,8 @@ impl ServerMetrics {
 /// The side of a [`Server`] that prepares the next generation. Readers
 /// never lock it: they only hand it the queries they answered.
 pub trait BuildSide {
-    /// Note a query the read path answered.
-    fn observe(&self, _query: &RangeQuery) {}
+    /// Note a query the read path answered, with its own scan counters.
+    fn observe(&self, _query: &RangeQuery, _stats: &ScanStats) {}
 
     /// Fill in this side's fields of `d`.
     fn report(&self, d: &mut ServeDiagnostics);
@@ -196,7 +196,7 @@ impl<T: PlannedIndex, B: BuildSide> Server<T, B> {
             m.retried.add(attempts as u64 - 1);
         }
         let stats = result.inspect_err(|_| m.degraded.inc())?;
-        self.build.observe(query);
+        self.build.observe(query, &stats);
         m.completed.inc();
         m.query_ns.record(t0.elapsed().as_nanos() as u64);
         m.scan.record(&stats);
@@ -295,8 +295,8 @@ impl FloodServer {
             agg_dim,
             Some(&m.pool),
         );
-        for q in queries {
-            self.build.observe(q);
+        for (q, (_, s)) in queries.iter().zip(&results) {
+            self.build.observe(q, s);
         }
         m.completed.add(n);
         m.batches.inc();
@@ -372,10 +372,17 @@ pub(crate) mod tests {
     }
 
     pub(crate) fn server(adaptive: AdaptiveConfig) -> (Table, FloodServer) {
+        server_trained_on(&workload_on(0, 30), adaptive)
+    }
+
+    pub(crate) fn server_trained_on(
+        train: &[RangeQuery],
+        adaptive: AdaptiveConfig,
+    ) -> (Table, FloodServer) {
         let t = table();
         let s = FloodServer::build(
             &t,
-            &workload_on(0, 30),
+            train,
             optimizer(),
             FloodConfig::default(),
             ServeConfig {

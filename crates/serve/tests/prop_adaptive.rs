@@ -46,18 +46,26 @@ fn optimizer(full_sample: bool) -> LayoutOptimizer {
     )
 }
 
+/// The `i`-th query of a phase filtering `dim`.
+fn phase_query(dim: usize, i: usize) -> RangeQuery {
+    let lo = (i as u64 * 53) % 9_000;
+    RangeQuery::all(3).with_range(dim, lo, lo + 180)
+}
+
 /// A two-phase drifting stream: dim-0 ranges, then dim-1 ranges.
 fn drifting_stream(per_phase: usize) -> Vec<RangeQuery> {
-    let phase = |dim: usize| {
-        (0..per_phase).map(move |i| {
-            RangeQuery::all(3).with_range(
-                dim,
-                (i as u64 * 53) % 9_000,
-                (i as u64 * 53) % 9_000 + 180,
-            )
-        })
-    };
+    let phase = |dim: usize| (0..per_phase).map(move |i| phase_query(dim, i));
     phase(0).chain(phase(1)).collect()
+}
+
+/// A gradual drift: dim-0 ranges, then dim-0 and dim-1 ranges in turn, so
+/// no run of dim-1 queries forms and only the cadence can see the change.
+fn blended_stream(per_phase: usize) -> Vec<RangeQuery> {
+    let blend = (0..per_phase).map(|i| phase_query(i % 2, i));
+    (0..per_phase)
+        .map(|i| phase_query(0, i))
+        .chain(blend)
+        .collect()
 }
 
 fn adaptive(full_sample: bool, t: &Table, train: &[RangeQuery]) -> FloodServer {
@@ -100,9 +108,9 @@ fn serve(s: &FloodServer, stream: &[RangeQuery]) -> AdaptiveDiagnostics {
 }
 
 /// With the full table as the sample, the pooled evaluator and a cold one
-/// agree bit for bit on every window of the stream: same price for the
-/// incumbent layout, same search result — and the diagnostics pin down
-/// that the adaptive loop did the shared work once.
+/// agree bit for bit on every window of the stream and on its run: same
+/// price for the incumbent layout, same search result — and the
+/// diagnostics pin down that the adaptive loop did the shared work once.
 #[test]
 fn shared_and_cold_agree_bit_for_bit_on_full_sample() {
     let t = table(3_000);
@@ -131,24 +139,54 @@ fn shared_and_cold_agree_bit_for_bit_on_full_sample() {
         let cold = opt.optimize(data, window);
         assert_eq!(shared.layout, cold.layout, "re-learns must coincide");
         assert_eq!(shared.predicted_ns.to_bits(), cold.predicted_ns.to_bits());
+        // A shift check searches the window's last 8 queries, its run,
+        // through a query set of its own.
+        let run = &window[8..];
+        let (queries, mut rng) = opt.sample_queries(run);
+        let pooled = pool.evaluator(&opt, data, &queries, &mut rng);
+        assert_eq!(
+            pooled.predict(&layout).to_bits(),
+            opt.evaluator_sampled(data, run).predict(&layout).to_bits(),
+            "run pricing must coincide"
+        );
+        let shared_run = opt.optimize_in(pooled);
+        let cold_run = opt.optimize(data, run);
+        assert_eq!(
+            shared_run.layout, cold_run.layout,
+            "run searches must coincide"
+        );
+        assert_eq!(
+            shared_run.predicted_ns.to_bits(),
+            cold_run.predicted_ns.to_bits()
+        );
         layout = shared.layout;
     }
     assert_eq!(pool.data_builds(), 1, "one flatten for every window");
 
-    // The work ledger of the loop that ships.
-    let d = serve(&adaptive(true, &t, &train), &stream);
-    assert!(d.relearns >= 1, "the drift must trigger a re-learn: {d:?}");
-    assert!(d.relearn_searches >= d.relearns, "{d:?}");
-    assert_eq!(d.sample_flattens, 1, "{d:?}");
-    assert_eq!(
-        d.window_flattens,
-        1 + d.checks,
-        "one per build + check: {d:?}"
-    );
-    assert!(
-        d.cache_hits_across_relearns > 0,
-        "the check's pricing must feed the search: {d:?}"
-    );
+    // The work ledger of the loop that ships. The abrupt shift's run of 8
+    // makes the check due and its search reads the run alone; the blended
+    // drift makes no run, so a cadence check searches the window it priced.
+    for (stream, run_searches) in [(stream, 1), (blended_stream(30), 0)] {
+        let d = serve(&adaptive(true, &t, &train), &stream);
+        assert!(d.relearns >= 1, "the drift must trigger a re-learn: {d:?}");
+        assert!(d.relearn_searches >= d.relearns, "{d:?}");
+        assert_eq!(d.sample_flattens, 1, "{d:?}");
+        assert_eq!(d.run_searches, run_searches, "{d:?}");
+        assert_eq!(
+            (d.window_flattens, d.window_reuses),
+            (1 + d.checks + d.run_searches, 0),
+            "one per build, check and run search: {d:?}"
+        );
+        // Only a window search reads the queries its check priced; pricing
+        // the old layout on a shifted run builds masks on dimensions the
+        // search moves away from.
+        if run_searches == 0 {
+            assert!(
+                d.cache_hits_across_relearns > 0,
+                "the check's pricing must feed the search: {d:?}"
+            );
+        }
+    }
 }
 
 /// Re-running the same deterministic scenario reproduces the same

@@ -82,7 +82,18 @@ fn main() {
         adaptive.snapshot().index().layout()
     );
 
-    // The workload shifts to lat/lon rectangles.
+    // Serve the time workload first: the layout's reference cost per query.
+    let mut retrains = 0;
+    for q in &w_time[..20] {
+        let mut v = CountVisitor::default();
+        adaptive.execute(q, None, &mut v);
+        retrains += matches!(adaptive.maybe_adapt(), AdaptOutcome::Swapped(_)) as usize;
+    }
+    assert_eq!(retrains, 0, "the trained-for workload keeps its layout");
+
+    // The workload shifts to lat/lon rectangles. Every geo query touches
+    // far more points than the time queries did, so a short run of them
+    // makes a check due and the re-learn searches that run alone.
     let w_geo: Vec<RangeQuery> = (0..60)
         .map(|i| {
             let lat = 39_500_000 + (i % 20) * 250_000;
@@ -91,10 +102,13 @@ fn main() {
                 .with_range(3, 70_000_000, 76_000_000)
         })
         .collect();
-    let mut retrains = 0;
-    for q in &w_geo {
+    let mut first_relearned = None;
+    for (i, q) in w_geo.iter().enumerate() {
         let mut v = CountVisitor::default();
-        adaptive.execute(q, None, &mut v);
+        let (_, epoch) = adaptive.execute(q, None, &mut v);
+        if epoch > 0 {
+            first_relearned.get_or_insert(i);
+        }
         retrains += matches!(adaptive.maybe_adapt(), AdaptOutcome::Swapped(_)) as usize;
     }
     println!(
@@ -102,4 +116,10 @@ fn main() {
         retrains,
         adaptive.snapshot().index().layout()
     );
+    // The reaction bound: a re-learned layout serves the shifted workload
+    // within 10 queries of the shift.
+    const MAX_STALE: usize = 10;
+    let first = first_relearned.expect("the shift must be re-learned");
+    println!("first geo query served by a re-learned layout: #{first} (bound {MAX_STALE})");
+    assert!(first <= MAX_STALE, "re-learned only at geo query #{first}");
 }
