@@ -30,10 +30,10 @@ pub fn run(h: &Harness) {
         .chain(BASELINES.map(|(name, _)| name))
         .map(|name| (name, Vec::new()))
         .collect();
-    // Flood Loading by phase, printed beneath it (what is left of loading
-    // is cumulative columns and soft-FD support).
-    let mut loading: [(&str, Vec<f64>); 5] =
-        ["flatten", "assign", "sort", "permute", "models"].map(|phase| (phase, Vec::new()));
+    // Flood Loading by phase, printed beneath it.
+    let mut loading: [(&str, Vec<f64>); 6] =
+        ["flatten", "assign", "sort", "permute", "models", "support"]
+            .map(|phase| (phase, Vec::new()));
     for kind in DatasetKind::ALL {
         let (ds, w) = h.dataset(kind);
         let table = &ds.table;
@@ -51,6 +51,7 @@ pub fn run(h: &Harness) {
             bt.sort_ns - bt.assign_ns - bt.permute_ns,
             bt.permute_ns,
             bt.models_ns,
+            bt.support_ns,
         ];
         for ((_, times), ns) in loading.iter_mut().zip(phases) {
             times.push(ns as f64 / 1e9);

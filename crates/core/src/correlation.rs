@@ -46,7 +46,7 @@
 //! carries nothing, and every hook degenerates to the pre-correlation code
 //! path, bit for bit.
 
-use flood_store::{RangeQuery, Table};
+use flood_store::{RangeQuery, Table, ThreadPool};
 use serde::{Deserialize, Serialize};
 
 use crate::grid::Grid;
@@ -448,29 +448,33 @@ pub(crate) struct CorrSupport {
 
 impl CorrSupport {
     /// Build exact support over `data` (the reordered table) for every FD
-    /// `layout` carries.
-    pub fn build(layout: &Layout, grid: &Grid, data: &Table, cell_starts: &[u32]) -> Self {
-        let mut out = Self::default();
+    /// `layout` carries, one task per FD on `pool`.
+    pub fn build(
+        layout: &Layout,
+        grid: &Grid,
+        data: &Table,
+        cell_starts: &[u32],
+        pool: ThreadPool,
+    ) -> Self {
         if data.is_empty() {
-            return out;
+            return Self::default();
         }
-        for &f in layout.fds() {
-            let support = if layout.has_sort_dim() && layout.sort_dim() == f.host {
+        let fds = pool.map(layout.fds().to_vec(), |f| {
+            if layout.has_sort_dim() && layout.sort_dim() == f.host {
                 build_sort_support(f, data, cell_starts)
             } else {
                 let i = (layout.grid_dims().iter().position(|&d| d == f.host))
                     .expect("Layout::with_fds checked the host is indexed");
                 build_grid_support(f, i, grid, data, cell_starts)
-            };
-            // A dependency whose exact outlier set is large (the sample
-            // under-reported how dirty the pair is) costs more to patch
-            // per query than it saves — drop it rather than exploit it.
-            if support.outliers.len() * 8 > data.len() {
-                continue;
             }
-            out.fds.push(support);
-        }
-        out
+        });
+        // A dependency whose exact outlier set is large (the sample
+        // under-reported how dirty the pair is) costs more to patch per
+        // query than it saves — drop it rather than exploit it.
+        let fds = (fds.into_iter())
+            .filter(|support| support.outliers.len() * 8 <= data.len())
+            .collect();
+        CorrSupport { fds }
     }
 }
 
@@ -846,7 +850,7 @@ mod tests {
         for i in 0..grid.num_cells() {
             cell_starts[i + 1] += cell_starts[i];
         }
-        let support = CorrSupport::build(&layout, &grid, &data, &cell_starts);
+        let support = CorrSupport::build(&layout, &grid, &data, &cell_starts, ThreadPool::serial());
         // Outliers every 97 rows ≈ 1% — far below the ⅛ cut.
         let [fd] = &support.fds[..] else {
             panic!("expected grid-hosted FD support, got {:?}", support.fds);

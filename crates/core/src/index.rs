@@ -13,10 +13,11 @@ use crate::correlation::{CorrSupport, HostSlot};
 use crate::flatten::Flattener;
 use crate::grid::Grid;
 use crate::layout::{FdPair, Layout};
+use crate::order::{cell_runs, storage_order};
 use flood_learned::plm::{PiecewiseLinearModel, DEFAULT_DELTA};
 use flood_store::{
-    rank_rows, Check, CumulativeColumn, PlannedIndex, PlannedRange, RangePlan, RangeQuery,
-    RangeScan, ScanStats, Table, Visitor, BLOCK_LEN,
+    rank_rows, Check, CumulativeColumn, MultiDimIndex, PlannedIndex, PlannedRange, RangePlan,
+    RangeQuery, RangeScan, ScanStats, Table, ThreadPool, Visitor, BLOCK_LEN,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -44,22 +45,25 @@ impl PhaseTimes {
     }
 }
 
-/// Build-phase timings (Table 4's loading time).
+/// Build-phase timings (Table 4's loading time): the wall-clock of each
+/// stage, in nanoseconds, however many workers ran it.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct BuildTimes {
-    /// Time spent fitting flattening CDFs: 0 for a build handed its CDFs.
+    /// Fitting flattening CDFs: 0 for a build handed its CDFs.
     pub flatten_ns: u64,
-    /// Time spent assigning cells and sorting the data: boundaries and cell
-    /// ids, the sort into storage order, the gather and the compression.
+    /// Putting the data into storage order: cell ids, the scatter and
+    /// cell sort, the gather and the compression.
     pub sort_ns: u64,
-    /// The part of `sort_ns` spent computing column boundaries and every
-    /// row's cell id.
+    /// The part of `sort_ns` spent computing column boundaries, every
+    /// row's cell id and the cell table.
     pub assign_ns: u64,
     /// The part of `sort_ns` spent gathering the columns into storage
     /// order (and compressing them).
     pub permute_ns: u64,
-    /// Time spent building per-cell refinement models.
+    /// Building per-cell refinement models.
     pub models_ns: u64,
+    /// Building cumulative SUM columns and soft-FD support.
+    pub support_ns: u64,
 }
 
 /// Most grid dimensions a layout may have: one bit each in a planned
@@ -109,10 +113,15 @@ impl FloodIndex {
     /// than 32 grid dimensions or `u32::MAX` cells or more, or a layout
     /// dimension is out of bounds.
     pub fn build(table: &Table, layout: Layout, cfg: FloodConfig) -> Self {
+        Self::fit_and_build(table, layout, cfg, ThreadPool::serial())
+    }
+
+    /// [`FloodIndex::build`] on `pool`.
+    fn fit_and_build(table: &Table, layout: Layout, cfg: FloodConfig, pool: ThreadPool) -> Self {
         let t0 = Instant::now();
         let flattener = Flattener::fit(table, None, &split_dims(&layout), cfg.flattening);
         let flatten_ns = t0.elapsed().as_nanos() as u64;
-        let mut index = Self::build_with(table, layout, cfg, Arc::new(flattener));
+        let mut index = Self::build_with(table, layout, cfg, Arc::new(flattener), pool);
         index.build_times.flatten_ns = flatten_ns;
         index
     }
@@ -120,13 +129,15 @@ impl FloodIndex {
     /// [`FloodIndex::build`] cutting the grid with CDFs fitted on the same
     /// table — a server passes its data sample's
     /// ([`EvaluatorCache::flattener`](crate::EvaluatorCache::flattener)), so
-    /// the grid is the one the search priced. Fits nothing; ignores
-    /// `cfg.flattening`. Also panics if a split dimension has no CDF.
+    /// the grid is the one the search priced — and running on `pool`. Fits
+    /// nothing; ignores `cfg.flattening`. The index is the same at any
+    /// worker count. Also panics if a split dimension has no CDF.
     pub fn build_with(
         table: &Table,
         layout: Layout,
         cfg: FloodConfig,
         flattener: Arc<Flattener>,
+        pool: ThreadPool,
     ) -> Self {
         assert!(
             table.len() < u32::MAX as usize,
@@ -162,98 +173,56 @@ impl FloodIndex {
             .collect();
 
         // 2. Storage order: by cell, then by sort value — the depth-first
-        //    traversal of §3.1 — ties in row order. Work proportional to
-        //    what the layout splits:
-        //    (a) cell ids a column at a time. `bucket` is monotone in the
-        //        value, so a dimension's ≤ c − 1 column boundaries (found
-        //        with the model itself) place a value by comparisons alone;
-        //    (b) a counting sort by cell id — its histogram *is* the cell
-        //        table, its scatter is stable;
-        //    (c) each cell's (sort value, row) run sorted on its own — one
-        //        pass when the scatter left it in order, which std's
-        //        unstable sort detects;
-        //    (d) one gather per column.
-        //    The order is the one sorting unique (cell, value, row) triples
-        //    gives: (b) groups by the first component, (c) orders by the
-        //    other two.
+        //    traversal of §3.1 — ties in row order, computed on the pool
+        //    (cell ids, a stable scatter by cell, a per-cell sort; see
+        //    `crate::order`), then one gather-and-compress task per column.
+        //    The sort column comes out of the sort already in order.
         let t0 = Instant::now();
-        let n = table.len();
-        let mut cells = vec![0u32; n];
-        for &(d, c, stride) in &split {
-            let thr = flattener.dim(d).expect("split, so fitted").boundaries(c);
-            for (cell, &v) in cells.iter_mut().zip(table.column(d).values().iter()) {
-                let col = thr.partition_point(|&t| t <= v);
-                debug_assert_eq!(col, flattener.bucket(d, v, c), "dimension {d}, value {v}");
-                *cell += (col * stride) as u32;
-            }
-        }
-        build_times.assign_ns = t0.elapsed().as_nanos() as u64;
-
-        // Cell table: physical index of the first point of each cell.
         let num_cells = grid.num_cells();
-        let mut cell_starts = vec![0u32; num_cells + 1];
-        for &cell in &cells {
-            cell_starts[cell as usize + 1] += 1;
-        }
-        for c in 0..num_cells {
-            cell_starts[c + 1] += cell_starts[c];
-        }
         let sort_dim = layout.sort_dim();
-        let mut keyed = vec![(0u64, 0u32); n];
-        {
-            let mut next = cell_starts[..num_cells].to_vec();
-            let keys = table.column(sort_dim).values();
-            for (row, (&cell, &key)) in cells.iter().zip(keys.iter()).enumerate() {
-                let slot = &mut next[cell as usize];
-                keyed[*slot as usize] = (key, row as u32);
-                *slot += 1;
-            }
-        }
-        drop(cells);
-        for w in cell_starts.windows(2) {
-            keyed[w[0] as usize..w[1] as usize].sort_unstable();
-        }
-        let perm: Vec<u32> = keyed.iter().map(|&(_, row)| row).collect();
-        drop(keyed);
-
+        let order = storage_order(table, &flattener, &split, num_cells, sort_dim, pool);
+        build_times.assign_ns = order.assign_ns;
+        let cell_starts = order.cell_starts;
         let t1 = Instant::now();
-        let mut data = table.permuted(&perm);
-        if cfg.compress {
-            data.compress();
-        }
+        let sorted = Some((sort_dim, order.sorted_keys));
+        let spare = vec![order.spare];
+        let data = table.permuted_on(&order.perm, cfg.compress, pool, sorted, spare);
         build_times.permute_ns = t1.elapsed().as_nanos() as u64;
         build_times.sort_ns = t0.elapsed().as_nanos() as u64;
 
-        // 3. Per-cell refinement models over the sort dimension (§5.2).
+        // 3. Per-cell refinement models over the sort dimension (§5.2), one
+        //    task per run of cells.
         let t0 = Instant::now();
-        let mut cell_models: Vec<Option<PiecewiseLinearModel>> = Vec::with_capacity(num_cells);
-        if cfg.refinement == Refinement::Plm && layout.has_sort_dim() {
-            let mut buf: Vec<u64> = Vec::new();
-            for c in 0..num_cells {
-                let (s, e) = (cell_starts[c] as usize, cell_starts[c + 1] as usize);
-                if e - s > RANK_MAX_CELL {
-                    buf.clear();
-                    buf.extend((s..e).map(|i| data.value(i, sort_dim)));
-                    cell_models.push(Some(PiecewiseLinearModel::build(&buf, DEFAULT_DELTA)));
-                } else {
-                    cell_models.push(None);
-                }
-            }
-        } else {
-            cell_models.resize_with(num_cells, || None);
-        }
+        let cell_models: Vec<Option<PiecewiseLinearModel>> =
+            if cfg.refinement == Refinement::Plm && layout.has_sort_dim() {
+                let runs = cell_runs(&cell_starts, 4 * pool.threads());
+                let keys = data.column(sort_dim);
+                let per_run = pool.map(runs, |cells| {
+                    let mut buf: Vec<u64> = Vec::new();
+                    (cells.map(|c| {
+                        let (s, e) = (cell_starts[c] as usize, cell_starts[c + 1] as usize);
+                        (e - s > RANK_MAX_CELL).then(|| {
+                            buf.clear();
+                            keys.for_each_slice(s..e, |v| buf.extend_from_slice(v));
+                            PiecewiseLinearModel::build(&buf, DEFAULT_DELTA)
+                        })
+                    }))
+                    .collect::<Vec<_>>()
+                });
+                per_run.into_iter().flatten().collect()
+            } else {
+                vec![None; num_cells]
+            };
         build_times.models_ns = t0.elapsed().as_nanos() as u64;
 
-        let cumulatives = cfg
-            .cumulative_dims
-            .iter()
-            .map(|&d| (d, data.cumulative_sum(d)))
-            .collect();
-
-        // 4. Soft-FD support (extension): exact per-host envelopes +
-        //    outlier rows over the full reordered data for the FDs the
-        //    layout carries, so query-time tightening is lossless.
-        let correlation = CorrSupport::build(&layout, &grid, &data, &cell_starts);
+        // 4. Cumulative SUM columns, then soft-FD support (extension): exact
+        //    per-host envelopes + outlier rows over the full reordered data
+        //    for the FDs the layout carries, so query-time tightening is
+        //    lossless. One task per column, then one per FD.
+        let t0 = Instant::now();
+        let cumulatives = pool.map(cfg.cumulative_dims.clone(), |d| (d, data.cumulative_sum(d)));
+        let correlation = CorrSupport::build(&layout, &grid, &data, &cell_starts, pool);
+        build_times.support_ns = t0.elapsed().as_nanos() as u64;
 
         FloodIndex {
             cfg,
@@ -269,19 +238,45 @@ impl FloodIndex {
         }
     }
 
-    /// Re-lay this index's own data out under `layout`, same configuration,
-    /// sharing its CDFs: Flood is clustered, so the rows are the multiset
-    /// they were fitted on. A layout splitting a dimension they lack (a
-    /// [`FloodIndex::build`] fits only what its layout splits) is built
-    /// from scratch instead.
-    pub fn rebuild(&self, layout: Layout) -> Self {
+    /// Re-lay this index's own data out under `layout` on `pool`, same
+    /// configuration, sharing its CDFs: Flood is clustered, so the rows are
+    /// the multiset they were fitted on. A layout splitting a dimension they
+    /// lack (a [`FloodIndex::build`] fits only what its layout splits) is
+    /// built from scratch instead.
+    pub fn rebuild(&self, layout: Layout, pool: ThreadPool) -> Self {
         let (data, cfg) = (&self.data, self.cfg.clone());
         let fitted = |d: &usize| self.flattener.dim(*d).is_some();
         if split_dims(&layout).iter().all(fitted) {
-            Self::build_with(data, layout, cfg, Arc::clone(&self.flattener))
+            Self::build_with(data, layout, cfg, Arc::clone(&self.flattener), pool)
         } else {
-            Self::build(data, layout, cfg)
+            Self::fit_and_build(data, layout, cfg, pool)
         }
+    }
+
+    /// The first part in which `other` differs from this index — `None`
+    /// when the two are the same index, byte for byte: layout,
+    /// configuration, CDFs, stored columns, cell table, models, cumulative
+    /// columns, soft-FD support and size. Build timings are not compared.
+    pub fn differs_from(&self, other: &FloodIndex) -> Option<&'static str> {
+        let same =
+            |a: &dyn std::fmt::Debug, b: &dyn std::fmt::Debug| format!("{a:?}") == format!("{b:?}");
+        [
+            ("layout", same(&self.layout, &other.layout)),
+            ("config", same(&self.cfg, &other.cfg)),
+            ("grid", same(&self.grid, &other.grid)),
+            ("flattener", same(&self.flattener, &other.flattener)),
+            ("data", same(&self.data, &other.data)),
+            ("cell_starts", self.cell_starts == other.cell_starts),
+            ("cell_models", same(&self.cell_models, &other.cell_models)),
+            ("cumulatives", same(&self.cumulatives, &other.cumulatives)),
+            ("correlation", same(&self.correlation, &other.correlation)),
+            (
+                "size_bytes",
+                self.index_size_bytes() == other.index_size_bytes(),
+            ),
+        ]
+        .into_iter()
+        .find_map(|(part, equal)| (!equal).then_some(part))
     }
 
     /// The CDFs this index's grid is cut with.
@@ -338,7 +333,7 @@ impl FloodIndex {
             .collect()
     }
 
-    /// [`MultiDimIndex::execute`](flood_store::MultiDimIndex::execute)
+    /// [`MultiDimIndex::execute`]
     /// with per-phase wall-clock: same plan, same run, same [`ScanStats`],
     /// plus three clock reads.
     pub fn execute_profiled(

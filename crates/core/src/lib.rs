@@ -52,6 +52,7 @@ pub mod grid;
 pub mod index;
 pub mod layout;
 pub mod optimizer;
+mod order;
 
 pub use config::{FloodBuilder, FloodConfig, Refinement};
 pub use correlation::{CorrelationConfig, CorrelationModel, SoftFd};

@@ -22,6 +22,7 @@ use flood_core::{
 };
 use flood_store::{
     CollectVisitor, CountVisitor, MinMaxVisitor, MultiDimIndex, RangeQuery, SumVisitor, Table,
+    ThreadPool,
 };
 use proptest::prelude::*;
 
@@ -251,9 +252,9 @@ proptest! {
         prop_assert!(is_cut_of(&on.active_fds(), layout.fds()));
 
         // Same layout, same rows, same envelopes: the cut repeats.
-        prop_assert_eq!(on.rebuild(layout.clone()).active_fds(), on.active_fds());
+        prop_assert_eq!(on.rebuild(layout.clone(), ThreadPool::from_env()).active_fds(), on.active_fds());
         let wider = layout.with_cols(layout.cols().iter().map(|c| c + 1).collect());
-        let rebuilt = on.rebuild(wider);
+        let rebuilt = on.rebuild(wider, ThreadPool::from_env());
         prop_assert_eq!(rebuilt.layout().fds(), layout.fds());
         prop_assert!(is_cut_of(&rebuilt.active_fds(), layout.fds()));
 

@@ -4,21 +4,26 @@
 //!
 //! The second block pins the *build*: the storage order and cell table of
 //! [`FloodIndex::build`] against the row-at-a-time reference it replaced
-//! ([`reference_order`]), and [`FloodIndex::rebuild`] against `build`.
-//! The third pins *refinement*: every planned `[start, end)` against
-//! `partition_point` over the decoded cell, on cells around one block long
-//! — where refinement ranks ([`flood_store::rank_rows`]) instead of
-//! searching. `FLOOD_PROPTEST_CASES` scales both blocks' case counts (CI
-//! runs them at 512 in the optimised build, where `debug_assert`s are off
-//! and shifts and subtractions wrap instead of panicking).
+//! ([`reference_order`]), and [`FloodIndex::rebuild`] on a pool against
+//! `build`. The third pins the *pooled build*: [`FloodIndex::build_with`]
+//! at 1, 2 and 3 workers against the serial `build`, byte for byte
+//! ([`FloodIndex::differs_from`]), on tables long enough for radix-sorted
+//! and cut cells, plus deterministic edge cases. The fourth pins
+//! *refinement*: every planned `[start, end)` against `partition_point`
+//! over the decoded cell, on cells around one block long — where
+//! refinement ranks ([`flood_store::rank_rows`]) instead of searching.
+//! `FLOOD_PROPTEST_CASES` scales these blocks' case counts (CI runs them at
+//! 512 in the optimised build, where `debug_assert`s are off and shifts
+//! and subtractions wrap instead of panicking).
 
 use flood_core::{
     FdPair, Flattener, Flattening, FloodBuilder, FloodConfig, FloodIndex, Layout, Refinement,
 };
 use flood_store::{
-    CountVisitor, MultiDimIndex, PlannedIndex, RangeQuery, SumVisitor, Table, BLOCK_LEN,
+    CountVisitor, MultiDimIndex, PlannedIndex, RangeQuery, SumVisitor, Table, ThreadPool, BLOCK_LEN,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn arb_table() -> impl Strategy<Value = Table> {
     (1usize..300, any::<u64>()).prop_map(|(n, seed)| {
@@ -301,7 +306,7 @@ proptest! {
         let mut live = FloodIndex::build(&t, Layout::sort_only(2), cfg.clone());
         for layout in chain {
             let fresh = FloodIndex::build(live.data(), layout.clone(), cfg.clone());
-            live = live.rebuild(layout);
+            live = live.rebuild(layout, ThreadPool::from_env());
             for c in 0..fresh.layout().num_cells() {
                 prop_assert_eq!(live.cell_range(c), fresh.cell_range(c), "cell {}", c);
             }
@@ -311,6 +316,100 @@ proptest! {
             prop_assert_eq!(live.index_size_bytes(), fresh.index_size_bytes());
             prop_assert_eq!(live.active_fds(), fresh.active_fds());
         }
+    }
+}
+
+/// `FloodIndex::build_with` on 1, 2 and 3 workers, with the serial build's
+/// CDFs, is the serial build.
+fn assert_pooled_equals_serial(t: &Table, layout: &Layout, cfg: &FloodConfig) {
+    let serial = FloodIndex::build(t, layout.clone(), cfg.clone());
+    for workers in 1..=3 {
+        let cdfs = Arc::clone(serial.flattener());
+        let pool = ThreadPool::new(workers);
+        let pooled = FloodIndex::build_with(t, layout.clone(), cfg.clone(), cdfs, pool);
+        assert_eq!(
+            pooled.differs_from(&serial),
+            None,
+            "{layout} over {} rows at {workers} workers",
+            t.len()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(32)))]
+
+    /// Up to 2 000 rows: cells past the radix cut-off, and at 2 and 3
+    /// workers cells cut into pieces and merged; compressed sources decoded
+    /// a chunk at a time; a soft FD and a cumulative column to rebuild.
+    #[test]
+    fn pooled_build_equals_serial(
+        n in 0usize..2_000,
+        seed in any::<u64>(),
+        histogram in any::<bool>(),
+        uniform in any::<bool>(),
+        compressed_source in any::<bool>(),
+        compress in any::<bool>(),
+        fd in any::<bool>(),
+    ) {
+        let mut t = build_table(n, seed);
+        if compressed_source {
+            t.compress();
+        }
+        let mut layout = build_layout(seed.rotate_left(17), histogram);
+        if fd {
+            let host = layout.order()[0];
+            layout = layout.with_fds(vec![FdPair { host, dep: (host + 1) % 5 }]);
+        }
+        let cfg = FloodConfig {
+            flattening: if uniform { Flattening::Uniform } else { Flattening::Learned },
+            compress,
+            cumulative_dims: vec![seed as usize % 5],
+            ..FloodConfig::default()
+        };
+        assert_pooled_equals_serial(&t, &layout, &cfg);
+    }
+}
+
+/// The pooled build's edge cases: one cell holding every row (cut into
+/// pieces at 2 and 3 workers), all-equal sort keys, keys spanning
+/// `0..=u64::MAX`, fewer rows than workers, no rows, and a compressed
+/// table whose last block is short.
+#[test]
+fn pooled_build_edge_cases() {
+    let n = 6_000;
+    let t = build_table(n, 3);
+    let cfg = FloodConfig::default();
+    let compressed = FloodConfig {
+        compress: true,
+        ..FloodConfig::default()
+    };
+    // One cell: no grid, and a grid of one column.
+    for layout in [Layout::sort_only(2), Layout::new(vec![0, 2], vec![1])] {
+        assert_pooled_equals_serial(&t, &layout, &cfg);
+    }
+    // All sort keys equal: column 0 holds three values, a constant column
+    // holds one.
+    let constant = Table::from_columns(vec![(0..n as u64).map(|i| i % 7).collect(), vec![9; n]]);
+    assert_pooled_equals_serial(&constant, &Layout::new(vec![0, 1], vec![3]), &cfg);
+    // Keys over the whole of `u64`, both ends present, in one cell and
+    // in several.
+    let wide = build_table(n, 11);
+    assert!((0..n).any(|r| wide.value(r, 2) == u64::MAX) && (0..n).any(|r| wide.value(r, 2) == 0));
+    assert_pooled_equals_serial(&wide, &Layout::sort_only(2), &cfg);
+    assert_pooled_equals_serial(&wide, &Layout::new(vec![1, 2], vec![2]), &compressed);
+    // Fewer rows than workers, and none.
+    for rows in [0, 1, 2] {
+        let t = build_table(rows, 5);
+        assert_pooled_equals_serial(&t, &Layout::new(vec![1, 0, 2], vec![3, 2]), &cfg);
+        assert_pooled_equals_serial(&t, &Layout::sort_only(2), &compressed);
+    }
+    // A compressed source of 5 blocks and 37 rows.
+    let mut short = build_table(5 * BLOCK_LEN + 37, 13);
+    short.compress();
+    for layout in [Layout::new(vec![1, 3, 2], vec![7, 2]), Layout::sort_only(2)] {
+        assert_pooled_equals_serial(&short, &layout, &cfg);
+        assert_pooled_equals_serial(&short, &layout, &compressed);
     }
 }
 

@@ -10,6 +10,8 @@
 //!   flow into tasks without `Arc`. One thread means nothing spawns — the
 //!   degenerate mode runs on the caller's stack. Sized explicitly, or via
 //!   the `FLOOD_THREADS` environment variable ([`ThreadPool::from_env`]).
+//!   It is defined in `flood-store`, so that `FloodIndex` builds run on it
+//!   too, and re-exported here.
 //! * [`QueryExecutor::execute`] — intra-query parallelism: an index that
 //!   implements `flood_store::PartitionedScan` (every planned index: Flood
 //!   and all baselines but the UB-tree) has its planned row ranges cut
@@ -53,7 +55,7 @@
 //! ```
 
 pub mod exec;
-pub mod pool;
 
 pub use exec::QueryExecutor;
-pub use pool::{PoolMetrics, ThreadPool, THREADS_ENV};
+pub use flood_store::pool;
+pub use flood_store::{PoolMetrics, ThreadPool, THREADS_ENV};

@@ -3,7 +3,7 @@
 //! [`FloodServer::force_relearn`].
 //!
 //! Readers record each answered query, with the points it touched, into a
-//! sliding window. A check comes due two ways: a *shift* — [`SHIFT_RUN`]
+//! sliding window. A check comes due two ways: a *shift* — `SHIFT_RUN`
 //! consecutive queries each touching more than `degradation_factor ×` the
 //! epoch's reference — or the `check_every` cadence, which catches drift
 //! too slow to make such a run and waits while one is in progress. A
@@ -25,7 +25,7 @@ use flood_obs::Registry;
 use flood_store::{RangeQuery, ScanStats, Table};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 /// Queries served on a fresh epoch whose mean touched-point count is its
@@ -200,6 +200,8 @@ pub struct AdaptiveSide {
     /// [`AdaptOutcome::Busy`].
     learner: Mutex<Learner>,
     adapt_skipped: AtomicU64,
+    /// Times the learner's lock was taken over from a holder that panicked.
+    learner_recoveries: AtomicU64,
 }
 
 impl AdaptiveSide {
@@ -208,6 +210,32 @@ impl AdaptiveSide {
     /// torn: recover the guard rather than fail every later read.
     fn lock_window(&self) -> MutexGuard<'_, Window> {
         self.window.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The learner's lock, waiting for a learn in flight. A holder that
+    /// panicked — inside a learn, a rebuild or its publish — stopped at
+    /// most a learn's bookkeeping half done: the cached statistics and the
+    /// baseline feed only cost estimates, never an answer, so the learner
+    /// is taken over (and the recovery counted) rather than stopping every
+    /// later adaptation.
+    fn lock_learner(&self) -> MutexGuard<'_, Learner> {
+        self.learner.lock().unwrap_or_else(|p| self.recover(p))
+    }
+
+    /// [`AdaptiveSide::lock_learner`] without waiting: `None` while a learn
+    /// is in flight.
+    fn try_lock_learner(&self) -> Option<MutexGuard<'_, Learner>> {
+        match self.learner.try_lock() {
+            Ok(learner) => Some(learner),
+            Err(TryLockError::Poisoned(p)) => Some(self.recover(p)),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
+    fn recover<'a>(&self, p: PoisonError<MutexGuard<'a, Learner>>) -> MutexGuard<'a, Learner> {
+        self.learner_recoveries.fetch_add(1, Ordering::Relaxed);
+        self.learner.clear_poison();
+        p.into_inner()
     }
 
     /// Record one query and the points it touched. Returns `true` when
@@ -295,7 +323,8 @@ impl BuildSide for AdaptiveSide {
 
     fn report(&self, d: &mut ServeDiagnostics) {
         d.adapt_skipped = self.adapt_skipped.load(Ordering::Relaxed);
-        d.adaptive = self.learner.lock().expect("learner poisoned").diagnostics();
+        d.adaptive = self.lock_learner().diagnostics();
+        d.learner_recoveries = self.learner_recoveries.load(Ordering::Relaxed);
     }
 
     /// The lifetime counters as `adapt.*` gauges: cumulative snapshots, so
@@ -306,9 +335,11 @@ impl BuildSide for AdaptiveSide {
         let skipped = self.adapt_skipped.load(Ordering::Relaxed);
         registry.gauge("adapt", "skipped").set(skipped as i64);
         let g = |name: &str, v: usize| registry.gauge("adapt", name).set(v as i64);
-        let Ok(learner) = self.learner.try_lock() else {
+        let Some(learner) = self.try_lock_learner() else {
             return;
         };
+        let recoveries = self.learner_recoveries.load(Ordering::Relaxed);
+        g("learner_recoveries", recoveries as usize);
         let d = learner.diagnostics();
         g("relearns", d.relearns);
         g("checks", d.checks);
@@ -442,17 +473,19 @@ impl FloodServer {
         // The initial learn replaces no layout: the lifetime counters
         // start after it.
         learner.tally = AdaptiveDiagnostics::default();
-        // The grid is cut with the CDFs the search priced it through.
+        // The grid is cut with the CDFs the search priced it through, on
+        // the pool the server will serve batches and rebuild with.
         let cdfs = learner
             .shared
             .flattener()
             .expect("the learn built a sample");
-        let index = FloodIndex::build_with(table, layout, flood_cfg, Arc::clone(cdfs));
         let pool = if cfg.threads == 0 {
             ThreadPool::from_env()
         } else {
             ThreadPool::new(cfg.threads)
         };
+        let index = FloodIndex::build_with(table, layout, flood_cfg, Arc::clone(cdfs), pool);
+        let build_times = index.build_times();
         let build = AdaptiveSide {
             exec: QueryExecutor::new(pool),
             batch: cfg.batch.max(1),
@@ -463,8 +496,11 @@ impl FloodServer {
             check_due: AtomicBool::new(false),
             learner: Mutex::new(learner),
             adapt_skipped: AtomicU64::new(0),
+            learner_recoveries: AtomicU64::new(0),
         };
-        Server::new(index, build)
+        let server = Server::new(index, build);
+        server.metrics.record_build(build_times);
+        server
     }
 
     /// The adaptation turn, callable from any maintenance thread. When a
@@ -478,7 +514,7 @@ impl FloodServer {
         if !side.check_due.load(Ordering::Acquire) {
             return AdaptOutcome::NotDue;
         }
-        let Ok(mut learner) = side.learner.try_lock() else {
+        let Some(mut learner) = side.try_lock_learner() else {
             side.adapt_skipped.fetch_add(1, Ordering::Relaxed);
             return AdaptOutcome::Busy;
         };
@@ -503,7 +539,7 @@ impl FloodServer {
     /// window restarts empty. An empty workload learns nothing: the current
     /// epoch stays live and is returned.
     pub fn force_relearn(&self, workload: &[RangeQuery]) -> u64 {
-        let mut learner = self.build.learner.lock().expect("learner poisoned");
+        let mut learner = self.build.lock_learner();
         let snap = self.published.snapshot();
         let Some(layout) = learner.learn(snap.index().data(), workload, None) else {
             return snap.epoch();
@@ -513,16 +549,19 @@ impl FloodServer {
         epoch
     }
 
-    /// Build a new index over the snapshot's data and swap it in. Flood is
-    /// clustered — the data multiset is the table — so the rebuild shares
-    /// the snapshot's CDFs, the learner's sample ones, and fits none.
+    /// Build a new index over the snapshot's data on the server's pool and
+    /// swap it in. Flood is clustered — the data multiset is the table — so
+    /// the rebuild shares the snapshot's CDFs, the learner's sample ones,
+    /// and fits none.
     fn rebuild_and_publish(&self, snap: &IndexSnapshot, layout: Layout) -> u64 {
         let t0 = Instant::now();
-        let index = snap.index().rebuild(layout);
+        let index = snap.index().rebuild(layout, self.build.exec.pool());
+        let build_times = index.build_times();
         let epoch = self.published.publish(index);
         self.metrics
             .swap_wall_ns
             .record(t0.elapsed().as_nanos() as u64);
+        self.metrics.record_build(build_times);
         epoch
     }
 }
@@ -736,6 +775,18 @@ mod tests {
             Some(d.relearn_wall.as_nanos() as i64)
         );
         assert_eq!(gauge("skipped"), Some(0));
+        assert_eq!(gauge("learner_recoveries"), Some(0));
+        // The served index's build, stage by stage, in the server's own
+        // registry: the forced re-learn's.
+        let snap = s.metrics_snapshot().expect("always on");
+        let t = s.snapshot().index().build_times();
+        let stage = |name: &str| snap.gauge("build", name).map(|v| v as u64);
+        assert_eq!(stage("assign_ns"), Some(t.assign_ns));
+        assert_eq!(stage("sort_ns"), Some(t.sort_ns));
+        assert_eq!(stage("permute_ns"), Some(t.permute_ns));
+        assert_eq!(stage("models_ns"), Some(t.models_ns));
+        assert_eq!(stage("support_ns"), Some(t.support_ns));
+        assert!(t.sort_ns > 0 && t.assign_ns + t.permute_ns <= t.sort_ns);
     }
 
     /// An abrupt shift is re-learned within one run: the first query of
@@ -834,6 +885,45 @@ mod tests {
             s.maybe_adapt();
         }
         assert_eq!(s.diagnostics().swaps, 1, "the shift still re-learns");
+    }
+
+    /// A panic holding the learner's lock — inside a learn, a rebuild or
+    /// its publish — ends nothing: the next shift still swaps, a forced
+    /// re-learn still publishes, `diagnostics()` still answers, and each
+    /// take-over is counted once.
+    #[test]
+    fn a_poisoned_learner_still_adapts() {
+        let (t, s) = server(AdaptiveConfig::default());
+        let poison = || {
+            let panicked = std::thread::scope(|scope| {
+                scope
+                    .spawn(|| {
+                        let _learner = s.build.learner.lock();
+                        panic!("a learn panics holding the learner");
+                    })
+                    .join()
+            });
+            assert!(panicked.is_err() && s.build.learner.is_poisoned());
+        };
+        poison();
+        let shift = workload_on(0, REFERENCE_QUERIES)
+            .into_iter()
+            .chain(workload_on(1, SHIFT_RUN));
+        for q in shift {
+            let (count, _, _) = serve(&s, &q);
+            assert_eq!(count, truth(&t, &q));
+            s.maybe_adapt();
+        }
+        assert_eq!(s.diagnostics().swaps, 1, "the shift still swaps");
+        poison();
+        assert_eq!(s.force_relearn(&workload_on(2, 24)), 2, "published");
+        poison();
+        let d = s.diagnostics();
+        assert_eq!((d.epoch, d.swaps, d.adaptive.relearns), (2, 2, 2));
+        assert_eq!(d.learner_recoveries, 3);
+        assert!(!s.build.learner.is_poisoned());
+        let snap = s.metrics_snapshot().expect("always on");
+        assert_eq!(snap.gauge("adapt", "learner_recoveries"), Some(3));
     }
 
     /// The served grid is cut with the CDFs the search priced: the live

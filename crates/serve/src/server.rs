@@ -13,6 +13,7 @@
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveDiagnostics, AdaptiveSide};
 use crate::epoch::{Epoch, Published};
+use flood_core::index::BuildTimes;
 use flood_core::FloodIndex;
 use flood_exec::PoolMetrics;
 use flood_obs::{Counter, Histogram, MetricsSnapshot, Registry};
@@ -82,6 +83,9 @@ pub struct ServeDiagnostics {
     pub degraded: u64,
     /// `maybe_adapt` calls that found the learner busy (resident).
     pub adapt_skipped: u64,
+    /// Times the learner's lock was taken over from a holder that
+    /// panicked (resident).
+    pub learner_recoveries: u64,
     /// The learner's counters: checks, relearns, cache work (resident).
     pub adaptive: AdaptiveDiagnostics,
     /// Rows buffered, not yet visible to readers (tiered).
@@ -99,6 +103,9 @@ pub struct ServeDiagnostics {
 /// * `pool` — executor telemetry (tasks, runs, busy time, injector depth);
 /// * `adapt` — the `swap_wall_ns` histogram, plus the build side's
 ///   lifetime gauges refreshed at snapshot time;
+/// * `build` — the served index's [`BuildTimes`], one gauge per stage
+///   (`assign_ns`, `sort_ns`, `permute_ns`, `models_ns`, `support_ns`),
+///   set at each publish of a resident layout;
 /// * `epoch` — publication gauges (current epoch, retirements, pinned
 ///   readers) refreshed at snapshot time.
 #[derive(Debug)]
@@ -134,6 +141,16 @@ impl ServerMetrics {
             swap_wall_ns: registry.histogram("adapt", "swap_wall_ns"),
             registry,
         }
+    }
+
+    /// Set the `build.*` gauges to the published index's stage timings.
+    pub(crate) fn record_build(&self, t: BuildTimes) {
+        let g = |name: &str, ns: u64| self.registry.gauge("build", name).set(ns as i64);
+        g("assign_ns", t.assign_ns);
+        g("sort_ns", t.sort_ns);
+        g("permute_ns", t.permute_ns);
+        g("models_ns", t.models_ns);
+        g("support_ns", t.support_ns);
     }
 }
 
@@ -540,7 +557,7 @@ pub(crate) mod tests {
         let snap = s.metrics_snapshot().expect("metrics are always on");
         assert_eq!(
             snap.subsystems(),
-            vec!["adapt", "epoch", "pool", "scan", "serve"]
+            vec!["adapt", "build", "epoch", "pool", "scan", "serve"]
         );
         // serve: every admitted query is counted, per path.
         assert_eq!(snap.counter("serve", "queries"), Some(25));

@@ -8,6 +8,7 @@
 use crate::block::{Block, BLOCK_LEN};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::ops::Range;
 
 /// A read-only column of `u64` values.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -86,15 +87,41 @@ impl Column {
         }
     }
 
-    /// Re-order the column by `perm`, producing a new column in the same
-    /// representation: `out[i] = self[perm[i]]`.
-    pub fn permute(&self, perm: &[u32]) -> Column {
-        let values = self.values();
-        let reordered: Vec<u64> = perm.iter().map(|&p| values[p as usize]).collect();
+    /// Visit rows `rows` in order as contiguous slices: one borrowed slice
+    /// of a plain column, one decoded block at a time of a compressed one —
+    /// so a range of a compressed column is read without decoding the rest.
+    pub fn for_each_slice(&self, rows: Range<usize>, mut f: impl FnMut(&[u64])) {
         match self {
-            Column::Plain(_) => Column::Plain(reordered),
-            Column::Compressed(_) => Column::compressed(&reordered),
+            Column::Plain(v) => f(&v[rows]),
+            Column::Compressed(c) => {
+                let mut buf = Vec::with_capacity(BLOCK_LEN);
+                let mut at = rows.start;
+                while at < rows.end {
+                    let (b, off) = (at / BLOCK_LEN, at % BLOCK_LEN);
+                    buf.clear();
+                    c.blocks[b].decompress_into(&mut buf);
+                    let take = (buf.len() - off).min(rows.end - at);
+                    f(&buf[off..off + take]);
+                    at += take;
+                }
+            }
         }
+    }
+
+    /// `out[i] = self[perm[i]]`, `out` cleared first. A compressed column is
+    /// decoded into `decoded` on the way; the two buffers are reused as they
+    /// come, so a caller gathering many columns allocates them once.
+    pub(crate) fn gather_into(&self, perm: &[u32], decoded: &mut Vec<u64>, out: &mut Vec<u64>) {
+        let values: &[u64] = match self {
+            Column::Plain(v) => v,
+            Column::Compressed(c) => {
+                decoded.clear();
+                c.blocks.iter().for_each(|b| b.decompress_into(decoded));
+                decoded
+            }
+        };
+        out.clear();
+        out.extend(perm.iter().map(|&p| values[p as usize]));
     }
 }
 
@@ -171,6 +198,7 @@ impl CompressedColumn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::Table;
 
     fn sample(n: usize) -> Vec<u64> {
         (0..n as u64)
@@ -220,19 +248,46 @@ mod tests {
         assert!(c.size_bytes() < p.size_bytes());
     }
 
+    /// A one-column table re-ordered through `Table::permuted`, which
+    /// gathers each column with `Column::gather_into`.
+    fn permuted(col: Column, perm: &[u32]) -> Column {
+        let mut t = Table::from_columns(vec![col.to_vec()]);
+        if col.as_compressed().is_some() {
+            t.compress();
+        }
+        t.permuted(perm).column(0).clone()
+    }
+
     #[test]
     fn permute_reorders() {
-        let vals = vec![10, 20, 30, 40];
-        let p = Column::plain(vals);
-        let out = p.permute(&[3, 1, 0, 2]);
+        let out = permuted(Column::plain(vec![10, 20, 30, 40]), &[3, 1, 0, 2]);
         assert_eq!(out.to_vec(), vec![40, 20, 10, 30]);
+    }
+
+    #[test]
+    fn slices_cover_any_row_range() {
+        let vals = sample(3 * BLOCK_LEN + 17);
+        for col in [Column::plain(vals.clone()), Column::compressed(&vals)] {
+            for (a, b) in [
+                (0, vals.len()),
+                (5, 5),
+                (3, BLOCK_LEN + 9),
+                (BLOCK_LEN, 3 * BLOCK_LEN + 1),
+            ] {
+                let mut got = Vec::new();
+                col.for_each_slice(a..b, |s| got.extend_from_slice(s));
+                assert_eq!(got, vals[a..b], "rows {a}..{b}");
+            }
+        }
     }
 
     #[test]
     fn permute_preserves_representation() {
         let vals = sample(200);
-        let c = Column::compressed(&vals);
-        let out = c.permute(&(0..200u32).rev().collect::<Vec<_>>());
+        let out = permuted(
+            Column::compressed(&vals),
+            &(0..200u32).rev().collect::<Vec<_>>(),
+        );
         assert!(matches!(out, Column::Compressed(_)));
         let rev: Vec<u64> = vals.iter().rev().copied().collect();
         assert_eq!(out.to_vec(), rev);

@@ -23,10 +23,12 @@ impl CumulativeColumn {
     pub fn build(col: &Column) -> Self {
         let mut prefix = Vec::with_capacity(col.len());
         let mut acc = 0u64;
-        for i in 0..col.len() {
-            acc = acc.wrapping_add(col.get(i));
-            prefix.push(acc);
-        }
+        col.for_each_slice(0..col.len(), |vals| {
+            prefix.extend(vals.iter().map(|&v| {
+                acc = acc.wrapping_add(v);
+                acc
+            }));
+        });
         CumulativeColumn { prefix }
     }
 

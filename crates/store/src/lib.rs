@@ -25,8 +25,9 @@
 //!   ([`scan::scan_checked`], which picks block-wise or row-wise from the
 //!   column representation).
 //!
-//! The crate also defines the shared query model ([`RangeQuery`]) and the
-//! [`Visitor`] abstraction that all indexes use to process matching records.
+//! The crate also defines the shared query model ([`RangeQuery`]), the
+//! [`Visitor`] abstraction that all indexes use to process matching records,
+//! and the scoped [`ThreadPool`] that parallel scans and index builds run on.
 //!
 //! For tables larger than RAM, the [`tier`] module seals columns into
 //! checksummed cold segments behind a pluggable [`StorageBackend`], keeps
@@ -41,6 +42,7 @@ pub mod cumulative;
 pub mod index_trait;
 pub mod partition;
 pub mod plan;
+pub mod pool;
 pub mod query;
 pub mod row_buffer;
 pub mod scan;
@@ -58,6 +60,7 @@ pub use index_trait::{
 };
 pub use partition::{partition_ranges_aligned, RangeChunk};
 pub use plan::{ChunkedRangeScan, PlannedRange, RangePlan, RangeScan};
+pub use pool::{PoolMetrics, ThreadPool, THREADS_ENV};
 pub use query::{QueryRect, RangeQuery};
 pub use row_buffer::RowBuffer;
 pub use scan::{rank_rows, scan_checked, scan_exact, scan_filtered, scan_rows, BlockSource, Check};

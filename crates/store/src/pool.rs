@@ -4,25 +4,34 @@
 //! so the pool is built from `std` alone: [`std::thread::scope`] workers
 //! pulling task indices from a shared atomic injector. The pool holds no
 //! long-lived threads — workers live exactly as long as one [`ThreadPool::run`]
-//! call, so borrowed data (tables, plans, queries) flows into tasks without
-//! `Arc` or `'static` bounds.
+//! call, so borrowed data (tables, plans, queries, the disjoint `&mut`
+//! slices of a build) flows into tasks without `Arc` or `'static` bounds.
 //!
 //! With one thread (the degenerate mode) nothing is spawned at all: tasks
 //! run inline on the caller's stack, making the serial path zero-overhead
 //! and trivially deadlock-free.
 //!
+//! Two kinds of work share one pool: scans (`flood-exec`'s `QueryExecutor`,
+//! partitioned single queries and batches) and index builds
+//! (`FloodIndex::build_with` / `rebuild`, which a server runs on the pool
+//! it serves batches with). Both are bursts that borrow a table for their
+//! duration, and a build's tasks hand each worker its own `&mut` slice of
+//! the output ([`ThreadPool::map`]); scoped workers let both borrow
+//! instead of reference count, and a burst of a few milliseconds or more
+//! dwarfs the tens of microseconds a spawn costs. It lives here, in
+//! `flood-store`, so the index crate can build on it without depending on
+//! the executor.
+//!
 //! Paper map: the paper's evaluation is single-threaded ("Flood is
 //! currently single threaded", §7) and §8 sketches intra-query parallelism
 //! as future work; this pool is the substrate that turns the sketch into
-//! something measured (`flood-benchmark`'s `exec.*` metrics). Scoped (per-call) workers were
-//! chosen over a resident pool because every paper-shaped workload is a
-//! burst of scans over borrowed `Table`s — there is no long-lived server
-//! loop to amortize thread startup against, and scoped lifetimes let scan
-//! plans borrow straight from the index with no reference counting.
+//! something measured (`flood-benchmark`'s `exec.*` metrics), and that
+//! makes the re-layout §8's shifting workloads trigger cheaper
+//! (`epoch_swap_ms`).
 
 use flood_obs::{Counter, Gauge, Registry};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Environment variable overriding the default worker count
@@ -122,6 +131,61 @@ impl ThreadPool {
         F: Fn(usize) -> T + Sync,
     {
         self.run_observed(tasks, work, None)
+    }
+
+    /// Run `work` on every item, one task each, returning the results in
+    /// item order: `run` for tasks that each take something by value — a
+    /// disjoint `&mut` slice of one output, or a buffer reserved on the
+    /// calling thread.
+    ///
+    /// # Panics
+    /// Propagates a panic from any task after all workers have stopped.
+    pub fn map<S, T, F>(&self, items: Vec<S>, work: F) -> Vec<T>
+    where
+        S: Send,
+        T: Send,
+        F: Fn(S) -> T + Sync,
+    {
+        self.map_init(items, || (), |(), item| work(item))
+    }
+
+    /// [`ThreadPool::map`] with per-worker state: each worker makes one
+    /// `init()` and hands it to every task it runs — scratch buffers
+    /// allocated once per worker rather than once per task.
+    ///
+    /// # Panics
+    /// Propagates a panic from any task after all workers have stopped.
+    pub(crate) fn map_init<S, I, T, FI, F>(&self, items: Vec<I>, init: FI, work: F) -> Vec<T>
+    where
+        I: Send,
+        T: Send,
+        FI: Fn() -> S + Sync,
+        F: Fn(&mut S, I) -> T + Sync,
+    {
+        let tasks = items.len();
+        let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|s| Mutex::new(Some(s))).collect();
+        let next = AtomicUsize::new(0);
+        let per_worker = self.run(self.threads.min(tasks), |_| {
+            let mut state = init();
+            let mut out = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= tasks {
+                    return out;
+                }
+                let item = slots[i]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .take();
+                out.push((
+                    i,
+                    work(&mut state, item.expect("each task takes its item once")),
+                ));
+            }
+        });
+        let mut results: Vec<(usize, T)> = per_worker.into_iter().flatten().collect();
+        results.sort_unstable_by_key(|&(i, _)| i);
+        results.into_iter().map(|(_, t)| t).collect()
     }
 
     /// [`ThreadPool::run`] with optional telemetry: when `obs` is set, the
@@ -283,6 +347,31 @@ mod tests {
             assert_eq!(snap.gauge("pool", "queue_depth"), Some(0), "drained");
             let workers = snap.gauge("pool", "workers").unwrap();
             assert!(workers >= 1 && workers <= threads as i64);
+        }
+    }
+
+    #[test]
+    fn map_hands_each_task_its_own_slice() {
+        for threads in [1, 2, 3] {
+            let mut out = vec![0usize; 10];
+            let items: Vec<(usize, &mut [usize])> = out.chunks_mut(3).enumerate().collect();
+            let lens = ThreadPool::new(threads).map(items, |(i, chunk)| {
+                chunk.fill(i);
+                chunk.len()
+            });
+            assert_eq!(lens, vec![3, 3, 3, 1]);
+            assert_eq!(out, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3]);
+        }
+    }
+
+    #[test]
+    fn map_init_makes_one_state_per_worker() {
+        for threads in [1, 2, 3] {
+            let inits = AtomicUsize::new(0);
+            let init = || inits.fetch_add(1, Ordering::Relaxed);
+            let out = ThreadPool::new(threads).map_init((0..20).collect(), init, |_, i| 2 * i);
+            assert_eq!(out, (0..20).map(|i| 2 * i).collect::<Vec<_>>());
+            assert!((1..=threads).contains(&inits.load(Ordering::Relaxed)));
         }
     }
 

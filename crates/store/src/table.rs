@@ -3,6 +3,7 @@
 
 use crate::column::Column;
 use crate::cumulative::CumulativeColumn;
+use crate::pool::ThreadPool;
 use serde::{Deserialize, Serialize};
 
 /// An immutable, in-memory, columnar table of `u64` attributes.
@@ -109,9 +110,57 @@ impl Table {
 
     /// A new table whose row `i` is this table's row `perm[i]`.
     pub fn permuted(&self, perm: &[u32]) -> Table {
+        self.permuted_on(perm, false, ThreadPool::serial(), None, Vec::new())
+    }
+
+    /// [`Table::permuted`] with one task per column on `pool`, each column
+    /// block-compressed inside its task when `compress` is set (a
+    /// compressed column always is). `ordered` may hand over one column's
+    /// values already in the new order, as `(dimension, values)`: they are
+    /// taken, not gathered. A column that stays plain is gathered into a
+    /// `spare` buffer while one is left, else into one reserved on the
+    /// calling thread; one that is compressed, through buffers each worker
+    /// allocates once.
+    pub fn permuted_on(
+        &self,
+        perm: &[u32],
+        compress: bool,
+        pool: ThreadPool,
+        mut ordered: Option<(usize, Vec<u64>)>,
+        mut spare: Vec<Vec<u64>>,
+    ) -> Table {
         assert_eq!(perm.len(), self.len, "permutation length mismatch");
+        let packed = |c: &Column| compress || c.as_compressed().is_some();
+        let tasks = (self.columns.iter().enumerate())
+            .map(|(d, c)| match ordered.take_if(|(od, _)| *od == d) {
+                Some((_, values)) => (c, Some(values), Vec::new()),
+                None if packed(c) => (c, None, Vec::new()),
+                None => (
+                    c,
+                    None,
+                    spare.pop().unwrap_or_else(|| Vec::with_capacity(self.len)),
+                ),
+            })
+            .collect();
+        let buffers = || (Vec::new(), Vec::new());
+        let columns = pool.map_init(
+            tasks,
+            buffers,
+            |(decoded, gathered), (c, values, mut out)| match values {
+                Some(values) if packed(c) => Column::compressed(&values),
+                Some(values) => Column::Plain(values),
+                None if packed(c) => {
+                    c.gather_into(perm, decoded, gathered);
+                    Column::compressed(gathered)
+                }
+                None => {
+                    c.gather_into(perm, decoded, &mut out);
+                    Column::Plain(out)
+                }
+            },
+        );
         Table {
-            columns: self.columns.iter().map(|c| c.permute(perm)).collect(),
+            columns,
             names: self.names.clone(),
             len: self.len,
         }
@@ -176,6 +225,36 @@ mod tests {
         assert_eq!(t.row(0), vec![3, 30]);
         assert_eq!(t.row(1), vec![1, 10]);
         assert_eq!(t.row(3), vec![2, 20]);
+    }
+
+    /// Any worker count, a column handed over in order, a spare buffer:
+    /// the same table as `permuted` (and `compress`).
+    #[test]
+    fn pooled_permutation_equals_serial() {
+        let vals = |k: u64| (0..1_000u64).map(|i| (i * k) % 977).collect::<Vec<_>>();
+        let mut t = Table::from_columns(vec![vals(3), vals(7), vals(11)]);
+        t.compress_dims(&[1]);
+        let perm: Vec<u32> = (0..1_000u32).map(|i| (i * 389) % 1_000).collect();
+        for compress in [false, true] {
+            let mut serial = t.permuted(&perm);
+            if compress {
+                serial.compress();
+            }
+            for threads in [1, 2, 3] {
+                for d in [None, Some(1), Some(2)] {
+                    let ordered = d.map(|d| (d, serial.column(d).to_vec()));
+                    let spare = vec![vec![5; 10]];
+                    let pool = ThreadPool::new(threads);
+                    let pooled = t.permuted_on(&perm, compress, pool, ordered, spare);
+                    // The representation of each column is part of the Debug.
+                    assert_eq!(
+                        format!("{pooled:?}"),
+                        format!("{serial:?}"),
+                        "{threads} workers"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
