@@ -185,7 +185,7 @@ impl FloodIndex {
         let cell_starts = order.cell_starts;
         let t1 = Instant::now();
         let sorted = Some((sort_dim, order.sorted_keys));
-        let spare = vec![order.spare];
+        let spare = Some(order.spare);
         let data = table.permuted_on(&order.perm, cfg.compress, pool, sorted, spare);
         build_times.permute_ns = t1.elapsed().as_nanos() as u64;
         build_times.sort_ns = t0.elapsed().as_nanos() as u64;

@@ -13,13 +13,16 @@
 //! 2. **scatter** — a counting sort by cell id: each task owns an
 //!    equal-row run of cells, scans every row's cell id and fills its own
 //!    cells in row order, so the scatter is stable.
-//! 3. **cell sort** — each cell's `(sort value, row)` run sorted by value.
-//!    The scatter left the rows of a cell ascending, so a stable sort by
-//!    value is the sort of those unique pairs: a small cell takes std's
-//!    unstable sort, a larger one a stable LSD radix sort over
-//!    `value − min`. A cell too large for one task is cut into pieces,
-//!    each radix-sorted on its own, and a stable merge of those runs
-//!    finishes it.
+//! 3. **cell sort** — each cell's `(sort value, row)` run sorted by value,
+//!    one task per run of whole cells. The scatter left the rows of a cell
+//!    ascending, so a stable sort by value is the sort of those unique
+//!    pairs: a small cell takes std's unstable sort, a larger one a stable
+//!    LSD radix sort over `value − min`.
+//!
+//! Stages 1 and 2 run at most `MAX_ROW_PASS_TASKS` tasks: each assign
+//! chunk keeps a histogram of every cell (a `u32` per cell) and each
+//! scatter task reads every row's cell id, so their memory and reads grow
+//! with the task count.
 //!
 //! The order is the one sorting unique (cell, value, row) triples gives:
 //! the scatter groups by the first component, the cell sort orders by the
@@ -38,6 +41,12 @@ use std::time::Instant;
 /// at ≈ 130 rows for one pass (an 11-bit range), ≈ 330 for three (30-bit)
 /// and ≈ 770 for six (63-bit); at twice those rows radix is 1.5–5× faster.
 const RADIX_ROWS_PER_PASS: usize = 128;
+
+/// Most tasks the assign and the scatter are cut into, whatever the
+/// worker count: up to this many cell histograms are live at once (4 MB
+/// each at the optimizer's 2^20-cell cap), and every scatter task reads
+/// all `n` cell ids.
+const MAX_ROW_PASS_TASKS: usize = 4;
 
 /// Bits of the key each radix pass sorts on.
 const DIGIT_BITS: u32 = 11;
@@ -76,6 +85,7 @@ pub(crate) fn storage_order(
     let t0 = Instant::now();
     let n = table.len();
     let workers = pool.threads();
+    let row_tasks = workers.min(MAX_ROW_PASS_TASKS);
     let bounds: Vec<(usize, Vec<u64>, usize, usize)> = (split.iter())
         .map(|&(d, c, stride)| {
             let thr = flattener.dim(d).expect("split, so fitted").boundaries(c);
@@ -86,7 +96,7 @@ pub(crate) fn storage_order(
     // 1. Cell ids and one histogram per block-aligned chunk; a compressed
     //    sort column is decoded here too, chunk by chunk, for the scatter.
     let chunk = n
-        .div_ceil(workers)
+        .div_ceil(row_tasks)
         .next_multiple_of(BLOCK_LEN)
         .max(BLOCK_LEN);
     let key_col = table.column(sort_dim);
@@ -141,10 +151,10 @@ pub(crate) fn storage_order(
     };
     let assign_ns = t0.elapsed().as_nanos() as u64;
 
-    // 2. The stable scatter, one equal-row run of cells per worker.
+    // 2. The stable scatter, one equal-row run of cells per task.
     let (mut sorted_keys, mut perm) = (vec![0u64; n], vec![0u32; n]);
     {
-        let runs = cell_runs(&cell_starts, workers);
+        let runs = cell_runs(&cell_starts, row_tasks);
         let mut next = cell_starts[..num_cells].to_vec();
         let out = Pairs::new(&mut sorted_keys, &mut perm);
         let outs = out.split(runs.iter().map(|r| rows_of(&cell_starts, r).len()));
@@ -165,50 +175,18 @@ pub(crate) fn storage_order(
     }
     drop(keys);
 
-    // 3. The cell sort: jobs of about n / (4 · workers) rows — runs of
-    //    whole cells, or pieces of a longer cell when a second worker can
-    //    sort the other pieces meanwhile — then one merge per cut cell.
-    //    (Cutting a 1 M-row cell into `workers` pieces instead merged in
-    //    one round, not three, but sorted the larger pieces slower: no
-    //    faster in all.) The scratch is the cell ids' buffer and one the
-    //    gather reuses.
-    let target = n.div_ceil(4 * workers).max(1);
-    let cut_above = if workers > 1 { target } else { usize::MAX };
-    let mut jobs: Vec<(Option<Range<usize>>, usize)> = Vec::new();
-    let mut cut: Vec<usize> = Vec::new();
-    let mut group = (0, 0);
-    for c in 0..num_cells {
-        let len = (cell_starts[c + 1] - cell_starts[c]) as usize;
-        if len <= cut_above {
-            group.1 += len;
-            if group.1 >= target {
-                jobs.push((Some(group.0..c + 1), group.1));
-                group = (c + 1, 0);
-            }
-            continue;
-        }
-        if group.0 < c {
-            jobs.push((Some(group.0..c), group.1));
-        }
-        jobs.extend(pieces(len, cut_above).map(|len| (None, len)));
-        cut.push(c);
-        group = (c + 1, 0);
-    }
-    if group.0 < num_cells {
-        jobs.push((Some(group.0..num_cells), group.1));
-    }
+    // 3. The cell sort: runs of whole cells of about n / (4 · workers)
+    //    rows, a task each; a longer cell is never split. The scratch is the cell ids' buffer and one the gather reuses.
+    let runs = cell_runs(&cell_starts, 4 * workers);
     let mut spare = vec![0u64; n];
     let mut spare_rows = cells;
-    let lens = || jobs.iter().map(|&(_, len)| len);
-    let tasks: Vec<_> = (jobs.iter().map(|(cells, _)| cells))
+    let lens = || runs.iter().map(|r| rows_of(&cell_starts, r).len());
+    let tasks: Vec<_> = (runs.iter())
         .zip(Pairs::new(&mut sorted_keys, &mut perm).split(lens()))
         .zip(Pairs::new(&mut spare, &mut spare_rows).split(lens()))
         .collect();
     pool.map(tasks, |((cells, mut run), mut scratch)| {
         let mut sorter = CellSorter::default();
-        let Some(cells) = cells else {
-            return sorter.sort(run, scratch);
-        };
         let base = cell_starts[cells.start] as usize;
         for c in cells.clone() {
             let rows = rows_of(&cell_starts, &(c..c + 1));
@@ -216,27 +194,6 @@ pub(crate) fn storage_order(
             sorter.sort(run.range(rows.clone()), scratch.range(rows));
         }
     });
-    if !cut.is_empty() {
-        // Every cut cell and the stretch before it, as pieces of both.
-        let mut lens = Vec::with_capacity(2 * cut.len());
-        let mut at = 0;
-        for &c in &cut {
-            let rows = rows_of(&cell_starts, &(c..c + 1));
-            lens.extend([rows.start - at, rows.len()]);
-            at = rows.end;
-        }
-        let cells = Pairs::new(&mut sorted_keys, &mut perm).split(lens.iter().copied());
-        let scratch = Pairs::new(&mut spare, &mut spare_rows).split(lens.iter().copied());
-        let tasks: Vec<_> = (cells.into_iter().zip(scratch).skip(1).step_by(2))
-            .map(|(cell, scratch)| {
-                let pieces = pieces(cell.keys.len(), cut_above);
-                (cell, scratch, pieces.collect())
-            })
-            .collect();
-        pool.map(tasks, |(cell, scratch, pieces)| {
-            merge_pieces(cell, scratch, pieces)
-        });
-    }
     StorageOrder {
         cell_starts,
         perm,
@@ -272,13 +229,6 @@ fn split_lens<T>(mut s: &mut [T], lens: impl Iterator<Item = usize>) -> Vec<&mut
         head
     })
     .collect()
-}
-
-/// The lengths of the pieces a cell of `len` rows is cut into: as equal
-/// as can be, none longer than `most`.
-fn pieces(len: usize, most: usize) -> impl Iterator<Item = usize> {
-    let k = len.div_ceil(most);
-    (0..k).map(move |p| (p + 1) * len / k - p * len / k)
 }
 
 /// A stretch of the storage order while it is built: each row's sort
@@ -385,59 +335,6 @@ impl CellSorter {
     }
 }
 
-/// Merge a cell whose consecutive pieces of the given lengths are each
-/// sorted by value, ties in row order, into one such run: pairwise rounds
-/// between the cell and `scratch`. A later piece holds later rows, so on
-/// equal values the earlier piece goes first.
-fn merge_pieces(cell: Pairs, scratch: Pairs, pieces: Vec<usize>) {
-    let mut bounds: Vec<usize> = std::iter::once(0)
-        .chain(pieces.iter().scan(0, |at, &len| {
-            *at += len;
-            Some(*at)
-        }))
-        .collect();
-    // Pieces already in order across their seams: the cell is sorted.
-    let seams = &bounds[1..bounds.len() - 1];
-    if seams.iter().all(|&m| cell.keys[m - 1] <= cell.keys[m]) {
-        return;
-    }
-    let (mut src, mut dst) = (cell, scratch);
-    let mut in_scratch = false;
-    while bounds.len() > 2 {
-        for w in bounds.windows(3).step_by(2) {
-            let (a, m, b) = (w[0], w[1], w[2]);
-            if src.keys[m - 1] <= src.keys[m] {
-                dst.keys[a..b].copy_from_slice(&src.keys[a..b]);
-                dst.rows[a..b].copy_from_slice(&src.rows[a..b]);
-                continue;
-            }
-            let (mut i, mut j) = (a, m);
-            for at in a..b {
-                let left = j == b || (i < m && src.keys[i] <= src.keys[j]);
-                dst.put(at, &src, if left { i } else { j });
-                (i, j) = if left { (i + 1, j) } else { (i, j + 1) };
-            }
-        }
-        if bounds.len() % 2 == 0 {
-            // An odd piece out: carried over as it is.
-            let r = bounds[bounds.len() - 2]..bounds[bounds.len() - 1];
-            dst.keys[r.clone()].copy_from_slice(&src.keys[r.clone()]);
-            dst.rows[r.clone()].copy_from_slice(&src.rows[r]);
-        }
-        bounds = bounds.into_iter().step_by(2).collect();
-        let last = src.keys.len();
-        if bounds.last() != Some(&last) {
-            bounds.push(last);
-        }
-        std::mem::swap(&mut src, &mut dst);
-        in_scratch = !in_scratch;
-    }
-    if in_scratch {
-        dst.keys.copy_from_slice(src.keys);
-        dst.rows.copy_from_slice(src.rows);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,36 +396,6 @@ mod tests {
                 sorter.sort(Pairs::new(&mut keys, &mut rows), scratch);
                 let got: Vec<(u64, u32)> = keys.into_iter().zip(rows).collect();
                 assert_eq!(got, want, "{len} rows over {domain}");
-            }
-        }
-    }
-
-    /// Merging one to five sorted pieces, with values repeating across
-    /// pieces, gives the sorted cell.
-    #[test]
-    fn merged_pieces_equal_the_sorted_cell() {
-        let mut next = lcg(9);
-        for len in [1, 2, 7, 1_000] {
-            for k in 1..=5 {
-                for domain in [2, 1 << 30] {
-                    let (mut keys, mut rows) = cell(len, domain, &mut next);
-                    let want = sorted_pairs(&keys, &rows);
-                    let lens: Vec<usize> = pieces(len, len.div_ceil(k)).collect();
-                    let mut at = 0;
-                    for &l in &lens {
-                        let mut piece = sorted_pairs(&keys[at..at + l], &rows[at..at + l]);
-                        for (i, (key, row)) in piece.drain(..).enumerate() {
-                            (keys[at + i], rows[at + i]) = (key, row);
-                        }
-                        at += l;
-                    }
-                    let (mut skeys, mut srows) = (vec![0; len], vec![0; len]);
-                    let scratch = Pairs::new(&mut skeys, &mut srows);
-                    merge_pieces(Pairs::new(&mut keys, &mut rows), scratch, lens.clone());
-                    let got: Vec<(u64, u32)> =
-                        keys.iter().copied().zip(rows.iter().copied()).collect();
-                    assert_eq!(got, want, "{len} rows in pieces {lens:?}");
-                }
             }
         }
     }

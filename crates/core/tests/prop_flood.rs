@@ -319,11 +319,12 @@ proptest! {
     }
 }
 
-/// `FloodIndex::build_with` on 1, 2 and 3 workers, with the serial build's
-/// CDFs, is the serial build.
+/// `FloodIndex::build_with` on 1, 2, 3 and 5 workers (5: more workers than
+/// the assign and the scatter cut tasks for), with the serial build's CDFs,
+/// is the serial build.
 fn assert_pooled_equals_serial(t: &Table, layout: &Layout, cfg: &FloodConfig) {
     let serial = FloodIndex::build(t, layout.clone(), cfg.clone());
-    for workers in 1..=3 {
+    for workers in [1, 2, 3, 5] {
         let cdfs = Arc::clone(serial.flattener());
         let pool = ThreadPool::new(workers);
         let pooled = FloodIndex::build_with(t, layout.clone(), cfg.clone(), cdfs, pool);
@@ -339,9 +340,9 @@ fn assert_pooled_equals_serial(t: &Table, layout: &Layout, cfg: &FloodConfig) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(32)))]
 
-    /// Up to 2 000 rows: cells past the radix cut-off, and at 2 and 3
-    /// workers cells cut into pieces and merged; compressed sources decoded
-    /// a chunk at a time; a soft FD and a cumulative column to rebuild.
+    /// Up to 2 000 rows: cells past the radix cut-off, cells longer than
+    /// one cell-sort task's share; compressed sources decoded a chunk at a
+    /// time; a soft FD and a cumulative column to rebuild.
     #[test]
     fn pooled_build_equals_serial(
         n in 0usize..2_000,
@@ -371,8 +372,7 @@ proptest! {
     }
 }
 
-/// The pooled build's edge cases: one cell holding every row (cut into
-/// pieces at 2 and 3 workers), all-equal sort keys, keys spanning
+/// The pooled build's edge cases: one cell holding every row, all-equal sort keys, keys spanning
 /// `0..=u64::MAX`, fewer rows than workers, no rows, and a compressed
 /// table whose last block is short.
 #[test]

@@ -146,46 +146,11 @@ impl ThreadPool {
         T: Send,
         F: Fn(S) -> T + Sync,
     {
-        self.map_init(items, || (), |(), item| work(item))
-    }
-
-    /// [`ThreadPool::map`] with per-worker state: each worker makes one
-    /// `init()` and hands it to every task it runs — scratch buffers
-    /// allocated once per worker rather than once per task.
-    ///
-    /// # Panics
-    /// Propagates a panic from any task after all workers have stopped.
-    pub(crate) fn map_init<S, I, T, FI, F>(&self, items: Vec<I>, init: FI, work: F) -> Vec<T>
-    where
-        I: Send,
-        T: Send,
-        FI: Fn() -> S + Sync,
-        F: Fn(&mut S, I) -> T + Sync,
-    {
-        let tasks = items.len();
-        let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|s| Mutex::new(Some(s))).collect();
-        let next = AtomicUsize::new(0);
-        let per_worker = self.run(self.threads.min(tasks), |_| {
-            let mut state = init();
-            let mut out = Vec::new();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= tasks {
-                    return out;
-                }
-                let item = slots[i]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .take();
-                out.push((
-                    i,
-                    work(&mut state, item.expect("each task takes its item once")),
-                ));
-            }
-        });
-        let mut results: Vec<(usize, T)> = per_worker.into_iter().flatten().collect();
-        results.sort_unstable_by_key(|&(i, _)| i);
-        results.into_iter().map(|(_, t)| t).collect()
+        let slots: Vec<Mutex<Option<S>>> = items.into_iter().map(|s| Mutex::new(Some(s))).collect();
+        self.run(slots.len(), |i| {
+            let mut slot = slots[i].lock().unwrap_or_else(PoisonError::into_inner);
+            work(slot.take().expect("each task takes its item once"))
+        })
     }
 
     /// [`ThreadPool::run`] with optional telemetry: when `obs` is set, the
@@ -361,17 +326,6 @@ mod tests {
             });
             assert_eq!(lens, vec![3, 3, 3, 1]);
             assert_eq!(out, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3]);
-        }
-    }
-
-    #[test]
-    fn map_init_makes_one_state_per_worker() {
-        for threads in [1, 2, 3] {
-            let inits = AtomicUsize::new(0);
-            let init = || inits.fetch_add(1, Ordering::Relaxed);
-            let out = ThreadPool::new(threads).map_init((0..20).collect(), init, |_, i| 2 * i);
-            assert_eq!(out, (0..20).map(|i| 2 * i).collect::<Vec<_>>());
-            assert!((1..=threads).contains(&inits.load(Ordering::Relaxed)));
         }
     }
 

@@ -110,24 +110,23 @@ impl Table {
 
     /// A new table whose row `i` is this table's row `perm[i]`.
     pub fn permuted(&self, perm: &[u32]) -> Table {
-        self.permuted_on(perm, false, ThreadPool::serial(), None, Vec::new())
+        self.permuted_on(perm, false, ThreadPool::serial(), None, None)
     }
 
     /// [`Table::permuted`] with one task per column on `pool`, each column
     /// block-compressed inside its task when `compress` is set (a
     /// compressed column always is). `ordered` may hand over one column's
     /// values already in the new order, as `(dimension, values)`: they are
-    /// taken, not gathered. A column that stays plain is gathered into a
-    /// `spare` buffer while one is left, else into one reserved on the
-    /// calling thread; one that is compressed, through buffers each worker
-    /// allocates once.
+    /// taken, not gathered. The first column that stays plain is gathered
+    /// into `spare` when given, the others into buffers reserved on the
+    /// calling thread.
     pub fn permuted_on(
         &self,
         perm: &[u32],
         compress: bool,
         pool: ThreadPool,
         mut ordered: Option<(usize, Vec<u64>)>,
-        mut spare: Vec<Vec<u64>>,
+        mut spare: Option<Vec<u64>>,
     ) -> Table {
         assert_eq!(perm.len(), self.len, "permutation length mismatch");
         let packed = |c: &Column| compress || c.as_compressed().is_some();
@@ -138,27 +137,21 @@ impl Table {
                 None => (
                     c,
                     None,
-                    spare.pop().unwrap_or_else(|| Vec::with_capacity(self.len)),
+                    spare.take().unwrap_or_else(|| Vec::with_capacity(self.len)),
                 ),
             })
             .collect();
-        let buffers = || (Vec::new(), Vec::new());
-        let columns = pool.map_init(
-            tasks,
-            buffers,
-            |(decoded, gathered), (c, values, mut out)| match values {
-                Some(values) if packed(c) => Column::compressed(&values),
-                Some(values) => Column::Plain(values),
-                None if packed(c) => {
-                    c.gather_into(perm, decoded, gathered);
-                    Column::compressed(gathered)
-                }
-                None => {
-                    c.gather_into(perm, decoded, &mut out);
-                    Column::Plain(out)
-                }
-            },
-        );
+        let columns = pool.map(tasks, |(c, values, mut out)| {
+            let values = values.unwrap_or_else(|| {
+                c.gather_into(perm, &mut Vec::new(), &mut out);
+                out
+            });
+            if packed(c) {
+                Column::compressed(&values)
+            } else {
+                Column::Plain(values)
+            }
+        });
         Table {
             columns,
             names: self.names.clone(),
@@ -243,7 +236,7 @@ mod tests {
             for threads in [1, 2, 3] {
                 for d in [None, Some(1), Some(2)] {
                     let ordered = d.map(|d| (d, serial.column(d).to_vec()));
-                    let spare = vec![vec![5; 10]];
+                    let spare = Some(vec![5; 10]);
                     let pool = ThreadPool::new(threads);
                     let pooled = t.permuted_on(&perm, compress, pool, ordered, spare);
                     // The representation of each column is part of the Debug.
