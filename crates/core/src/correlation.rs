@@ -28,13 +28,18 @@
 //!    winning layout carries the collapse-grade FDs whose host it indexes
 //!    ([`CorrelationModel::attach`], [`Layout::fds`]).
 //! 3. **Residual check** (`CorrSupport`, built inside
-//!    `FloodIndex::build` for exactly the layout's FDs): the index builds
-//!    *exact* envelopes over the **full** table (per host grid column, or
-//!    per host-value bucket when the host is the sort dimension) plus the
-//!    exact sorted set of rows outside their envelope (*outlier rows*). At
-//!    query time a filter on a collapsed dimension tightens the projection
-//!    to the host columns whose envelope intersects the filter; outlier
-//!    rows whose dependent value matches the filter are re-added
+//!    `FloodIndex::build` for exactly the layout's FDs): one builder makes
+//!    *exact* envelopes over the **full** table per host *bucket* — a host
+//!    grid column, or, when the host is the sort dimension, one of 48
+//!    host-value quantile buckets cut once per build — plus the exact
+//!    sorted set of rows outside their envelope (*outlier rows*). Each
+//!    cell feeds it runs of rows sharing a bucket (a grid cell is one run;
+//!    a cell sorted by its host is cut where the values cross a cut), read
+//!    from the decoded columns. At query time a filter on a collapsed
+//!    dimension translates to the first and last bucket whose envelope
+//!    meets it, which narrows the host's projected columns or the sort
+//!    dimension's refinement bound; outlier rows whose dependent value
+//!    matches the filter are re-added
 //!    **individually** with full per-point checks (so residual cost is
 //!    bounded by the outlier count, never by cell size), and the dependent
 //!    dimension's own bound is still verified per point by the scan kernel
@@ -48,6 +53,7 @@
 
 use flood_store::{RangeQuery, Table, ThreadPool};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 use crate::grid::Grid;
 use crate::layout::{FdPair, Layout};
@@ -173,12 +179,10 @@ fn fit_pair(mut pairs: Vec<(u64, u64)>, cfg: &CorrelationConfig) -> Option<(f64,
         let (s, e) = (b * n / k, (b + 1) * n / k);
         deps.clear();
         deps.extend(pairs[s..e].iter().map(|&(_, d)| d));
-        deps.sort_unstable();
         // Adaptive trim: even small buckets must shed their extremes (one
         // broken row blows the envelope up to the global width and masks a
         // strong fit), but clean buckets keep every row.
-        let t = adaptive_trim(&deps, cfg.max_outlier_rate);
-        let (lo, hi) = (deps[t], deps[deps.len() - 1 - t]);
+        let (lo, hi) = envelope(&mut deps, cfg.max_outlier_rate);
         env.host_lo.push(pairs[s].0);
         env.host_hi.push(pairs[e - 1].0);
         env.dep_lo.push(lo);
@@ -351,23 +355,16 @@ pub(crate) enum HostSlot {
     Sort,
 }
 
-/// One FD's exact, full-table support inside a built index: dependent
-/// envelopes per host grid column (or per host-value bucket when the host
-/// is the sort dimension) and the sorted set of rows falling outside their
-/// envelope.
+/// One FD's exact, full-table support inside a built index: the
+/// dependent's envelope per host bucket — a host grid column, or one of the
+/// sort host's value buckets ([`SortBuckets`]) — and the sorted set of rows
+/// falling outside their envelope.
 #[derive(Debug, Clone)]
 pub(crate) struct FdSupport {
     pub fd: FdPair,
     pub slot: HostSlot,
-    /// Per column (Grid) or per bucket (Sort): dependent envelope; only
-    /// meaningful where `present`.
-    env_lo: Vec<u64>,
-    env_hi: Vec<u64>,
-    present: Vec<bool>,
-    /// Sort host only: bucket `b` covers host values `(cuts[b-1], cuts[b]]`
-    /// (`min_host` floors bucket 0).
-    cuts: Vec<u64>,
-    min_host: u64,
+    /// Per bucket: the dependent's envelope; `None` where no row falls.
+    env: Vec<Option<(u64, u64)>>,
     /// Rows (indices into the *reordered* table) outside their envelope,
     /// as `(dep value, row, cell)` sorted by value: the residual pass
     /// binary searches the dependent filter's bound, so query-time residual
@@ -378,42 +375,14 @@ pub(crate) struct FdSupport {
 }
 
 impl FdSupport {
-    /// Host *column* range covering every column whose envelope intersects
-    /// the dependent bound `[lo, hi]`. `None`: no non-outlier row can
-    /// match — only the outlier rows need visiting.
-    pub fn translate_cols(&self, lo: u64, hi: u64) -> Option<(usize, usize)> {
-        debug_assert!(matches!(self.slot, HostSlot::Grid(_)));
-        let mut out: Option<(usize, usize)> = None;
-        for c in 0..self.present.len() {
-            if self.present[c] && self.env_lo[c] <= hi && lo <= self.env_hi[c] {
-                out = Some(match out {
-                    None => (c, c),
-                    Some((a, _)) => (a, c),
-                });
-            }
-        }
-        out
-    }
-
-    /// Host *value* range covering every bucket whose envelope intersects
-    /// the dependent bound. `None`: no non-outlier row can match.
-    pub fn translate_sort(&self, lo: u64, hi: u64) -> Option<(u64, u64)> {
-        debug_assert!(matches!(self.slot, HostSlot::Sort));
-        let mut first: Option<usize> = None;
-        let mut last = 0usize;
-        for b in 0..self.present.len() {
-            if self.present[b] && self.env_lo[b] <= hi && lo <= self.env_hi[b] {
-                first.get_or_insert(b);
-                last = b;
-            }
-        }
-        let first = first?;
-        let vlo = if first == 0 {
-            self.min_host
-        } else {
-            self.cuts[first - 1].saturating_add(1)
-        };
-        Some((vlo, self.cuts[last]))
+    /// First and last bucket whose envelope meets the dependent bound
+    /// `[lo, hi]`. `None`: no non-outlier row can match — only the outlier
+    /// rows need visiting.
+    pub fn translate(&self, lo: u64, hi: u64) -> Option<(usize, usize)> {
+        let meets = |e: &Option<(u64, u64)>| e.is_some_and(|(a, z)| a <= hi && lo <= z);
+        let first = self.env.iter().position(meets)?;
+        let last = self.env.iter().rposition(meets)?;
+        Some((first, last))
     }
 
     /// Rows whose dependent value falls in `[lo, hi]`, ascending by value.
@@ -422,11 +391,42 @@ impl FdSupport {
         let b = self.outliers.partition_point(|&(v, _, _)| v <= hi);
         &self.outliers[a..b]
     }
+}
 
-    /// Whether `row` is outside its envelope (test support).
-    #[cfg(test)]
-    pub fn is_outlier_row(&self, row: u32) -> bool {
-        self.outliers.iter().any(|&(_, r, _)| r == row)
+/// The sort host's value buckets, shared by every sort-hosted FD (they all
+/// share the sort dimension): bucket `b` covers host values
+/// `(cuts[b - 1], cuts[b]]`, and bucket 0 starts at `min`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SortBuckets {
+    min: u64,
+    cuts: Vec<u64>,
+}
+
+impl SortBuckets {
+    /// Cuts at the [`SUPPORT_BUCKETS`] quantiles of `host`, the sort
+    /// column in storage order (at least one row): sorted within each
+    /// cell already, so a run-adaptive sort only merges the cells.
+    fn fit(mut host: Vec<u64>) -> Self {
+        host.sort();
+        let (n, k) = (host.len(), SUPPORT_BUCKETS.min(host.len()));
+        let mut cuts: Vec<u64> = (1..=k).map(|b| host[b * n / k - 1]).collect();
+        cuts.dedup();
+        SortBuckets { min: host[0], cuts }
+    }
+
+    /// The bucket holding host value `v`, one of the fitted column's (the
+    /// last cut is its largest value).
+    fn bucket(&self, v: u64) -> usize {
+        self.cuts.partition_point(|&c| c < v)
+    }
+
+    /// The host values of buckets `first..=last`.
+    pub fn values(&self, (first, last): (usize, usize)) -> (u64, u64) {
+        let lo = match first {
+            0 => self.min,
+            _ => self.cuts[first - 1].saturating_add(1),
+        };
+        (lo, self.cuts[last])
     }
 }
 
@@ -444,6 +444,8 @@ const SUPPORT_BUCKETS: usize = 48;
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CorrSupport {
     pub fds: Vec<FdSupport>,
+    /// The sort host's buckets; empty when no FD is sort-hosted.
+    pub sort: SortBuckets,
 }
 
 impl CorrSupport {
@@ -459,14 +461,25 @@ impl CorrSupport {
         if data.is_empty() {
             return Self::default();
         }
-        let fds = pool.map(layout.fds().to_vec(), |f| {
-            if layout.has_sort_dim() && layout.sort_dim() == f.host {
-                build_sort_support(f, data, cell_starts)
-            } else {
-                let i = (layout.grid_dims().iter().position(|&d| d == f.host))
-                    .expect("Layout::with_fds checked the host is indexed");
-                build_grid_support(f, i, grid, data, cell_starts)
-            }
+        let sort_dim = layout.has_sort_dim().then(|| layout.sort_dim());
+        let sort_hosted = layout.fds().iter().any(|f| Some(f.host) == sort_dim);
+        let host = sort_hosted.then(|| data.column(layout.sort_dim()).values());
+        let sort =
+            (host.as_ref()).map_or_else(SortBuckets::default, |h| SortBuckets::fit(h.to_vec()));
+        let fds = pool.map(layout.fds().to_vec(), |fd| {
+            let (slot, buckets) = match &host {
+                Some(host) if Some(fd.host) == sort_dim => {
+                    (HostSlot::Sort, Buckets::Sort(&sort, host))
+                }
+                _ => {
+                    let i = (layout.grid_dims().iter().position(|&d| d == fd.host))
+                        .expect("Layout::with_fds checked the host is indexed");
+                    let (stride, cols) = (grid.stride(i), grid.cols()[i]);
+                    (HostSlot::Grid(i), Buckets::Grid { stride, cols })
+                }
+            };
+            let dep = data.column(fd.dep).values();
+            build_support(fd, slot, &buckets, &dep, cell_starts)
         });
         // A dependency whose exact outlier set is large (the sample
         // under-reported how dirty the pair is) costs more to patch per
@@ -474,145 +487,130 @@ impl CorrSupport {
         let fds = (fds.into_iter())
             .filter(|support| support.outliers.len() * 8 <= data.len())
             .collect();
-        CorrSupport { fds }
+        CorrSupport { fds, sort }
     }
 }
 
+/// How an FD's host places the rows of the reordered table into buckets.
+enum Buckets<'a> {
+    /// A grid host's column: a coordinate of the cell id.
+    Grid { stride: usize, cols: usize },
+    /// The sort host's value buckets, over its column in storage order.
+    Sort(&'a SortBuckets, &'a [u64]),
+}
+
+impl Buckets<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Buckets::Grid { cols, .. } => *cols,
+            Buckets::Sort(buckets, _) => buckets.cuts.len(),
+        }
+    }
+
+    /// Calls `f(bucket, cell, rows)` for each run of rows of one cell that
+    /// share a bucket, in row order: a grid host's cell is one run, and a
+    /// sort host's, sorted by host value, is cut where its values cross a
+    /// bucket's cut.
+    fn for_each_run(&self, cell_starts: &[u32], mut f: impl FnMut(usize, u32, Range<usize>)) {
+        for (cell, w) in cell_starts.windows(2).enumerate() {
+            let (mut at, end) = (w[0] as usize, w[1] as usize);
+            while at < end {
+                let (b, to) = match *self {
+                    Buckets::Grid { stride, cols } => (cell / stride % cols, end),
+                    Buckets::Sort(buckets, host) => {
+                        let b = buckets.bucket(host[at]);
+                        let cut = buckets.cuts[b];
+                        (b, at + host[at..end].partition_point(|&v| v <= cut))
+                    }
+                };
+                f(b, cell as u32, at..to);
+                at = to;
+            }
+        }
+    }
+}
+
+/// One FD's exact support: each bucket's trimmed envelope of the dependent
+/// `dep` (the reordered table's column), then every row outside its
+/// bucket's envelope.
+fn build_support(
+    fd: FdPair,
+    slot: HostSlot,
+    buckets: &Buckets,
+    dep: &[u64],
+    cell_starts: &[u32],
+) -> FdSupport {
+    let mut per_bucket: Vec<Vec<u64>> = vec![Vec::new(); buckets.len()];
+    buckets.for_each_run(cell_starts, |b, _, rows| {
+        per_bucket[b].extend_from_slice(&dep[rows]);
+    });
+    let env: Vec<Option<(u64, u64)>> = (per_bucket.into_iter())
+        .map(|mut vals| (!vals.is_empty()).then(|| envelope(&mut vals, SUPPORT_TRIM_RATE)))
+        .collect();
+    // Exact outlier set, keyed by dependent value for the residual pass's
+    // binary search.
+    let mut outliers = Vec::new();
+    buckets.for_each_run(cell_starts, |b, cell, rows| {
+        let (lo, hi) = env[b].expect("a run's bucket holds its rows");
+        for (r, &v) in rows.clone().zip(&dep[rows]) {
+            if v < lo || v > hi {
+                outliers.push((v, r as u32, cell));
+            }
+        }
+    });
+    outliers.sort_unstable();
+    FdSupport {
+        fd,
+        slot,
+        env,
+        outliers,
+    }
+}
+
+/// The trimmed envelope of one bucket's dependents (at least one),
+/// reordering them: [`adaptive_trim`] reads only the [`max_trim`] + 1
+/// values at either end of a sorted slice, so only those are selected and
+/// sorted.
+fn envelope(vals: &mut [u64], rate: f64) -> (u64, u64) {
+    let len = vals.len();
+    let t = max_trim(len, rate);
+    if len >= 2 * (t + 1) {
+        vals.select_nth_unstable(t);
+        vals[t + 1..].select_nth_unstable(len - 2 * (t + 1));
+        vals[..=t].sort_unstable();
+        vals[len - 1 - t..].sort_unstable();
+    } else {
+        vals.sort_unstable();
+    }
+    let t = adaptive_trim(vals, rate);
+    (vals[t], vals[len - 1 - t])
+}
+
+/// The largest per-side trim of `len` values: the outlier budget plus 3σ
+/// of slack, leaving at least one value.
+fn max_trim(len: usize, rate: f64) -> usize {
+    let m = len as f64 * rate * 0.5;
+    ((m + 3.0 * m.sqrt()).ceil() as usize).min(len.saturating_sub(1) / 2)
+}
+
 /// Smallest per-side trim whose envelope is within 25% of the width at the
-/// maximum trim (the outlier budget plus 3σ of slack): clean columns keep
-/// every row — no residual rows at all — while dirty columns shed just
-/// their broken rows instead of letting one of them stretch the envelope
-/// to the global width.
+/// maximum trim ([`max_trim`]): clean columns keep every row — no
+/// residual rows at all — while dirty columns shed just their broken rows
+/// instead of letting one of them stretch the envelope to the global
+/// width.
 fn adaptive_trim(sorted: &[u64], rate: f64) -> usize {
     let len = sorted.len();
-    let m = len as f64 * rate * 0.5;
-    let t_max = ((m + 3.0 * m.sqrt()).ceil() as usize).min(len.saturating_sub(1) / 2);
+    let t_max = max_trim(len, rate);
     let target = (sorted[len - 1 - t_max] - sorted[t_max]) as f64 * 1.25;
     (0..=t_max)
         .find(|&t| ((sorted[len - 1 - t] - sorted[t]) as f64) <= target)
         .unwrap_or(t_max)
 }
 
-/// Exact per-host-column envelopes: rows are contiguous per cell after the
-/// build reorder, and a cell's host column is a coordinate of its id.
-fn build_grid_support(
-    fd: FdPair,
-    pos: usize,
-    grid: &Grid,
-    data: &Table,
-    cell_starts: &[u32],
-) -> FdSupport {
-    let ncols = grid.cols()[pos];
-    let mut per_col: Vec<Vec<u64>> = vec![Vec::new(); ncols];
-    for cell in 0..grid.num_cells() {
-        let (s, e) = (cell_starts[cell] as usize, cell_starts[cell + 1] as usize);
-        if s == e {
-            continue;
-        }
-        let col = grid.cell_coords(cell)[pos];
-        per_col[col].extend((s..e).map(|r| data.value(r, fd.dep)));
-    }
-    let mut env_lo = vec![0u64; ncols];
-    let mut env_hi = vec![0u64; ncols];
-    let mut present = vec![false; ncols];
-    for (c, vals) in per_col.iter_mut().enumerate() {
-        if vals.is_empty() {
-            continue;
-        }
-        vals.sort_unstable();
-        let t = adaptive_trim(vals, SUPPORT_TRIM_RATE);
-        env_lo[c] = vals[t];
-        env_hi[c] = vals[vals.len() - 1 - t];
-        present[c] = true;
-    }
-    // Exact outlier set: every row outside its column's envelope, keyed
-    // by dependent value for the residual pass's binary search.
-    let mut outliers = Vec::new();
-    for cell in 0..grid.num_cells() {
-        let (s, e) = (cell_starts[cell] as usize, cell_starts[cell + 1] as usize);
-        if s == e {
-            continue;
-        }
-        let col = grid.cell_coords(cell)[pos];
-        let (lo, hi) = (env_lo[col], env_hi[col]);
-        for r in s..e {
-            let v = data.value(r, fd.dep);
-            if v < lo || v > hi {
-                outliers.push((v, r as u32, cell as u32));
-            }
-        }
-    }
-    outliers.sort_unstable();
-    FdSupport {
-        fd,
-        slot: HostSlot::Grid(pos),
-        env_lo,
-        env_hi,
-        present,
-        cuts: Vec::new(),
-        min_host: 0,
-        outliers,
-    }
-}
-
-/// Exact envelopes over host-value quantile buckets when the host is the
-/// sort dimension (there are no host columns to key on).
-fn build_sort_support(fd: FdPair, data: &Table, cell_starts: &[u32]) -> FdSupport {
-    let n = data.len();
-    let mut vals: Vec<u64> = (0..n).map(|r| data.value(r, fd.host)).collect();
-    vals.sort_unstable();
-    let k = SUPPORT_BUCKETS.clamp(1, n.max(1));
-    let mut cuts: Vec<u64> = (0..k).map(|b| vals[(b + 1) * n / k - 1]).collect();
-    cuts.dedup();
-    let min_host = vals[0];
-    let nb = cuts.len();
-    let bucket_of = |v: u64| -> usize { cuts.partition_point(|&c| c < v).min(nb - 1) };
-
-    let mut per_bucket: Vec<Vec<u64>> = vec![Vec::new(); nb];
-    for r in 0..n {
-        per_bucket[bucket_of(data.value(r, fd.host))].push(data.value(r, fd.dep));
-    }
-    let mut env_lo = vec![0u64; nb];
-    let mut env_hi = vec![0u64; nb];
-    let mut present = vec![false; nb];
-    for (b, deps) in per_bucket.iter_mut().enumerate() {
-        if deps.is_empty() {
-            continue;
-        }
-        deps.sort_unstable();
-        let t = adaptive_trim(deps, SUPPORT_TRIM_RATE);
-        env_lo[b] = deps[t];
-        env_hi[b] = deps[deps.len() - 1 - t];
-        present[b] = true;
-    }
-    let mut outliers = Vec::new();
-    let mut cell = 0usize; // rows are cell-contiguous: one monotone cursor
-    for r in 0..n {
-        while cell_starts[cell + 1] as usize <= r {
-            cell += 1;
-        }
-        let b = bucket_of(data.value(r, fd.host));
-        let v = data.value(r, fd.dep);
-        if v < env_lo[b] || v > env_hi[b] {
-            outliers.push((v, r as u32, cell as u32));
-        }
-    }
-    outliers.sort_unstable();
-    FdSupport {
-        fd,
-        slot: HostSlot::Sort,
-        env_lo,
-        env_hi,
-        present,
-        cuts,
-        min_host,
-        outliers,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flatten::{Flattener, Flattening};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -818,68 +816,103 @@ mod tests {
         assert!(f.collapse);
     }
 
-    #[test]
-    fn support_envelopes_are_exact_over_the_full_table() {
-        // Build support for a tiny grid-hosted FD and verify the exactness
-        // invariant directly: every row is inside its column's envelope or
-        // listed in the outlier-row set.
-        let t = vee_table(2_000, 800, 97, 13);
-        let layout = Layout::new(vec![0, 2], vec![8]).with_fds(vec![FdPair { host: 0, dep: 1 }]);
-        let grid = Grid::new(&layout);
-        // Reorder the way FloodIndex::build does (uniform flattening is
-        // fine for the invariant).
-        let flattener = crate::flatten::Flattener::fit(
-            &t,
-            None,
-            layout.grid_dims(),
-            crate::flatten::Flattening::Uniform,
-        );
-        let mut keyed: Vec<(u64, u64, u32)> = (0..t.len())
+    /// `t` in a build's storage order under `layout` (uniform flattening
+    /// is fine for the support's invariants), with its cell table.
+    fn storage_order(t: &Table, layout: &Layout) -> (Table, Vec<u32>) {
+        let grid = Grid::new(layout);
+        let (dims, cols) = (layout.grid_dims(), layout.cols());
+        let flattener = Flattener::fit(t, None, dims, Flattening::Uniform);
+        let mut keyed: Vec<(usize, u64, u32)> = (0..t.len())
             .map(|r| {
-                let col = flattener.bucket(0, t.value(r, 0), 8);
-                (col as u64, t.value(r, 2), r as u32)
+                let coords: Vec<usize> = (dims.iter().zip(cols))
+                    .map(|(&d, &c)| flattener.bucket(d, t.value(r, d), c))
+                    .collect();
+                (
+                    grid.cell_id(&coords),
+                    t.value(r, layout.sort_dim()),
+                    r as u32,
+                )
             })
             .collect();
         keyed.sort_unstable();
         let perm: Vec<u32> = keyed.iter().map(|&(_, _, r)| r).collect();
-        let data = t.permuted(&perm);
         let mut cell_starts = vec![0u32; grid.num_cells() + 1];
         for &(cell, _, _) in &keyed {
-            cell_starts[cell as usize + 1] += 1;
+            cell_starts[cell + 1] += 1;
         }
         for i in 0..grid.num_cells() {
             cell_starts[i + 1] += cell_starts[i];
         }
-        let support = CorrSupport::build(&layout, &grid, &data, &cell_starts, ThreadPool::serial());
-        // Outliers every 97 rows ≈ 1% — far below the ⅛ cut.
-        let [fd] = &support.fds[..] else {
-            panic!("expected grid-hosted FD support, got {:?}", support.fds);
-        };
-        for cell in 0..grid.num_cells() {
-            let (s, e) = (cell_starts[cell] as usize, cell_starts[cell + 1] as usize);
-            for r in s..e {
-                if fd.is_outlier_row(r as u32) {
-                    continue;
+        (t.permuted(&perm), cell_starts)
+    }
+
+    /// The exactness invariant for both host slots, on a table whose
+    /// dependent breaks the FD every 97 rows: every row is listed as an
+    /// outlier or lies in its host bucket's envelope, and its dependent
+    /// value translates to a range covering its host — a host column range
+    /// holding its cell's column, or a sort-host value range holding its
+    /// host value.
+    #[test]
+    fn support_envelopes_are_exact_over_the_full_table() {
+        let t = vee_table(2_000, 800, 97, 13);
+        let fds = vec![FdPair { host: 0, dep: 1 }];
+        for (layout, slot) in [
+            (Layout::new(vec![0, 2], vec![8]), HostSlot::Grid(0)),
+            (Layout::new(vec![2, 0], vec![4]), HostSlot::Sort),
+        ] {
+            let layout = layout.with_fds(fds.clone());
+            let grid = Grid::new(&layout);
+            let (data, cell_starts) = storage_order(&t, &layout);
+            let support =
+                CorrSupport::build(&layout, &grid, &data, &cell_starts, ThreadPool::serial());
+            // Outliers every 97 rows ≈ 1% — far below the ⅛ cut.
+            let [fd] = &support.fds[..] else {
+                panic!("expected {slot:?} FD support, got {:?}", support.fds);
+            };
+            assert_eq!(fd.slot, slot);
+            let cells = cell_starts.windows(2).filter(|w| w[0] < w[1]).count();
+            assert_eq!(cells, grid.num_cells(), "{slot:?}: every cell holds rows");
+            for cell in 0..grid.num_cells() {
+                for r in cell_starts[cell] as usize..cell_starts[cell + 1] as usize {
+                    if fd.outliers.iter().any(|&(_, o, _)| o as usize == r) {
+                        continue;
+                    }
+                    let (h, v) = (data.value(r, 0), data.value(r, 1));
+                    let range = fd.translate(v, v);
+                    // The row's bucket, and the host position it covers.
+                    let (bucket, covered) = match slot {
+                        HostSlot::Grid(i) => {
+                            let col = cell / grid.stride(i) % grid.cols()[i];
+                            (col, range.map(|(lo, hi)| (lo..=hi).contains(&col)))
+                        }
+                        HostSlot::Sort => {
+                            let values = range.map(|t| support.sort.values(t));
+                            (
+                                support.sort.bucket(h),
+                                values.map(|(lo, hi)| (lo..=hi).contains(&h)),
+                            )
+                        }
+                    };
+                    let (lo, hi) = fd.env[bucket].expect("the row's bucket holds it");
+                    assert!(
+                        (lo..=hi).contains(&v),
+                        "{slot:?}: row {r} (dep {v}) outside [{lo}, {hi}]"
+                    );
+                    assert_eq!(
+                        covered,
+                        Some(true),
+                        "{slot:?}: row {r} (host {h}, dep {v}), {range:?}"
+                    );
                 }
-                let v = data.value(r, 1);
-                let (lo, hi) = match fd.translate_cols(v, v) {
-                    Some(range) => range,
-                    None => panic!("non-outlier value {v} outside every envelope"),
-                };
-                let col = grid.cell_coords(cell)[0];
-                assert!(
-                    (lo..=hi).contains(&col),
-                    "row {r} (dep {v}) in col {col} outside translated [{lo}, {hi}]"
-                );
             }
+            // Row-granular means the residual set stays near the injected
+            // ~1% rate instead of inflating to whole cells.
+            assert!(
+                fd.outliers.len() < data.len() / 20,
+                "{slot:?}: outlier set too large: {} of {}",
+                fd.outliers.len(),
+                data.len()
+            );
         }
-        // Row-granular means the residual set stays near the injected ~1%
-        // rate instead of inflating to whole cells.
-        assert!(
-            fd.outliers.len() < data.len() / 20,
-            "outlier set too large: {} of {}",
-            fd.outliers.len(),
-            data.len()
-        );
     }
 }

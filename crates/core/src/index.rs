@@ -391,30 +391,37 @@ impl FloodIndex {
 
         // Soft-FD tightening: each applicable dependency (dependent
         // filtered, host indexed) narrows where non-outlier matches can
-        // live. `empty_main` ⇒ no non-outlier row matches at all and only
-        // outlier rows need visiting.
+        // live: a grid host's projection range, or the sort bound every
+        // cell is refined to — the query's own, intersected with each
+        // sort-hosted translation. `empty_main` ⇒ no non-outlier row
+        // matches at all and only outlier rows need visiting.
         let mut ranges = base.clone();
         let mut empty_main = false;
-        // Translated sort bounds; None ⇒ no non-outlier match.
-        let mut sort_fds: Vec<Option<(u64, u64)>> = Vec::new();
+        let sort_dim = self.layout.sort_dim();
+        let qsort = if self.layout.has_sort_dim() {
+            query.bound(sort_dim)
+        } else {
+            None
+        };
+        let mut refine = qsort;
         let mut applicable: Vec<usize> = Vec::new();
         for (fi, f) in self.correlation.fds.iter().enumerate() {
             let Some((lo, hi)) = query.bound(f.fd.dep) else {
                 continue;
             };
             applicable.push(fi);
+            // Meeting no bucket translates to the empty range (1, 0).
+            let buckets = f.translate(lo, hi);
             match f.slot {
-                HostSlot::Grid(i) => match f.translate_cols(lo, hi) {
-                    Some((tlo, thi)) => {
-                        ranges[i].0 = ranges[i].0.max(tlo);
-                        ranges[i].1 = ranges[i].1.min(thi);
-                        if ranges[i].0 > ranges[i].1 {
-                            empty_main = true;
-                        }
-                    }
-                    None => empty_main = true,
-                },
-                HostSlot::Sort => sort_fds.push(f.translate_sort(lo, hi)),
+                HostSlot::Grid(i) => {
+                    let (a, b) = buckets.unwrap_or((1, 0));
+                    ranges[i] = (ranges[i].0.max(a), ranges[i].1.min(b));
+                    empty_main |= ranges[i].0 > ranges[i].1;
+                }
+                HostSlot::Sort => {
+                    let (a, b) = buckets.map_or((1, 0), |t| self.correlation.sort.values(t));
+                    refine = Some(refine.map_or((a, b), |(lo, hi)| (lo.max(a), hi.min(b))));
+                }
             }
         }
 
@@ -465,41 +472,11 @@ impl FloodIndex {
         }
 
         // Refinement over the sort dimension (skipped by histogram layouts,
-        // whose last dimension is gridded, not sorted): the query's own
-        // bound intersected with the sort-hosted FD translations — rows a
-        // translation excludes are, by the envelope invariant, outliers of
-        // that FD and re-added individually below.
-        let sort_dim = self.layout.sort_dim();
-        let qsort = if self.layout.has_sort_dim() {
-            query.bound(sort_dim)
-        } else {
-            None
-        };
-        if self.layout.has_sort_dim() && (qsort.is_some() || !sort_fds.is_empty()) {
+        // whose last dimension is gridded, not sorted) to `refine`: rows a
+        // sort-hosted translation excludes are, by the envelope invariant,
+        // outliers of that FD and re-added individually below.
+        if let Some((a, b)) = refine {
             for cr in &mut cells {
-                let mut eff = qsort;
-                let mut dead = false;
-                for &tb in &sort_fds {
-                    match tb {
-                        None => {
-                            dead = true;
-                            break;
-                        }
-                        Some((a, b)) => {
-                            eff = Some(match eff {
-                                None => (a, b),
-                                Some((lo, hi)) => (lo.max(a), hi.min(b)),
-                            });
-                        }
-                    }
-                }
-                if dead {
-                    cr.start = cr.end;
-                    continue;
-                }
-                let Some((a, b)) = eff else {
-                    continue;
-                };
                 if a > b {
                     cr.start = cr.end;
                     continue;

@@ -586,10 +586,9 @@ pub struct CostEvaluator {
     space: SampleSpace,
     cost: CostModel,
     cache: StatsCache,
-    /// Layout memo: predicted cost plus the epoch the entry was computed
-    /// in (for cross-epoch attribution, mirroring [`StatsCache`]).
+    /// Layout memo: predicted cost plus the cache's epoch when the entry
+    /// was computed (for cross-epoch attribution, like the cache's own).
     memo: HashMap<(Vec<usize>, Vec<usize>), (f64, usize)>,
-    epoch: usize,
     cost_evals: usize,
     cache_hits: usize,
     cross_epoch_memo_hits: usize,
@@ -606,7 +605,6 @@ impl CostEvaluator {
             cost,
             cache,
             memo: HashMap::new(),
-            epoch: 0,
             cost_evals: 0,
             cache_hits: 0,
             cross_epoch_memo_hits: 0,
@@ -637,13 +635,13 @@ impl CostEvaluator {
         let key = (order.to_vec(), cols.to_vec());
         if let Some(&(c, born)) = self.memo.get(&key) {
             self.cache_hits += 1;
-            if born < self.epoch {
+            if born < self.cache.epoch() {
                 self.cross_epoch_memo_hits += 1;
             }
             return c;
         }
         let c = self.predict_per_query(&key);
-        self.memo.insert(key, (c, self.epoch));
+        self.memo.insert(key, (c, self.cache.epoch()));
         c
     }
 
@@ -702,7 +700,6 @@ impl CostEvaluator {
     /// created before this call count as cross-epoch (see
     /// [`CostEvaluator::cross_epoch_hits`]).
     pub fn advance_epoch(&mut self) {
-        self.epoch += 1;
         self.cache.advance_epoch();
     }
 

@@ -1406,7 +1406,8 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(
             std::env::var("FLOOD_PROPTEST_CASES")
                 .ok()
-                .and_then(|v| v.parse().ok())
+                .and_then(|s| s.trim().parse().ok())
+                .filter(|&n| n > 0)
                 .unwrap_or(24)
         ))]
 

@@ -156,7 +156,8 @@ proptest! {
 fn cases(default: u32) -> u32 {
     std::env::var("FLOOD_PROPTEST_CASES")
         .ok()
-        .and_then(|v| v.parse().ok())
+        .and_then(|s| s.trim().parse().ok())
+        .filter(|&n| n > 0)
         .unwrap_or(default)
 }
 

@@ -225,7 +225,8 @@ fn make_narrow_probes(d: usize, seed: u64) -> Vec<(Vec<usize>, Vec<usize>)> {
 fn cases(default: u32) -> u32 {
     std::env::var("FLOOD_PROPTEST_CASES")
         .ok()
-        .and_then(|v| v.parse().ok())
+        .and_then(|s| s.trim().parse().ok())
+        .filter(|&n| n > 0)
         .unwrap_or(default)
 }
 

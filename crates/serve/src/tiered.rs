@@ -19,7 +19,7 @@ use flood_store::{
     RangeQuery, ScanStats, SegmentCache, StorageBackend, StorageError, Table, TierConfig,
     TieredDelta, TieredScan, TieredTable, Visitor,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A shared-read front end over one sealed [`TieredScan`], compacting
 /// buffered inserts into new cold generations. Share it across threads:
@@ -36,9 +36,15 @@ pub type TieredSnapshot = Arc<Epoch<TieredScan>>;
 
 /// The build side: the write buffer over the newest sealed base. Readers
 /// never take this lock — queries run against the published snapshot only.
+/// A report only reads the buffered row count, so it still answers once a
+/// panic has poisoned the lock; [`TieredServer::insert`] and
+/// [`TieredServer::compact`] do not.
 impl BuildSide for Mutex<TieredDelta> {
     fn report(&self, d: &mut ServeDiagnostics) {
-        d.buffered = self.lock().expect("build side poisoned").buffered();
+        d.buffered = self
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .buffered();
     }
 }
 
@@ -181,6 +187,26 @@ mod tests {
         assert_eq!(stats.points_matched, 1_000);
         drop(snap0);
         assert_eq!(s.diagnostics().retired_epochs, 1);
+    }
+
+    #[test]
+    fn a_poisoned_build_side_still_reports() {
+        let s = mem_server(1_000, 0);
+        s.insert(&[1_000, 0]).unwrap();
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _delta = s.build.lock();
+                    panic!("a compaction panics holding the build side");
+                })
+                .join()
+        });
+        assert!(panicked.is_err() && s.build.is_poisoned());
+        let d = s.diagnostics();
+        assert_eq!((d.buffered, d.epoch), (1, 0));
+        let mut v = CountVisitor::default();
+        s.execute(&RangeQuery::all(2), None, &mut v).unwrap();
+        assert_eq!(v.count, 1_000, "reads never take the build side");
     }
 
     #[test]

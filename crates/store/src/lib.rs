@@ -44,7 +44,6 @@ pub mod partition;
 pub mod plan;
 pub mod pool;
 pub mod query;
-pub mod row_buffer;
 pub mod scan;
 pub mod stats;
 pub mod table;
@@ -62,7 +61,6 @@ pub use partition::{partition_ranges_aligned, RangeChunk};
 pub use plan::{ChunkedRangeScan, PlannedRange, RangePlan, RangeScan};
 pub use pool::{PoolMetrics, ThreadPool, THREADS_ENV};
 pub use query::{QueryRect, RangeQuery};
-pub use row_buffer::RowBuffer;
 pub use scan::{rank_rows, scan_checked, scan_exact, scan_filtered, scan_rows, BlockSource, Check};
 pub use stats::{assert_stats_equivalent, ScanStats, ScanStatsMetrics};
 pub use table::Table;

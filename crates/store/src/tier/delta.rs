@@ -1,26 +1,20 @@
 //! [`TieredDelta`]: fresh inserts over a sealed tiered table.
 //!
 //! The store's write path (§8, Insertions: "a delta index in which
-//! updates are buffered and periodically merged"), over a [`RowBuffer`]:
-//! inserts land in the buffer, every query scans it linearly after the
-//! sealed base, and compaction drains it by sealing it into *new cold
-//! segments* appended to the base ([`TieredTable::append_columns`]), so a
-//! larger-than-RAM table absorbs writes without ever materializing fully
-//! in memory. Row ids are
-//! stable and append-only (see [`RowBuffer`]).
+//! updates are buffered and periodically merged"): inserts land in a
+//! column-major buffer, and compaction drains it by sealing it into *new
+//! cold segments* appended to the base ([`TieredTable::append_columns`]),
+//! so a larger-than-RAM table absorbs writes without ever materializing
+//! fully in memory. Readers see sealed rows only: a row is readable
+//! through a [`TieredScan`](super::TieredScan) of [`TieredDelta::base`]
+//! once compacted.
 //!
-//! The base scan is fallible (segment faults); the buffer scan is not.
-//! Queries run the fallible part *first* — an I/O error surfaces before
-//! the visitor has seen anything, so callers retry wholesale, same
-//! contract as [`TieredScan`](super::TieredScan).
+//! Row ids are stable and append-only: an insert is numbered after every
+//! row before it, sealed or buffered, and because compaction appends to
+//! the base in insert order, a row keeps its id when it is sealed.
 
 use super::backend::StorageError;
 use super::table::TieredTable;
-use crate::plan::RangeScan;
-use crate::query::RangeQuery;
-use crate::row_buffer::RowBuffer;
-use crate::stats::ScanStats;
-use crate::visitor::Visitor;
 
 /// Default number of buffered rows that triggers auto-compaction.
 pub const DEFAULT_TIER_DELTA_THRESHOLD: usize = 4_096;
@@ -29,7 +23,8 @@ pub const DEFAULT_TIER_DELTA_THRESHOLD: usize = 4_096;
 #[derive(Debug)]
 pub struct TieredDelta {
     base: TieredTable,
-    buffer: RowBuffer,
+    /// The buffered rows, one `Vec` per dimension, in insert order.
+    buffer: Vec<Vec<u64>>,
     threshold: usize,
 }
 
@@ -43,7 +38,7 @@ impl TieredDelta {
     /// `threshold` rows (`usize::MAX` for manual-only compaction).
     pub fn with_threshold(base: TieredTable, threshold: usize) -> Self {
         TieredDelta {
-            buffer: RowBuffer::new(base.dims()),
+            buffer: vec![Vec::new(); base.dims()],
             base,
             threshold: threshold.max(1),
         }
@@ -66,7 +61,7 @@ impl TieredDelta {
 
     /// Rows currently in the unsealed buffer.
     pub fn buffered(&self) -> usize {
-        self.buffer.len()
+        self.buffer.first().map_or(0, Vec::len)
     }
 
     /// Insert one row (one value per dimension). Returns the row's stable
@@ -81,9 +76,15 @@ impl TieredDelta {
             return Err(StorageError::Arity { expected, got });
         }
         let id = self.len();
-        self.buffer.push(row);
+        for (col, &v) in self.buffer.iter_mut().zip(row) {
+            col.push(v);
+        }
         if self.buffered() >= self.threshold {
-            self.compact().inspect_err(|_| self.buffer.pop())?;
+            self.compact().inspect_err(|_| {
+                for col in &mut self.buffer {
+                    col.pop();
+                }
+            })?;
         }
         Ok(id)
     }
@@ -95,34 +96,11 @@ impl TieredDelta {
         if self.buffered() == 0 {
             return Ok(());
         }
-        self.base.append_columns(self.buffer.columns().to_vec())?;
-        self.buffer.drain();
+        self.base.append_columns(self.buffer.clone())?;
+        for col in &mut self.buffer {
+            col.clear();
+        }
         Ok(())
-    }
-
-    /// Execute `query` over base + buffer — hand-written because it is a
-    /// composite: the sealed base goes through the scan driver as its one
-    /// candidate range ([`TieredTable::candidate_rows`]), the buffer
-    /// accounts for itself ([`RowBuffer::scan`]). The
-    /// fallible base scan runs first; on `Err` the visitor is untouched.
-    /// Buffered rows are visited after sealed rows, in insert order, with
-    /// their stable ids.
-    pub fn try_execute(
-        &self,
-        query: &RangeQuery,
-        agg_dim: Option<usize>,
-        visitor: &mut dyn Visitor,
-    ) -> Result<ScanStats, StorageError> {
-        let base = RangeScan {
-            source: &self.base,
-            plan: self.base.plan(query),
-            agg_dim,
-            cumulative: None,
-        };
-        let mut stats = base.try_run(visitor)?;
-        self.buffer
-            .scan(query, agg_dim, self.base.len(), visitor, &mut stats);
-        Ok(stats)
     }
 }
 
@@ -130,9 +108,12 @@ impl TieredDelta {
 mod tests {
     use super::super::backend::MemBackend;
     use super::super::cache::TierConfig;
+    use super::super::TieredScan;
     use super::*;
+    use crate::query::RangeQuery;
+    use crate::stats::ScanStats;
     use crate::table::Table;
-    use crate::visitor::{CountVisitor, SumVisitor};
+    use crate::visitor::{CollectVisitor, CountVisitor, SumVisitor, Visitor};
     use std::sync::Arc;
 
     fn base(n: u64) -> TieredTable {
@@ -147,6 +128,12 @@ mod tests {
         .unwrap()
     }
 
+    /// `query` over the sealed rows, the only ones a reader sees.
+    fn read(d: &TieredDelta, q: &RangeQuery, agg: Option<usize>, v: &mut dyn Visitor) -> ScanStats {
+        let scan = TieredScan::new(d.base().clone());
+        scan.try_execute(q, agg, v).unwrap()
+    }
+
     #[test]
     fn inserts_visible_and_compaction_preserves_results() {
         let mut d = TieredDelta::with_threshold(base(300), usize::MAX);
@@ -154,22 +141,21 @@ mod tests {
             let id = d.insert(&[1_000 + i, i]).unwrap();
             assert_eq!(id, 300 + i as usize);
         }
+        assert_eq!((d.len(), d.buffered()), (350, 50));
         let q = RangeQuery::all(2).with_range(0, 1_000, 2_000);
         let mut v = CountVisitor::default();
-        let before = d.try_execute(&q, None, &mut v).unwrap();
-        assert_eq!(v.count, 50);
-        // The base's running bounds (max 299) rule it out unread: only the
-        // buffer is scanned.
-        assert_eq!(before.ranges_scanned, 1);
-        assert_eq!(before.points_scanned, 50);
+        let before = read(&d, &q, None, &mut v);
+        // Buffered rows are unsealed, and the base's running bounds (max
+        // 299) rule it out unread.
+        assert_eq!((v.count, before.points_scanned), (0, 0));
 
         d.compact().unwrap();
         assert_eq!(d.buffered(), 0);
         assert_eq!(d.len(), 350);
         let mut v2 = CountVisitor::default();
-        let after = d.try_execute(&q, None, &mut v2).unwrap();
-        assert_eq!(v2.count, 50, "compaction must not change results");
-        assert_eq!(after.ranges_scanned, 1, "buffer drained");
+        let after = read(&d, &q, None, &mut v2);
+        assert_eq!(v2.count, 50, "compaction seals every buffered row");
+        assert_eq!(after.ranges_scanned, 1);
         // Sealed, the 50 rows are the tail of the second 256-row segment.
         assert_eq!(after.points_scanned, 350 - 256);
     }
@@ -192,10 +178,11 @@ mod tests {
         for i in 0..40u64 {
             d.insert(&[i * 7 % 290, i]).unwrap();
         }
+        d.compact().unwrap();
         let q = RangeQuery::all(2).with_range(0, 50, 200);
         let mut v = SumVisitor::default();
-        d.try_execute(&q, Some(1), &mut v).unwrap();
-        // Reference: resident concat of base and buffer.
+        read(&d, &q, Some(1), &mut v);
+        // Reference: resident concat of base and inserts.
         let mut want = 0u64;
         let mut want_n = 0u64;
         for r in 0..300u64 {
@@ -220,14 +207,13 @@ mod tests {
         // 130 is unaligned: compaction rewrites the tail block.
         let id = d.insert(&[9_999, 1]).unwrap();
         assert_eq!(id, 130);
-        use crate::visitor::CollectVisitor;
         let q = RangeQuery::all(2).with_range(0, 9_999, 9_999);
         let mut v = CollectVisitor::default();
-        d.try_execute(&q, None, &mut v).unwrap();
-        assert_eq!(v.rows, vec![130]);
+        read(&d, &q, None, &mut v);
+        assert!(v.rows.is_empty(), "unsealed");
         d.compact().unwrap();
         let mut v2 = CollectVisitor::default();
-        d.try_execute(&q, None, &mut v2).unwrap();
+        read(&d, &q, None, &mut v2);
         assert_eq!(v2.rows, vec![130], "sealing must not renumber rows");
     }
 
@@ -243,9 +229,31 @@ mod tests {
         for i in 0..10u64 {
             d.insert(&[i, i * 2]).unwrap();
         }
-        assert_eq!(d.len(), 10);
+        assert_eq!((d.len(), d.buffered()), (10, 2));
         let mut v = CountVisitor::default();
-        d.try_execute(&RangeQuery::all(2), None, &mut v).unwrap();
+        read(&d, &RangeQuery::all(2), None, &mut v);
+        assert_eq!(v.count, 8, "two auto-compactions");
+        d.compact().unwrap();
+        let mut v = CountVisitor::default();
+        read(&d, &RangeQuery::all(2), None, &mut v);
         assert_eq!(v.count, 10);
+    }
+
+    #[test]
+    fn wrong_arity_is_refused() {
+        let mut d = TieredDelta::with_threshold(base(10), usize::MAX);
+        let err = d.insert(&[1]).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StorageError::Arity {
+                    expected: 2,
+                    got: 1
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!((d.len(), d.buffered()), (10, 0), "nothing stored");
+        assert_eq!(d.insert(&[1, 2]).unwrap(), 10);
     }
 }

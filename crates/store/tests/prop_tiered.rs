@@ -15,10 +15,10 @@
 //! everything, shrinking the budget mid-workload, or re-running a query
 //! against a cold cache must be invisible in results.
 //!
-//! A read is *planned* before it is scanned: [`TieredScan`] and
-//! [`TieredDelta`] look only at the table's `candidate_rows`. The last
-//! property holds that plan against the full scan on tables whose columns
-//! are ordered, ordered in runs, reversed or random, grown by appends.
+//! A read is *planned* before it is scanned: [`TieredScan`] looks only at
+//! the table's `candidate_rows`. The last property holds that plan against
+//! the full scan on tables whose columns are ordered, ordered in runs,
+//! reversed or random, grown by [`TieredDelta`] appends.
 //!
 //! `FLOOD_PROPTEST_CASES` scales the case count (CI raises it on push);
 //! `FLOOD_MEM_BUDGET`, when set, is added to the budget pool so CI can
@@ -318,11 +318,12 @@ fn planned_vs_full_all(
     planned_vs_full::<RowValueVisitor, _>(full, checks, Some(2), planned, read, seen, "rowvalue");
 }
 
-/// A planned read of `delta` — and, when nothing is buffered, of a
-/// [`TieredScan`] over its base — against the full scan of `rows`, the
-/// same rows resident.
+/// A planned read of the rows `delta` has sealed, through a [`TieredScan`]
+/// over its base, against the full scan of the same rows resident. `rows`
+/// holds every row inserted, buffered ones last.
 fn check_planned_reads(delta: &TieredDelta, rows: &[Vec<u64>], filters: &[DimFilter; 3]) {
     let base = delta.base();
+    assert_eq!(delta.len(), rows[0].len(), "sealed plus buffered");
     let checks = make_checks(base, filters);
     let candidates = base.candidate_rows(&checks);
     assert_eq!(
@@ -337,24 +338,17 @@ fn check_planned_reads(delta: &TieredDelta, rows: &[Vec<u64>], filters: &[DimFil
         base.len()
     );
 
-    let full = Table::from_columns(rows.to_vec());
+    let sealed = rows.iter().map(|col| col[..base.len()].to_vec()).collect();
+    let full = Table::from_columns(sealed);
     let query = checks.iter().fold(RangeQuery::all(3), |q, &(d, lo, hi)| {
         q.with_range(d, lo, hi)
     });
-    let planned = candidates.len() + delta.buffered();
-    planned_vs_full_all(&full, &checks, planned, &|agg, v| {
-        delta
+    let index = TieredScan::new(base.clone());
+    planned_vs_full_all(&full, &checks, candidates.len(), &|agg, v| {
+        index
             .try_execute(&query, agg, v)
             .expect("in-memory backend")
     });
-    if delta.buffered() == 0 {
-        let index = TieredScan::new(base.clone());
-        planned_vs_full_all(&full, &checks, planned, &|agg, v| {
-            index
-                .try_execute(&query, agg, v)
-                .expect("in-memory backend")
-        });
-    }
 }
 
 /// The core differential: `resident` sealed into `backend` under a budget
@@ -514,10 +508,10 @@ proptest! {
         diff_all_visitors(&reference, &tiered, &checks, 0, reference.len());
     }
 
-    /// Planned reads ≡ the full scan: `TieredScan` and `TieredDelta` look
-    /// only at `candidate_rows`, which is exactly what brute force over the
-    /// block metadata leaves — on columns ordered every which way, while
-    /// rows are buffered, and after each append re-seals an unaligned tail,
+    /// Planned reads ≡ the full scan: `TieredScan` looks only at
+    /// `candidate_rows`, which is exactly what brute force over the block
+    /// metadata leaves — on columns ordered every which way, while rows
+    /// are buffered, and after each append re-seals an unaligned tail,
     /// including batches that undercut everything sealed before them.
     #[test]
     fn planned_reads_equal_full_scan(
