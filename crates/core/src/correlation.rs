@@ -124,19 +124,27 @@ struct FdEnvelope {
 
 impl FdEnvelope {
     /// Host range covering every bucket whose dependent envelope
-    /// intersects `[lo, hi]`; `None` when no bucket does.
+    /// intersects `[lo, hi]`; `None` when no bucket does. Buckets are
+    /// consecutive runs of the host-sorted sample, so the first meeting
+    /// bucket holds the range's low end and the last its high end.
     fn translate(&self, lo: u64, hi: u64) -> Option<(u64, u64)> {
-        let mut out: Option<(u64, u64)> = None;
-        for b in 0..self.host_lo.len() {
-            if self.dep_lo[b] <= hi && lo <= self.dep_hi[b] {
-                out = Some(match out {
-                    None => (self.host_lo[b], self.host_hi[b]),
-                    Some((a, z)) => (a.min(self.host_lo[b]), z.max(self.host_hi[b])),
-                });
-            }
-        }
-        out
+        let env = |b: usize| Some((self.dep_lo[b], self.dep_hi[b]));
+        let (first, last) = meeting_buckets(self.host_lo.len(), lo, hi, env)?;
+        Some((self.host_lo[first], self.host_hi[last]))
     }
+}
+
+/// First and last of the host-ordered buckets `0..n` whose dependent
+/// envelope `env(b)` (`None`: no row in the bucket) meets `[lo, hi]`;
+/// `None` when no bucket does.
+fn meeting_buckets(
+    n: usize,
+    lo: u64,
+    hi: u64,
+    env: impl Fn(usize) -> Option<(u64, u64)>,
+) -> Option<(usize, usize)> {
+    let meets = |&b: &usize| env(b).is_some_and(|(a, z)| a <= hi && lo <= z);
+    Some(((0..n).find(meets)?, (0..n).rfind(meets)?))
 }
 
 /// The set of soft FDs detected on one table (sample), with enough fit
@@ -379,10 +387,7 @@ impl FdSupport {
     /// `[lo, hi]`. `None`: no non-outlier row can match — only the outlier
     /// rows need visiting.
     pub fn translate(&self, lo: u64, hi: u64) -> Option<(usize, usize)> {
-        let meets = |e: &Option<(u64, u64)>| e.is_some_and(|(a, z)| a <= hi && lo <= z);
-        let first = self.env.iter().position(meets)?;
-        let last = self.env.iter().rposition(meets)?;
-        Some((first, last))
+        meeting_buckets(self.env.len(), lo, hi, |b| self.env[b])
     }
 
     /// Rows whose dependent value falls in `[lo, hi]`, ascending by value.
@@ -789,6 +794,31 @@ mod tests {
         assert!(hlo <= 281_000 && hhi >= 719_000, "({hlo}, {hhi})");
         // ...while still being a useful restriction on the 1M domain.
         assert!(hlo >= 150_000 && hhi <= 850_000, "({hlo}, {hhi})");
+    }
+
+    /// A fitted envelope's translation is the hull of every bucket whose
+    /// dependent envelope meets the bound — the scan over all buckets the
+    /// first/last-bucket lookup replaced — on bounds below, inside, across
+    /// and above the dependent's range.
+    #[test]
+    fn translation_is_the_hull_of_meeting_buckets() {
+        let t = vee_table(4_000, 1_000, 50, 7);
+        let m = detect(&t, &CorrelationConfig::default());
+        assert!(!m.fds().is_empty());
+        let mut rng = StdRng::seed_from_u64(11);
+        for env in &m.envelopes {
+            assert!(env.host_lo.windows(2).all(|w| w[0] <= w[1]));
+            assert!(env.host_hi.windows(2).all(|w| w[0] <= w[1]));
+            for width in [0u64, 1_000, 50_000, 1_000_000].repeat(100) {
+                let lo = rng.gen_range(0..700_000);
+                let hi = lo + rng.gen_range(0..=width);
+                let hull = (0..env.host_lo.len())
+                    .filter(|&b| env.dep_lo[b] <= hi && lo <= env.dep_hi[b])
+                    .map(|b| (env.host_lo[b], env.host_hi[b]))
+                    .reduce(|(a, z), (l, h)| (a.min(l), z.max(h)));
+                assert_eq!(env.translate(lo, hi), hull, "[{lo}, {hi}]");
+            }
+        }
     }
 
     #[test]

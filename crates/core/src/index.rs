@@ -128,7 +128,7 @@ impl FloodIndex {
 
     /// [`FloodIndex::build`] cutting the grid with CDFs fitted on the same
     /// table — a server passes its data sample's
-    /// ([`EvaluatorCache::flattener`](crate::EvaluatorCache::flattener)), so
+    /// ([`DataSample::flattener`](crate::optimizer::DataSample::flattener)), so
     /// the grid is the one the search priced — and running on `pool`. Fits
     /// nothing; ignores `cfg.flattening`. The index is the same at any
     /// worker count. Also panics if a split dimension has no CDF.

@@ -61,4 +61,4 @@ pub use flatten::{Flattener, Flattening};
 pub use grid::Grid;
 pub use index::FloodIndex;
 pub use layout::{FdPair, Layout};
-pub use optimizer::{CostEvaluator, EvaluatorCache, LayoutOptimizer, OptimizerConfig};
+pub use optimizer::{CostEvaluator, LayoutOptimizer, OptimizerConfig};

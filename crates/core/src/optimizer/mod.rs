@@ -34,11 +34,8 @@
 //!    bitsets ([`OptimizedLayout::dim_recounts`] /
 //!    [`OptimizedLayout::dim_reuses`]); because entries are keyed by query
 //!    identity, the cache also survives the *workload* changing, which is
-//!    what [`EvaluatorCache`] exploits across `flood-serve`'s re-learns.
-//!
-//! Callers that score many explicit layouts against one workload (Fig 14's
-//! cost surface) should hold a [`CostEvaluator`] instead of calling
-//! [`LayoutOptimizer::predict_cost`] in a loop, which re-flattens each call.
+//!    what [`CostEvaluator::set_window`] exploits across `flood-serve`'s
+//!    re-learns.
 //!
 //! Paper map: §4.2/Algorithm 1 → [`LayoutOptimizer::optimize`]; §4.2 step 3
 //! (gradient descent over column counts) → [`gradient`]; §7.7 sampling
@@ -68,11 +65,11 @@ pub mod gradient;
 pub mod sample;
 
 pub use gradient::{descend, GdConfig};
+use sample::{Aged, LayoutKey};
 pub use sample::{DataSample, SampleSpace, StatsCache};
 
 use crate::correlation::CorrelationConfig;
 use crate::cost::CostModel;
-use crate::flatten::Flattener;
 use crate::index::MAX_GRID_DIMS;
 use crate::layout::Layout;
 use flood_store::{RangeQuery, Table};
@@ -188,8 +185,8 @@ impl LayoutOptimizer {
     /// flattening: shuffle the workload with the configured seed and keep
     /// [`OptimizerConfig::query_sample`] queries. Returns the sampled
     /// queries plus the RNG in the state the data-sample builder draws its
-    /// rows from, so every caller of [`EvaluatorCache::evaluator`] sees the
-    /// same stream.
+    /// rows from, so [`LayoutOptimizer::evaluator_sampled`] sees the same
+    /// stream as `optimize`.
     pub fn sample_queries(&self, workload: &[RangeQuery]) -> (Vec<RangeQuery>, StdRng) {
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let mut queries: Vec<RangeQuery> = workload.to_vec();
@@ -199,44 +196,18 @@ impl LayoutOptimizer {
     }
 
     /// Find the cheapest layout for `workload` over `table` (Algorithm 1):
-    /// [`LayoutOptimizer::optimize_shared`] over a cache nobody else holds.
+    /// the search over a fresh [`LayoutOptimizer::evaluator_sampled`].
     ///
     /// # Panics
     /// Panics if the workload is empty or the table has no rows.
     pub fn optimize(&self, table: &Table, workload: &[RangeQuery]) -> OptimizedLayout {
-        self.optimize_shared(table, workload, &mut EvaluatorCache::new())
-    }
-
-    /// Algorithm 1 against a shared [`EvaluatorCache`]: the flattened data
-    /// sample is built at most once per table and every query-dependent
-    /// layer (flat queries, per-dimension masks, layout memo) is keyed on
-    /// the sampled window's fingerprint, so repeat windows — and the
-    /// degradation check that preceded this call — feed the search instead
-    /// of being recomputed.
-    ///
-    /// A cache that already holds a data sample keeps it: with
-    /// [`OptimizerConfig::data_sample`] below the table size, a fresh cache
-    /// would draw its rows from the table's *current* order (same multiset,
-    /// different rows after a rebuild), so predicted costs can differ from
-    /// a fresh-cache call within sampling noise.
-    ///
-    /// # Panics
-    /// Panics if the workload is empty or the table has no rows.
-    pub fn optimize_shared(
-        &self,
-        table: &Table,
-        workload: &[RangeQuery],
-        shared: &mut EvaluatorCache,
-    ) -> OptimizedLayout {
         assert!(
             !workload.is_empty(),
             "cannot optimize for an empty workload"
         );
         assert!(!table.is_empty(), "cannot optimize over an empty table");
         let start = Instant::now();
-        let (queries, mut rng) = self.sample_queries(workload);
-        let evaluator = shared.evaluator(self, table, &queries, &mut rng);
-        self.search(evaluator, start)
+        self.search(&mut self.evaluator_sampled(table, workload), start)
     }
 
     /// Run Algorithm 1's candidate loop against an existing evaluator
@@ -245,7 +216,6 @@ impl LayoutOptimizer {
     pub fn optimize_in(&self, evaluator: &mut CostEvaluator) -> OptimizedLayout {
         self.search(evaluator, Instant::now())
     }
-
     /// Algorithm 1's search loop over one evaluator. `start` anchors
     /// `learn_time` so callers can include (or exclude) their sampling and
     /// flattening work.
@@ -367,254 +337,100 @@ impl LayoutOptimizer {
         }
     }
 
-    /// Predict the average query time of an explicit layout on this
-    /// table/workload (Fig 14's cost surface).
-    ///
-    /// Builds a fresh [`SampleSpace`] per call; to score many layouts
-    /// against one workload, use [`LayoutOptimizer::evaluator`].
-    pub fn predict_cost(&self, table: &Table, workload: &[RangeQuery], layout: &Layout) -> f64 {
-        self.evaluator(table, workload).predict(layout)
-    }
-
-    /// Build the flattened sample once and return an evaluator that can
-    /// score any number of layouts against it without re-sampling or
-    /// re-flattening.
-    pub fn evaluator(&self, table: &Table, workload: &[RangeQuery]) -> CostEvaluator {
-        self.one_shot(table, workload, StdRng::seed_from_u64(self.cfg.seed))
-    }
-
-    /// [`LayoutOptimizer::evaluator`] over the *sampled* workload — the
-    /// query subset [`LayoutOptimizer::optimize`] would search on — so
-    /// pricing a layout here is directly comparable to an `optimize` run's
-    /// `predicted_ns` on the same workload.
+    /// Sample `workload` as [`LayoutOptimizer::optimize`] does, then sample
+    /// and flatten `table` from the same RNG stream: an evaluator that can
+    /// score any number of layouts against the sampled workload, and be
+    /// re-pointed at later windows ([`CostEvaluator::set_window`]), without
+    /// re-sampling or re-flattening the data. Pricing a layout here is
+    /// directly comparable to an `optimize` run's `predicted_ns`.
     pub fn evaluator_sampled(&self, table: &Table, workload: &[RangeQuery]) -> CostEvaluator {
-        let (queries, rng) = self.sample_queries(workload);
-        self.one_shot(table, &queries, rng)
-    }
-
-    /// An evaluator owning its own sample of `table`, drawn from `rng`.
-    fn one_shot(&self, table: &Table, queries: &[RangeQuery], mut rng: StdRng) -> CostEvaluator {
+        let (queries, mut rng) = self.sample_queries(workload);
         let space = SampleSpace::build(
             table,
-            queries,
+            &queries,
             self.cfg.data_sample,
             &mut rng,
             &self.cfg.correlation,
         );
         let cache = space.stats_cache();
-        CostEvaluator::with_cache(space, self.cost.clone(), cache)
-    }
-}
-
-/// Re-learn cache: one flattened [`DataSample`] per table, one long-lived
-/// per-query [`StatsCache`], and the current observation window's
-/// [`CostEvaluator`], keyed by the window's fingerprint
-/// ([`SampleSpace::query_fingerprint`] of the *sampled* window).
-///
-/// `flood-serve`'s adaptive loop holds one across rebuilds. The data
-/// multiset of a clustered index never changes, so the expensive
-/// query-independent work (row sampling, per-dimension RMI training,
-/// flattening) happens once — and the sample's CDFs
-/// ([`EvaluatorCache::flattener`]) are the ones every index the loop
-/// builds cuts its grid with.
-/// When the window changes, the evaluator is rebuilt — a cheap query
-/// flatten — but its mask cache is *carried over*: masks are keyed by each
-/// query's own fingerprint, and sliding windows share most of their
-/// queries, so a degradation check or re-learn re-counts only the queries
-/// that actually entered the window since the masks were last built. The
-/// layout memo resets with the window (costs are workload-dependent), and
-/// the mask cache is epoch-pruned so long-dead queries stop holding
-/// memory.
-///
-/// Contract: one cache serves **one logical table** (the same multiset,
-/// in any row order) and **one cost model** (every call must pass
-/// optimizers sharing the model the cache was first used with). Shape
-/// changes rebuild the data sample automatically; same-shape content
-/// changes are a caller bug, caught by a `debug_assert` on an
-/// order-invariant table fingerprint.
-#[derive(Debug, Default)]
-pub struct EvaluatorCache {
-    data: Option<Arc<DataSample>>,
-    /// Order-invariant content fingerprint of the table the data sample
-    /// was built from (`table_multiset_fp`) — rebuilds of a clustered
-    /// index permute rows without changing it, so it identifies "the same
-    /// table" across rebuilds while rejecting a different table that
-    /// happens to share shape.
-    table_fp: u64,
-    /// `(window fingerprint, evaluator)` for the current window.
-    current: Option<(u64, CostEvaluator)>,
-    data_builds: usize,
-    window_builds: usize,
-    window_reuses: usize,
-}
-
-/// Order-invariant fingerprint of a table's content: per-dimension
-/// wrapping sums plus shape. Any permutation of the rows (what a Flood
-/// rebuild does) maps to the same value; a table with different content
-/// collides only adversarially. O(n·d) — cheap next to a flatten, but not
-/// free, hence debug-only verification on the reuse path.
-fn table_multiset_fp(table: &Table) -> u64 {
-    let mut h: u64 = 0x9E3779B97F4A7C15 ^ (table.len() as u64) ^ ((table.dims() as u64) << 32);
-    for d in 0..table.dims() {
-        let mut sum = 0u64;
-        for r in 0..table.len() {
-            sum = sum.wrapping_add(table.value(r, d));
-        }
-        h = h.rotate_left(7) ^ sum.wrapping_mul(0x100000001B3);
-    }
-    h
-}
-
-/// Mask-cache entries tolerated before stale pruning kicks in (couple of
-/// MB at typical sample sizes).
-const MASK_CACHE_CAP: usize = 8_192;
-/// Epochs (window rotations) an entry may sit unused before pruning.
-const MASK_KEEP_EPOCHS: usize = 2;
-
-impl EvaluatorCache {
-    /// An empty cache; the first use builds the data sample.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The evaluator for `queries` over `table`: the current evaluator when
-    /// the window fingerprint matches, otherwise a fresh query layer over
-    /// the shared data sample (built only when absent or when `table`'s
-    /// shape changed) carrying the accumulated per-query mask cache. `rng`
-    /// must be in the post-query-sampling state
-    /// ([`LayoutOptimizer::sample_queries`]): a fresh data sample draws its
-    /// rows from it.
-    pub fn evaluator(
-        &mut self,
-        optimizer: &LayoutOptimizer,
-        table: &Table,
-        queries: &[RangeQuery],
-        rng: &mut StdRng,
-    ) -> &mut CostEvaluator {
-        let fp = SampleSpace::query_fingerprint(queries);
-        if self.current.as_ref().is_some_and(|(f, _)| *f == fp) {
-            self.window_reuses += 1;
-            return &mut self.current.as_mut().expect("checked above").1;
-        }
-        let cfg = optimizer.config();
-        let data = match &self.data {
-            Some(d) if d.full_len() == table.len() && d.dims() == table.dims() => {
-                // The release-mode check is shape-only (O(1)); debug builds
-                // verify the table really is the same multiset the sample
-                // was drawn from — same-shape-different-content misuse
-                // would otherwise produce silently wrong statistics. One
-                // cache serves one logical table; use a fresh cache per
-                // table (the cost model is likewise fixed per cache).
-                debug_assert_eq!(
-                    table_multiset_fp(table),
-                    self.table_fp,
-                    "EvaluatorCache reused across different table contents"
-                );
-                Arc::clone(d)
-            }
-            _ => {
-                self.data_builds += 1;
-                // Masks over the old sample are meaningless for the new one.
-                self.current = None;
-                // O(n·d) and read only by the `debug_assert_eq!` above.
-                if cfg!(debug_assertions) {
-                    self.table_fp = table_multiset_fp(table);
-                }
-                let d = Arc::new(DataSample::build(
-                    table,
-                    cfg.data_sample,
-                    rng,
-                    &cfg.correlation,
-                ));
-                self.data = Some(Arc::clone(&d));
-                d
-            }
-        };
-        self.window_builds += 1;
-        let space = SampleSpace::over(data, queries);
-        // Rotate the window: keep the per-query mask cache (new epoch,
-        // stale entries pruned), reset the layout memo.
-        let mut stats = match self.current.take() {
-            Some((_, ev)) => ev.into_cache(),
-            None => space.stats_cache(),
-        };
-        stats.advance_epoch();
-        if stats.entry_count() > MASK_CACHE_CAP {
-            stats.prune_stale(stats.epoch().saturating_sub(MASK_KEEP_EPOCHS));
-        }
-        let evaluator = CostEvaluator::with_cache(space, optimizer.cost.clone(), stats);
-        self.current = Some((fp, evaluator));
-        &mut self.current.as_mut().expect("just set").1
-    }
-
-    /// The CDFs of the current data sample, once one is built: what the
-    /// search priced layouts through, for the build to cut its grid with.
-    pub fn flattener(&self) -> Option<&Arc<Flattener>> {
-        self.data.as_ref().map(|d| d.flattener())
-    }
-
-    /// Times the data sample was flattened (1 after any use; more only if
-    /// the table shape changed).
-    pub fn data_builds(&self) -> usize {
-        self.data_builds
-    }
-
-    /// Windows flattened into a fresh evaluator.
-    pub fn window_builds(&self) -> usize {
-        self.window_builds
-    }
-
-    /// Requests answered by the pooled current evaluator (fingerprint hit).
-    pub fn window_reuses(&self) -> usize {
-        self.window_reuses
-    }
-}
-
-/// Scores layouts against one flattened sample (built once), caching work
-/// at two granularities.
-///
-/// The expensive parts of cost prediction — sampling the table, training
-/// per-dimension CDFs, flattening — depend only on the data and workload,
-/// so sweeps over many candidate layouts (Fig 14) amortize them here. On
-/// top of that, repeat layouts are answered from a **layout memo** and
-/// fresh layouts re-count only the dimensions that differ from anything
-/// seen before, via the incremental per-dimension [`StatsCache`]. The
-/// `cost_evals`/`cache_hits` (memo) and `dim_recounts`/`dim_reuses`
-/// (per-dimension cache) counters expose both layers for diagnostics.
-#[derive(Debug, Clone)]
-pub struct CostEvaluator {
-    space: SampleSpace,
-    cost: CostModel,
-    cache: StatsCache,
-    /// Layout memo: predicted cost plus the cache's epoch when the entry
-    /// was computed (for cross-epoch attribution, like the cache's own).
-    memo: HashMap<(Vec<usize>, Vec<usize>), (f64, usize)>,
-    cost_evals: usize,
-    cache_hits: usize,
-    cross_epoch_memo_hits: usize,
-}
-
-impl CostEvaluator {
-    /// An evaluator adopting an existing mask cache (which must belong to
-    /// `space`'s data sample). The layout memo starts empty — costs depend
-    /// on the query set — but adopted masks keep serving any query they
-    /// were built for.
-    fn with_cache(space: SampleSpace, cost: CostModel, cache: StatsCache) -> Self {
         CostEvaluator {
             space,
-            cost,
+            cost: self.cost.clone(),
             cache,
             memo: HashMap::new(),
             cost_evals: 0,
             cache_hits: 0,
             cross_epoch_memo_hits: 0,
+            window_flattens: 1,
+            window_reuses: 0,
         }
     }
+}
 
-    /// Tear down into the mask cache, for carrying into the next window's
-    /// evaluator.
-    fn into_cache(self) -> StatsCache {
-        self.cache
+/// Cache entries (masks and per-query costs) tolerated before stale
+/// pruning kicks in (couple of MB at typical sample sizes).
+const MASK_CACHE_CAP: usize = 8_192;
+/// Epochs (window rotations) an entry may sit unused before pruning.
+const MASK_KEEP_EPOCHS: usize = 2;
+
+/// Scores layouts against one flattened data sample (built once) and the
+/// current window of queries, caching work at two granularities.
+///
+/// The expensive parts of cost prediction — sampling the table, training
+/// per-dimension CDFs, flattening — depend only on the data, so sweeps over
+/// many candidate layouts (Fig 14) and every later window amortize them
+/// here. On top of that, repeat layouts are answered from a per-window
+/// **layout memo** and fresh layouts re-count only the dimensions that
+/// differ from anything seen before, via the incremental per-dimension
+/// [`StatsCache`]. The `cost_evals`/`cache_hits` (memo) and
+/// `dim_recounts`/`dim_reuses` (per-dimension cache) counters expose both
+/// layers for diagnostics.
+///
+/// `flood-serve`'s adaptive loop holds one for a server's lifetime and
+/// points it at each window it prices ([`CostEvaluator::set_window`]). The
+/// data multiset of a clustered index never changes, so the sample — and
+/// its CDFs, which cut every index the loop builds — is flattened once.
+/// One evaluator serves one logical table (the same multiset, in any row
+/// order) under one cost model.
+#[derive(Debug, Clone)]
+pub struct CostEvaluator {
+    space: SampleSpace,
+    cost: CostModel,
+    cache: StatsCache,
+    /// Layout memo of the current window, aged like the cache's entries
+    /// (for cross-epoch attribution).
+    memo: HashMap<LayoutKey, Aged<f64>>,
+    cost_evals: usize,
+    cache_hits: usize,
+    cross_epoch_memo_hits: usize,
+    window_flattens: usize,
+    window_reuses: usize,
+}
+
+impl CostEvaluator {
+    /// Point the evaluator at the window `queries` (sampled as
+    /// [`LayoutOptimizer::sample_queries`] samples). The current window
+    /// again (same [`SampleSpace::query_fingerprint`]) keeps everything,
+    /// layout memo included. A new one is flattened into a query layer over
+    /// the same data sample with an empty layout memo — costs depend on the
+    /// query set — while masks and per-query costs, keyed by each query's
+    /// own fingerprint, carry over into a new epoch: sliding windows share
+    /// most of their queries, so a check or re-learn re-counts only the
+    /// queries that entered since. Past 8 192 entries, those idle for two
+    /// windows are pruned.
+    pub fn set_window(&mut self, queries: &[RangeQuery]) {
+        if SampleSpace::query_fingerprint(queries) == self.space.query_fp() {
+            self.window_reuses += 1;
+            return;
+        }
+        self.window_flattens += 1;
+        self.space = SampleSpace::over(Arc::clone(self.space.data()), queries);
+        self.memo.clear();
+        self.cache.advance_epoch();
+        if self.cache.entry_count() > MASK_CACHE_CAP {
+            let keep_from = self.cache.epoch().saturating_sub(MASK_KEEP_EPOCHS);
+            self.cache.prune_stale(keep_from);
+        }
     }
 
     /// The flattened sample this evaluator scores against.
@@ -633,15 +449,12 @@ impl CostEvaluator {
     fn predict_order(&mut self, order: &[usize], cols: &[usize]) -> f64 {
         self.cost_evals += 1;
         let key = (order.to_vec(), cols.to_vec());
-        if let Some(&(c, born)) = self.memo.get(&key) {
+        if let Some(entry) = self.memo.get_mut(&key) {
             self.cache_hits += 1;
-            if born < self.cache.epoch() {
-                self.cross_epoch_memo_hits += 1;
-            }
-            return c;
+            return *entry.hit(self.cache.epoch(), &mut self.cross_epoch_memo_hits);
         }
         let c = self.predict_per_query(&key);
-        self.memo.insert(key, (c, self.cache.epoch()));
+        self.memo.insert(key, Aged::new(c, self.cache.epoch()));
         c
     }
 
@@ -652,7 +465,7 @@ impl CostEvaluator {
     /// window sharing the cache). Bit-identical to
     /// `predict_workload(query_stats(..))`: per-query statistics are
     /// per-query facts, and the mean is summed in query order.
-    fn predict_per_query(&mut self, key: &(Vec<usize>, Vec<usize>)) -> f64 {
+    fn predict_per_query(&mut self, key: &LayoutKey) -> f64 {
         let qn = self.space.query_count();
         if qn == 0 {
             return 0.0;
@@ -708,6 +521,16 @@ impl CostEvaluator {
     /// the degradation check before a re-learn) already paid for.
     pub fn cross_epoch_hits(&self) -> usize {
         self.cross_epoch_memo_hits + self.cache.cross_epoch_reuses()
+    }
+
+    /// Windows flattened into a query layer, the first included.
+    pub fn window_flattens(&self) -> usize {
+        self.window_flattens
+    }
+
+    /// [`CostEvaluator::set_window`] calls that found the current window.
+    pub fn window_reuses(&self) -> usize {
+        self.window_reuses
     }
 }
 
@@ -791,34 +614,19 @@ mod tests {
         assert!(result.cache_hits < result.cost_evals);
     }
 
-    #[test]
-    fn evaluator_matches_predict_cost() {
-        let opt = LayoutOptimizer::with_config(CostModel::analytic_default(), fast_cfg());
-        let t = table();
-        let w = workload();
-        let mut eval = opt.evaluator(&t, &w);
-        for layout in [
-            Layout::new(vec![0, 1], vec![32]),
-            Layout::new(vec![1, 0], vec![8]),
-            Layout::sort_only(0),
-        ] {
-            let a = eval.predict(&layout);
-            let b = opt.predict_cost(&t, &w, &layout);
-            assert!((a - b).abs() < 1e-9, "evaluator {a} vs predict_cost {b}");
-        }
-    }
-
     /// The cache diagnostics against a known probe sequence: a fresh layout
     /// counts its filtered (query, dimension) pairs, a changed column count
     /// re-counts exactly the moved dimension, and a repeat layout hits the
-    /// memo and touches nothing. All 12 workload queries filter both dims,
-    /// so each mask unit appears 12 times.
+    /// memo and touches nothing. The sample keeps all 12 workload queries,
+    /// which filter both dims, so each mask unit appears 12 times.
     #[test]
     fn evaluator_diagnostics_follow_known_probe_sequence() {
-        let opt = LayoutOptimizer::with_config(CostModel::analytic_default(), fast_cfg());
-        let t = table();
-        let w = workload();
-        let mut eval = opt.evaluator(&t, &w);
+        let cfg = OptimizerConfig {
+            query_sample: 12,
+            ..fast_cfg()
+        };
+        let opt = LayoutOptimizer::with_config(CostModel::analytic_default(), cfg);
+        let mut eval = opt.evaluator_sampled(&table(), &workload());
 
         // Probe 1: grid dim 0 @ 8 columns, sort dim 1 — both fresh for
         // every query.
@@ -880,18 +688,18 @@ mod tests {
         assert!(eval.cache_hits() > 0 && eval.dim_reuses() > 0);
     }
 
-    /// `optimize` is `optimize_shared` over a fresh cache — same RNG
+    /// `optimize` is `optimize_in` over `evaluator_sampled` — same RNG
     /// stream, same sampled rows — also when the sample is a strict subset
     /// of the table.
     #[test]
-    fn optimize_equals_optimize_shared_over_a_fresh_cache() {
+    fn optimize_equals_a_search_over_evaluator_sampled() {
         let t = table();
         let w = workload();
         let opt = LayoutOptimizer::with_config(CostModel::analytic_default(), fast_cfg());
         assert!(opt.config().data_sample < t.len(), "partial sample");
         let cold = opt.optimize(&t, &w);
-        let mut cache = EvaluatorCache::new();
-        let shared = opt.optimize_shared(&t, &w, &mut cache);
+        let mut eval = opt.evaluator_sampled(&t, &w);
+        let shared = opt.optimize_in(&mut eval);
         assert_eq!(cold.layout, shared.layout);
         assert_eq!(cold.predicted_ns.to_bits(), shared.predicted_ns.to_bits());
         assert_eq!(
@@ -908,7 +716,52 @@ mod tests {
                 shared.dim_reuses
             ),
         );
-        assert_eq!((cache.data_builds(), cache.window_builds()), (1, 1));
+        assert_eq!((eval.window_flattens(), eval.window_reuses()), (1, 0));
+    }
+
+    /// A window change re-points the evaluator without touching its data
+    /// sample: it then prices and searches exactly like a fresh evaluator
+    /// on that window (full sample, so both hold the same rows), the memo
+    /// starts empty, and masks of the queries both windows share are not
+    /// counted again. The same window again keeps the memo.
+    #[test]
+    fn a_repointed_evaluator_equals_a_fresh_one() {
+        let t = table();
+        let opt = LayoutOptimizer::with_config(
+            CostModel::analytic_default(),
+            OptimizerConfig {
+                data_sample: usize::MAX,
+                query_sample: 12,
+                ..fast_cfg()
+            },
+        );
+        let (a, b) = (&workload()[..8], &workload()[4..]);
+        let mut eval = opt.evaluator_sampled(&t, a);
+        let first = opt.optimize_in(&mut eval);
+        let data = Arc::clone(eval.space().data());
+        let recounts = eval.dim_recounts();
+
+        eval.set_window(&opt.sample_queries(b).0);
+        assert_eq!((eval.window_flattens(), eval.window_reuses()), (2, 0));
+        assert!(Arc::ptr_eq(&data, eval.space().data()), "one data sample");
+        let mut fresh = opt.evaluator_sampled(&t, b);
+        let (repointed, cold) = (eval.predict(&first.layout), fresh.predict(&first.layout));
+        assert_eq!(repointed.to_bits(), cold.to_bits());
+        assert_eq!(eval.cache_hits(), first.cache_hits, "the memo was reset");
+        let searched = opt.optimize_in(&mut eval);
+        let cold = opt.optimize(&t, b);
+        assert_eq!(searched.layout, cold.layout);
+        assert_eq!(searched.predicted_ns.to_bits(), cold.predicted_ns.to_bits());
+        assert!(
+            eval.dim_recounts() - recounts < cold.dim_recounts,
+            "the four shared queries' masks carry over"
+        );
+
+        eval.set_window(&opt.sample_queries(b).0);
+        assert_eq!((eval.window_flattens(), eval.window_reuses()), (2, 1));
+        let again = opt.optimize_in(&mut eval);
+        assert_eq!(again.layout, searched.layout);
+        assert_eq!(again.cache_hits, again.cost_evals, "answered by the memo");
     }
 
     /// A workload filtering all 40 dimensions of a table: the search keeps
@@ -954,13 +807,10 @@ mod tests {
     #[test]
     fn predict_cost_orders_layouts_sensibly() {
         let opt = LayoutOptimizer::with_config(CostModel::analytic_default(), fast_cfg());
-        let t = table();
-        let w = workload();
+        let mut eval = opt.evaluator_sampled(&table(), &workload());
         // A grid on the selective dim 0 beats a grid on the unfiltered dim 2.
-        let good = Layout::new(vec![0, 1], vec![32]);
-        let bad = Layout::new(vec![2, 1], vec![32]);
-        let cg = opt.predict_cost(&t, &w, &good);
-        let cb = opt.predict_cost(&t, &w, &bad);
+        let cg = eval.predict(&Layout::new(vec![0, 1], vec![32]));
+        let cb = eval.predict(&Layout::new(vec![2, 1], vec![32]));
         assert!(
             cg < cb,
             "grid on selective dim should be cheaper: {cg} vs {cb}"

@@ -17,10 +17,10 @@
 //! [`DataSample`] holds the first and is shareable (behind an `Arc`) across
 //! any number of query sets over the same table;
 //! [`SampleSpace::over`] attaches a query layer without touching the data.
-//! `flood-serve`'s adaptive loop exploits this across re-learns: the data
-//! multiset of a clustered index never changes, so one [`DataSample`] serves
-//! every observation window, keyed by [`SampleSpace::query_fingerprint`],
-//! and its [`Flattener`] cuts the grid of every index the loop builds.
+//! A [`crate::CostEvaluator`] re-pointed at a new observation window does
+//! exactly that: the data multiset of a clustered index never changes, so
+//! one [`DataSample`] serves every window `flood-serve`'s adaptive loop
+//! prices, and its [`Flattener`] cuts the grid of every index it builds.
 //!
 //! ## Incremental per-dimension statistics
 //!
@@ -70,11 +70,13 @@
 //! bitmap is kept and the query's exact-point count is 0 without touching a
 //! word. Both are properties of the mask, observable where it is built.
 //!
-//! Cache entries additionally remember the [`StatsCache::epoch`] they were
-//! created in; reuses of entries born in an earlier epoch are counted
-//! separately ([`StatsCache::cross_epoch_reuses`]), which is how
+//! Every cache entry — grid masks, sort masks, per-(layout, query) costs,
+//! and the evaluator's layout memo — is one `Aged` value stamped with the
+//! [`StatsCache::epoch`] it was made in and last served in, and every hit
+//! goes through `Aged::hit`. Hits on entries made in an earlier epoch are
+//! counted separately ([`StatsCache::cross_epoch_reuses`]), which is how
 //! the adaptive loop attributes re-learn cache hits to work done by earlier
-//! degradation checks.
+//! degradation checks; the last-served stamp is what pruning reads.
 //!
 //! ## Correlation rewrite (Tsunami/COAX extension, beyond the Flood paper)
 //!
@@ -93,7 +95,9 @@ use crate::flatten::{DimCdf, Flattener, Flattening};
 use flood_store::{RangeQuery, Table};
 use rand::rngs::StdRng;
 use rand::seq::index::sample as index_sample;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// A flattened query: per-dimension bounds in `[0, 1]` flat space.
@@ -244,8 +248,9 @@ impl DataSample {
         }
     }
 
-    /// The CDFs this sample was flattened through, one per dimension.
-    pub(crate) fn flattener(&self) -> &Arc<Flattener> {
+    /// The CDFs this sample was flattened through, one per dimension: what
+    /// a search prices layouts through, for the build to cut its grid with.
+    pub fn flattener(&self) -> &Arc<Flattener> {
         &self.flattener
     }
 
@@ -301,16 +306,6 @@ impl DataSample {
     pub fn is_empty(&self) -> bool {
         self.n_points == 0
     }
-
-    /// Rows in the full table the sample stands in for.
-    pub fn full_len(&self) -> usize {
-        self.full_n
-    }
-
-    /// Dimensions per row.
-    pub fn dims(&self) -> usize {
-        self.n_dims
-    }
 }
 
 /// The flattened data + query sample used for cost evaluation: a shared
@@ -325,8 +320,8 @@ pub struct SampleSpace {
     /// Average flattened query width per dimension (selectivity), `None`
     /// for dimensions never filtered.
     avg_selectivity: Vec<Option<f64>>,
-    /// Fingerprint of the raw query set this space was built over (see
-    /// [`SampleSpace::query_fingerprint`]).
+    /// Fingerprint of the query set this space was built over, before any
+    /// rewrite (see [`SampleSpace::query_fingerprint`]).
     query_fp: u64,
 }
 
@@ -352,10 +347,12 @@ impl SampleSpace {
     /// through [`DataSample::correlation`] — a filter on a collapsed
     /// dependent implies a host bound — so predicted costs price the
     /// correlation-tightened projection the built index will actually run.
-    /// `query_fp` and the per-query mask-cache keys are both computed on
-    /// the *rewritten* queries; rewriting is deterministic per sample, so
-    /// repeat windows still collide. With no FDs this is the identity.
+    /// The per-query mask-cache keys are computed on the *rewritten*
+    /// queries (rewriting is deterministic per sample, so repeat queries
+    /// still collide), `query_fp` on the queries as given. With no FDs the
+    /// rewrite is the identity.
     pub fn over(data: Arc<DataSample>, queries: &[RangeQuery]) -> Self {
+        let query_fp = SampleSpace::query_fingerprint(queries);
         let rewritten;
         let queries: &[RangeQuery] = if data.correlation.is_empty() {
             queries
@@ -406,7 +403,7 @@ impl SampleSpace {
 
         let qfps: Vec<u64> = queries.iter().map(fingerprint_query).collect();
         SampleSpace {
-            query_fp: SampleSpace::query_fingerprint(queries),
+            query_fp,
             data,
             queries: flat_queries,
             qfps,
@@ -417,8 +414,9 @@ impl SampleSpace {
     /// Order-sensitive fingerprint of a query set: a stable 64-bit hash
     /// combining every query's own fingerprint. Two windows with equal
     /// queries in equal order collide by construction; anything else
-    /// collides with probability ~2⁻⁶⁴. The keying [`crate::EvaluatorCache`]
-    /// uses to recognise a repeat observation window.
+    /// collides with probability ~2⁻⁶⁴. The keying
+    /// [`crate::CostEvaluator::set_window`] uses to recognise a repeat
+    /// observation window.
     pub fn query_fingerprint(queries: &[RangeQuery]) -> u64 {
         let mut h = FNV_OFFSET;
         fnv_eat(&mut h, queries.len() as u64);
@@ -579,11 +577,7 @@ impl SampleSpace {
             costs: HashMap::new(),
             space_id: self.data.space_id,
             epoch: 0,
-            recounts: 0,
-            reuses: 0,
-            cross_epoch_reuses: 0,
-            cost_hits: 0,
-            cost_misses: 0,
+            tally: Tally::default(),
         }
     }
 
@@ -635,37 +629,18 @@ impl SampleSpace {
         // (query, dim, cols) triples this probe introduced; everything else
         // is served from the cache, including entries built for *other*
         // query sets that share queries with this one.
+        let (epoch, tally) = (cache.epoch, &mut cache.tally);
         for &qi in subset {
             let (q, qfp) = (&self.queries[qi], self.qfps[qi]);
             for (&d, &c) in grid_dims.iter().zip(cols) {
-                if q.bounds[d].is_none() {
-                    continue;
-                }
-                if let Some(entry) = cache.grid.get_mut(&(qfp, d, c)) {
-                    cache.reuses += 1;
-                    if entry.created_epoch < cache.epoch {
-                        cache.cross_epoch_reuses += 1;
-                    }
-                    entry.last_used_epoch = cache.epoch;
-                } else {
-                    cache.recounts += 1;
-                    let entry = self.build_query_grid_masks(qi, d, c, cache.epoch);
-                    cache.grid.insert((qfp, d, c), entry);
+                if q.bounds[d].is_some() {
+                    let count = || self.build_query_grid_masks(qi, d, c);
+                    tally.fetch(&mut cache.grid, (qfp, d, c), epoch, count);
                 }
             }
-            if q.bounds[sort_dim].is_none() {
-                continue;
-            }
-            if let Some(entry) = cache.sort.get_mut(&(qfp, sort_dim)) {
-                cache.reuses += 1;
-                if entry.created_epoch < cache.epoch {
-                    cache.cross_epoch_reuses += 1;
-                }
-                entry.last_used_epoch = cache.epoch;
-            } else {
-                cache.recounts += 1;
-                let entry = self.build_query_sort_mask(qi, sort_dim, cache.epoch);
-                cache.sort.insert((qfp, sort_dim), entry);
+            if q.bounds[sort_dim].is_some() {
+                let count = || self.build_query_sort_mask(qi, sort_dim);
+                tally.fetch(&mut cache.sort, (qfp, sort_dim), epoch, count);
             }
         }
 
@@ -688,7 +663,7 @@ impl SampleSpace {
             for (&d, &c) in grid_dims.iter().zip(cols) {
                 match q.bounds[d] {
                     Some(_) => {
-                        let masks = &cache.grid[&(qfp, d, c)];
+                        let masks = &cache.grid[&(qfp, d, c)].value;
                         nc *= masks.ncols;
                         // An all-ones mask leaves `acc` as it is.
                         if let Some(pass) = &masks.pass {
@@ -707,7 +682,7 @@ impl SampleSpace {
                 }
             }
             if q.bounds[sort_dim].is_some() {
-                if let Some(pass) = &cache.sort[&(qfp, sort_dim)].pass {
+                if let Some(pass) = &cache.sort[&(qfp, sort_dim)].value {
                     and(&mut acc, pass);
                 }
             }
@@ -744,7 +719,7 @@ impl SampleSpace {
     /// rounding cannot diverge from the per-point loop), and
     /// [`DataSample::rank_prefix_xor`] turns the run into a bitmap without
     /// visiting its points.
-    fn build_query_grid_masks(&self, qi: usize, dim: usize, c: usize, epoch: usize) -> GridMasks {
+    fn build_query_grid_masks(&self, qi: usize, dim: usize, c: usize) -> GridMasks {
         let sorted = self.data.sorted(dim);
         let (lo, hi) = self.queries[qi].bounds[dim].expect("only filtered dims are cached");
         let col = |v: f32| ((v as f64 * c as f64) as u32).min(c as u32 - 1);
@@ -761,26 +736,22 @@ impl SampleSpace {
             ncols: (hi_col - lo_col + 1) as f64,
             pass: (!full).then(|| self.data.rank_prefix_xor(dim, &[a, b])),
             boundary: (!no_interior).then(|| self.data.rank_prefix_xor(dim, &[a, a2, b2, b])),
-            created_epoch: epoch,
-            last_used_epoch: epoch,
         }
     }
 
     /// Count one filtered query's sort-dimension crossings: which points
     /// pass the query's sort-dimension bound — again a run of the sort
-    /// order. (Unfiltered sort dimensions are never cached — refinement
-    /// never runs and every point passes.)
-    fn build_query_sort_mask(&self, qi: usize, dim: usize, epoch: usize) -> SortMask {
+    /// order. Bit `p` is set ⇔ point `p` lies inside the bound; `None` ⇔
+    /// every point does. The mask does not depend on the grid, and
+    /// unfiltered sort dimensions are never cached (refinement never runs
+    /// and every point passes).
+    fn build_query_sort_mask(&self, qi: usize, dim: usize) -> Option<Vec<u64>> {
         let sorted = self.data.sorted(dim);
         let (lo, hi) = self.queries[qi].bounds[dim].expect("only filtered dims are cached");
         let a = sorted.partition_point(|&v| v < lo);
         let b = sorted.partition_point(|&v| v <= hi);
         let full = a == 0 && b == sorted.len();
-        SortMask {
-            pass: (!full).then(|| self.data.rank_prefix_xor(dim, &[a, b])),
-            created_epoch: epoch,
-            last_used_epoch: epoch,
-        }
+        (!full).then(|| self.data.rank_prefix_xor(dim, &[a, b]))
     }
 }
 
@@ -873,39 +844,44 @@ struct GridMasks {
     /// boundary columns (*no interior*): the boundary is `pass` itself, so
     /// nothing under this query can be exact.
     boundary: Option<Vec<u64>>,
-    /// Cache epoch this entry was counted in (see [`StatsCache::epoch`]).
-    created_epoch: usize,
-    /// Cache epoch this entry last served a probe (staleness pruning).
-    last_used_epoch: usize,
 }
 
-/// One `(layout, query)` pair's cached predicted cost.
-#[derive(Debug, Clone, Copy)]
-struct CostEntry {
-    /// The cost model's prediction for this query under this layout.
-    time_ns: f64,
-    /// Cache epoch this entry was computed in.
-    created_epoch: usize,
-    /// Cache epoch this entry last served a probe (staleness pruning).
-    last_used_epoch: usize,
-}
+/// A layout as the pricing caches key it: `(order, cols)`.
+pub(crate) type LayoutKey = (Vec<usize>, Vec<usize>);
 
-/// One filtered query's cached sort-dimension pass mask (column-count
-/// independent: refinement bounds don't depend on the grid).
+/// One cached pricing fact — a grid or sort mask, a `(layout, query)`
+/// cost, a layout's memoized cost — stamped with the [`StatsCache::epoch`]
+/// it was made in and the one it last served in.
 #[derive(Debug, Clone)]
-struct SortMask {
-    /// Bit `p` set ⇔ point `p` lies inside the query's sort-dimension
-    /// bound; `None` ⇔ every point does.
-    pass: Option<Vec<u64>>,
-    /// Cache epoch this entry was counted in (see [`StatsCache::epoch`]).
-    created_epoch: usize,
-    /// Cache epoch this entry last served a probe (staleness pruning).
-    last_used_epoch: usize,
+pub(crate) struct Aged<T> {
+    pub(crate) value: T,
+    born: usize,
+    used: usize,
+}
+
+impl<T> Aged<T> {
+    /// A fact made in `epoch`.
+    pub(crate) fn new(value: T, epoch: usize) -> Self {
+        Aged {
+            value,
+            born: epoch,
+            used: epoch,
+        }
+    }
+
+    /// The one hit path: serve the fact in `epoch`, stamp it used, and
+    /// count it in `cross` when an earlier epoch made it.
+    pub(crate) fn hit(&mut self, epoch: usize, cross: &mut usize) -> &T {
+        self.used = epoch;
+        *cross += usize::from(self.born < epoch);
+        &self.value
+    }
 }
 
 /// Memo of per-query, per-dimension statistics over one [`DataSample`],
 /// keyed on `(query fingerprint, dim, column_count)` — the dirty-set cache
-/// behind [`SampleSpace::query_stats_cached`].
+/// behind [`SampleSpace::query_stats_cached`] — plus per-(layout, query)
+/// predicted costs.
 ///
 /// A gradient-descent probe that moves one dimension hits the cache for
 /// every unmoved dimension and re-counts only the moved one; because the
@@ -922,8 +898,9 @@ struct SortMask {
 /// sample's process-unique identity and rejects use with any other.
 #[derive(Debug, Clone)]
 pub struct StatsCache {
-    grid: HashMap<(u64, usize, usize), GridMasks>,
-    sort: HashMap<(u64, usize), SortMask>,
+    grid: HashMap<(u64, usize, usize), Aged<GridMasks>>,
+    /// Sort-dimension pass masks (see `build_query_sort_mask`).
+    sort: HashMap<(u64, usize), Aged<Option<Vec<u64>>>>,
     /// Per-(layout, query) predicted costs: `costs[(order, cols)][qfp]` is
     /// the cost model's `time_ns` for that query under that layout. A
     /// `(query, layout)` pair's cost depends on nothing else, so entries
@@ -931,7 +908,7 @@ pub struct StatsCache {
     /// makes repeat pricing of recurring queries free across re-learns.
     /// Valid for one cost model (the holder's optimizer never swaps its
     /// model mid-flight).
-    costs: HashMap<(Vec<usize>, Vec<usize>), HashMap<u64, CostEntry>>,
+    costs: HashMap<LayoutKey, HashMap<u64, Aged<f64>>>,
     /// Identity of the owning data sample (process-unique, stamped at build
     /// time), to reject cross-space reuse — sizes alone can collide.
     space_id: u64,
@@ -940,87 +917,89 @@ pub struct StatsCache {
     /// generation (e.g. a previous degradation check feeding a re-learn) is
     /// observable via [`StatsCache::cross_epoch_reuses`].
     epoch: usize,
+    tally: Tally,
+}
+
+/// What a [`StatsCache`]'s lookups did, in (query, dimension) units except
+/// `cross`, which also counts per-query cost hits.
+#[derive(Debug, Clone, Default)]
+struct Tally {
     recounts: usize,
     reuses: usize,
-    cross_epoch_reuses: usize,
-    cost_hits: usize,
-    cost_misses: usize,
+    cross: usize,
+}
+
+impl Tally {
+    /// A mask cache's hit path: serve `key` from `map` in `epoch`, or count
+    /// it afresh with `count`.
+    fn fetch<K: Eq + Hash, T>(
+        &mut self,
+        map: &mut HashMap<K, Aged<T>>,
+        key: K,
+        epoch: usize,
+        count: impl FnOnce() -> T,
+    ) {
+        match map.entry(key) {
+            Entry::Occupied(mut e) => {
+                self.reuses += 1;
+                e.get_mut().hit(epoch, &mut self.cross);
+            }
+            Entry::Vacant(e) => {
+                self.recounts += 1;
+                e.insert(Aged::new(count(), epoch));
+            }
+        }
+    }
 }
 
 impl StatsCache {
     /// The cached per-query costs of `layout_key` for the queries with
-    /// fingerprints `qfps`, in that order (`None`: never priced), counting
-    /// each hit (cross-epoch hits feed [`StatsCache::cross_epoch_reuses`]).
-    /// The layout's inner map is resolved once for the whole window.
-    pub(crate) fn cost_probe(
-        &mut self,
-        layout_key: &(Vec<usize>, Vec<usize>),
-        qfps: &[u64],
-    ) -> Vec<Option<f64>> {
+    /// fingerprints `qfps`, in that order (`None`: never priced). The
+    /// layout's inner map is resolved once for the whole window.
+    pub(crate) fn cost_probe(&mut self, layout_key: &LayoutKey, qfps: &[u64]) -> Vec<Option<f64>> {
         let Some(per_query) = self.costs.get_mut(layout_key) else {
             return vec![None; qfps.len()];
         };
-        let mut costs = Vec::with_capacity(qfps.len());
-        for qfp in qfps {
-            costs.push(per_query.get_mut(qfp).map(|entry| {
-                self.cost_hits += 1;
-                if entry.created_epoch < self.epoch {
-                    self.cross_epoch_reuses += 1;
-                }
-                entry.last_used_epoch = self.epoch;
-                entry.time_ns
-            }));
-        }
-        costs
+        let (epoch, cross) = (self.epoch, &mut self.tally.cross);
+        qfps.iter()
+            .map(|qfp| per_query.get_mut(qfp).map(|e| *e.hit(epoch, cross)))
+            .collect()
     }
 
     /// Record freshly computed per-query costs `(query fingerprint,
     /// time_ns)` of one layout.
     pub(crate) fn cost_insert(
         &mut self,
-        layout_key: &(Vec<usize>, Vec<usize>),
+        layout_key: &LayoutKey,
         fresh: impl IntoIterator<Item = (u64, f64)>,
     ) {
-        let per_query = self.costs.entry(layout_key.clone()).or_default();
-        for (qfp, time_ns) in fresh {
-            self.cost_misses += 1;
-            per_query.insert(
-                qfp,
-                CostEntry {
-                    time_ns,
-                    created_epoch: self.epoch,
-                    last_used_epoch: self.epoch,
-                },
-            );
-        }
-    }
-
-    /// Per-(layout, query) cost lookups served from the cache.
-    pub fn cost_hits(&self) -> usize {
-        self.cost_hits
-    }
-
-    /// Per-(layout, query) costs computed fresh (stats + weight models).
-    pub fn cost_misses(&self) -> usize {
-        self.cost_misses
+        let (epoch, per_query) = (
+            self.epoch,
+            self.costs.entry(layout_key.clone()).or_default(),
+        );
+        per_query.extend(
+            fresh
+                .into_iter()
+                .map(|(qfp, ns)| (qfp, Aged::new(ns, epoch))),
+        );
     }
 
     /// Per-(query, dimension) contributions counted from scratch (cache
     /// misses).
     pub fn recounts(&self) -> usize {
-        self.recounts
+        self.tally.recounts
     }
 
     /// Per-(query, dimension) contributions served from the cache —
     /// contributions a probe needed but did not change.
     pub fn reuses(&self) -> usize {
-        self.reuses
+        self.tally.reuses
     }
 
-    /// Reuses of entries created in an earlier epoch (before the last
-    /// [`StatsCache::advance_epoch`]).
+    /// Mask reuses and per-query cost hits on entries created in an earlier
+    /// epoch (before the last [`StatsCache::advance_epoch`]).
     pub fn cross_epoch_reuses(&self) -> usize {
-        self.cross_epoch_reuses
+        self.tally.cross
     }
 
     /// Start a new epoch: subsequent reuses of entries created before this
@@ -1043,10 +1022,10 @@ impl StatsCache {
     /// long-lived holders (adaptive indexes) bound memory this way once
     /// old windows' queries stop recurring.
     pub fn prune_stale(&mut self, min_last_used: usize) {
-        self.grid.retain(|_, e| e.last_used_epoch >= min_last_used);
-        self.sort.retain(|_, e| e.last_used_epoch >= min_last_used);
+        self.grid.retain(|_, e| e.used >= min_last_used);
+        self.sort.retain(|_, e| e.used >= min_last_used);
         for per_query in self.costs.values_mut() {
-            per_query.retain(|_, e| e.last_used_epoch >= min_last_used);
+            per_query.retain(|_, e| e.used >= min_last_used);
         }
         self.costs.retain(|_, per_query| !per_query.is_empty());
     }
@@ -1452,7 +1431,7 @@ mod tests {
                 for dim in 0..4 {
                     for c in [1, 2, 3, 64, 1_024, n + 37] {
                         let [pass, boundary, sort] = reference_masks(&s, qi, dim, c);
-                        let got = s.build_query_grid_masks(qi, dim, c, 0);
+                        let got = s.build_query_grid_masks(qi, dim, c);
                         let at = format!("n {n} query {qi} dim {dim} c {c}");
                         prop_assert_eq!(got.pass.is_none(), pass == ones, "full, {}", &at);
                         prop_assert_eq!(got.pass.as_ref().unwrap_or(&ones), &pass, "pass, {}", &at);
@@ -1469,9 +1448,9 @@ mod tests {
                         let (lo, hi) = s.queries[qi].bounds[dim].expect("filtered");
                         let col = |v: f32| ((v as f64 * c as f64) as u32).min(c as u32 - 1);
                         prop_assert_eq!(got.ncols, (col(hi) - col(lo) + 1) as f64, "ncols, {}", &at);
-                        let got = s.build_query_sort_mask(qi, dim, 0);
-                        prop_assert_eq!(got.pass.as_ref().unwrap_or(&ones), &sort, "sort, {}", &at);
-                        prop_assert_eq!(got.pass.is_none(), sort == ones, "sort full, {}", &at);
+                        let got = s.build_query_sort_mask(qi, dim);
+                        prop_assert_eq!(got.as_ref().unwrap_or(&ones), &sort, "sort, {}", &at);
+                        prop_assert_eq!(got.is_none(), sort == ones, "sort full, {}", &at);
                     }
                 }
             }

@@ -6,9 +6,9 @@
 //! [`FloodIndex::build`] against the row-at-a-time reference it replaced
 //! ([`reference_order`]), and [`FloodIndex::rebuild`] on a pool against
 //! `build`. The third pins the *pooled build*: [`FloodIndex::build_with`]
-//! at 1, 2 and 3 workers against the serial `build`, byte for byte
+//! at 1, 2, 3 and 5 workers against the serial `build`, byte for byte
 //! ([`FloodIndex::differs_from`]), on tables long enough for radix-sorted
-//! and cut cells, plus deterministic edge cases. The fourth pins
+//! cells, plus deterministic edge cases. The fourth pins
 //! *refinement*: every planned `[start, end)` against `partition_point`
 //! over the decoded cell, on cells around one block long — where
 //! refinement ranks ([`flood_store::rank_rows`]) instead of searching.

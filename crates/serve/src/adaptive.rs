@@ -12,14 +12,14 @@
 //! any leading queries of the old regime), or on the window for a cadence
 //! check — rebuilds off the serving path, publishes, and restarts the
 //! window from the queries the new layout was learned on. All three calls share one
-//! learn path and one [`EvaluatorCache`]: a rebuild never changes the data
-//! multiset, so the data sample is flattened once, every index is cut with
-//! that sample's CDFs, and the check that triggers a re-learn hands its
-//! masks and memo entries to the search.
+//! learn path and one [`CostEvaluator`], pointed at each window in turn: a
+//! rebuild never changes the data multiset, so the data sample is flattened
+//! once, every index is cut with that sample's CDFs, and the check that
+//! triggers a re-learn hands its masks and memo entries to the search.
 
 use crate::epoch::IndexSnapshot;
 use crate::server::{BuildSide, FloodServer, ServeConfig, ServeDiagnostics, Server};
-use flood_core::{EvaluatorCache, Flattening, FloodConfig, FloodIndex, Layout, LayoutOptimizer};
+use flood_core::{CostEvaluator, Flattening, FloodConfig, FloodIndex, Layout, LayoutOptimizer};
 use flood_exec::{QueryExecutor, ThreadPool};
 use flood_obs::Registry;
 use flood_store::{RangeQuery, ScanStats, Table};
@@ -90,13 +90,14 @@ pub struct AdaptiveDiagnostics {
     /// fetches served by cache state built *before* the search began — the
     /// degradation check's pricing work, or earlier windows.
     pub cache_hits_across_relearns: usize,
-    /// Times the data sample was flattened (sampling + RMI training): 1
-    /// for the whole lifetime unless the table's shape changed.
+    /// Times the data sample was flattened (sampling + RMI training):
+    /// always 1, when the server was built; every window reuses it.
     pub sample_flattens: usize,
-    /// Observation windows flattened into a fresh evaluator.
+    /// Observation windows flattened into a query layer, the build's
+    /// included.
     pub window_flattens: usize,
-    /// Checks/re-learns answered by a pooled evaluator (same window
-    /// fingerprint).
+    /// Checks/re-learns that found the evaluator already on their window
+    /// (same fingerprint).
     pub window_reuses: usize,
 }
 
@@ -354,21 +355,21 @@ impl BuildSide for AdaptiveSide {
     }
 }
 
-/// The optimizer, the cost baseline, and the one [`EvaluatorCache`] every
-/// learn of a server's lifetime shares.
+/// The optimizer, the cost baseline, and the one [`CostEvaluator`] every
+/// learn of a server's lifetime points at its window.
 #[derive(Debug)]
 struct Learner {
     optimizer: LayoutOptimizer,
     degradation_factor: f64,
     baseline_cost: f64,
-    shared: EvaluatorCache,
-    /// The counters kept here; the flatten counts are read off `shared`.
+    eval: CostEvaluator,
+    /// The counters kept here; the window counts are read off `eval`.
     tally: AdaptiveDiagnostics,
 }
 
 impl Learner {
-    /// Learn a layout for `window` over `data`; returns it when it is to be
-    /// adopted. An empty window learns nothing. With an incumbent this is a
+    /// Learn a layout for `window`; returns it when it is to be adopted. An
+    /// empty window learns nothing. With an incumbent this is a
     /// degradation check: the incumbent, priced on the sampled window, is
     /// kept while within `degradation_factor × baseline`. Past it, the
     /// search reads the window, or for a shift only its run, and its layout
@@ -378,21 +379,17 @@ impl Learner {
     /// is always adopted.
     fn learn(
         &mut self,
-        data: &Table,
         window: &[RangeQuery],
         check: Option<(&Layout, Trigger)>,
     ) -> Option<Layout> {
         if window.is_empty() {
             return None;
         }
-        let (queries, mut rng) = self.optimizer.sample_queries(window);
-        let mut eval = self
-            .shared
-            .evaluator(&self.optimizer, data, &queries, &mut rng);
+        self.point_at(window);
         // The incumbent's price on the window, and on what the search reads.
         let mut priced = None;
         if let Some((incumbent, trigger)) = check {
-            let cost = eval.predict(incumbent);
+            let cost = self.eval.predict(incumbent);
             self.tally.checks += 1;
             self.tally.shift_checks += usize::from(trigger != Trigger::Cadence);
             if cost <= self.degradation_factor * self.baseline_cost {
@@ -400,25 +397,34 @@ impl Learner {
             }
             let mut searched_cost = cost;
             if let Trigger::Shift(run) = trigger {
-                let run = &window[window.len() - run..];
-                let (queries, mut rng) = self.optimizer.sample_queries(run);
-                eval = self
-                    .shared
-                    .evaluator(&self.optimizer, data, &queries, &mut rng);
-                searched_cost = eval.predict(incumbent);
+                self.point_at(&window[window.len() - run..]);
+                searched_cost = self.eval.predict(incumbent);
                 self.tally.run_searches += 1;
             }
             priced = Some((cost, searched_cost));
         }
+        self.search(priced)
+    }
+
+    /// Point the evaluator at `queries` as the search samples them.
+    fn point_at(&mut self, queries: &[RangeQuery]) {
+        self.eval
+            .set_window(&self.optimizer.sample_queries(queries).0);
+    }
+
+    /// Search the window the evaluator is on. `priced` is the incumbent's
+    /// price on the checked window and on that one, when there is an
+    /// incumbent.
+    fn search(&mut self, priced: Option<(f64, f64)>) -> Option<Layout> {
         // The epoch boundary separates pricing's cache state from the search,
         // so the cross-epoch counter reports exactly what pricing pre-paid.
-        eval.advance_epoch();
-        let cross0 = eval.cross_epoch_hits();
+        self.eval.advance_epoch();
+        let cross0 = self.eval.cross_epoch_hits();
         let t0 = Instant::now();
-        let learned = self.optimizer.optimize_in(eval);
+        let learned = self.optimizer.optimize_in(&mut self.eval);
         self.tally.relearn_wall += t0.elapsed();
         self.tally.relearn_searches += 1;
-        self.tally.cache_hits_across_relearns += eval.cross_epoch_hits() - cross0;
+        self.tally.cache_hits_across_relearns += self.eval.cross_epoch_hits() - cross0;
         if let Some((cost, _)) = priced.filter(|&(_, searched)| learned.predicted_ns >= searched) {
             self.baseline_cost = cost;
             return None;
@@ -431,9 +437,9 @@ impl Learner {
     /// Lifetime work counters (see [`AdaptiveDiagnostics`]).
     fn diagnostics(&self) -> AdaptiveDiagnostics {
         AdaptiveDiagnostics {
-            sample_flattens: self.shared.data_builds(),
-            window_flattens: self.shared.window_builds(),
-            window_reuses: self.shared.window_reuses(),
+            sample_flattens: 1,
+            window_flattens: self.eval.window_flattens(),
+            window_reuses: self.eval.window_reuses(),
             ..self.tally
         }
     }
@@ -455,30 +461,26 @@ impl FloodServer {
         cfg: ServeConfig,
     ) -> Self {
         assert!(!table.is_empty(), "cannot optimize over an empty table");
+        assert!(!train.is_empty(), "cannot optimize for an empty workload");
         assert_eq!(
             flood_cfg.flattening,
             Flattening::Learned,
             "a server cuts its grid with its sample's learned CDFs"
         );
         let mut learner = Learner {
+            eval: optimizer.evaluator_sampled(table, train),
             optimizer,
             degradation_factor: cfg.adaptive.degradation_factor,
             baseline_cost: 0.0,
-            shared: EvaluatorCache::new(),
             tally: AdaptiveDiagnostics::default(),
         };
-        let layout = learner
-            .learn(table, train, None)
-            .expect("cannot optimize for an empty workload");
+        let layout = learner.search(None).expect("no incumbent to keep");
         // The initial learn replaces no layout: the lifetime counters
         // start after it.
         learner.tally = AdaptiveDiagnostics::default();
         // The grid is cut with the CDFs the search priced it through, on
         // the pool the server will serve batches and rebuild with.
-        let cdfs = learner
-            .shared
-            .flattener()
-            .expect("the learn built a sample");
+        let cdfs = learner.eval.space().data().flattener();
         let pool = if cfg.threads == 0 {
             ThreadPool::from_env()
         } else {
@@ -520,9 +522,7 @@ impl FloodServer {
         };
         let snap = self.published.snapshot();
         let (window, trigger) = side.take_check();
-        let index = snap.index();
-        let Some(layout) = learner.learn(index.data(), &window, Some((index.layout(), trigger)))
-        else {
+        let Some(layout) = learner.learn(&window, Some((snap.index().layout(), trigger))) else {
             return AdaptOutcome::Kept;
         };
         let epoch = self.rebuild_and_publish(&snap, layout);
@@ -541,7 +541,7 @@ impl FloodServer {
     pub fn force_relearn(&self, workload: &[RangeQuery]) -> u64 {
         let mut learner = self.build.lock_learner();
         let snap = self.published.snapshot();
-        let Some(layout) = learner.learn(snap.index().data(), workload, None) else {
+        let Some(layout) = learner.learn(workload, None) else {
             return snap.epoch();
         };
         let epoch = self.rebuild_and_publish(&snap, layout);
@@ -939,10 +939,7 @@ mod tests {
         });
         let shares_sample = |s: &FloodServer| {
             let learner = s.build.learner.lock().expect("learner poisoned");
-            let sample = learner
-                .shared
-                .flattener()
-                .expect("built by the first learn");
+            let sample = learner.eval.space().data().flattener();
             Arc::ptr_eq(s.snapshot().index().flattener(), sample)
         };
         assert!(shares_sample(&s), "after build");
@@ -956,6 +953,22 @@ mod tests {
         assert!(s.epoch() >= 2);
         assert!(shares_sample(&s), "after force_relearn");
         assert_eq!(s.diagnostics().adaptive.sample_flattens, 1);
+    }
+
+    /// A forced re-learn on the window the server was built on goes through
+    /// the evaluator already on it: no window is flattened, and the repeat
+    /// search is answered from the build's layout memo.
+    #[test]
+    fn force_relearn_on_the_build_window_reuses_the_evaluator() {
+        let train = workload_on(0, 30);
+        let (_, s) = server_trained_on(&train, AdaptiveConfig::default());
+        let before = s.diagnostics().adaptive;
+        assert_eq!((before.window_flattens, before.window_reuses), (1, 0));
+        s.force_relearn(&train);
+        let d = s.diagnostics().adaptive;
+        assert_eq!((d.window_flattens, d.window_reuses), (1, 1), "{d:?}");
+        assert!(d.cache_hits_across_relearns > 0, "{d:?}");
+        assert_eq!((d.relearn_searches, d.sample_flattens), (1, 1), "{d:?}");
     }
 
     #[test]

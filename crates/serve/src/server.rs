@@ -220,6 +220,14 @@ impl<T: PlannedIndex, B: BuildSide> Server<T, B> {
         Ok((stats, snap.epoch()))
     }
 
+    /// Count a query refused before the read path — submitted and
+    /// degraded, its visitor untouched — and hand back why.
+    pub(crate) fn refuse<E>(&self, err: E) -> E {
+        self.metrics.queries.inc();
+        self.metrics.degraded.inc();
+        err
+    }
+
     /// A snapshot of the current epoch (pin an epoch across a measurement
     /// loop; a retired generation stays queryable while it is held).
     pub fn snapshot(&self) -> Arc<Epoch<T>> {

@@ -61,14 +61,19 @@ impl TieredServer {
     }
 
     /// The read path, [`Server::try_execute`]: `Err` is the typed error of
-    /// a query that kept failing past the retry budget.
+    /// a query that kept failing past the retry budget, or of one the
+    /// table cannot answer ([`TieredScan::check`]), refused before
+    /// planning. Either counts as degraded.
     pub fn execute(
         &self,
         query: &RangeQuery,
         agg_dim: Option<usize>,
         visitor: &mut dyn Visitor,
     ) -> Result<(ScanStats, u64), StorageError> {
-        self.try_execute(query, agg_dim, visitor)
+        match self.snapshot().value().check(query, agg_dim) {
+            Ok(()) => self.try_execute(query, agg_dim, visitor),
+            Err(e) => Err(self.refuse(e)),
+        }
     }
 
     /// Buffer one row on the build side; returns its stable id. Invisible
@@ -207,6 +212,41 @@ mod tests {
         let mut v = CountVisitor::default();
         s.execute(&RangeQuery::all(2), None, &mut v).unwrap();
         assert_eq!(v.count, 1_000, "reads never take the build side");
+    }
+
+    /// A query of the wrong arity, or aggregating a column past the last,
+    /// is refused with a typed error before planning: the visitor sees
+    /// nothing, the query counts as degraded, and the snapshot's own
+    /// `try_execute` refuses it the same way.
+    #[test]
+    fn a_query_of_the_wrong_arity_is_refused() {
+        let s = mem_server(1_000, 0);
+        let wide = RangeQuery::all(3).with_range(2, 0, 5);
+        let narrow = RangeQuery::all(1);
+        for (q, agg, got) in [
+            (&wide, None, 3),
+            (&narrow, Some(0), 1),
+            (&RangeQuery::all(2), Some(4), 5),
+        ] {
+            let mut v = SumVisitor::default();
+            let err = s.execute(q, agg, &mut v).unwrap_err();
+            assert!(
+                matches!(err, StorageError::Arity { expected: 2, got: g } if g == got),
+                "{err}"
+            );
+            assert_eq!((v.sum, v.count), (0, 0), "a refused query leaked results");
+            let err = s
+                .snapshot()
+                .value()
+                .try_execute(q, agg, &mut v)
+                .unwrap_err();
+            assert!(matches!(err, StorageError::Arity { .. }), "{err}");
+        }
+        let d = assert_ledger_is_the_registry(&s);
+        assert_eq!((d.submitted, d.completed, d.degraded), (3, 0, 3));
+        let mut v = CountVisitor::default();
+        s.execute(&RangeQuery::all(2), Some(1), &mut v).unwrap();
+        assert_eq!(v.count, 1_000, "service goes on");
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Adaptive re-learning under drift: the cache the adaptive loop pools
-//! across checks and re-learns must be a pure optimization — every window
-//! priced and searched exactly as a from-scratch evaluator would — and the
-//! diagnostics must prove the sharing actually happened.
+//! Adaptive re-learning under drift: the one evaluator the adaptive loop
+//! points at each window it checks and re-learns on must be a pure
+//! optimization — every window priced and searched exactly as a
+//! from-scratch evaluator would — and the diagnostics must prove the
+//! sharing actually happened.
 //!
 //! The deterministic scenario runs with `data_sample ≥ n` (the whole table
 //! flattened), where pooled and fresh are **bit-identical** by
@@ -18,12 +19,12 @@
 //! exploitation invisible in results as the layouts it adopts change.
 
 use flood_core::{
-    CorrelationConfig, CostModel, EvaluatorCache, FloodConfig, FloodIndex, LayoutOptimizer,
-    OptimizerConfig,
+    CorrelationConfig, CostModel, FloodConfig, FloodIndex, LayoutOptimizer, OptimizerConfig,
 };
 use flood_serve::{AdaptiveConfig, AdaptiveDiagnostics, FloodServer, ServeConfig};
 use flood_store::{CountVisitor, RangeQuery, Table};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn table(n: u64) -> Table {
     Table::from_columns(vec![
@@ -107,8 +108,8 @@ fn serve(s: &FloodServer, stream: &[RangeQuery]) -> AdaptiveDiagnostics {
     s.diagnostics().adaptive
 }
 
-/// With the full table as the sample, the pooled evaluator and a cold one
-/// agree bit for bit on every window of the stream and on its run: same
+/// With the full table as the sample, the re-pointed evaluator and a cold
+/// one agree bit for bit on every window of the stream and on its run: same
 /// price for the incumbent layout, same search result — and the
 /// diagnostics pin down that the adaptive loop did the shared work once.
 #[test]
@@ -120,14 +121,15 @@ fn shared_and_cold_agree_bit_for_bit_on_full_sample() {
 
     // The windows `AdaptiveConfig { window: 16, check_every: 8 }` checks,
     // each over the table as the last adopted layout reordered it.
-    let mut pool = EvaluatorCache::new();
-    let mut layout = opt.optimize_shared(&t, &train, &mut pool).layout;
+    let mut pooled = opt.evaluator_sampled(&t, &train);
+    let sample = Arc::clone(pooled.space().data());
+    let mut layout = opt.optimize_in(&mut pooled).layout;
     assert_eq!(layout, opt.optimize(&t, &train).layout, "initial learn");
+    let mut windows = 0;
     for window in stream.windows(16).step_by(8) {
         let index = FloodIndex::build(&t, layout.clone(), FloodConfig::default());
         let data = index.data();
-        let (queries, mut rng) = opt.sample_queries(window);
-        let pooled = pool.evaluator(&opt, data, &queries, &mut rng);
+        pooled.set_window(&opt.sample_queries(window).0);
         assert_eq!(
             pooled.predict(&layout).to_bits(),
             opt.evaluator_sampled(data, window)
@@ -135,21 +137,20 @@ fn shared_and_cold_agree_bit_for_bit_on_full_sample() {
                 .to_bits(),
             "check pricing must coincide"
         );
-        let shared = opt.optimize_in(pooled);
+        let shared = opt.optimize_in(&mut pooled);
         let cold = opt.optimize(data, window);
         assert_eq!(shared.layout, cold.layout, "re-learns must coincide");
         assert_eq!(shared.predicted_ns.to_bits(), cold.predicted_ns.to_bits());
         // A shift check searches the window's last 8 queries, its run,
         // through a query set of its own.
         let run = &window[8..];
-        let (queries, mut rng) = opt.sample_queries(run);
-        let pooled = pool.evaluator(&opt, data, &queries, &mut rng);
+        pooled.set_window(&opt.sample_queries(run).0);
         assert_eq!(
             pooled.predict(&layout).to_bits(),
             opt.evaluator_sampled(data, run).predict(&layout).to_bits(),
             "run pricing must coincide"
         );
-        let shared_run = opt.optimize_in(pooled);
+        let shared_run = opt.optimize_in(&mut pooled);
         let cold_run = opt.optimize(data, run);
         assert_eq!(
             shared_run.layout, cold_run.layout,
@@ -160,8 +161,18 @@ fn shared_and_cold_agree_bit_for_bit_on_full_sample() {
             cold_run.predicted_ns.to_bits()
         );
         layout = shared.layout;
+        windows += 1;
     }
-    assert_eq!(pool.data_builds(), 1, "one flatten for every window");
+    assert!(
+        Arc::ptr_eq(&sample, pooled.space().data()),
+        "one flatten for every window"
+    );
+    // The first window is the training set, which the evaluator is
+    // already on; every other window and run is a query set of its own.
+    assert_eq!(
+        (pooled.window_flattens(), pooled.window_reuses()),
+        (2 * windows, 1)
+    );
 
     // The work ledger of the loop that ships. The abrupt shift's run of 8
     // makes the check due and its search reads the run alone; the blended

@@ -67,11 +67,12 @@ pub enum StorageError {
         /// Backend-specific description.
         detail: String,
     },
-    /// An inserted row whose value count is not the table's column count.
+    /// An inserted row, or a query, whose column count is not the
+    /// table's.
     Arity {
         /// The table's column count.
         expected: usize,
-        /// Values the row carried.
+        /// Values the row carried, or columns the query reads.
         got: usize,
     },
 }
@@ -98,7 +99,7 @@ impl fmt::Display for StorageError {
             StorageError::Missing { key } => write!(f, "segment {key}: not found"),
             StorageError::Backend { detail } => write!(f, "storage backend error: {detail}"),
             StorageError::Arity { expected, got } => {
-                write!(f, "row has {got} values, table has {expected} columns")
+                write!(f, "{got} columns where the table has {expected}")
             }
         }
     }

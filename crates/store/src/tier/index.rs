@@ -90,7 +90,26 @@ impl TieredScan {
         agg_dim: Option<usize>,
         visitor: &mut dyn Visitor,
     ) -> Result<ScanStats, StorageError> {
+        self.check(query, agg_dim)?;
         RangeScan::of(self, self.plan(query), agg_dim).try_run(visitor)
+    }
+
+    /// [`StorageError::Arity`] for a query of another arity than the
+    /// table's, or an aggregation dimension past its last column (`got` is
+    /// then the column count that dimension needs): planning such a query
+    /// would index past the table's columns.
+    pub fn check(&self, query: &RangeQuery, agg_dim: Option<usize>) -> Result<(), StorageError> {
+        let expected = self.data.dims();
+        let got = match agg_dim {
+            _ if query.dims() != expected => query.dims(),
+            Some(d) => expected.max(d + 1),
+            None => expected,
+        };
+        if got == expected {
+            Ok(())
+        } else {
+            Err(StorageError::Arity { expected, got })
+        }
     }
 }
 
