@@ -37,6 +37,24 @@
 //!    what [`CostEvaluator::set_window`] exploits across `flood-serve`'s
 //!    re-learns.
 //!
+//! The candidates' descents are independent, so a search runs one task per
+//! candidate on a [`ThreadPool`] ([`LayoutOptimizer::optimize_on`]; a server
+//! passes its own pool, [`LayoutOptimizer::optimize_in`] one worker) — whole
+//! descents of milliseconds each, never part of one evaluation, so one
+//! `run`'s spawn is all the pool costs. Every task reads the evaluator as
+//! the search found it and keeps what it prices itself — memo entries,
+//! masks, per-(layout, query) costs — in an overlay of its own; the
+//! overlays are folded in candidate order after the run. A layout key ends
+//! in its sort dimension, so two candidates never price the same layout:
+//! only a grid mask can be counted by two tasks, and folding counts it as
+//! one recount and the other fetches as reuses. So the counters count what
+//! one probe at a time would, at any worker count: `cost_evals` every
+//! probe, `cache_hits` the memo hits, `dim_recounts` the distinct masks new
+//! to the search, `dim_reuses` every other mask fetch, and
+//! [`CostEvaluator::cross_epoch_hits`] the hits on entries of earlier
+//! epochs. The winner is the cheapest candidate, the first in candidate
+//! order among equals.
+//!
 //! Paper map: §4.2/Algorithm 1 → [`LayoutOptimizer::optimize`]; §4.2 step 3
 //! (gradient descent over column counts) → [`gradient`]; §7.7 sampling
 //! sensitivity (Figs 15/16) → [`OptimizerConfig::data_sample`] and
@@ -65,13 +83,14 @@ pub mod gradient;
 pub mod sample;
 
 pub use gradient::{descend, GdConfig};
-use sample::{Aged, LayoutKey};
+use sample::{Aged, CacheOverlay, LayoutKey};
 pub use sample::{DataSample, SampleSpace, StatsCache};
 
 use crate::correlation::CorrelationConfig;
 use crate::cost::CostModel;
 use crate::index::MAX_GRID_DIMS;
 use crate::layout::Layout;
+use flood_store::pool::ThreadPool;
 use flood_store::{RangeQuery, Table};
 use gradient::MAX_COL_LOG2;
 use rand::rngs::StdRng;
@@ -207,19 +226,33 @@ impl LayoutOptimizer {
         );
         assert!(!table.is_empty(), "cannot optimize over an empty table");
         let start = Instant::now();
-        self.search(&mut self.evaluator_sampled(table, workload), start)
+        let mut evaluator = self.evaluator_sampled(table, workload);
+        self.search(&mut evaluator, ThreadPool::serial(), start)
     }
 
-    /// Run Algorithm 1's candidate loop against an existing evaluator
-    /// (counters in the result are deltas over this call, so a reused
-    /// evaluator reports only this search's work).
+    /// [`LayoutOptimizer::optimize_on`] on one worker.
     pub fn optimize_in(&self, evaluator: &mut CostEvaluator) -> OptimizedLayout {
-        self.search(evaluator, Instant::now())
+        self.optimize_on(evaluator, ThreadPool::serial())
     }
+
+    /// Run Algorithm 1's candidate loop against an existing evaluator, one
+    /// task per sort-dimension candidate on `pool`. Counters in the result
+    /// are deltas over this call, so a reused evaluator reports only this
+    /// search's work. The layout, its price, the candidates and every
+    /// counter are the same at any worker count.
+    pub fn optimize_on(&self, evaluator: &mut CostEvaluator, pool: ThreadPool) -> OptimizedLayout {
+        self.search(evaluator, pool, Instant::now())
+    }
+
     /// Algorithm 1's search loop over one evaluator. `start` anchors
     /// `learn_time` so callers can include (or exclude) their sampling and
     /// flattening work.
-    fn search(&self, evaluator: &mut CostEvaluator, start: Instant) -> OptimizedLayout {
+    fn search(
+        &self,
+        evaluator: &mut CostEvaluator,
+        pool: ThreadPool,
+        start: Instant,
+    ) -> OptimizedLayout {
         let (evals0, hits0) = (evaluator.cost_evals(), evaluator.cache_hits());
         let (recounts0, reuses0) = (evaluator.dim_recounts(), evaluator.dim_reuses());
 
@@ -277,24 +310,24 @@ impl LayoutOptimizer {
         let target_cells = (evaluator.space().full_len() / self.cfg.init_points_per_cell.max(1))
             .clamp(4, self.cfg.max_total_cells) as f64;
 
-        // One evaluator for the whole search: the layout memo and the
-        // per-dimension stats cache are both shared across sort-dimension
-        // candidates (candidate orders differ, but a dimension's masks
-        // depend only on its own column count).
-        let mut best: Option<(Layout, f64)> = None;
-        let mut diagnostics = Vec::new();
-        for (i, &sort_dim) in candidates.iter().enumerate() {
+        // One task per candidate, each pricing through its own overlay on
+        // the evaluator as the search found it. A layout key ends in its
+        // sort dimension, so two candidates never price the same layout;
+        // only a grid mask can be counted by two of them.
+        let shared: &CostEvaluator = evaluator;
+        let searched = pool.run(candidates.len(), |i| {
             // Grid dims: the other candidates, in selectivity order.
             let order: Vec<usize> = candidates
                 .iter()
                 .enumerate()
                 .filter(|&(j, _)| j != i)
                 .map(|(_, &d)| d)
-                .chain(std::iter::once(sort_dim))
+                .chain(std::iter::once(candidates[i]))
                 .collect();
             let k = order.len() - 1;
+            let mut pricer = shared.pricer();
             let (cols, cost) = if k == 0 {
-                let cost = evaluator.predict_order(&order, &[]);
+                let cost = pricer.predict_order(&order, &[]);
                 (Vec::new(), cost)
             } else {
                 let gd = if reweighted.is_empty() {
@@ -314,10 +347,17 @@ impl LayoutOptimizer {
                     }
                 };
                 let init = vec![target_cells.log2() / k as f64; k];
-                descend(&init, &gd, |cols| evaluator.predict_order(&order, cols))
+                descend(&init, &gd, |cols| pricer.predict_order(&order, cols))
             };
+            (Layout::new(order, cols), cost, pricer.added)
+        });
+        // Fold the overlays in candidate order, then pick the cheapest, the
+        // first of equals.
+        let mut best: Option<(Layout, f64)> = None;
+        let mut diagnostics = Vec::new();
+        for ((layout, cost, added), &sort_dim) in searched.into_iter().zip(&candidates) {
+            evaluator.absorb(added);
             diagnostics.push((sort_dim, cost));
-            let layout = Layout::new(order, cols);
             if best.as_ref().is_none_or(|(_, c)| cost < *c) {
                 best = Some((layout, cost));
             }
@@ -441,52 +481,35 @@ impl CostEvaluator {
     /// Predicted average query time (ns) of `layout` on the sampled
     /// workload.
     pub fn predict(&mut self, layout: &Layout) -> f64 {
-        self.predict_order(layout.order(), layout.cols())
+        let mut pricer = self.pricer();
+        let cost = pricer.predict_order(layout.order(), layout.cols());
+        self.absorb(pricer.added);
+        cost
     }
 
-    /// [`CostEvaluator::predict`] on a raw `(order, cols)` pair — the form
-    /// the descent's probes arrive in.
-    fn predict_order(&mut self, order: &[usize], cols: &[usize]) -> f64 {
-        self.cost_evals += 1;
-        let key = (order.to_vec(), cols.to_vec());
-        if let Some(entry) = self.memo.get_mut(&key) {
-            self.cache_hits += 1;
-            return *entry.hit(self.cache.epoch(), &mut self.cross_epoch_memo_hits);
+    /// A pricing task over the evaluator as it stands.
+    fn pricer(&self) -> Pricer<'_> {
+        Pricer {
+            eval: self,
+            added: Overlay::default(),
         }
-        let c = self.predict_per_query(&key);
-        self.memo.insert(key, Aged::new(c, self.cache.epoch()));
-        c
     }
 
-    /// The memo-miss pricing path: each query's cost under this layout is
-    /// memoized in the carried cache keyed on `(layout, query fingerprint)`
-    /// — a pair's cost depends on nothing else, so statistics and weight
-    /// models run only for queries this layout was never priced on (in any
-    /// window sharing the cache). Bit-identical to
-    /// `predict_workload(query_stats(..))`: per-query statistics are
-    /// per-query facts, and the mean is summed in query order.
-    fn predict_per_query(&mut self, key: &LayoutKey) -> f64 {
-        let qn = self.space.query_count();
-        if qn == 0 {
-            return 0.0;
-        }
-        let qfps = self.space.qfps();
-        let mut costs = self.cache.cost_probe(key, qfps);
-        let missing: Vec<usize> = (0..qn).filter(|&qi| costs[qi].is_none()).collect();
-        if !missing.is_empty() {
-            let stats =
-                self.space
-                    .query_stats_cached_for(&key.0, &key.1, &missing, &mut self.cache);
-            for (st, &qi) in stats.iter().zip(&missing) {
-                costs[qi] = Some(self.cost.predict(st).time_ns);
-            }
-            let fresh = missing
-                .iter()
-                .map(|&qi| (qfps[qi], costs[qi].expect("just priced")));
-            self.cache.cost_insert(key, fresh);
-        }
-        let sum: f64 = costs.iter().map(|c| c.expect("filled above")).sum();
-        sum / qn as f64
+    /// Fold in what one pricing task added: its memo entries, masks and
+    /// costs become entries of the current epoch, and its counts join the
+    /// evaluator's (see [`StatsCache`] for how masks two tasks both counted
+    /// are counted).
+    fn absorb(&mut self, added: Overlay) {
+        let epoch = self.cache.epoch();
+        let memo = added
+            .memo
+            .into_iter()
+            .map(|(k, c)| (k, Aged::new(c, epoch)));
+        self.memo.extend(memo);
+        self.cache.absorb(added.cache);
+        self.cost_evals += added.cost_evals;
+        self.cache_hits += added.cache_hits;
+        self.cross_epoch_memo_hits += added.cross_memo_hits;
     }
 
     /// Cost-model evaluations requested so far (memoized + fresh).
@@ -531,6 +554,80 @@ impl CostEvaluator {
     /// [`CostEvaluator::set_window`] calls that found the current window.
     pub fn window_reuses(&self) -> usize {
         self.window_reuses
+    }
+}
+
+/// What one pricing task adds to a [`CostEvaluator`] it only reads:
+/// layout-memo entries, masks and per-(layout, query) costs, and its
+/// counts, until [`CostEvaluator::absorb`] folds them in.
+#[derive(Debug, Default)]
+struct Overlay {
+    memo: HashMap<LayoutKey, f64>,
+    cache: CacheOverlay,
+    cost_evals: usize,
+    cache_hits: usize,
+    cross_memo_hits: usize,
+}
+
+/// One pricing task: reads the evaluator as it stood when the task began,
+/// then what the task priced itself.
+struct Pricer<'a> {
+    eval: &'a CostEvaluator,
+    added: Overlay,
+}
+
+impl Pricer<'_> {
+    /// [`CostEvaluator::predict`] on a raw `(order, cols)` pair — the form
+    /// the descent's probes arrive in.
+    fn predict_order(&mut self, order: &[usize], cols: &[usize]) -> f64 {
+        let added = &mut self.added;
+        added.cost_evals += 1;
+        let key = (order.to_vec(), cols.to_vec());
+        if let Some(entry) = self.eval.memo.get(&key) {
+            added.cache_hits += 1;
+            let epoch = self.eval.cache.epoch();
+            return *entry.hit(epoch, &mut added.cross_memo_hits);
+        }
+        if let Some(&c) = added.memo.get(&key) {
+            added.cache_hits += 1;
+            return c;
+        }
+        let c = self.predict_per_query(&key);
+        self.added.memo.insert(key, c);
+        c
+    }
+
+    /// The memo-miss pricing path: each query's cost under this layout is
+    /// memoized in the carried cache keyed on `(layout, query fingerprint)`
+    /// — a pair's cost depends on nothing else, so statistics and weight
+    /// models run only for queries this layout was never priced on (in any
+    /// window sharing the cache). Bit-identical to
+    /// `predict_workload(query_stats(..))`: per-query statistics are
+    /// per-query facts, and the mean is summed in query order.
+    fn predict_per_query(&mut self, key: &LayoutKey) -> f64 {
+        let (eval, added) = (self.eval, &mut self.added.cache);
+        let qn = eval.space.query_count();
+        if qn == 0 {
+            return 0.0;
+        }
+        let qfps = eval.space.qfps();
+        let mut costs = added.cost_probe(&eval.cache, key, qfps);
+        let missing: Vec<usize> = (0..qn).filter(|&qi| costs[qi].is_none()).collect();
+        if !missing.is_empty() {
+            let stats = eval
+                .space
+                .query_stats_over(&key.0, &key.1, &missing, &eval.cache, added);
+            for (st, &qi) in stats.iter().zip(&missing) {
+                costs[qi] = Some(eval.cost.predict(st).time_ns);
+            }
+            let fresh = missing
+                .iter()
+                .map(|&qi| (qfps[qi], costs[qi].expect("just priced")))
+                .collect();
+            added.cost_insert(key, fresh);
+        }
+        let sum: f64 = costs.iter().map(|c| c.expect("filled above")).sum();
+        sum / qn as f64
     }
 }
 

@@ -98,6 +98,7 @@ use rand::seq::index::sample as index_sample;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A flattened query: per-dimension bounds in `[0, 1]` flat space.
@@ -598,20 +599,26 @@ impl SampleSpace {
         cache: &mut StatsCache,
     ) -> Vec<QueryStatistics> {
         let all: Vec<usize> = (0..self.queries.len()).collect();
-        self.query_stats_cached_for(order, cols, &all, cache)
+        let mut added = CacheOverlay::default();
+        let stats = self.query_stats_over(order, cols, &all, cache, &mut added);
+        cache.absorb(added);
+        stats
     }
 
     /// [`SampleSpace::query_stats_cached`] restricted to the queries at
-    /// `subset` (indices into this space's query list), in `subset` order —
-    /// the entry point for per-query cost memoization, which only needs
+    /// `subset` (indices into this space's query list), in `subset` order,
+    /// over a cache it only reads: masks `cache` lacks are counted into
+    /// `added`, which the caller folds in with [`StatsCache::absorb`]. The
+    /// entry point for per-query cost memoization, which only needs
     /// statistics for the queries whose `(query, layout)` cost is not
-    /// already known.
-    pub fn query_stats_cached_for(
+    /// already known, and for search tasks pricing side by side.
+    pub(crate) fn query_stats_over(
         &self,
         order: &[usize],
         cols: &[usize],
         subset: &[usize],
-        cache: &mut StatsCache,
+        cache: &StatsCache,
+        added: &mut CacheOverlay,
     ) -> Vec<QueryStatistics> {
         assert_eq!(cols.len() + 1, order.len());
         assert!(
@@ -629,18 +636,18 @@ impl SampleSpace {
         // (query, dim, cols) triples this probe introduced; everything else
         // is served from the cache, including entries built for *other*
         // query sets that share queries with this one.
-        let (epoch, tally) = (cache.epoch, &mut cache.tally);
+        let (epoch, tally) = (cache.epoch, &mut added.tally);
         for &qi in subset {
             let (q, qfp) = (&self.queries[qi], self.qfps[qi]);
             for (&d, &c) in grid_dims.iter().zip(cols) {
                 if q.bounds[d].is_some() {
                     let count = || self.build_query_grid_masks(qi, d, c);
-                    tally.fetch(&mut cache.grid, (qfp, d, c), epoch, count);
+                    tally.fetch(&cache.grid, &mut added.grid, (qfp, d, c), epoch, count);
                 }
             }
             if q.bounds[sort_dim].is_some() {
                 let count = || self.build_query_sort_mask(qi, sort_dim);
-                tally.fetch(&mut cache.sort, (qfp, sort_dim), epoch, count);
+                tally.fetch(&cache.sort, &mut added.sort, (qfp, sort_dim), epoch, count);
             }
         }
 
@@ -663,7 +670,7 @@ impl SampleSpace {
             for (&d, &c) in grid_dims.iter().zip(cols) {
                 match q.bounds[d] {
                     Some(_) => {
-                        let masks = &cache.grid[&(qfp, d, c)].value;
+                        let masks = served(&cache.grid, &added.grid, &(qfp, d, c));
                         nc *= masks.ncols;
                         // An all-ones mask leaves `acc` as it is.
                         if let Some(pass) = &masks.pass {
@@ -682,7 +689,7 @@ impl SampleSpace {
                 }
             }
             if q.bounds[sort_dim].is_some() {
-                if let Some(pass) = &cache.sort[&(qfp, sort_dim)].value {
+                if let Some(pass) = served(&cache.sort, &added.sort, &(qfp, sort_dim)) {
                     and(&mut acc, pass);
                 }
             }
@@ -849,14 +856,22 @@ struct GridMasks {
 /// A layout as the pricing caches key it: `(order, cols)`.
 pub(crate) type LayoutKey = (Vec<usize>, Vec<usize>);
 
+/// A grid mask's key: `(query fingerprint, dim, column count)`.
+type GridKey = (u64, usize, usize);
+
+/// A sort mask's key: `(query fingerprint, sort dim)`.
+type SortKey = (u64, usize);
+
 /// One cached pricing fact — a grid or sort mask, a `(layout, query)`
 /// cost, a layout's memoized cost — stamped with the [`StatsCache::epoch`]
 /// it was made in and the one it last served in.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Aged<T> {
     pub(crate) value: T,
     born: usize,
-    used: usize,
+    /// Stamped through `&self`: the search tasks of one search read one
+    /// cache side by side, and all of them stamp the current epoch.
+    used: AtomicUsize,
 }
 
 impl<T> Aged<T> {
@@ -865,16 +880,31 @@ impl<T> Aged<T> {
         Aged {
             value,
             born: epoch,
-            used: epoch,
+            used: AtomicUsize::new(epoch),
         }
     }
 
     /// The one hit path: serve the fact in `epoch`, stamp it used, and
     /// count it in `cross` when an earlier epoch made it.
-    pub(crate) fn hit(&mut self, epoch: usize, cross: &mut usize) -> &T {
-        self.used = epoch;
+    pub(crate) fn hit(&self, epoch: usize, cross: &mut usize) -> &T {
+        self.used.store(epoch, Ordering::Relaxed);
         *cross += usize::from(self.born < epoch);
         &self.value
+    }
+
+    /// The epoch it last served in.
+    fn used(&self) -> usize {
+        self.used.load(Ordering::Relaxed)
+    }
+}
+
+impl<T: Clone> Clone for Aged<T> {
+    fn clone(&self) -> Self {
+        Aged {
+            value: self.value.clone(),
+            born: self.born,
+            used: AtomicUsize::new(self.used()),
+        }
     }
 }
 
@@ -886,21 +916,25 @@ impl<T> Aged<T> {
 /// A gradient-descent probe that moves one dimension hits the cache for
 /// every unmoved dimension and re-counts only the moved one; because the
 /// finite-difference probes of [`crate::optimizer::gradient::descend`]
-/// revisit the same per-dimension column counts over and over (and every
-/// sort-dimension candidate of Algorithm 1 shares the cache), most probes
+/// revisit the same per-dimension column counts over and over, most probes
 /// re-count *nothing* and reduce to bitset ANDs. Because entries are keyed
 /// by query identity rather than window position, the cache also survives
 /// the query set changing: re-pricing a slid observation window re-counts
 /// only the queries that actually entered it. [`StatsCache::recounts`] /
 /// [`StatsCache::reuses`] report the effect in (query, dim) units.
 ///
+/// Pricing reads the cache without changing it and keeps what it counts in
+/// a `CacheOverlay`, which `StatsCache::absorb` folds in afterwards; the
+/// sort-dimension candidates of one search each price through an overlay
+/// of their own, side by side.
+///
 /// Validity is tied to the *data sample* only; the cache carries the
 /// sample's process-unique identity and rejects use with any other.
 #[derive(Debug, Clone)]
 pub struct StatsCache {
-    grid: HashMap<(u64, usize, usize), Aged<GridMasks>>,
+    grid: HashMap<GridKey, Aged<GridMasks>>,
     /// Sort-dimension pass masks (see `build_query_sort_mask`).
-    sort: HashMap<(u64, usize), Aged<Option<Vec<u64>>>>,
+    sort: HashMap<SortKey, Aged<Option<Vec<u64>>>>,
     /// Per-(layout, query) predicted costs: `costs[(order, cols)][qfp]` is
     /// the cost model's `time_ns` for that query under that layout. A
     /// `(query, layout)` pair's cost depends on nothing else, so entries
@@ -930,58 +964,115 @@ struct Tally {
 }
 
 impl Tally {
-    /// A mask cache's hit path: serve `key` from `map` in `epoch`, or count
-    /// it afresh with `count`.
+    /// A mask cache's hit path: serve `key` from `cache` in `epoch`, else
+    /// from `added`, or count it afresh into `added` with `count`.
     fn fetch<K: Eq + Hash, T>(
         &mut self,
-        map: &mut HashMap<K, Aged<T>>,
+        cache: &HashMap<K, Aged<T>>,
+        added: &mut HashMap<K, T>,
         key: K,
         epoch: usize,
         count: impl FnOnce() -> T,
     ) {
-        match map.entry(key) {
-            Entry::Occupied(mut e) => {
-                self.reuses += 1;
-                e.get_mut().hit(epoch, &mut self.cross);
-            }
+        if let Some(e) = cache.get(&key) {
+            self.reuses += 1;
+            e.hit(epoch, &mut self.cross);
+            return;
+        }
+        match added.entry(key) {
+            Entry::Occupied(_) => self.reuses += 1,
             Entry::Vacant(e) => {
                 self.recounts += 1;
-                e.insert(Aged::new(count(), epoch));
+                e.insert(count());
             }
         }
     }
 }
 
-impl StatsCache {
-    /// The cached per-query costs of `layout_key` for the queries with
+/// The value at `key`: counted by this pricing (`added`) or cached.
+fn served<'a, K: Eq + Hash, T>(
+    cache: &'a HashMap<K, Aged<T>>,
+    added: &'a HashMap<K, T>,
+    key: &K,
+) -> &'a T {
+    added.get(key).unwrap_or_else(|| &cache[key].value)
+}
+
+/// What pricing over a [`StatsCache`] it only reads adds to it: the masks
+/// and per-(layout, query) costs it counted, and its tally. Reuses count
+/// hits on the cache and on the overlay's own masks.
+#[derive(Debug, Default)]
+pub(crate) struct CacheOverlay {
+    grid: HashMap<GridKey, GridMasks>,
+    sort: HashMap<SortKey, Option<Vec<u64>>>,
+    /// Fresh `(query fingerprint, time_ns)` costs per layout, each layout
+    /// priced once.
+    costs: Vec<(LayoutKey, Vec<(u64, f64)>)>,
+    tally: Tally,
+}
+
+impl CacheOverlay {
+    /// The costs `cache` holds of `layout_key` for the queries with
     /// fingerprints `qfps`, in that order (`None`: never priced). The
     /// layout's inner map is resolved once for the whole window.
-    pub(crate) fn cost_probe(&mut self, layout_key: &LayoutKey, qfps: &[u64]) -> Vec<Option<f64>> {
-        let Some(per_query) = self.costs.get_mut(layout_key) else {
+    pub(crate) fn cost_probe(
+        &mut self,
+        cache: &StatsCache,
+        layout_key: &LayoutKey,
+        qfps: &[u64],
+    ) -> Vec<Option<f64>> {
+        let Some(per_query) = cache.costs.get(layout_key) else {
             return vec![None; qfps.len()];
         };
-        let (epoch, cross) = (self.epoch, &mut self.tally.cross);
+        let cross = &mut self.tally.cross;
         qfps.iter()
-            .map(|qfp| per_query.get_mut(qfp).map(|e| *e.hit(epoch, cross)))
+            .map(|qfp| per_query.get(qfp).map(|e| *e.hit(cache.epoch, cross)))
             .collect()
     }
 
     /// Record freshly computed per-query costs `(query fingerprint,
     /// time_ns)` of one layout.
-    pub(crate) fn cost_insert(
-        &mut self,
-        layout_key: &LayoutKey,
-        fresh: impl IntoIterator<Item = (u64, f64)>,
-    ) {
-        let (epoch, per_query) = (
-            self.epoch,
-            self.costs.entry(layout_key.clone()).or_default(),
-        );
-        per_query.extend(
-            fresh
-                .into_iter()
-                .map(|(qfp, ns)| (qfp, Aged::new(ns, epoch))),
-        );
+    pub(crate) fn cost_insert(&mut self, layout_key: &LayoutKey, fresh: Vec<(u64, f64)>) {
+        self.costs.push((layout_key.clone(), fresh));
+    }
+}
+
+/// Move `added` into `cache` as entries of `epoch`; returns how many keys
+/// `cache` already held.
+fn merge<K: Eq + Hash, T>(
+    cache: &mut HashMap<K, Aged<T>>,
+    added: HashMap<K, T>,
+    epoch: usize,
+) -> usize {
+    let (offered, before) = (added.len(), cache.len());
+    for (key, value) in added {
+        cache.entry(key).or_insert_with(|| Aged::new(value, epoch));
+    }
+    offered - (cache.len() - before)
+}
+
+impl StatsCache {
+    /// Fold in what one pricing added over this cache: its masks and costs
+    /// become entries of the current epoch, and its tally joins the
+    /// cache's. A mask an overlay folded in earlier already holds was
+    /// counted twice, and counts as a reuse: overlays folded in one after
+    /// another count what one pricing in that order would have — the
+    /// distinct new masks as recounts, every other fetch as a reuse.
+    pub(crate) fn absorb(&mut self, added: CacheOverlay) {
+        let epoch = self.epoch;
+        let repeats =
+            merge(&mut self.grid, added.grid, epoch) + merge(&mut self.sort, added.sort, epoch);
+        for (layout_key, fresh) in added.costs {
+            let per_query = self.costs.entry(layout_key).or_default();
+            per_query.extend(
+                fresh
+                    .into_iter()
+                    .map(|(qfp, ns)| (qfp, Aged::new(ns, epoch))),
+            );
+        }
+        self.tally.recounts += added.tally.recounts - repeats;
+        self.tally.reuses += added.tally.reuses + repeats;
+        self.tally.cross += added.tally.cross;
     }
 
     /// Per-(query, dimension) contributions counted from scratch (cache
@@ -1022,10 +1113,10 @@ impl StatsCache {
     /// long-lived holders (adaptive indexes) bound memory this way once
     /// old windows' queries stop recurring.
     pub fn prune_stale(&mut self, min_last_used: usize) {
-        self.grid.retain(|_, e| e.used >= min_last_used);
-        self.sort.retain(|_, e| e.used >= min_last_used);
+        self.grid.retain(|_, e| e.used() >= min_last_used);
+        self.sort.retain(|_, e| e.used() >= min_last_used);
         for per_query in self.costs.values_mut() {
-            per_query.retain(|_, e| e.used >= min_last_used);
+            per_query.retain(|_, e| e.used() >= min_last_used);
         }
         self.costs.retain(|_, per_query| !per_query.is_empty());
     }

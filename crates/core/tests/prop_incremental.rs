@@ -20,13 +20,23 @@
 //! instead of bitmaps. `FLOOD_PROPTEST_CASES` scales that block (CI runs it
 //! at 512 in release).
 //!
+//! A third block holds the layout search split over a pool — one task per
+//! sort-dimension candidate, each pricing through an overlay over the
+//! evaluator as the search found it — to the search one `predict` at a
+//! time: same layout, price, candidates and work counters at 1, 2, 3 and 5
+//! workers, over a first window, a second one sharing queries with it, and
+//! a repeat of the second that only the layout memo answers.
+//!
 //! The vendored proptest subset has no `prop_flat_map`, so the
 //! dimension-dependent structures (columns, query bounds, probe orders)
 //! are synthesized from drawn seeds with a splitmix-style stream — the
 //! same idiom `prop_flood.rs` uses for table content.
 
-use flood_core::optimizer::SampleSpace;
-use flood_core::CorrelationConfig;
+use flood_core::optimizer::{descend, GdConfig, SampleSpace};
+use flood_core::{
+    CorrelationConfig, CostEvaluator, CostModel, Layout, LayoutOptimizer, OptimizerConfig,
+};
+use flood_store::pool::ThreadPool;
 use flood_store::{RangeQuery, Table};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -256,6 +266,134 @@ proptest! {
             let full = space.query_stats(order, cols);
             let cached = space.query_stats_cached(order, cols, &mut cache);
             prop_assert_eq!(&full, &cached, "order {:?} cols {:?}", order, cols);
+        }
+    }
+}
+
+/// Algorithm 1 one [`CostEvaluator::predict`] at a time: every probe of
+/// every candidate, in candidate order, read and folded into the one
+/// evaluator before the next — the reference a search split over a pool is
+/// held to. Correlation is off, so no dimension collapses or re-weights.
+/// Returns the winner, its price and every candidate's.
+fn search_one_predict_at_a_time(
+    opt: &LayoutOptimizer,
+    eval: &mut CostEvaluator,
+) -> (Layout, f64, Vec<(usize, f64)>) {
+    let cfg = opt.config();
+    let mut candidates = eval.space().dims_by_selectivity();
+    if candidates.is_empty() {
+        candidates = (0..eval.space().dims()).collect();
+    }
+    let gd = GdConfig {
+        steps: cfg.gd_steps,
+        max_total_cells: cfg.max_total_cells,
+        ..Default::default()
+    };
+    let target_cells = (eval.space().full_len() / cfg.init_points_per_cell.max(1))
+        .clamp(4, cfg.max_total_cells) as f64;
+    let mut best: Option<(Layout, f64)> = None;
+    let mut priced = Vec::new();
+    for (i, &sort_dim) in candidates.iter().enumerate() {
+        let order: Vec<usize> = (candidates.iter().enumerate())
+            .filter(|&(j, _)| j != i)
+            .map(|(_, &d)| d)
+            .chain([sort_dim])
+            .collect();
+        let k = order.len() - 1;
+        let init = vec![target_cells.log2() / k.max(1) as f64; k];
+        let (cols, cost) = descend(&init, &gd, |cols| {
+            eval.predict(&Layout::new(order.clone(), cols.to_vec()))
+        });
+        priced.push((sort_dim, cost));
+        if best.as_ref().is_none_or(|(_, c)| cost < *c) {
+            best = Some((Layout::new(order, cols), cost));
+        }
+    }
+    let (layout, cost) = best.expect("at least one candidate");
+    (layout, cost, priced)
+}
+
+/// What a search did to an evaluator: cost evaluations, memo hits, mask
+/// recounts, mask reuses and cross-epoch hits.
+fn work(eval: &CostEvaluator) -> [usize; 5] {
+    [
+        eval.cost_evals(),
+        eval.cache_hits(),
+        eval.dim_recounts(),
+        eval.dim_reuses(),
+        eval.cross_epoch_hits(),
+    ]
+}
+
+fn delta(after: [usize; 5], before: [usize; 5]) -> [usize; 5] {
+    std::array::from_fn(|i| after[i] - before[i])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(16)))]
+
+    /// A search split over a pool, one task per sort-dimension candidate,
+    /// each pricing through an overlay of its own, equals the search one
+    /// `predict` at a time: on a first window, on a second one sharing
+    /// queries with it (masks and costs carried across the epoch), and on
+    /// that window again — the same layout, price and candidates, bit for
+    /// bit, and the same five counters, at 1, 2, 3 and 5 workers. The
+    /// repeat search is answered from the memo alone.
+    #[test]
+    fn pooled_search_equals_one_predict_at_a_time(
+        d_raw in 0usize..5,
+        n in 64usize..400,
+        table_seed in any::<u64>(),
+        a_seed in any::<u64>(),
+        b_seed in any::<u64>(),
+        c_seed in any::<u64>(),
+        sample in 32usize..400,
+    ) {
+        let d = 2 + d_raw;
+        let table = make_table(d, n, table_seed);
+        let [a, b, c] = [a_seed, b_seed, c_seed].map(|s| make_queries(d, s));
+        let first: Vec<RangeQuery> = a.into_iter().chain(b.iter().cloned()).collect();
+        let second: Vec<RangeQuery> = b.into_iter().chain(c).collect();
+        let opt = LayoutOptimizer::with_config(
+            CostModel::analytic_default(),
+            OptimizerConfig {
+                data_sample: sample,
+                query_sample: 8,
+                gd_steps: 4,
+                max_total_cells: 1 << 10,
+                init_points_per_cell: 16,
+                correlation: CorrelationConfig { enabled: false, ..Default::default() },
+                ..Default::default()
+            },
+        );
+        let windows = [&first, &second, &second];
+        for threads in [1, 2, 3, 5] {
+            let pool = ThreadPool::new(threads);
+            let mut reference = opt.evaluator_sampled(&table, &first);
+            let mut pooled = opt.evaluator_sampled(&table, &first);
+            for (phase, window) in windows.iter().enumerate() {
+                for eval in [&mut reference, &mut pooled] {
+                    eval.set_window(&opt.sample_queries(window).0);
+                    eval.advance_epoch();
+                }
+                let before = work(&reference);
+                let (layout, cost, candidates) = search_one_predict_at_a_time(&opt, &mut reference);
+                let want = delta(work(&reference), before);
+                let before = work(&pooled);
+                let got = opt.optimize_on(&mut pooled, pool);
+                let at = format!("{threads} workers, window {phase}");
+                prop_assert_eq!(&got.layout, &layout, "{}", &at);
+                prop_assert_eq!(got.predicted_ns.to_bits(), cost.to_bits(), "{}", &at);
+                let bits = |c: &[(usize, f64)]| c.iter().map(|&(d, ns)| (d, ns.to_bits())).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&got.candidates), bits(&candidates), "{}", &at);
+                let counted = [got.cost_evals, got.cache_hits, got.dim_recounts, got.dim_reuses];
+                prop_assert_eq!(counted, [want[0], want[1], want[2], want[3]], "{}", &at);
+                prop_assert_eq!(delta(work(&pooled), before), want, "{}", &at);
+                if phase == 2 {
+                    prop_assert_eq!(got.cache_hits, got.cost_evals, "memo only, {}", &at);
+                    prop_assert_eq!(got.dim_recounts + got.dim_reuses, 0, "{}", &at);
+                }
+            }
         }
     }
 }

@@ -15,7 +15,9 @@
 //! learn path and one [`CostEvaluator`], pointed at each window in turn: a
 //! rebuild never changes the data multiset, so the data sample is flattened
 //! once, every index is cut with that sample's CDFs, and the check that
-//! triggers a re-learn hands its masks and memo entries to the search.
+//! triggers a re-learn hands its masks and memo entries to the search. Each
+//! search runs on the server's pool, one task per sort-dimension candidate,
+//! as every build does.
 
 use crate::epoch::IndexSnapshot;
 use crate::server::{BuildSide, FloodServer, ServeConfig, ServeDiagnostics, Server};
@@ -355,14 +357,16 @@ impl BuildSide for AdaptiveSide {
     }
 }
 
-/// The optimizer, the cost baseline, and the one [`CostEvaluator`] every
-/// learn of a server's lifetime points at its window.
+/// The optimizer, the cost baseline, the one [`CostEvaluator`] every
+/// learn of a server's lifetime points at its window, and the server's pool
+/// every search runs on.
 #[derive(Debug)]
 struct Learner {
     optimizer: LayoutOptimizer,
     degradation_factor: f64,
     baseline_cost: f64,
     eval: CostEvaluator,
+    pool: ThreadPool,
     /// The counters kept here; the window counts are read off `eval`.
     tally: AdaptiveDiagnostics,
 }
@@ -421,7 +425,7 @@ impl Learner {
         self.eval.advance_epoch();
         let cross0 = self.eval.cross_epoch_hits();
         let t0 = Instant::now();
-        let learned = self.optimizer.optimize_in(&mut self.eval);
+        let learned = self.optimizer.optimize_on(&mut self.eval, self.pool);
         self.tally.relearn_wall += t0.elapsed();
         self.tally.relearn_searches += 1;
         self.tally.cache_hits_across_relearns += self.eval.cross_epoch_hits() - cross0;
@@ -447,7 +451,8 @@ impl Learner {
 
 impl FloodServer {
     /// Learn an initial layout for `train` over `table`, build it with the
-    /// learner's sample CDFs, and publish it as epoch 0.
+    /// learner's sample CDFs, and publish it as epoch 0. The search and the
+    /// build both run on the server's pool.
     ///
     /// # Panics
     /// Panics if `train` is empty, `table` has no rows, or `flood_cfg`
@@ -467,25 +472,26 @@ impl FloodServer {
             Flattening::Learned,
             "a server cuts its grid with its sample's learned CDFs"
         );
+        // One pool for the server's searches, builds and batches.
+        let pool = if cfg.threads == 0 {
+            ThreadPool::from_env()
+        } else {
+            ThreadPool::new(cfg.threads)
+        };
         let mut learner = Learner {
             eval: optimizer.evaluator_sampled(table, train),
             optimizer,
             degradation_factor: cfg.adaptive.degradation_factor,
             baseline_cost: 0.0,
             tally: AdaptiveDiagnostics::default(),
+            pool,
         };
         let layout = learner.search(None).expect("no incumbent to keep");
         // The initial learn replaces no layout: the lifetime counters
         // start after it.
         learner.tally = AdaptiveDiagnostics::default();
-        // The grid is cut with the CDFs the search priced it through, on
-        // the pool the server will serve batches and rebuild with.
+        // The grid is cut with the CDFs the search priced it through.
         let cdfs = learner.eval.space().data().flattener();
-        let pool = if cfg.threads == 0 {
-            ThreadPool::from_env()
-        } else {
-            ThreadPool::new(cfg.threads)
-        };
         let index = FloodIndex::build_with(table, layout, flood_cfg, Arc::clone(cdfs), pool);
         let build_times = index.build_times();
         let build = AdaptiveSide {
@@ -569,7 +575,7 @@ impl FloodServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::tests::{server, server_trained_on, workload_on};
+    use crate::server::tests::{server, server_on, server_trained_on, workload_on};
     use flood_store::CountVisitor;
     use std::sync::atomic::AtomicUsize;
 
@@ -969,6 +975,46 @@ mod tests {
         assert_eq!((d.window_flattens, d.window_reuses), (1, 1), "{d:?}");
         assert!(d.cache_hits_across_relearns > 0, "{d:?}");
         assert_eq!((d.relearn_searches, d.sample_flattens), (1, 1), "{d:?}");
+    }
+
+    /// The search is split over the server's pool, and nothing it learns
+    /// depends on the worker count: servers on one and on two workers
+    /// publish the same layout at the build and after a forced re-learn on
+    /// a new window, with the same work counters.
+    #[test]
+    fn searches_learn_the_same_on_one_or_two_workers() {
+        // Every query filters all three dimensions: three sort-dimension
+        // candidates, so two workers split the search.
+        let window = |widths: [u64; 3], n: usize| -> Vec<RangeQuery> {
+            (0..n as u64)
+                .map(|i| {
+                    (0..3).fold(RangeQuery::all(3), |q, d| {
+                        let lo = (i * 37 + d as u64 * 1_013) % 9_000;
+                        q.with_range(d, lo, lo + widths[d])
+                    })
+                })
+                .collect()
+        };
+        let (train, shifted) = (
+            window([150, 2_000, 6_000], 30),
+            window([5_000, 120, 900], 30),
+        );
+        let learned = |threads: usize| {
+            let (_, s) = server_on(&train, AdaptiveConfig::default(), threads);
+            let built = s.snapshot().index().layout().clone();
+            assert_eq!(built.order().len(), 3, "three candidates: {built}");
+            s.force_relearn(&shifted);
+            let relearned = s.snapshot().index().layout().clone();
+            let d = AdaptiveDiagnostics {
+                relearn_wall: Duration::ZERO,
+                ..s.diagnostics().adaptive
+            };
+            (built, relearned, d)
+        };
+        let (one, two) = (learned(1), learned(2));
+        assert_eq!(one, two);
+        assert_ne!(one.0, one.1, "the new window learns a new layout");
+        assert_eq!((one.2.relearn_searches, one.2.window_flattens), (1, 2));
     }
 
     #[test]

@@ -33,8 +33,9 @@ pub struct ServeConfig {
     /// into batches of at most this many queries; each batch executes
     /// under one snapshot.
     pub batch: usize,
-    /// Worker threads for batched execution. 0 sizes from the environment
-    /// (`FLOOD_THREADS`, else available parallelism).
+    /// Worker threads for batched execution, layout searches and index
+    /// builds. 0 sizes from the environment (`FLOOD_THREADS`, else
+    /// available parallelism).
     pub threads: usize,
 }
 
@@ -404,6 +405,15 @@ pub(crate) mod tests {
         train: &[RangeQuery],
         adaptive: AdaptiveConfig,
     ) -> (Table, FloodServer) {
+        server_on(train, adaptive, 1)
+    }
+
+    /// [`server_trained_on`] with a pool of `threads` workers.
+    pub(crate) fn server_on(
+        train: &[RangeQuery],
+        adaptive: AdaptiveConfig,
+        threads: usize,
+    ) -> (Table, FloodServer) {
         let t = table();
         let s = FloodServer::build(
             &t,
@@ -413,7 +423,7 @@ pub(crate) mod tests {
             ServeConfig {
                 adaptive,
                 batch: 16,
-                threads: 1,
+                threads,
             },
         );
         (t, s)

@@ -130,12 +130,13 @@ fn scheduled_swaps_match_known_diagnostics() {
 /// interleaving.
 #[test]
 fn open_loop_soak_with_background_adaptation() {
-    let budget = Duration::from_millis(
-        std::env::var("FLOOD_SOAK_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1_500),
-    );
+    let budget = Duration::from_millis(match std::env::var("FLOOD_SOAK_MS") {
+        Ok(v) => v
+            .trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("FLOOD_SOAK_MS must be a millisecond count, got {v:?}")),
+        Err(_) => 1_500,
+    });
     let t = table();
     let d = drift(&t, 4, 40);
     let server = FloodServer::build(

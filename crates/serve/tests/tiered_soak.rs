@@ -38,12 +38,13 @@ fn base_table() -> Table {
 
 #[test]
 fn tiered_soak_under_compaction_and_eviction_churn() {
-    let budget = Duration::from_millis(
-        std::env::var("FLOOD_SOAK_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(600),
-    );
+    let budget = Duration::from_millis(match std::env::var("FLOOD_SOAK_MS") {
+        Ok(v) => v
+            .trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("FLOOD_SOAK_MS must be a millisecond count, got {v:?}")),
+        Err(_) => 600,
+    });
     let server = TieredServer::seal(
         &base_table(),
         Arc::new(MemBackend::new()),

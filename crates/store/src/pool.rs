@@ -11,16 +11,20 @@
 //! run inline on the caller's stack, making the serial path zero-overhead
 //! and trivially deadlock-free.
 //!
-//! Two kinds of work share one pool: scans (`flood-exec`'s `QueryExecutor`,
-//! partitioned single queries and batches) and index builds
-//! (`FloodIndex::build_with` / `rebuild`, which a server runs on the pool
-//! it serves batches with). Both are bursts that borrow a table for their
-//! duration, and a build's tasks hand each worker its own `&mut` slice of
-//! the output ([`ThreadPool::map`]); scoped workers let both borrow
+//! Three kinds of work share one pool: scans (`flood-exec`'s
+//! `QueryExecutor`, partitioned single queries and batches), index builds
+//! (`FloodIndex::build_with` / `rebuild`) and layout searches
+//! (`LayoutOptimizer::optimize_on`, one task per sort-dimension candidate).
+//! A server runs all three on the pool it serves batches with. Each is a
+//! burst that borrows its input for its duration: a table, or the cost
+//! evaluator a search's tasks all read while each keeps what it prices to
+//! itself. A build's tasks hand each worker its own `&mut` slice of the
+//! output ([`ThreadPool::map`]). Scoped workers let all of them borrow
 //! instead of reference count, and a burst of a few milliseconds or more
-//! dwarfs the tens of microseconds a spawn costs. It lives here, in
-//! `flood-store`, so the index crate can build on it without depending on
-//! the executor.
+//! dwarfs the tens of microseconds a spawn costs — which is why a search
+//! splits by candidate (tens of milliseconds each), never inside one
+//! cost evaluation. It lives here, in `flood-store`, so the index crate
+//! can build and search on it without depending on the executor.
 //!
 //! Paper map: the paper's evaluation is single-threaded ("Flood is
 //! currently single threaded", §7) and §8 sketches intra-query parallelism
@@ -96,14 +100,12 @@ impl ThreadPool {
     /// unknown).
     ///
     /// # Panics
-    /// Panics when `FLOOD_THREADS` is set but not a positive integer — a
-    /// misconfigured pool must not silently run serial.
+    /// Panics when `FLOOD_THREADS` is set but not a positive integer —
+    /// surrounding whitespace aside — so a misconfigured pool never
+    /// silently runs serial.
     pub fn from_env() -> Self {
         let threads = match std::env::var(THREADS_ENV) {
-            Ok(v) => match v.parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                _ => panic!("{THREADS_ENV} must be a positive integer, got {v:?}"),
-            },
+            Ok(v) => parse_threads(&v),
             Err(_) => std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
@@ -228,6 +230,18 @@ impl ThreadPool {
     }
 }
 
+/// A `FLOOD_THREADS` value as a worker count: a positive integer, with
+/// surrounding whitespace (a trailing newline from a shell, say) ignored.
+///
+/// # Panics
+/// Panics on anything else, naming the value.
+fn parse_threads(v: &str) -> usize {
+    match v.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => n,
+        _ => panic!("{THREADS_ENV} must be a positive integer, got {v:?}"),
+    }
+}
+
 impl Default for ThreadPool {
     /// [`ThreadPool::from_env`].
     fn default() -> Self {
@@ -289,6 +303,24 @@ mod tests {
     #[test]
     fn from_env_has_at_least_one_worker() {
         assert!(ThreadPool::from_env().threads() >= 1);
+    }
+
+    #[test]
+    fn threads_env_values_are_trimmed() {
+        assert_eq!(parse_threads(" 2 "), 2);
+        assert_eq!(parse_threads("2\n"), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "FLOOD_THREADS must be a positive integer, got \"0\"")]
+    fn zero_threads_env_is_rejected() {
+        parse_threads("0");
+    }
+
+    #[test]
+    #[should_panic(expected = "FLOOD_THREADS must be a positive integer, got \"x\"")]
+    fn unparsable_threads_env_is_rejected_by_name() {
+        parse_threads("x");
     }
 
     #[test]
