@@ -19,7 +19,7 @@ use flood_store::{
     RangeQuery, ScanStats, SegmentCache, StorageBackend, StorageError, Table, TierConfig,
     TieredDelta, TieredScan, TieredTable, Visitor,
 };
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A shared-read front end over one sealed [`TieredScan`], compacting
 /// buffered inserts into new cold generations. Share it across threads:
@@ -38,7 +38,8 @@ pub type TieredSnapshot = Arc<Epoch<TieredScan>>;
 /// never take this lock — queries run against the published snapshot only.
 /// A report only reads the buffered row count, so it still answers once a
 /// panic has poisoned the lock; [`TieredServer::insert`] and
-/// [`TieredServer::compact`] do not.
+/// [`TieredServer::compact`] refuse with
+/// [`StorageError::BuildSidePoisoned`] and leave the buffer as it is.
 impl BuildSide for Mutex<TieredDelta> {
     fn report(&self, d: &mut ServeDiagnostics) {
         d.buffered = self
@@ -80,7 +81,7 @@ impl TieredServer {
     /// to readers until [`TieredServer::compact`] publishes. On error the
     /// row is not stored.
     pub fn insert(&self, row: &[u64]) -> Result<usize, StorageError> {
-        self.build.lock().expect("build side poisoned").insert(row)
+        self.delta()?.insert(row)
     }
 
     /// Seal the buffered rows into cold segments and publish the next
@@ -89,11 +90,19 @@ impl TieredServer {
     /// backend writes before mutating the table). Publishing with an empty
     /// buffer is a no-op swap: the new epoch serves the same rows.
     pub fn compact(&self) -> Result<u64, StorageError> {
-        let mut delta = self.build.lock().expect("build side poisoned");
+        let mut delta = self.delta()?;
         delta.compact()?;
         Ok(self
             .published()
             .publish(TieredScan::new(delta.base().clone())))
+    }
+
+    /// The build side, refused once a panic has poisoned it: a buffer a
+    /// writer left mid-update is neither extended nor sealed.
+    fn delta(&self) -> Result<MutexGuard<'_, TieredDelta>, StorageError> {
+        self.build
+            .lock()
+            .map_err(|_| StorageError::BuildSidePoisoned)
     }
 
     /// Rows visible to readers in the current epoch.
@@ -212,6 +221,38 @@ mod tests {
         let mut v = CountVisitor::default();
         s.execute(&RangeQuery::all(2), None, &mut v).unwrap();
         assert_eq!(v.count, 1_000, "reads never take the build side");
+    }
+
+    /// A panic holding the build side makes `insert` and `compact` refuse
+    /// with a typed error that names no segment; the buffer keeps its rows
+    /// and reads serve the published generation.
+    #[test]
+    fn a_poisoned_build_side_refuses_writes() {
+        let s = mem_server(1_000, 0);
+        s.insert(&[1_000, 0]).unwrap();
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _delta = s.build.lock();
+                    panic!("an insert panics holding the build side");
+                })
+                .join()
+        });
+        assert!(panicked.is_err() && s.build.is_poisoned());
+        let err = s.insert(&[1_001, 0]).unwrap_err();
+        assert_eq!(err, StorageError::BuildSidePoisoned, "{err}");
+        assert_eq!(err.key(), None);
+        let err = s.compact().unwrap_err();
+        assert_eq!(err, StorageError::BuildSidePoisoned, "{err}");
+        let d = s.diagnostics();
+        assert_eq!((d.buffered, d.epoch), (1, 0), "the buffer is untouched");
+        let mut v = CountVisitor::default();
+        let (_, epoch) = s.execute(&RangeQuery::all(2), None, &mut v).unwrap();
+        assert_eq!(
+            (v.count, epoch),
+            (1_000, 0),
+            "reads serve the published epoch"
+        );
     }
 
     /// A query of the wrong arity, or aggregating a column past the last,

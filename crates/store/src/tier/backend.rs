@@ -75,6 +75,10 @@ pub enum StorageError {
         /// Values the row carried, or columns the query reads.
         got: usize,
     },
+    /// A writer panicked holding a server's build side (its write buffer),
+    /// so inserts and compactions are refused; reads go on serving the
+    /// published generation.
+    BuildSidePoisoned,
 }
 
 impl StorageError {
@@ -84,7 +88,9 @@ impl StorageError {
             StorageError::Io { key, .. }
             | StorageError::Corrupt { key, .. }
             | StorageError::Missing { key } => Some(*key),
-            StorageError::Backend { .. } | StorageError::Arity { .. } => None,
+            StorageError::Backend { .. }
+            | StorageError::Arity { .. }
+            | StorageError::BuildSidePoisoned => None,
         }
     }
 }
@@ -100,6 +106,9 @@ impl fmt::Display for StorageError {
             StorageError::Backend { detail } => write!(f, "storage backend error: {detail}"),
             StorageError::Arity { expected, got } => {
                 write!(f, "{got} columns where the table has {expected}")
+            }
+            StorageError::BuildSidePoisoned => {
+                write!(f, "build side poisoned: a writer panicked holding it")
             }
         }
     }

@@ -4,11 +4,14 @@
 //! Block metadata and the per-block cumulative sidecar are always
 //! resident, so the kernel classifies every block — and answers whole-block
 //! exact accepts — with no I/O: a cold segment whose every block skips is
-//! never read. Pinning acquires the segments the surviving blocks need
-//! through the [`SegmentCache`](super::SegmentCache), in ascending
-//! `(dim, segment)` order, and holds them for the duration of the scan. Any
-//! load failure returns a typed [`StorageError`] from there, *before the
-//! visitor has seen a single row*.
+//! never read. Pinning marks the segments the surviving blocks need in one
+//! dense (column × segment) table over the scanned rows' segments, then
+//! acquires the marked ones through the
+//! [`SegmentCache`](super::SegmentCache) in table order — ascending
+//! `(dim, segment)`, each once — and holds them for the duration of the
+//! scan; a block finds its segment by indexing the table. Any load failure
+//! returns a typed [`StorageError`] from there, *before the visitor has
+//! seen a single row*.
 
 use super::backend::StorageError;
 use super::cache::LoadedSegment;
@@ -16,15 +19,19 @@ use super::table::TieredTable;
 use crate::block::{BlockMeta, BLOCK_LEN};
 use crate::scan::{BlockRef, BlockSource, PinnedBlocks};
 use crate::stats::ScanStats;
-use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::sync::Arc;
 
-/// The segments pinned for one scan, keyed by `(dim, segment)`, and what
-/// acquiring them cost.
+/// The segments pinned for one scan, in one dense table over the scanned
+/// rows' segments: column `dim`'s segment `s` sits at
+/// `dim * n_seg + (s - first)`, `None` where the scan needs no data.
 pub struct PinnedSegments<'a> {
     table: &'a TieredTable,
-    segments: BTreeMap<(usize, usize), Arc<LoadedSegment>>,
+    /// The first segment the scanned rows overlap.
+    first: usize,
+    /// Segments the scanned rows overlap.
+    n_seg: usize,
+    segments: Vec<Option<Arc<LoadedSegment>>>,
     faulted: u64,
     hit: u64,
     /// Referenced columns × overlapping segments, minus what was pinned:
@@ -52,38 +59,43 @@ impl BlockSource for TieredTable {
         whole.then(|| col.block_sum(b))
     }
 
-    /// All-or-nothing: the first failed load aborts the scan.
+    /// All-or-nothing: the first failed load aborts the scan. Needs are
+    /// marked in the table first, then acquired in slot order — ascending
+    /// `(dim, segment)`, each needed segment once.
     fn pin<'a>(
         &'a self,
         rows: Range<usize>,
         dims: impl Iterator<Item = usize>,
         needs: impl FnOnce(&mut dyn FnMut(usize, usize)),
     ) -> Result<PinnedSegments<'a>, StorageError> {
-        let mut needed: BTreeSet<(usize, usize)> = BTreeSet::new();
-        needs(&mut |dim, b| {
-            needed.insert((dim, self.segment_of_block(b)));
-        });
-        let mut segments = BTreeMap::new();
+        let first = self.segment_of_block(rows.start / BLOCK_LEN);
+        let n_seg = self.segment_of_block((rows.end - 1) / BLOCK_LEN) - first + 1;
+        let mut needed = vec![false; self.dims() * n_seg];
+        needs(&mut |dim, b| needed[dim * n_seg + self.segment_of_block(b) - first] = true);
+        let mut segments = vec![None; needed.len()];
         let (mut faulted, mut hit) = (0u64, 0u64);
-        for &(dim, seg) in &needed {
-            let (loaded, was_fault) = self.cache().acquire(self.segment_key(dim, seg))?;
+        for i in (0..needed.len()).filter(|&i| needed[i]) {
+            let key = self.segment_key(i / n_seg, first + i % n_seg);
+            let (loaded, was_fault) = self.cache().acquire(key)?;
             if was_fault {
                 faulted += 1;
             } else {
                 hit += 1;
             }
-            segments.insert((dim, seg), loaded);
+            segments[i] = Some(loaded);
         }
-        let referenced = dims.collect::<BTreeSet<usize>>().len();
-        let overlapping = self.segment_of_block((rows.end - 1) / BLOCK_LEN)
-            - self.segment_of_block(rows.start / BLOCK_LEN)
-            + 1;
+        let mut seen = vec![false; self.dims()];
+        let referenced = dims
+            .filter(|&d| !std::mem::replace(&mut seen[d], true))
+            .count();
         Ok(PinnedSegments {
             table: self,
+            first,
+            n_seg,
             segments,
             faulted,
             hit,
-            skipped: (referenced * overlapping - needed.len()) as u64,
+            skipped: (referenced * n_seg) as u64 - (faulted + hit),
         })
     }
 }
@@ -92,9 +104,8 @@ impl PinnedBlocks for PinnedSegments<'_> {
     #[inline]
     fn block(&self, dim: usize, b: usize) -> BlockRef<'_> {
         let seg = self.table.segment_of_block(b);
-        let loaded = self
-            .segments
-            .get(&(dim, seg))
+        let loaded = self.segments[dim * self.n_seg + seg - self.first]
+            .as_deref()
             .expect("needed segment not pinned");
         BlockRef::Packed(&loaded.blocks[b - self.table.spans()[seg].first_block])
     }
@@ -108,7 +119,7 @@ impl PinnedBlocks for PinnedSegments<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::backend::MemBackend;
+    use super::super::backend::{MemBackend, SegmentKey, StorageBackend};
     use super::super::cache::TierConfig;
     use super::*;
     use crate::query::RangeQuery;
@@ -331,9 +342,103 @@ mod tests {
         }
     }
 
+    /// Records the key of every get, over a [`MemBackend`].
+    #[derive(Debug, Default)]
+    struct RecordingBackend {
+        inner: MemBackend,
+        gets: std::sync::Mutex<Vec<SegmentKey>>,
+    }
+
+    impl StorageBackend for RecordingBackend {
+        fn put(&self, key: SegmentKey, bytes: &[u8]) -> Result<(), StorageError> {
+            self.inner.put(key, bytes)
+        }
+
+        fn get(&self, key: SegmentKey) -> Result<Vec<u8>, StorageError> {
+            self.gets.lock().unwrap().push(key);
+            self.inner.get(key)
+        }
+
+        fn delete(&self, key: SegmentKey) -> Result<(), StorageError> {
+            self.inner.delete(key)
+        }
+    }
+
+    /// Pinning acquires each needed segment once, in ascending
+    /// `(dim, segment)` order — the order the cache's recency and counters
+    /// depend on. With a zero budget every acquire faults, so the backend's
+    /// gets are the acquisition sequence.
+    #[test]
+    fn pins_each_needed_segment_once_in_key_order() {
+        let backend = Arc::new(RecordingBackend::default());
+        let resident = Table::from_columns(dataset(1_024));
+        let tiered = TieredTable::seal(
+            &resident,
+            backend.clone(),
+            TierConfig {
+                budget_bytes: 0,
+                segment_blocks: 2,
+            },
+        )
+        .unwrap();
+        let position = |key: SegmentKey| {
+            (0..3)
+                .flat_map(|d| (0..tiered.n_segments()).map(move |s| (d, s)))
+                .find(|&(d, s)| tiered.segment_key(d, s) == key)
+                .expect("a key of this table")
+        };
+        backend.gets.lock().unwrap().clear();
+        // Rows 100..1000 overlap segments 0..=3 of 256 rows, the first and
+        // last partly; dim 0 is sorted (edge blocks probe, block 0 skips),
+        // dim 1 is scattered (every surviving block probes it).
+        let (start, end) = (100, 1_000);
+        let checks = [(0, 150, 900), (1, 100, 800)];
+        let mut v = SumVisitor::default();
+        let mut s = ScanStats::default();
+        scan_checked(&tiered, &checks, start, end, Some(2), None, &mut v, &mut s).unwrap();
+
+        let want: Vec<usize> = (start..end)
+            .filter(|&r| {
+                checks
+                    .iter()
+                    .all(|&(d, lo, hi)| (lo..=hi).contains(&resident.value(r, d)))
+            })
+            .collect();
+        assert_eq!(v.count, want.len() as u64);
+        assert_eq!(
+            v.sum,
+            want.iter().map(|&r| resident.value(r, 2)).sum::<u64>()
+        );
+
+        let gets: Vec<(usize, usize)> = backend
+            .gets
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|&k| position(k))
+            .collect();
+        assert!(
+            gets.windows(2).all(|w| w[0] < w[1]),
+            "gets not strictly ascending by (dim, segment): {gets:?}"
+        );
+        assert_eq!(gets.len() as u64, s.segments_faulted, "{gets:?}");
+        assert!(
+            gets.iter().any(|g| g.0 == 0) && gets.iter().any(|g| g.0 == 2),
+            "{gets:?}"
+        );
+        assert!(s.segments_skipped > 0, "{s:?}");
+        let (referenced, overlapping) = (3, 4);
+        assert_eq!(
+            s.segments_faulted + s.segments_skipped,
+            referenced * overlapping,
+            "{s:?}"
+        );
+        assert_eq!(s.segments_hit, 0);
+    }
+
     #[test]
     fn error_leaves_visitor_and_stats_untouched() {
-        use super::super::backend::{FailingBackend, StorageBackend};
+        use super::super::backend::FailingBackend;
         let inner: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
         let failing = Arc::new(FailingBackend::new(inner));
         let resident = Table::from_columns(dataset(512));
