@@ -95,7 +95,6 @@ use crate::flatten::{DimCdf, Flattener, Flattening};
 use flood_store::{RangeQuery, Table};
 use rand::rngs::StdRng;
 use rand::seq::index::sample as index_sample;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -579,6 +578,7 @@ impl SampleSpace {
             space_id: self.data.space_id,
             epoch: 0,
             tally: Tally::default(),
+            recounts: 0,
         }
     }
 
@@ -952,14 +952,15 @@ pub struct StatsCache {
     /// observable via [`StatsCache::cross_epoch_reuses`].
     epoch: usize,
     tally: Tally,
+    /// Distinct masks folded in: the fetches that had to count afresh.
+    recounts: usize,
 }
 
-/// What a [`StatsCache`]'s lookups did, in (query, dimension) units except
-/// `cross`, which also counts per-query cost hits.
+/// What a [`StatsCache`]'s lookups did: mask `fetches` in (query, dimension)
+/// units, and `cross`, which also counts per-query cost hits.
 #[derive(Debug, Clone, Default)]
 struct Tally {
-    recounts: usize,
-    reuses: usize,
+    fetches: usize,
     cross: usize,
 }
 
@@ -974,17 +975,11 @@ impl Tally {
         epoch: usize,
         count: impl FnOnce() -> T,
     ) {
+        self.fetches += 1;
         if let Some(e) = cache.get(&key) {
-            self.reuses += 1;
             e.hit(epoch, &mut self.cross);
-            return;
-        }
-        match added.entry(key) {
-            Entry::Occupied(_) => self.reuses += 1,
-            Entry::Vacant(e) => {
-                self.recounts += 1;
-                e.insert(count());
-            }
+        } else {
+            added.entry(key).or_insert_with(count);
         }
     }
 }
@@ -999,8 +994,8 @@ fn served<'a, K: Eq + Hash, T>(
 }
 
 /// What pricing over a [`StatsCache`] it only reads adds to it: the masks
-/// and per-(layout, query) costs it counted, and its tally. Reuses count
-/// hits on the cache and on the overlay's own masks.
+/// and per-(layout, query) costs it counted, and its tally, whose fetches
+/// count every mask it served, from the cache, its own masks or afresh.
 #[derive(Debug, Default)]
 pub(crate) struct CacheOverlay {
     grid: HashMap<GridKey, GridMasks>,
@@ -1038,29 +1033,28 @@ impl CacheOverlay {
 }
 
 /// Move `added` into `cache` as entries of `epoch`; returns how many keys
-/// `cache` already held.
+/// it inserted.
 fn merge<K: Eq + Hash, T>(
     cache: &mut HashMap<K, Aged<T>>,
     added: HashMap<K, T>,
     epoch: usize,
 ) -> usize {
-    let (offered, before) = (added.len(), cache.len());
+    let before = cache.len();
     for (key, value) in added {
         cache.entry(key).or_insert_with(|| Aged::new(value, epoch));
     }
-    offered - (cache.len() - before)
+    cache.len() - before
 }
 
 impl StatsCache {
     /// Fold in what one pricing added over this cache: its masks and costs
     /// become entries of the current epoch, and its tally joins the
-    /// cache's. A mask an overlay folded in earlier already holds was
-    /// counted twice, and counts as a reuse: overlays folded in one after
-    /// another count what one pricing in that order would have — the
-    /// distinct new masks as recounts, every other fetch as a reuse.
+    /// cache's. The masks this inserts count as recounts and every other
+    /// fetch as a reuse, so overlays folded in one after another count what
+    /// one pricing in that order would have.
     pub(crate) fn absorb(&mut self, added: CacheOverlay) {
         let epoch = self.epoch;
-        let repeats =
+        self.recounts +=
             merge(&mut self.grid, added.grid, epoch) + merge(&mut self.sort, added.sort, epoch);
         for (layout_key, fresh) in added.costs {
             let per_query = self.costs.entry(layout_key).or_default();
@@ -1070,21 +1064,20 @@ impl StatsCache {
                     .map(|(qfp, ns)| (qfp, Aged::new(ns, epoch))),
             );
         }
-        self.tally.recounts += added.tally.recounts - repeats;
-        self.tally.reuses += added.tally.reuses + repeats;
+        self.tally.fetches += added.tally.fetches;
         self.tally.cross += added.tally.cross;
     }
 
     /// Per-(query, dimension) contributions counted from scratch (cache
     /// misses).
     pub fn recounts(&self) -> usize {
-        self.tally.recounts
+        self.recounts
     }
 
     /// Per-(query, dimension) contributions served from the cache —
     /// contributions a probe needed but did not change.
     pub fn reuses(&self) -> usize {
-        self.tally.reuses
+        self.tally.fetches - self.recounts
     }
 
     /// Mask reuses and per-query cost hits on entries created in an earlier

@@ -10,9 +10,9 @@
 //! throughput mode ([`QueryExecutor::execute_batch`]) is the independent
 //! complement for OLAP workloads like §7.3's: whole queries are
 //! independent units of work, so any [`MultiDimIndex`] — baselines
-//! included — benefits without implementing partitioning. The
-//! `parallel_scan` criterion bench and `flood-benchmark`'s batched phase
-//! (`exec.*`) measure both modes.
+//! included — benefits without implementing partitioning.
+//! `flood-benchmark`'s batched phase measures both modes
+//! (`exec.partitioned_us`, `exec.batch_qps_t1` / `_t2`).
 
 use crate::pool::{PoolMetrics, ThreadPool};
 use flood_store::{MergeVisitor, MultiDimIndex, PartitionedScan, RangeQuery, ScanStats, Visitor};
