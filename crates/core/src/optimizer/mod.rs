@@ -41,19 +41,18 @@
 //! candidate on a [`ThreadPool`] ([`LayoutOptimizer::optimize_on`]; a server
 //! passes its own pool, [`LayoutOptimizer::optimize_in`] one worker) — whole
 //! descents of milliseconds each, never part of one evaluation, so one
-//! `run`'s spawn is all the pool costs. Every task reads the evaluator as
-//! the search found it and keeps what it prices itself — memo entries,
-//! masks, per-(layout, query) costs — in an overlay of its own; the
-//! overlays are folded in candidate order after the run. A layout key ends
-//! in its sort dimension, so two candidates never price the same layout:
-//! only a grid mask can be counted by two tasks, and folding counts it as
-//! one recount and the other fetches as reuses. So the counters count what
-//! one probe at a time would, at any worker count: `cost_evals` every
-//! probe, `cache_hits` the memo hits, `dim_recounts` the distinct masks new
-//! to the search, `dim_reuses` every other mask fetch, and
-//! [`CostEvaluator::cross_epoch_hits`] the hits on entries of earlier
-//! epochs. The winner is the cheapest candidate, the first in candidate
-//! order among equals.
+//! `run`'s spawn is all the pool costs. The tasks share the evaluator's
+//! caches — memo, masks, per-(layout, query) costs — reading and filling
+//! them side by side, and each counts its own work; the counts are summed
+//! after the run. A layout key ends in its sort dimension, so two
+//! candidates never price the same layout: only a grid mask is needed by
+//! two tasks, and whichever reaches it first builds it. So the counters
+//! count the work done, which is what one probe at a time would do, at any
+//! worker count: `cost_evals` every probe, `cache_hits` the memo hits,
+//! `dim_recounts` the masks this search built, `dim_reuses` every other
+//! mask fetch, and [`CostEvaluator::cross_epoch_hits`] the hits on entries
+//! of earlier epochs. The winner is the cheapest candidate, the first in
+//! candidate order among equals.
 //!
 //! Paper map: §4.2/Algorithm 1 → [`LayoutOptimizer::optimize`]; §4.2 step 3
 //! (gradient descent over column counts) → [`gradient`]; §7.7 sampling
@@ -83,7 +82,7 @@ pub mod gradient;
 pub mod sample;
 
 pub use gradient::{descend, GdConfig};
-use sample::{Aged, CacheOverlay, LayoutKey};
+use sample::{read, write, Aged, LayoutKey, Tally};
 pub use sample::{DataSample, SampleSpace, StatsCache};
 
 use crate::correlation::CorrelationConfig;
@@ -98,7 +97,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 /// Configuration for [`LayoutOptimizer`].
@@ -159,11 +158,12 @@ pub struct OptimizedLayout {
     /// Evaluations answered from the layout memo instead of re-deriving
     /// statistics from the flattened sample.
     pub cache_hits: usize,
-    /// Per-(query, dimension) contributions counted from scratch — the
-    /// dirty set across every memo miss (see [`sample::StatsCache`]).
+    /// Per-(query, dimension) masks this search built — the dirty set
+    /// across every memo miss, each mask once however many candidates
+    /// needed it (see [`sample::StatsCache`]).
     pub dim_recounts: usize,
-    /// Per-(query, dimension) contributions served from the incremental
-    /// cache — contributions probes needed but never changed.
+    /// Per-(query, dimension) mask fetches served from the incremental
+    /// cache — masks probes needed that were already built.
     pub dim_reuses: usize,
     /// Dimensions the search dropped from the candidate set because a
     /// collapse-grade soft FD routes their predicates through a host
@@ -253,9 +253,6 @@ impl LayoutOptimizer {
         pool: ThreadPool,
         start: Instant,
     ) -> OptimizedLayout {
-        let (evals0, hits0) = (evaluator.cost_evals(), evaluator.cache_hits());
-        let (recounts0, reuses0) = (evaluator.dim_recounts(), evaluator.dim_reuses());
-
         // Candidate dimensions: everything the sampled workload filters,
         // most selective first. Never-filtered dimensions are left out of
         // the index entirely (§7.5: Flood "chooses not to include the least
@@ -310,10 +307,10 @@ impl LayoutOptimizer {
         let target_cells = (evaluator.space().full_len() / self.cfg.init_points_per_cell.max(1))
             .clamp(4, self.cfg.max_total_cells) as f64;
 
-        // One task per candidate, each pricing through its own overlay on
-        // the evaluator as the search found it. A layout key ends in its
-        // sort dimension, so two candidates never price the same layout;
-        // only a grid mask can be counted by two of them.
+        // One task per candidate, all pricing through the evaluator's
+        // shared caches. A layout key ends in its sort dimension, so two
+        // candidates never price the same layout; only a grid mask can be
+        // needed by two of them, and it is built once.
         let shared: &CostEvaluator = evaluator;
         let searched = pool.run(candidates.len(), |i| {
             // Grid dims: the other candidates, in selectivity order.
@@ -349,29 +346,30 @@ impl LayoutOptimizer {
                 let init = vec![target_cells.log2() / k as f64; k];
                 descend(&init, &gd, |cols| pricer.predict_order(&order, cols))
             };
-            (Layout::new(order, cols), cost, pricer.added)
+            (Layout::new(order, cols), cost, pricer.tally)
         });
-        // Fold the overlays in candidate order, then pick the cheapest, the
-        // first of equals.
+        // Sum the tasks' counts, and pick the cheapest, the first of equals.
+        let mut work = Tally::default();
         let mut best: Option<(Layout, f64)> = None;
         let mut diagnostics = Vec::new();
-        for ((layout, cost, added), &sort_dim) in searched.into_iter().zip(&candidates) {
-            evaluator.absorb(added);
+        for ((layout, cost, tally), &sort_dim) in searched.into_iter().zip(&candidates) {
+            work += tally;
             diagnostics.push((sort_dim, cost));
             if best.as_ref().is_none_or(|(_, c)| cost < *c) {
                 best = Some((layout, cost));
             }
         }
         let (layout, predicted_ns) = best.expect("at least one candidate");
+        evaluator.tally += work;
         OptimizedLayout {
             layout: corr.attach(layout),
             predicted_ns,
             learn_time: start.elapsed(),
             candidates: diagnostics,
-            cost_evals: evaluator.cost_evals() - evals0,
-            cache_hits: evaluator.cache_hits() - hits0,
-            dim_recounts: evaluator.dim_recounts() - recounts0,
-            dim_reuses: evaluator.dim_reuses() - reuses0,
+            cost_evals: work.cost_evals,
+            cache_hits: work.cache_hits,
+            dim_recounts: work.recounts,
+            dim_reuses: work.fetches - work.recounts,
             collapsed,
             reweighted,
         }
@@ -397,10 +395,8 @@ impl LayoutOptimizer {
             space,
             cost: self.cost.clone(),
             cache,
-            memo: HashMap::new(),
-            cost_evals: 0,
-            cache_hits: 0,
-            cross_epoch_memo_hits: 0,
+            memo: RwLock::default(),
+            tally: Tally::default(),
             window_flattens: 1,
             window_reuses: 0,
         }
@@ -432,17 +428,20 @@ const MASK_KEEP_EPOCHS: usize = 2;
 /// its CDFs, which cut every index the loop builds — is flattened once.
 /// One evaluator serves one logical table (the same multiset, in any row
 /// order) under one cost model.
-#[derive(Debug, Clone)]
+///
+/// The memo, masks and per-(layout, query) costs are shared: the tasks of
+/// one search read and fill them side by side through `&self`, each
+/// counting its own work.
+#[derive(Debug)]
 pub struct CostEvaluator {
     space: SampleSpace,
     cost: CostModel,
     cache: StatsCache,
     /// Layout memo of the current window, aged like the cache's entries
     /// (for cross-epoch attribution).
-    memo: HashMap<LayoutKey, Aged<f64>>,
-    cost_evals: usize,
-    cache_hits: usize,
-    cross_epoch_memo_hits: usize,
+    memo: RwLock<HashMap<LayoutKey, Aged<f64>>>,
+    /// What every pricing so far counted.
+    tally: Tally,
     window_flattens: usize,
     window_reuses: usize,
 }
@@ -465,7 +464,7 @@ impl CostEvaluator {
         }
         self.window_flattens += 1;
         self.space = SampleSpace::over(Arc::clone(self.space.data()), queries);
-        self.memo.clear();
+        write(&self.memo).clear();
         self.cache.advance_epoch();
         if self.cache.entry_count() > MASK_CACHE_CAP {
             let keep_from = self.cache.epoch().saturating_sub(MASK_KEEP_EPOCHS);
@@ -483,53 +482,37 @@ impl CostEvaluator {
     pub fn predict(&mut self, layout: &Layout) -> f64 {
         let mut pricer = self.pricer();
         let cost = pricer.predict_order(layout.order(), layout.cols());
-        self.absorb(pricer.added);
+        let tally = pricer.tally;
+        self.tally += tally;
         cost
     }
 
-    /// A pricing task over the evaluator as it stands.
+    /// A pricing task over the evaluator's shared caches.
     fn pricer(&self) -> Pricer<'_> {
         Pricer {
             eval: self,
-            added: Overlay::default(),
+            tally: Tally::default(),
         }
-    }
-
-    /// Fold in what one pricing task added: its memo entries, masks and
-    /// costs become entries of the current epoch, and its counts join the
-    /// evaluator's (see [`StatsCache`] for how masks two tasks both counted
-    /// are counted).
-    fn absorb(&mut self, added: Overlay) {
-        let epoch = self.cache.epoch();
-        let memo = added
-            .memo
-            .into_iter()
-            .map(|(k, c)| (k, Aged::new(c, epoch)));
-        self.memo.extend(memo);
-        self.cache.absorb(added.cache);
-        self.cost_evals += added.cost_evals;
-        self.cache_hits += added.cache_hits;
-        self.cross_epoch_memo_hits += added.cross_memo_hits;
     }
 
     /// Cost-model evaluations requested so far (memoized + fresh).
     pub fn cost_evals(&self) -> usize {
-        self.cost_evals
+        self.tally.cost_evals
     }
 
     /// Evaluations answered from the layout memo.
     pub fn cache_hits(&self) -> usize {
-        self.cache_hits
+        self.tally.cache_hits
     }
 
-    /// Per-dimension contributions counted from scratch.
+    /// Per-dimension masks built.
     pub fn dim_recounts(&self) -> usize {
-        self.cache.recounts()
+        self.tally.recounts
     }
 
-    /// Per-dimension contributions served from the incremental cache.
+    /// Per-dimension mask fetches served from the incremental cache.
     pub fn dim_reuses(&self) -> usize {
-        self.cache.reuses()
+        self.tally.fetches - self.tally.recounts
     }
 
     /// Start a new epoch: subsequent memo hits and mask reuses on state
@@ -543,7 +526,7 @@ impl CostEvaluator {
     /// earlier epoch — how much of this epoch's work previous epochs (e.g.
     /// the degradation check before a re-learn) already paid for.
     pub fn cross_epoch_hits(&self) -> usize {
-        self.cross_epoch_memo_hits + self.cache.cross_epoch_reuses()
+        self.tally.cross
     }
 
     /// Windows flattened into a query layer, the first included.
@@ -557,43 +540,29 @@ impl CostEvaluator {
     }
 }
 
-/// What one pricing task adds to a [`CostEvaluator`] it only reads:
-/// layout-memo entries, masks and per-(layout, query) costs, and its
-/// counts, until [`CostEvaluator::absorb`] folds them in.
-#[derive(Debug, Default)]
-struct Overlay {
-    memo: HashMap<LayoutKey, f64>,
-    cache: CacheOverlay,
-    cost_evals: usize,
-    cache_hits: usize,
-    cross_memo_hits: usize,
-}
-
-/// One pricing task: reads the evaluator as it stood when the task began,
-/// then what the task priced itself.
+/// One pricing task: the evaluator, whose caches it reads and fills side
+/// by side with a search's other tasks, and what it counted.
 struct Pricer<'a> {
     eval: &'a CostEvaluator,
-    added: Overlay,
+    tally: Tally,
 }
 
 impl Pricer<'_> {
     /// [`CostEvaluator::predict`] on a raw `(order, cols)` pair — the form
     /// the descent's probes arrive in.
     fn predict_order(&mut self, order: &[usize], cols: &[usize]) -> f64 {
-        let added = &mut self.added;
-        added.cost_evals += 1;
+        let eval = self.eval;
+        let epoch = eval.cache.epoch();
+        self.tally.cost_evals += 1;
         let key = (order.to_vec(), cols.to_vec());
-        if let Some(entry) = self.eval.memo.get(&key) {
-            added.cache_hits += 1;
-            let epoch = self.eval.cache.epoch();
-            return *entry.hit(epoch, &mut added.cross_memo_hits);
-        }
-        if let Some(&c) = added.memo.get(&key) {
-            added.cache_hits += 1;
-            return c;
+        if let Some(entry) = read(&eval.memo).get(&key) {
+            self.tally.cache_hits += 1;
+            return *entry.hit(epoch, &mut self.tally.cross);
         }
         let c = self.predict_per_query(&key);
-        self.added.memo.insert(key, c);
+        write(&eval.memo)
+            .entry(key)
+            .or_insert_with(|| Aged::new(c, epoch));
         c
     }
 
@@ -605,26 +574,25 @@ impl Pricer<'_> {
     /// `predict_workload(query_stats(..))`: per-query statistics are
     /// per-query facts, and the mean is summed in query order.
     fn predict_per_query(&mut self, key: &LayoutKey) -> f64 {
-        let (eval, added) = (self.eval, &mut self.added.cache);
+        let (eval, tally) = (self.eval, &mut self.tally);
         let qn = eval.space.query_count();
         if qn == 0 {
             return 0.0;
         }
         let qfps = eval.space.qfps();
-        let mut costs = added.cost_probe(&eval.cache, key, qfps);
+        let mut costs = eval.cache.cost_probe(key, qfps, tally);
         let missing: Vec<usize> = (0..qn).filter(|&qi| costs[qi].is_none()).collect();
         if !missing.is_empty() {
             let stats = eval
                 .space
-                .query_stats_over(&key.0, &key.1, &missing, &eval.cache, added);
+                .query_stats_over(&key.0, &key.1, &missing, &eval.cache, tally);
             for (st, &qi) in stats.iter().zip(&missing) {
                 costs[qi] = Some(eval.cost.predict(st).time_ns);
             }
             let fresh = missing
                 .iter()
-                .map(|&qi| (qfps[qi], costs[qi].expect("just priced")))
-                .collect();
-            added.cost_insert(key, fresh);
+                .map(|&qi| (qfps[qi], costs[qi].expect("just priced")));
+            eval.cache.cost_insert(key, fresh);
         }
         let sum: f64 = costs.iter().map(|c| c.expect("filled above")).sum();
         sum / qn as f64
@@ -859,6 +827,50 @@ mod tests {
         let again = opt.optimize_in(&mut eval);
         assert_eq!(again.layout, searched.layout);
         assert_eq!(again.cache_hits, again.cost_evals, "answered by the memo");
+    }
+
+    /// A search builds each mask once, whichever candidate needs it first:
+    /// with three candidates, two of them grid the third dimension from the
+    /// same starting column counts, and the masks built over the space equal
+    /// `dim_recounts` at 1, 2 and 5 workers.
+    #[test]
+    fn a_search_builds_each_mask_once() {
+        let n = 8_000u64;
+        let t = Table::from_columns(vec![
+            (0..n).map(|i| (i * 7919) % 10_000).collect(),
+            (0..n).map(|i| (i * 104729) % 10_000).collect(),
+            (0..n).map(|i| (i * 31) % 10_000).collect(),
+        ]);
+        let w: Vec<RangeQuery> = (0..12u64)
+            .map(|i| {
+                RangeQuery::all(3)
+                    .with_range(0, i * 100, i * 100 + 150)
+                    .with_range(1, 0, 8_000)
+                    .with_range(2, i * 500, i * 500 + 3_000)
+            })
+            .collect();
+        let cfg = OptimizerConfig {
+            query_sample: 12,
+            correlation: CorrelationConfig {
+                enabled: false,
+                ..Default::default()
+            },
+            ..fast_cfg()
+        };
+        let opt = LayoutOptimizer::with_config(CostModel::analytic_default(), cfg);
+        let mut recounts = Vec::new();
+        for threads in [1, 2, 5] {
+            let mut eval = opt.evaluator_sampled(&t, &w);
+            let searched = opt.optimize_on(&mut eval, ThreadPool::new(threads));
+            assert_eq!(searched.candidates.len(), 3);
+            assert_eq!(
+                eval.space().mask_builds(),
+                searched.dim_recounts,
+                "{threads} workers"
+            );
+            recounts.push(searched.dim_recounts);
+        }
+        assert!(recounts.iter().all(|&r| r == recounts[0]), "{recounts:?}");
     }
 
     /// A workload filtering all 40 dimensions of a table: the search keeps

@@ -97,8 +97,9 @@ use rand::rngs::StdRng;
 use rand::seq::index::sample as index_sample;
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::ops::AddAssign;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A flattened query: per-dimension bounds in `[0, 1]` flat space.
 #[derive(Debug, Clone)]
@@ -323,6 +324,10 @@ pub struct SampleSpace {
     /// Fingerprint of the query set this space was built over, before any
     /// rewrite (see [`SampleSpace::query_fingerprint`]).
     query_fp: u64,
+    /// Grid and sort masks built over this space, for tests that hold a
+    /// search's builds to its recounts.
+    #[cfg(test)]
+    mask_builds: Arc<AtomicUsize>,
 }
 
 impl SampleSpace {
@@ -408,7 +413,15 @@ impl SampleSpace {
             queries: flat_queries,
             qfps,
             avg_selectivity,
+            #[cfg(test)]
+            mask_builds: Arc::default(),
         }
+    }
+
+    /// Grid and sort masks built over this space so far.
+    #[cfg(test)]
+    pub(crate) fn mask_builds(&self) -> usize {
+        self.mask_builds.load(Ordering::Relaxed)
     }
 
     /// Order-sensitive fingerprint of a query set: a stable 64-bit hash
@@ -572,13 +585,12 @@ impl SampleSpace {
     /// [`SampleSpace::query_stats_cached`].
     pub fn stats_cache(&self) -> StatsCache {
         StatsCache {
-            grid: HashMap::new(),
-            sort: HashMap::new(),
-            costs: HashMap::new(),
+            grid: RwLock::default(),
+            sort: RwLock::default(),
+            costs: RwLock::default(),
             space_id: self.data.space_id,
             epoch: 0,
             tally: Tally::default(),
-            recounts: 0,
         }
     }
 
@@ -599,16 +611,16 @@ impl SampleSpace {
         cache: &mut StatsCache,
     ) -> Vec<QueryStatistics> {
         let all: Vec<usize> = (0..self.queries.len()).collect();
-        let mut added = CacheOverlay::default();
-        let stats = self.query_stats_over(order, cols, &all, cache, &mut added);
-        cache.absorb(added);
+        let mut tally = Tally::default();
+        let stats = self.query_stats_over(order, cols, &all, cache, &mut tally);
+        cache.tally += tally;
         stats
     }
 
     /// [`SampleSpace::query_stats_cached`] restricted to the queries at
     /// `subset` (indices into this space's query list), in `subset` order,
-    /// over a cache it only reads: masks `cache` lacks are counted into
-    /// `added`, which the caller folds in with [`StatsCache::absorb`]. The
+    /// through a shared `cache`: masks it lacks are built into it, and the
+    /// fetches, builds and cross-epoch hits are counted into `tally`. The
     /// entry point for per-query cost memoization, which only needs
     /// statistics for the queries whose `(query, layout)` cost is not
     /// already known, and for search tasks pricing side by side.
@@ -618,7 +630,7 @@ impl SampleSpace {
         cols: &[usize],
         subset: &[usize],
         cache: &StatsCache,
-        added: &mut CacheOverlay,
+        tally: &mut Tally,
     ) -> Vec<QueryStatistics> {
         assert_eq!(cols.len() + 1, order.len());
         assert!(
@@ -633,30 +645,38 @@ impl SampleSpace {
         let avg_cell = self.data.full_n as f64 / total_cells;
 
         // Dirty-set recomputation: build masks only for the filtered
-        // (query, dim, cols) triples this probe introduced; everything else
+        // (query, dim, cols) triples nothing has built yet; everything else
         // is served from the cache, including entries built for *other*
-        // query sets that share queries with this one.
-        let (epoch, tally) = (cache.epoch, &mut added.tally);
+        // query sets that share queries with this one, and entries another
+        // search task built a moment ago.
+        let (mut grid_wanted, mut sort_wanted) = (Vec::new(), Vec::new());
         for &qi in subset {
             let (q, qfp) = (&self.queries[qi], self.qfps[qi]);
             for (&d, &c) in grid_dims.iter().zip(cols) {
                 if q.bounds[d].is_some() {
-                    let count = || self.build_query_grid_masks(qi, d, c);
-                    tally.fetch(&cache.grid, &mut added.grid, (qfp, d, c), epoch, count);
+                    grid_wanted.push((qi, (qfp, d, c)));
                 }
             }
             if q.bounds[sort_dim].is_some() {
-                let count = || self.build_query_sort_mask(qi, sort_dim);
-                tally.fetch(&cache.sort, &mut added.sort, (qfp, sort_dim), epoch, count);
+                sort_wanted.push((qi, (qfp, sort_dim)));
             }
         }
+        let epoch = cache.epoch;
+        let grid_masks = gather(&cache.grid, &grid_wanted, epoch, tally, |qi, (_, d, c)| {
+            self.build_query_grid_masks(qi, d, c)
+        });
+        let sort_masks = gather(&cache.sort, &sort_wanted, epoch, tally, |qi, (_, d)| {
+            self.build_query_sort_mask(qi, d)
+        });
+        // Served in the order they were gathered.
+        let (mut grid, mut sort) = (grid_masks.iter(), sort_masks.iter());
 
         let ones = all_points(n_points);
         let mut acc = vec![0u64; ones.len()];
         let mut boundaries: Vec<&[u64]> = Vec::with_capacity(grid_dims.len());
         let mut out = Vec::with_capacity(subset.len());
         for &qi in subset {
-            let (q, qfp) = (&self.queries[qi], self.qfps[qi]);
+            let q = &self.queries[qi];
             // N_c: multiply per-dimension column counts in `grid_dims`
             // order — the same f64 multiplication sequence as the full
             // scan, so the product is bit-identical.
@@ -670,7 +690,7 @@ impl SampleSpace {
             for (&d, &c) in grid_dims.iter().zip(cols) {
                 match q.bounds[d] {
                     Some(_) => {
-                        let masks = served(&cache.grid, &added.grid, &(qfp, d, c));
+                        let masks = grid.next().expect("gathered above");
                         nc *= masks.ncols;
                         // An all-ones mask leaves `acc` as it is.
                         if let Some(pass) = &masks.pass {
@@ -689,7 +709,7 @@ impl SampleSpace {
                 }
             }
             if q.bounds[sort_dim].is_some() {
-                if let Some(pass) = served(&cache.sort, &added.sort, &(qfp, sort_dim)) {
+                if let Some(pass) = &**sort.next().expect("gathered above") {
                     and(&mut acc, pass);
                 }
             }
@@ -727,6 +747,8 @@ impl SampleSpace {
     /// [`DataSample::rank_prefix_xor`] turns the run into a bitmap without
     /// visiting its points.
     fn build_query_grid_masks(&self, qi: usize, dim: usize, c: usize) -> GridMasks {
+        #[cfg(test)]
+        self.mask_builds.fetch_add(1, Ordering::Relaxed);
         let sorted = self.data.sorted(dim);
         let (lo, hi) = self.queries[qi].bounds[dim].expect("only filtered dims are cached");
         let col = |v: f32| ((v as f64 * c as f64) as u32).min(c as u32 - 1);
@@ -753,6 +775,8 @@ impl SampleSpace {
     /// unfiltered sort dimensions are never cached (refinement never runs
     /// and every point passes).
     fn build_query_sort_mask(&self, qi: usize, dim: usize) -> Option<Vec<u64>> {
+        #[cfg(test)]
+        self.mask_builds.fetch_add(1, Ordering::Relaxed);
         let sorted = self.data.sorted(dim);
         let (lo, hi) = self.queries[qi].bounds[dim].expect("only filtered dims are cached");
         let a = sorted.partition_point(|&v| v < lo);
@@ -862,6 +886,10 @@ type GridKey = (u64, usize, usize);
 /// A sort mask's key: `(query fingerprint, sort dim)`.
 type SortKey = (u64, usize);
 
+/// One shared table of masks, handed out as `Arc`s so a pricing call holds
+/// its masks after it releases the lock.
+type MaskTable<K, T> = RwLock<HashMap<K, Aged<Arc<T>>>>;
+
 /// One cached pricing fact — a grid or sort mask, a `(layout, query)`
 /// cost, a layout's memoized cost — stamped with the [`StatsCache::epoch`]
 /// it was made in and the one it last served in.
@@ -898,16 +926,6 @@ impl<T> Aged<T> {
     }
 }
 
-impl<T: Clone> Clone for Aged<T> {
-    fn clone(&self) -> Self {
-        Aged {
-            value: self.value.clone(),
-            born: self.born,
-            used: AtomicUsize::new(self.used()),
-        }
-    }
-}
-
 /// Memo of per-query, per-dimension statistics over one [`DataSample`],
 /// keyed on `(query fingerprint, dim, column_count)` — the dirty-set cache
 /// behind [`SampleSpace::query_stats_cached`] — plus per-(layout, query)
@@ -923,18 +941,19 @@ impl<T: Clone> Clone for Aged<T> {
 /// only the queries that actually entered it. [`StatsCache::recounts`] /
 /// [`StatsCache::reuses`] report the effect in (query, dim) units.
 ///
-/// Pricing reads the cache without changing it and keeps what it counts in
-/// a `CacheOverlay`, which `StatsCache::absorb` folds in afterwards; the
-/// sort-dimension candidates of one search each price through an overlay
-/// of their own, side by side.
+/// Each table sits behind one lock, and the sort-dimension candidates of a
+/// search read and fill it side by side through `&self`: a pricing call
+/// gathers what exists under one read lock and builds what is missing under
+/// at most one write lock, so a mask is built once however many tasks need
+/// it.
 ///
 /// Validity is tied to the *data sample* only; the cache carries the
 /// sample's process-unique identity and rejects use with any other.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct StatsCache {
-    grid: HashMap<GridKey, Aged<GridMasks>>,
+    grid: MaskTable<GridKey, GridMasks>,
     /// Sort-dimension pass masks (see `build_query_sort_mask`).
-    sort: HashMap<SortKey, Aged<Option<Vec<u64>>>>,
+    sort: MaskTable<SortKey, Option<Vec<u64>>>,
     /// Per-(layout, query) predicted costs: `costs[(order, cols)][qfp]` is
     /// the cost model's `time_ns` for that query under that layout. A
     /// `(query, layout)` pair's cost depends on nothing else, so entries
@@ -942,7 +961,7 @@ pub struct StatsCache {
     /// makes repeat pricing of recurring queries free across re-learns.
     /// Valid for one cost model (the holder's optimizer never swaps its
     /// model mid-flight).
-    costs: HashMap<LayoutKey, HashMap<u64, Aged<f64>>>,
+    costs: RwLock<HashMap<LayoutKey, HashMap<u64, Aged<f64>>>>,
     /// Identity of the owning data sample (process-unique, stamped at build
     /// time), to reject cross-space reuse — sizes alone can collide.
     space_id: u64,
@@ -951,133 +970,130 @@ pub struct StatsCache {
     /// generation (e.g. a previous degradation check feeding a re-learn) is
     /// observable via [`StatsCache::cross_epoch_reuses`].
     epoch: usize,
+    /// What [`SampleSpace::query_stats_cached`] counted over this cache.
     tally: Tally,
-    /// Distinct masks folded in: the fetches that had to count afresh.
-    recounts: usize,
 }
 
-/// What a [`StatsCache`]'s lookups did: mask `fetches` in (query, dimension)
-/// units, and `cross`, which also counts per-query cost hits.
-#[derive(Debug, Clone, Default)]
-struct Tally {
-    fetches: usize,
-    cross: usize,
+/// What pricing counted: layout-memo lookups (`cost_evals`, of them
+/// `cache_hits`), mask `fetches` in (query, dimension) units, the masks it
+/// built (`recounts`), and `cross`, its hits on memo entries, masks and
+/// per-query costs an earlier epoch made. A search's tasks each count their
+/// own, summed after the run.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Tally {
+    pub(crate) cost_evals: usize,
+    pub(crate) cache_hits: usize,
+    pub(crate) fetches: usize,
+    pub(crate) recounts: usize,
+    pub(crate) cross: usize,
 }
 
-impl Tally {
-    /// A mask cache's hit path: serve `key` from `cache` in `epoch`, else
-    /// from `added`, or count it afresh into `added` with `count`.
-    fn fetch<K: Eq + Hash, T>(
-        &mut self,
-        cache: &HashMap<K, Aged<T>>,
-        added: &mut HashMap<K, T>,
-        key: K,
-        epoch: usize,
-        count: impl FnOnce() -> T,
-    ) {
-        self.fetches += 1;
-        if let Some(e) = cache.get(&key) {
-            e.hit(epoch, &mut self.cross);
-        } else {
-            added.entry(key).or_insert_with(count);
+impl AddAssign for Tally {
+    fn add_assign(&mut self, other: Tally) {
+        self.cost_evals += other.cost_evals;
+        self.cache_hits += other.cache_hits;
+        self.fetches += other.fetches;
+        self.recounts += other.recounts;
+        self.cross += other.cross;
+    }
+}
+
+/// A cache table's read guard. An entry is inserted whole or not at all,
+/// so a table whose lock a panicking task poisoned is still sound.
+pub(crate) fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A cache table's write guard (see [`read`]).
+pub(crate) fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The masks at `wanted`'s keys, in `wanted` order: one read lock gathers
+/// what `table` holds, and at most one write lock builds what it lacks with
+/// `build(query index, key)`. `or_insert_with` builds a key only if no other
+/// task inserted it in between, so `recounts` counts exactly the keys this
+/// call inserted, and a search builds each mask once.
+fn gather<K: Copy + Eq + Hash, T>(
+    table: &MaskTable<K, T>,
+    wanted: &[(usize, K)],
+    epoch: usize,
+    tally: &mut Tally,
+    build: impl Fn(usize, K) -> T,
+) -> Vec<Arc<T>> {
+    tally.fetches += wanted.len();
+    let mut found: Vec<Option<Arc<T>>> = {
+        let table = read(table);
+        let cross = &mut tally.cross;
+        wanted
+            .iter()
+            .map(|(_, key)| table.get(key).map(|e| Arc::clone(e.hit(epoch, cross))))
+            .collect()
+    };
+    if found.iter().any(Option::is_none) {
+        let mut table = write(table);
+        for (slot, &(qi, key)) in found.iter_mut().zip(wanted) {
+            if slot.is_none() {
+                let entry = table.entry(key).or_insert_with(|| {
+                    tally.recounts += 1;
+                    Aged::new(Arc::new(build(qi, key)), epoch)
+                });
+                *slot = Some(Arc::clone(&entry.value));
+            }
         }
     }
-}
-
-/// The value at `key`: counted by this pricing (`added`) or cached.
-fn served<'a, K: Eq + Hash, T>(
-    cache: &'a HashMap<K, Aged<T>>,
-    added: &'a HashMap<K, T>,
-    key: &K,
-) -> &'a T {
-    added.get(key).unwrap_or_else(|| &cache[key].value)
-}
-
-/// What pricing over a [`StatsCache`] it only reads adds to it: the masks
-/// and per-(layout, query) costs it counted, and its tally, whose fetches
-/// count every mask it served, from the cache, its own masks or afresh.
-#[derive(Debug, Default)]
-pub(crate) struct CacheOverlay {
-    grid: HashMap<GridKey, GridMasks>,
-    sort: HashMap<SortKey, Option<Vec<u64>>>,
-    /// Fresh `(query fingerprint, time_ns)` costs per layout, each layout
-    /// priced once.
-    costs: Vec<(LayoutKey, Vec<(u64, f64)>)>,
-    tally: Tally,
-}
-
-impl CacheOverlay {
-    /// The costs `cache` holds of `layout_key` for the queries with
-    /// fingerprints `qfps`, in that order (`None`: never priced). The
-    /// layout's inner map is resolved once for the whole window.
-    pub(crate) fn cost_probe(
-        &mut self,
-        cache: &StatsCache,
-        layout_key: &LayoutKey,
-        qfps: &[u64],
-    ) -> Vec<Option<f64>> {
-        let Some(per_query) = cache.costs.get(layout_key) else {
-            return vec![None; qfps.len()];
-        };
-        let cross = &mut self.tally.cross;
-        qfps.iter()
-            .map(|qfp| per_query.get(qfp).map(|e| *e.hit(cache.epoch, cross)))
-            .collect()
-    }
-
-    /// Record freshly computed per-query costs `(query fingerprint,
-    /// time_ns)` of one layout.
-    pub(crate) fn cost_insert(&mut self, layout_key: &LayoutKey, fresh: Vec<(u64, f64)>) {
-        self.costs.push((layout_key.clone(), fresh));
-    }
-}
-
-/// Move `added` into `cache` as entries of `epoch`; returns how many keys
-/// it inserted.
-fn merge<K: Eq + Hash, T>(
-    cache: &mut HashMap<K, Aged<T>>,
-    added: HashMap<K, T>,
-    epoch: usize,
-) -> usize {
-    let before = cache.len();
-    for (key, value) in added {
-        cache.entry(key).or_insert_with(|| Aged::new(value, epoch));
-    }
-    cache.len() - before
+    found
+        .into_iter()
+        .map(|m| m.expect("gathered or built"))
+        .collect()
 }
 
 impl StatsCache {
-    /// Fold in what one pricing added over this cache: its masks and costs
-    /// become entries of the current epoch, and its tally joins the
-    /// cache's. The masks this inserts count as recounts and every other
-    /// fetch as a reuse, so overlays folded in one after another count what
-    /// one pricing in that order would have.
-    pub(crate) fn absorb(&mut self, added: CacheOverlay) {
-        let epoch = self.epoch;
-        self.recounts +=
-            merge(&mut self.grid, added.grid, epoch) + merge(&mut self.sort, added.sort, epoch);
-        for (layout_key, fresh) in added.costs {
-            let per_query = self.costs.entry(layout_key).or_default();
-            per_query.extend(
-                fresh
-                    .into_iter()
-                    .map(|(qfp, ns)| (qfp, Aged::new(ns, epoch))),
-            );
+    /// The costs this cache holds of `layout_key` for the queries with
+    /// fingerprints `qfps`, in that order (`None`: never priced), read
+    /// under one lock; hits on an earlier epoch's costs count in `tally`.
+    pub(crate) fn cost_probe(
+        &self,
+        layout_key: &LayoutKey,
+        qfps: &[u64],
+        tally: &mut Tally,
+    ) -> Vec<Option<f64>> {
+        let costs = read(&self.costs);
+        let Some(per_query) = costs.get(layout_key) else {
+            return vec![None; qfps.len()];
+        };
+        let cross = &mut tally.cross;
+        qfps.iter()
+            .map(|qfp| per_query.get(qfp).map(|e| *e.hit(self.epoch, cross)))
+            .collect()
+    }
+
+    /// Record freshly computed `(query fingerprint, time_ns)` costs of one
+    /// layout as entries of the current epoch, under one lock.
+    pub(crate) fn cost_insert(
+        &self,
+        layout_key: &LayoutKey,
+        fresh: impl IntoIterator<Item = (u64, f64)>,
+    ) {
+        let mut costs = write(&self.costs);
+        let per_query = costs.entry(layout_key.clone()).or_default();
+        for (qfp, ns) in fresh {
+            per_query
+                .entry(qfp)
+                .or_insert_with(|| Aged::new(ns, self.epoch));
         }
-        self.tally.fetches += added.tally.fetches;
-        self.tally.cross += added.tally.cross;
     }
 
     /// Per-(query, dimension) contributions counted from scratch (cache
     /// misses).
     pub fn recounts(&self) -> usize {
-        self.recounts
+        self.tally.recounts
     }
 
     /// Per-(query, dimension) contributions served from the cache —
     /// contributions a probe needed but did not change.
     pub fn reuses(&self) -> usize {
-        self.tally.fetches - self.recounts
+        self.tally.fetches - self.tally.recounts
     }
 
     /// Mask reuses and per-query cost hits on entries created in an earlier
@@ -1099,19 +1115,21 @@ impl StatsCache {
 
     /// Cached entries (grid + sort masks + per-query costs).
     pub fn entry_count(&self) -> usize {
-        self.grid.len() + self.sort.len() + self.costs.values().map(HashMap::len).sum::<usize>()
+        let costs: usize = read(&self.costs).values().map(HashMap::len).sum();
+        read(&self.grid).len() + read(&self.sort).len() + costs
     }
 
     /// Drop entries that last served a probe before `min_last_used` —
     /// long-lived holders (adaptive indexes) bound memory this way once
     /// old windows' queries stop recurring.
     pub fn prune_stale(&mut self, min_last_used: usize) {
-        self.grid.retain(|_, e| e.used() >= min_last_used);
-        self.sort.retain(|_, e| e.used() >= min_last_used);
-        for per_query in self.costs.values_mut() {
+        write(&self.grid).retain(|_, e| e.used() >= min_last_used);
+        write(&self.sort).retain(|_, e| e.used() >= min_last_used);
+        let mut costs = write(&self.costs);
+        for per_query in costs.values_mut() {
             per_query.retain(|_, e| e.used() >= min_last_used);
         }
-        self.costs.retain(|_, per_query| !per_query.is_empty());
+        costs.retain(|_, per_query| !per_query.is_empty());
     }
 }
 

@@ -21,11 +21,11 @@
 //! at 512 in release).
 //!
 //! A third block holds the layout search split over a pool — one task per
-//! sort-dimension candidate, each pricing through an overlay over the
-//! evaluator as the search found it — to the search one `predict` at a
-//! time: same layout, price, candidates and work counters at 1, 2, 3 and 5
-//! workers, over a first window, a second one sharing queries with it, and
-//! a repeat of the second that only the layout memo answers.
+//! sort-dimension candidate, all reading and filling the evaluator's shared
+//! caches — to the search one `predict` at a time: same layout, price,
+//! candidates and work counters at 1, 2, 3 and 5 workers, over a first
+//! window, a second one sharing queries with it, and a repeat of the second
+//! that only the layout memo answers.
 //!
 //! The vendored proptest subset has no `prop_flat_map`, so the
 //! dimension-dependent structures (columns, query bounds, probe orders)
@@ -271,8 +271,8 @@ proptest! {
 }
 
 /// Algorithm 1 one [`CostEvaluator::predict`] at a time: every probe of
-/// every candidate, in candidate order, read and folded into the one
-/// evaluator before the next — the reference a search split over a pool is
+/// every candidate, in candidate order, priced through the one evaluator
+/// before the next — the reference a search split over a pool is
 /// held to. Correlation is off, so no dimension collapses or re-weights.
 /// Returns the winner, its price and every candidate's.
 fn search_one_predict_at_a_time(
@@ -333,7 +333,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(16)))]
 
     /// A search split over a pool, one task per sort-dimension candidate,
-    /// each pricing through an overlay of its own, equals the search one
+    /// all pricing through one shared cache, equals the search one
     /// `predict` at a time: on a first window, on a second one sharing
     /// queries with it (masks and costs carried across the epoch), and on
     /// that window again — the same layout, price and candidates, bit for
