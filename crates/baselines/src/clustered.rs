@@ -109,6 +109,7 @@ impl PlannedIndex for ClusteredIndex {
 mod tests {
     use super::*;
     use flood_store::{assert_partitioned_matches_serial, CountVisitor, MultiDimIndex, SumVisitor};
+    use flood_testkit::count;
 
     fn table() -> Table {
         let n = 10_000u64;
@@ -118,10 +119,6 @@ mod tests {
         ])
     }
 
-    fn reference(t: &Table, q: &RangeQuery) -> u64 {
-        (0..t.len()).filter(|&r| q.matches(&t.row(r))).count() as u64
-    }
-
     #[test]
     fn keyed_range_query() {
         let t = table();
@@ -129,7 +126,7 @@ mod tests {
         let q = RangeQuery::all(2).with_range(0, 10_000, 30_000);
         let mut v = CountVisitor::default();
         let stats = idx.execute(&q, None, &mut v);
-        assert_eq!(v.count, reference(&t, &q));
+        assert_eq!(v.count, count(&t, &q));
         // Key-only filter ⇒ exact range, zero scan overhead.
         assert_eq!(stats.points_scanned, 0);
         assert_eq!(stats.points_in_exact_ranges, v.count);
@@ -144,7 +141,7 @@ mod tests {
             .with_range(1, 100, 200);
         let mut v = CountVisitor::default();
         let stats = idx.execute(&q, None, &mut v);
-        assert_eq!(v.count, reference(&t, &q));
+        assert_eq!(v.count, count(&t, &q));
         assert!(stats.points_scanned < t.len() as u64);
     }
 
@@ -155,7 +152,7 @@ mod tests {
         let q = RangeQuery::all(2).with_range(1, 100, 120);
         let mut v = CountVisitor::default();
         let stats = idx.execute(&q, None, &mut v);
-        assert_eq!(v.count, reference(&t, &q));
+        assert_eq!(v.count, count(&t, &q));
         assert_eq!(stats.points_scanned, t.len() as u64);
     }
 
@@ -166,11 +163,7 @@ mod tests {
         let q = RangeQuery::all(2).with_range(0, 0, 50_000);
         let mut v = SumVisitor::default();
         let stats = idx.execute(&q, Some(1), &mut v);
-        let want: u64 = (0..t.len())
-            .filter(|&r| q.matches(&t.row(r)))
-            .map(|r| t.value(r, 1))
-            .sum();
-        assert_eq!(v.sum, want);
+        assert_eq!(v.sum, flood_testkit::oracle(&t, &q, Some(1), None).sum.sum);
         assert_eq!(stats.points_scanned, 0, "prefix sums answer exact SUMs");
     }
 

@@ -205,29 +205,14 @@ impl PlannedIndex for KdTree {
 mod tests {
     use super::*;
     use flood_store::{CountVisitor, MultiDimIndex};
+    use flood_testkit::{count, hashed_queries, hashed_table};
 
     fn table(n: u64) -> Table {
-        Table::from_columns(vec![
-            (0..n).map(|i| (i * 2654435761) % 10_000).collect(),
-            (0..n).map(|i| (i * i * 31) % 10_000).collect(),
-            (0..n).collect(),
-        ])
-    }
-
-    fn reference(t: &Table, q: &RangeQuery) -> u64 {
-        (0..t.len()).filter(|&r| q.matches(&t.row(r))).count() as u64
+        hashed_table(n, |i| i * i * 31)
     }
 
     fn queries() -> Vec<RangeQuery> {
-        vec![
-            RangeQuery::all(3),
-            RangeQuery::all(3).with_range(0, 100, 2_000),
-            RangeQuery::all(3)
-                .with_range(0, 0, 5_000)
-                .with_range(1, 100, 900),
-            RangeQuery::all(3).with_range(2, 100, 120),
-            RangeQuery::all(3).with_eq(0, 761),
-        ]
+        hashed_queries(120)
     }
 
     #[test]
@@ -237,7 +222,7 @@ mod tests {
         for (i, q) in queries().iter().enumerate() {
             let mut v = CountVisitor::default();
             idx.execute(q, None, &mut v);
-            assert_eq!(v.count, reference(&t, q), "query {i}");
+            assert_eq!(v.count, count(&t, q), "query {i}");
         }
     }
 
@@ -261,7 +246,7 @@ mod tests {
         let q = RangeQuery::all(3).with_range(0, 0, 99).with_range(1, 0, 99);
         let mut v = CountVisitor::default();
         let stats = idx.execute(&q, None, &mut v);
-        assert_eq!(v.count, reference(&t, &q));
+        assert_eq!(v.count, count(&t, &q));
         let touched = stats.points_scanned + stats.points_in_exact_ranges;
         assert!(touched < t.len() as u64 / 4, "touched {touched}");
     }
@@ -275,7 +260,7 @@ mod tests {
         let q = RangeQuery::all(2).with_eq(0, 1);
         let mut v = CountVisitor::default();
         idx.execute(&q, None, &mut v);
-        assert_eq!(v.count, reference(&t, &q));
+        assert_eq!(v.count, count(&t, &q));
     }
 
     #[test]

@@ -199,29 +199,14 @@ impl PlannedIndex for Hyperoctree {
 mod tests {
     use super::*;
     use flood_store::{CountVisitor, MultiDimIndex};
+    use flood_testkit::{count, hashed_queries, hashed_table};
 
     fn table(n: u64) -> Table {
-        Table::from_columns(vec![
-            (0..n).map(|i| (i * 2654435761) % 10_000).collect(),
-            (0..n).map(|i| (i * i) % 10_000).collect(),
-            (0..n).collect(),
-        ])
-    }
-
-    fn reference(t: &Table, q: &RangeQuery) -> u64 {
-        (0..t.len()).filter(|&r| q.matches(&t.row(r))).count() as u64
+        hashed_table(n, |i| i * i)
     }
 
     fn queries() -> Vec<RangeQuery> {
-        vec![
-            RangeQuery::all(3),
-            RangeQuery::all(3).with_range(0, 100, 2_000),
-            RangeQuery::all(3)
-                .with_range(0, 0, 5_000)
-                .with_range(1, 100, 900),
-            RangeQuery::all(3).with_range(2, 100, 200),
-            RangeQuery::all(3).with_eq(0, 761),
-        ]
+        hashed_queries(200)
     }
 
     #[test]
@@ -231,7 +216,7 @@ mod tests {
         for (i, q) in queries().iter().enumerate() {
             let mut v = CountVisitor::default();
             let stats = idx.execute(q, None, &mut v);
-            assert_eq!(v.count, reference(&t, q), "query {i}");
+            assert_eq!(v.count, count(&t, q), "query {i}");
             assert_eq!(stats.points_matched, v.count);
         }
     }
@@ -255,7 +240,7 @@ mod tests {
         let q = RangeQuery::all(3).with_range(0, 0, 99).with_range(1, 0, 99);
         let mut v = CountVisitor::default();
         let stats = idx.execute(&q, None, &mut v);
-        assert_eq!(v.count, reference(&t, &q));
+        assert_eq!(v.count, count(&t, &q));
         let touched = stats.points_scanned + stats.points_in_exact_ranges;
         assert!(
             touched < t.len() as u64 / 4,
@@ -294,6 +279,6 @@ mod tests {
         let q = RangeQuery::all(12).with_range(11, 0, 500);
         let mut v = CountVisitor::default();
         idx.execute(&q, None, &mut v);
-        assert_eq!(v.count, reference(&t, &q));
+        assert_eq!(v.count, count(&t, &q));
     }
 }

@@ -189,29 +189,14 @@ impl PlannedIndex for RStarTree {
 mod tests {
     use super::*;
     use flood_store::{CountVisitor, MultiDimIndex};
+    use flood_testkit::{count, hashed_queries, hashed_table};
 
     fn table(n: u64) -> Table {
-        Table::from_columns(vec![
-            (0..n).map(|i| (i * 2654435761) % 10_000).collect(),
-            (0..n).map(|i| (i * 48271) % 10_000).collect(),
-            (0..n).collect(),
-        ])
-    }
-
-    fn reference(t: &Table, q: &RangeQuery) -> u64 {
-        (0..t.len()).filter(|&r| q.matches(&t.row(r))).count() as u64
+        hashed_table(n, |i| i * 48271)
     }
 
     fn queries() -> Vec<RangeQuery> {
-        vec![
-            RangeQuery::all(3),
-            RangeQuery::all(3).with_range(0, 100, 2_000),
-            RangeQuery::all(3)
-                .with_range(0, 0, 5_000)
-                .with_range(1, 100, 900),
-            RangeQuery::all(3).with_range(2, 100, 120),
-            RangeQuery::all(3).with_eq(0, 761),
-        ]
+        hashed_queries(120)
     }
 
     #[test]
@@ -221,7 +206,7 @@ mod tests {
         for (i, q) in queries().iter().enumerate() {
             let mut v = CountVisitor::default();
             idx.execute(q, None, &mut v);
-            assert_eq!(v.count, reference(&t, q), "query {i}");
+            assert_eq!(v.count, count(&t, q), "query {i}");
         }
     }
 
@@ -236,7 +221,7 @@ mod tests {
             .with_range(1, 5_000, 5_010);
         let mut v = CountVisitor::default();
         let stats = idx.execute(&q, None, &mut v);
-        assert_eq!(v.count, reference(&t, &q));
+        assert_eq!(v.count, count(&t, &q));
         assert!(
             stats.cells_visited < idx.num_nodes() as u64 / 2,
             "visited {} of {}",

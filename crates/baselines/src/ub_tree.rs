@@ -146,17 +146,10 @@ impl MultiDimIndex for UbTree {
 mod tests {
     use super::*;
     use flood_store::CountVisitor;
+    use flood_testkit::{count, hashed_table};
 
     fn table(n: u64) -> Table {
-        Table::from_columns(vec![
-            (0..n).map(|i| (i * 2654435761) % 10_000).collect(),
-            (0..n).map(|i| (i * 97) % 10_000).collect(),
-            (0..n).collect(),
-        ])
-    }
-
-    fn reference(t: &Table, q: &RangeQuery) -> u64 {
-        (0..t.len()).filter(|&r| q.matches(&t.row(r))).count() as u64
+        hashed_table(n, |i| i * 97)
     }
 
     fn queries() -> Vec<RangeQuery> {
@@ -181,7 +174,7 @@ mod tests {
         for (i, q) in queries().iter().enumerate() {
             let mut v = CountVisitor::default();
             idx.execute(q, None, &mut v);
-            assert_eq!(v.count, reference(&t, q), "query {i}");
+            assert_eq!(v.count, count(&t, q), "query {i}");
         }
     }
 
@@ -214,7 +207,7 @@ mod tests {
         let q = RangeQuery::all(3).with_range(0, 0, 5_000);
         let mut v = CountVisitor::default();
         idx.execute(&q, None, &mut v);
-        assert_eq!(v.count, reference(&t, &q));
+        assert_eq!(v.count, count(&t, &q));
     }
 
     #[test]

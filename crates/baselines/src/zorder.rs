@@ -127,17 +127,10 @@ impl PlannedIndex for ZOrderIndex {
 mod tests {
     use super::*;
     use flood_store::{CountVisitor, MultiDimIndex};
+    use flood_testkit::{count, hashed_table};
 
     fn table(n: u64) -> Table {
-        Table::from_columns(vec![
-            (0..n).map(|i| (i * 2654435761) % 10_000).collect(),
-            (0..n).map(|i| (i * 40503) % 10_000).collect(),
-            (0..n).collect(),
-        ])
-    }
-
-    fn reference(t: &Table, q: &RangeQuery) -> u64 {
-        (0..t.len()).filter(|&r| q.matches(&t.row(r))).count() as u64
+        hashed_table(n, |i| i * 40503)
     }
 
     fn queries() -> Vec<RangeQuery> {
@@ -162,7 +155,7 @@ mod tests {
         for (i, q) in queries().iter().enumerate() {
             let mut v = CountVisitor::default();
             let stats = idx.execute(q, None, &mut v);
-            assert_eq!(v.count, reference(&t, q), "query {i}");
+            assert_eq!(v.count, count(&t, q), "query {i}");
             assert_eq!(stats.points_matched, v.count);
         }
     }
@@ -174,7 +167,7 @@ mod tests {
         let q = RangeQuery::all(3).with_range(0, 0, 99).with_range(1, 0, 99);
         let mut v = CountVisitor::default();
         let stats = idx.execute(&q, None, &mut v);
-        assert_eq!(v.count, reference(&t, &q));
+        assert_eq!(v.count, count(&t, &q));
         assert!(
             stats.points_scanned < t.len() as u64 / 2,
             "should skip most pages, scanned {}",
@@ -190,7 +183,7 @@ mod tests {
             let q = RangeQuery::all(3).with_range(1, 100, 900);
             let mut v = CountVisitor::default();
             idx.execute(&q, None, &mut v);
-            assert_eq!(v.count, reference(&t, &q), "page size {ps}");
+            assert_eq!(v.count, count(&t, &q), "page size {ps}");
         }
     }
 

@@ -642,13 +642,8 @@ mod tests {
         // Deterministic sample: a tight mode around 25µs, a slower mode
         // around 300µs, and a handful of multi-ms outliers.
         let mut ns: Vec<u64> = Vec::new();
-        let mut x = 0x5EEDu64;
-        let mut next = || {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            x
-        };
+        let mut rng = flood_testkit::Lcg::new(0x5EED, 0);
+        let mut next = || rng.next_u64();
         ns.extend((0..2_000).map(|_| 25_000 + next() % 8_000));
         ns.extend((0..120).map(|_| 300_000 + next() % 60_000));
         ns.extend((0..8u64).map(|i| 2_000_000 + i * 700_000));

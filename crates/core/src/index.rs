@@ -638,19 +638,17 @@ mod tests {
     use crate::config::FloodBuilder;
     use crate::flatten::Flattening;
     use flood_store::{
-        assert_partitioned_matches_serial, scan_rows, CollectVisitor, CountVisitor, MultiDimIndex,
-        SumVisitor,
+        assert_partitioned_matches_serial, CollectVisitor, CountVisitor, MultiDimIndex, SumVisitor,
     };
+    use flood_testkit::{count, oracle, Lcg};
 
     /// Deterministic pseudo-random test table.
     fn table(n: usize, dims: usize, seed: u64) -> Table {
         let mut cols = vec![Vec::with_capacity(n); dims];
-        let mut state = seed | 1;
+        let mut rng = Lcg::new(seed, 0);
         for _ in 0..n {
             for (d, col) in cols.iter_mut().enumerate() {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
+                let state = rng.next_u64();
                 let v = match d % 3 {
                     0 => (state >> 40) % 1_000,          // uniform small domain
                     1 => ((state >> 33) % 1_000).pow(2), // skewed
@@ -660,20 +658,6 @@ mod tests {
             }
         }
         Table::from_columns(cols)
-    }
-
-    fn reference_count(t: &Table, q: &RangeQuery) -> u64 {
-        let mut v = CountVisitor::default();
-        let mut s = ScanStats::default();
-        let Ok(()) = scan_rows(t, &q.checks(), 0, t.len(), None, &mut v, &mut s);
-        v.count
-    }
-
-    fn reference_sum(t: &Table, q: &RangeQuery, agg: usize) -> u64 {
-        let mut v = SumVisitor::default();
-        let mut s = ScanStats::default();
-        let Ok(()) = scan_rows(t, &q.checks(), 0, t.len(), Some(agg), &mut v, &mut s);
-        v.sum
     }
 
     fn queries(dims: usize) -> Vec<RangeQuery> {
@@ -710,7 +694,7 @@ mod tests {
         for (i, q) in queries(3).iter().enumerate() {
             let mut v = CountVisitor::default();
             let stats = index.execute(q, None, &mut v);
-            assert_eq!(v.count, reference_count(&t, q), "query {i}");
+            assert_eq!(v.count, count(&t, q), "query {i}");
             assert_eq!(stats.points_matched, v.count, "query {i} stats");
         }
     }
@@ -725,7 +709,7 @@ mod tests {
         for (i, q) in queries(3).iter().enumerate() {
             let mut v = CountVisitor::default();
             index.execute(q, None, &mut v);
-            assert_eq!(v.count, reference_count(&t, q), "query {i}");
+            assert_eq!(v.count, count(&t, q), "query {i}");
         }
     }
 
@@ -739,7 +723,7 @@ mod tests {
         for (i, q) in queries(3).iter().enumerate() {
             let mut v = CountVisitor::default();
             index.execute(q, None, &mut v);
-            assert_eq!(v.count, reference_count(&t, q), "query {i}");
+            assert_eq!(v.count, count(&t, q), "query {i}");
         }
     }
 
@@ -752,7 +736,7 @@ mod tests {
         for (i, q) in queries(3).iter().enumerate() {
             let mut v = SumVisitor::default();
             index.execute(q, Some(1), &mut v);
-            assert_eq!(v.sum, reference_sum(&t, q, 1), "query {i}");
+            assert_eq!(v.sum, oracle(&t, q, Some(1), None).sum.sum, "query {i}");
         }
     }
 
@@ -766,7 +750,7 @@ mod tests {
         for (i, q) in queries(3).iter().enumerate() {
             let mut v = SumVisitor::default();
             index.execute(q, Some(1), &mut v);
-            assert_eq!(v.sum, reference_sum(&t, q, 1), "query {i}");
+            assert_eq!(v.sum, oracle(&t, q, Some(1), None).sum.sum, "query {i}");
         }
     }
 
@@ -780,7 +764,7 @@ mod tests {
         for (i, q) in queries(3).iter().enumerate() {
             let mut v = CountVisitor::default();
             index.execute(q, None, &mut v);
-            assert_eq!(v.count, reference_count(&t, q), "query {i}");
+            assert_eq!(v.count, count(&t, q), "query {i}");
         }
     }
 
@@ -796,7 +780,7 @@ mod tests {
             .with_range(3, 0, 1 << 42);
         let mut v = CountVisitor::default();
         index.execute(&q, None, &mut v);
-        assert_eq!(v.count, reference_count(&t, &q));
+        assert_eq!(v.count, count(&t, &q));
     }
 
     #[test]
@@ -808,7 +792,7 @@ mod tests {
         for (i, q) in queries(3).iter().enumerate() {
             let mut v = CountVisitor::default();
             let stats = index.execute(q, None, &mut v);
-            assert_eq!(v.count, reference_count(&t, q), "query {i}");
+            assert_eq!(v.count, count(&t, q), "query {i}");
             assert_eq!(stats.refinements, 0, "histogram layouts never refine");
         }
     }
@@ -820,7 +804,7 @@ mod tests {
         let q = RangeQuery::all(2).with_range(1, 0, 1 << 50);
         let mut v = CountVisitor::default();
         let stats = index.execute(&q, None, &mut v);
-        assert_eq!(v.count, reference_count(&t, &q));
+        assert_eq!(v.count, count(&t, &q));
         assert_eq!(stats.cells_visited, 1);
         // Refined exactly: zero scan overhead.
         assert_eq!(stats.scan_overhead(), Some(1.0));
@@ -837,7 +821,7 @@ mod tests {
         let q = RangeQuery::all(3).with_range(2, 0, 1 << 42);
         let mut v = CountVisitor::default();
         let stats = index.execute(&q, None, &mut v);
-        assert_eq!(v.count, reference_count(&t, &q));
+        assert_eq!(v.count, count(&t, &q));
         assert_eq!(stats.points_scanned, 0, "all ranges should be exact");
         assert_eq!(stats.points_in_exact_ranges, v.count);
     }
@@ -855,7 +839,7 @@ mod tests {
         for &row in &v.rows {
             assert!(q.matches(&index.data().row(row)));
         }
-        assert_eq!(v.rows.len() as u64, reference_count(&t, &q));
+        assert_eq!(v.rows.len() as u64, count(&t, &q));
     }
 
     #[test]

@@ -607,12 +607,7 @@ mod tests {
     /// Table where dim 0 is heavily queried & selective, dim 2 never
     /// filtered, dim 1 filtered with wide ranges.
     fn table() -> Table {
-        let n = 8_000u64;
-        Table::from_columns(vec![
-            (0..n).map(|i| (i * 7919) % 10_000).collect(),
-            (0..n).map(|i| (i * 104729) % 10_000).collect(),
-            (0..n).collect(),
-        ])
+        flood_testkit::prime_table(8_000)
     }
 
     fn workload() -> Vec<RangeQuery> {
@@ -908,8 +903,7 @@ mod tests {
         for q in &qs {
             let mut v = flood_store::CountVisitor::default();
             flood_store::MultiDimIndex::execute(&index, q, None, &mut v);
-            let truth = (0..t.len()).filter(|&r| q.matches(&t.row(r))).count() as u64;
-            assert_eq!(v.count, truth);
+            assert_eq!(v.count, flood_testkit::count(&t, q));
         }
     }
 

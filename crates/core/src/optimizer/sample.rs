@@ -311,7 +311,7 @@ impl DataSample {
 
 /// The flattened data + query sample used for cost evaluation: a shared
 /// [`DataSample`] plus one flattened query set.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SampleSpace {
     data: Arc<DataSample>,
     queries: Vec<FlatQuery>,
@@ -327,7 +327,7 @@ pub struct SampleSpace {
     /// Grid and sort masks built over this space, for tests that hold a
     /// search's builds to its recounts.
     #[cfg(test)]
-    mask_builds: Arc<AtomicUsize>,
+    mask_builds: AtomicUsize,
 }
 
 impl SampleSpace {
@@ -414,7 +414,7 @@ impl SampleSpace {
             qfps,
             avg_selectivity,
             #[cfg(test)]
-            mask_builds: Arc::default(),
+            mask_builds: AtomicUsize::new(0),
         }
     }
 
@@ -1136,6 +1136,7 @@ impl StatsCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flood_testkit::{cases, Lcg};
     use rand::SeedableRng;
 
     fn table() -> Table {
@@ -1460,37 +1461,20 @@ mod tests {
     /// number of blocks (33·128) ± 1 and a last block of one point.
     const EDGE_SIZES: [usize; 9] = [1, 63, 64, 65, 135, 4_097, 4_223, 4_224, 4_225];
 
-    /// A deterministic stream for seed-derived tables and bounds.
-    fn lcg(seed: u64) -> impl FnMut() -> u64 {
-        let mut state = seed | 1;
-        move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        }
-    }
-
     /// Wide, 97-valued, 4-valued and constant columns: the last three are
     /// long runs of equal flat values that straddle column edges.
     fn runs_table(n: usize, seed: u64) -> Table {
-        let mut next = lcg(seed);
+        let mut rng = Lcg::new(seed, 33);
         Table::from_columns(vec![
-            (0..n).map(|_| 1_000 + next() % (1 << 30)).collect(),
-            (0..n).map(|_| 1_000 + next() % 97).collect(),
-            (0..n).map(|_| 1_000 + 50 * (next() % 4)).collect(),
+            (0..n).map(|_| 1_000 + rng.next_u64() % (1 << 30)).collect(),
+            (0..n).map(|_| 1_000 + rng.next_u64() % 97).collect(),
+            (0..n).map(|_| 1_000 + 50 * (rng.next_u64() % 4)).collect(),
             vec![1_000; n],
         ])
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(
-            std::env::var("FLOOD_PROPTEST_CASES")
-                .ok()
-                .and_then(|s| s.trim().parse().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or(24)
-        ))]
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(cases(24)))]
 
         /// What licenses building masks from rank ranges: on every sample
         /// size around a block edge, for column counts from 1 to more than
@@ -1506,14 +1490,14 @@ mod tests {
             use proptest::prelude::*;
             let n = EDGE_SIZES[size];
             let table = runs_table(n, table_seed);
-            let mut next = lcg(q_seed);
+            let mut draws = Lcg::new(q_seed, 33);
             // Per dimension and end: below every value, above every value,
             // some row's own value, or anywhere in the wide domain.
-            let mut bound = |dim: usize| match next() % 4 {
-                0 => next() % 1_000,
-                1 => (1 << 31) + next() % 1_000,
-                2 => table.value(next() as usize % n, dim),
-                _ => 1_000 + next() % (1 << 30),
+            let mut bound = |dim: usize| match draws.next_u64() % 4 {
+                0 => draws.next_u64() % 1_000,
+                1 => (1 << 31) + draws.next_u64() % 1_000,
+                2 => table.value(draws.next_u64() as usize % n, dim),
+                _ => 1_000 + draws.next_u64() % (1 << 30),
             };
             let queries: Vec<RangeQuery> = (0..6)
                 .map(|_| {

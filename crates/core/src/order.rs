@@ -338,24 +338,15 @@ impl CellSorter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn lcg(seed: u64) -> impl FnMut() -> u64 {
-        let mut state = seed | 1;
-        move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 11
-        }
-    }
+    use flood_testkit::Lcg;
 
     /// `(value, row)` pairs, rows ascending, drawn from `domain` (all of
     /// `u64`, both ends present, when it is `u64::MAX`).
-    fn cell(len: usize, domain: u64, next: &mut impl FnMut() -> u64) -> (Vec<u64>, Vec<u32>) {
+    fn cell(len: usize, domain: u64, rng: &mut Lcg) -> (Vec<u64>, Vec<u32>) {
         let mut keys: Vec<u64> = (0..len)
             .map(|_| match domain {
-                u64::MAX => (next() << 11) ^ next(),
-                _ => 5 + next() % domain,
+                u64::MAX => (rng.next_u64() << 11) ^ rng.next_u64(),
+                _ => 5 + rng.next_u64() % domain,
             })
             .collect();
         if len > 1 && domain == u64::MAX {
@@ -374,7 +365,7 @@ mod tests {
     /// radix cut-offs, keys spanning one value, a few, and all of `u64`.
     #[test]
     fn cell_sort_equals_comparison_sort() {
-        let mut next = lcg(7);
+        let mut rng = Lcg::new(7, 11);
         let mut sorter = CellSorter::default();
         let cut = RADIX_ROWS_PER_PASS;
         for len in [
@@ -389,7 +380,7 @@ mod tests {
             20_000,
         ] {
             for domain in [1, 3, 1 << 11, 1 << 12, 1 << 40, u64::MAX] {
-                let (mut keys, mut rows) = cell(len, domain, &mut next);
+                let (mut keys, mut rows) = cell(len, domain, &mut rng);
                 let want = sorted_pairs(&keys, &rows);
                 let (mut skeys, mut srows) = (vec![0; len], vec![0; len]);
                 let scratch = Pairs::new(&mut skeys, &mut srows);

@@ -20,20 +20,9 @@ use flood_core::{
     CorrelationConfig, CorrelationModel, CostModel, FdPair, FloodBuilder, FloodIndex, Layout,
     LayoutOptimizer, OptimizerConfig,
 };
-use flood_store::{
-    CollectVisitor, CountVisitor, MinMaxVisitor, MultiDimIndex, RangeQuery, SumVisitor, Table,
-    ThreadPool,
-};
+use flood_store::{CountVisitor, MultiDimIndex, RangeQuery, Table, ThreadPool};
+use flood_testkit::{answer, cases, count, fd_table, oracle, query, serial, Answer};
 use proptest::prelude::*;
-
-/// Case-count override from `FLOOD_PROPTEST_CASES` (unset/invalid → default).
-fn cases(default: u32) -> u32 {
-    std::env::var("FLOOD_PROPTEST_CASES")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
 
 /// Exploit-everything detection: thresholds low enough that even a
 /// noise-dominated fit is taken. Results must not care.
@@ -54,32 +43,6 @@ fn off() -> CorrelationConfig {
     }
 }
 
-/// 4-dim table with an injected soft FD `d1 ≈ 2·d0 + noise`, where
-/// `outlier_pct`% of rows break the dependency entirely (uniform d1).
-fn fd_table(n: usize, seed: u64, noise_w: u64, outlier_pct: u32) -> Table {
-    let mut state = seed | 1;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        state >> 33
-    };
-    let host: Vec<u64> = (0..n).map(|_| next() % 10_000).collect();
-    let dep: Vec<u64> = host
-        .iter()
-        .map(|&h| {
-            if next() % 100 < outlier_pct as u64 {
-                next() % 30_000 // broken row: no relation to the host
-            } else {
-                2 * h + next() % noise_w
-            }
-        })
-        .collect();
-    let c2: Vec<u64> = (0..n).map(|_| next() % 64).collect();
-    let c3: Vec<u64> = (0..n).map(|_| next() % (1 << 20)).collect();
-    Table::from_columns(vec![host, dep, c2, c3])
-}
-
 fn arb_fd_table() -> impl Strategy<Value = Table> {
     (
         40usize..400,
@@ -98,23 +61,11 @@ fn arb_query() -> impl Strategy<Value = RangeQuery> {
     let dep = bound(26_000);
     let b2 = prop_oneof![Just(None), bound(64)];
     let b3 = prop_oneof![Just(None), bound(1 << 20)];
-    (host, dep, b2, b3).prop_map(|(b0, b1, b2, b3)| {
-        let mut q = RangeQuery::all(4);
-        for (d, b) in [b0, b1, b2, b3].into_iter().enumerate() {
-            if let Some((lo, hi)) = b {
-                q = q.with_range(d, lo, hi);
-            }
-        }
-        q
-    })
+    (host, dep, b2, b3).prop_map(|(b0, b1, b2, b3)| query(4, [b0, b1, b2, b3]))
 }
 
 fn bound(domain: u64) -> impl Strategy<Value = Option<(u64, u64)>> {
     (0..domain, 1..domain / 2).prop_map(|(lo, w)| Some((lo, lo + w)))
-}
-
-fn oracle_count(t: &Table, q: &RangeQuery) -> u64 {
-    (0..t.len()).filter(|&r| q.matches(&t.row(r))).count() as u64
 }
 
 /// What the fixed-layout cases attach: the planted `d1 ≈ 2·d0`, plus a
@@ -129,17 +80,9 @@ fn is_cut_of(active: &[FdPair], carried: &[FdPair]) -> bool {
     active.iter().all(|a| rest.any(|c| c == a))
 }
 
-/// Matching rows as value tuples (physical ids differ between layouts).
-fn collected_tuples(idx: &FloodIndex, q: &RangeQuery) -> Vec<Vec<u64>> {
-    let mut v = CollectVisitor::default();
-    idx.execute(q, None, &mut v);
-    let mut rows: Vec<Vec<u64>> = v.rows.iter().map(|&r| idx.data().row(r)).collect();
-    rows.sort_unstable();
-    rows
-}
-
 /// Every visitor, on vs off vs oracle, for one (table, query, layout): the
-/// on side's layout carries [`CARRIED`], the off side's nothing.
+/// on side's layout carries [`CARRIED`], the off side's nothing. Matching
+/// rows compare as value tuples (physical ids differ between layouts).
 fn check_all_visitors(
     t: &Table,
     q: &RangeQuery,
@@ -152,34 +95,18 @@ fn check_all_visitors(
     prop_assert!(is_cut_of(&on.active_fds(), &CARRIED));
     prop_assert!(off_idx.active_fds().is_empty());
 
-    let mut c_on = CountVisitor::default();
-    let mut c_off = CountVisitor::default();
-    on.execute(q, None, &mut c_on);
-    off_idx.execute(q, None, &mut c_off);
-    prop_assert_eq!(c_on.count, c_off.count, "COUNT diverged");
-    prop_assert_eq!(c_on.count, oracle_count(t, q), "COUNT wrong vs oracle");
-
-    let mut s_on = SumVisitor::default();
-    let mut s_off = SumVisitor::default();
-    on.execute(q, Some(3), &mut s_on);
-    off_idx.execute(q, Some(3), &mut s_off);
-    prop_assert_eq!(s_on.sum, s_off.sum, "SUM diverged");
-
-    let mut m_on = MinMaxVisitor::default();
-    let mut m_off = MinMaxVisitor::default();
-    on.execute(q, Some(1), &mut m_on);
-    off_idx.execute(q, Some(1), &mut m_off);
-    prop_assert_eq!(
-        (m_on.min, m_on.max),
-        (m_off.min, m_off.max),
-        "MIN/MAX diverged"
-    );
-
-    prop_assert_eq!(
-        collected_tuples(&on, q),
-        collected_tuples(&off_idx, q),
-        "COLLECT diverged"
-    );
+    let every = |idx: &FloodIndex| {
+        answer(&serial(idx, q), Some(3), Some(1))
+            .0
+            .tuples(idx.data())
+    };
+    let (a_on, a_off) = (every(&on), every(&off_idx));
+    prop_assert_eq!(a_on.count, a_off.count, "COUNT diverged");
+    prop_assert_eq!(a_on.sum.sum, a_off.sum.sum, "SUM diverged");
+    let minmax = |a: &Answer<Vec<u64>>| (a.minmax.min, a.minmax.max);
+    prop_assert_eq!(minmax(&a_on), minmax(&a_off), "MIN/MAX diverged");
+    prop_assert_eq!(&a_on.rows, &a_off.rows, "COLLECT diverged");
+    prop_assert_eq!(a_on, oracle(t, q, Some(3), Some(1)), "wrong vs oracle");
     Ok(())
 }
 
@@ -260,7 +187,7 @@ proptest! {
         prop_assert!(is_cut_of(&rebuilt.active_fds(), layout.fds()));
 
         for q in &test {
-            let truth = oracle_count(&t, q);
+            let truth = count(&t, q);
             for (idx, name) in [(&on, "on"), (&off_idx, "off"), (&rebuilt, "rebuilt on")] {
                 let mut v = CountVisitor::default();
                 idx.execute(q, None, &mut v);

@@ -22,53 +22,16 @@ use flood_core::{
 use flood_store::{
     CountVisitor, MultiDimIndex, PlannedIndex, RangeQuery, SumVisitor, Table, ThreadPool, BLOCK_LEN,
 };
+use flood_testkit::{arb_lcg_table, arb_query, cases, count, oracle, span, Lcg};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 fn arb_table() -> impl Strategy<Value = Table> {
-    (1usize..300, any::<u64>()).prop_map(|(n, seed)| {
-        let mut state = seed | 1;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        Table::from_columns(
-            (0..3)
-                .map(|d| {
-                    let domain = [32u64, 5_000, 1 << 30][d];
-                    (0..n).map(|_| next() % domain).collect()
-                })
-                .collect(),
-        )
-    })
+    arb_lcg_table(1..300, [32, 5_000, 1 << 30])
 }
 
-fn arb_query() -> impl Strategy<Value = RangeQuery> {
-    let bound = prop_oneof![
-        Just(None),
-        (0u64..5_000, 0u64..5_000).prop_map(|(a, b)| Some((a.min(b), a.max(b)))),
-    ];
-    proptest::collection::vec(bound, 3).prop_map(|bs| {
-        let mut q = RangeQuery::all(3);
-        for (d, b) in bs.into_iter().enumerate() {
-            if let Some((lo, hi)) = b {
-                q = q.with_range(d, lo, hi);
-            }
-        }
-        q
-    })
-}
-
-fn oracle_count(t: &Table, q: &RangeQuery) -> u64 {
-    (0..t.len()).filter(|&r| q.matches(&t.row(r))).count() as u64
-}
-
-fn oracle_sum(t: &Table, q: &RangeQuery, agg: usize) -> u64 {
-    (0..t.len())
-        .filter(|&r| q.matches(&t.row(r)))
-        .fold(0u64, |acc, r| acc.wrapping_add(t.value(r, agg)))
+fn arb_query3() -> impl Strategy<Value = RangeQuery> {
+    arb_query(3, prop_oneof![Just(None), span(5_000)])
 }
 
 proptest! {
@@ -77,7 +40,7 @@ proptest! {
     #[test]
     fn all_configurations_match_oracle(
         t in arb_table(),
-        q in arb_query(),
+        q in arb_query3(),
         uniform in any::<bool>(),
         binsearch in any::<bool>(),
         compress in any::<bool>(),
@@ -94,26 +57,26 @@ proptest! {
         let idx = b.build(&t);
         let mut v = CountVisitor::default();
         idx.execute(&q, None, &mut v);
-        prop_assert_eq!(v.count, oracle_count(&t, &q));
+        prop_assert_eq!(v.count, count(&t, &q));
     }
 
     #[test]
-    fn sum_with_cumulative_matches_oracle(t in arb_table(), q in arb_query()) {
+    fn sum_with_cumulative_matches_oracle(t in arb_table(), q in arb_query3()) {
         let idx = FloodBuilder::new()
             .layout(Layout::new(vec![0, 2, 1], vec![4, 4]))
             .cumulative_sum(1)
             .build(&t);
         let mut v = SumVisitor::default();
         idx.execute(&q, Some(1), &mut v);
-        prop_assert_eq!(v.sum, oracle_sum(&t, &q, 1));
+        prop_assert_eq!(v.sum, oracle(&t, &q, Some(1), None).sum.sum);
     }
 
     #[test]
-    fn sort_only_layout_matches_oracle(t in arb_table(), q in arb_query()) {
+    fn sort_only_layout_matches_oracle(t in arb_table(), q in arb_query3()) {
         let idx = FloodBuilder::new().layout(Layout::sort_only(1)).build(&t);
         let mut v = CountVisitor::default();
         idx.execute(&q, None, &mut v);
-        prop_assert_eq!(v.count, oracle_count(&t, &q));
+        prop_assert_eq!(v.count, count(&t, &q));
     }
 
     #[test]
@@ -140,7 +103,7 @@ proptest! {
     }
 
     #[test]
-    fn stats_scan_overhead_at_least_one(t in arb_table(), q in arb_query()) {
+    fn stats_scan_overhead_at_least_one(t in arb_table(), q in arb_query3()) {
         let idx = FloodBuilder::new()
             .layout(Layout::new(vec![0, 1, 2], vec![4, 4]))
             .build(&t);
@@ -152,41 +115,22 @@ proptest! {
     }
 }
 
-/// Case-count override from `FLOOD_PROPTEST_CASES` (unset/invalid → default).
-fn cases(default: u32) -> u32 {
-    std::env::var("FLOOD_PROPTEST_CASES")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-fn lcg(seed: u64) -> impl FnMut() -> u64 {
-    let mut state = seed | 1;
-    move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        state >> 11
-    }
-}
-
 /// Five columns that stress the build: three values repeated throughout
 /// (long runs of equal keys), a small domain, the full `u64` domain with
 /// both ends present, an already-ascending column with ties, and the row
 /// id — which makes every row distinct, so equal data row by row means an
 /// equal permutation. `n` may be 0 or 1.
 fn build_table(n: usize, seed: u64) -> Table {
-    let mut next = lcg(seed);
+    let mut s = Lcg::new(seed, 11);
     let mut cols: Vec<Vec<u64>> = vec![Vec::new(); 5];
     for i in 0..n as u64 {
-        cols[0].push(next() % 3);
-        cols[1].push(next() % 5_000);
-        cols[2].push(match next() % 16 {
+        cols[0].push(s.next_u64() % 3);
+        cols[1].push(s.next_u64() % 5_000);
+        cols[2].push(match s.next_u64() % 16 {
             0 => u64::MAX,
             1 => 0,
-            2 => (1 << 53) + next() % 4,
-            _ => (next() << 11) | (next() % 2_048),
+            2 => (1 << 53) + s.next_u64() % 4,
+            _ => (s.next_u64() << 11) | (s.next_u64() % 2_048),
         });
         cols[3].push(i / 3);
         cols[4].push(i);
@@ -199,15 +143,15 @@ fn build_table(n: usize, seed: u64) -> Table {
 /// dimensions mixed with wider ones), with a sort dimension or without
 /// (`histogram`).
 fn build_layout(seed: u64, histogram: bool) -> Layout {
-    let mut next = lcg(seed);
+    let mut s = Lcg::new(seed, 11);
     let mut order: Vec<usize> = (0..5).collect();
     for i in (1..order.len()).rev() {
-        order.swap(i, next() as usize % (i + 1));
+        order.swap(i, s.next_u64() as usize % (i + 1));
     }
-    order.truncate(1 + next() as usize % 5);
+    order.truncate(1 + s.next_u64() as usize % 5);
     let grid_dims = order.len() - usize::from(!histogram);
     let cols = (0..grid_dims)
-        .map(|_| [1, 1, 2, 3, 7, 16][next() as usize % 6])
+        .map(|_| [1, 1, 2, 3, 7, 16][s.next_u64() as usize % 6])
         .collect();
     if histogram {
         Layout::histogram(order, cols)
@@ -423,22 +367,22 @@ fn pooled_build_edge_cases() {
 /// domain of 1, 3 or 40 values) or barely (2²⁰, the whole of `u64`), over
 /// a non-zero base.
 fn cell_table(cells: usize, seed: u64) -> (Table, Vec<u64>) {
-    let mut next = lcg(seed);
-    let domain = [1, 3, 40, 1 << 20, u64::MAX][next() as usize % 5];
-    let base = [0, 1_000, 1 << 40][next() as usize % 3];
+    let mut s = Lcg::new(seed, 11);
+    let domain = [1, 3, 40, 1 << 20, u64::MAX][s.next_u64() as usize % 5];
+    let base = [0, 1_000, 1 << 40][s.next_u64() as usize % 3];
     let mut cols: Vec<Vec<u64>> = vec![Vec::new(); 2];
     for cell in 0..cells as u64 {
-        let size = match next() % 6 {
-            0 => 1 + next() % 3,
-            1 => 60 + next() % 10,
-            2 | 3 => BLOCK_LEN as u64 - 2 + next() % 4,
-            _ => 1 + next() % (BLOCK_LEN as u64 + 1),
+        let size = match s.next_u64() % 6 {
+            0 => 1 + s.next_u64() % 3,
+            1 => 60 + s.next_u64() % 10,
+            2 | 3 => BLOCK_LEN as u64 - 2 + s.next_u64() % 4,
+            _ => 1 + s.next_u64() % (BLOCK_LEN as u64 + 1),
         };
         for _ in 0..size {
             cols[0].push(cell);
             cols[1].push(match domain {
-                u64::MAX => (next() << 11) | (next() % 2_048),
-                _ => base + next() % domain,
+                u64::MAX => (s.next_u64() << 11) | (s.next_u64() % 2_048),
+                _ => base + s.next_u64() % domain,
             });
         }
     }

@@ -29,8 +29,7 @@
 //!
 //! The vendored proptest subset has no `prop_flat_map`, so the
 //! dimension-dependent structures (columns, query bounds, probe orders)
-//! are synthesized from drawn seeds with a splitmix-style stream — the
-//! same idiom `prop_flood.rs` uses for table content.
+//! are synthesized from drawn seeds with the kit's [`Lcg`] stream.
 
 use flood_core::optimizer::{descend, GdConfig, SampleSpace};
 use flood_core::{
@@ -38,6 +37,7 @@ use flood_core::{
 };
 use flood_store::pool::ThreadPool;
 use flood_store::{RangeQuery, Table};
+use flood_testkit::{cases, lcg_table, Lcg};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,39 +46,14 @@ use rand::SeedableRng;
 /// boundaries land on ties, repeated values, and near-empty marginals.
 const DOMAINS: [u64; 5] = [1 << 30, 5_000, 97, 1 << 16, 33];
 
-/// A deterministic 64-bit stream for seed-derived structure.
-struct Stream(u64);
-
-impl Stream {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-
-    /// Uniform draw from `[0, bound)`.
-    fn below(&mut self, bound: usize) -> usize {
-        (self.next() % bound as u64) as usize
-    }
-}
-
 fn make_table(d: usize, n: usize, seed: u64) -> Table {
-    let mut s = Stream(seed | 1);
-    Table::from_columns(
-        (0..d)
-            .map(|dim| {
-                let domain = DOMAINS[dim % DOMAINS.len()];
-                (0..n).map(|_| s.next() % domain).collect()
-            })
-            .collect(),
-    )
+    let domains: Vec<u64> = (0..d).map(|dim| DOMAINS[dim % DOMAINS.len()]).collect();
+    lcg_table(n, seed, &domains)
 }
 
 /// 0–4 queries; each dimension is left unfiltered ~40% of the time.
 fn make_queries(d: usize, seed: u64) -> Vec<RangeQuery> {
-    let mut s = Stream(seed | 1);
+    let mut s = Lcg::new(seed, 33);
     let count = s.below(5);
     (0..count)
         .map(|_| {
@@ -87,8 +62,8 @@ fn make_queries(d: usize, seed: u64) -> Vec<RangeQuery> {
                 if s.below(5) < 2 {
                     continue;
                 }
-                let a = s.next() % 6_000;
-                let b = s.next() % 6_000;
+                let a = s.next_u64() % 6_000;
+                let b = s.next_u64() % 6_000;
                 q = q.with_range(dim, a.min(b), a.max(b));
             }
             q
@@ -100,7 +75,7 @@ fn make_queries(d: usize, seed: u64) -> Vec<RangeQuery> {
 /// last) plus per-grid-dim column counts in `1..=64`. Shuffling a fixed
 /// universe guarantees orders never contain duplicates.
 fn make_probes(d: usize, seed: u64) -> Vec<(Vec<usize>, Vec<usize>)> {
-    let mut s = Stream(seed | 1);
+    let mut s = Lcg::new(seed, 33);
     let count = 1 + s.below(7);
     (0..count)
         .map(|_| {
@@ -181,7 +156,7 @@ proptest! {
 /// ranges (the lower end in the bottom fifth of the domain, the upper in
 /// the top fifth, often the whole domain) with an occasional tight one.
 fn make_loose_queries(d: usize, seed: u64) -> Vec<RangeQuery> {
-    let mut s = Stream(seed | 1);
+    let mut s = Lcg::new(seed, 33);
     let count = 1 + s.below(6);
     (0..count)
         .map(|_| {
@@ -191,13 +166,13 @@ fn make_loose_queries(d: usize, seed: u64) -> Vec<RangeQuery> {
                 let (lo, hi) = match s.below(8) {
                     0 => continue,
                     1 => {
-                        let a = s.next() % domain;
-                        (a, a + s.next() % (domain / 16 + 1))
+                        let a = s.next_u64() % domain;
+                        (a, a + s.next_u64() % (domain / 16 + 1))
                     }
                     2 | 3 => (0, domain),
                     _ => (
-                        s.next() % (domain / 5 + 1),
-                        domain - s.next() % (domain / 5 + 1),
+                        s.next_u64() % (domain / 5 + 1),
+                        domain - s.next_u64() % (domain / 5 + 1),
                     ),
                 };
                 q = q.with_range(dim, lo, hi);
@@ -210,7 +185,7 @@ fn make_loose_queries(d: usize, seed: u64) -> Vec<RangeQuery> {
 /// 2–9 probes over at least `d − 2` of the dimensions, with one or two
 /// columns per grid dimension and now and then a few more.
 fn make_narrow_probes(d: usize, seed: u64) -> Vec<(Vec<usize>, Vec<usize>)> {
-    let mut s = Stream(seed | 1);
+    let mut s = Lcg::new(seed, 33);
     let count = 2 + s.below(8);
     (0..count)
         .map(|_| {
@@ -229,15 +204,6 @@ fn make_narrow_probes(d: usize, seed: u64) -> Vec<(Vec<usize>, Vec<usize>)> {
             (order, cols)
         })
         .collect()
-}
-
-/// Case-count override from `FLOOD_PROPTEST_CASES` (unset/invalid → default).
-fn cases(default: u32) -> u32 {
-    std::env::var("FLOOD_PROPTEST_CASES")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
 }
 
 proptest! {

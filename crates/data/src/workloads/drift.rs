@@ -321,9 +321,7 @@ mod tests {
     fn selectivity_stays_in_calibrated_range() {
         let t = table();
         let w = DriftingWorkload::generate(&t, &cfg());
-        let sel = |q: &RangeQuery| {
-            (0..t.len()).filter(|&r| q.matches(&t.row(r))).count() as f64 / t.len() as f64
-        };
+        let sel = |q: &RangeQuery| flood_testkit::count(&t, q) as f64 / t.len() as f64;
         for p in &w.phases {
             let avg = p.queries.iter().map(sel).sum::<f64>() / p.queries.len() as f64;
             // Phase targets cycle in [target/2, target*2]; calibration is

@@ -264,8 +264,7 @@ mod tests {
 
     fn selectivity(ds: &Dataset, q: &RangeQuery) -> f64 {
         let t = &ds.table;
-        let hits = (0..t.len()).filter(|&r| q.matches(&t.row(r))).count();
-        hits as f64 / t.len() as f64
+        flood_testkit::count(t, q) as f64 / t.len() as f64
     }
 
     #[test]

@@ -98,9 +98,7 @@ mod tests {
     fn selectivity_near_target() {
         let t = table();
         let w = random_workload(&t, &[2], 20, 0.001, 3);
-        let sel = |q: &flood_store::RangeQuery| {
-            (0..t.len()).filter(|&r| q.matches(&t.row(r))).count() as f64 / t.len() as f64
-        };
+        let sel = |q: &flood_store::RangeQuery| flood_testkit::count(&t, q) as f64 / t.len() as f64;
         let avg: f64 = w.test.iter().map(sel).sum::<f64>() / w.test.len() as f64;
         assert!(avg < 0.05, "avg selectivity {avg} too far from 0.001");
     }

@@ -11,97 +11,25 @@ use flood_baselines::{
     ClusteredIndex, FullScan, GridFile, Hyperoctree, KdTree, RStarTree, ZOrderIndex,
 };
 use flood_core::{FloodBuilder, Layout};
+mod common;
+
+use common::Parallel;
 use flood_exec::QueryExecutor;
 use flood_store::{
-    assert_stats_equivalent, CollectVisitor, CountVisitor, MinMaxVisitor, MultiDimIndex,
-    PartitionedScan, RangeQuery, ScanStats, SumVisitor, Table,
+    assert_stats_equivalent, CollectVisitor, CountVisitor, PartitionedScan, RangeQuery, ScanStats,
+    SumVisitor, Table,
 };
+use flood_testkit::{answer, arb_rows, cases, rows_table, serial, width_filter, width_query, Run};
 use proptest::prelude::*;
 
-/// Case-count override from `FLOOD_PROPTEST_CASES` (unset/invalid → default).
-fn cases(default: u32) -> u32 {
-    std::env::var("FLOOD_PROPTEST_CASES")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-/// Three columns in a small domain so queries actually match rows.
-fn make_table(rows: &[(u64, u64, u64)]) -> Table {
-    Table::from_columns(vec![
-        rows.iter().map(|r| r.0).collect(),
-        rows.iter().map(|r| r.1).collect(),
-        rows.iter().map(|r| r.2).collect(),
-    ])
-}
-
-/// A query filtering a subset of the three dims, from raw (lo, width) pairs;
-/// width 0 means an equality filter, `None` leaves the dim unbounded.
-fn make_query(filters: [Option<(u64, u64)>; 3]) -> RangeQuery {
-    let mut q = RangeQuery::all(3);
-    for (d, f) in filters.into_iter().enumerate() {
-        if let Some((lo, w)) = f {
-            q = q.with_range(d, lo, lo + w);
-        }
-    }
-    q
-}
-
-fn filter_strategy() -> impl Strategy<Value = Option<(u64, u64)>> {
-    prop_oneof![
-        Just(None),
-        (0u64..64, 0u64..32).prop_map(Some),
-        (0u64..64, 0u64..1).prop_map(Some), // near-equality
-    ]
-}
-
-/// Serial reference: plain `execute` with visitor `V`.
-fn serial<V: flood_store::Visitor + Default>(
-    index: &dyn MultiDimIndex,
-    q: &RangeQuery,
-    agg: Option<usize>,
-) -> (V, ScanStats) {
-    let mut v = V::default();
-    let s = index.execute(q, agg, &mut v);
-    (v, s)
-}
-
-/// Assert parallel == serial for every visitor kind on one index.
+/// Assert parallel == serial for every visitor kind on one index: SUM over
+/// column 2, MIN/MAX over column 1, collected rows as sets.
 fn check_index(index: &dyn PartitionedScan, q: &RangeQuery, threads: usize) {
     let exec = QueryExecutor::with_threads(threads);
-
-    let (sv, ss) = serial::<CountVisitor>(index, q, None);
-    let (pv, ps) = exec.execute::<CountVisitor>(index, q, None);
-    assert_eq!(pv.count, sv.count, "count, {threads} threads");
-    assert_eq!(ps, ss, "count stats, {threads} threads");
-
-    let (sv, ss) = serial::<SumVisitor>(index, q, Some(2));
-    let (pv, ps) = exec.execute::<SumVisitor>(index, q, Some(2));
-    assert_eq!(
-        (pv.sum, pv.count),
-        (sv.sum, sv.count),
-        "sum, {threads} threads"
-    );
-    assert_eq!(ps, ss, "sum stats, {threads} threads");
-
-    let (sv, ss) = serial::<MinMaxVisitor>(index, q, Some(1));
-    let (pv, ps) = exec.execute::<MinMaxVisitor>(index, q, Some(1));
-    assert_eq!(
-        (pv.min, pv.max, pv.count),
-        (sv.min, sv.max, sv.count),
-        "minmax, {threads} threads"
-    );
-    assert_eq!(ps, ss, "minmax stats, {threads} threads");
-
-    let (sv, ss) = serial::<CollectVisitor>(index, q, None);
-    let (pv, ps) = exec.execute::<CollectVisitor>(index, q, None);
-    let mut want = sv.rows.clone();
-    let mut got = pv.rows.clone();
-    want.sort_unstable();
-    got.sort_unstable();
-    assert_eq!(got, want, "collect rows as sets, {threads} threads");
-    assert_eq!(ps, ss, "collect stats, {threads} threads");
+    let (want, want_stats) = answer(&serial(index, q), Some(2), Some(1));
+    let (got, got_stats) = answer(&Parallel(&exec, index, q), Some(2), Some(1));
+    assert_eq!(got.sorted(), want.sorted(), "{threads} threads");
+    assert_eq!(got_stats, want_stats, "stats, {threads} threads");
 }
 
 /// [`check_index`] on the five tree/curve baselines, with pages small
@@ -127,15 +55,15 @@ fn env_sized_executor_matches_serial() {
     let rows: Vec<(u64, u64, u64)> = (0..5_000u64)
         .map(|i| (i % 61, (i * 7) % 53, (i * 13) % 47))
         .collect();
-    let table = make_table(&rows);
+    let table = rows_table(&rows);
     let flood = FloodBuilder::new()
         .layout(Layout::new(vec![0, 1, 2], vec![6, 6]))
         .build(&table);
-    let q = make_query([Some((5, 30)), None, Some((0, 20))]);
+    let q = width_query([Some((5, 30)), None, Some((0, 20))]);
     let exec = QueryExecutor::from_env();
     check_index(&flood, &q, exec.threads());
     let (v, s) = exec.execute::<CountVisitor>(&flood, &q, None);
-    let (want, want_stats) = serial::<CountVisitor>(&flood, &q, None);
+    let (want, want_stats) = serial(&flood, &q).run::<CountVisitor>(None);
     assert_eq!(v.count, want.count);
     assert_eq!(s, want_stats);
 
@@ -147,10 +75,10 @@ fn env_sized_executor_matches_serial() {
         .build(&table);
     check_index(&packed, &q, exec.threads());
     let (v, s) = exec.execute::<CountVisitor>(&packed, &q, None);
-    let (want, want_stats) = serial::<CountVisitor>(&packed, &q, None);
+    let (want, want_stats) = serial(&packed, &q).run::<CountVisitor>(None);
     assert_eq!(v.count, want.count);
     assert_eq!(s, want_stats);
-    let (plain_want, _) = serial::<CountVisitor>(&flood, &q, None);
+    let (plain_want, _) = serial(&flood, &q).run::<CountVisitor>(None);
     assert_eq!(
         v.count, plain_want.count,
         "compression must not change results"
@@ -162,14 +90,14 @@ proptest! {
 
     #[test]
     fn parallel_execute_equals_serial(
-        rows in proptest::collection::vec((0u64..64, 0u64..64, 0u64..64), 0..400),
-        f0 in filter_strategy(),
-        f1 in filter_strategy(),
-        f2 in filter_strategy(),
+        rows in arb_rows(64, 0..400),
+        f0 in width_filter(64, 32),
+        f1 in width_filter(64, 32),
+        f2 in width_filter(64, 32),
         threads in 1usize..9,
     ) {
-        let table = make_table(&rows);
-        let q = make_query([f0, f1, f2]);
+        let table = rows_table(&rows);
+        let q = width_query([f0, f1, f2]);
 
         let flood = FloodBuilder::new()
             .layout(Layout::new(vec![0, 1, 2], vec![4, 4]))
@@ -194,16 +122,16 @@ proptest! {
     /// plain (the row path) modulo the counters only the block path records.
     #[test]
     fn packed_scans_parallel_equal_serial_and_decode_first(
-        rows in proptest::collection::vec((0u64..64, 0u64..64, 0u64..64), 0..400),
-        f0 in filter_strategy(),
-        f1 in filter_strategy(),
-        f2 in filter_strategy(),
+        rows in arb_rows(64, 0..400),
+        f0 in width_filter(64, 32),
+        f1 in width_filter(64, 32),
+        f2 in width_filter(64, 32),
         threads in 1usize..9,
     ) {
-        let table = make_table(&rows);
+        let table = rows_table(&rows);
         let mut compressed = table.clone();
         compressed.compress();
-        let q = make_query([f0, f1, f2]);
+        let q = width_query([f0, f1, f2]);
 
         let layout = || Layout::new(vec![0, 1, 2], vec![4, 4]);
         let flood = FloodBuilder::new()
@@ -216,15 +144,15 @@ proptest! {
             .layout(layout())
             .cumulative_sum(2)
             .build(&table);
-        let (pv, ps) = serial::<SumVisitor>(&flood, &q, Some(2));
-        let (dv, ds) = serial::<SumVisitor>(&plain, &q, Some(2));
+        let (pv, ps) = serial(&flood, &q).run::<SumVisitor>(Some(2));
+        let (dv, ds) = serial(&plain, &q).run::<SumVisitor>(Some(2));
         prop_assert_eq!((pv.sum, pv.count), (dv.sum, dv.count));
         assert_stats_equivalent(&ps, &ds, "flood compressed vs plain build");
 
         let full = FullScan::build(&compressed);
         check_index(&full, &q, threads);
-        let (pv, ps) = serial::<CollectVisitor>(&full, &q, None);
-        let (dv, ds) = serial::<CollectVisitor>(&FullScan::build(&table), &q, None);
+        let (pv, ps) = serial(&full, &q).run::<CollectVisitor>(None);
+        let (dv, ds) = serial(&FullScan::build(&table), &q).run::<CollectVisitor>(None);
         prop_assert_eq!(&pv.rows, &dv.rows);
         assert_stats_equivalent(&ps, &ds, "full scan compressed vs plain build");
         check_tree_baselines(&compressed, &q, threads);
@@ -232,8 +160,8 @@ proptest! {
         if !rows.is_empty() {
             let clustered = ClusteredIndex::build(&compressed, 0);
             check_index(&clustered, &q, threads);
-            let (pv, ps) = serial::<CountVisitor>(&clustered, &q, None);
-            let (dv, ds) = serial::<CountVisitor>(&ClusteredIndex::build(&table, 0), &q, None);
+            let (pv, ps) = serial(&clustered, &q).run::<CountVisitor>(None);
+            let (dv, ds) = serial(&ClusteredIndex::build(&table, 0), &q).run::<CountVisitor>(None);
             prop_assert_eq!(pv.count, dv.count);
             assert_stats_equivalent(&ps, &ds, "clustered compressed vs plain build");
         }
@@ -241,15 +169,15 @@ proptest! {
 
     #[test]
     fn batch_equals_serial_loop(
-        rows in proptest::collection::vec((0u64..64, 0u64..64, 0u64..64), 1..300),
+        rows in arb_rows(64, 1..300),
         filters in proptest::collection::vec(
-            (filter_strategy(), filter_strategy(), filter_strategy()), 0..12),
+            (width_filter(64, 32), width_filter(64, 32), width_filter(64, 32)), 0..12),
         threads in 1usize..9,
     ) {
-        let table = make_table(&rows);
+        let table = rows_table(&rows);
         let queries: Vec<RangeQuery> = filters
             .into_iter()
-            .map(|(a, b, c)| make_query([a, b, c]))
+            .map(|(a, b, c)| width_query([a, b, c]))
             .collect();
         let flood = FloodBuilder::new()
             .layout(Layout::new(vec![0, 1, 2], vec![4, 4]))
@@ -261,7 +189,7 @@ proptest! {
         let mut agg_serial = ScanStats::default();
         let mut agg_parallel = ScanStats::default();
         for (q, (v, s)) in queries.iter().zip(&batch) {
-            let (want, want_stats) = serial::<SumVisitor>(&flood, q, Some(2));
+            let (want, want_stats) = serial(&flood, q).run::<SumVisitor>(Some(2));
             prop_assert_eq!(v.sum, want.sum);
             prop_assert_eq!(v.count, want.count);
             prop_assert_eq!(*s, want_stats);
@@ -273,7 +201,7 @@ proptest! {
         // Collect visitors over a batch: row sets per query match too.
         let batch = exec.execute_batch::<CollectVisitor, _>(&flood, &queries, None);
         for (q, (v, _)) in queries.iter().zip(&batch) {
-            let (want, _) = serial::<CollectVisitor>(&flood, q, None);
+            let (want, _) = serial(&flood, q).run::<CollectVisitor>(None);
             let mut got = v.rows.clone();
             let mut exp = want.rows.clone();
             got.sort_unstable();
@@ -290,15 +218,15 @@ proptest! {
     /// `count` = queries and `sum` = the serial counter it mirrors.
     #[test]
     fn observed_batch_conserves_serial_totals(
-        rows in proptest::collection::vec((0u64..64, 0u64..64, 0u64..64), 1..300),
+        rows in arb_rows(64, 1..300),
         filters in proptest::collection::vec(
-            (filter_strategy(), filter_strategy(), filter_strategy()), 1..10),
+            (width_filter(64, 32), width_filter(64, 32), width_filter(64, 32)), 1..10),
         threads in 1usize..9,
     ) {
-        let table = make_table(&rows);
+        let table = rows_table(&rows);
         let queries: Vec<RangeQuery> = filters
             .into_iter()
-            .map(|(a, b, c)| make_query([a, b, c]))
+            .map(|(a, b, c)| width_query([a, b, c]))
             .collect();
         let flood = FloodBuilder::new()
             .layout(Layout::new(vec![0, 1, 2], vec![4, 4]))
@@ -315,7 +243,7 @@ proptest! {
         for (q, (v, s)) in queries.iter().zip(&batch) {
             scan.record(s);
             per_query.record(s.points_scanned);
-            let (want, want_stats) = serial::<CountVisitor>(&flood, q, None);
+            let (want, want_stats) = serial(&flood, q).run::<CountVisitor>(None);
             prop_assert_eq!(v.count, want.count);
             serial_total.merge(&want_stats);
         }

@@ -9,21 +9,16 @@
 //! [`ScanStats::sans_tier_counters`]. A transient injected I/O fault is
 //! absorbed by the per-chunk retry without duplicating or losing rows.
 
+mod common;
+
+use common::Parallel;
 use flood_exec::QueryExecutor;
 use flood_store::{
-    run_tasks_merged, CollectVisitor, CountVisitor, FailingBackend, MemBackend, MinMaxVisitor,
-    MultiDimIndex, PartitionedScan, RangeQuery, ScanStats, StorageBackend, SumVisitor, Table,
-    TierConfig, TieredScan, Visitor,
+    run_tasks_merged, CountVisitor, FailingBackend, MemBackend, PartitionedScan, RangeQuery,
+    ScanStats, StorageBackend, SumVisitor, Table, TierConfig, TieredScan,
 };
+use flood_testkit::{answer, serial, splitmix, Run};
 use std::sync::Arc;
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 fn table(n: u64, seed: u64) -> Table {
     let mut s = seed;
@@ -62,16 +57,6 @@ fn queries() -> Vec<(RangeQuery, Option<usize>)> {
     ]
 }
 
-fn serial<V: Visitor + Default>(
-    idx: &TieredScan,
-    q: &RangeQuery,
-    agg: Option<usize>,
-) -> (V, ScanStats) {
-    let mut v = V::default();
-    let s = idx.execute(q, agg, &mut v);
-    (v, s)
-}
-
 /// Mask residency-dependent counters before comparing.
 fn shared(s: &ScanStats) -> ScanStats {
     s.sans_tier_counters()
@@ -87,27 +72,20 @@ fn parallel_matches_serial_for_every_visitor_and_budget() {
             for (q, agg) in &queries() {
                 let label = format!("budget={budget} threads={threads} q={q:?}");
 
-                let (sv, ss) = serial::<CountVisitor>(&idx, q, None);
-                let (pv, ps) = exec.execute::<CountVisitor>(&idx, q, None);
-                assert_eq!(pv.count, sv.count, "count, {label}");
-                assert_eq!(shared(&ps), shared(&ss), "count stats, {label}");
-
-                let (sv, ss) = serial::<SumVisitor>(&idx, q, *agg);
-                let (pv, ps) = exec.execute::<SumVisitor>(&idx, q, *agg);
-                assert_eq!((pv.sum, pv.count), (sv.sum, sv.count), "sum, {label}");
-                assert_eq!(shared(&ps), shared(&ss), "sum stats, {label}");
-
-                let (sv, _) = serial::<MinMaxVisitor>(&idx, q, *agg);
-                let (pv, _) = exec.execute::<MinMaxVisitor>(&idx, q, *agg);
-                assert_eq!((pv.min, pv.max), (sv.min, sv.max), "minmax, {label}");
-
-                let (sv, _) = serial::<CollectVisitor>(&idx, q, None);
-                let (pv, _) = exec.execute::<CollectVisitor>(&idx, q, None);
-                let mut want = sv.rows;
-                let mut got = pv.rows;
-                want.sort_unstable();
-                got.sort_unstable();
-                assert_eq!(got, want, "row set, {label}");
+                let (want, want_stats) = answer(&serial(&idx, q), *agg, *agg);
+                let (got, got_stats) = answer(&Parallel(&exec, &idx, q), *agg, *agg);
+                assert_eq!(got.sorted(), want.sorted(), "{label}");
+                // Count and sum stats, residency-dependent counters masked.
+                assert_eq!(
+                    shared(&got_stats[0]),
+                    shared(&want_stats[0]),
+                    "count stats, {label}"
+                );
+                assert_eq!(
+                    shared(&got_stats[1]),
+                    shared(&want_stats[1]),
+                    "sum stats, {label}"
+                );
             }
         }
     }
@@ -122,7 +100,7 @@ fn zero_budget_fault_accounting_is_exact_across_tasks() {
     let t = table(4_000, 11);
     let idx = seal(&t, 0);
     let q = RangeQuery::all(3).with_range(1, 100, 399);
-    let (_, ss) = serial::<SumVisitor>(&idx, &q, Some(1));
+    let (_, ss) = serial(&idx, &q).run::<SumVisitor>(Some(1));
     assert!(ss.segments_faulted > 0, "probing query must fault: {ss:?}");
     for threads in [2usize, 4] {
         let exec = QueryExecutor::with_threads(threads);
@@ -150,7 +128,7 @@ fn parallel_cuts_respect_segment_boundaries() {
     // equal the serial run's — a segment split across two tasks would
     // double-count its fault under budget 0.
     let (v, merged) = run_tasks_merged::<CountVisitor>(&*plan);
-    let (sv, ss) = serial::<CountVisitor>(&idx, &RangeQuery::all(3), None);
+    let (sv, ss) = serial(&idx, &RangeQuery::all(3)).run::<CountVisitor>(None);
     assert_eq!(v.count, sv.count);
     assert_eq!(shared(&merged), shared(&ss));
     assert_eq!(merged.segments_faulted, ss.segments_faulted);
@@ -173,7 +151,7 @@ fn transient_fault_under_parallel_execution_heals_per_chunk() {
         .unwrap(),
     );
     let q = RangeQuery::all(3).with_range(1, 0, 499);
-    let (want, _) = serial::<CountVisitor>(&idx, &q, None);
+    let (want, _) = serial(&idx, &q).run::<CountVisitor>(None);
 
     // One injected failure somewhere in the parallel run: the owning
     // chunk retries and the merged result is complete and unduplicated.

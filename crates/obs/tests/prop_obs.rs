@@ -4,25 +4,8 @@
 //! `FLOOD_PROPTEST_CASES` scales the case count (CI raises it on push).
 
 use flood_obs::Histogram;
+use flood_testkit::{cases, splitmix};
 use proptest::prelude::*;
-
-/// Case-count override from `FLOOD_PROPTEST_CASES` (unset/invalid → default).
-fn cases(default: u32) -> u32 {
-    std::env::var("FLOOD_PROPTEST_CASES")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-/// SplitMix64 — deterministic sample fill from a proptest-chosen seed.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
 
 /// A latency-shaped sample: values clustered around a scale with a heavy
 /// tail, the distribution shape the histogram exists to summarize.

@@ -600,10 +600,6 @@ mod tests {
         )
     }
 
-    fn truth(t: &Table, q: &RangeQuery) -> u64 {
-        (0..t.len()).filter(|&r| q.matches(&t.row(r))).count() as u64
-    }
-
     /// A zero-capacity window still keeps the latest query, never more.
     #[test]
     fn zero_capacity_window_keeps_one_query() {
@@ -853,7 +849,7 @@ mod tests {
         let mut touched = Vec::new();
         for q in &stream {
             let (count, points, _) = serve(&s, q);
-            assert_eq!(count, truth(&t, q));
+            assert_eq!(count, flood_testkit::count(&t, q));
             touched.push(points);
             assert!(!matches!(s.maybe_adapt(), AdaptOutcome::Swapped(_)));
         }
@@ -887,7 +883,7 @@ mod tests {
             .chain(workload_on(1, 30));
         for q in stream {
             let (count, _, _) = serve(&s, &q);
-            assert_eq!(count, truth(&t, &q));
+            assert_eq!(count, flood_testkit::count(&t, &q));
             s.maybe_adapt();
         }
         assert_eq!(s.diagnostics().swaps, 1, "the shift still re-learns");
@@ -917,7 +913,7 @@ mod tests {
             .chain(workload_on(1, SHIFT_RUN));
         for q in shift {
             let (count, _, _) = serve(&s, &q);
-            assert_eq!(count, truth(&t, &q));
+            assert_eq!(count, flood_testkit::count(&t, &q));
             s.maybe_adapt();
         }
         assert_eq!(s.diagnostics().swaps, 1, "the shift still swaps");

@@ -364,12 +364,7 @@ pub(crate) mod tests {
     use flood_store::{CountVisitor, MultiDimIndex, Table};
 
     fn table() -> Table {
-        let n = 6_000u64;
-        Table::from_columns(vec![
-            (0..n).map(|i| (i * 7919) % 10_000).collect(),
-            (0..n).map(|i| (i * 104729) % 10_000).collect(),
-            (0..n).collect(),
-        ])
+        flood_testkit::prime_table(6_000)
     }
 
     fn optimizer() -> LayoutOptimizer {
@@ -436,7 +431,7 @@ pub(crate) mod tests {
             let mut v = CountVisitor::default();
             let (_, epoch) = s.execute(q, None, &mut v);
             assert_eq!(epoch, 0);
-            let truth = (0..t.len()).filter(|&r| q.matches(&t.row(r))).count() as u64;
+            let truth = flood_testkit::count(&t, q);
             assert_eq!(v.count, truth);
         }
         let d = s.diagnostics();
@@ -458,7 +453,7 @@ pub(crate) mod tests {
                 let want_stats = s.snapshot().index().execute(q, None, &mut want);
                 assert_eq!(v.count, want.count);
                 assert_eq!(*s_, want_stats);
-                let truth = (0..t.len()).filter(|&r| q.matches(&t.row(r))).count() as u64;
+                let truth = flood_testkit::count(&t, q);
                 assert_eq!(v.count, truth);
             }
             served += b.results.len();
@@ -522,7 +517,7 @@ pub(crate) mod tests {
         let q = &workload_on(1, 1)[0];
         let mut v = CountVisitor::default();
         before.index().execute(q, None, &mut v);
-        let truth = (0..t.len()).filter(|&r| q.matches(&t.row(r))).count() as u64;
+        let truth = flood_testkit::count(&t, q);
         assert_eq!(v.count, truth);
         drop(before);
         let d = s.diagnostics();

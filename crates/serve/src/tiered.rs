@@ -130,17 +130,11 @@ mod tests {
     use crate::server::tests::assert_ledger_is_the_registry;
     use flood_store::tier::SCAN_RETRIES;
     use flood_store::{CountVisitor, FailingBackend, MemBackend, SumVisitor};
-
-    fn table(n: u64) -> Table {
-        Table::from_columns(vec![
-            (0..n).collect(),
-            (0..n).map(|i| (i * 31) % 997).collect(),
-        ])
-    }
+    use flood_testkit::id_table;
 
     fn mem_server(n: u64, budget: usize) -> TieredServer {
         TieredServer::seal(
-            &table(n),
+            &id_table(n),
             Arc::new(MemBackend::new()),
             TierConfig {
                 budget_bytes: budget,
@@ -153,13 +147,13 @@ mod tests {
     #[test]
     fn serves_ground_truth_from_cold_storage() {
         let s = mem_server(2_000, 0);
-        let t = table(2_000);
+        let t = id_table(2_000);
         for (lo, hi) in [(0, 1_999), (100, 700), (512, 513)] {
             let q = RangeQuery::all(2).with_range(0, lo, hi);
             let mut v = CountVisitor::default();
             let (stats, epoch) = s.execute(&q, None, &mut v).unwrap();
             assert_eq!(epoch, 0);
-            let truth = (0..t.len()).filter(|&r| q.matches(&t.row(r))).count() as u64;
+            let truth = flood_testkit::count(&t, &q);
             assert_eq!(v.count, truth);
             assert_eq!(stats.points_matched, truth);
         }
@@ -294,7 +288,7 @@ mod tests {
     fn transient_faults_retry_persistent_faults_degrade() {
         let failing = Arc::new(FailingBackend::new(Arc::new(MemBackend::new())));
         let s = TieredServer::seal(
-            &table(1_024),
+            &id_table(1_024),
             failing.clone() as Arc<dyn StorageBackend>,
             TierConfig {
                 budget_bytes: 0,

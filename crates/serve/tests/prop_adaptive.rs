@@ -23,16 +23,9 @@ use flood_core::{
 };
 use flood_serve::{AdaptiveConfig, AdaptiveDiagnostics, FloodServer, ServeConfig};
 use flood_store::{CountVisitor, RangeQuery, Table};
+use flood_testkit::{count, fd_table, prime_table, Lcg};
 use proptest::prelude::*;
 use std::sync::Arc;
-
-fn table(n: u64) -> Table {
-    Table::from_columns(vec![
-        (0..n).map(|i| (i * 7919) % 10_000).collect(),
-        (0..n).map(|i| (i * 104729) % 10_000).collect(),
-        (0..n).collect(),
-    ])
-}
 
 fn optimizer(full_sample: bool) -> LayoutOptimizer {
     LayoutOptimizer::with_config(
@@ -114,7 +107,7 @@ fn serve(s: &FloodServer, stream: &[RangeQuery]) -> AdaptiveDiagnostics {
 /// diagnostics pin down that the adaptive loop did the shared work once.
 #[test]
 fn shared_and_cold_agree_bit_for_bit_on_full_sample() {
-    let t = table(3_000);
+    let t = prime_table(3_000);
     let stream = drifting_stream(30);
     let train: Vec<RangeQuery> = stream[..16].to_vec();
     let opt = optimizer(true);
@@ -204,7 +197,7 @@ fn shared_and_cold_agree_bit_for_bit_on_full_sample() {
 /// diagnostics — the counters are part of the observable contract.
 #[test]
 fn diagnostics_are_deterministic() {
-    let t = table(2_000);
+    let t = prime_table(2_000);
     let stream = drifting_stream(24);
     let train: Vec<RangeQuery> = stream[..16].to_vec();
     let run = || {
@@ -215,33 +208,6 @@ fn diagnostics_are_deterministic() {
     assert_eq!(run(), run());
 }
 
-/// 4-dim table with a soft FD `d1 ≈ 2·d0 + noise` (noise width 64) that
-/// 5% of the rows break (uniform d1).
-fn fd_table() -> Table {
-    let n = 3_000;
-    let mut state = 42u64 | 1;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        state >> 33
-    };
-    let host: Vec<u64> = (0..n).map(|_| next() % 10_000).collect();
-    let dep: Vec<u64> = host
-        .iter()
-        .map(|&h| {
-            if next() % 100 < 5 {
-                next() % 30_000
-            } else {
-                2 * h + next() % 64
-            }
-        })
-        .collect();
-    let c2: Vec<u64> = (0..n).map(|_| next() % 64).collect();
-    let c3: Vec<u64> = (0..n).map(|_| next() % (1 << 20)).collect();
-    Table::from_columns(vec![host, dep, c2, c3])
-}
-
 /// Re-learning carries the search's FDs over: two servers, correlation on
 /// (exploit-everything detection) and off, serve a stream that drifts from
 /// host-filtering to dependent-filtering. Each re-learn rebuilds the
@@ -249,7 +215,9 @@ fn fd_table() -> Table {
 /// along the way must match brute force and the correlation-off twin.
 #[test]
 fn adaptive_relearn_under_drifting_correlation_stays_exact() {
-    let t = fd_table();
+    // A soft FD `d1 ≈ 2·d0 + noise` (noise width 64) that 5% of the rows
+    // break.
+    let t = fd_table(3_000, 42, 64, 5);
     // Phase 1 filters the host; phase 2 drifts to the dependent plus an
     // independent dimension the initial layout never indexed.
     let phase1 = (0..30).map(|i| {
@@ -300,7 +268,7 @@ fn adaptive_relearn_under_drifting_correlation_stays_exact() {
             s.maybe_adapt();
             v.count
         });
-        let truth = (0..t.len()).filter(|&r| q.matches(&t.row(r))).count() as u64;
+        let truth = count(&t, q);
         assert_eq!(count_on, count_off, "adaptive on/off diverged");
         assert_eq!(count_on, truth, "adaptive wrong vs oracle");
     }
@@ -324,19 +292,15 @@ proptest! {
         stream_len in 8usize..40,
     ) {
         let n = 600 + n_raw * 350;
-        let t = table(n);
+        let t = prime_table(n);
         // Seed-derived stream mixing dims and widths (vendored proptest
-        // has no flat_map; derive structure from a splitmix-style stream).
-        let mut x = seed | 1;
-        let mut next = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            x >> 33
-        };
+        // has no flat_map; derive structure from a seeded stream).
+        let mut rng = Lcg::new(seed, 33);
         let stream: Vec<RangeQuery> = (0..stream_len)
             .map(|_| {
-                let dim = (next() % 3) as usize;
-                let lo = next() % 9_000;
-                let width = 50 + next() % 2_000;
+                let dim = (rng.next_u64() % 3) as usize;
+                let lo = rng.next_u64() % 9_000;
+                let width = 50 + rng.next_u64() % 2_000;
                 RangeQuery::all(3).with_range(dim, lo, lo + width)
             })
             .collect();
@@ -347,7 +311,7 @@ proptest! {
             let mut v = CountVisitor::default();
             s.execute(q, None, &mut v);
             s.maybe_adapt();
-            let truth = (0..t.len()).filter(|&r| q.matches(&t.row(r))).count() as u64;
+            let truth = count(&t, q);
             prop_assert_eq!(v.count, truth);
         }
     }

@@ -20,45 +20,16 @@
 use flood_core::{FloodBuilder, FloodIndex, Layout};
 use flood_serve::{FloodServer, PublishedIndex, ServeConfig};
 use flood_store::{CollectVisitor, MultiDimIndex, RangeQuery, ScanStats, SumVisitor, Table};
+use flood_testkit::{arb_rows, rows_table, width_filter, width_query};
 use proptest::prelude::*;
 
 /// One reader's record of a served query: (epoch, query index, sorted
 /// rows, stats).
 type ReaderRecord = (u64, usize, Vec<usize>, ScanStats);
 
-/// Three columns in a small domain so queries actually match rows.
-fn make_table(rows: &[(u64, u64, u64)]) -> Table {
-    Table::from_columns(vec![
-        rows.iter().map(|r| r.0).collect(),
-        rows.iter().map(|r| r.1).collect(),
-        rows.iter().map(|r| r.2).collect(),
-    ])
-}
-
-/// A query filtering a subset of the three dims, from raw (lo, width)
-/// pairs; width 0 means an equality filter, `None` leaves the dim
-/// unbounded.
-fn make_query(filters: [Option<(u64, u64)>; 3]) -> RangeQuery {
-    let mut q = RangeQuery::all(3);
-    for (d, f) in filters.into_iter().enumerate() {
-        if let Some((lo, w)) = f {
-            q = q.with_range(d, lo, lo + w);
-        }
-    }
-    q
-}
-
-fn filter_strategy() -> impl Strategy<Value = Option<(u64, u64)>> {
-    prop_oneof![
-        Just(None),
-        (0u64..64, 0u64..32).prop_map(Some),
-        (0u64..64, 0u64..1).prop_map(Some), // near-equality
-    ]
-}
-
 fn query_strategy() -> impl Strategy<Value = RangeQuery> {
-    (filter_strategy(), filter_strategy(), filter_strategy())
-        .prop_map(|(a, b, c)| make_query([a, b, c]))
+    let f = || width_filter(64, 32);
+    (f(), f(), f()).prop_map(|(a, b, c)| width_query([a, b, c]))
 }
 
 /// The two layouts swaps alternate between: different dimension orders,
@@ -86,6 +57,27 @@ fn reference(index: &FloodIndex, q: &RangeQuery) -> (Vec<usize>, ScanStats) {
     (rows, stats)
 }
 
+/// A server learned on `queries` with a small search, admitting batches of
+/// `batch` on `threads` workers.
+fn server(table: &Table, queries: &[RangeQuery], batch: usize, threads: usize) -> FloodServer {
+    let optimizer = flood_core::LayoutOptimizer::with_config(
+        flood_core::CostModel::analytic_default(),
+        flood_core::OptimizerConfig {
+            data_sample: 128,
+            query_sample: 4,
+            gd_steps: 2,
+            max_total_cells: 1 << 8,
+            ..Default::default()
+        },
+    );
+    let serve = ServeConfig {
+        batch,
+        threads,
+        ..Default::default()
+    };
+    FloodServer::build(table, queries, optimizer, Default::default(), serve)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -95,11 +87,11 @@ proptest! {
     /// exactly.
     #[test]
     fn interleaved_swaps_serve_old_or_new_never_a_mix(
-        rows in proptest::collection::vec((0u64..64, 0u64..64, 0u64..64), 1..300),
+        rows in arb_rows(64, 1..300),
         queries in proptest::collection::vec(query_strategy(), 1..8),
         schedule in proptest::collection::vec(any::<bool>(), 1..40),
     ) {
-        let table = make_table(&rows);
+        let table = rows_table(&rows);
         // References for both layouts, per query.
         let refs: Vec<[(Vec<usize>, ScanStats); 2]> = {
             let even = build_epoch(&table, 0);
@@ -143,11 +135,11 @@ proptest! {
     /// epochs must be monotone.
     #[test]
     fn concurrent_readers_see_whole_epochs(
-        rows in proptest::collection::vec((0u64..64, 0u64..64, 0u64..64), 1..200),
+        rows in arb_rows(64, 1..200),
         queries in proptest::collection::vec(query_strategy(), 1..6),
         swaps in 1u64..5,
     ) {
-        let table = make_table(&rows);
+        let table = rows_table(&rows);
         let refs: Vec<[(Vec<usize>, ScanStats); 2]> = {
             let even = build_epoch(&table, 0);
             let odd = build_epoch(&table, 1);
@@ -210,33 +202,14 @@ proptest! {
     /// request may be dropped.
     #[test]
     fn batched_admission_under_swaps_matches_serial(
-        rows in proptest::collection::vec((0u64..64, 0u64..64, 0u64..64), 1..300),
+        rows in arb_rows(64, 1..300),
         queries in proptest::collection::vec(query_strategy(), 1..10),
         threads in 1usize..5,
         batch in 1usize..8,
         swap_before in proptest::collection::vec(any::<bool>(), 10),
     ) {
-        let table = make_table(&rows);
-        let server = FloodServer::build(
-            &table,
-            &queries,
-            flood_core::LayoutOptimizer::with_config(
-                flood_core::CostModel::analytic_default(),
-                flood_core::OptimizerConfig {
-                    data_sample: 128,
-                    query_sample: 4,
-                    gd_steps: 2,
-                    max_total_cells: 1 << 8,
-                    ..Default::default()
-                },
-            ),
-            flood_core::FloodConfig::default(),
-            ServeConfig {
-                batch,
-                threads,
-                ..Default::default()
-            },
-        );
+        let table = rows_table(&rows);
+        let server = server(&table, &queries, batch, threads);
         let mut swaps_published = 0u64;
         let mut last_epoch = 0u64;
         let mut submitted = 0usize;
@@ -282,33 +255,14 @@ proptest! {
     /// observation per request/batch.
     #[test]
     fn server_metrics_conserve_served_traffic(
-        rows in proptest::collection::vec((0u64..64, 0u64..64, 0u64..64), 1..200),
+        rows in arb_rows(64, 1..200),
         queries in proptest::collection::vec(query_strategy(), 1..10),
         threads in 1usize..5,
         batch in 1usize..8,
         singles in 1usize..12,
     ) {
-        let table = make_table(&rows);
-        let server = FloodServer::build(
-            &table,
-            &queries,
-            flood_core::LayoutOptimizer::with_config(
-                flood_core::CostModel::analytic_default(),
-                flood_core::OptimizerConfig {
-                    data_sample: 128,
-                    query_sample: 4,
-                    gd_steps: 2,
-                    max_total_cells: 1 << 8,
-                    ..Default::default()
-                },
-            ),
-            flood_core::FloodConfig::default(),
-            ServeConfig {
-                batch,
-                threads,
-                ..Default::default()
-            },
-        );
+        let table = rows_table(&rows);
+        let server = server(&table, &queries, batch, threads);
 
         // Mixed traffic, accumulating exactly the per-result stats the
         // callers were handed.

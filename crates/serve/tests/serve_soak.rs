@@ -18,6 +18,7 @@ use flood_core::{CostModel, FloodConfig, LayoutOptimizer, OptimizerConfig};
 use flood_data::workloads::drift::{DriftConfig, DriftingWorkload};
 use flood_serve::{AdaptiveConfig, FloodServer, ServeConfig};
 use flood_store::{CountVisitor, RangeQuery, Table};
+use flood_testkit::count;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -56,13 +57,6 @@ fn drift(table: &Table, phases: usize, queries_per_phase: usize) -> DriftingWork
     )
 }
 
-/// Brute-force ground truth for a COUNT query.
-fn truth(table: &Table, q: &RangeQuery) -> u64 {
-    (0..table.len())
-        .filter(|&r| q.matches(&table.row(r)))
-        .count() as u64
-}
-
 /// The scheduled soak: serve each drift phase open-loop, force a re-learn
 /// at every phase boundary, and check the diagnostics against the known
 /// schedule at the end.
@@ -96,7 +90,7 @@ fn scheduled_swaps_match_known_diagnostics() {
                 .iter()
                 .zip(&served.results)
             {
-                assert_eq!(v.count, truth(&t, q));
+                assert_eq!(v.count, count(&t, q));
             }
             total += served.results.len();
         }
@@ -178,7 +172,7 @@ fn open_loop_soak_with_background_adaptation() {
                         // Correctness under races, spot-checked on the
                         // first query of each batch.
                         let (v, _) = &batch.results[0];
-                        assert_eq!(v.count, truth(t, &stream[start]));
+                        assert_eq!(v.count, count(t, &stream[start]));
                         served += batch.results.len();
                         offset = end % stream.len().max(1) + usize::from(end == stream.len());
                     }

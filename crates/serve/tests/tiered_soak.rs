@@ -20,21 +20,14 @@
 //! longer.
 
 use flood_serve::TieredServer;
-use flood_store::{CountVisitor, MemBackend, RangeQuery, SumVisitor, Table, TierConfig};
+use flood_store::{CountVisitor, MemBackend, RangeQuery, SumVisitor, TierConfig};
+use flood_testkit::{id_table, oracle};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const BASE_ROWS: u64 = 2_048;
-
-fn base_table() -> Table {
-    // col0 = row id (sorted), col1 = a value column for SUM probes.
-    Table::from_columns(vec![
-        (0..BASE_ROWS).collect(),
-        (0..BASE_ROWS).map(|i| (i * 31) % 997).collect(),
-    ])
-}
 
 #[test]
 fn tiered_soak_under_compaction_and_eviction_churn() {
@@ -45,8 +38,9 @@ fn tiered_soak_under_compaction_and_eviction_churn() {
             .unwrap_or_else(|_| panic!("FLOOD_SOAK_MS must be a millisecond count, got {v:?}")),
         Err(_) => 600,
     });
+    let base = id_table(BASE_ROWS);
     let server = TieredServer::seal(
-        &base_table(),
+        &base,
         Arc::new(MemBackend::new()),
         TierConfig {
             budget_bytes: 16 << 10, // a few segments resident, most cold
@@ -64,7 +58,7 @@ fn tiered_soak_under_compaction_and_eviction_churn() {
     // has 2 048), so its COUNT and SUM are epoch-independent — and the
     // probing bounds force cold faults instead of metadata-only answers.
     let probe = RangeQuery::all(2).with_range(0, 1, 700);
-    let probe_sum: u64 = (1..=700u64).map(|i| (i * 31) % 997).sum();
+    let probe_sum = oracle(&base, &probe, Some(1), None).sum.sum;
 
     // Pin epoch 0 before any compaction retires it.
     let pinned = server.snapshot();

@@ -449,6 +449,7 @@ fn delta_at(words: &[u64], bit: usize, width: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flood_testkit::Lcg;
 
     #[test]
     fn bits_needed_boundaries() {
@@ -681,15 +682,8 @@ mod tests {
             u64::MAX >> (64 - width)
         };
         let base = 1_000u64.min(u64::MAX - top);
-        let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ u64::from(width);
-        let mut vals: Vec<u64> = (0..len)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                base + ((state >> 7) & top)
-            })
-            .collect();
+        let mut rng = Lcg::from_state(0x9e37_79b9_7f4a_7c15 ^ u64::from(width), 7);
+        let mut vals: Vec<u64> = (0..len).map(|_| base + (rng.next_u64() & top)).collect();
         vals[len / 3] = base;
         vals[len - 1] = base + top;
         vals

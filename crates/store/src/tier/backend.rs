@@ -503,6 +503,7 @@ impl StorageBackend for FailingBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flood_testkit::Lcg;
 
     fn key(id: u64) -> SegmentKey {
         SegmentKey {
@@ -573,11 +574,9 @@ mod tests {
         // Live keys → (version, blob length).
         let mut live: HashMap<u64, (u64, u64)> = HashMap::new();
         let (mut live_bytes, mut largest) = (0, 0);
-        let mut s = 0x5eed_u64;
+        let mut rng = Lcg::new(0x5eed, 0);
         for version in 0..10_000u64 {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
+            let s = rng.next_u64();
             let id = (s >> 33) % 300;
             if let Some((_, len)) = live.remove(&id) {
                 live_bytes -= len;

@@ -360,6 +360,7 @@ mod tests {
     use super::super::segment::encode_segment;
     use super::*;
     use crate::block::BLOCK_LEN;
+    use flood_testkit::splitmix;
 
     fn put_segment(b: &MemBackend, key: SegmentKey, base: u64) -> usize {
         let vals: Vec<u64> = (0..BLOCK_LEN as u64).map(|i| base + i).collect();
@@ -556,14 +557,7 @@ mod tests {
     fn lru_list_matches_clock_model_on_random_schedules() {
         for seed in 0..150u64 {
             let mut state = seed;
-            let mut rng = |below: u64| {
-                // SplitMix64.
-                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                (z ^ (z >> 31)) % below
-            };
+            let mut rng = |below: u64| splitmix(&mut state) % below;
             // 1–64 segments of one to three blocks at differing widths.
             let backend = Arc::new(MemBackend::new());
             let sizes: Vec<usize> = (0..1 + rng(64))

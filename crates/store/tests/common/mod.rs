@@ -2,35 +2,18 @@
 //! against per-range kernel calls. For an arbitrary list of disjoint row
 //! ranges, each flagged exact or given an arbitrary subset of the checks,
 //! `RangeScan::run` ≡ the one `ScanPlan` at 1, 3 and 8 tasks ≡ one
-//! reference kernel call per range — visited rows, aggregate and every
+//! reference kernel call per range — visited rows, aggregates and every
 //! `ScanStats` counter, `ranges_scanned` included. Also the table and
 //! bound generators the two suites draw from.
 
 use flood_store::{
     assert_stats_equivalent, run_tasks_merged, scan_exact, scan_rows, BlockSource, Check,
-    CollectVisitor, CountVisitor, CumulativeColumn, MatchCount, MergeVisitor, PlannedRange,
-    RangePlan, RangeScan, ScanStats, SumVisitor, Table,
+    CumulativeColumn, MatchCount, MergeVisitor, PlannedRange, RangePlan, RangeScan, ScanStats,
+    Table, Visitor,
 };
+use flood_testkit::{answer, splitmix, Run};
 use proptest::prelude::*;
-use std::fmt::{Debug, Display};
-
-/// Case-count override from `FLOOD_PROPTEST_CASES` (unset/invalid → default).
-pub fn cases(default: u32) -> u32 {
-    std::env::var("FLOOD_PROPTEST_CASES")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-/// SplitMix64 — deterministic column fill from a proptest-chosen seed.
-pub fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
+use std::fmt::Display;
 
 /// Column 2's run-length spec: `(value, run_len)` pairs. Runs ≥ [`BLOCK_LEN`]
 /// (and adjacent equal runs) produce genuine width-0 blocks.
@@ -113,73 +96,88 @@ pub fn plan_from(len: usize, checks: &[Check], cuts: &[Cut], split: usize) -> Ra
     }
 }
 
-/// [`diff_driver`] for COUNT, SUM over column 1 (with `cumulative`) and
-/// the collected rows.
+/// Run `plan` over `source` serially and chunked, under every visitor kind
+/// (SUM and MIN/MAX over column 1, with `cumulative`): both must equal one
+/// reference kernel call per non-empty range over `reference` (the same
+/// rows, resident).
 pub fn diff_driver_all<S: BlockSource<Error: Display> + Sync>(
     source: &S,
     reference: &Table,
     plan: &RangePlan,
     cumulative: Option<&CumulativeColumn>,
 ) {
-    diff_driver::<S, CountVisitor>(source, reference, plan, None, None);
-    diff_driver::<S, SumVisitor>(source, reference, plan, Some(1), cumulative);
-    diff_driver::<S, CollectVisitor>(source, reference, plan, None, None);
-}
+    let kernels = |agg: Option<usize>, v: &mut dyn Visitor| {
+        let mut want = ScanStats::default();
+        let mut counter = MatchCount::new(v);
+        for r in plan.ranges.iter().filter(|r| r.start < r.end) {
+            want.ranges_scanned += 1;
+            let (s, e) = (r.start, r.end);
+            let Ok(()) = match r.checks {
+                None => scan_exact(reference, s, e, agg, cumulative, &mut counter, &mut want),
+                Some(mask) => {
+                    let masked = plan.masked.iter().enumerate();
+                    let mut subset: Vec<Check> = masked
+                        .filter(|(i, _)| mask & (1 << i) != 0)
+                        .map(|(_, &c)| c)
+                        .collect();
+                    subset.extend_from_slice(&plan.tail);
+                    scan_rows(reference, &subset, s, e, agg, &mut counter, &mut want)
+                }
+            };
+        }
+        want.points_matched = counter.matched;
+        want
+    };
+    let (want, want_stats) = answer(&kernels, Some(1), Some(1));
 
-/// Run `plan` over `source` serially and chunked; both must equal one
-/// reference kernel call per non-empty range over `reference` (the same
-/// rows, resident).
-fn diff_driver<S, V>(
-    source: &S,
-    reference: &Table,
-    plan: &RangePlan,
-    agg: Option<usize>,
-    cumulative: Option<&CumulativeColumn>,
-) where
-    S: BlockSource<Error: Display> + Sync,
-    V: MergeVisitor + Default + PartialEq + Debug,
-{
-    let mut want_v = V::default();
-    let mut want = ScanStats::default();
-    let mut counter = MatchCount::new(&mut want_v);
-    for r in plan.ranges.iter().filter(|r| r.start < r.end) {
-        want.ranges_scanned += 1;
-        let (s, e) = (r.start, r.end);
-        let Ok(()) = match r.checks {
-            None => scan_exact(reference, s, e, agg, cumulative, &mut counter, &mut want),
-            Some(mask) => {
-                let masked = plan.masked.iter().enumerate();
-                let mut subset: Vec<Check> = masked
-                    .filter(|(i, _)| mask & (1 << i) != 0)
-                    .map(|(_, &c)| c)
-                    .collect();
-                subset.extend_from_slice(&plan.tail);
-                scan_rows(reference, &subset, s, e, agg, &mut counter, &mut want)
-            }
-        };
-    }
-    want.points_matched = counter.matched;
-
-    let bound = || RangeScan {
+    let driver = Driver {
         source,
-        plan: plan.clone(),
-        agg_dim: agg,
+        plan,
         cumulative,
     };
-    let mut serial_v = V::default();
-    let serial = bound().try_run(&mut serial_v);
-    let serial = serial.unwrap_or_else(|e| panic!("serial run failed: {e}"));
-    assert_eq!(serial_v, want_v, "serial");
-    assert_stats_equivalent(&serial, &want, "serial");
+    let serial = |agg: Option<usize>, v: &mut dyn Visitor| {
+        let run = driver.scan(agg).try_run(v);
+        run.unwrap_or_else(|e| panic!("serial run failed: {e}"))
+    };
+    let (got, serial_stats) = answer(&serial, Some(1), Some(1));
+    assert_eq!(got, want, "serial");
+    for (got, want) in serial_stats.iter().zip(&want_stats) {
+        assert_stats_equivalent(got, want, "serial");
+    }
 
+    let sans_tier = |s: [ScanStats; 4]| s.map(|s| s.sans_tier_counters());
     for tasks in [1, 3, 8] {
-        let (v, merged) = run_tasks_merged::<V>(&bound().chunked(tasks));
-        assert_eq!(v, want_v, "{tasks} tasks");
+        let (got, merged) = answer(&Chunked(&driver, tasks), Some(1), Some(1));
+        assert_eq!(got, want, "{tasks} tasks");
         // Aligned cuts: even the block counters merge to the serial run's.
-        assert_eq!(
-            merged.sans_tier_counters(),
-            serial.sans_tier_counters(),
-            "{tasks} tasks"
-        );
+        assert_eq!(sans_tier(merged), sans_tier(serial_stats), "{tasks} tasks");
+    }
+}
+
+/// `plan` over `source`, through the scan driver.
+struct Driver<'a, S> {
+    source: &'a S,
+    plan: &'a RangePlan,
+    cumulative: Option<&'a CumulativeColumn>,
+}
+
+impl<'a, S: BlockSource<Error: Display> + Sync> Driver<'a, S> {
+    fn scan(&self, agg: Option<usize>) -> RangeScan<'a, S> {
+        RangeScan {
+            source: self.source,
+            plan: self.plan.clone(),
+            agg_dim: agg,
+            cumulative: self.cumulative,
+        }
+    }
+}
+
+/// The driver's plan cut into at most `.1` aligned chunks, run one after
+/// another and merged.
+struct Chunked<'d, 'a, S>(&'d Driver<'a, S>, usize);
+
+impl<S: BlockSource<Error: Display> + Sync> Run for Chunked<'_, '_, S> {
+    fn run<V: MergeVisitor + Default>(&self, agg: Option<usize>) -> (V, ScanStats) {
+        run_tasks_merged::<V>(&self.0.scan(agg).chunked(self.1))
     }
 }

@@ -20,13 +20,13 @@
 mod common;
 
 use common::{
-    build_table, cases, cuts_strategy, diff_driver_all, filter_strategy, plan_from, Bound,
-    DimFilter,
+    build_table, cuts_strategy, diff_driver_all, filter_strategy, plan_from, Bound, DimFilter,
 };
 use flood_store::{
     assert_stats_equivalent, scan_checked, scan_filtered, scan_rows, CollectVisitor, CountVisitor,
-    CumulativeColumn, MinMaxVisitor, RangeQuery, ScanStats, SumVisitor, Table, Visitor, BLOCK_LEN,
+    CumulativeColumn, RangeQuery, ScanStats, SumVisitor, Table, Visitor, BLOCK_LEN,
 };
+use flood_testkit::{answer, cases};
 use proptest::prelude::*;
 
 fn resolve(table: &Table, dim: usize, b: Bound) -> u64 {
@@ -62,72 +62,39 @@ fn make_checks(table: &Table, filters: &[DimFilter; 3]) -> (Vec<(usize, u64, u64
     (checks, query)
 }
 
-/// Run the row loop and the kernel with visitor `V`; results and normalized
-/// stats must be bit-identical. Returns the kernel's stats for counter
-/// assertions.
-#[allow(clippy::too_many_arguments)]
-fn diff_checked<V: Visitor + Default, R: PartialEq + std::fmt::Debug>(
-    table: &Table,
-    checks: &[(usize, u64, u64)],
-    start: usize,
-    end: usize,
-    agg: Option<usize>,
-    cumulative: Option<&CumulativeColumn>,
-    extract: fn(&V) -> R,
-    label: &str,
-) -> ScanStats {
-    let mut dv = V::default();
-    let mut ds = ScanStats::default();
-    let Ok(()) = scan_rows(table, checks, start, end, agg, &mut dv, &mut ds);
-    let mut pv = V::default();
-    let mut ps = ScanStats::default();
-    let Ok(()) = scan_checked(table, checks, start, end, agg, cumulative, &mut pv, &mut ps);
-    assert_eq!(extract(&pv), extract(&dv), "{label}: result");
-    assert_stats_equivalent(&ps, &ds, label);
-    ps
-}
-
-/// The four visitor kinds over one (table, checks, range) instance.
+/// The row loop and the kernel under every visitor kind (SUM and MIN/MAX
+/// over column `agg`, SUM with `cumulative`) over one (table, checks,
+/// range) instance: results and normalized stats must be bit-identical.
+/// Returns the kernel's stats, COUNT's first, for counter assertions.
 fn diff_all_visitors(
     table: &Table,
     checks: &[(usize, u64, u64)],
-    start: usize,
-    end: usize,
+    (start, end): (usize, usize),
+    agg: Option<usize>,
     cumulative: Option<&CumulativeColumn>,
-) {
-    diff_checked::<CountVisitor, _>(table, checks, start, end, None, None, |v| v.count, "count");
-    diff_checked::<SumVisitor, _>(
-        table,
-        checks,
-        start,
-        end,
-        Some(1),
-        cumulative,
-        |v| (v.sum, v.count),
-        "sum",
-    );
-    diff_checked::<MinMaxVisitor, _>(
-        table,
-        checks,
-        start,
-        end,
-        Some(1),
-        None,
-        |v| (v.min, v.max, v.count),
-        "minmax",
-    );
+) -> [ScanStats; 4] {
+    let rows = |agg: Option<usize>, v: &mut dyn Visitor| {
+        let mut s = ScanStats::default();
+        let Ok(()) = scan_rows(table, checks, start, end, agg, v, &mut s);
+        s
+    };
+    let kernel = |agg: Option<usize>, v: &mut dyn Visitor| {
+        let mut s = ScanStats::default();
+        let Ok(()) = scan_checked(table, checks, start, end, agg, cumulative, v, &mut s);
+        s
+    };
+    let (want, want_stats) = answer(&rows, agg, agg);
+    let (got, got_stats) = answer(&kernel, agg, agg);
     // Exact row order, not set equality: serial kernels must agree visit
     // for visit.
-    diff_checked::<CollectVisitor, _>(
-        table,
-        checks,
-        start,
-        end,
-        None,
-        None,
-        |v| v.rows.clone(),
-        "collect",
-    );
+    assert_eq!(got, want, "result");
+    for (kind, (got, want)) in ["count", "sum", "minmax", "collect"]
+        .iter()
+        .zip(got_stats.iter().zip(&want_stats))
+    {
+        assert_stats_equivalent(got, want, kind);
+    }
+    got_stats
 }
 
 proptest! {
@@ -161,7 +128,7 @@ proptest! {
         let (checks, query) = make_checks(&table, &filters);
         let cumulative = table.cumulative_sum(1);
 
-        diff_all_visitors(&table, &checks, start, end, Some(&cumulative));
+        diff_all_visitors(&table, &checks, (start, end), Some(1), Some(&cumulative));
 
         // The query-taking wrapper routes identically.
         let mut dv = SumVisitor::default();
@@ -231,16 +198,7 @@ fn compressed_table(cols: Vec<Vec<u64>>) -> Table {
 fn constant_blocks_skip_and_accept_without_probing() {
     // 300 rows of the constant 7: three width-0 blocks (128 + 128 + 44).
     let t = compressed_table(vec![vec![7; 300]]);
-    let skip = diff_checked::<CountVisitor, _>(
-        &t,
-        &[(0, 8, 9)],
-        0,
-        300,
-        None,
-        None,
-        |v| v.count,
-        "skip-all",
-    );
+    let skip = diff_all_visitors(&t, &[(0, 8, 9)], (0, 300), Some(0), None)[0];
     assert_eq!(
         (
             skip.blocks_skipped,
@@ -250,16 +208,7 @@ fn constant_blocks_skip_and_accept_without_probing() {
         (3, 0, 0),
         "always-false predicate must dismiss every block from metadata"
     );
-    let accept = diff_checked::<CountVisitor, _>(
-        &t,
-        &[(0, 7, 7)],
-        0,
-        300,
-        None,
-        None,
-        |v| v.count,
-        "accept-all",
-    );
+    let accept = diff_all_visitors(&t, &[(0, 7, 7)], (0, 300), Some(0), None)[0];
     assert_eq!(
         (
             accept.blocks_skipped,
@@ -277,31 +226,19 @@ fn sorted_data_skips_out_of_range_blocks() {
     let t = compressed_table(vec![(0..1024).collect()]);
     // Bounds exactly on block 3's min and block 5's max: blocks 3..=5
     // accepted wholesale, everything else skipped, nothing probed.
-    let s = diff_checked::<CountVisitor, _>(
-        &t,
-        &[(0, 3 * 128, 5 * 128 + 127)],
-        0,
-        1024,
-        None,
-        None,
-        |v| v.count,
-        "block-aligned bounds",
-    );
+    let s = diff_all_visitors(&t, &[(0, 3 * 128, 5 * 128 + 127)], (0, 1024), Some(0), None)[0];
     assert_eq!(
         (s.blocks_skipped, s.blocks_accepted, s.blocks_probed),
         (5, 3, 0)
     );
     // Shift both bounds one value inward: the edge blocks must be probed.
-    let s = diff_checked::<CountVisitor, _>(
+    let s = diff_all_visitors(
         &t,
         &[(0, 3 * 128 + 1, 5 * 128 + 126)],
-        0,
-        1024,
+        (0, 1024),
+        Some(0),
         None,
-        None,
-        |v| v.count,
-        "interior bounds",
-    );
+    )[0];
     assert_eq!(
         (s.blocks_skipped, s.blocks_accepted, s.blocks_probed),
         (5, 1, 2)
@@ -321,16 +258,7 @@ fn width_64_blocks_differential() {
         (128, u64::MAX - 128),
         (300, 400), // matches nothing but can't be skipped by min/max
     ] {
-        diff_checked::<CollectVisitor, _>(
-            &t,
-            &[(0, lo, hi)],
-            0,
-            256,
-            None,
-            None,
-            |v| v.rows.clone(),
-            "width-64",
-        );
+        diff_all_visitors(&t, &[(0, lo, hi)], (0, 256), Some(0), None);
     }
 }
 
@@ -340,28 +268,10 @@ fn partial_last_block_never_emits_padding() {
     // zero-padding lanes. An accept-everything predicate must yield exactly
     // 200 rows, and a probe must never surface offsets ≥ 72.
     let t = compressed_table(vec![(500..700).collect()]);
-    let s = diff_checked::<CountVisitor, _>(
-        &t,
-        &[(0, 0, u64::MAX)],
-        0,
-        200,
-        None,
-        None,
-        |v| v.count,
-        "accept partial block",
-    );
+    let s = diff_all_visitors(&t, &[(0, 0, u64::MAX)], (0, 200), Some(0), None)[0];
     assert_eq!((s.blocks_accepted, s.blocks_probed), (2, 0));
     // Delta 0 (the padding lanes' value) inside the predicate: probe path.
-    diff_checked::<CollectVisitor, _>(
-        &t,
-        &[(0, 628, 699)],
-        0,
-        200,
-        None,
-        None,
-        |v| v.rows.clone(),
-        "probe partial block",
-    );
+    diff_all_visitors(&t, &[(0, 628, 699)], (0, 200), Some(0), None);
 }
 
 #[test]
@@ -372,23 +282,7 @@ fn accepted_blocks_answer_sums_from_cumulative() {
     let t = compressed_table(vec![key, agg]);
     let cumulative = t.cumulative_sum(1);
     let checks = [(0usize, 130u64, 900u64)];
-    let mut dv = SumVisitor::default();
-    let mut ds = ScanStats::default();
-    let Ok(()) = scan_rows(&t, &checks, 0, 1024, Some(1), &mut dv, &mut ds);
-    let mut pv = SumVisitor::default();
-    let mut ps = ScanStats::default();
-    let Ok(()) = scan_checked(
-        &t,
-        &checks,
-        0,
-        1024,
-        Some(1),
-        Some(&cumulative),
-        &mut pv,
-        &mut ps,
-    );
-    assert_eq!((pv.sum, pv.count), (dv.sum, dv.count));
-    assert_stats_equivalent(&ps, &ds, "wholesale-accept anchor");
+    let ps = diff_all_visitors(&t, &checks, (0, 1024), Some(1), Some(&cumulative))[1];
     assert!(
         ps.blocks_accepted >= 4,
         "interior blocks must be accepted wholesale, got {ps:?}"
@@ -398,11 +292,11 @@ fn accepted_blocks_answer_sums_from_cumulative() {
 #[test]
 fn empty_tables_and_empty_ranges() {
     let t = compressed_table(vec![vec![], vec![]]);
-    diff_all_visitors(&t, &[(0, 0, 10)], 0, 0, None);
+    diff_all_visitors(&t, &[(0, 0, 10)], (0, 0), Some(1), None);
     let t = compressed_table(vec![(0..300).collect(), (300..600).collect()]);
-    diff_all_visitors(&t, &[(0, 0, 10)], 150, 150, None);
+    diff_all_visitors(&t, &[(0, 0, 10)], (150, 150), Some(1), None);
     // Sub-range entirely inside one block.
-    diff_all_visitors(&t, &[(0, 100, 200)], 130, 140, None);
+    diff_all_visitors(&t, &[(0, 100, 200)], (130, 140), Some(1), None);
 }
 
 #[test]
@@ -413,7 +307,7 @@ fn unaligned_subranges_match() {
         (0..1000).map(|i| i * 31).collect(),
     ]);
     for (s, e) in [(1, 999), (127, 129), (128, 256), (130, 890), (0, 1)] {
-        diff_all_visitors(&t, &[(0, 10, 60)], s, e, None);
+        diff_all_visitors(&t, &[(0, 10, 60)], (s, e), Some(1), None);
     }
 }
 

@@ -5,6 +5,7 @@ use flood_store::{
     scan_exact, scan_filtered, Column, CompressedColumn, CountVisitor, CumulativeColumn,
     RangeQuery, ScanStats, SumVisitor, Table,
 };
+use flood_testkit::{count, Lcg};
 use proptest::prelude::*;
 
 proptest! {
@@ -55,10 +56,7 @@ proptest! {
         let mut v = CountVisitor::default();
         let mut s = ScanStats::default();
         let Ok(()) = scan_filtered(&t, &q, 0, t.len(), None, None, &mut v, &mut s);
-        let truth = rows
-            .iter()
-            .filter(|r| r.0 >= lo0 && r.0 <= lo0 + w0 && r.1 >= lo1 && r.1 <= lo1 + w1)
-            .count() as u64;
+        let truth = count(&t, &q);
         prop_assert_eq!(v.count, truth);
         prop_assert_eq!(s.points_scanned, t.len() as u64);
     }
@@ -89,10 +87,9 @@ proptest! {
         let n = values.len();
         // A pseudo-random permutation derived from the seed.
         let mut perm: Vec<u32> = (0..n as u32).collect();
-        let mut state = seed | 1;
+        let mut s = Lcg::new(seed, 33).with_increment(1);
         for i in (1..n).rev() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            perm.swap(i, (state >> 33) as usize % (i + 1));
+            perm.swap(i, s.below(i + 1));
         }
         let t = Table::from_columns(vec![values.clone()]);
         let p = t.permuted(&perm);

@@ -27,14 +27,14 @@
 mod common;
 
 use common::{
-    build_table, cases, cuts_strategy, diff_driver_all, filter_strategy, plan_from, splitmix,
-    Bound, Cut, DimFilter,
+    build_table, cuts_strategy, diff_driver_all, filter_strategy, plan_from, Bound, Cut, DimFilter,
 };
 use flood_store::{
-    assert_stats_equivalent, scan_checked, scan_rows, Check, CountVisitor, FileBackend, MemBackend,
-    MinMaxVisitor, RangeQuery, ScanStats, StorageBackend, SumVisitor, Table, TierConfig,
-    TieredDelta, TieredScan, TieredTable, Visitor, BLOCK_LEN,
+    assert_stats_equivalent, scan_checked, scan_rows, Check, FileBackend, MemBackend, RangeQuery,
+    ScanStats, StorageBackend, Table, TierConfig, TieredDelta, TieredScan, TieredTable, Visitor,
+    BLOCK_LEN,
 };
+use flood_testkit::{answer, cases, splitmix, Answer};
 use proptest::prelude::*;
 use std::ops::Range;
 use std::sync::Arc;
@@ -126,42 +126,28 @@ impl Visitor for RowValueVisitor {
     }
 }
 
-/// Run the row loop over `resident`, then the kernel over both tables;
-/// results must equal the row loop's and the tiered stats, tier counters
-/// aside, must equal the resident kernel's exactly. Returns the tiered
-/// stats for tier-counter assertions.
-#[allow(clippy::too_many_arguments)]
-fn diff_tiered<V: Visitor + Default, R: PartialEq + std::fmt::Debug>(
-    resident: &Table,
-    tiered: &TieredTable,
-    checks: &[(usize, u64, u64)],
-    start: usize,
-    end: usize,
-    agg: Option<usize>,
-    extract: fn(&V) -> R,
-    label: &str,
-) -> ScanStats {
-    let mut want_v = V::default();
-    let mut want_s = ScanStats::default();
-    let Ok(()) = scan_rows(resident, checks, start, end, agg, &mut want_v, &mut want_s);
-    let mut rv = V::default();
-    let mut rs = ScanStats::default();
-    let Ok(()) = scan_checked(resident, checks, start, end, agg, None, &mut rv, &mut rs);
-    let mut tv = V::default();
-    let mut ts = ScanStats::default();
-    scan_checked(tiered, checks, start, end, agg, None, &mut tv, &mut ts)
-        .expect("the test backends never fail");
-    assert_eq!(extract(&tv), extract(&want_v), "{label}: result");
-    assert_stats_equivalent(&ts, &want_s, label);
-    assert_eq!(
-        ts.sans_tier_counters(),
-        rs,
-        "{label}: shared counters must match exactly"
-    );
-    ts
+/// One read of a query's matches into a visitor, over aggregation column
+/// `agg`.
+type Read<'a> = &'a dyn Fn(Option<usize>, &mut dyn Visitor) -> ScanStats;
+
+/// What `read` returns under every visitor kind (SUM and MIN/MAX over
+/// column 1), plus the exact (row, value) sequence it visits with column 2
+/// as the value — order and values, not just sets — and each run's stats,
+/// the (row, value) run's last.
+fn every_visitor(read: Read) -> (Answer<usize>, Vec<(usize, u64)>, Vec<ScanStats>) {
+    let (answer, stats) = answer(&read, Some(1), Some(1));
+    let mut v = RowValueVisitor::default();
+    let last = read(Some(2), &mut v);
+    (answer, v.seen, stats.into_iter().chain([last]).collect())
 }
 
-/// All visitor kinds over one (table, checks, range) instance.
+const KINDS: [&str; 5] = ["count", "sum", "minmax", "collect", "rowvalue"];
+
+/// Every visitor kind over one (table, checks, range) instance: the row
+/// loop over `resident`, then the kernel over both tables. Results must
+/// equal the row loop's, and the tiered stats, tier counters aside, must
+/// equal the resident kernel's exactly. Returns the tiered stats of the
+/// last run for tier-counter assertions.
 fn diff_all_visitors(
     resident: &Table,
     tiered: &TieredTable,
@@ -169,47 +155,35 @@ fn diff_all_visitors(
     start: usize,
     end: usize,
 ) -> ScanStats {
-    diff_tiered::<CountVisitor, _>(
-        resident,
-        tiered,
-        checks,
-        start,
-        end,
-        None,
-        |v| v.count,
-        "count",
-    );
-    diff_tiered::<SumVisitor, _>(
-        resident,
-        tiered,
-        checks,
-        start,
-        end,
-        Some(1),
-        |v| (v.sum, v.count),
-        "sum",
-    );
-    diff_tiered::<MinMaxVisitor, _>(
-        resident,
-        tiered,
-        checks,
-        start,
-        end,
-        Some(1),
-        |v| (v.min, v.max, v.count),
-        "minmax",
-    );
-    // Exact (row, value) sequence — order and values, not just sets.
-    diff_tiered::<RowValueVisitor, _>(
-        resident,
-        tiered,
-        checks,
-        start,
-        end,
-        Some(2),
-        |v| v.seen.clone(),
-        "rowvalue",
-    )
+    let rows = |agg: Option<usize>, v: &mut dyn Visitor| {
+        let mut s = ScanStats::default();
+        let Ok(()) = scan_rows(resident, checks, start, end, agg, v, &mut s);
+        s
+    };
+    let kernel = |agg: Option<usize>, v: &mut dyn Visitor| {
+        let mut s = ScanStats::default();
+        let Ok(()) = scan_checked(resident, checks, start, end, agg, None, v, &mut s);
+        s
+    };
+    let cold = |agg: Option<usize>, v: &mut dyn Visitor| {
+        let mut s = ScanStats::default();
+        scan_checked(tiered, checks, start, end, agg, None, v, &mut s)
+            .expect("the test backends never fail");
+        s
+    };
+    let (want, want_seen, want_stats) = every_visitor(&rows);
+    let (_, _, kernel_stats) = every_visitor(&kernel);
+    let (got, got_seen, tiered_stats) = every_visitor(&cold);
+    assert_eq!((got, got_seen), (want, want_seen), "result");
+    for (i, kind) in KINDS.iter().enumerate() {
+        assert_stats_equivalent(&tiered_stats[i], &want_stats[i], kind);
+        assert_eq!(
+            tiered_stats[i].sans_tier_counters(),
+            kernel_stats[i],
+            "{kind}: shared counters must match exactly"
+        );
+    }
+    tiered_stats[4]
 }
 
 /// How one column of the planned-read tables is ordered.
@@ -277,45 +251,23 @@ fn brute_candidate_rows(t: &TieredTable, checks: &[Check]) -> Range<usize> {
         ..t.len().min((last.first_block + last.n_blocks) * BLOCK_LEN)
 }
 
-/// One visitor kind through a planned read (`read`, returning its stats)
-/// against `scan_rows` over all of `full`: same result in the same order,
-/// same match count, and exactly `planned` rows looked at.
-fn planned_vs_full<V: Visitor + Default, R: PartialEq + std::fmt::Debug>(
-    full: &Table,
-    checks: &[Check],
-    agg: Option<usize>,
-    planned: usize,
-    read: &dyn Fn(Option<usize>, &mut dyn Visitor) -> ScanStats,
-    extract: fn(&V) -> R,
-    label: &str,
-) {
-    let mut want_v = V::default();
-    let mut want_s = ScanStats::default();
-    let Ok(()) = scan_rows(full, checks, 0, full.len(), agg, &mut want_v, &mut want_s);
-    let mut matched = CountVisitor::default();
-    let Ok(()) = scan_rows(full, checks, 0, full.len(), None, &mut matched, &mut want_s);
-    let mut got_v = V::default();
-    let got_s = read(agg, &mut got_v);
-    assert_eq!(extract(&got_v), extract(&want_v), "{label}: result");
-    assert_eq!(got_s.points_matched, matched.count, "{label}: matched");
-    assert_eq!(got_s.points_scanned, planned as u64, "{label}: scanned");
-    assert!(planned <= full.len(), "{label}: more than the full scan");
-}
-
-/// Every visitor kind through [`planned_vs_full`].
-fn planned_vs_full_all(
-    full: &Table,
-    checks: &[Check],
-    planned: usize,
-    read: &dyn Fn(Option<usize>, &mut dyn Visitor) -> ScanStats,
-) {
-    planned_vs_full::<CountVisitor, _>(full, checks, None, planned, read, |v| v.count, "count");
-    let sum = |v: &SumVisitor| (v.sum, v.count);
-    planned_vs_full::<SumVisitor, _>(full, checks, Some(1), planned, read, sum, "sum");
-    let minmax = |v: &MinMaxVisitor| (v.min, v.max, v.count);
-    planned_vs_full::<MinMaxVisitor, _>(full, checks, Some(1), planned, read, minmax, "minmax");
-    let seen = |v: &RowValueVisitor| v.seen.clone();
-    planned_vs_full::<RowValueVisitor, _>(full, checks, Some(2), planned, read, seen, "rowvalue");
+/// Every visitor kind through a planned read (`read`, returning its
+/// stats) against `scan_rows` over all of `full`: same result in the same
+/// order, same match count, and exactly `planned` rows looked at.
+fn planned_vs_full_all(full: &Table, checks: &[Check], planned: usize, read: Read) {
+    let rows = |agg: Option<usize>, v: &mut dyn Visitor| {
+        let mut s = ScanStats::default();
+        let Ok(()) = scan_rows(full, checks, 0, full.len(), agg, v, &mut s);
+        s
+    };
+    let (want, want_seen, _) = every_visitor(&rows);
+    let (got, got_seen, stats) = every_visitor(read);
+    for (kind, s) in KINDS.iter().zip(&stats) {
+        assert_eq!(s.points_matched, want.count, "{kind}: matched");
+        assert_eq!(s.points_scanned, planned as u64, "{kind}: scanned");
+    }
+    assert_eq!((got, got_seen), (want, want_seen), "result");
+    assert!(planned <= full.len(), "more than the full scan");
 }
 
 /// A planned read of the rows `delta` has sealed, through a [`TieredScan`]

@@ -1,6 +1,6 @@
-//! The master correctness oracle: every index in the workspace must return
-//! exactly the same results as a full scan, on every dataset × workload
-//! combination, for COUNT and SUM aggregations.
+//! The master correctness oracle: every index in the workspace, the full
+//! scan included, must return exactly the brute-force answer on every
+//! dataset × workload combination, for COUNT and SUM aggregations.
 
 use flood::baselines::{
     ClusteredIndex, FullScan, GridFile, Hyperoctree, KdTree, RStarTree, UbTree, ZOrderIndex,
@@ -8,48 +8,32 @@ use flood::baselines::{
 use flood::core::{FloodBuilder, Layout};
 use flood::data::{DatasetKind, Workload, WorkloadKind};
 use flood::store::{CountVisitor, MultiDimIndex, RangeQuery, SumVisitor, Table};
+use flood_testkit::{oracle, Answer};
 
 const N: usize = 8_000;
 const QUERIES: usize = 25;
 
-fn oracle_count(t: &Table, q: &RangeQuery) -> u64 {
-    let full = FullScan::build(t);
-    let mut v = CountVisitor::default();
-    full.execute(q, None, &mut v);
-    v.count
-}
-
-fn oracle_sum(t: &Table, q: &RangeQuery, agg: usize) -> u64 {
-    let full = FullScan::build(t);
-    let mut v = SumVisitor::default();
-    full.execute(q, Some(agg), &mut v);
-    v.sum
-}
-
-fn check_index(idx: &dyn MultiDimIndex, t: &Table, queries: &[RangeQuery], agg: usize) {
-    for (i, q) in queries.iter().enumerate() {
+fn check_index(
+    idx: &dyn MultiDimIndex,
+    truth: &[Answer<Vec<u64>>],
+    queries: &[RangeQuery],
+    agg: usize,
+) {
+    for (i, (q, want)) in queries.iter().zip(truth).enumerate() {
+        let name = idx.name();
         let mut count = CountVisitor::default();
         let stats = idx.execute(q, None, &mut count);
         assert_eq!(
-            count.count,
-            oracle_count(t, q),
-            "{}: COUNT mismatch on query {i}",
-            idx.name()
+            count.count, want.count,
+            "{name}: COUNT mismatch on query {i}"
         );
         assert_eq!(
-            stats.points_matched,
-            count.count,
-            "{}: stats mismatch on query {i}",
-            idx.name()
+            stats.points_matched, count.count,
+            "{name}: stats mismatch on query {i}"
         );
         let mut sum = SumVisitor::default();
         idx.execute(q, Some(agg), &mut sum);
-        assert_eq!(
-            sum.sum,
-            oracle_sum(t, q, agg),
-            "{}: SUM mismatch on query {i}",
-            idx.name()
-        );
+        assert_eq!(sum.sum, want.sum.sum, "{name}: SUM mismatch on query {i}");
     }
 }
 
@@ -57,10 +41,15 @@ fn all_dims(t: &Table) -> Vec<usize> {
     (0..t.dims()).collect()
 }
 
-/// Build every index over `stored` and check it against the full-scan
+/// Build every index over `stored` and check it against the brute-force
 /// oracle over `plain` (the same rows, uncompressed).
 fn check_all(stored: &Table, plain: &Table, queries: &[RangeQuery], agg: usize) {
-    let check = |idx: &dyn MultiDimIndex| check_index(idx, plain, queries, agg);
+    let truth: Vec<_> = queries
+        .iter()
+        .map(|q| oracle(plain, q, Some(agg), None))
+        .collect();
+    let check = |idx: &dyn MultiDimIndex| check_index(idx, &truth, queries, agg);
+    check(&FullScan::build(stored));
     let dims = all_dims(stored);
     check(&ClusteredIndex::build(stored, 0));
     check(&ZOrderIndex::build(stored, dims.clone()));

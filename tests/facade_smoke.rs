@@ -35,10 +35,7 @@ fn end_to_end_round_trip() {
     let mut got = CountVisitor::default();
     index.execute(&q, None, &mut got);
 
-    let want = (0..table.len())
-        .filter(|&r| q.matches(&table.row(r)))
-        .count() as u64;
-    assert_eq!(got.count, want);
+    assert_eq!(got.count, flood_testkit::count(&table, &q));
     assert!(got.count > 0, "query should match something");
 }
 

@@ -52,10 +52,7 @@ fn calibrated_pipeline_end_to_end() {
     for q in &w.test {
         let mut v = CountVisitor::default();
         index.execute(q, None, &mut v);
-        let truth = (0..ds.table.len())
-            .filter(|&r| q.matches(&ds.table.row(r)))
-            .count() as u64;
-        assert_eq!(v.count, truth);
+        assert_eq!(v.count, flood_testkit::count(&ds.table, q));
     }
 }
 

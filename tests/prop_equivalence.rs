@@ -1,107 +1,86 @@
 //! Property-based equivalence: on arbitrary small tables and arbitrary
-//! queries, every index agrees with the brute-force oracle.
+//! queries, every index agrees with the brute-force oracle — COUNT, SUM,
+//! MIN/MAX and the matched rows.
 
 use flood::baselines::{Hyperoctree, KdTree, RStarTree, UbTree, ZOrderIndex};
 use flood::core::{FloodBuilder, Layout};
-use flood::store::{CountVisitor, MultiDimIndex, RangeQuery, Table};
+use flood::store::{MultiDimIndex, RangeQuery, Table};
+use flood_testkit::{answer, arb_lcg_table, arb_query, oracle, serial, span};
 use proptest::prelude::*;
 
 /// A random 3-dim table of up to 400 rows with small domains (to force
 /// duplicate values and boundary collisions).
 fn arb_table() -> impl Strategy<Value = Table> {
-    (1usize..400, any::<u64>()).prop_map(|(n, seed)| {
-        let mut state = seed | 1;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        let cols: Vec<Vec<u64>> = (0..3)
-            .map(|d| {
-                let domain = [16u64, 1_000, u64::MAX >> 20][d];
-                (0..n).map(|_| next() % domain).collect()
-            })
-            .collect();
-        Table::from_columns(cols)
-    })
+    arb_lcg_table(1..400, [16, 1_000, u64::MAX >> 20])
 }
 
 /// An arbitrary query over 3 dims: each dim unfiltered, an equality, or a
 /// range (possibly empty of matches).
-fn arb_query() -> impl Strategy<Value = RangeQuery> {
+fn arb_query3() -> impl Strategy<Value = RangeQuery> {
     let dim_bound = prop_oneof![
         Just(None),
         (0u64..1_000).prop_map(|v| Some((v, v))),
-        (0u64..2_000, 0u64..2_000).prop_map(|(a, b)| Some((a.min(b), a.max(b)))),
+        span(2_000),
     ];
-    proptest::collection::vec(dim_bound, 3).prop_map(|bounds| {
-        let mut q = RangeQuery::all(3);
-        for (d, b) in bounds.into_iter().enumerate() {
-            if let Some((lo, hi)) = b {
-                q = q.with_range(d, lo, hi);
-            }
-        }
-        q
-    })
+    arb_query(3, dim_bound)
 }
 
-fn oracle(t: &Table, q: &RangeQuery) -> u64 {
-    (0..t.len()).filter(|&r| q.matches(&t.row(r))).count() as u64
-}
-
-fn count(idx: &dyn MultiDimIndex, q: &RangeQuery) -> u64 {
-    let mut v = CountVisitor::default();
-    idx.execute(q, None, &mut v);
-    v.count
+/// `idx`'s answer under every visitor kind (SUM over the wide column 2,
+/// MIN/MAX over column 1) as the oracle gives it: COUNT first, on its own,
+/// then the rest.
+fn check(idx: &dyn MultiDimIndex, data: &Table, t: &Table, q: &RangeQuery) {
+    let got = answer(&serial(idx, q), Some(2), Some(1)).0.tuples(data);
+    let want = oracle(t, q, Some(2), Some(1));
+    assert_eq!(got.count, want.count, "{} COUNT", idx.name());
+    assert_eq!(got, want, "{}", idx.name());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn flood_equals_oracle(t in arb_table(), q in arb_query()) {
+    fn flood_equals_oracle(t in arb_table(), q in arb_query3()) {
         let idx = FloodBuilder::new()
             .layout(Layout::new(vec![0, 1, 2], vec![4, 3]))
             .build(&t);
-        prop_assert_eq!(count(&idx, &q), oracle(&t, &q));
+        check(&idx, idx.data(), &t, &q);
     }
 
     #[test]
-    fn flood_histogram_equals_oracle(t in arb_table(), q in arb_query()) {
+    fn flood_histogram_equals_oracle(t in arb_table(), q in arb_query3()) {
         let idx = FloodBuilder::new()
             .layout(Layout::histogram(vec![2, 0], vec![4, 4]))
             .build(&t);
-        prop_assert_eq!(count(&idx, &q), oracle(&t, &q));
+        check(&idx, idx.data(), &t, &q);
     }
 
     #[test]
-    fn zorder_equals_oracle(t in arb_table(), q in arb_query()) {
+    fn zorder_equals_oracle(t in arb_table(), q in arb_query3()) {
         let idx = ZOrderIndex::build_with_page_size(&t, vec![0, 1, 2], 32);
-        prop_assert_eq!(count(&idx, &q), oracle(&t, &q));
+        check(&idx, idx.data(), &t, &q);
     }
 
     #[test]
-    fn ubtree_equals_oracle(t in arb_table(), q in arb_query()) {
+    fn ubtree_equals_oracle(t in arb_table(), q in arb_query3()) {
         let idx = UbTree::build_with_page_size(&t, vec![0, 1, 2], 32);
-        prop_assert_eq!(count(&idx, &q), oracle(&t, &q));
+        check(&idx, idx.data(), &t, &q);
     }
 
     #[test]
-    fn octree_equals_oracle(t in arb_table(), q in arb_query()) {
+    fn octree_equals_oracle(t in arb_table(), q in arb_query3()) {
         let idx = Hyperoctree::build_with_page_size(&t, vec![0, 1, 2], 16);
-        prop_assert_eq!(count(&idx, &q), oracle(&t, &q));
+        check(&idx, idx.data(), &t, &q);
     }
 
     #[test]
-    fn kdtree_equals_oracle(t in arb_table(), q in arb_query()) {
+    fn kdtree_equals_oracle(t in arb_table(), q in arb_query3()) {
         let idx = KdTree::build_with_page_size(&t, vec![0, 1, 2], 16);
-        prop_assert_eq!(count(&idx, &q), oracle(&t, &q));
+        check(&idx, idx.data(), &t, &q);
     }
 
     #[test]
-    fn rtree_equals_oracle(t in arb_table(), q in arb_query()) {
+    fn rtree_equals_oracle(t in arb_table(), q in arb_query3()) {
         let idx = RStarTree::build_with_page_size(&t, vec![0, 1, 2], 16, 4);
-        prop_assert_eq!(count(&idx, &q), oracle(&t, &q));
+        check(&idx, idx.data(), &t, &q);
     }
 }
