@@ -682,7 +682,7 @@ mod tests {
             u64::MAX >> (64 - width)
         };
         let base = 1_000u64.min(u64::MAX - top);
-        let mut rng = Lcg::from_state(0x9e37_79b9_7f4a_7c15 ^ u64::from(width), 7);
+        let mut rng = Lcg::new(0x9e37_79b9_7f4a_7c15 ^ u64::from(width), 7);
         let mut vals: Vec<u64> = (0..len).map(|_| base + (rng.next_u64() & top)).collect();
         vals[len / 3] = base;
         vals[len - 1] = base + top;

@@ -192,6 +192,13 @@ mod tests {
     }
 
     #[test]
+    fn checks_list_each_filter_in_dimension_order() {
+        let q = RangeQuery::all(4).with_range(2, 5, 9).with_eq(0, 3);
+        assert_eq!(q.checks(), vec![(0, 3, 3), (2, 5, 9)]);
+        assert!(RangeQuery::all(2).checks().is_empty());
+    }
+
+    #[test]
     fn corners() {
         let q = RangeQuery::all(3).with_range(1, 5, 9);
         let r = q.rect();

@@ -87,7 +87,7 @@ proptest! {
         let n = values.len();
         // A pseudo-random permutation derived from the seed.
         let mut perm: Vec<u32> = (0..n as u32).collect();
-        let mut s = Lcg::new(seed, 33).with_increment(1);
+        let mut s = Lcg::new(seed, 33);
         for i in (1..n).rev() {
             perm.swap(i, s.below(i + 1));
         }

@@ -67,35 +67,23 @@ pub fn splitmix(state: &mut u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct Lcg {
     state: u64,
-    increment: u64,
     shift: u32,
 }
 
 impl Lcg {
     /// The stream from the odd state `seed | 1`, outputs shifted by `shift`.
     pub fn new(seed: u64, shift: u32) -> Self {
-        Lcg::from_state(seed | 1, shift)
-    }
-
-    /// The stream from `state` as given, outputs shifted by `shift`.
-    pub fn from_state(state: u64, shift: u32) -> Self {
         Lcg {
-            state,
-            increment: 1_442_695_040_888_963_407,
+            state: seed | 1,
             shift,
         }
-    }
-
-    /// The same multiplier with another increment.
-    pub fn with_increment(self, increment: u64) -> Self {
-        Lcg { increment, ..self }
     }
 
     /// Advance and return the next output.
     pub fn next_u64(&mut self) -> u64 {
         self.state = (self.state)
             .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(self.increment);
+            .wrapping_add(1_442_695_040_888_963_407);
         self.state >> self.shift
     }
 

@@ -47,11 +47,12 @@ impl Answer<usize> {
     }
 }
 
-/// The rows of `t` that `q` matches, ascending.
-fn matching<'a>(t: &'a Table, q: &RangeQuery) -> impl Iterator<Item = usize> + 'a {
-    let checks = q.checks();
-    (0..t.len())
-        .filter(move |&r| (checks.iter()).all(|&(d, lo, hi)| (lo..=hi).contains(&t.value(r, d))))
+/// The rows of `t` that `q` matches, ascending. Each value is tested with
+/// [`RangeQuery::matches_dim`], not through [`RangeQuery::checks`], the
+/// form the scan kernels under test take.
+fn matching<'a>(t: &'a Table, q: &'a RangeQuery) -> impl Iterator<Item = usize> + 'a {
+    assert_eq!(q.dims(), t.dims(), "query and table arity differ");
+    (0..t.len()).filter(move |&r| (0..q.dims()).all(|d| q.matches_dim(d, t.value(r, d))))
 }
 
 /// COUNT of `q` over `t`, row by row.
